@@ -16,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 from repro.crypto.primes import generate_prime
 from repro.obs import get_registry
@@ -54,11 +55,19 @@ class RsaPrivateKey:
     p: int
     q: int
 
+    @cached_property
+    def _crt(self) -> Tuple[int, int, int]:
+        """``(d mod p-1, d mod q-1, q^-1 mod p)``: fixed by the key, so
+        derived on first use and not per signature."""
+        return (
+            self.d % (self.p - 1),
+            self.d % (self.q - 1),
+            pow(self.q, -1, self.p),
+        )
+
     def _crt_pow(self, c: int) -> int:
         """Compute ``c**d mod n`` via the Chinese Remainder Theorem."""
-        dp = self.d % (self.p - 1)
-        dq = self.d % (self.q - 1)
-        q_inv = pow(self.q, -1, self.p)
+        dp, dq, q_inv = self._crt
         m1 = pow(c % self.p, dp, self.p)
         m2 = pow(c % self.q, dq, self.q)
         h = (q_inv * (m1 - m2)) % self.p

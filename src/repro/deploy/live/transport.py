@@ -11,6 +11,13 @@ crosses the metered network), so the middleware runs unchanged; what
 becomes real is the timing: kernel buffers, connection setup, wall-clock
 retry timers.
 
+The steady state costs no task and no await per frame: :meth:`LiveTransport.send`
+writes to the pair's open connection in place, and the receiving
+:class:`_FrameReceiver` parses and dispatches every complete frame of a
+read from the socket callback.  Only connection set-up and a socket that
+has not taken earlier bytes go through a task (one per pair), and a chaos
+delay through one per delayed frame.
+
 Failure semantics deliberately mirror :class:`~repro.network.simnet.SimNetwork`
 so the reliability layer sees the same reasons on both backends:
 ``sender-offline`` (immediate), ``unreachable`` (after a latency-derived
@@ -25,14 +32,23 @@ import asyncio
 import logging
 import pickle
 import struct
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from collections import deque
+from typing import Any, Callable, Coroutine, Deque, Dict, Optional, Set, Tuple
 
-from repro.network.transport import Transport
+from repro.network.transport import TimerHandle, Transport
 from repro.obs import get_registry
 
 logger = logging.getLogger("repro.deploy.live.transport")
 
 _HEADER = struct.Struct(">I")
+
+#: The longest frame body a peer may announce.  The largest frame the
+#: protocol sends is a replica push (a pickled profile: tens of kilobytes),
+#: so this is generous; its job is to stop four hostile bytes from making
+#: the receiver buffer 4 GiB.
+MAX_FRAME_BYTES = 8 * 1024 * 1024
+
+_Pair = Tuple[int, int]  # (sender, receiver)
 
 
 def _msg_kind(message: Any) -> str:
@@ -54,50 +70,148 @@ class _PausedFrame:
         self.ctx = ctx
 
 
+class _FrameReceiver(asyncio.Protocol):
+    """The receiving end of one connection to a node's server.
+
+    Whatever a read brings is parsed in place: every complete
+    length-prefixed frame in it is unpickled and dispatched before the
+    call returns, and an incomplete tail waits for the next read.  A
+    frame that announces more than :data:`MAX_FRAME_BYTES` or does not
+    unpickle into an envelope is counted as ``bad-frame`` and costs the
+    peer its connection — the stream cannot be trusted past it.
+    """
+
+    __slots__ = ("_net", "_node_id", "_connection", "_partial")
+
+    def __init__(self, net: "LiveTransport", node_id: int) -> None:
+        self._net = net
+        self._node_id = node_id
+        self._connection: Optional[asyncio.Transport] = None
+        #: Bytes of a frame whose end has not arrived yet.
+        self._partial = bytearray()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._connection = transport
+        self._net._inbound.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._net._inbound.discard(self._connection)
+
+    def data_received(self, data: bytes) -> None:
+        partial = self._partial
+        if partial:
+            partial += data
+            data = partial
+        with memoryview(data) as view:
+            consumed = self._dispatch_frames(view)
+        if partial:
+            del partial[:consumed]
+        elif consumed < len(data):
+            partial += data[consumed:]
+
+    def _dispatch_frames(self, view: memoryview) -> int:
+        """Dispatch the complete frames at the front of ``view``; returns
+        how many bytes they took (all of them after a bad frame)."""
+        net, node_id = self._net, self._node_id
+        start, end = 0, len(view)
+        while end - start >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(view, start)
+            if length > MAX_FRAME_BYTES:
+                return self._bad_frame(end, f"announces {length} bytes")
+            body = start + _HEADER.size
+            if end - body < length:
+                break
+            start = body + length
+            try:
+                # Frames are (sender, size, message) or, when an observer
+                # was attached at send time, (sender, size, message, ctx).
+                parts = pickle.loads(view[body:start])
+                if type(parts) is not tuple or not 3 <= len(parts) <= 4:
+                    raise ValueError("not an envelope")
+                sender, size_bytes, message = parts[0], parts[1], parts[2]
+                if not isinstance(size_bytes, (int, float)) or size_bytes < 0:
+                    raise ValueError("envelope without a byte count")
+                ctx = parts[3] if len(parts) > 3 else None
+            except Exception as exc:  # noqa: BLE001 — anything a hostile pickle can raise
+                return self._bad_frame(end, f"does not decode ({exc!r})")
+            net._dispatch(sender, node_id, message, size_bytes, ctx)
+        return start
+
+    def _bad_frame(self, end: int, why: str) -> int:
+        logger.warning("node %d: dropping a connection whose frame %s", self._node_id, why)
+        self._net._count_failure("bad-frame")
+        self._connection.close()
+        return end
+
+
+class _Timer:
+    """One armed ``call_later`` of an :class:`AsyncClock`.
+
+    The callback is guarded: an exception in a retry timer must not kill
+    the event loop.
+    """
+
+    __slots__ = ("_clock", "_callback", "_handle")
+
+    def __init__(
+        self, clock: "AsyncClock", delay: float, callback: Callable[[], None]
+    ) -> None:
+        self._clock = clock
+        self._callback: Optional[Callable[[], None]] = callback
+        self._handle = clock.aioloop.call_later(max(0.0, delay), self._fire)
+        clock._timers.add(self)
+
+    def _fire(self) -> None:
+        self._clock._timers.discard(self)
+        callback, self._callback = self._callback, None
+        try:
+            callback()
+        except Exception:  # noqa: BLE001 — timers must not kill the loop
+            logger.exception("scheduled callback failed")
+
+    def cancel(self) -> None:
+        if self._callback is not None:
+            self._callback = None
+            self._clock._timers.discard(self)
+            self._handle.cancel()
+
+
 class AsyncClock:
     """Wallclock :class:`~repro.network.transport.Clock` over asyncio.
 
     ``now`` is seconds since the clock was created (so timestamps look
     like the simulator's small floats, not epoch seconds); ``schedule``
-    maps to ``call_later``.  Timer callbacks are guarded: an exception in
-    a retry timer must not kill the event loop.  Must be constructed
-    inside a running event loop.
+    maps to ``call_later`` and returns a handle whose ``cancel`` takes the
+    timer out of the clock (and, lazily, out of asyncio's heap) at once.
+    Must be constructed inside a running event loop.
     """
 
     def __init__(self) -> None:
         self.aioloop = asyncio.get_running_loop()
         self._t0 = self.aioloop.time()
-        self._handles: Set[asyncio.TimerHandle] = set()
+        self._timers: Set[_Timer] = set()
         self._closed = False
 
     @property
     def now(self) -> float:
         return self.aioloop.time() - self._t0
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
+        timer = _Timer(self, delay, callback)
         if self._closed:
-            return
-        handle: Optional[asyncio.TimerHandle] = None
+            timer.cancel()
+        return timer
 
-        def fire() -> None:
-            self._handles.discard(handle)
-            if self._closed:
-                return
-            try:
-                callback()
-            except Exception:  # noqa: BLE001 — timers must not kill the loop
-                logger.exception("scheduled callback failed")
-
-        handle = self.aioloop.call_later(max(0.0, delay), fire)
-        self._handles.add(handle)
+    def pending(self) -> int:
+        """Timers armed and neither fired nor cancelled."""
+        return len(self._timers)
 
     def close(self) -> None:
         """Cancel every outstanding timer (teardown: pending retries from
         killed nodes must not fire into a dismantled cluster)."""
         self._closed = True
-        for handle in self._handles:
-            handle.cancel()
-        self._handles.clear()
+        for timer in list(self._timers):
+            timer.cancel()
 
 
 class LiveTransport(Transport):
@@ -117,8 +231,15 @@ class LiveTransport(Transport):
         self.observer = None  # Optional[repro.obs.flight.LiveObservability]
         self._servers: Dict[int, asyncio.base_events.Server] = {}
         self._ports: Dict[int, int] = {}
+        #: Accepted connections, so teardown can close them.
+        self._inbound: Set[asyncio.Transport] = set()
         #: One cached outbound connection per (sender, receiver) pair.
-        self._writers: Dict[Tuple[int, int], asyncio.StreamWriter] = {}
+        self._writers: Dict[_Pair, asyncio.StreamWriter] = {}
+        #: Frames of a pair that could not be written in place, in send
+        #: order, each with the message to report if it fails.  A pair has
+        #: an entry exactly while its pump task runs; while it has one,
+        #: every send of the pair queues behind it.
+        self._backlog: Dict[_Pair, Deque[Tuple[bytes, Any]]] = {}
         self._tasks: Set[asyncio.Task] = set()
         self._closed = False
 
@@ -131,10 +252,8 @@ class LiveTransport(Transport):
                 await self._start_server(node_id)
 
     async def _start_server(self, node_id: int) -> None:
-        server = await asyncio.start_server(
-            lambda reader, writer, nid=node_id: self._serve(nid, reader, writer),
-            host="127.0.0.1",
-            port=0,
+        server = await self._aio.create_server(
+            lambda: _FrameReceiver(self, node_id), host="127.0.0.1", port=0
         )
         self._servers[node_id] = server
         self._ports[node_id] = server.sockets[0].getsockname()[1]
@@ -154,6 +273,8 @@ class LiveTransport(Transport):
         for writer in self._writers.values():
             writer.close()
         self._writers.clear()
+        for connection in list(self._inbound):
+            connection.close()
         for server in self._servers.values():
             server.close()
         await asyncio.gather(
@@ -166,31 +287,21 @@ class LiveTransport(Transport):
     async def drain(self, settle_s: float = 0.05) -> None:
         """Wait for every queued outbound frame to hit the wire, then a
         short settle so inbound dispatch runs."""
-        pending = [task for task in self._tasks if not task.done()]
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        # A task that ends may leave another behind (a delayed frame that
+        # then has to open its connection), hence the loop.
+        while self._tasks:
+            await asyncio.gather(*self._tasks, return_exceptions=True)
+        # Frames written in place leave no task behind, but the kernel may
+        # not have taken all their bytes yet.
+        for writer in list(self._writers.values()):
+            if writer.transport.get_write_buffer_size():
+                try:
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    pass  # the connection died; its next send reports it
         await asyncio.sleep(settle_s)
 
     # --- inbound ----------------------------------------------------------
-    async def _serve(
-        self, node_id: int, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                header = await reader.readexactly(_HEADER.size)
-                (length,) = _HEADER.unpack(header)
-                payload = await reader.readexactly(length)
-                # Frames are (sender, size, message) or, when an observer
-                # was attached at send time, (sender, size, message, ctx).
-                parts = pickle.loads(payload)
-                sender, size_bytes, message = parts[0], parts[1], parts[2]
-                ctx = parts[3] if len(parts) > 3 else None
-                self._dispatch(sender, node_id, message, size_bytes, ctx)
-        except (asyncio.IncompleteReadError, ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-
     def _dispatch(
         self,
         sender: int,
@@ -254,18 +365,29 @@ class LiveTransport(Transport):
         self._dispatch(sender, receiver, message, size_bytes, ctx)
 
     # --- outbound ---------------------------------------------------------
-    def _schedule_failure(
+    def _fail(
         self, delay: float, sender: int, receiver: int, message: Any, reason: str
     ) -> None:
+        """Count a failed send and tell the sender's failure handler —
+        always from a timer, never from inside :meth:`send`."""
+        self._count_failure(reason)
         failure_handler = self._failure_handlers.get(sender)
-        if failure_handler is None:
-            return
-        self.loop.schedule(
-            delay, lambda: failure_handler(receiver, message, reason)
-        )
+        if failure_handler is not None:
+            self.loop.schedule(
+                delay, lambda: failure_handler(receiver, message, reason)
+            )
 
     def send(self, sender: int, receiver: int, message: Any, size_bytes: int) -> None:
-        """Send a message; the frame crosses a real loopback socket."""
+        """Send a message; the frame crosses a real loopback socket.
+
+        The frame is pickled here and, in the steady state, written to the
+        pair's open connection before this returns.  It goes through the
+        pair's pump task instead when a connection has to be opened first,
+        the socket has not yet taken earlier bytes, or frames of the pair
+        are already waiting for either — so a pair's frames reach the wire
+        in send order whichever way they go.  A chaos delay holds the frame
+        back in a task of its own first.
+        """
         if sender not in self._links:
             raise KeyError(f"unknown sender {sender}")
         if size_bytes < 0:
@@ -273,9 +395,9 @@ class LiveTransport(Transport):
         if self._closed:
             return
         if not self._online.get(sender, False):
-            self._count_failure("sender-offline")
-            self._schedule_failure(0.0, sender, receiver, message, "sender-offline")
+            self._fail(0.0, sender, receiver, message, "sender-offline")
             return
+        extra_delay = 0.0
         if self._chaos is not None:
             blocked = self._chaos_blocks(sender, receiver)
             if blocked == "paused":
@@ -285,10 +407,10 @@ class LiveTransport(Transport):
                 self._count_failure("chaos-drop")
                 return
             if blocked is not None:  # "partitioned"
-                self._count_failure(blocked)
                 delay = self._links[sender].latency_s * 2 + 0.5
-                self._schedule_failure(delay, sender, receiver, message, blocked)
+                self._fail(delay, sender, receiver, message, blocked)
                 return
+            extra_delay = self._chaos_extra_delay()
         send_duration = size_bytes / self._links[sender].upstream_bytes_per_s
         self.meters[sender].record_sent(self.loop.now, size_bytes, send_duration)
         # Trace context is minted after the chaos checks (a resumed,
@@ -301,27 +423,9 @@ class LiveTransport(Transport):
                 sender, receiver, _msg_kind(message), size_bytes
             )
         if receiver not in self._links or not self._online.get(receiver, False):
-            self._count_failure("unreachable")
             delay = self._links[sender].latency_s * 2 + 0.5
-            self._schedule_failure(delay, sender, receiver, message, "unreachable")
+            self._fail(delay, sender, receiver, message, "unreachable")
             return
-        task = self._aio.create_task(
-            self._transmit(sender, receiver, message, size_bytes, ctx)
-        )
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
-    async def _transmit(
-        self,
-        sender: int,
-        receiver: int,
-        message: Any,
-        size_bytes: int,
-        ctx: Optional[tuple] = None,
-    ) -> None:
-        extra = self._chaos_extra_delay()
-        if extra:
-            await asyncio.sleep(extra)
         envelope = (
             (sender, size_bytes, message)
             if ctx is None
@@ -331,26 +435,82 @@ class LiveTransport(Transport):
             payload = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:  # noqa: BLE001 — report, don't crash the runtime
             logger.exception("unpicklable message from %d to %d", sender, receiver)
-            self._count_failure("unreachable")
-            self._schedule_failure(0.0, sender, receiver, message, "unreachable")
+            self._fail(0.0, sender, receiver, message, "unreachable")
             return
         frame = _HEADER.pack(len(payload)) + payload
+        if extra_delay:
+            self._spawn(
+                self._put_on_wire_later(extra_delay, sender, receiver, frame, message)
+            )
+        else:
+            self._put_on_wire(sender, receiver, frame, message)
+
+    def _spawn(self, coro: Coroutine[Any, Any, None]) -> None:
+        task = self._aio.create_task(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _put_on_wire_later(
+        self, delay: float, sender: int, receiver: int, frame: bytes, message: Any
+    ) -> None:
+        """Chaos delay: hold one frame back, then send it as if it had been
+        sent now.  The delay belongs to the frame, not to the pair — a frame
+        sent after the delay was lifted does not wait behind this one."""
+        await asyncio.sleep(delay)
+        self._put_on_wire(sender, receiver, frame, message)
+
+    def _put_on_wire(
+        self, sender: int, receiver: int, frame: bytes, message: Any
+    ) -> None:
+        """Write the frame to the pair's connection now if nothing stands
+        in the way, else queue it behind the pair's pump (starting one)."""
         key = (sender, receiver)
-        try:
+        backlog = self._backlog.get(key)
+        if backlog is None:
             writer = self._writers.get(key)
-            if writer is None or writer.is_closing():
-                port = self._ports.get(receiver)
-                if port is None:
-                    raise ConnectionError(f"no server for node {receiver}")
-                _, writer = await asyncio.open_connection("127.0.0.1", port)
-                self._writers[key] = writer
-            writer.write(frame)
-            await writer.drain()
-        except asyncio.CancelledError:
-            raise
-        except (ConnectionError, OSError):
-            self._writers.pop(key, None)
-            if self._closed:
+            if (
+                writer is not None
+                and not writer.is_closing()
+                and not writer.transport.get_write_buffer_size()
+            ):
+                writer.write(frame)
+                if writer.is_closing():  # the socket refused the bytes
+                    del self._writers[key]
+                    self._fail(0.0, sender, receiver, message, "unreachable")
                 return
-            self._count_failure("unreachable")
-            self._schedule_failure(0.0, sender, receiver, message, "unreachable")
+            backlog = self._backlog[key] = deque()
+            self._spawn(self._pump(key))
+        backlog.append((frame, message))
+
+    async def _pump(self, key: _Pair) -> None:
+        """Carry one pair's backlog to the wire in order — opening the
+        connection if there is none, and letting the socket take every
+        byte before the next frame — then retire, handing the pair back to
+        the in-place path."""
+        sender, receiver = key
+        backlog = self._backlog[key]
+        try:
+            while backlog:
+                frame, message = backlog.popleft()
+                try:
+                    writer = self._writers.get(key)
+                    if writer is None or writer.is_closing():
+                        port = self._ports.get(receiver)
+                        if port is None:
+                            raise ConnectionError(f"no server for node {receiver}")
+                        _, writer = await asyncio.open_connection("127.0.0.1", port)
+                        # Any unsent byte counts as backed up: drain() then
+                        # waits for an empty buffer, not for a low one.
+                        writer.transport.set_write_buffer_limits(high=0)
+                        self._writers[key] = writer
+                    writer.write(frame)
+                    await writer.drain()
+                except (ConnectionError, OSError):
+                    self._writers.pop(key, None)
+                    if self._closed:
+                        return
+                    self._fail(0.0, sender, receiver, message, "unreachable")
+        finally:
+            # No await separates the emptiness test from this: a frame
+            # sent later finds no backlog and starts a new pump.
+            del self._backlog[key]

@@ -1,9 +1,10 @@
 """A minimal discrete-event loop.
 
-Events are ``(time, sequence, callback)`` triples on a heap; the sequence
-number makes ordering deterministic for simultaneous events.  The loop is
-deliberately tiny — everything interesting lives in the models scheduled on
-top of it.
+Events are ``(time, sequence, timer)`` triples on a heap; the sequence
+number makes ordering deterministic for simultaneous events.  A cancelled
+timer gives up its callback at once and its heap slot when its time comes,
+so cancelling never reorders anything else.  The loop is deliberately tiny —
+everything interesting lives in the models scheduled on top of it.
 """
 
 from __future__ import annotations
@@ -15,31 +16,57 @@ from typing import Callable, List, Optional, Tuple
 from repro.obs.profiling import PROFILER
 
 
+class Timer:
+    """A scheduled event.  :meth:`cancel` keeps it from running and lets go
+    of the callback (and whatever it closes over) immediately; cancelling a
+    timer that already ran is harmless."""
+
+    __slots__ = ("callback",)
+
+    def __init__(self, callback: Callable[[], None]) -> None:
+        self.callback: Optional[Callable[[], None]] = callback
+
+    def cancel(self) -> None:
+        self.callback = None
+
+
 class EventLoop:
     """Deterministic discrete-event scheduler."""
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
         self._sequence = itertools.count()
-        self._queue: List[Tuple[float, int, Callable[[], None]]] = []
+        self._queue: List[Tuple[float, int, Timer]] = []
 
     @property
     def now(self) -> float:
         """Current simulation time (seconds by convention)."""
         return self._now
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Run ``callback`` ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), callback))
+        timer = Timer(callback)
+        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), timer))
+        return timer
 
-    def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
+    def schedule_at(self, when: float, callback: Callable[[], None]) -> Timer:
         """Run ``callback`` at absolute time ``when``."""
-        self.schedule(when - self._now, callback)
+        return self.schedule(when - self._now, callback)
 
     def pending(self) -> int:
-        return len(self._queue)
+        """Events still due to run (cancelled ones are not)."""
+        return sum(1 for _, _, timer in self._queue if timer.callback is not None)
+
+    def _pop_due(self) -> Optional[Callable[[], None]]:
+        """Take the earliest event off the heap and move the clock to it;
+        None if that event had been cancelled."""
+        when, _, timer = heapq.heappop(self._queue)
+        callback, timer.callback = timer.callback, None
+        if callback is not None:
+            self._now = max(self._now, when)
+        return callback
 
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
         """Process events up to ``end_time``; returns the number processed.
@@ -59,10 +86,10 @@ class EventLoop:
         while self._queue and self._queue[0][0] <= end_time:
             if max_events is not None and processed >= max_events:
                 break
-            when, _, callback = heapq.heappop(self._queue)
-            self._now = max(self._now, when)
-            callback()
-            processed += 1
+            callback = self._pop_due()
+            if callback is not None:
+                callback()
+                processed += 1
         self._now = max(self._now, end_time)
         return processed
 
@@ -70,8 +97,8 @@ class EventLoop:
         """Drain the queue completely (bounded by ``max_events``)."""
         processed = 0
         while self._queue and processed < max_events:
-            when, _, callback = heapq.heappop(self._queue)
-            self._now = max(self._now, when)
-            callback()
-            processed += 1
+            callback = self._pop_due()
+            if callback is not None:
+                callback()
+                processed += 1
         return processed

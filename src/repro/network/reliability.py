@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.network.transport import Clock, Transport
+from repro.network.transport import Clock, TimerHandle, Transport
 from repro.obs import get_registry, get_tracer
 
 logger = logging.getLogger("repro.network.reliability")
@@ -326,6 +326,16 @@ class _PendingSend:
     attempt: int = 0
     on_ack: Optional[AckHandler] = None
     on_giveup: Optional[GiveUpHandler] = None
+    #: The one timer this send has outstanding: the ack timeout of the
+    #: current attempt, or the backoff before the next.  Cancelled the
+    #: moment the send is settled or moves on, so nothing it closes over
+    #: (this object, the payload) waits out the delay in the timer heap.
+    timer: Optional[TimerHandle] = None
+
+    def cancel_timer(self) -> None:
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
 
 
 class ReliableEndpoint:
@@ -398,8 +408,6 @@ class ReliableEndpoint:
         return msg_id
 
     def _attempt(self, state: _PendingSend) -> None:
-        if self._pending.get(state.msg_id) is not state:
-            return  # acked or given up while a retry was queued
         envelope = Envelope(
             msg_id=state.msg_id,
             origin=self.node_id,
@@ -416,8 +424,7 @@ class ReliableEndpoint:
             + self.network.uplink_backlog_s(self.node_id)
             + self._transfer_estimate(state.dest, state.size_bytes)
         )
-        attempt = state.attempt
-        self.loop.schedule(timeout, lambda: self._check_ack(state, attempt))
+        state.timer = self.loop.schedule(timeout, lambda: self._ack_timed_out(state))
 
     def _transfer_estimate(self, dest: int, size_bytes: int) -> float:
         """Expected wire time, so large transfers get proportionally longer
@@ -427,13 +434,12 @@ class ReliableEndpoint:
         except KeyError:
             return 0.0
 
-    def _check_ack(self, state: _PendingSend, attempt: int) -> None:
-        if self._pending.get(state.msg_id) is not state or state.attempt != attempt:
-            return  # acked, given up, or already retried via a network failure
+    def _ack_timed_out(self, state: _PendingSend) -> None:
         self.stats.timeouts += 1
         self._attempt_failed(state, "ack-timeout")
 
     def _attempt_failed(self, state: _PendingSend, reason: str) -> None:
+        state.cancel_timer()  # a network failure beat the ack timeout
         now = self.loop.now
         self.breaker.record_failure(state.dest, now)
         self.detector.record_failure(state.dest)
@@ -460,7 +466,7 @@ class ReliableEndpoint:
                 msg_id=state.msg_id, t=now,
             )
         delay = self.policy.backoff_s(state.attempt, self.seed, state.msg_id)
-        self.loop.schedule(delay, lambda: self._attempt(state))
+        state.timer = self.loop.schedule(delay, lambda: self._attempt(state))
 
     # --- receiving --------------------------------------------------------
     def handle_message(self, sender: int, message: Any) -> None:
@@ -468,6 +474,7 @@ class ReliableEndpoint:
         if isinstance(message, Ack):
             state = self._pending.pop(message.msg_id, None)
             if state is not None:
+                state.cancel_timer()
                 self.stats.acked += 1
                 self.breaker.record_success(state.dest, self.loop.now)
                 self.detector.record_success(state.dest)

@@ -37,15 +37,24 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Protocol, Set, Tuple
 
 
+class TimerHandle(Protocol):
+    """A scheduled callback that can be called off."""
+
+    def cancel(self) -> None:
+        """Keep the callback from running and release it now, not when the
+        delay is up.  Harmless on a timer that already ran."""
+
+
 class Clock(Protocol):
-    """What a transport needs from time: a monotonic ``now`` and one-shot
-    timers.  :class:`~repro.network.events.EventLoop` provides it for the
-    simulated world; :class:`~repro.deploy.live.AsyncClock` for wallclock."""
+    """What a transport needs from time: a monotonic ``now`` and one-shot,
+    cancellable timers.  :class:`~repro.network.events.EventLoop` provides
+    it for the simulated world; :class:`~repro.deploy.live.AsyncClock` for
+    wallclock."""
 
     @property
     def now(self) -> float: ...
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None: ...
+    def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle: ...
 
 
 @dataclass(frozen=True)

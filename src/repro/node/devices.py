@@ -14,13 +14,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.node.profile import DataItem, Profile
-from repro.node.sync import PendingUpdate
+from repro.node.sync import (
+    OrderedUpdates,
+    PendingUpdate,
+    update_id,
+    update_order,
+)
 
 UpdateKey = Tuple[int, int]  # (origin id, sequence)
-
-
-def _key(update: PendingUpdate) -> UpdateKey:
-    return (update.origin_id, update.sequence)
 
 
 class UpdateLog:
@@ -35,29 +36,24 @@ class UpdateLog:
         if max_entries < 1:
             raise ValueError("log must retain at least one entry")
         self.max_entries = max_entries
-        self._entries: List[PendingUpdate] = []
-        self._keys: Set[UpdateKey] = set()
+        self._updates = OrderedUpdates()
 
     def append(self, update: PendingUpdate) -> bool:
         """Add an update; duplicates (same origin+sequence) are ignored."""
-        if _key(update) in self._keys:
+        if not self._updates.insert(update):
             return False
-        self._entries.append(update)
-        self._keys.add(_key(update))
-        self._entries.sort(key=lambda u: (u.timestamp, u.origin_id, u.sequence))
-        while len(self._entries) > self.max_entries:
-            evicted = self._entries.pop(0)
-            self._keys.discard(_key(evicted))
+        if len(self._updates) > self.max_entries:
+            self._updates.pop_oldest()
         return True
 
     def entries(self) -> List[PendingUpdate]:
-        return list(self._entries)
+        return self._updates.entries()
 
     def size_bytes(self) -> int:
-        return sum(update.size_bytes for update in self._entries)
+        return sum(update.size_bytes for update in self._updates)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._updates)
 
 
 @dataclass
@@ -76,15 +72,15 @@ class DeviceReplica:
 
     def record_local(self, update: PendingUpdate) -> None:
         """Mark a locally produced update as already applied."""
-        self._applied.add(_key(update))
+        self._applied.add(update_id(update))
         self.applied_updates.append(update)
 
     def apply(self, updates: Iterable[PendingUpdate]) -> List[PendingUpdate]:
         """Apply foreign updates in order; returns the newly applied ones."""
-        fresh = [u for u in updates if _key(u) not in self._applied]
-        fresh.sort(key=lambda u: (u.timestamp, u.origin_id, u.sequence))
+        fresh = [u for u in updates if update_id(u) not in self._applied]
+        fresh.sort(key=update_order)
         for update in fresh:
-            self._applied.add(_key(update))
+            self._applied.add(update_id(update))
             self.applied_updates.append(update)
             payload = update.payload if isinstance(update.payload, dict) else {}
             if payload.get("action") == "post_item":
@@ -99,7 +95,7 @@ class DeviceReplica:
         return fresh
 
     def has_applied(self, update: PendingUpdate) -> bool:
-        return _key(update) in self._applied
+        return update_id(update) in self._applied
 
     @property
     def item_count(self) -> int:

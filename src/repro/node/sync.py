@@ -11,8 +11,9 @@ keeps her multiple personal devices in sync.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from bisect import insort
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs import get_registry, get_tracer
 
@@ -31,6 +32,61 @@ class PendingUpdate:
     size_bytes: int = 500
 
 
+def update_id(update: PendingUpdate) -> Tuple[int, int]:
+    """What makes two copies the same update: (origin id, sequence)."""
+    return (update.origin_id, update.sequence)
+
+
+def update_order(update: PendingUpdate) -> Tuple[float, int, int]:
+    """The order updates are applied in: by the timestamp in the SOUP
+    object, ties broken by origin and sequence so every holder agrees."""
+    return (update.timestamp, update.origin_id, update.sequence)
+
+
+class OrderedUpdates:
+    """Updates deduplicated by :func:`update_id` and held in
+    :func:`update_order`.
+
+    Updates nearly always arrive in order, so an insert is an append
+    after one comparison with the newest entry; only a late arrival pays
+    for a binary search.
+    """
+
+    __slots__ = ("_entries", "_ids")
+
+    def __init__(self) -> None:
+        self._entries: List[PendingUpdate] = []
+        self._ids: Set[Tuple[int, int]] = set()
+
+    def insert(self, update: PendingUpdate) -> bool:
+        """Add an update; False (and no change) if it is already held."""
+        uid = update_id(update)
+        if uid in self._ids:
+            return False
+        self._ids.add(uid)
+        entries = self._entries
+        if not entries or update_order(entries[-1]) <= update_order(update):
+            entries.append(update)
+        else:
+            insort(entries, update, key=update_order)
+        return True
+
+    def pop_oldest(self) -> PendingUpdate:
+        oldest = self._entries.pop(0)
+        self._ids.discard(update_id(oldest))
+        return oldest
+
+    def entries(self) -> List[PendingUpdate]:
+        """A copy, oldest first."""
+        return list(self._entries)
+
+    def __iter__(self) -> Iterator[PendingUpdate]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 class UpdateBuffer:
     """A mirror's surrogate storage of updates for the users it mirrors.
 
@@ -45,25 +101,19 @@ class UpdateBuffer:
     def __init__(self, max_per_target: Optional[int] = None) -> None:
         if max_per_target is not None and max_per_target < 1:
             raise ValueError("max_per_target must be positive")
-        self._pending: Dict[int, List[PendingUpdate]] = {}
+        self._pending: Dict[int, OrderedUpdates] = {}
         self.max_per_target = max_per_target
         self.dropped_updates = 0
 
     def add(self, update: PendingUpdate) -> None:
-        queue = self._pending.setdefault(update.target_id, [])
+        queue = self._pending.get(update.target_id)
+        if queue is None:
+            queue = self._pending[update.target_id] = OrderedUpdates()
         # Idempotent: the same update may arrive via several mirrors.
-        if any(
-            u.origin_id == update.origin_id and u.sequence == update.sequence
-            for u in queue
-        ):
+        if not queue.insert(update):
             return
-        queue.append(update)
         if self.max_per_target is not None and len(queue) > self.max_per_target:
-            oldest = min(
-                range(len(queue)),
-                key=lambda i: (queue[i].timestamp, queue[i].origin_id, queue[i].sequence),
-            )
-            evicted = queue.pop(oldest)
+            evicted = queue.pop_oldest()
             self.dropped_updates += 1
             get_registry().counter("sync.updates_dropped").inc()
             logger.debug(
@@ -81,8 +131,8 @@ class UpdateBuffer:
 
     def pending_for(self, target_id: int) -> List[PendingUpdate]:
         """Updates for a returning user, ordered by (timestamp, sequence)."""
-        queue = self._pending.get(target_id, [])
-        return sorted(queue, key=lambda u: (u.timestamp, u.origin_id, u.sequence))
+        queue = self._pending.get(target_id)
+        return queue.entries() if queue is not None else []
 
     def collect(self, target_id: int) -> List[PendingUpdate]:
         """Hand pending updates to the returning user and clear them."""
@@ -92,7 +142,7 @@ class UpdateBuffer:
 
     def pending_count(self, target_id: Optional[int] = None) -> int:
         if target_id is not None:
-            return len(self._pending.get(target_id, []))
+            return len(self._pending.get(target_id, ()))
         return sum(len(queue) for queue in self._pending.values())
 
 
@@ -103,10 +153,10 @@ def merge_update_streams(*streams: List[PendingUpdate]) -> List[PendingUpdate]:
     merged: List[PendingUpdate] = []
     for stream in streams:
         for update in stream:
-            key = (update.origin_id, update.sequence)
-            if key in seen:
+            uid = update_id(update)
+            if uid in seen:
                 continue
-            seen.add(key)
+            seen.add(uid)
             merged.append(update)
-    merged.sort(key=lambda u: (u.timestamp, u.origin_id, u.sequence))
+    merged.sort(key=update_order)
     return merged

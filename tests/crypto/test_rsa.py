@@ -68,6 +68,22 @@ def test_crt_decryption_matches_plain_pow(keypair):
     assert rsa.decrypt_int(ciphertext, keypair.private) == plain_pow
 
 
+def test_signature_is_bit_identical_to_the_recorded_one(keypair):
+    """Golden value, recorded before the CRT constants were derived once
+    per key; the second signature runs on the cached constants."""
+    golden = int(
+        "d751e44d7366eff123ef74599e0b2c830c172c5b3b49a7829e371447d3eb0fde"
+        "1595ce6a2afab6ae29f123a9c488c62705242e191d0dd5c4493496f8947770b5",
+        16,
+    )
+    assert rsa.sign(b"golden message", keypair.private) == golden
+    assert rsa.sign(b"golden message", keypair.private) == golden
+    # The cache is not part of the key's identity.
+    fresh = rsa.generate_keypair(bits=512, seed=123)
+    assert fresh.private == keypair.private
+    assert hash(fresh.private) == hash(keypair.private)
+
+
 def test_public_key_serialization_stable(keypair):
     assert keypair.public.to_bytes() == keypair.public.to_bytes()
     other = rsa.generate_keypair(bits=512, seed=77)

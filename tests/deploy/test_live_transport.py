@@ -8,10 +8,15 @@ assert on what arrived, what failed, and with which accounting.
 """
 
 import asyncio
+import pickle
+import socket
+import struct
 
 import pytest
 
 from repro.deploy.live import AsyncClock, LiveTransport
+from repro.deploy.live.transport import MAX_FRAME_BYTES
+from repro.network.reliability import ReliableEndpoint
 
 
 def run(coro):
@@ -49,6 +54,28 @@ def test_clock_runs_inside_event_loop_and_schedules():
     t0, fired = run(scenario())
     assert t0 >= 0.0
     assert len(fired) == 1 and fired[0] >= 0.01
+
+
+def test_cancelled_timer_never_fires_and_leaves_the_clock():
+    async def scenario():
+        clock = AsyncClock()
+        fired = []
+        keep = clock.schedule(0.01, lambda: fired.append("keep"))
+        drop = clock.schedule(0.01, lambda: fired.append("drop"))
+        assert clock.pending() == 2
+        drop.cancel()
+        assert clock.pending() == 1
+        await asyncio.sleep(0.05)
+        keep.cancel()  # after firing: harmless
+        pending = clock.pending()
+        clock.close()
+        clock.schedule(0.0, lambda: fired.append("late")).cancel()
+        await asyncio.sleep(0.01)
+        return fired, pending
+
+    fired, pending = run(scenario())
+    assert fired == ["keep"]
+    assert pending == 0
 
 
 def test_frames_round_trip_over_real_sockets():
@@ -185,3 +212,196 @@ def test_send_requires_registered_sender():
         await net.close()
 
     run(scenario())
+
+
+def test_pair_order_holds_across_connection_setup_and_in_place_writes():
+    """The first frame of a pair has to open the connection (task path);
+    the ones sent behind it in the same turn queue; once the pump has
+    retired, sends are written in place.  Arrival order is send order."""
+
+    async def scenario():
+        _, net, received, failures = await make_net(2)
+        for i in range(5):
+            net.send(0, 1, i, size_bytes=32)
+        tasks_with_backlog = len(net._tasks)
+        await net.drain(0.05)
+        for i in range(5, 10):
+            net.send(0, 1, i, size_bytes=32)
+        tasks_in_place = len(net._tasks)
+        await net.drain(0.05)
+        await net.close()
+        return received, failures, tasks_with_backlog, tasks_in_place
+
+    received, failures, tasks_with_backlog, tasks_in_place = run(scenario())
+    assert [m for _, m in received[1]] == list(range(10))
+    assert tasks_with_backlog == 1  # one pump for the pair, not one per frame
+    assert tasks_in_place == 0
+    assert failures[0] == []
+
+
+def test_chaos_delay_holds_back_the_frame_not_the_pair():
+    """Same-delay frames keep their order; a frame sent once the delay is
+    lifted does not queue behind them (as on the simulated network, where
+    the delay is added to each delivery's own time)."""
+
+    async def scenario():
+        _, net, received, _ = await make_net(2)
+        net.set_extra_delay(0.1)
+        net.send(0, 1, "slow-1", size_bytes=32)  # will also open the connection
+        net.send(0, 1, "slow-2", size_bytes=32)
+        net.set_extra_delay(0.0)
+        net.send(0, 1, "prompt", size_bytes=32)
+        await asyncio.sleep(0.05)
+        early = [m for _, m in received[1]]
+        await net.drain(0.05)  # waits out the delay and the frames behind it
+        await net.close()
+        return early, [m for _, m in received[1]]
+
+    early, final = run(scenario())
+    assert early == ["prompt"]
+    assert final == ["prompt", "slow-1", "slow-2"]
+
+
+def test_in_place_write_error_is_reported_on_a_later_loop_turn():
+    async def scenario():
+        _, net, received, failures = await make_net(2)
+        net.send(0, 1, "opens", size_bytes=32)
+        await net.drain(0.05)
+        # Break the established connection under the transport's feet.
+        writer = net._writers[(0, 1)]
+        writer.transport.get_extra_info("socket").shutdown(socket.SHUT_WR)
+        net.send(0, 1, "refused", size_bytes=32)
+        during_send = list(failures[0])
+        await asyncio.sleep(0.05)
+        # The next send finds no usable connection and opens a new one.
+        net.send(0, 1, "reopened", size_bytes=32)
+        await net.drain(0.05)
+        await net.close()
+        return received, failures, during_send, dict(net.failures_by_reason)
+
+    received, failures, during_send, reasons = run(scenario())
+    assert during_send == []
+    assert failures[0] == [(1, "refused", "unreachable")]
+    assert reasons == {"unreachable": 1}
+    assert [m for _, m in received[1]] == ["opens", "reopened"]
+
+
+def test_drain_waits_for_bytes_the_socket_has_not_taken():
+    async def scenario():
+        _, net, received, _ = await make_net(2)
+        net.send(0, 1, "opens", size_bytes=32)
+        await net.drain(0.05)
+        blob = b"x" * (4 * 1024 * 1024)  # more than a loopback socket buffers
+        net.send(0, 1, blob, size_bytes=len(blob))  # in place, partly buffered
+        writer = net._writers[(0, 1)]
+        buffered = writer.transport.get_write_buffer_size()
+        net.send(0, 1, "behind", size_bytes=32)  # must queue, not overtake
+        await net.drain(0.05)
+        left = writer.transport.get_write_buffer_size()
+        await net.close()
+        return received, buffered, left
+
+    received, buffered, left = run(scenario())
+    assert buffered > 0 and left == 0
+    assert [m if isinstance(m, str) else len(m) for _, m in received[1]] == [
+        "opens", 4 * 1024 * 1024, "behind",
+    ]
+
+
+def _frame(envelope) -> bytes:
+    payload = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+    return struct.pack(">I", len(payload)) + payload
+
+
+def test_receiver_reassembles_split_frames_and_dispatches_batched_ones():
+    async def scenario():
+        _, net, received, _ = await make_net(2)
+        _, writer = await asyncio.open_connection("127.0.0.1", net.port_of(1))
+        stream = b"".join(_frame((0, 16, i)) for i in range(4))
+        # Two and a half frames, cut inside a header's worth of the third...
+        cut = len(_frame((0, 16, 0))) * 2 + 2
+        writer.write(stream[:cut])
+        await writer.drain()
+        await asyncio.sleep(0.05)
+        first = [m for _, m in received[1]]
+        # ...then the rest, one byte short, then the last byte.
+        writer.write(stream[cut:-1])
+        await writer.drain()
+        await asyncio.sleep(0.05)
+        second = [m for _, m in received[1]]
+        writer.write(stream[-1:])
+        await writer.drain()
+        await asyncio.sleep(0.05)
+        writer.close()
+        await net.close()
+        return first, second, [m for _, m in received[1]]
+
+    first, second, final = run(scenario())
+    assert first == [0, 1]
+    assert second == [0, 1, 2]
+    assert final == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        struct.pack(">I", MAX_FRAME_BYTES + 1),  # announces too much
+        struct.pack(">I", 5) + b"junk!",  # not a pickle
+        _frame("no envelope"),  # a pickle, but not of an envelope
+        _frame((0, "big", "message")),  # an envelope without a byte count
+    ],
+    ids=["oversized", "unpicklable", "wrong-shape", "wrong-size"],
+)
+def test_bad_frame_is_counted_and_costs_the_connection(bad):
+    async def scenario():
+        _, net, received, _ = await make_net(2)
+        reader, writer = await asyncio.open_connection("127.0.0.1", net.port_of(1))
+        writer.write(_frame((0, 16, "good")) + bad + _frame((0, 16, "after")))
+        await writer.drain()
+        closed_by_server = await asyncio.wait_for(reader.read(), timeout=2.0)
+        writer.close()
+        # The server itself is unharmed: a new connection is served.
+        net.send(0, 1, "fresh", size_bytes=16)
+        await net.drain(0.05)
+        await net.close()
+        return received, closed_by_server, dict(net.failures_by_reason)
+
+    received, closed_by_server, reasons = run(scenario())
+    assert closed_by_server == b""  # EOF: the receiver hung up
+    assert reasons == {"bad-frame": 1}
+    assert [m for _, m in received[1]] == ["good", "fresh"]
+
+
+def test_acked_reliable_sends_leave_no_timer_in_the_clock():
+    async def scenario(k):
+        clock = AsyncClock()
+        net = LiveTransport(clock)
+        inbox = []
+        endpoints = {
+            0: ReliableEndpoint(0, net, inner_handler=lambda s, m: None),
+            1: ReliableEndpoint(1, net, inner_handler=lambda s, m: inbox.append(m)),
+        }
+        for node_id, endpoint in endpoints.items():
+            net.register(
+                node_id,
+                endpoint.handle_message,
+                on_failure=endpoint.handle_network_failure,
+            )
+        await net.start()
+        for i in range(k):
+            endpoints[0].send_reliable(1, i, 64)
+        armed = clock.pending()
+        for _ in range(100):
+            await net.drain(0.01)
+            if not endpoints[0].pending_count():
+                break
+        left = clock.pending()
+        stats = endpoints[0].stats
+        await net.close()
+        return inbox, armed, left, stats
+
+    inbox, armed, left, stats = run(scenario(300))
+    assert inbox == list(range(300))
+    assert armed == 300  # one ack timeout each...
+    assert stats.acked == 300 and stats.timeouts == 0
+    assert left == 0  # ...and none outlives its ack

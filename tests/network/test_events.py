@@ -91,3 +91,30 @@ def test_time_never_goes_backwards():
     loop.schedule(0.0, lambda: None)
     loop.run_until(3.0)  # earlier deadline
     assert loop.now == 5.0
+
+
+def test_cancelled_timer_does_not_run_and_reorders_nothing():
+    loop = EventLoop()
+    order = []
+    handles = [loop.schedule(1.0, lambda i=i: order.append(i)) for i in range(5)]
+    handles[1].cancel()
+    handles[3].cancel()
+    assert loop.pending() == 3
+    assert loop.run_until(2.0) == 3  # cancelled events are not processed
+    assert order == [0, 2, 4]
+    assert loop.pending() == 0
+
+
+def test_cancel_releases_the_callback_and_is_harmless_after_firing():
+    loop = EventLoop()
+    fired = []
+    ran = loop.schedule(1.0, lambda: fired.append("ran"))
+    dropped = loop.schedule_at(5.0, lambda: fired.append("dropped"))
+    loop.run_until(2.0)
+    ran.cancel()
+    dropped.cancel()
+    assert ran.callback is None and dropped.callback is None
+    # The clock does not stop at a cancelled event's time.
+    assert loop.run_all() == 0
+    assert loop.now == 2.0
+    assert fired == ["ran"]

@@ -1,6 +1,9 @@
 """Tests for the reliability layer: retry policy, circuit breaker,
 failure detector, and acknowledged sends over the simulated network."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.network.events import EventLoop
@@ -346,6 +349,77 @@ def test_ack_loss_retries_but_never_applies_twice():
     assert h.b.stats.duplicates_dropped >= 1
     assert h.a.stats.acked == 1
     assert h.a.pending_count() == 0
+
+
+@pytest.mark.parametrize("k", [10, 200])
+def test_acked_sends_leave_no_timer_in_the_loop(k):
+    """The ack cancels the ack-timeout timer, so however many sends have
+    been acked, nothing of them waits in the event queue."""
+    h = Harness()
+    for i in range(k):
+        h.loop.schedule(i * 0.005, lambda i=i: h.a.send_reliable(2, i, 100))
+    h.run(2.0)  # every ack is in (~0.4 s each), no 3 s ack timeout is due
+    assert h.a.stats.acked == k
+    assert h.a.stats.timeouts == 0
+    assert h.loop.pending() == 0
+    h.run(60.0)
+    assert h.a.stats.timeouts == 0 and h.a.stats.retries == 0
+
+
+def test_ack_releases_the_payload_without_waiting_for_the_timeout():
+    class Payload:
+        pass
+
+    h = Harness()
+    h.b.inner_handler = lambda sender, message: None  # keep no reference
+    payload = Payload()
+    released = weakref.ref(payload)
+    gc.disable()  # the timer's closure must not pin it until a collection
+    try:
+        h.a.send_reliable(2, payload, 100)
+        del payload
+        h.run(1.0)
+        assert h.a.stats.acked == 1
+        assert released() is None
+    finally:
+        gc.enable()
+
+
+def test_cancelled_ack_timer_does_not_fire_into_a_later_send():
+    """Send 1 is acked long before its 3 s timeout.  Send 2 is lost in
+    flight just before that moment; it must run out its own timeout, not
+    inherit the cancelled one."""
+    h = Harness()
+    h.a.send_reliable(2, "first", 100)
+    h.run(2.9)
+    assert h.a.stats.acked == 1
+    h.net.set_drop(1.0)
+    h.a.send_reliable(2, "second", 100)
+    h.net.set_drop(0.0)
+    h.run(0.2)  # t = 3.1: where send 1's timer would have fired
+    assert h.a.stats.timeouts == 0
+    assert h.a.pending_count() == 1
+    h.run(3.4)  # t = 6.5: send 2's own timeout (2.9 + 3 s + path estimate)
+    assert h.a.stats.timeouts == 1
+    h.run(10.0)
+    assert [m for _, _, m in h.inbox_b] == ["first", "second"]
+    assert h.a.pending_count() == 0 and h.loop.pending() == 0
+
+
+def test_network_failure_cancels_the_ack_timer_of_that_attempt():
+    """An attempt that fails fast (receiver unreachable) moves on to its
+    backoff; the ack timer it leaves behind must not count a timeout
+    against the retry."""
+    h = Harness(policy=RetryPolicy(base_delay_s=2.5, jitter_fraction=0.0))
+    h.net.set_online(2, False)
+    h.loop.schedule(1.0, lambda: h.net.set_online(2, True))
+    h.a.send_reliable(2, "x", 100)
+    h.run(0.8)  # the failure (0.7 s) is in: backing off until 3.2 s
+    assert h.a.stats.retries == 1 and h.loop.pending() == 2  # backoff + set_online
+    h.run(10.0)
+    assert h.a.stats.acked == 1
+    assert h.a.stats.timeouts == 0 and h.a.stats.retries == 1
+    assert h.loop.pending() == 0
 
 
 def test_duplicate_envelope_dropped_and_reacked():
