@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,7 +92,9 @@ class MirrorSelectionStrategy:
     ``tests/property/test_arch_properties.py``): never more than
     ``config.max_mirrors`` mirrors, never a node from ``exclude``
     (owner, blacklisting/rejecting peers, offline candidates), and no
-    duplicates.
+    duplicates.  ``exclude`` may stand for a population-sized set, so a
+    strategy only ever asks it ``in`` — including for candidates it adds
+    itself — and never iterates or copies it.
     """
 
     name = "strategy"
@@ -113,7 +115,7 @@ class MirrorSelectionStrategy:
         config: SoupConfig,
         rng: random.Random,
         exploration_pool: Iterable[int] = (),
-        exclude: Iterable[int] = (),
+        exclude: Container[int] = (),
     ) -> SelectionResult:
         raise NotImplementedError
 
@@ -217,7 +219,7 @@ class SoupSelectionStrategy(MirrorSelectionStrategy):
         config: SoupConfig,
         rng: random.Random,
         exploration_pool: Iterable[int] = (),
-        exclude: Iterable[int] = (),
+        exclude: Container[int] = (),
     ) -> SelectionResult:
         return select_mirrors(
             ranking=ranking,

@@ -30,7 +30,7 @@ byte-identical.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.arch.base import (
     Architecture,
@@ -119,17 +119,16 @@ class SuperPeerEconomy(MirrorSelectionStrategy):
 
     # ------------------------------------------------------------------
     def augment_ranking(
-        self, owner: int, ranking: Sequence[Tuple[int, float]], exclude: Iterable[int]
+        self, owner: int, ranking: Sequence[Tuple[int, float]], exclude: Container[int]
     ) -> List[Tuple[int, float]]:
         """Splice open super-peers into a weak owner's candidate list."""
         uptime = getattr(self, "_owner_uptime", None)
         if uptime is None or uptime[owner] >= self.min_uptime:
             return list(ranking)
-        excluded = set(exclude)
         offers = [
             nid
             for nid in self.superpeers
-            if self.free_slots.get(nid, 0) > 0 and nid != owner and nid not in excluded
+            if self.free_slots.get(nid, 0) > 0 and nid != owner and nid not in exclude
         ]
         if not offers:
             return list(ranking)
@@ -146,7 +145,7 @@ class SuperPeerEconomy(MirrorSelectionStrategy):
         config: SoupConfig,
         rng: random.Random,
         exploration_pool: Iterable[int] = (),
-        exclude: Iterable[int] = (),
+        exclude: Container[int] = (),
     ) -> SelectionResult:
         return select_mirrors(
             ranking=self.augment_ranking(owner, ranking, exclude),

@@ -15,8 +15,9 @@ defend itself against sybil flooders.  For each node ``w`` storing data at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+import math
+from dataclasses import dataclass
+from typing import Container, Dict, KeysView, List, Optional, Set
 
 from repro.core.config import SoupConfig
 
@@ -39,24 +40,6 @@ class StoreDecision:
     reason: str = ""
 
 
-class _ScoreTable(Dict[int, float]):
-    """Dropping scores with a running upper bound.
-
-    ``ceiling`` bounds every stored score from above (stale-high after
-    score decreases, tightened on each full blacklist scan), which lets
-    :meth:`ReplicaStore._check_blacklist` skip the all-owners scan while
-    nothing can possibly have reached θ.  Tracking happens in
-    ``__setitem__`` so even direct score writes keep the bound valid.
-    """
-
-    ceiling: float = 0.0
-
-    def __setitem__(self, owner: int, score: float) -> None:
-        super().__setitem__(owner, score)
-        if score > self.ceiling:
-            self.ceiling = score
-
-
 class ReplicaStore:
     """A mirror's replica storage with protective dropping.
 
@@ -71,23 +54,38 @@ class ReplicaStore:
         self.capacity_profiles = capacity_profiles
         self._config = config
         self._replicas: Dict[int, ReplicaInfo] = {}
-        self._scores: _ScoreTable = _ScoreTable()
+        #: Running total of the stored replicas' sizes, adjusted wherever
+        #: ``_replicas`` gains, loses or resizes an entry.
+        self._used = 0.0
+        #: Dropping scores.  Insertion order is the order blacklisting
+        #: reports removals in, so entries are only ever added, never moved.
+        self._scores: Dict[int, float] = {}
+        #: Upper bound of every non-blacklisted score (stale-high after a
+        #: decrease, tightened by each blacklist scan): while it is below θ
+        #: no scan can find anything, so none is made.  Every score write
+        #: raises it — :meth:`_set_score` and :meth:`learn_friend_storage`.
+        self._ceiling = 0.0
         self._blacklist: Set[int] = set()
 
     # --- inspection -------------------------------------------------------
     @property
     def used_profiles(self) -> float:
-        return sum(info.size_profiles for info in self._replicas.values())
+        return self._used
 
     @property
     def free_profiles(self) -> float:
-        return self.capacity_profiles - self.used_profiles
+        return self.capacity_profiles - self._used
 
     def stores_for(self, owner: int) -> bool:
         return owner in self._replicas
 
     def stored_owners(self) -> List[int]:
         return list(self._replicas)
+
+    def stored_owner_view(self) -> KeysView[int]:
+        """The stored owners as a live set-like view — no copy, so not to be
+        held across a mutation of this store."""
+        return self._replicas.keys()
 
     def replica_count(self) -> int:
         return len(self._replicas)
@@ -108,75 +106,104 @@ class ReplicaStore:
         """Handle a storage request; may evict a high-score replica.
 
         Friends' replicas are protected from eviction.  A request from a
-        blacklisted owner is always rejected.
+        blacklisted owner is always rejected.  A request from an owner
+        already stored refreshes its metadata (size or friendship may
+        change); a refresh that grows the replica must fit like a new one
+        — by evicting others or not at all, the old replica staying put.
         """
         if owner == self.owner:
             raise ValueError("a node does not mirror its own data")
+        # The size comes off the wire: NaN compares false against any bound.
+        if not (math.isfinite(size_profiles) and size_profiles > 0):
+            return StoreDecision(accepted=False, reason="invalid size")
         if owner in self._blacklist:
             return StoreDecision(accepted=False, reason="blacklisted")
-        if owner in self._replicas:
-            # Refresh metadata (size or friendship may change).
-            self._replicas[owner] = ReplicaInfo(owner, size_profiles, is_friend)
-            return StoreDecision(accepted=True, reason="already stored")
         if size_profiles > self.capacity_profiles:
             return StoreDecision(accepted=False, reason="larger than capacity")
+        current = self._replicas.get(owner)
+        held = current.size_profiles if current is not None else 0.0
 
         dropped: Optional[int] = None
-        while self.used_profiles + size_profiles > self.capacity_profiles:
+        while self._used - held + size_profiles > self.capacity_profiles:
             victim = self._pick_victim(requesting_owner=owner)
             if victim is None:
                 return StoreDecision(accepted=False, reason="storage exhausted")
-            del self._replicas[victim]
+            self._used -= self._replicas.pop(victim).size_profiles
             dropped = victim
 
         self._replicas[owner] = ReplicaInfo(owner, size_profiles, is_friend)
-        return StoreDecision(accepted=True, dropped_owner=dropped, reason="stored")
+        self._used += size_profiles - held
+        return StoreDecision(
+            accepted=True,
+            dropped_owner=dropped,
+            reason="stored" if current is None else "already stored",
+        )
 
     def remove(self, owner: int) -> bool:
         """Drop a replica because the owner de-selected this mirror."""
-        return self._replicas.pop(owner, None) is not None
+        info = self._replicas.pop(owner, None)
+        if info is None:
+            return False
+        self._used -= info.size_profiles
+        return True
 
     def _pick_victim(self, requesting_owner: int) -> Optional[int]:
         """Choose the replica to drop: highest dropping score, never friends.
 
         Ties break toward larger replicas (freeing more space); the
-        requesting owner's own (absent) data can obviously not be a victim.
+        requesting owner's own data can obviously not be a victim.
         """
-        victims = [
-            info
-            for info in self._replicas.values()
-            if not info.is_friend and info.owner != requesting_owner
-        ]
-        if not victims:
-            return None
-        victims.sort(
+        scores = self._scores
+        victim = min(
+            (
+                info
+                for info in self._replicas.values()
+                if not info.is_friend and info.owner != requesting_owner
+            ),
             key=lambda info: (
-                -self._scores.get(info.owner, 0.0),
+                -scores.get(info.owner, 0.0),
                 -info.size_profiles,
                 info.owner,
-            )
+            ),
+            default=None,
         )
-        return victims[0].owner
+        return victim.owner if victim is not None else None
 
     # --- dropping-score maintenance -----------------------------------------
-    def learn_friend_storage(self, stored_at_friend: Iterable[int]) -> List[int]:
+    def _set_score(self, owner: int, score: float) -> None:
+        self._scores[owner] = score
+        if score > self._ceiling:
+            self._ceiling = score
+
+    def learn_friend_storage(self, stored_at_friend: Container[int]) -> List[int]:
         """Update scores from an ES exchange with a friend.
 
-        ``stored_at_friend`` lists the owners storing replicas at the friend.
-        Owners we also store score +1; our friends get the -1/β protection.
-        Returns owners whose replicas were removed by blacklisting.
+        ``stored_at_friend`` holds the owners storing replicas at the friend
+        (only ever asked ``in``: pass the friend's
+        :meth:`stored_owner_view`).  Owners we also store score +1; our
+        friends get the -1/β protection.  Returns owners whose replicas
+        were removed by blacklisting.
         """
-        stored_set = set(stored_at_friend)
+        scores = self._scores
+        ceiling = self._ceiling
+        protection = 1.0 / self._config.beta
         for owner, info in self._replicas.items():
-            if owner in stored_set:
-                self._scores[owner] = self._scores.get(owner, 0.0) + 1.0
-            if info.is_friend:
-                self._scores[owner] = (
-                    self._scores.get(owner, 0.0) - 1.0 / self._config.beta
-                )
+            if owner in stored_at_friend:
+                score = scores.get(owner, 0.0) + 1.0
+                if info.is_friend:
+                    score -= protection
+                scores[owner] = score
+                if score > ceiling:
+                    ceiling = score
+            elif info.is_friend:
+                # A decrease never lifts the ceiling.
+                scores[owner] = scores.get(owner, 0.0) - protection
+        self._ceiling = ceiling
+        if ceiling < self._config.theta:
+            return []
         return self._check_blacklist()
 
-    def observe_published_mirrors(self, owner: int, announced: Iterable[int]) -> List[int]:
+    def observe_published_mirrors(self, owner: int, announced: Container[int]) -> List[int]:
         """Compare the owner's published mirror set against reality.
 
         If we store the owner's data but are not announced as its mirror,
@@ -186,25 +213,31 @@ class ReplicaStore:
         """
         if owner not in self._replicas:
             return []
-        if self.owner not in set(announced):
-            self._scores[owner] = (
-                self._scores.get(owner, 0.0) + self._config.mismatch_penalty
+        if self.owner not in announced:
+            self._set_score(
+                owner, self._scores.get(owner, 0.0) + self._config.mismatch_penalty
             )
+        if self._ceiling < self._config.theta:
+            return []
         return self._check_blacklist()
 
     def _check_blacklist(self) -> List[int]:
-        if self._scores.ceiling < self._config.theta:
-            return []
+        """Blacklist every owner whose score has reached θ.  Returns the
+        ones whose replica was stored here (now evicted), in score-table
+        order."""
+        theta = self._config.theta
         removed = []
         ceiling = 0.0
         for owner, score in self._scores.items():
             if owner in self._blacklist:
                 continue
-            if score >= self._config.theta:
+            if score >= theta:
                 self._blacklist.add(owner)
-                if self._replicas.pop(owner, None) is not None:
+                info = self._replicas.pop(owner, None)
+                if info is not None:
+                    self._used -= info.size_profiles
                     removed.append(owner)
             elif score > ceiling:
                 ceiling = score
-        self._scores.ceiling = ceiling
+        self._ceiling = ceiling
         return removed

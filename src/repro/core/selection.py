@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Container, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import SoupConfig
 
@@ -43,6 +43,37 @@ class SelectionResult:
         return len(self.mirrors)
 
 
+class Exclusion:
+    """The nodes one owner must not select, as a membership test.
+
+    ``unreachable`` is shared by every owner selecting at the same moment
+    (in the simulator: the whole population that is offline, departed or
+    not yet joined) and is never copied; ``own`` is the owner's small
+    personal set (itself, mirrors that rejected or failed it) and
+    ``holding`` the mirrors that already store its replica, which stay
+    selectable while unreachable.  Building one costs O(1), asking it
+    costs O(1) — where a materialised set would cost the population size
+    per owner.
+    """
+
+    __slots__ = ("own", "unreachable", "holding")
+
+    def __init__(
+        self,
+        own: AbstractSet[int],
+        unreachable: AbstractSet[int],
+        holding: AbstractSet[int],
+    ) -> None:
+        self.own = own
+        self.unreachable = unreachable
+        self.holding = holding
+
+    def __contains__(self, node_id: int) -> bool:
+        return node_id in self.own or (
+            node_id in self.unreachable and node_id not in self.holding
+        )
+
+
 def boosted_rank(rank: float, is_friend: bool, beta: float) -> float:
     """Apply the social filter boost of Eq. (3), capped at 1."""
     if not is_friend:
@@ -56,22 +87,24 @@ def select_mirrors(
     config: SoupConfig,
     rng: random.Random,
     exploration_pool: Iterable[int] = (),
-    exclude: Iterable[int] = (),
+    exclude: Container[int] = (),
 ) -> SelectionResult:
     """Run Algorithm 1.
 
     ``ranking`` is the candidate list (node id, experience value) from
     either ranking mode, best first.  ``exploration_pool`` holds known but
-    unranked nodes eligible as the random addition.  ``exclude`` removes
-    nodes that must never be chosen (the owner itself, blacklisting peers).
+    unranked nodes eligible as the random addition.  ``exclude`` holds the
+    nodes that must never be chosen (the owner itself, blacklisting peers,
+    unreachable ones); it is only ever asked ``in`` — a set, or an
+    :class:`Exclusion` over a shared population-sized one.
     """
-    excluded: Set[int] = set(exclude)
-    friend_set: Set[int] = set(friends) - excluded
+    # Only ever asked about candidates, which are not excluded.
+    friend_set: Set[int] = set(friends)
 
     candidates = [
         (node, max(0.0, min(1.0, rank)))
         for node, rank in ranking
-        if node not in excluded
+        if node not in exclude
     ]
     # Shuffle before the stable sort so that rank ties (e.g. many unknown
     # candidates at the bootstrap prior) break randomly instead of by node
@@ -122,7 +155,7 @@ def select_mirrors(
     exploration_candidates = [
         node
         for node in exploration_pool
-        if node not in selected and node not in excluded
+        if node not in selected and node not in exclude
     ]
     exploration_node: Optional[int] = None
     if exploration_candidates and len(mirrors) < config.max_mirrors:

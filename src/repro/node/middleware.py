@@ -575,7 +575,7 @@ class SoupNode:
             friend.mirror_manager.receive_reports(reports)
             # Dropping-score exchange rides along (Sec. 4.6).
             self.mirror_manager.store.learn_friend_storage(
-                friend.mirror_manager.store.stored_owners()
+                friend.mirror_manager.store.stored_owner_view()
             )
             sent += 1
         return sent

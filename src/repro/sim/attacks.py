@@ -72,11 +72,16 @@ class FloodingAttack:
     def is_sybil(self, node_id: int) -> bool:
         return node_id in self.sybil_ids
 
+    def benign_population(self, population: Iterable[int]) -> List[int]:
+        """The nodes a sybil may flood, in ``population`` order — the same
+        for every sybil and round, so a simulation builds it once."""
+        return [node for node in population if node not in self.sybil_ids]
+
     def flood_targets(
-        self, sybil: int, population: Sequence[int], rng: random.Random
+        self, sybil: int, candidates: Sequence[int], rng: random.Random
     ) -> List[int]:
-        """The benign nodes this sybil floods with storage requests."""
-        candidates = [node for node in population if node not in self.sybil_ids]
+        """The nodes this sybil floods with storage requests this round,
+        drawn from ``candidates`` (see :meth:`benign_population`)."""
         if not candidates:
             return []
         count = min(self.flood_requests, len(candidates))

@@ -46,8 +46,9 @@ from repro.core.config import SoupConfig
 from repro.core.dropping import ReplicaStore
 from repro.core.knowledge import KnowledgeBase
 from repro.core.ranking import BootstrapRanker, Recommendation, RegularRanker
-from repro.core.selection import select_mirrors
+from repro.core.selection import Exclusion, select_mirrors
 from repro.core.experience import ExperienceReport, ExperienceSet
+from repro.extensions.ties import TieStrengthModel, weigh_reports_by_tie
 from repro.graphs.datasets import generate_dataset
 from repro.sim import invariants as invariants_mod
 from repro.sim.attacks import FloodingAttack, SlanderAttack
@@ -164,6 +165,14 @@ class SoupSimulation:
         self._drops_this_round = 0
         self._placements_this_round = 0
         self._served_this_epoch: Dict[int, int] = {}
+        self._epoch_now = 0
+        #: Per-epoch views of the online matrix and the membership flags,
+        #: built on first use in an epoch and shared by every node acting
+        #: in it (see :meth:`_unreachable_at`, :meth:`_online_flags_at`).
+        self._unreachable_epoch = -1
+        self._unreachable_cache: Set[int] = set()
+        self._online_flags_epoch = -1
+        self._online_flags: List[bool] = []
 
         #: owner -> mirrors that dropped the owner's replica since the
         #: owner's last selection round.  The owner still announces them
@@ -384,13 +393,14 @@ class SoupSimulation:
             self.flooding = FloodingAttack(
                 sybil_ids=sybil_ids, flood_requests=config.sybil_flood_requests
             )
+            self._flood_candidates = self.flooding.benign_population(
+                range(self.n_total)
+            )
 
         # Tie-strength extension (Sec. 8): per-edge strengths; attacker
         # edges (infiltration) are weak, per the sybil-defense literature.
         self.ties = None
         if config.use_tie_strength:
-            from repro.extensions.ties import TieStrengthModel
-
             attacker_ids = (
                 set(self.slander.attacker_ids) if self.slander is not None else set()
             )
@@ -710,7 +720,7 @@ class SoupSimulation:
         if len(online_ids) == 0:
             return
         # Per-epoch serving load per mirror (Sec. 5.2.5 overload model).
-        self._served_this_epoch: Dict[int, int] = {}
+        self._served_this_epoch = {}
         if self._columnar:
             join_epochs_online = self._col_join_epochs[online_ids]
         else:
@@ -818,12 +828,12 @@ class SoupSimulation:
             # Eq. (1) of observations is the cache tier's real trade-off.
             return
         es = node.experience_set_for(friend.node_id)
-        online_now = self.online_matrix[:, epoch]
+        online_now = self._online_flags_at(epoch)
         capacity = self.config.mirror_request_capacity
         served_any = False
         for mirror_id in friend.announced_mirrors:
             stores = friend.node_id in self.replica_locations.get(mirror_id, ())
-            success = bool(online_now[mirror_id]) and stores
+            success = online_now[mirror_id] and stores
             if success and capacity is not None:
                 served = self._served_this_epoch.get(mirror_id, 0)
                 if served >= capacity:
@@ -923,8 +933,6 @@ class SoupSimulation:
                 else:
                     reports = es.drain(node.node_id, self.soup.o_max)
             if self.ties is not None and reports:
-                from repro.extensions.ties import weigh_reports_by_tie
-
                 reports = weigh_reports_by_tie(reports, friend_id, self.ties)
             if self.faults is not None:
                 reports = self.faults.tamper_reports(
@@ -933,7 +941,7 @@ class SoupSimulation:
             friend.pending_reports.extend(reports)
 
             # Dropping-score exchange: learn who stores at the friend.
-            removed = node.store.learn_friend_storage(friend.store.stored_owners())
+            removed = node.store.learn_friend_storage(friend.store.stored_owner_view())
             for owner in removed:
                 self.replica_locations[node.node_id].discard(owner)
                 self.mark_stale_announcement(owner, node.node_id)
@@ -956,14 +964,16 @@ class SoupSimulation:
         except that mirrors already holding our replica stay selectable
         while offline (the replica is already there).
         """
-        online_now = self.online_matrix[:, epoch]
         holding = {
             mirror_id
             for mirror_id in node.announced_mirrors
             if node.node_id in self.replica_locations[mirror_id]
         }
-        excluded = {node.node_id} | node.rejected_by | node.dead_mirrors
-        excluded.update(self._unreachable_at(epoch) - holding)
+        excluded = Exclusion(
+            own={node.node_id} | node.rejected_by | node.dead_mirrors,
+            unreachable=self._unreachable_at(epoch),
+            holding=holding,
+        )
 
         # Candidate ranking, in trust order: (1) first-hand Eq.-(1)
         # experience; (2) stranger recommendations (bootstrap mode);
@@ -1040,7 +1050,7 @@ class SoupSimulation:
                 self._trace_drop(node.node_id, mirror_id, "withdrawn", epoch)
 
         # Place replicas at newly selected mirrors.
-        online_now = self.online_matrix[:, epoch]
+        online_now = self._online_flags_at(epoch)
         accepted: List[int] = []
         friend_set = set(node.friends)
         for mirror_id in new_mirrors:
@@ -1114,8 +1124,8 @@ class SoupSimulation:
     def _unreachable_at(self, epoch: int) -> Set[int]:
         """Nodes no storage request can reach this epoch (offline, departed
         or not yet joined) — computed once per epoch, shared by every
-        selecting node."""
-        if getattr(self, "_unreachable_epoch", None) == epoch:
+        selecting node: to be asked ``in``, never copied or changed."""
+        if self._unreachable_epoch == epoch:
             return self._unreachable_cache
         online_now = self.online_matrix[:, epoch]
         if self._columnar:
@@ -1129,6 +1139,15 @@ class SoupSimulation:
             }
         self._unreachable_epoch = epoch
         return self._unreachable_cache
+
+    def _online_flags_at(self, epoch: int) -> List[bool]:
+        """The epoch's column of the online matrix as Python bools: the
+        per-mirror reads of the hot loops index a list, not a NumPy array
+        (which would box a scalar per read)."""
+        if self._online_flags_epoch != epoch:
+            self._online_flags = self.online_matrix[:, epoch].tolist()
+            self._online_flags_epoch = epoch
+        return self._online_flags
 
     def _retry_pending_placements(self, node: _NodeState, epoch: int) -> bool:
         """Push deferred replicas to mirrors that have come online."""
@@ -1338,7 +1357,7 @@ class SoupSimulation:
         """One sybil's flooding round (Fig. 11)."""
         assert self.flooding is not None
         targets = self.flooding.flood_targets(
-            node.node_id, range(self.n_total), self.rng
+            node.node_id, self._flood_candidates, self.rng
         )
         accepted: List[int] = []
         for target_id in targets:
@@ -1409,7 +1428,7 @@ class SoupSimulation:
             # Cache tier: an owner with a fresh copy at an online reader
             # is reachable even with every mirror dark.
             cached = self._read_path.available_owners(
-                online_now, getattr(self, "_epoch_now", 0)
+                online_now, self._epoch_now
             )
             if cached:
                 available[np.asarray(cached, dtype=np.int64)] = True

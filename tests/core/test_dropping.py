@@ -44,6 +44,64 @@ def test_oversized_replica_rejected(config):
     assert not store.request_store(1, size_profiles=3.0).accepted
 
 
+# --- refresh of an already stored replica (capacity bypass regression) -----
+
+
+def test_growing_refresh_beyond_capacity_refused_and_old_replica_kept(config):
+    store = make_store(2.0, config)
+    assert store.request_store(1, size_profiles=1.0).accepted
+    decision = store.request_store(1, size_profiles=50.0)
+    assert not decision.accepted
+    assert decision.reason == "larger than capacity"
+    assert store.stores_for(1)
+    assert store.used_profiles == 1.0
+
+
+def test_growing_refresh_refused_when_nothing_can_be_evicted(config):
+    store = make_store(3.0, config)
+    store.request_store(1, size_profiles=1.0)
+    store.request_store(2, size_profiles=2.0, is_friend=True)
+    decision = store.request_store(1, size_profiles=1.5)
+    assert not decision.accepted
+    assert decision.reason == "storage exhausted"
+    assert store.stores_for(1) and store.stores_for(2)
+    assert store.used_profiles == 3.0
+
+
+def test_growing_refresh_fits_by_evicting_like_a_new_request(config):
+    store = make_store(3.0, config)
+    store.request_store(1, size_profiles=1.0)
+    store.request_store(2, size_profiles=1.0)
+    store.request_store(3, size_profiles=1.0)
+    store.learn_friend_storage([3])  # 3 has the highest dropping score
+    decision = store.request_store(1, size_profiles=2.0)
+    assert decision.accepted
+    assert decision.reason == "already stored"
+    assert decision.dropped_owner == 3
+    assert store.stored_owners() == [1, 2]
+    assert store.used_profiles == 3.0
+
+
+def test_shrinking_refresh_frees_space(config):
+    store = make_store(2.0, config)
+    store.request_store(1, size_profiles=2.0)
+    assert store.request_store(1, size_profiles=0.5, is_friend=True).accepted
+    assert store.used_profiles == 0.5
+    assert store.free_profiles == 1.5
+
+
+@pytest.mark.parametrize("size", [float("nan"), float("inf"), 0.0, -1.0])
+def test_non_finite_or_non_positive_size_rejected(config, size):
+    store = make_store(2.0, config)
+    store.request_store(1, size_profiles=1.0)
+    for owner in (1, 2):  # as a refresh and as a new request
+        decision = store.request_store(owner, size_profiles=size)
+        assert not decision.accepted
+        assert decision.reason == "invalid size"
+    assert store.stored_owners() == [1]
+    assert store.used_profiles == 1.0
+
+
 def test_eviction_picks_highest_dropping_score(config):
     store = make_store(2.0, config)
     store.request_store(1)
@@ -151,11 +209,11 @@ def test_blacklist_triggers_exactly_at_theta(config):
     """d_w ≥ θ blacklists: a score of exactly θ is already over the line."""
     store = make_store(5.0, config)
     store.request_store(1)
-    store._scores[1] = config.theta - 1e-9
-    assert store._check_blacklist() == []
+    store._set_score(1, config.theta - 1e-9)
+    assert store.observe_published_mirrors(1, [999]) == []
     assert not store.is_blacklisted(1)
-    store._scores[1] = float(config.theta)
-    assert store._check_blacklist() == [1]
+    store._set_score(1, float(config.theta))
+    assert store.observe_published_mirrors(1, [999]) == [1]
     assert store.is_blacklisted(1)
     assert not store.stores_for(1)
 

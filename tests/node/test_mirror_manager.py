@@ -110,6 +110,18 @@ def test_store_request_handling(manager):
     assert manager.handle_withdraw(9)
 
 
+def test_store_request_refresh_cannot_bypass_capacity(manager):
+    """The size arrives off the wire: an owner admitted at 1.0 must not
+    "refresh" its way past the mirror's capacity (10 profiles here)."""
+    assert manager.handle_store_request(owner=9, size_profiles=1.0, is_friend=False).accepted
+    for size in (11.0, 1e9, float("inf"), float("nan"), -3.0):
+        decision = manager.handle_store_request(owner=9, size_profiles=size, is_friend=False)
+        assert not decision.accepted
+    assert manager.store.stores_for(9)
+    assert manager.store.used_profiles == 1.0
+    manager.verify_invariants()
+
+
 def test_mirroring_disabled_rejects_storage():
     mobile = MirrorManager(
         owner_id=1,

@@ -1,0 +1,132 @@
+"""Property-based tests for ``ReplicaStore``'s incremental accounting.
+
+The store keeps ``used_profiles`` as a running total and skips the blacklist
+scan while a running upper bound of the scores is below θ.  The oracle below
+does neither: it sums the stored sizes on every read and scans every score
+after every score change.  Under any sequence of storage requests
+(refreshes, growing and shrinking, included), withdrawals, experience
+exchanges and published-mirror checks the two must agree on every decision,
+every score, the blacklist and the *order* of the owners each call reports
+as removed (it becomes the order of trace events).
+
+Sizes are multiples of 1/4, so every sum is exact in binary floating point
+and "equal" means ``==`` — the simulator only ever stores size 1.0.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.config import SoupConfig
+from repro.core.dropping import ReplicaStore
+
+ME = 999
+#: Low θ and c so that blacklisting fires within a short operation sequence.
+CONFIG = SoupConfig(theta=3.0, mismatch_penalty=1.5)
+
+
+class ScanEverythingStore:
+    """Protective dropping with no incremental state (the test's oracle)."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.replicas = {}  # owner -> (size, is_friend), insertion-ordered
+        self.scores = {}
+        self.blacklist = set()
+
+    def used(self):
+        return sum(size for size, _ in self.replicas.values())
+
+    def request_store(self, owner, size, is_friend):
+        if owner in self.blacklist:
+            return (False, None)
+        if size > self.capacity:
+            return (False, None)
+        held = self.replicas[owner][0] if owner in self.replicas else 0.0
+        dropped = None
+        while self.used() - held + size > self.capacity:
+            victims = [
+                (-self.scores.get(other, 0.0), -other_size, other)
+                for other, (other_size, friend) in self.replicas.items()
+                if not friend and other != owner
+            ]
+            if not victims:
+                return (False, None)
+            dropped = min(victims)[2]
+            del self.replicas[dropped]
+        self.replicas[owner] = (size, is_friend)
+        return (True, dropped)
+
+    def remove(self, owner):
+        return self.replicas.pop(owner, None) is not None
+
+    def learn_friend_storage(self, stored_at_friend):
+        for owner, (_, is_friend) in self.replicas.items():
+            if owner in stored_at_friend:
+                self.scores[owner] = self.scores.get(owner, 0.0) + 1.0
+            if is_friend:
+                self.scores[owner] = self.scores.get(owner, 0.0) - 1.0 / CONFIG.beta
+        return self.scan()
+
+    def observe_published_mirrors(self, owner, announced):
+        if owner not in self.replicas:
+            return []
+        if ME not in announced:
+            self.scores[owner] = self.scores.get(owner, 0.0) + CONFIG.mismatch_penalty
+        return self.scan()
+
+    def scan(self):
+        removed = []
+        for owner, score in self.scores.items():
+            if owner not in self.blacklist and score >= CONFIG.theta:
+                self.blacklist.add(owner)
+                if self.replicas.pop(owner, None) is not None:
+                    removed.append(owner)
+        return removed
+
+
+owners = st.integers(1, 6)
+operations = st.one_of(
+    st.tuples(
+        st.just("store"),
+        owners,
+        st.integers(1, 12).map(lambda quarters: quarters / 4),
+        st.booleans(),
+    ),
+    st.tuples(st.just("remove"), owners),
+    st.tuples(st.just("learn"), st.frozensets(owners, max_size=4)),
+    st.tuples(st.just("observe"), owners, st.sampled_from([(ME, 3), (3, 4), ()])),
+)
+
+
+@given(
+    capacity=st.integers(4, 24).map(lambda quarters: quarters / 4),
+    ops=st.lists(operations, min_size=20, max_size=80),
+)
+@settings(max_examples=200)
+def test_store_agrees_with_scan_everything_oracle(capacity, ops):
+    store = ReplicaStore(owner=ME, capacity_profiles=capacity, config=CONFIG)
+    oracle = ScanEverythingStore(capacity)
+    for op in ops:
+        if op[0] == "store":
+            decision = store.request_store(op[1], size_profiles=op[2], is_friend=op[3])
+            assert (decision.accepted, decision.dropped_owner) == oracle.request_store(
+                op[1], op[2], op[3]
+            )
+        elif op[0] == "remove":
+            assert store.remove(op[1]) == oracle.remove(op[1])
+        elif op[0] == "learn":
+            assert store.learn_friend_storage(op[1]) == oracle.learn_friend_storage(op[1])
+        else:
+            assert store.observe_published_mirrors(
+                op[1], op[2]
+            ) == oracle.observe_published_mirrors(op[1], op[2])
+
+        assert store.stored_owners() == list(oracle.replicas)
+        assert store.used_profiles == oracle.used()
+        assert store.used_profiles <= capacity
+        assert store.free_profiles == capacity - oracle.used()
+        assert store.blacklisted_owners() == oracle.blacklist
+        # Same scores, inserted in the same order (the order of `removed`).
+        assert list(store._scores.items()) == list(oracle.scores.items())
+        live = [s for o, s in oracle.scores.items() if o not in oracle.blacklist]
+        assert all(store._ceiling >= score for score in live)

@@ -36,13 +36,16 @@ class TestSlander:
 class TestFlooding:
     def test_flood_targets_exclude_sybils(self):
         attack = FloodingAttack(sybil_ids={90, 91}, flood_requests=5)
-        targets = attack.flood_targets(90, population=list(range(95)), rng=random.Random(0))
+        candidates = attack.benign_population(range(95))
+        assert candidates == list(range(90)) + [92, 93, 94]
+        targets = attack.flood_targets(90, candidates, rng=random.Random(0))
         assert len(targets) == 5
         assert all(t not in attack.sybil_ids for t in targets)
 
     def test_flood_targets_capped_by_population(self):
         attack = FloodingAttack(sybil_ids={9}, flood_requests=100)
-        targets = attack.flood_targets(9, population=list(range(10)), rng=random.Random(0))
+        candidates = attack.benign_population(range(10))
+        targets = attack.flood_targets(9, candidates, rng=random.Random(0))
         assert len(targets) == 9
 
     def test_announced_set_undersized(self):

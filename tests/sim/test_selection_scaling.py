@@ -1,0 +1,51 @@
+"""A selecting node's work must not grow with the population.
+
+A deterministic guard (allocation sizes, no timing): on graphs of the same
+degree, one ``_select_and_place`` call may allocate about the same at N and
+at 8 N nodes.  It used to materialise "everyone unreachable right now" as a
+set of its own three times per call, so its peak grew with N — O(N²) per
+selection round, the superlinear term behind ROADMAP "Flatten the scale
+curve".
+"""
+
+import tracemalloc
+
+import networkx as nx
+
+from repro.sim.engine import SoupSimulation
+from repro.sim.scenario import ScenarioConfig
+
+DEGREE = 6
+#: Last epoch of the join day: most of the population has appeared.
+EPOCH = 23
+
+
+def _peak_bytes_of_one_selection(n_nodes: int) -> int:
+    graph = nx.circulant_graph(n_nodes, range(1, DEGREE // 2 + 1))
+    sim = SoupSimulation(graph, ScenarioConfig(n_days=1, seed=4))
+    for node in sim.nodes:
+        node.joined = True
+    sim._col_joined[:] = True
+    # What every node selecting in this epoch shares is built on first use;
+    # it is not part of one node's cost.
+    assert len(sim._unreachable_at(EPOCH)) > n_nodes // 4
+    sim._online_flags_at(EPOCH)
+
+    online = sim.online_matrix[:, EPOCH]
+    node = next(n for n in sim.nodes if online[n.node_id] and online[n.friends].any())
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sim._select_and_place(node, EPOCH)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert node.selected_mirrors, "the call under test selected nothing"
+    return peak - before
+
+
+def test_select_and_place_peak_allocation_independent_of_population():
+    small = _peak_bytes_of_one_selection(500)
+    large = _peak_bytes_of_one_selection(4000)
+    assert large < 2 * small, (small, large)
