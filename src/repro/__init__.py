@@ -21,18 +21,43 @@ See DESIGN.md for the complete system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
+import importlib
 import logging
+import sys
 
 # Library convention: a silent handler so instrumented modules can log to
 # "repro.*" without forcing output on consumers; the CLI's --log-level flag
 # attaches a real handler.
 logging.getLogger("repro").addHandler(logging.NullHandler())
 
-from repro.core.config import SoupConfig
-from repro.sim.engine import run_scenario
-from repro.sim.scenario import OnlineDistribution, ScenarioConfig
-
 __version__ = "1.0.0"
+
+
+def _resolve_lazy(package, table, name):
+    """PEP 562 ``__getattr__`` body shared by the package ``__init__``
+    modules: import ``table[name]`` on first access and cache the value."""
+    module = table.get(name)
+    if module is None:
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    setattr(sys.modules[package], name, value)
+    return value
+
+
+#: Public names and the modules that define them, imported on first access:
+#: a process that only runs the node middleware never loads the simulator
+#: (numpy, networkx) behind ``run_scenario``.
+_LAZY = {
+    "SoupConfig": "repro.core.config",
+    "run_scenario": "repro.sim.engine",
+    "OnlineDistribution": "repro.sim.scenario",
+    "ScenarioConfig": "repro.sim.scenario",
+}
+
+
+def __getattr__(name):
+    return _resolve_lazy(__name__, _LAZY, name)
+
 
 __all__ = [
     "SoupConfig",

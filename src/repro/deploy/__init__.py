@@ -20,33 +20,30 @@ measurements.  We reproduce that deployment over the simulated network:
   the kill→consequence causal-chain correlator (``soup postmortem``).
 """
 
-from repro.deploy.emulation import Deployment, DeploymentReport
-from repro.deploy.postmortem import (
-    Bundle,
-    BundleError,
-    CausalChain,
-    Postmortem,
-    assemble_bundle,
-    correlate,
-    load_bundle,
-    render_postmortem,
-)
-from repro.deploy.traffic import MirrorLoadModel, MirrorLoadResult
-from repro.deploy.workload import WorkloadEvent, build_workload
+from repro import _resolve_lazy
 
-__all__ = [
-    "Bundle",
-    "BundleError",
-    "CausalChain",
-    "Deployment",
-    "DeploymentReport",
-    "MirrorLoadModel",
-    "MirrorLoadResult",
-    "Postmortem",
-    "WorkloadEvent",
-    "assemble_bundle",
-    "build_workload",
-    "correlate",
-    "load_bundle",
-    "render_postmortem",
-]
+#: Re-exported names, imported on first access (the emulation, the traffic
+#: model and the post-mortem tooling are not needed to run a live node).
+_LAZY = {
+    "Deployment": "repro.deploy.emulation",
+    "DeploymentReport": "repro.deploy.emulation",
+    "Bundle": "repro.deploy.postmortem",
+    "BundleError": "repro.deploy.postmortem",
+    "CausalChain": "repro.deploy.postmortem",
+    "Postmortem": "repro.deploy.postmortem",
+    "assemble_bundle": "repro.deploy.postmortem",
+    "correlate": "repro.deploy.postmortem",
+    "load_bundle": "repro.deploy.postmortem",
+    "render_postmortem": "repro.deploy.postmortem",
+    "MirrorLoadModel": "repro.deploy.traffic",
+    "MirrorLoadResult": "repro.deploy.traffic",
+    "WorkloadEvent": "repro.deploy.workload",
+    "build_workload": "repro.deploy.workload",
+}
+
+
+def __getattr__(name):
+    return _resolve_lazy(__name__, _LAZY, name)
+
+
+__all__ = sorted(_LAZY)

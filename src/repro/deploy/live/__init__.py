@@ -19,17 +19,24 @@ chaos.  It is the second backend of the transport seam
   ``soup-resilience/v1`` report for :mod:`repro.deploy.gates`.
 """
 
-from repro.deploy.live.chaos import ChaosController
-from repro.deploy.live.harness import ResilienceConfig, ResilienceHarness
-from repro.deploy.live.load import LoadOp, build_load_plan
-from repro.deploy.live.transport import AsyncClock, LiveTransport
+from repro import _resolve_lazy
 
-__all__ = [
-    "AsyncClock",
-    "ChaosController",
-    "LiveTransport",
-    "LoadOp",
-    "ResilienceConfig",
-    "ResilienceHarness",
-    "build_load_plan",
-]
+#: Re-exported names, imported on first access: running ``SoupNode`` on
+#: ``LiveTransport`` loads neither the harness nor the chaos controller
+#: (and, through them, the simulator's fault grammar).
+_LAZY = {
+    "AsyncClock": "repro.deploy.live.transport",
+    "ChaosController": "repro.deploy.live.chaos",
+    "LiveTransport": "repro.deploy.live.transport",
+    "LoadOp": "repro.deploy.live.load",
+    "ResilienceConfig": "repro.deploy.live.harness",
+    "ResilienceHarness": "repro.deploy.live.harness",
+    "build_load_plan": "repro.deploy.live.load",
+}
+
+
+def __getattr__(name):
+    return _resolve_lazy(__name__, _LAZY, name)
+
+
+__all__ = sorted(_LAZY)

@@ -9,12 +9,14 @@ wraparound, as the ID space is a ring).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from bisect import bisect_left
+from typing import Iterable, List, Optional, Sequence, Set
 
 ID_BITS = 64
 ID_DIGITS = 16  # 64 bits / 4 bits per hex digit
 _DIGIT_MASK = 0xF
 ID_SPACE = 1 << ID_BITS
+_HALF_RING = ID_SPACE // 2
 
 
 def digit_at(node_id: int, position: int) -> int:
@@ -35,8 +37,19 @@ def shared_prefix_length(a: int, b: int) -> int:
 
 def ring_distance(a: int, b: int) -> int:
     """Shortest distance between two IDs on the 64-bit ring."""
-    d = abs(a - b)
-    return min(d, ID_SPACE - d)
+    d = (a - b) % ID_SPACE
+    return d if d <= _HALF_RING else ID_SPACE - d
+
+
+def closest_on_ring(sorted_ids: Sequence[int], key: int) -> int:
+    """The id minimising ``(ring_distance(id, key), id)`` in a non-empty
+    ascending sequence: one of the key's two cyclic neighbours."""
+    index = bisect_left(sorted_ids, key)
+    after = sorted_ids[index % len(sorted_ids)]
+    before = sorted_ids[index - 1]
+    if (ring_distance(before, key), before) < (ring_distance(after, key), after):
+        return before
+    return after
 
 
 class RoutingTable:
@@ -109,32 +122,61 @@ class LeafSet:
         self.owner = owner
         self.half_size = half_size
         self._members: Set[int] = set()
+        #: Index over the members, rebuilt on first use after a membership
+        #: change and never otherwise: the sorted ring (members + owner)
+        #: and how far the set reaches on each side of the owner.
+        self._ring: Optional[List[int]] = None
+        self._succ_span = 0
+        self._pred_span = 0
 
-    def _cw_distance(self, node_id: int) -> int:
-        return (node_id - self.owner) % ID_SPACE
+    def _trim(self) -> None:
+        """Keep the ``half_size`` nearest members per side."""
+        ordered = sorted(self._members)
+        split = bisect_left(ordered, self.owner)
+        by_cw = ordered[split:] + ordered[:split]  # nearest successor first
+        self._members = set(by_cw[: self.half_size] + by_cw[-self.half_size :])
 
-    def _sides(self) -> Tuple[List[int], List[int]]:
-        """Members split into (successors, predecessors), nearest first."""
-        by_cw = sorted(self._members, key=self._cw_distance)
-        successors = by_cw[: self.half_size]
-        predecessors = by_cw[::-1][: self.half_size]
-        return successors, predecessors
+    def _reindex(self) -> List[int]:
+        """Rebuild the ring and the per-side spans.
+
+        Every member counts in the direction it is actually nearer: the
+        successor span is the farthest clockwise reach among members no
+        farther clockwise than counter-clockwise, the predecessor span the
+        farthest counter-clockwise reach among the others.
+        """
+        owner = self.owner
+        succ_span = pred_span = 0
+        for member in self._members:
+            cw = (member - owner) % ID_SPACE
+            if cw <= _HALF_RING:
+                if cw > succ_span:
+                    succ_span = cw
+            elif ID_SPACE - cw > pred_span:
+                pred_span = ID_SPACE - cw
+        self._succ_span = succ_span
+        self._pred_span = pred_span
+        self._ring = ring = sorted(self._members | {owner})
+        return ring
 
     def consider(self, node_id: int) -> None:
         """Offer a node; keeps the ``half_size`` nearest per side."""
-        if node_id == self.owner:
+        if node_id == self.owner or node_id in self._members:
             return
         self._members.add(node_id)
         if len(self._members) > 2 * self.half_size:
-            successors, predecessors = self._sides()
-            self._members = set(successors) | set(predecessors)
+            self._trim()
+            if node_id not in self._members:
+                return  # the newcomer was the one trimmed: nothing changed
+        self._ring = None
 
     def consider_all(self, node_ids: Iterable[int]) -> None:
         for node_id in node_ids:
             self.consider(node_id)
 
     def remove(self, node_id: int) -> None:
-        self._members.discard(node_id)
+        if node_id in self._members:
+            self._members.remove(node_id)
+            self._ring = None
 
     def members(self) -> List[int]:
         return sorted(self._members)
@@ -148,27 +190,17 @@ class LeafSet:
     def covers(self, key: int) -> bool:
         """Whether ``key`` falls within the leaf set's ring span.
 
-        The span is measured per side, with every member counted in the
-        direction it is actually nearer: a key is covered when it lies no
+        The span is measured per side: a key is covered when it lies no
         farther clockwise than the farthest successor, or no farther
         counter-clockwise than the farthest predecessor.
         """
         if not self._members:
             return False
-        succ_span = 0
-        pred_span = 0
-        for member in self._members:
-            cw = self._cw_distance(member)
-            ccw = ID_SPACE - cw
-            if cw <= ccw:
-                succ_span = max(succ_span, cw)
-            else:
-                pred_span = max(pred_span, ccw)
-        key_cw = self._cw_distance(key)
-        key_ccw = (ID_SPACE - key_cw) % ID_SPACE
-        return (0 < key_cw <= succ_span) or (0 < key_ccw <= pred_span) or key_cw == 0
+        if self._ring is None:
+            self._reindex()
+        key_cw = (key - self.owner) % ID_SPACE
+        return key_cw <= self._succ_span or ID_SPACE - key_cw <= self._pred_span
 
     def closest_to(self, key: int) -> int:
         """The leaf-set member (or owner) numerically closest to ``key``."""
-        candidates = list(self._members) + [self.owner]
-        return min(candidates, key=lambda nid: (ring_distance(nid, key), nid))
+        return closest_on_ring(self._ring or self._reindex(), key)

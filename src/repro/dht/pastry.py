@@ -16,7 +16,7 @@ DHT (Sec. 3.3).
 from __future__ import annotations
 
 import logging
-import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -27,8 +27,8 @@ from repro.dht.node_state import (
     ID_DIGITS,
     LeafSet,
     RoutingTable,
+    closest_on_ring,
     ring_distance,
-    shared_prefix_length,
 )
 from repro.dht.storage import DirectoryEntry
 
@@ -78,11 +78,26 @@ class TransferRecord:
     size_bytes: int
 
 
+class _Counters(dict):
+    """Counter handles of one registry by name, created on first use —
+    exactly when ``registry.counter(name)`` would have created them."""
+
+    def __init__(self, registry) -> None:
+        super().__init__()
+        self._registry = registry
+
+    def __missing__(self, name: str):
+        counter = self[name] = self._registry.counter(name)
+        return counter
+
+
 class PastryOverlay:
     """An in-process Pastry ring with directory-entry storage."""
 
     def __init__(self, leaf_half_size: int = 8, max_route_hops: int = 64) -> None:
         self._nodes: Dict[int, _OverlayNode] = {}
+        #: The member ids in ring order (kept in step with ``_nodes``).
+        self._ring: List[int] = []
         self._leaf_half_size = leaf_half_size
         self._max_route_hops = max_route_hops
         #: Log of entry movements; deployment emulation drains this to
@@ -105,6 +120,7 @@ class PastryOverlay:
         #: changes (routing is hot; a name lookup per hop would show up).
         self._metrics_registry = None
         self._hops_histogram = None
+        self._counters: Optional[_Counters] = None
         #: Architecture seams (repro.arch): an optional placement strategy
         #: remapping directory keys, and an optional routing policy
         #: offering extra next-hop candidates.  Both default to None — the
@@ -171,6 +187,7 @@ class PastryOverlay:
         )
         if not self._nodes:
             self._nodes[node_id] = new_node
+            self._ring.append(node_id)
             return RouteResult(responsible=node_id, path=[node_id])
 
         if bootstrap_id is None:
@@ -189,6 +206,7 @@ class PastryOverlay:
         new_node.leaf_set.consider(closest.node_id)
 
         self._nodes[node_id] = new_node
+        insort(self._ring, node_id)
         # Announce the joiner to its new neighbourhood.
         for member_id in list(new_node.leaf_set.members()) + list(
             new_node.routing_table.known_nodes()
@@ -213,13 +231,9 @@ class PastryOverlay:
         over, which is the churn cost Sec. 3.2 calls out).
         """
         departing = self._require(node_id)
-        del self._nodes[node_id]
-        for other in self._nodes.values():
-            other.leaf_set.remove(node_id)
-            other.routing_table.remove(node_id)
-        # Repair leaf sets *before* re-homing so the surviving ring agrees
-        # on responsibility while entries move.
-        self._repair_leaf_sets()
+        # Leaf sets are repaired *before* re-homing so the surviving ring
+        # agrees on responsibility while entries move.
+        self._remove_member(node_id)
 
         transfers: List[TransferRecord] = []
         for key, entry in departing.entries.items():
@@ -249,7 +263,11 @@ class PastryOverlay:
         scenario behind Fig. 9's availability dip.
         """
         self._require(node_id)
+        self._remove_member(node_id)
+
+    def _remove_member(self, node_id: int) -> None:
         del self._nodes[node_id]
+        del self._ring[bisect_left(self._ring, node_id)]
         for other in self._nodes.values():
             other.leaf_set.remove(node_id)
             other.routing_table.remove(node_id)
@@ -266,10 +284,10 @@ class PastryOverlay:
         such sets silently misroute keys near ring boundaries — so repair
         must not be limited to sets that have thinned below capacity.
         """
-        if len(self._nodes) <= 1:
-            return
-        ordered = sorted(self._nodes)
+        ordered = self._ring
         n = len(ordered)
+        if n <= 1:
+            return
         for index, node_id in enumerate(ordered):
             node = self._nodes[node_id]
             for offset in range(1, self._leaf_half_size + 1):
@@ -300,15 +318,17 @@ class PastryOverlay:
         return transfers
 
     # --- routing ------------------------------------------------------------
-    def _hop_metric(self):
-        """The hop-count histogram in the *current* registry (cached)."""
+    def _metrics(self) -> "_Counters":
+        """Bind the hop histogram and the counter cache to the *current*
+        registry (cached until it changes); returns the counters."""
         registry = get_registry()
         if registry is not self._metrics_registry:
             self._metrics_registry = registry
             self._hops_histogram = registry.histogram(
                 "dht.route.hops", buckets=_HOP_BUCKETS
             )
-        return self._hops_histogram
+            self._counters = _Counters(registry)
+        return self._counters
 
     def route(
         self, start_id: int, key: int, avoid: FrozenSet[int] = frozenset()
@@ -321,17 +341,16 @@ class PastryOverlay:
         stays structural otherwise (no per-hop liveness checks) — the
         final node is the closest *non-avoided* overlay member.
         """
+        self._metrics()
         if PROFILER.enabled:
             with PROFILER.span("dht.route"):
                 result = self._route(start_id, key, avoid)
         else:
             result = self._route(start_id, key, avoid)
-        self._hop_metric().observe(result.hops)
+        self._hops_histogram.observe(len(result.path) - 1)
         return result
 
-    def _route(
-        self, start_id: int, key: int, avoid: FrozenSet[int] = frozenset()
-    ) -> RouteResult:
+    def _route(self, start_id: int, key: int, avoid: FrozenSet[int]) -> RouteResult:
         current = self._require(start_id)
         path = [current.node_id]
         for _ in range(self._max_route_hops):
@@ -356,74 +375,60 @@ class PastryOverlay:
         terminates, and accurate leaf sets make the final node the
         numerically closest one.
         """
+        nodes = self._nodes
         own_order = (ring_distance(node.node_id, key), node.node_id)
-
-        def improves(candidate: Optional[int]) -> bool:
-            return (
-                candidate is not None
-                and candidate in self._nodes
-                and candidate not in avoid
-                and (ring_distance(candidate, key), candidate) < own_order
-            )
 
         # Routing-policy shortcuts (repro.arch): the best *improving*
         # candidate the policy offers.  Filtered through the same monotone
         # order as every structural hop, so a policy can only shorten
         # routes — it cannot create loops or change the responsible node.
-        policy_hop: Optional[int] = None
-        policy_order = own_order
+        best: Optional[int] = None
+        best_order = own_order
         if self._routing_policy is not None:
             for candidate in self._routing_policy.extra_candidates(
                 node.node_id, key
             ):
-                if candidate not in self._nodes or candidate in avoid:
+                if candidate not in nodes or candidate in avoid:
                     continue
                 order = (ring_distance(candidate, key), candidate)
-                if order < policy_order:
-                    policy_hop = candidate
-                    policy_order = order
-
-        def best_of(structural: Optional[int]) -> Optional[int]:
-            if policy_hop is None:
-                return structural
-            if structural is None:
-                return policy_hop
-            structural_order = (ring_distance(structural, key), structural)
-            return policy_hop if policy_order < structural_order else structural
+                if order < best_order:
+                    best = candidate
+                    best_order = order
 
         # Leaf-set range: deliver to the numerically closest member.
-        if node.leaf_set.covers(key) or not node.leaf_set.members():
-            closest = node.leaf_set.closest_to(key)
-            if improves(closest):
-                return best_of(closest)
-            if not avoid:
-                return best_of(None)
-            # The closest member is being avoided: fall through to the
-            # general scan so the route can settle on an alternate.
+        # Otherwise the routing table: match one more prefix digit (if
+        # that makes numeric progress too).
+        leaf_set = node.leaf_set
+        in_leaf_range = leaf_set.covers(key) or not len(leaf_set)
+        if in_leaf_range:
+            hop = leaf_set.closest_to(key)
         else:
-            # Routing table: match one more prefix digit (if that makes
-            # numeric progress too).
-            table_hop = node.routing_table.next_hop(key)
-            if improves(table_hop):
-                return best_of(table_hop)
-        # Rare case: any known node strictly closer to the key.
-        candidates = node.routing_table.known_nodes() + node.leaf_set.members()
-        best = policy_hop
-        best_order = policy_order
-        for candidate in candidates:
-            if candidate not in self._nodes or candidate in avoid:
-                continue
-            order = (ring_distance(candidate, key), candidate)
-            if order < best_order:
-                best = candidate
-                best_order = order
+            hop = node.routing_table.next_hop(key)
+        if hop is not None and hop in nodes and hop not in avoid:
+            order = (ring_distance(hop, key), hop)
+            if order < own_order:
+                return best if best_order < order else hop
+        if in_leaf_range and not avoid:
+            return best
+        # Rare case (a stale table entry, or the closest member is being
+        # avoided so the route must settle on an alternate): the closest
+        # known node, if it is strictly closer to the key.
+        known = sorted([
+            candidate
+            for candidate in node.routing_table.known_nodes() + leaf_set.members()
+            if candidate in nodes and candidate not in avoid
+        ])
+        if known:
+            closest = closest_on_ring(known, key)
+            if (ring_distance(closest, key), closest) < best_order:
+                return closest
         return best
 
     def _responsible_node(self, key: int) -> int:
         """Ground-truth responsibility: numerically closest live node."""
-        if not self._nodes:
+        if not self._ring:
             raise DhtError("overlay is empty")
-        return min(self._nodes, key=lambda nid: (ring_distance(nid, key), nid))
+        return closest_on_ring(self._ring, key)
 
     # --- directory operations -------------------------------------------------
     def publish(self, from_id: int, key: int, entry: DirectoryEntry) -> RouteResult:
@@ -435,12 +440,12 @@ class PastryOverlay:
         caller backs off and republishes later.
         """
         key = self._map_key(key)
+        counters = self._metrics()
         route = self.route(from_id, key)
-        registry = get_registry()
-        registry.counter("dht.publishes").inc()
+        counters["dht.publishes"].inc()
         if not self._is_live(route.responsible):
             self.publishes_unreachable += 1
-            registry.counter("dht.publishes.unreachable").inc()
+            counters["dht.publishes.unreachable"].inc()
             logger.debug(
                 "publish of key %#x from %#x: responsible %#x unreachable",
                 key, from_id, route.responsible,
@@ -459,25 +464,28 @@ class PastryOverlay:
         If the responsible node is unreachable (per the liveness oracle),
         the lookup retries via alternate next-hops — re-routing around
         every home found dead so far — up to ``lookup_max_alternates``
-        times.  An alternate may well hold the entry (re-homed during an
-        incomplete churn repair); if every candidate is down the result is
-        ``(None, route)`` with ``delivered=False``.
+        times, and asks every alternate it routes to.  An alternate may
+        well hold the entry (re-homed during an incomplete churn repair);
+        if every candidate is down the result is ``(None, route)`` with
+        ``delivered=False``.
         """
         key = self._map_key(key)
-        registry = get_registry()
-        registry.counter("dht.lookups").inc()
+        counters = self._metrics()
+        counters["dht.lookups"].inc()
         route = self.route(from_id, key)
         avoid: FrozenSet[int] = frozenset()
-        for _ in range(self.lookup_max_alternates):
+        for alternates_left in range(self.lookup_max_alternates, -1, -1):
             if self._is_live(route.responsible):
                 entry = self._nodes[route.responsible].entries.get(key)
                 if avoid and entry is not None:
                     self.lookup_alternate_hits += 1
-                    registry.counter("dht.lookups.alternate_hits").inc()
+                    counters["dht.lookups.alternate_hits"].inc()
                 self._trace_lookup(key, route, len(avoid), found=entry is not None)
                 return entry, route
+            if not alternates_left:
+                break
             self.lookup_retries += 1
-            registry.counter("dht.lookups.retries").inc()
+            counters["dht.lookups.retries"].inc()
             tracer = get_tracer()
             if tracer.enabled:
                 tracer.emit(
@@ -493,7 +501,7 @@ class PastryOverlay:
                 break  # no further alternates reachable from here
             route = rerouted
         route.delivered = False
-        registry.counter("dht.lookups.failed").inc()
+        counters["dht.lookups.failed"].inc()
         self._trace_lookup(key, route, len(avoid), found=False)
         return None, route
 

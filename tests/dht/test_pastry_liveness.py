@@ -8,6 +8,7 @@ retries via alternate next-hops around dead responsibles.
 
 import pytest
 
+from repro.dht.node_state import ring_distance
 from repro.dht.pastry import PastryOverlay
 from repro.dht.storage import DirectoryEntry
 
@@ -118,3 +119,59 @@ def test_clearing_oracle_restores_structural_routing():
     overlay.set_liveness(None)
     entry, route = overlay.lookup(0xF000, key)
     assert entry is not None and route.delivered
+
+
+def _closest_first(members, key):
+    return sorted(members, key=lambda n: (ring_distance(n, key), n))
+
+
+def _recording_oracle(overlay, alive):
+    """Install a liveness oracle over ``alive`` that records every probe."""
+    probed = []
+
+    def liveness(node_id):
+        probed.append(node_id)
+        return node_id in alive
+
+    overlay.set_liveness(liveness)
+    return probed
+
+
+def test_lookup_asks_the_last_alternate_it_routes_to():
+    """Regression: with ``lookup_max_alternates = 3`` the lookup routed to
+    the third alternate, billed the route, and returned it undelivered
+    without ever asking whether it was up."""
+    members = [0x1000 * i for i in range(1, 13)]
+    overlay = build_overlay(members)
+    key = 0x5005
+    by_distance = _closest_first(members, key)
+    fourth = by_distance[overlay.lookup_max_alternates]
+    overlay._nodes[fourth].entries[key] = entry_for(key)
+    probed = _recording_oracle(overlay, alive={fourth})
+    entry, route = overlay.lookup(0xC000, key)
+    assert probed == by_distance[:4]
+    assert route.responsible == fourth
+    assert route.delivered
+    assert entry is not None and entry.name == f"user-{key:x}"
+    assert overlay.lookup_retries == overlay.lookup_max_alternates
+    assert overlay.lookup_alternate_hits == 1
+
+
+def test_lookup_probes_every_route_it_computes_when_all_are_dead(monkeypatch):
+    members = [0x1000 * i for i in range(1, 13)]
+    overlay = build_overlay(members)
+    key = 0x5005
+    routed = []
+    route = overlay._route
+
+    def recording_route(start_id, key, avoid):
+        result = route(start_id, key, avoid)
+        routed.append(result.responsible)
+        return result
+
+    monkeypatch.setattr(overlay, "_route", recording_route)
+    probed = _recording_oracle(overlay, alive=set())
+    entry, result = overlay.lookup(0xC000, key)
+    assert entry is None and not result.delivered
+    assert probed == routed == _closest_first(members, key)[:4]
+    assert overlay.lookup_retries == overlay.lookup_max_alternates

@@ -5,6 +5,11 @@ change that moves both modes together passes it.  The digests in
 ``golden_digests.json`` were recorded once (PR 14, at the parent commit of
 the selection-round rewrite) and every later commit must reproduce them in
 both engine modes: same result JSON, same trace bytes.
+``arch_superpeer_dht`` was re-recorded in PR 15 for the lookup-alternates
+fix: its shadow DHT's lookups now ask the last alternate they route to, so
+2,431 of 23,627 ``dht_lookup`` events read ``delivered: true`` and
+``dht.lookups.failed`` falls accordingly; nothing else in result or trace
+moved.
 
 An intended behaviour change re-records them, reviewed like any other
 golden file::

@@ -1,0 +1,51 @@
+"""Running a node must not load the simulator.
+
+``repro``, ``repro.deploy`` and ``repro.deploy.live`` re-export their public
+names lazily (PEP 562): a process that only runs ``SoupNode`` on
+``LiveTransport`` used to sit at ~54 MB after imports, half of it numpy,
+networkx and ``repro.sim`` pulled in by the package ``__init__`` modules.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
+
+PROBE = """
+import sys
+import repro.node.middleware
+import repro.deploy.live.transport
+heavy = sorted(
+    name for name in sys.modules
+    if name.split(".")[0] in ("numpy", "networkx") or name.startswith("repro.sim")
+)
+print(",".join(heavy))
+"""
+
+
+def test_node_and_live_transport_import_without_the_simulator():
+    # The child finds the package wherever this process found it.
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE],
+        capture_output=True, text=True, check=True, timeout=120, env=env,
+    )
+    assert out.stdout.strip() == "", out.stdout
+
+
+def test_lazy_public_names_still_resolve():
+    import repro.deploy
+    import repro.deploy.live
+
+    for package in (repro, repro.deploy, repro.deploy.live):
+        for name in package.__all__:
+            assert getattr(package, name) is not None, (package.__name__, name)
+    from repro import run_scenario
+    from repro.deploy import Deployment
+    from repro.deploy.live import LiveTransport
+
+    assert run_scenario.__module__ == "repro.sim.engine"
+    assert Deployment.__module__ == "repro.deploy.emulation"
+    assert LiveTransport.__module__ == "repro.deploy.live.transport"
