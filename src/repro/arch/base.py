@@ -20,13 +20,13 @@ alternative architectures become *executable* baselines:
 
 An :class:`Architecture` bundles one (or none) of each.  The default
 ``"soup"`` architecture binds *no* strategies: the engine takes zero
-extra branches, keeping the paper-faithful path byte-identical under
-``tests/sim/test_equivalence.py``.
+extra branches, keeping the paper-faithful path on the committed digests
+of ``tests/sim/test_golden_digests.py``.
 
 Strategies are deliberately **RNG-free**: all randomness stays inside
 Algorithm 1 (:func:`repro.core.selection.select_mirrors`), driven by the
-engine's own ``random.Random`` stream.  That keeps columnar-vs-reference
-runs byte-identical even for non-default architectures, and makes every
+engine's own ``random.Random`` stream.  That keeps same-seed runs
+byte-identical even for non-default architectures, and makes every
 head-to-head comparison replayable from ``(config, seed)`` alone.
 """
 

@@ -23,7 +23,7 @@ SOUP's machinery:
   K-replication invariant holds by construction.
 
 The strategy draws no RNG and mutates no engine state: elections are a
-pure function of the engine view, so columnar and reference runs stay
+pure function of the engine view, so same-seed runs stay
 byte-identical.
 """
 

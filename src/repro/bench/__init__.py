@@ -4,9 +4,9 @@ The suite (:mod:`repro.bench.suite`) measures the simulator's hot paths —
 epoch-loop throughput, SimNetwork message rate, sweep-orchestrator
 overhead, crypto-mode sign/verify rates — and serializes each run as a
 schema-versioned ``BENCH_*.json`` artifact (:mod:`repro.bench.artifacts`,
-schema ``soup-bench/v2``; v1 remains loadable).  ``soup bench --check
+schema ``soup-bench/v2``).  ``soup bench --check
 --baseline PATH`` diffs a fresh run against a committed baseline and fails
-on regressions beyond a configurable threshold; v2 artifacts carry git
+on regressions beyond a configurable threshold; artifacts carry git
 provenance and per-phase breakdowns, so a failed check names the commits
 compared and attributes the regression to the phase(s) whose share of the
 run grew (:func:`repro.bench.artifacts.attribute_phases`).
@@ -21,10 +21,8 @@ See ``docs/BENCHMARKS.md``.
 
 from repro.bench.artifacts import (
     BENCH_SCHEMA,
-    BENCH_SCHEMA_V1,
     DEFAULT_THRESHOLD,
     PHASE_ATTRIBUTION_POINTS,
-    SUPPORTED_BENCH_SCHEMAS,
     BenchResult,
     Comparison,
     ComparisonRow,
@@ -57,12 +55,10 @@ from repro.bench.suite import (
 
 __all__ = [
     "BENCH_SCHEMA",
-    "BENCH_SCHEMA_V1",
     "DEFAULT_HISTORY_PATH",
     "DEFAULT_THRESHOLD",
     "HISTORY_SCHEMA",
     "PHASE_ATTRIBUTION_POINTS",
-    "SUPPORTED_BENCH_SCHEMAS",
     "BenchProfile",
     "BenchResult",
     "Comparison",

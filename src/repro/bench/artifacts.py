@@ -11,8 +11,7 @@ alongside for context.  A benchmark regresses when its throughput falls
 below ``baseline * (1 - threshold)`` — the threshold absorbs scheduler
 noise on shared CI hardware.
 
-v2 extends v1 with two blocks (v1 artifacts remain loadable — committed
-full-size baselines are expensive to regenerate):
+Beyond the per-benchmark numbers a document carries two blocks:
 
 * ``provenance`` — git SHA + dirty flag + timestamp
   (:mod:`repro.bench.provenance`), so a diff names the commits compared;
@@ -32,9 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-BENCH_SCHEMA_V1 = "soup-bench/v1"
 BENCH_SCHEMA = "soup-bench/v2"
-SUPPORTED_BENCH_SCHEMAS = (BENCH_SCHEMA_V1, BENCH_SCHEMA)
 
 #: Default relative throughput drop tolerated before a run is flagged.
 DEFAULT_THRESHOLD = 0.30
@@ -54,7 +51,7 @@ class BenchResult:
     unit: str
     detail: Dict[str, Any] = field(default_factory=dict)
     #: Exclusive wall seconds per phase (empty when the benchmark does not
-    #: capture a breakdown, and in artifacts loaded from v1 documents).
+    #: capture a breakdown).
     phases: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -114,15 +111,12 @@ def build_artifact(
 
 
 def validate_artifact(payload: Dict[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``payload`` is a well-formed artifact
-    (v1 or v2)."""
+    """Raise ``ValueError`` unless ``payload`` is a well-formed artifact."""
     if not isinstance(payload, dict):
         raise ValueError("bench artifact must be a JSON object")
     schema = payload.get("schema")
-    if schema not in SUPPORTED_BENCH_SCHEMAS:
-        raise ValueError(
-            f"expected schema in {SUPPORTED_BENCH_SCHEMAS}, got {schema!r}"
-        )
+    if schema != BENCH_SCHEMA:
+        raise ValueError(f"expected schema {BENCH_SCHEMA!r}, got {schema!r}")
     results = payload.get("results")
     if not isinstance(results, dict):
         raise ValueError("bench artifact has no 'results' mapping")
@@ -144,10 +138,9 @@ def validate_artifact(payload: Dict[str, Any]) -> None:
                 raise ValueError(
                     f"result {name!r} phase {phase!r} has negative time"
                 )
-    if schema == BENCH_SCHEMA:
-        provenance = payload.get("provenance")
-        if provenance is not None and not isinstance(provenance, dict):
-            raise ValueError("v2 artifact provenance must be an object")
+    provenance = payload.get("provenance")
+    if provenance is not None and not isinstance(provenance, dict):
+        raise ValueError("artifact provenance must be an object")
 
 
 def write_artifact(payload: Dict[str, Any], path: str) -> None:
@@ -236,7 +229,7 @@ class Comparison:
     #: Benchmarks present in only one of the two artifacts.
     only_in_baseline: List[str] = field(default_factory=list)
     only_in_current: List[str] = field(default_factory=list)
-    #: Provenance blocks of the two artifacts (None for v1 baselines).
+    #: Provenance blocks of the two artifacts (None when one has none).
     baseline_provenance: Optional[Dict[str, Any]] = None
     current_provenance: Optional[Dict[str, Any]] = None
 

@@ -927,9 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--scale", type=float, default=0.02)
     pp.add_argument("--days", type=int, default=4)
     pp.add_argument("--seed", type=int, default=42)
-    pp.add_argument("--engine", default="columnar",
-                    choices=("columnar", "reference"),
-                    help="engine path to profile (both are instrumented)")
     pp.add_argument("--folded", default=None, metavar="PATH",
                     help="write folded-stack lines ('path micros') for "
                          "flamegraph.pl / speedscope")
@@ -1144,7 +1141,6 @@ def _cmd_perf(args) -> int:
         scale=args.scale,
         n_days=args.days,
         seed=args.seed,
-        engine_mode=args.engine,
     )
     PROFILER.reset()
     PROFILER.enable()
@@ -1156,8 +1152,7 @@ def _cmd_perf(args) -> int:
         PROFILER.record_events = False
 
     print(f"dataset={args.dataset} scale={args.scale} days={args.days} "
-          f"seed={args.seed} engine={args.engine} "
-          f"steady={result.steady_state_availability():.3f}",
+          f"seed={args.seed} steady={result.steady_state_availability():.3f}",
           file=sys.stderr)
     for line in PROFILER.report_lines(top_level="engine.epoch"):
         print(line)

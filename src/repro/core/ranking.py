@@ -96,22 +96,12 @@ class RegularRanker:
     Algorithm 1.
     """
 
-    def __init__(
-        self, knowledge: KnowledgeBase, config: SoupConfig, columnar: bool = False
-    ) -> None:
+    def __init__(self, knowledge: KnowledgeBase, config: SoupConfig) -> None:
         self._knowledge = knowledge
         self._config = config
         #: mirror -> [decayed request weight, decayed success weight]
-        #: (used by the "aged_counts" estimator in scalar mode).
+        #: (used by the "aged_counts" estimator).
         self._counters: Dict[int, List[float]] = {}
-        #: Packed-array twin of ``_counters`` (columnar engine mode);
-        #: bit-identical by construction, property-tested in
-        #: tests/property/test_columnar_properties.py.
-        self._columns = None
-        if columnar:
-            from repro.core.columnar import AgedCounterColumns
-
-            self._columns = AgedCounterColumns()
 
     def ingest_reports(self, reports: Iterable[ExperienceReport]) -> Dict[int, float]:
         """Apply one exchange round of reports; returns updated exp values."""
@@ -143,13 +133,9 @@ class RegularRanker:
         """
         retention = self._config.count_retention
         o_max = self._config.o_max
-        columns = self._columns
-        if columns is not None:
-            columns.decay(retention)
-        else:
-            for counter in self._counters.values():
-                counter[0] *= retention
-                counter[1] *= retention
+        for counter in self._counters.values():
+            counter[0] *= retention
+            counter[1] *= retention
 
         updated: Dict[int, float] = {}
         owner = self._knowledge.owner
@@ -161,19 +147,11 @@ class RegularRanker:
             weight = min(report.observations, o_max) * max(0.0, report.weight)
             if weight <= 0:
                 continue
-            if columns is not None:
-                columns.add(report.mirror, weight, report.availability)
-            else:
-                counter = self._counters.setdefault(report.mirror, [0.0, 0.0])
-                counter[0] += weight
-                counter[1] += weight * report.availability
+            counter = self._counters.setdefault(report.mirror, [0.0, 0.0])
+            counter[0] += weight
+            counter[1] += weight * report.availability
         prior = self._config.bootstrap_prior
         prior_weight = self._config.count_prior_weight
-        if columns is not None:
-            for mirror, value in columns.scores(prior, prior_weight):
-                self._knowledge.set_experience(mirror, value)
-                updated[mirror] = value
-            return updated
         for mirror, (requests, successes) in self._counters.items():
             if requests <= 0.0:
                 continue

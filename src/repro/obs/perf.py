@@ -124,14 +124,10 @@ def capture_phases(profiler: Optional[Profiler] = None) -> Iterator[PhaseReport]
     """
     profiler = profiler or PROFILER
     saved_state = profiler.state_dict()
-    saved_flags = (
-        profiler.enabled, profiler.trace,
-        profiler.feed_metrics, profiler.record_events,
-    )
+    saved_flags = (profiler.enabled, profiler.trace, profiler.record_events)
     profiler.reset()
     profiler.enabled = True
     profiler.trace = False
-    profiler.feed_metrics = False
     profiler.record_events = False
     report = PhaseReport()
     try:
@@ -142,5 +138,4 @@ def capture_phases(profiler: Optional[Profiler] = None) -> Iterator[PhaseReport]
         report.phases = phase_breakdown(profiler)
         profiler.reset()
         profiler.merge_state(saved_state)
-        (profiler.enabled, profiler.trace,
-         profiler.feed_metrics, profiler.record_events) = saved_flags
+        profiler.enabled, profiler.trace, profiler.record_events = saved_flags

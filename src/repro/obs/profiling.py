@@ -42,12 +42,6 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Histogram buckets (seconds) used when ``feed_metrics`` routes finished
-#: spans into the current :class:`~repro.obs.registry.MetricsRegistry`.
-PHASE_HISTOGRAM_BUCKETS = (
-    1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
-)
-
 #: Cap on retained per-span events (Chrome trace export); beyond this the
 #: accumulators keep counting but individual events are dropped.
 MAX_SPAN_EVENTS = 250_000
@@ -103,9 +97,6 @@ class Profiler:
         #: epoch (only if a tracer is also enabled).  Off by default so
         #: enabling phase timers never perturbs a trace byte-for-byte.
         self.trace = False
-        #: When True, every finished span also observes its wall seconds
-        #: into the current registry's ``perf.phase.<leaf>`` histogram.
-        self.feed_metrics = False
         #: When True, individual span events are retained (bounded by
         #: :data:`MAX_SPAN_EVENTS`) for Chrome trace export.
         self.record_events = False
@@ -161,13 +152,6 @@ class Profiler:
             bucket[path] = bucket.get(path, 0.0) + wall
         if self.record_events and len(self._events) < MAX_SPAN_EVENTS:
             self._events.append((path, start - self._origin, wall, cpu))
-        if self.feed_metrics:
-            from repro.obs.registry import get_registry
-
-            leaf = path.rsplit(";", 1)[-1]
-            get_registry().histogram(
-                "perf.phase." + leaf, buckets=PHASE_HISTOGRAM_BUCKETS
-            ).observe(wall)
 
     def record(self, name: str, elapsed_s: float) -> None:
         """Accumulate a pre-measured duration under ``name`` (wall only,

@@ -124,22 +124,18 @@ class SoupSimulation:
         self.n_traitors = int(round(base_n * config.traitor_fraction))
         self.n_total = base_n + self.n_altruists + self.n_sybils + self.n_traitors
 
-        #: Columnar hot path: membership flags mirrored into packed numpy
-        #: arrays so the per-epoch passes (join activation, benign mask,
-        #: reachability, interaction ages) are vector ops instead of
-        #: full-population Python loops, and per-node rankers keep their
-        #: aged counters in packed arrays.  The arrays shadow the per-node
-        #: flags bit-for-bit — every transition funnels through
-        #: :meth:`note_departed` / :meth:`_activate_joins` — and the
-        #: reference mode keeps the original traversals, which the
-        #: equivalence suite holds byte-identical to this path.
-        self._columnar = config.engine_mode == "columnar"
-
         self._build_population(graph)
         self._build_online_matrix()
         self._build_attacks()
         self._build_architecture()
 
+        #: Membership flags mirrored into packed numpy arrays so the
+        #: per-epoch passes (join activation, benign mask, reachability,
+        #: interaction ages) are vector ops instead of full-population
+        #: Python loops.  The arrays shadow the per-node flags bit-for-bit
+        #: — every transition funnels through :meth:`note_departed` /
+        #: :meth:`_activate_joins` — and the ``membership-columns-consistent``
+        #: invariant checks that they do.
         self._col_joined = np.array([n.joined for n in self.nodes], dtype=bool)
         self._col_departed = np.array([n.departed for n in self.nodes], dtype=bool)
         self._col_benign = np.array(
@@ -226,12 +222,12 @@ class SoupSimulation:
         self._stale_announced.setdefault(owner, set()).add(mirror)
 
     def note_departed(self, node_id: int) -> None:
-        """Mark a node departed, keeping the columnar flags in sync.
+        """Mark a node departed, keeping the packed flags in sync.
 
         Every departure — scheduled mass departure or injected crash —
         must go through here rather than writing ``node.departed``
-        directly, or the packed arrays the columnar mode measures from
-        would silently disagree with the object state."""
+        directly, or the packed arrays the engine measures from would
+        disagree with the object state."""
         self.nodes[node_id].departed = True
         self._col_departed[node_id] = True
         if self.dht_probe is not None:
@@ -291,7 +287,7 @@ class SoupSimulation:
                 friends=friends,
                 kb=kb,
                 bootstrap=BootstrapRanker(self.soup),
-                ranker=RegularRanker(kb, self.soup, columnar=self._columnar),
+                ranker=RegularRanker(kb, self.soup),
                 store=ReplicaStore(node_id, float(capacities[node_id]), self.soup),
                 is_altruist=base_n <= node_id < base_n + self.n_altruists,
                 is_sybil=base_n + self.n_altruists
@@ -630,11 +626,11 @@ class SoupSimulation:
             benign_mask = self._joined_benign_mask()
             flags = self._availability_flags(online_now)
             availability[epoch], overhead[epoch] = self._measure(
-                online_now, epoch, benign_mask=benign_mask, flags=flags
+                epoch, benign_mask, flags
             )
-            for name, mask in cohorts.items():
+            for name, cohort in cohorts.items():
                 cohort_series[name][epoch] = self._measure_cohort(
-                    online_now, mask, benign_mask=benign_mask, flags=flags
+                    cohort, benign_mask, flags
                 )
         self.metrics.gauge("engine.availability").set(availability[epoch])
         self.metrics.gauge("engine.replica_overhead").set(overhead[epoch])
@@ -676,34 +672,18 @@ class SoupSimulation:
         online_now = self.online_matrix[:, epoch]
         # A node joins the OSN at its first online appearance — it must be
         # online to contact a bootstrap node (Sec. 3.2).
-        if self._columnar:
-            ready = np.nonzero(
-                ~self._col_joined
-                & ~self._col_departed
-                & (self._col_join_epochs <= epoch)
-                & online_now
-            )[0]
-            for node_id in ready:
-                self.nodes[int(node_id)].joined = True
-            self._col_joined[ready] = True
+        ready = np.nonzero(
+            ~self._col_joined
+            & ~self._col_departed
+            & (self._col_join_epochs <= epoch)
+            & online_now
+        )[0]
+        self._col_joined[ready] = True
+        # Ascending node id: the order the shadow ring is built in.
+        for node_id in ready.tolist():
+            self.nodes[node_id].joined = True
             if self.dht_probe is not None:
-                # Ascending node id — the same probe-join order as the
-                # reference loop below, so both modes build an identical
-                # shadow ring.
-                for node_id in ready:
-                    self.dht_probe.on_join(int(node_id))
-        else:
-            for node in self.nodes:
-                if (
-                    not node.joined
-                    and node.join_epoch <= epoch
-                    and not node.departed
-                    and online_now[node.node_id]
-                ):
-                    node.joined = True
-                    self._col_joined[node.node_id] = True
-                    if self.dht_probe is not None:
-                        self.dht_probe.on_join(node.node_id)
+                self.dht_probe.on_join(node_id)
         if self.departure_epoch is not None and epoch == self.departure_epoch:
             for node_id in self.departing_ids:
                 node = self.nodes[node_id]
@@ -721,14 +701,8 @@ class SoupSimulation:
             return
         # Per-epoch serving load per mirror (Sec. 5.2.5 overload model).
         self._served_this_epoch = {}
-        if self._columnar:
-            join_epochs_online = self._col_join_epochs[online_ids]
-        else:
-            join_epochs_online = np.array(
-                [self.nodes[int(i)].join_epoch for i in online_ids]
-            )
         ages_days = np.maximum(
-            0.0, (epoch - join_epochs_online) / config.epochs_per_day
+            0.0, (epoch - self._col_join_epochs[online_ids]) / config.epochs_per_day
         )
         rates = config.activity.rates_per_day(ages_days) / config.epochs_per_day
         counts = self.np_rng.poisson(rates)
@@ -1127,16 +1101,10 @@ class SoupSimulation:
         selecting node: to be asked ``in``, never copied or changed."""
         if self._unreachable_epoch == epoch:
             return self._unreachable_cache
-        online_now = self.online_matrix[:, epoch]
-        if self._columnar:
-            reachable = self._col_joined & ~self._col_departed & online_now
-            self._unreachable_cache = set(np.nonzero(~reachable)[0].tolist())
-        else:
-            self._unreachable_cache = {
-                n.node_id
-                for n in self.nodes
-                if n.departed or not n.joined or not online_now[n.node_id]
-            }
+        reachable = (
+            self._col_joined & ~self._col_departed & self.online_matrix[:, epoch]
+        )
+        self._unreachable_cache = set(np.nonzero(~reachable)[0].tolist())
         self._unreachable_epoch = epoch
         return self._unreachable_cache
 
@@ -1407,17 +1375,7 @@ class SoupSimulation:
         self._pair_mirrors = np.array(mirrors, dtype=np.int64)
 
     def _joined_benign_mask(self) -> np.ndarray:
-        if self._columnar:
-            return self._col_joined & ~self._col_departed & self._col_benign
-        mask = np.zeros(self.n_total, dtype=bool)
-        for node in self.nodes:
-            mask[node.node_id] = (
-                node.joined
-                and not node.departed
-                and not node.is_sybil
-                and not node.is_traitor
-            )
-        return mask
+        return self._col_joined & ~self._col_departed & self._col_benign
 
     def _availability_flags(self, online_now: np.ndarray) -> np.ndarray:
         available = online_now.copy()
@@ -1435,13 +1393,10 @@ class SoupSimulation:
         return available
 
     def _measure(
-        self,
-        online_now: np.ndarray,
-        epoch: int,
-        benign_mask: Optional[np.ndarray] = None,
-        flags: Optional[np.ndarray] = None,
+        self, epoch: int, mask: np.ndarray, available: np.ndarray
     ) -> Tuple[float, float]:
-        mask = self._joined_benign_mask() if benign_mask is None else benign_mask
+        """Availability and replica overhead over the joined benign
+        ``mask``, given the epoch's per-owner ``available`` flags."""
         population = int(mask.sum())
         if population == 0:
             if self._tracer.enabled:
@@ -1450,7 +1405,6 @@ class SoupSimulation:
                     available=0, unavailable=[],
                 )
             return 0.0, 0.0
-        available = self._availability_flags(online_now) if flags is None else flags
         available_count = int(available[mask].sum())
         availability = available_count / population
 
@@ -1478,19 +1432,12 @@ class SoupSimulation:
         return availability, overhead
 
     def _measure_cohort(
-        self,
-        online_now: np.ndarray,
-        cohort: np.ndarray,
-        benign_mask: Optional[np.ndarray] = None,
-        flags: Optional[np.ndarray] = None,
+        self, cohort: np.ndarray, benign_mask: np.ndarray, available: np.ndarray
     ) -> float:
-        if benign_mask is None:
-            benign_mask = self._joined_benign_mask()
         mask = benign_mask & cohort
         population = int(mask.sum())
         if population == 0:
             return 0.0
-        available = self._availability_flags(online_now) if flags is None else flags
         return float(available[mask].sum()) / population
 
     def _cohort_masks(self) -> Dict[str, np.ndarray]:

@@ -232,7 +232,7 @@ class FaultInjector:
             victims = rng.sample(eligible, count) if count else []
         for victim in victims:
             node = sim.nodes[victim]
-            # Funnel through the engine so the columnar membership arrays
+            # Funnel through the engine so the packed membership arrays
             # stay in sync with the per-node flag.
             sim.note_departed(victim)
             sim.online_matrix[victim, epoch:] = False

@@ -21,6 +21,11 @@ failures.  Every epoch (behind ``ScenarioConfig.check_invariants``) a
   accepted selection target).
 * ``storage-within-capacity`` — conservation of stored bytes: no replica
   store exceeds its capacity budget.
+* ``membership-columns-consistent`` — the engine's packed membership
+  arrays (joined / departed / benign / join epoch), which every per-epoch
+  vector pass reads, agree with the per-node flags they shadow: a write
+  that bypasses ``SoupSimulation.note_departed`` shows here, in the epoch
+  it happens.
 
 For DHT overlays (:class:`repro.dht.pastry.PastryOverlay`) the companion
 :func:`overlay_violations` checks entry placement (every directory entry
@@ -255,11 +260,50 @@ def _storage_within_capacity(sim, epoch: int) -> List[Violation]:
     return violations
 
 
+_MEMBERSHIP_COLUMNS = ("joined", "departed", "benign", "join_epoch")
+
+
+def _membership_columns_consistent(sim, epoch: int) -> List[Violation]:
+    violations: List[Violation] = []
+    packed_rows = zip(
+        sim._col_joined.tolist(),
+        sim._col_departed.tolist(),
+        sim._col_benign.tolist(),
+        sim._col_join_epochs.tolist(),
+    )
+    for node, packed in zip(sim.nodes, packed_rows):
+        flags = (
+            node.joined,
+            node.departed,
+            not (node.is_sybil or node.is_traitor),
+            node.join_epoch,
+        )
+        if packed == flags:
+            continue
+        arrays = dict(zip(_MEMBERSHIP_COLUMNS, packed))
+        on_node = dict(zip(_MEMBERSHIP_COLUMNS, flags))
+        differing = [name for name in arrays if arrays[name] != on_node[name]]
+        violations.append(
+            Violation(
+                invariant="membership-columns-consistent",
+                epoch=epoch,
+                node_ids=(node.node_id,),
+                detail=(
+                    f"node {node.node_id}: packed membership arrays disagree "
+                    f"with the node's own flags on {differing}"
+                ),
+                snapshot={"node": node.node_id, "arrays": arrays, "flags": on_node},
+            )
+        )
+    return violations
+
+
 ENGINE_INVARIANTS: Dict[str, Callable] = {
     "announced-mirrors-stored": _announced_mirrors_stored,
     "replica-locations-consistent": _replica_locations_consistent,
     "replica-count-meets-target": _replica_count_meets_target,
     "storage-within-capacity": _storage_within_capacity,
+    "membership-columns-consistent": _membership_columns_consistent,
 }
 
 

@@ -152,21 +152,6 @@ class ScenarioConfig:
     #: leaving a stale announcement.
     push_retry_attempts: int = 3
 
-    # --- execution --------------------------------------------------------------
-    #: Hot-path implementation: ``"columnar"`` batches per-epoch node
-    #: updates (join activation, cohort masks, reachability, measurement)
-    #: into packed numpy arrays; ``"reference"`` keeps the original
-    #: per-node object traversal.  Both paths share RNG streams and float
-    #: operation order, so same-seed runs are byte-identical — the
-    #: equivalence suite (tests/sim/test_equivalence.py) enforces this.
-    engine_mode: str = "columnar"
-    #: Signature emulation for the middleware/deployment layer:
-    #: ``"full"`` runs real textbook-RSA sign/verify; ``"by_id"``
-    #: simulates signatures by (signer id, digest), skipping modular
-    #: exponentiation while still rejecting forged-source objects.
-    #: Scenarios that attack the signature scheme itself need "full".
-    crypto_mode: str = "full"
-
     # --- architecture (repro.arch) ----------------------------------------------
     #: Which architecture runs the seams: ``"soup"`` (the paper's design,
     #: byte-identical to the pre-refactor engine), ``"superpeer"``
@@ -246,14 +231,6 @@ class ScenarioConfig:
             raise ValueError(
                 "friend contact probability must be in [0, 1], "
                 f"got {self.friend_contact_probability}"
-            )
-        if self.engine_mode not in ("columnar", "reference"):
-            raise ValueError(
-                f"engine_mode must be 'columnar' or 'reference', got {self.engine_mode!r}"
-            )
-        if self.crypto_mode not in ("full", "by_id"):
-            raise ValueError(
-                f"crypto_mode must be 'full' or 'by_id', got {self.crypto_mode!r}"
             )
         if self.architecture != "soup":
             # Fail at construction (sweep-expansion time), like faults.

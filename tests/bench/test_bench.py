@@ -13,7 +13,6 @@ import pytest
 from repro import cli
 from repro.bench import (
     BENCH_SCHEMA,
-    BENCH_SCHEMA_V1,
     BenchResult,
     attribute_phases,
     build_artifact,
@@ -93,12 +92,11 @@ def test_compare_flags_only_regressions_beyond_threshold():
         compare(baseline, current, threshold=1.5)
 
 
-def test_v1_artifact_still_loads(tmp_path):
-    """Committed full-size baselines stay on v1; they must keep loading
-    and comparing (without phases/provenance, attribution simply stays
-    empty)."""
+def test_v1_artifact_is_refused(tmp_path):
+    """Nothing writes ``soup-bench/v1`` any more and no committed document
+    uses it: the loader names the one schema it accepts."""
     v1 = {
-        "schema": BENCH_SCHEMA_V1,
+        "schema": "soup-bench/v1",
         "profile": "smoke",
         "seed": 5,
         "created": "2026-01-01T00:00:00+00:00",
@@ -115,12 +113,8 @@ def test_v1_artifact_still_loads(tmp_path):
     }
     path = tmp_path / "BENCH_v1.json"
     path.write_text(json.dumps(v1))
-    loaded = load_artifact(str(path))
-    current = build_artifact([_result("epoch_loop", 40.0)], profile="smoke", seed=5)
-    comparison = compare(loaded, current, threshold=0.30)
-    assert not comparison.ok
-    assert comparison.regressions[0].attributed_phases == ()
-    assert comparison.baseline_provenance is None
+    with pytest.raises(ValueError, match="soup-bench/v2"):
+        load_artifact(str(path))
 
 
 def test_artifact_carries_git_provenance():

@@ -15,6 +15,8 @@ import dataclasses
 
 import pytest
 
+from repro.graphs.datasets import generate_dataset
+from repro.sim.engine import SoupSimulation
 from repro.sim.faults import FaultInjector, FaultSpec
 from repro.sim.invariants import (
     ENGINE_INVARIANTS,
@@ -100,6 +102,35 @@ def test_violation_serializes_for_triage():
 def test_crash_fault_is_absorbed_cleanly():
     """A mid-run crash is a protocol-legal departure: no violation."""
     run_checked(tiny_config(n_days=4, faults="crash:epoch=48:count=2"))
+
+
+def test_departure_bypassing_note_departed_trips_membership_invariant():
+    """The packed membership arrays are what the per-epoch vector passes
+    read; a flag written around ``note_departed()`` must not go unnoticed."""
+    config = tiny_config(
+        check_invariants=True, invariant_names=("membership-columns-consistent",)
+    )
+    graph = generate_dataset(config.dataset, scale=config.scale, seed=config.seed)
+    sim = SoupSimulation(graph, config)
+    victim, bypass_epoch = 5, 30
+    activate_joins = sim._activate_joins
+
+    def activate_then_bypass(epoch):
+        activate_joins(epoch)
+        if epoch == bypass_epoch:
+            sim.nodes[victim].departed = True
+
+    sim._activate_joins = activate_then_bypass
+    with pytest.raises(InvariantViolation) as caught:
+        sim.run()
+    violation = caught.value
+    assert violation.invariant == "membership-columns-consistent"
+    assert violation.epoch == bypass_epoch
+    assert violation.node_ids == (victim,)
+    assert "['departed']" in str(violation)
+    snapshot = violation.violations[0].snapshot
+    assert snapshot["arrays"]["departed"] is False
+    assert snapshot["flags"]["departed"] is True
 
 
 def test_reorder_and_stale_report_faults_are_benign():

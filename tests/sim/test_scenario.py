@@ -70,6 +70,22 @@ def test_validate_callable_after_mutation():
         config.validate()
 
 
+def test_architecture_validation():
+    with pytest.raises(ValueError):
+        ScenarioConfig(architecture="peerson").validate()
+    with pytest.raises(ValueError):
+        ScenarioConfig(architecture="superpeer", arch_superpeer_fraction=1.5).validate()
+    with pytest.raises(ValueError):
+        ScenarioConfig(architecture="cache", arch_cache_capacity=0).validate()
+    for name in ("soup", "superpeer", "social_dht", "cache"):
+        ScenarioConfig(architecture=name).validate()
+    # The engine has one path and does no crypto: neither knob exists.
+    with pytest.raises(TypeError):
+        ScenarioConfig(engine_mode="reference")
+    with pytest.raises(TypeError):
+        ScenarioConfig(crypto_mode="full")
+
+
 class TestDistributions:
     def test_power_law(self):
         rng = np.random.default_rng(0)
