@@ -2,24 +2,44 @@
 
 Not a paper experiment — these track the cost of the operations every node
 runs continuously (Algorithm 1, Eq. (1) ingestion, DHT routing, ABE
-encryption), so performance regressions in the core surface here.
+encryption), so performance regressions in the core surface here.  The
+last three — simulated-network delivery, sign+verify per crypto mode, the
+scale-free graph generator — are measured by nothing else in the repo
+(``benchmarks/e2e`` runs the live transport and full RSA only).
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.config import SoupConfig
 from repro.core.experience import ExperienceReport
 from repro.core.knowledge import KnowledgeBase
+from repro.core.objects import ObjectType, SoupObject
 from repro.core.ranking import RegularRanker
 from repro.core.selection import select_mirrors
 from repro.crypto import abe
 from repro.crypto.abe import AbeAuthority
 from repro.crypto.access import and_of, attr, or_of
+from repro.crypto.keys import KeyPair
 from repro.dht.pastry import PastryOverlay
+from repro.graphs.datasets import generate_scale_free
+from repro.network.events import EventLoop
+from repro.network.simnet import SimNetwork
+from repro.node.security_manager import SecurityManager
 
 CONFIG = SoupConfig()
+
+SEED = 5
+SIMNET_NODES = 64
+SIMNET_MESSAGES = 20_000
+CRYPTO_BITS = 512
+#: by_id is ~25x faster per op, so it gets proportionally more objects —
+#: a sub-millisecond round would be all jitter.
+CRYPTO_OBJECTS = {"full": 60, "by_id": 6_000}
+SYNTH_NODES = 5_000
+SYNTH_AVG_DEGREE = 12.0
 
 
 def test_algorithm1_selection_speed(benchmark):
@@ -82,3 +102,70 @@ def test_abe_encrypt_decrypt_speed(benchmark):
         return abe.decrypt(ciphertext, key)
 
     assert benchmark(roundtrip) == payload
+
+
+def test_simnet_message_rate(benchmark):
+    """Raw SimNetwork delivery with pooled events."""
+
+    def deliver_all():
+        loop = EventLoop()
+        net = SimNetwork(loop)
+        received = [0]
+
+        def handler(sender, message):
+            received[0] += 1
+
+        for node_id in range(SIMNET_NODES):
+            net.register(node_id, handler)
+        for i in range(SIMNET_MESSAGES):
+            sender = i % SIMNET_NODES
+            receiver = (i + 1 + i // SIMNET_NODES) % SIMNET_NODES
+            if receiver == sender:
+                receiver = (receiver + 1) % SIMNET_NODES
+            net.send(sender, receiver, ("ping", i), size_bytes=512)
+            # Drain in batches so the heap and the event pool stay hot but
+            # bounded, the way the engine's epoch loop drives the network.
+            if i % 1024 == 1023:
+                loop.run_until(loop.now + 3600.0)
+        loop.run_until(loop.now + 3600.0)
+        return net.messages_delivered, received[0]
+
+    assert benchmark(deliver_all) == (SIMNET_MESSAGES, SIMNET_MESSAGES)
+
+
+@pytest.mark.parametrize("mode", sorted(CRYPTO_OBJECTS))
+def test_crypto_mode_sign_verify_speed(benchmark, mode):
+    """Sign+verify in each ``crypto_mode``; the ratio of the two rows is
+    what ``by_id`` buys a deployment that does not attack signatures."""
+    keys = KeyPair.generate(bits=CRYPTO_BITS, seed=SEED)
+    manager = SecurityManager(keys, crypto_mode=mode)
+    manager.learn_public_key(keys.soup_id, keys.public)
+
+    def sign_and_verify():
+        for i in range(CRYPTO_OBJECTS[mode]):
+            obj = SoupObject(
+                source=keys.soup_id,
+                dest=keys.soup_id,
+                object_type=ObjectType.MESSAGE,
+                payload={"seq": i},
+            )
+            manager.sign_object(obj)
+            assert manager.verify_object(obj), mode
+
+    benchmark(sign_and_verify)
+
+
+def test_synth_graph_generation_speed(benchmark):
+    """The array-backed scale-free generator; the degree shape is printed
+    so a silent change of the generator shows beside its speed."""
+    edges = benchmark(
+        lambda: generate_scale_free(SYNTH_NODES, SYNTH_AVG_DEGREE, seed=SEED)
+    )
+    degrees = np.bincount(edges.ravel(), minlength=SYNTH_NODES)
+    print(
+        f"\nsynth_graph: nodes={SYNTH_NODES} edges={edges.shape[0]} "
+        f"avg_degree={2.0 * edges.shape[0] / SYNTH_NODES:.2f} "
+        f"max_degree={int(degrees.max())} "
+        f"p99_degree={np.percentile(degrees, 99.0):.0f}"
+    )
+    assert degrees.min() >= 1

@@ -936,61 +936,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--by-epoch", action="store_true",
                     help="also print the per-epoch phase breakdown")
     pp.add_argument("--json", action="store_true",
-                    help="print the phase breakdown as JSON to stdout")
-
-    pb = sub.add_parser(
-        "bench",
-        help="run the standing perf suite; emit a soup-bench/v2 artifact, "
-             "optionally diff it against a baseline and record the perf "
-             "trajectory ('soup bench history' / 'soup bench trend'; "
-             "see docs/BENCHMARKS.md)",
-    )
-    pb.add_argument("names", nargs="*", metavar="BENCH",
-                    help="benchmarks to run (default: the whole suite; "
-                         "see --list), or the verbs 'history' / 'trend' "
-                         "to inspect the recorded perf trajectory")
-    pb.add_argument("--list", action="store_true",
-                    help="list the registered benchmarks and exit")
-    pb.add_argument("--bench-profile", default="smoke", metavar="PROFILE",
-                    choices=("smoke", "full", "synth1m"),
-                    help="suite sizing: 'smoke' (CI, seconds), 'full' "
-                         "(paper-scale WOSN epoch loop; minutes), or "
-                         "'synth1m' (the standing million-node "
-                         "scale-free generator rung)")
-    pb.add_argument("--scale", type=float, default=None,
-                    help="override the profile's dataset scale")
-    pb.add_argument("--seed", type=int, default=None,
-                    help="override the profile's seed")
-    pb.add_argument("--out", default=None, metavar="PATH",
-                    help="write the BENCH_*.json artifact here "
-                         "(default: BENCH_<profile>.json)")
-    pb.add_argument("--baseline", default=None, metavar="PATH",
-                    help="baseline artifact to diff against "
-                         "(e.g. benchmarks/baselines/BENCH_baseline.json)")
-    pb.add_argument("--check", action="store_true",
-                    help="with --baseline: exit 4 if any benchmark's "
-                         "throughput regresses beyond the threshold")
-    pb.add_argument("--threshold", type=float, default=None, metavar="FRAC",
-                    help="relative throughput drop tolerated before a "
-                         "regression is flagged (default: 0.30)")
-    pb.add_argument("--json", action="store_true",
-                    help="print the artifact JSON to stdout")
-    pb.add_argument("--append-history", default=None, metavar="PATH",
-                    help="append this run to a HISTORY.jsonl perf "
-                         "trajectory (see docs/BENCHMARKS.md)")
-    pb.add_argument("--history", default=None, metavar="PATH",
-                    help="trajectory file for 'history'/'trend' "
-                         "(default: benchmarks/baselines/HISTORY.jsonl)")
-    pb.add_argument("--last", type=int, default=None, metavar="N",
-                    help="with 'history': only show the last N entries")
-    pb.add_argument("--case", default=None, metavar="BENCH",
-                    help="with 'history': only show this benchmark's column")
-    pb.add_argument("--check-history", action="store_true",
-                    help="with 'trend': exit 4 if the newest history entry "
-                         "regresses against the median of its predecessors")
-    pb.add_argument("--window", type=int, default=5, metavar="N",
-                    help="with --check-history: median window of prior "
-                         "entries used as the baseline (default: 5)")
+                    help="print the phase breakdown as one JSON document "
+                         "on stdout (the tables go to stderr)")
 
     prs = sub.add_parser(
         "resilience",
@@ -1154,17 +1101,19 @@ def _cmd_perf(args) -> int:
     print(f"dataset={args.dataset} scale={args.scale} days={args.days} "
           f"seed={args.seed} steady={result.steady_state_availability():.3f}",
           file=sys.stderr)
+    # Under --json stdout is exactly one JSON document; the tables move.
+    table = sys.stderr if args.json else sys.stdout
     for line in PROFILER.report_lines(top_level="engine.epoch"):
-        print(line)
+        print(line, file=table)
     if args.by_epoch:
-        print("\nper-epoch phase wall seconds:")
+        print("\nper-epoch phase wall seconds:", file=table)
         for epoch in PROFILER.epochs():
             phases = PROFILER.epoch_phases(epoch)
             rendered = " ".join(
                 f"{name.rsplit('.', 1)[-1]}={wall:.4f}"
                 for name, wall in sorted(phases.items())
             )
-            print(f"epoch {epoch:>4}: {rendered}")
+            print(f"epoch {epoch:>4}: {rendered}", file=table)
     if args.folded:
         lines = folded_lines(PROFILER)
         with open(args.folded, "w", encoding="utf-8") as sink:
@@ -1189,128 +1138,6 @@ def _cmd_perf(args) -> int:
             indent=2,
             sort_keys=True,
         ))
-    return 0
-
-
-def _regression_summary(comparison) -> str:
-    """The exit-4 line: every regressed case, with its attributed phase(s)
-    in brackets when the artifacts carry phase breakdowns."""
-    parts = []
-    for row in comparison.regressions:
-        if row.attributed_phases:
-            parts.append(f"{row.name} [{', '.join(row.attributed_phases)}]")
-        else:
-            parts.append(row.name)
-    return f"perf regression: {'; '.join(parts)}"
-
-
-def _cmd_bench_history(args) -> int:
-    from repro.bench import (
-        DEFAULT_HISTORY_PATH,
-        DEFAULT_THRESHOLD,
-        check_history,
-        load_history,
-        render_history_lines,
-        render_trend_lines,
-    )
-
-    mode = args.names[0]
-    if len(args.names) > 1:
-        print(f"bench {mode}: unexpected arguments {args.names[1:]}",
-              file=sys.stderr)
-        return 2
-    history_path = args.history or DEFAULT_HISTORY_PATH
-    try:
-        entries = load_history(history_path)
-    except ValueError as exc:
-        print(f"bench {mode}: {exc}", file=sys.stderr)
-        return 2
-    if mode == "history":
-        for line in render_history_lines(entries, case=args.case,
-                                         last=args.last):
-            print(line)
-        return 0
-    for line in render_trend_lines(entries):
-        print(line)
-    if args.check_history:
-        threshold = (
-            args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-        )
-        comparison, lines = check_history(
-            entries, threshold=threshold, window=args.window
-        )
-        print()
-        for line in lines:
-            print(line)
-        if comparison is not None and not comparison.ok:
-            print(_regression_summary(comparison), file=sys.stderr)
-            return 4
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from datetime import datetime, timezone
-
-    from repro.bench import (
-        DEFAULT_THRESHOLD,
-        append_history,
-        benchmark_names,
-        build_artifact,
-        compare,
-        history_entry,
-        load_artifact,
-        resolve_profile,
-        run_suite,
-        write_artifact,
-    )
-
-    if args.names and args.names[0] in ("history", "trend"):
-        return _cmd_bench_history(args)
-    if args.list:
-        for name in benchmark_names():
-            print(name)
-        return 0
-
-    profile = resolve_profile(
-        args.bench_profile, scale=args.scale, seed=args.seed
-    )
-    names = args.names or None
-    print(f"profile={profile.name} scale={profile.scale} seed={profile.seed}",
-          file=sys.stderr)
-    results = run_suite(profile, names)
-    artifact = build_artifact(
-        results,
-        profile=profile.name,
-        seed=profile.seed,
-        created=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
-
-    out_path = args.out or f"BENCH_{profile.name}.json"
-    write_artifact(artifact, out_path)
-    for result in results:
-        print(f"{result.name:<24} {result.throughput:>12.1f} {result.unit:<16} "
-              f"wall={result.wall_seconds:.3f}s")
-    print(f"artifact: {out_path}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(artifact, indent=2, sort_keys=True))
-    if args.append_history:
-        append_history(args.append_history, history_entry(artifact))
-        print(f"history: appended to {args.append_history}", file=sys.stderr)
-
-    if args.baseline:
-        threshold = (
-            args.threshold if args.threshold is not None else DEFAULT_THRESHOLD
-        )
-        comparison = compare(load_artifact(args.baseline), artifact, threshold)
-        print(f"\nbaseline diff vs {args.baseline} (threshold {threshold:.0%}):")
-        for line in comparison.report_lines():
-            print(line)
-        if args.check and not comparison.ok:
-            print(_regression_summary(comparison), file=sys.stderr)
-            return 4
-    elif args.check:
-        print("bench --check requires --baseline", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -1572,8 +1399,6 @@ def _dispatch(args) -> int:
         return _cmd_live(args)
     if command == "replay":
         return _cmd_replay(args)
-    if command == "bench":
-        return _cmd_bench(args)
     if command == "perf":
         return _cmd_perf(args)
     raise AssertionError(f"unhandled command {command}")

@@ -134,8 +134,8 @@ def generate_scale_free(
     per-node Python objects cap out far below the roadmap's 1M-node
     target.  This generator keeps pure preferential attachment but works
     on preallocated int64 arrays — ~16 bytes per edge, no graph objects —
-    so a million-node graph is a seconds-scale operation (the standing
-    ``synth_graph`` benchmark tracks exactly that).
+    so a million-node graph is a seconds-scale operation
+    (``benchmarks/test_microbenchmarks.py`` tracks the rate).
 
     Returns an ``(E, 2)`` int64 array of undirected edges over nodes
     ``0..n-1``; every new node attaches ``m = round(avg_degree / 2)``

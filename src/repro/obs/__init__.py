@@ -15,8 +15,8 @@ near-zero-cost when disabled:
   the simulated world: profiling only measures how long *our code* takes
   to run it.
 * :mod:`repro.obs.perf` — the performance observability plane on top of
-  the phase timers: folded-stack and Chrome trace export (``soup perf``)
-  and the per-phase breakdowns embedded in ``soup-bench/v2`` artifacts.
+  the phase timers: folded-stack, Chrome trace and per-phase breakdown
+  export (``soup perf``) and scoped capture for sweep workers.
 
 Naming conventions and the event schema are documented in
 ``docs/OBSERVABILITY.md``.
@@ -51,7 +51,6 @@ from repro.obs.perf import (
     chrome_trace,
     folded_lines,
     phase_breakdown,
-    phase_shares,
 )
 from repro.obs.profiling import PROFILER, Profiler
 from repro.obs.registry import (
@@ -90,7 +89,6 @@ __all__ = [
     "chrome_trace",
     "folded_lines",
     "phase_breakdown",
-    "phase_shares",
     "RouterTracer",
     "TraceAnalysis",
     "TraceMergeError",

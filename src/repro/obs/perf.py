@@ -12,12 +12,12 @@ tooling around ``soup perf`` expects:
   spans, loadable in ``chrome://tracing`` / Perfetto.
 * **phase breakdowns** (:func:`phase_breakdown`) — exclusive (self-time)
   wall seconds per short phase name (``dropping``, ``selection``,
-  ``scoring``, ``sync``, …), the per-benchmark payload embedded in
-  ``soup-bench/v2`` artifacts and the input to regression attribution.
+  ``scoring``, ``sync``, …), the ``phases`` block of ``soup perf --json``.
 
-:func:`capture_phases` scopes a clean profiler run around a block — the
-benchmark suite uses it so every ``BENCH_*.json`` carries a per-phase
-breakdown without disturbing whatever profiling state the caller had.
+:func:`capture_phases` scopes a clean profiler run around a block — a
+sweep worker uses it (``soup sweep --profile-phases``) so each task's
+breakdown lands in its artifact without disturbing whatever profiling
+state the caller had.
 """
 
 from __future__ import annotations
@@ -79,10 +79,8 @@ def phase_breakdown(profiler: Optional[Profiler] = None) -> Dict[str, float]:
     """Exclusive wall seconds per short phase name.
 
     Self-times (not inclusive totals) keyed by the leaf phase with its
-    subsystem prefix stripped: the values are disjoint, sum to the total
-    measured time, and therefore yield well-defined per-phase *shares* —
-    what :func:`repro.bench.artifacts.compare` attributes regressions
-    against.
+    subsystem prefix stripped: the values are disjoint and sum to the
+    total measured time, so per-phase *shares* are well defined.
     """
     profiler = profiler or PROFILER
     merged: Dict[str, float] = {}
@@ -92,22 +90,12 @@ def phase_breakdown(profiler: Optional[Profiler] = None) -> Dict[str, float]:
     return merged
 
 
-def phase_shares(phases: Dict[str, float]) -> Dict[str, float]:
-    """Normalize a breakdown to shares in [0, 1] (empty if no time)."""
-    total = sum(phases.values())
-    if total <= 0.0:
-        return {}
-    return {name: wall / total for name, wall in phases.items()}
-
-
 class PhaseReport:
     """What :func:`capture_phases` hands back after the block ran."""
 
     def __init__(self) -> None:
         #: Exclusive wall seconds per short phase name.
         self.phases: Dict[str, float] = {}
-        #: Wall seconds per folded path.
-        self.folded: Dict[str, float] = {}
         #: Full mergeable accumulator state (``Profiler.state_dict()``).
         self.state: Dict[str, Any] = {}
 
@@ -117,7 +105,7 @@ def capture_phases(profiler: Optional[Profiler] = None) -> Iterator[PhaseReport]
     """Run the block under a clean, enabled profiler; restore on exit.
 
     The global profiler's prior accumulators, enabled flag and option
-    flags are saved and restored, so a benchmark capturing its own phase
+    flags are saved and restored, so a block capturing its own phase
     breakdown neither inherits nor clobbers an outer ``--profile``
     session.  (Epoch buckets and recorded events from the outer session
     are folded away — only the mergeable accumulators survive the swap.)
@@ -134,7 +122,6 @@ def capture_phases(profiler: Optional[Profiler] = None) -> Iterator[PhaseReport]
         yield report
     finally:
         report.state = profiler.state_dict()
-        report.folded = profiler.folded()
         report.phases = phase_breakdown(profiler)
         profiler.reset()
         profiler.merge_state(saved_state)

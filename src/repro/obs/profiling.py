@@ -183,12 +183,6 @@ class Profiler:
         """Wall seconds keyed by folded path (``a;b;c``)."""
         return dict(self._wall)
 
-    def folded_cpu(self) -> Dict[str, float]:
-        return dict(self._cpu)
-
-    def folded_counts(self) -> Dict[str, int]:
-        return dict(self._counts)
-
     def events(self) -> List[Tuple[str, float, float, float]]:
         """Recorded (path, start_offset_s, wall_s, cpu_s) span events."""
         return list(self._events)

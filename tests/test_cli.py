@@ -280,6 +280,49 @@ def test_profile_flag_prints_breakdown(capsys):
     assert not PROFILER.enabled  # teardown disabled it
 
 
+class TestPerfCommand:
+    PERF_ARGS = ("perf", "--scale", "0.003", "--days", "1", "--seed", "1")
+
+    def test_json_is_the_only_thing_on_stdout(self, capsys):
+        import json
+
+        code = main([*self.PERF_ARGS, "--json", "--by-epoch"])
+        captured = capsys.readouterr()
+        assert code == 0
+        payload = json.loads(captured.out)
+        assert {"phases", "totals", "counts"} <= set(payload)
+        assert payload["counts"]["engine.epoch"] == 24
+        assert payload["totals"]["engine.epoch"] > 0.0
+        assert "epoch" in payload["phases"]
+        # The tables are still printed, just not into the document.
+        assert "share" in captured.err and "epoch    0:" in captured.err
+
+    def test_table_goes_to_stdout_without_json(self, capsys):
+        code, out = run_cli(capsys, *self.PERF_ARGS)
+        assert code == 0
+        assert out.startswith("phase") and "engine.epoch" in out
+
+    def test_folded_writes_path_micros_lines(self, capsys, tmp_path):
+        folded = tmp_path / "perf.folded"
+        code, _ = run_cli(capsys, *self.PERF_ARGS, "--folded", str(folded))
+        assert code == 0
+        lines = folded.read_text().splitlines()
+        assert lines
+        for line in lines:
+            path, micros = line.rsplit(" ", 1)
+            assert path.startswith("engine.epoch") and int(micros) > 0
+
+    def test_chrome_writes_a_loadable_trace_event_document(self, capsys, tmp_path):
+        import json
+
+        chrome = tmp_path / "perf.json"
+        code, _ = run_cli(capsys, *self.PERF_ARGS, "--chrome", str(chrome))
+        assert code == 0
+        events = json.loads(chrome.read_text())["traceEvents"]
+        assert events and all(event["ph"] == "X" for event in events)
+        assert {"engine.epoch", "engine.sync"} <= {e["name"] for e in events}
+
+
 class TestSweepCommand:
     SWEEP_ARGS = (
         "sweep",

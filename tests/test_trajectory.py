@@ -1,0 +1,176 @@
+"""``benchmarks/trajectory.py``: what it records, what it refuses, and that the
+append-only file is never rewritten."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+COMMITTED = REPO / "benchmarks" / "baselines" / "HISTORY.jsonl"
+
+_spec = importlib.util.spec_from_file_location(
+    "trajectory", REPO / "benchmarks" / "trajectory.py"
+)
+trajectory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trajectory)
+
+with open(REPO / "BENCHMARK.json", encoding="utf-8") as _handle:
+    _BENCHMARK = json.load(_handle)
+METRICS = [metric["name"] for metric in _BENCHMARK["end_to_end"]]
+WORKLOADS = [workload["name"] for workload in _BENCHMARK["workloads"]]
+SHA = "ab" * 20
+
+
+def _document(tmp_path, name="runs.json", seeds=(7, 8, 9), sha=SHA, **changes):
+    """A ``run.py --repeats 3 --out`` document; ``changes`` override the
+    provenance (``git_dirty``), the document (``tiny``) or the last run."""
+    runs = [
+        {
+            "workload": workload, "seed": seed, "seconds": 15.0, "trace": 0, "ops": None,
+            "correct": True, "attempted": 100, "failed": 0, "detail": {}, "exact": {},
+            "metrics": {metric: 10.0 * (w + 1) + seed for metric in METRICS},
+        }
+        for seed in seeds
+        for w, workload in enumerate(WORKLOADS)
+    ]  # fmt: skip
+    document = {
+        "schema": "soup-e2e/v1",
+        "provenance": {"git_sha": sha, "git_dirty": False, "python": "3", "nproc": 2},
+        "tiny": False,
+        "runs": runs,
+    }
+    for key, value in changes.items():
+        if key in document["provenance"]:
+            document["provenance"][key] = value
+        elif key in document:
+            document[key] = value
+        else:
+            runs[-1][key] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+@pytest.fixture
+def history(tmp_path):
+    path = tmp_path / "HISTORY.jsonl"
+    path.write_text("")
+    return path
+
+
+def test_one_row_per_workload_with_every_end_to_end_metric(tmp_path, history):
+    rows = trajectory.append(history, [_document(tmp_path)], "PR n")
+    assert [row["workload"] for row in rows] == WORKLOADS
+    written = [json.loads(line) for line in history.read_text().splitlines()]
+    assert written == rows
+    for w, row in enumerate(rows):
+        assert row["schema"] == trajectory.SCHEMA
+        assert (row["label"], row["git_sha"], row["git_dirty"]) == ("PR n", SHA, False)
+        assert (row["seeds"], row["seconds"]) == ([7, 8, 9], 15.0)
+        assert list(row["metrics"]) == METRICS
+        median = 10.0 * (w + 1) + 8
+        assert all(q == [median - 1, median, median + 1] for q in row["metrics"].values())
+
+
+def test_documents_of_one_commit_pool_their_runs(tmp_path, history):
+    documents = [
+        _document(tmp_path, "a.json", seeds=(1,)),
+        _document(tmp_path, "b.json", seeds=(3,)),
+    ]
+    rows = trajectory.append(history, documents, "PR n")
+    assert len(rows) == len(WORKLOADS) and rows[0]["seeds"] == [1, 3]
+    other = _document(tmp_path, "c.json", seeds=(5,), sha="cd" * 20)
+    with pytest.raises(ValueError, match="2 commits"):
+        trajectory.append(history, [documents[0], other], "PR n")
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"git_dirty": True}, "git_dirty is true"),
+        ({"git_dirty": None}, "git_dirty is null"),
+        ({"tiny": True}, "--tiny"),
+        ({"trace": 1}, "traced run"),
+        ({"correct": False}, "not correct"),
+        ({"seconds": 5.0}, "different lengths"),
+    ],
+)
+def test_refusals_name_the_reason_and_write_nothing(tmp_path, history, change, reason):
+    history.write_text(COMMITTED.read_text())
+    before = history.read_bytes()
+    with pytest.raises(ValueError, match=reason):
+        trajectory.append(history, [_document(tmp_path, **change)], "PR n")
+    assert history.read_bytes() == before
+
+
+def test_same_commit_workload_and_seeds_twice_is_refused(tmp_path, history):
+    trajectory.append(history, [_document(tmp_path)], "PR n")
+    before = history.read_bytes()
+    with pytest.raises(ValueError, match="already recorded"):
+        trajectory.append(history, [_document(tmp_path)], "PR n again")
+    assert history.read_bytes() == before
+    # Other seeds of the same commit are new information.
+    trajectory.append(history, [_document(tmp_path, seeds=(10, 11))], "PR n")
+    assert len(history.read_text().splitlines()) == 2 * len(WORKLOADS)
+
+
+def test_retired_rows_are_counted_and_never_rewritten(tmp_path, history):
+    retired = COMMITTED.read_text().splitlines(keepends=True)[:2]
+    assert all('"soup-bench-history/v1"' in line for line in retired)
+    history.write_text("".join(retired))
+    trajectory.append(history, [_document(tmp_path)], "PR n")
+    before = history.read_bytes()
+    assert before.startswith("".join(retired).encode())
+    text = "\n".join(trajectory.render(history))
+    assert "2 rows of retired schema" in text
+    for workload in WORKLOADS:
+        assert workload in text
+    assert "PR n" in text and SHA[:7] in text and "7-9 (3)" in text
+    assert history.read_bytes() == before
+
+
+def test_transcribed_rows_render_null_quartiles_and_missing_metrics(history):
+    row = {
+        "schema": trajectory.SCHEMA, "label": "PR m", "git_sha": SHA, "workload": "live_read",
+        "seeds": [], "source": "docs", "metrics": dict.fromkeys(METRICS),
+    }  # fmt: skip
+    row["metrics"][METRICS[0]] = [None, 1.5, None]
+    history.write_text(json.dumps(row) + "\n")
+    text = "\n".join(trajectory.render(history))
+    assert "PR m*" in text and " ? " in text and " 1.5 " in text and " - " in text
+    assert "0 rows of retired schema" in text
+    # Only prose may have left the seeds out.
+    del row["source"]
+    history.write_text(json.dumps(row) + "\n")
+    with pytest.raises(ValueError, match="HISTORY.jsonl:1: .*no seeds"):
+        trajectory.render(history)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "{not json",
+        '"a string"',
+        '{"schema": "soup-e2e-history/v9"}',
+        '{"schema": "soup-e2e-history/v1", "label": "x"}',
+    ],
+    ids=["not-json", "not-an-object", "unknown-schema", "missing-keys"],
+)
+def test_malformed_line_is_an_error_naming_path_and_lineno(tmp_path, history, bad):
+    trajectory.append(history, [_document(tmp_path)], "PR n")
+    with history.open("a") as sink:
+        sink.write(bad + "\n")
+    with pytest.raises(ValueError, match=rf"HISTORY\.jsonl:{len(WORKLOADS) + 1}: "):
+        trajectory.render(history)
+    with pytest.raises(ValueError, match=rf"HISTORY\.jsonl:{len(WORKLOADS) + 1}: "):
+        trajectory.append(history, [_document(tmp_path, seeds=(20,))], "PR n")
+
+
+def test_the_committed_trajectory_renders(capsys):
+    assert trajectory.main([]) == 0
+    out = capsys.readouterr().out
+    assert "2 rows of retired schema" in out
+    for workload in WORKLOADS:
+        assert workload in out
