@@ -9,14 +9,13 @@ of them reconstruct the data.
 Run with:  python examples/large_profiles.py
 """
 
+import random
+
 from repro.coding import ReedSolomonCode
 from repro.coding.fragments import availability_probability
-from repro.core.config import SoupConfig
-from repro.dht.bootstrap import BootstrapRegistry
-from repro.dht.pastry import PastryOverlay
+from repro.deploy.cluster import Cluster
 from repro.network.events import EventLoop
 from repro.network.simnet import SimNetwork
-from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem
 
 
@@ -35,29 +34,15 @@ def main() -> None:
     # --- the middleware path ------------------------------------------------
     loop = EventLoop()
     network = SimNetwork(loop)
-    overlay = PastryOverlay()
-    registry = BootstrapRegistry()
-    nodes = {}
+    cluster = Cluster(network, random.Random(0))
 
-    def make(name, seed, **kwargs):
-        node = SoupNode(
-            name=name, network=network, overlay=overlay, registry=registry,
-            peer_resolver=nodes.get, config=SoupConfig(), seed=seed,
-            key_bits=512, **kwargs,
-        )
-        nodes[node.node_id] = node
-        return node
-
-    boot = make("boot", 1)
-    boot.join()
-    boot.make_bootstrap_node()
-    peers = [make(f"peer{i}", 10 + i) for i in range(10)]
-    for peer in peers:
-        peer.join()
-
+    boot = cluster.add("boot", seed=1)
+    peers = [cluster.add(f"peer{i}", seed=10 + i) for i in range(10)]
     # A power user with coding enabled above 5 MB.
-    owner = make("power-user", 99, coding_k=4, coding_threshold_bytes=5_000_000)
-    owner.join()
+    owner = cluster.add(
+        "power-user", seed=99, coding_k=4, coding_threshold_bytes=5_000_000
+    )
+    cluster.join_all()
     for other in peers + [boot]:
         owner.contact(other.node_id)
 
@@ -87,7 +72,9 @@ def main() -> None:
           f"{availability_probability(holder_p, plan.k):.3f} "
           f"(needs only {plan.k} of {plan.n} fragment holders)")
 
-    # Fetch while the owner is offline.
+    # Fetch while the owner is offline (it leaves the overlay first, so the
+    # directory entry it homed — its own — moves to a neighbour).
+    cluster.overlay.leave(owner.node_id)
     owner.go_offline()
     reader = peers[0]
     print(f"owner offline; fetch via fragments succeeded: "

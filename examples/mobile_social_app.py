@@ -8,45 +8,24 @@ because their data is mirrored at desktop nodes.
 Run with:  python examples/mobile_social_app.py
 """
 
-from repro.core.config import SoupConfig
-from repro.dht.bootstrap import BootstrapRegistry
-from repro.dht.pastry import PastryOverlay
+import random
+
+from repro.deploy.cluster import Cluster
 from repro.network.events import EventLoop
 from repro.network.simnet import SimNetwork
-from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem
 
 
 def main() -> None:
     loop = EventLoop()
     network = SimNetwork(loop)
-    overlay = PastryOverlay()
-    registry = BootstrapRegistry()
-    nodes = {}
+    cluster = Cluster(network, random.Random(0))
+    nodes, overlay = cluster.nodes, cluster.overlay
 
-    def make_node(name, seed, mobile=False):
-        node = SoupNode(
-            name=name,
-            network=network,
-            overlay=overlay,
-            registry=registry,
-            peer_resolver=nodes.get,
-            config=SoupConfig(),
-            seed=seed,
-            is_mobile=mobile,
-            key_bits=512,
-        )
-        nodes[node.node_id] = node
-        return node
-
-    gateway = make_node("gateway", seed=1)
-    gateway.join()
-    gateway.make_bootstrap_node()
-    desktops = [make_node(f"desktop{i}", seed=10 + i) for i in range(8)]
-    for node in desktops:
-        node.join()
-    phone = make_node("phone", seed=42, mobile=True)
-    phone.join(bootstrap_id=gateway.node_id)
+    gateway = cluster.add("gateway", seed=1)
+    desktops = [cluster.add(f"desktop{i}", seed=10 + i) for i in range(8)]
+    phone = cluster.add("phone", seed=42, is_mobile=True)
+    cluster.join_all()  # the phone relays through the gateway
     print(f"phone joined via gateway; in overlay: {phone.node_id in overlay}")
 
     for node in desktops + [gateway]:

@@ -7,49 +7,29 @@ offline, receive messages buffered by mirrors — and prints what happens.
 Run with:  python examples/quickstart.py
 """
 
-from repro.core.config import SoupConfig
-from repro.dht.bootstrap import BootstrapRegistry
-from repro.dht.pastry import PastryOverlay
+import random
+
+from repro.deploy.cluster import Cluster
 from repro.network.events import EventLoop
 from repro.network.simnet import SimNetwork
-from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem
 
 
 def main() -> None:
-    # --- infrastructure: event loop, metered network, Pastry overlay ----
+    # --- infrastructure: event loop, metered network; the cluster owns ---
+    # --- the Pastry overlay and the bootstrap registry --------------------
     loop = EventLoop()
     network = SimNetwork(loop)
-    overlay = PastryOverlay()
-    registry = BootstrapRegistry()
-    nodes = {}
-
-    def make_node(name, seed, mobile=False):
-        node = SoupNode(
-            name=name,
-            network=network,
-            overlay=overlay,
-            registry=registry,
-            peer_resolver=nodes.get,
-            config=SoupConfig(),
-            seed=seed,
-            is_mobile=mobile,
-            key_bits=512,
-        )
-        nodes[node.node_id] = node
-        return node
+    cluster = Cluster(network, random.Random(0))
+    nodes = cluster.nodes
 
     # --- a bootstrap node plus a handful of users ------------------------
-    boot = make_node("bootstrap", seed=1)
-    boot.join()
-    boot.make_bootstrap_node()
+    boot = cluster.add("bootstrap", seed=1)
+    alice = cluster.add("alice", seed=2)
+    bob = cluster.add("bob", seed=3)
+    peers = [cluster.add(f"peer{i}", seed=10 + i) for i in range(6)]
+    cluster.join_all()  # the first node bootstraps, the rest join through it
     print(f"bootstrap node up: {boot!r}")
-
-    alice = make_node("alice", seed=2)
-    bob = make_node("bob", seed=3)
-    peers = [make_node(f"peer{i}", seed=10 + i) for i in range(6)]
-    for node in [alice, bob] + peers:
-        node.join()  # picks a bootstrap node from the public registry
     print(f"{len(nodes)} nodes joined the overlay")
 
     # Users meet each other (bootstrapping: recommendations flow).
@@ -79,6 +59,9 @@ def main() -> None:
     print(f"bob decrypts it: {bob.security.decrypt_from(alice.node_id, ciphertext)!r}")
 
     # --- alice goes offline; her data stays available ----------------------
+    # Leaving the overlay re-homes the directory entries she stored (her own
+    # among them: a node is the closest to its own id), so lookups still work.
+    cluster.overlay.leave(alice.node_id)
     alice.go_offline()
     fetched = bob.request_profile(alice.node_id)
     print(f"alice offline; bob fetched her profile from a mirror: {fetched}")
@@ -87,6 +70,7 @@ def main() -> None:
     bob.send_message(alice.node_id, "ping me when you're back!")
     loop.run_until(loop.now + 5)
 
+    cluster.overlay.join(alice.node_id, boot.node_id)
     alice.go_online()
     loop.run_until(loop.now + 5)
     inbox = [

@@ -260,13 +260,12 @@ def _cmd_table3(args) -> int:
 
 
 def _cmd_table4(args) -> int:
-    from benchmarks.test_table4_related_work import run_comparison  # noqa: F401
-
     try:
-        outcome = run_comparison()
+        from benchmarks.test_table4_related_work import run_comparison
     except ImportError:
         print("table4 requires the benchmarks directory on sys.path", file=sys.stderr)
         return 1
+    outcome = run_comparison()
     soup = outcome["soup_powerlaw"]
     print(f"SOUP (power-law): availability={soup.steady_state_availability(3):.3f} "
           f"replicas={soup.steady_state_replicas(3):.1f}")

@@ -4,11 +4,13 @@ The paper deploys SOUP on a real 31-user DOSN (4 Android phones relaying
 through one gateway/bootstrap node) and reports traffic and stability
 measurements.  We reproduce that deployment over the simulated network:
 
-* :mod:`repro.deploy.emulation` — builds the 31-node SOUP network (27
-  desktop + 4 mobile), drives the measured workload (282 friendships, 204
-  photos, 1189 messages) through real :class:`~repro.node.middleware.SoupNode`
-  instances, and collects the Fig. 14a/14b/14c series from the traffic
-  meters.
+* :mod:`repro.deploy.cluster` — :class:`~repro.deploy.cluster.Cluster`,
+  the one builder: the only place a :class:`~repro.node.middleware.SoupNode`
+  is constructed and wired.  Build a cluster with it, on any transport.
+* :mod:`repro.deploy.emulation` — the 31-node SOUP network (27 desktop +
+  4 mobile) on such a cluster: drives the measured workload (282
+  friendships, 204 photos, 1189 messages) through real ``SoupNode``
+  instances and collects the Fig. 14a/14b/14c series from the meters.
 * :mod:`repro.deploy.workload` — the scheduled social workload.
 * :mod:`repro.deploy.traffic` — the Fig. 15 mirror-load model: one mirror
   hosting 20 real-size profiles (206 MB, 2035 items) serving 1/10/20

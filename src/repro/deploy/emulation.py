@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SoupConfig
-from repro.dht.bootstrap import BootstrapRegistry
-from repro.sim.metrics import ReliabilityMetrics
-from repro.dht.pastry import PastryOverlay
+from repro.deploy.cluster import Cluster
+from repro.deploy.workload import WorkloadEvent, build_workload
 from repro.network.events import EventLoop
-from repro.network.simnet import DESKTOP_LINK, MOBILE_LINK, SERVER_LINK, SimNetwork
+from repro.network.simnet import SERVER_LINK, SimNetwork
 from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem, sample_item_size
-from repro.deploy.workload import WorkloadEvent, build_workload
+from repro.sim.metrics import ReliabilityMetrics
 
 #: Bytes of Pastry state handed to a joining node (routing rows + leaf set).
 _JOIN_STATE_BYTES = 24_000
@@ -66,7 +65,7 @@ class _DeploymentView:
         }
 
     def is_electable(self, node_id: int) -> bool:
-        node = self._deployment.nodes.get(node_id)
+        node = self._deployment.cluster.nodes.get(node_id)
         return (
             node is not None and node.joined and node.online and not node.is_mobile
         )
@@ -125,18 +124,19 @@ class Deployment:
         self.config = config or SoupConfig()
         self.loop = EventLoop()
         self.network = SimNetwork(self.loop)
-        self.overlay = PastryOverlay()
-        # Publish/lookup see the network's real online state, so republish
-        # backoff and lookup alternates engage under churn.  (The overlay
-        # default — everyone live — is kept for unit scenarios that park
-        # offline nodes in the ring.)
-        self.overlay.set_liveness(self.network.is_online)
-        self.registry = BootstrapRegistry()
-        self.nodes: Dict[int, SoupNode] = {}
-        self.users: List[SoupNode] = []
-        self._seed = seed
-        self._key_bits = key_bits
-        self.crypto_mode = crypto_mode
+        self.cluster = Cluster(
+            self.network,
+            self.rng,
+            config=self.config,
+            key_bits=key_bits,
+            crypto_mode=crypto_mode,
+            # Sec. 7: "All phones were relaying via the same gateway node"
+            # — the study pinned phones to the gateway, so regular users
+            # refuse relays (the limit every regular node can set).
+            mobile_relay_limit=0,
+        )
+        self.overlay = self.cluster.overlay
+        self.users = self.cluster.users
         self.n_desktop = n_desktop
         self.n_mobile = n_mobile
 
@@ -155,33 +155,13 @@ class Deployment:
         self._elapsed_s = 0.0
 
     # ------------------------------------------------------------------
-    def _resolve(self, node_id: int) -> Optional[SoupNode]:
-        return self.nodes.get(node_id)
-
-    def _new_node(self, name: str, is_mobile: bool, link=None) -> SoupNode:
-        node = SoupNode(
-            name=name,
-            network=self.network,
-            overlay=self.overlay,
-            registry=self.registry,
-            peer_resolver=self._resolve,
-            config=self.config,
-            seed=self.rng.randrange(2**31),
-            is_mobile=is_mobile,
-            link=link,
-            key_bits=self._key_bits,
-            crypto_mode=self.crypto_mode,
-            # Sec. 7: "All phones were relaying via the same gateway node"
-            # — the study pinned phones to the gateway, so regular users
-            # refuse relays (the limit every regular node can set).
-            mobile_relay_limit=0,
-        )
-        self.nodes[node.node_id] = node
-        self.users.append(node)
+    def _join_new(self, name: str, **overrides) -> None:
+        node = self.cluster.add(name, **overrides)
         node.mirror_manager.selection_strategy = self.arch.selection
         node.read_cache = self.arch.read_path
         self._online_seconds[node.node_id] = 0.0
-        return node
+        self.cluster.join(node)
+        self._charge_join(node)
 
     def build(self, join_spread_s: float = 45.0) -> None:
         """Create and join all nodes; the first desktop is the gateway.
@@ -189,24 +169,25 @@ class Deployment:
         Joins are staggered over ``join_spread_s`` so each one's control
         spike is individually visible in the Fig. 14a series.
         """
-        gateway = self._new_node("gateway", is_mobile=False, link=SERVER_LINK)
-        gateway.join()
-        gateway.make_bootstrap_node()
-        self._charge_join(gateway)
-
-        total_joiners = max(1, self.n_desktop - 1 + self.n_mobile)
-        step = join_spread_s / total_joiners
-        for index in range(1, self.n_desktop):
+        self._join_new("gateway", link=SERVER_LINK)
+        joiners = [(f"user{index:02d}", False) for index in range(1, self.n_desktop)]
+        # "All phones were relaying via the same gateway node."
+        joiners += [(f"mobile{index:02d}", True) for index in range(self.n_mobile)]
+        step = join_spread_s / max(1, len(joiners))
+        for name, is_mobile in joiners:
             self.loop.run_until(self.loop.now + step)
-            node = self._new_node(f"user{index:02d}", is_mobile=False)
-            node.join(bootstrap_id=gateway.node_id)
-            self._charge_join(node)
-        for index in range(self.n_mobile):
-            self.loop.run_until(self.loop.now + step)
-            node = self._new_node(f"mobile{index:02d}", is_mobile=True)
-            # "All phones were relaying via the same gateway node."
-            node.join(bootstrap_id=gateway.node_id)
+            self._join_new(name, is_mobile=is_mobile)
         self.loop.run_until(self.loop.now + 1.0)
+
+    def _charge_control(self, from_node: int, to_node: int, size_bytes: int) -> None:
+        """Charge one DHT transfer to both ends' control meters."""
+        now = self.loop.now
+        self.network.control_meter(from_node).record_sent(now, size_bytes)
+        self.network.control_meter(to_node).record_received(now, size_bytes)
+
+    def _charge_transfers(self, records) -> None:
+        for record in records:
+            self._charge_control(record.from_node, record.to_node, record.size_bytes)
 
     def _charge_join(self, node: SoupNode) -> None:
         """Account the join cost: state transfer + shifted entries.
@@ -216,20 +197,10 @@ class Deployment:
         """
         if node.is_mobile:
             return
-        gateway_id = self.registry.all()[0] if len(self.registry) else None
-        now = self.loop.now
-        if gateway_id is not None and node.node_id != gateway_id:
-            self.network.control_meter(gateway_id).record_sent(now, _JOIN_STATE_BYTES)
-            self.network.control_meter(node.node_id).record_received(
-                now, _JOIN_STATE_BYTES
-            )
-        for record in self.overlay.transfer_log:
-            self.network.control_meter(record.from_node).record_sent(
-                now, record.size_bytes
-            )
-            self.network.control_meter(record.to_node).record_received(
-                now, record.size_bytes
-            )
+        gateway_id = self.cluster.gateway.node_id
+        if node.node_id != gateway_id:
+            self._charge_control(gateway_id, node.node_id, _JOIN_STATE_BYTES)
+        self._charge_transfers(self.overlay.transfer_log)
         self.overlay.transfer_log.clear()
 
     # ------------------------------------------------------------------
@@ -287,14 +258,7 @@ class Deployment:
                     transfers = self.overlay.leave(victim.node_id)
                     victim.go_offline()
                     self.overlay.transfer_log.clear()
-                    now = self.loop.now
-                    for record in transfers:
-                        self.network.control_meter(record.from_node).record_sent(
-                            now, record.size_bytes
-                        )
-                        self.network.control_meter(record.to_node).record_received(
-                            now, record.size_bytes
-                        )
+                    self._charge_transfers(transfers)
                 elif action == "rejoin" and victim.node_id not in self.overlay:
                     self.overlay.join(victim.node_id, users[0].node_id)
                     victim.go_online()

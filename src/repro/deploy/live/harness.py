@@ -1,7 +1,8 @@
 """The resilience harness: one cluster, either backend, chaos + load + gates.
 
-Builds an N-node SOUP cluster out of real :class:`~repro.node.middleware.SoupNode`
-middleware instances on either side of the transport seam — the
+Builds an N-node SOUP :class:`~repro.deploy.cluster.Cluster` of real
+:class:`~repro.node.middleware.SoupNode` middleware instances on either
+side of the transport seam — the
 deterministic :class:`~repro.network.simnet.SimNetwork` or the socket-backed
 :class:`~repro.deploy.live.transport.LiveTransport` — then drives an
 open-loop request mix through it while a :class:`ChaosController` replays
@@ -38,16 +39,14 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.config import SoupConfig
+from repro.deploy.cluster import Cluster
 from repro.deploy.live.chaos import ChaosController
 from repro.deploy.live.load import DEFAULT_MIX, LATENCY_BUCKETS, LoadOp, build_load_plan
 from repro.deploy.live.transport import AsyncClock, LiveTransport
-from repro.dht.bootstrap import BootstrapRegistry
-from repro.dht.pastry import PastryOverlay
 from repro.network.events import EventLoop
 from repro.network.reliability import ReliabilityStats
 from repro.network.simnet import SimNetwork
-from repro.network.transport import DESKTOP_LINK, SERVER_LINK, Transport
+from repro.network.transport import SERVER_LINK, Transport
 from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem
 from repro.obs import (
@@ -119,7 +118,6 @@ class ResilienceHarness:
         self.network: Optional[Transport] = None
         self.nodes: Dict[int, SoupNode] = {}
         self.order: List[int] = []
-        self.gateway_id: Optional[int] = None
         self.chaos: Optional[ChaosController] = None
         self.samples: List[dict] = []
         self.baseline_availability: float = 1.0
@@ -135,10 +133,7 @@ class ResilienceHarness:
         """Execute the scenario; returns the ``soup-resilience/v1`` report."""
         push_registry()
         try:
-            if self.config.backend == "live":
-                report = asyncio.run(self._run_live())
-            else:
-                report = self._run_sim()
+            report = asyncio.run(self._run())
             if self.obs is not None:
                 self._obs_finalize(report)
             return report
@@ -154,53 +149,17 @@ class ResilienceHarness:
     def _build(self, network: Transport) -> None:
         cfg = self.config
         self.network = network
-        self.rng = random.Random(cfg.seed)
-        self.overlay = PastryOverlay()
-        self.overlay.set_liveness(network.is_online)
-        self.bootstrap = BootstrapRegistry()
-
-        def resolve(node_id: int) -> Optional[SoupNode]:
-            return self.nodes.get(node_id)
-
-        for index in range(cfg.n_nodes):
-            node = SoupNode(
-                name="gateway" if index == 0 else f"user{index:02d}",
-                network=network,
-                overlay=self.overlay,
-                registry=self.bootstrap,
-                peer_resolver=resolve,
-                config=SoupConfig(),
-                seed=self.rng.randrange(2**31),
-                link=SERVER_LINK if index == 0 else DESKTOP_LINK,
-                key_bits=cfg.key_bits,
-                crypto_mode=cfg.crypto_mode,
-            )
-            self.nodes[node.node_id] = node
-            self.order.append(node.node_id)
-        self.gateway_id = self.order[0]
-
-    def _join_all(self) -> None:
-        gateway = self.nodes[self.gateway_id]
-        gateway.join()
-        gateway.make_bootstrap_node()
-        for node_id in self.order[1:]:
-            self.nodes[node_id].join(bootstrap_id=self.gateway_id)
-
-    def _setup_social(self) -> None:
-        """Ring + seeded random extra friendships (connected by construction)."""
-        cfg = self.config
-        n = len(self.order)
-        for index, node_id in enumerate(self.order):
-            self.nodes[node_id].befriend(self.order[(index + 1) % n])
-        extra = max(0, cfg.friends_per_node - 2)
-        for index, node_id in enumerate(self.order):
-            for _ in range(extra):
-                other = self.rng.randrange(n - 1)
-                if other >= index:
-                    other += 1
-                other_id = self.order[other]
-                if not self.nodes[node_id].social.is_friend(other_id):
-                    self.nodes[node_id].befriend(other_id)
+        self.cluster = Cluster(
+            network,
+            random.Random(cfg.seed),
+            key_bits=cfg.key_bits,
+            crypto_mode=cfg.crypto_mode,
+        )
+        self.cluster.add("gateway", link=SERVER_LINK)
+        for index in range(1, cfg.n_nodes):
+            self.cluster.add(f"user{index:02d}")
+        self.nodes = self.cluster.nodes
+        self.order = self.cluster.order
 
     def _seed_content(self) -> None:
         for node_id in self.order:
@@ -538,65 +497,48 @@ class ResilienceHarness:
             },
         }
 
-    # --- drivers --------------------------------------------------------
-    def _make_chaos(self) -> ChaosController:
-        self.chaos = ChaosController.from_spec(
-            self.config.chaos,
-            self.network,
-            self.nodes,
-            self.order,
-            base_seed=self.config.seed,
-            protected={self.gateway_id},
-        )
-        return self.chaos
-
-    def _run_sim(self) -> dict:
+    # --- driver ---------------------------------------------------------
+    async def _run(self) -> dict:
+        """The one driver: the backend supplies the transport and how time
+        passes (on the simulated one no ``await`` ever suspends)."""
         cfg = self.config
-        loop = EventLoop()
-        network = SimNetwork(loop)
-        self._build(network)
-        self._obs_setup()
-        self._join_all()
-        loop.run_until(loop.now + 1.0)
-        self._setup_social()
-        loop.run_until(loop.now + 1.0)
-        self._seed_content()
-        loop.run_until(loop.now + 2.0)
-        self.baseline_availability = self._compute_availability()
-        chaos = self._make_chaos()
-        plan = build_load_plan(
-            cfg.n_nodes, cfg.load_rps, cfg.epochs * cfg.epoch_s, seed=cfg.seed
-        )
-        t_base = loop.now
-        op_index = 0
-        for epoch in range(cfg.epochs):
-            chaos.on_epoch(epoch)
-            horizon = (epoch + 1) * cfg.epoch_s
-            while op_index < len(plan) and plan[op_index].at_s < horizon:
-                loop.run_until(t_base + plan[op_index].at_s)
-                self._execute_op(plan[op_index])
-                op_index += 1
-            loop.run_until(t_base + horizon)
-            self._maintenance(epoch)
-            self._sample(epoch)
-            self._obs_epoch(epoch)
-        loop.run_until(loop.now + 2.0)
-        return self._report()
+        live = cfg.backend == "live"
+        network = LiveTransport(AsyncClock()) if live else SimNetwork(EventLoop())
+        clock = network.loop
 
-    async def _run_live(self) -> dict:
-        cfg = self.config
-        clock = AsyncClock()
-        network = LiveTransport(clock)
+        async def wait_until(t: float) -> None:
+            if not live:
+                clock.run_until(t)
+            elif t > clock.now:
+                await asyncio.sleep(t - clock.now)
+
+        async def settle(sim_seconds: float) -> None:
+            # Let in-flight traffic land: simulated seconds, or a socket drain.
+            if live:
+                await network.drain(cfg.settle_s)
+            else:
+                clock.run_until(clock.now + sim_seconds)
+
         try:
             self._build(network)
             self._obs_setup()
-            await network.start()
-            self._join_all()
-            self._setup_social()
+            if live:
+                await network.start()
+            self.cluster.join_all()
+            await settle(1.0)
+            self.cluster.befriend_ring(extra=max(0, cfg.friends_per_node - 2))
+            await settle(1.0)
             self._seed_content()
-            await network.drain(cfg.settle_s)
+            await settle(2.0)
             self.baseline_availability = self._compute_availability()
-            chaos = self._make_chaos()
+            chaos = self.chaos = ChaosController.from_spec(
+                cfg.chaos,
+                network,
+                self.nodes,
+                self.order,
+                base_seed=cfg.seed,
+                protected={self.cluster.gateway.node_id},
+            )
             plan = build_load_plan(
                 cfg.n_nodes, cfg.load_rps, cfg.epochs * cfg.epoch_s, seed=cfg.seed
             )
@@ -606,18 +548,15 @@ class ResilienceHarness:
                 chaos.on_epoch(epoch)
                 horizon = (epoch + 1) * cfg.epoch_s
                 while op_index < len(plan) and plan[op_index].at_s < horizon:
-                    wait = t_base + plan[op_index].at_s - clock.now
-                    if wait > 0:
-                        await asyncio.sleep(wait)
+                    await wait_until(t_base + plan[op_index].at_s)
                     self._execute_op(plan[op_index])
                     op_index += 1
-                wait = t_base + horizon - clock.now
-                if wait > 0:
-                    await asyncio.sleep(wait)
+                await wait_until(t_base + horizon)
                 self._maintenance(epoch)
                 self._sample(epoch)
                 self._obs_epoch(epoch)
-            await network.drain(cfg.settle_s)
+            await settle(2.0)
             return self._report()
         finally:
-            await network.close()
+            if live:
+                await network.close()

@@ -4,12 +4,14 @@ Every node gets a real TCP server on ``127.0.0.1`` (ephemeral port);
 every :meth:`LiveTransport.send` pickles the message into a
 length-prefixed frame and writes it over a real socket connection to the
 receiver's server, where it is unpickled and dispatched to the node's
-registered handler.  Protocol state stays in-process (the middleware's
-``peer_resolver`` still hands out live objects — exactly as in the
-simulated deployment, where decisions are synchronous but every byte
-crosses the metered network), so the middleware runs unchanged; what
-becomes real is the timing: kernel buffers, connection setup, wall-clock
-retry timers.
+registered handler.  Protocol state stays in-process (the
+:class:`~repro.deploy.cluster.Cluster` that built the nodes still resolves
+a peer id to its live object, and holds the one shared overlay and
+bootstrap registry — exactly as in the simulated deployment, where
+decisions are synchronous but every byte crosses the metered network;
+``docs/PROTOCOL.md`` lists every such reach-through), so the middleware
+runs unchanged; what becomes real is the timing: kernel buffers,
+connection setup, wall-clock retry timers.
 
 The steady state costs no task and no await per frame: :meth:`LiveTransport.send`
 writes to the pair's open connection in place, and the receiving

@@ -175,18 +175,6 @@ def generate_scale_free(
     return edges[:edge_count]
 
 
-def scale_free_graph(n: int, avg_degree: float = 12.0, seed: int = 0) -> nx.Graph:
-    """The :func:`generate_scale_free` edge list as a simulator-ready
-    :class:`networkx.Graph` with the usual dataset metadata."""
-    edges = generate_scale_free(n, avg_degree=avg_degree, seed=seed)
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(edges.tolist())
-    graph.graph["dataset"] = "synthetic"
-    graph.graph["scale"] = 1.0
-    return graph
-
-
 def table3_rows(scale: float = 1.0, seed: int = 0) -> List[Tuple[str, int, int, float]]:
     """Regenerate Table 3: (dataset, nodes, edges, average degree).
 

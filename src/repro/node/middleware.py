@@ -28,10 +28,10 @@ from repro.core.objects import ObjectType, SoupObject
 from repro.core.ranking import Recommendation
 from repro.crypto.keys import KeyPair
 from repro.dht.bootstrap import BootstrapRegistry
-from repro.dht.pastry import PastryOverlay
+from repro.dht.pastry import DhtError, PastryOverlay
 from repro.dht.storage import DirectoryEntry
 from repro.network.reliability import FailureDetector, ReliableEndpoint
-from repro.network.transport import LinkSpec, Transport
+from repro.network.transport import DESKTOP_LINK, MOBILE_LINK, LinkSpec, Transport
 from repro.node.application_manager import ApplicationManager
 from repro.node.interface_manager import InterfaceManager
 from repro.node.mirror_manager import MirrorManager
@@ -143,8 +143,6 @@ class SoupNode:
         self._repairing = False
 
         if link is None:
-            from repro.network.transport import DESKTOP_LINK, MOBILE_LINK
-
             link = MOBILE_LINK if is_mobile else DESKTOP_LINK
         network.register(
             self.node_id,
@@ -346,8 +344,6 @@ class SoupNode:
             ):
                 self.interface.set_gateway(candidate_id)
                 return
-        from repro.dht.pastry import DhtError
-
         raise DhtError(
             f"mobile node {self.name} has no reachable gateway"
         )
@@ -591,10 +587,7 @@ class SoupNode:
             return self.mirror_manager.announced_mirrors
         self.mirror_manager.ingest_pending_reports()
 
-        exclude = {
-            node_id
-            for node_id in (self._offline_unreachable_ids())
-        }
+        exclude = set(self._offline_unreachable_ids())
         result = self.mirror_manager.run_selection(exclude=exclude)
 
         old = set(self.mirror_manager.announced_mirrors)
@@ -860,8 +853,6 @@ class SoupNode:
             # Unknown senders are resolved through the directory first —
             # SOUP IDs are self-certifying.
             if not self.security.knows_public_key(message.source):
-                from repro.dht.pastry import DhtError
-
                 try:
                     self._ensure_gateway()
                     entry, _ = self.interface.lookup_entry(message.source)
@@ -875,8 +866,7 @@ class SoupNode:
             self.applications.deliver(message)
 
     def _require_peer(self, node_id: int) -> Optional["SoupNode"]:
-        peer = self._peer(node_id)
-        return peer
+        return self._peer(node_id)
 
     def _now(self) -> float:
         return self.network.loop.now

@@ -9,45 +9,26 @@ import random
 
 import pytest
 
-from repro.core.config import SoupConfig
-from repro.dht.bootstrap import BootstrapRegistry
 from repro.dht.pastry import DhtError, PastryOverlay
 from repro.dht.storage import DirectoryEntry
-from repro.network.events import EventLoop
-from repro.network.simnet import SimNetwork
-from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem
 
 
-class World:
-    def __init__(self, n=12, seed=3):
-        self.loop = EventLoop()
-        self.network = SimNetwork(self.loop)
-        self.overlay = PastryOverlay()
-        self.registry = BootstrapRegistry()
-        self.nodes = {}
-        self.users = []
-        for i in range(n):
-            node = SoupNode(
-                name=f"n{i}", network=self.network, overlay=self.overlay,
-                registry=self.registry, peer_resolver=self.nodes.get,
-                config=SoupConfig(), seed=seed + i, key_bits=256,
-            )
-            self.nodes[node.node_id] = node
-            self.users.append(node)
-        self.users[0].join()
-        self.users[0].make_bootstrap_node()
-        for node in self.users[1:]:
-            node.join()
-        for a in self.users:
-            for b in self.users:
-                if a is not b:
-                    a.contact(b.node_id)
+def populate(cluster, n=12, seed=3):
+    """``n`` joined nodes that have all met each other."""
+    for i in range(n):
+        cluster.add(f"n{i}", seed=seed + i)
+    cluster.join_all()
+    for a in cluster.users:
+        for b in cluster.users:
+            if a is not b:
+                a.contact(b.node_id)
+    return cluster
 
 
 @pytest.fixture()
-def world():
-    return World()
+def world(cluster):
+    return populate(cluster)
 
 
 class TestDhtMassFailure:
@@ -87,9 +68,9 @@ class TestDhtMassFailure:
 class TestPartition:
     def test_data_survives_half_the_network_going_dark(self, world):
         owner = world.users[1]
-        owner.post_item(DataItem.text(3000, created_at=world.loop.now))
+        owner.post_item(DataItem.text(3000, created_at=world.network.loop.now))
         accepted = owner.run_selection_round()
-        world.loop.run_until(world.loop.now + 5)
+        world.network.loop.run_until(world.network.loop.now + 5)
         assert len(accepted) >= 3
 
         # Half the non-mirror population drops (network failure).
@@ -104,10 +85,10 @@ class TestPartition:
         reader = next(u for u in world.users if u.online and u is not owner)
         assert reader.request_profile(owner.node_id)
 
-    def test_reselection_after_most_mirrors_fail(self, world):
+    def test_reselection_after_most_mirrors_fail(self, cluster):
         """The repair loop: friends observe the dead mirrors failing, report
         the failures, and the owner's next round recruits live mirrors."""
-        world = World(n=26)
+        world = populate(cluster, n=26)
         owner = world.users[2]
         reader = world.users[3]
         reader.befriend(owner.node_id)
@@ -140,30 +121,13 @@ class TestLossyOperations:
         reader = world.users[1]
         assert not reader.request_profile(0xDEAD_BEEF_0000_0001)
 
-    def test_mobile_with_dead_gateway_and_empty_registry(self):
-        loop = EventLoop()
-        network = SimNetwork(loop)
-        overlay = PastryOverlay()
-        registry = BootstrapRegistry()
-        nodes = {}
-
-        def make(name, seed, mobile=False):
-            node = SoupNode(
-                name=name, network=network, overlay=overlay, registry=registry,
-                peer_resolver=nodes.get, config=SoupConfig(), seed=seed,
-                is_mobile=mobile, key_bits=256,
-            )
-            nodes[node.node_id] = node
-            return node
-
-        boot = make("boot", 1)
-        boot.join()
-        boot.make_bootstrap_node()
-        phone = make("phone", 2, mobile=True)
-        phone.join(bootstrap_id=boot.node_id)
+    def test_mobile_with_dead_gateway_and_empty_registry(self, cluster):
+        boot = cluster.add("boot", seed=1)
+        phone = cluster.add("phone", seed=2, is_mobile=True)
+        cluster.join_all()
 
         boot.go_offline()
-        registry.unregister(boot.node_id)
+        cluster.registry.unregister(boot.node_id)
         # No gateway candidates remain: operations raise cleanly.
         with pytest.raises(DhtError):
             phone.lookup_user(boot.node_id)

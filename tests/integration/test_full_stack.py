@@ -7,50 +7,14 @@ buffered messages on return — across a network that includes mobile nodes.
 
 import pytest
 
-from repro.core.config import SoupConfig
-from repro.dht.bootstrap import BootstrapRegistry
-from repro.dht.pastry import PastryOverlay
-from repro.network.events import EventLoop
-from repro.network.simnet import SimNetwork
-from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem
 
 
-@pytest.fixture()
-def world():
-    loop = EventLoop()
-    network = SimNetwork(loop)
-    overlay = PastryOverlay()
-    registry = BootstrapRegistry()
-    nodes = {}
-
-    def make(name, mobile=False, seed=0):
-        node = SoupNode(
-            name=name,
-            network=network,
-            overlay=overlay,
-            registry=registry,
-            peer_resolver=nodes.get,
-            config=SoupConfig(),
-            seed=seed,
-            is_mobile=mobile,
-            key_bits=256,
-        )
-        nodes[node.node_id] = node
-        return node
-
-    return loop, network, nodes, make
-
-
-def test_full_user_story(world):
-    loop, network, nodes, make = world
-    alice = make("alice", seed=1)
-    alice.join()
-    alice.make_bootstrap_node()
-
-    others = [make(f"user{i}", seed=10 + i) for i in range(8)]
-    for node in others:
-        node.join(bootstrap_id=alice.node_id)
+def test_full_user_story(cluster):
+    loop, nodes = cluster.network.loop, cluster.nodes
+    alice = cluster.add("alice", seed=1)
+    others = [cluster.add(f"user{i}", seed=10 + i) for i in range(8)]
+    cluster.join_all()  # alice, the first regular node, bootstraps the rest
     bob = others[0]
     mallory_free_world = others[1:]
 
@@ -97,16 +61,12 @@ def test_full_user_story(world):
     assert "welcome back!" in texts
 
 
-def test_mobile_user_story(world):
-    loop, network, nodes, make = world
-    gateway = make("gateway", seed=1)
-    gateway.join()
-    gateway.make_bootstrap_node()
-    desktops = [make(f"d{i}", seed=20 + i) for i in range(5)]
-    for node in desktops:
-        node.join(bootstrap_id=gateway.node_id)
-    phone = make("phone", mobile=True, seed=99)
-    phone.join(bootstrap_id=gateway.node_id)
+def test_mobile_user_story(cluster):
+    loop, nodes = cluster.network.loop, cluster.nodes
+    gateway = cluster.add("gateway", seed=1)
+    desktops = [cluster.add(f"d{i}", seed=20 + i) for i in range(5)]
+    phone = cluster.add("phone", seed=99, is_mobile=True)
+    cluster.join_all()
 
     for node in desktops + [gateway]:
         phone.contact(node.node_id)
@@ -129,15 +89,12 @@ def test_mobile_user_story(world):
     assert desktops[0].request_profile(phone.node_id)
 
 
-def test_mirror_churn_recovery(world):
+def test_mirror_churn_recovery(cluster):
     """When mirrors leave, the owner's next round replaces them."""
-    loop, network, nodes, make = world
-    boot = make("boot", seed=1)
-    boot.join()
-    boot.make_bootstrap_node()
-    others = [make(f"n{i}", seed=30 + i) for i in range(10)]
-    for node in others:
-        node.join(bootstrap_id=boot.node_id)
+    loop, nodes = cluster.network.loop, cluster.nodes
+    boot = cluster.add("boot", seed=1)
+    others = [cluster.add(f"n{i}", seed=30 + i) for i in range(10)]
+    cluster.join_all()
     owner = others[0]
     for node in others[1:] + [boot]:
         owner.contact(node.node_id)

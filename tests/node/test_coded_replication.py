@@ -2,46 +2,20 @@
 
 import pytest
 
-from repro.core.config import SoupConfig
-from repro.dht.bootstrap import BootstrapRegistry
-from repro.dht.pastry import PastryOverlay
-from repro.network.events import EventLoop
-from repro.network.simnet import SimNetwork
-from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem
 
 
 @pytest.fixture()
-def world():
-    loop = EventLoop()
-    network = SimNetwork(loop)
-    overlay = PastryOverlay()
-    registry = BootstrapRegistry()
-    nodes = {}
-
+def world(cluster):
     def make(name, seed, coding_k=0, threshold=1_000_000):
-        node = SoupNode(
-            name=name,
-            network=network,
-            overlay=overlay,
-            registry=registry,
-            peer_resolver=nodes.get,
-            config=SoupConfig(),
-            seed=seed,
-            key_bits=256,
-            coding_k=coding_k,
-            coding_threshold_bytes=threshold,
+        return cluster.add(
+            name, seed=seed, coding_k=coding_k, coding_threshold_bytes=threshold
         )
-        nodes[node.node_id] = node
-        return node
 
     boot = make("boot", seed=1)
-    boot.join()
-    boot.make_bootstrap_node()
     peers = [make(f"p{i}", seed=10 + i) for i in range(9)]
-    for peer in peers:
-        peer.join()
-    return loop, network, nodes, make, boot, peers
+    cluster.join_all()
+    return cluster.network.loop, cluster.network, cluster.nodes, make, boot, peers
 
 
 def _spread_knowledge(owner, peers, boot):

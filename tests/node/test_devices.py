@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.core.config import SoupConfig
-from repro.dht.bootstrap import BootstrapRegistry
-from repro.dht.pastry import PastryOverlay
-from repro.network.events import EventLoop
-from repro.network.simnet import SimNetwork
 from repro.node.devices import DeviceGroup, DeviceReplica, UpdateLog
-from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem
 from repro.node.sync import PendingUpdate
 
@@ -94,33 +88,16 @@ class TestDeviceGroup:
 
 class TestEndToEndDeviceSync:
     @pytest.fixture()
-    def world(self):
-        loop = EventLoop()
-        network = SimNetwork(loop)
-        overlay = PastryOverlay()
-        registry = BootstrapRegistry()
-        nodes = {}
-
-        def make(name, seed):
-            node = SoupNode(
-                name=name, network=network, overlay=overlay, registry=registry,
-                peer_resolver=nodes.get, config=SoupConfig(), seed=seed,
-                key_bits=256,
-            )
-            nodes[node.node_id] = node
-            return node
-
-        boot = make("boot", 1)
-        boot.join()
-        boot.make_bootstrap_node()
-        peers = [make(f"p{i}", 10 + i) for i in range(6)]
-        for peer in peers:
-            peer.join()
-        owner = make("owner", 99)
-        owner.join()
-        for other in peers + [boot]:
+    def world(self, cluster):
+        cluster.add("boot", seed=1)
+        for i in range(6):
+            cluster.add(f"p{i}", seed=10 + i)
+        owner = cluster.add("owner", seed=99)
+        cluster.join_all()
+        for other in cluster.users[:-1]:
             owner.contact(other.node_id)
         owner.run_selection_round()
+        loop = cluster.network.loop
         loop.run_until(loop.now + 5)
         return loop, owner
 

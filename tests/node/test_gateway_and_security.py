@@ -3,36 +3,19 @@ hardening (Sec. 3.4)."""
 
 import pytest
 
-from repro.core.config import SoupConfig
 from repro.core.objects import ObjectType, SoupObject
-from repro.dht.bootstrap import BootstrapRegistry
-from repro.dht.pastry import PastryOverlay
-from repro.network.events import EventLoop
-from repro.network.simnet import SimNetwork
-from repro.node.middleware import SoupNode
 
 
 @pytest.fixture()
-def world():
-    loop = EventLoop()
-    network = SimNetwork(loop)
-    overlay = PastryOverlay()
-    registry = BootstrapRegistry()
-    nodes = {}
-
+def world(cluster):
     def make(name, seed, mobile=False, relay_limit=4):
-        node = SoupNode(
-            name=name, network=network, overlay=overlay, registry=registry,
-            peer_resolver=nodes.get, config=SoupConfig(), seed=seed,
-            is_mobile=mobile, key_bits=256, mobile_relay_limit=relay_limit,
+        return cluster.add(
+            name, seed=seed, is_mobile=mobile, mobile_relay_limit=relay_limit
         )
-        nodes[node.node_id] = node
-        return node
 
     boot = make("boot", 1)
-    boot.join()
-    boot.make_bootstrap_node()
-    return loop, network, nodes, make, boot
+    cluster.join_all()
+    return cluster.network.loop, cluster.network, cluster.nodes, make, boot
 
 
 class TestGatewaySwitching:

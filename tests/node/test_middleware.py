@@ -1,53 +1,31 @@
 """Integration-level tests for SoupNode middleware."""
 
+import random
+
 import pytest
 
-from repro.core.config import SoupConfig
-from repro.dht.bootstrap import BootstrapRegistry
-from repro.dht.pastry import PastryOverlay
+from repro.deploy.cluster import Cluster
 from repro.network.events import EventLoop
 from repro.network.simnet import SimNetwork
-from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem
 
 
-class MiniSoup:
-    """A small SOUP network harness for middleware tests."""
-
-    def __init__(self, n_desktop=6, n_mobile=0, seed=5):
-        self.loop = EventLoop()
-        self.network = SimNetwork(self.loop)
-        self.overlay = PastryOverlay()
-        self.registry = BootstrapRegistry()
-        self.nodes = {}
-        self.users = []
-        for i in range(n_desktop + n_mobile):
-            node = SoupNode(
-                name=f"u{i}",
-                network=self.network,
-                overlay=self.overlay,
-                registry=self.registry,
-                peer_resolver=self.nodes.get,
-                config=SoupConfig(),
-                seed=seed + i,
-                is_mobile=i >= n_desktop,
-                key_bits=256,
-            )
-            self.nodes[node.node_id] = node
-            self.users.append(node)
-        self.users[0].join()
-        self.users[0].make_bootstrap_node()
-        for node in self.users[1:]:
-            node.join(bootstrap_id=self.users[0].node_id)
-        self.loop.run_until(self.loop.now + 1)
-
-    def settle(self, seconds=5.0):
-        self.loop.run_until(self.loop.now + seconds)
+def settle(net, seconds=5.0):
+    loop = net.network.loop
+    loop.run_until(loop.now + seconds)
 
 
 @pytest.fixture(scope="module")
 def net():
-    return MiniSoup(n_desktop=6, n_mobile=2)
+    """A small SOUP network, six desktops and two phones, shared by the
+    module: later tests build on friendships formed by earlier ones."""
+    cluster = Cluster(SimNetwork(EventLoop()), random.Random(5), key_bits=256)
+    cluster.overlay.set_liveness(None)  # offline nodes stay parked in the ring
+    for i in range(8):
+        cluster.add(f"u{i}", seed=5 + i, is_mobile=i >= 6)
+    cluster.join_all()
+    settle(cluster, 1)
+    return cluster
 
 
 def test_all_nodes_join_and_publish(net):
@@ -121,7 +99,7 @@ def test_message_to_online_friend(net):
     a, b = net.users[1], net.users[3]
     count_before = len(b.applications.messages_received())
     assert a.send_message(b.node_id, "hello")
-    net.settle()
+    settle(net)
     assert len(b.applications.messages_received()) == count_before + 1
 
 
@@ -134,10 +112,10 @@ def test_message_to_offline_friend_via_mirrors(net):
     b.run_selection_round()
     b.go_offline()
     assert a.send_message(b.node_id, "offline msg")
-    net.settle()
+    settle(net)
     count_before = len(b.applications.messages_received())
     b.go_online()
-    net.settle()
+    settle(net)
     received = b.applications.messages_received()
     assert len(received) > count_before
     assert any(

@@ -2,43 +2,22 @@
 
 import pytest
 
-from repro.core.config import SoupConfig
-from repro.dht.bootstrap import BootstrapRegistry
-from repro.dht.pastry import PastryOverlay
-from repro.network.events import EventLoop
-from repro.network.simnet import SimNetwork
-from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem
 
 
 @pytest.fixture()
-def world():
-    loop = EventLoop()
-    network = SimNetwork(loop)
-    overlay = PastryOverlay()
-    registry = BootstrapRegistry()
-    nodes = {}
-
+def world(cluster):
     def make(name, seed, **kwargs):
-        node = SoupNode(
-            name=name, network=network, overlay=overlay, registry=registry,
-            peer_resolver=nodes.get, config=SoupConfig(), seed=seed,
-            key_bits=256, **kwargs,
-        )
-        nodes[node.node_id] = node
-        return node
+        return cluster.add(name, seed=seed, **kwargs)
 
     boot = make("boot", 1)
-    boot.join()
-    boot.make_bootstrap_node()
     users = [make(f"u{i}", 10 + i) for i in range(8)]
-    for user in users:
-        user.join()
-    for a in [boot] + users:
-        for b in [boot] + users:
+    cluster.join_all()
+    for a in cluster.users:
+        for b in cluster.users:
             if a is not b:
                 a.contact(b.node_id)
-    return loop, network, nodes, boot, users, make
+    return cluster.network.loop, cluster.network, cluster.nodes, boot, users, make
 
 
 def test_offline_node_selection_round_is_noop(world):

@@ -8,50 +8,25 @@ re-admit the peer, and failed directory publishes back off.
 
 import pytest
 
-from repro.core.config import SoupConfig
-from repro.dht.bootstrap import BootstrapRegistry
 from repro.dht.pastry import PastryOverlay
 from repro.dht.storage import DirectoryEntry
 from repro.network.events import EventLoop
 from repro.network.simnet import SimNetwork
 from repro.node.interface_manager import InterfaceManager
-from repro.node.middleware import SoupNode
-
-
-class Harness:
-    def __init__(self, n=8, seed=11):
-        self.loop = EventLoop()
-        self.network = SimNetwork(self.loop)
-        self.overlay = PastryOverlay()
-        self.registry = BootstrapRegistry()
-        self.nodes = {}
-        self.users = []
-        for i in range(n):
-            node = SoupNode(
-                name=f"u{i}",
-                network=self.network,
-                overlay=self.overlay,
-                registry=self.registry,
-                peer_resolver=self.nodes.get,
-                config=SoupConfig(),
-                seed=seed + i,
-                key_bits=256,
-            )
-            self.nodes[node.node_id] = node
-            self.users.append(node)
-        self.users[0].join()
-        self.users[0].make_bootstrap_node()
-        for node in self.users[1:]:
-            node.join(bootstrap_id=self.users[0].node_id)
-        self.loop.run_until(self.loop.now + 1)
-
-    def settle(self, seconds=30.0):
-        self.loop.run_until(self.loop.now + seconds)
 
 
 @pytest.fixture()
-def harness():
-    return Harness()
+def harness(cluster):
+    for i in range(8):
+        cluster.add(f"u{i}", seed=11 + i)
+    cluster.join_all()
+    settle(cluster, 1)
+    return cluster
+
+
+def settle(harness, seconds=30.0):
+    loop = harness.network.loop
+    loop.run_until(loop.now + seconds)
 
 
 def mirrored_node(harness):
@@ -60,7 +35,7 @@ def mirrored_node(harness):
         if other is not node:
             node.contact(other.node_id)
     accepted = node.run_selection_round()
-    harness.settle()
+    settle(harness)
     assert accepted
     return node, accepted
 

@@ -7,42 +7,17 @@ further passed on to v's mirrors x and y."
 
 import pytest
 
-from repro.core.config import SoupConfig
-from repro.dht.bootstrap import BootstrapRegistry
-from repro.dht.pastry import PastryOverlay
-from repro.network.events import EventLoop
-from repro.network.simnet import SimNetwork
-from repro.node.middleware import SoupNode
-
 
 @pytest.fixture()
-def world():
-    loop = EventLoop()
-    network = SimNetwork(loop)
-    overlay = PastryOverlay()
-    registry = BootstrapRegistry()
-    nodes = {}
-
-    def make(name, seed):
-        node = SoupNode(
-            name=name, network=network, overlay=overlay, registry=registry,
-            peer_resolver=nodes.get, config=SoupConfig(), seed=seed, key_bits=256,
-        )
-        nodes[node.node_id] = node
-        return node
-
-    boot = make("boot", 1)
-    boot.join()
-    boot.make_bootstrap_node()
-    users = [make(f"u{i}", 10 + i) for i in range(10)]
-    for user in users:
-        user.join()
-    everyone = [boot] + users
-    for a in everyone:
-        for b in everyone:
+def world(cluster):
+    boot = cluster.add("boot", seed=1)
+    users = [cluster.add(f"u{i}", seed=10 + i) for i in range(10)]
+    cluster.join_all()
+    for a in cluster.users:
+        for b in cluster.users:
             if a is not b:
                 a.contact(b.node_id)
-    return loop, network, nodes, boot, users
+    return cluster.network.loop, cluster.network, cluster.nodes, boot, users
 
 
 def test_update_forwarded_to_mirrors_mirrors(world):

@@ -1,5 +1,7 @@
 """Tests for the experiment CLI."""
 
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -23,6 +25,16 @@ def test_table3_full_scale(capsys):
     assert code == 0
     assert "facebook" in out and "90269" in out
     assert "6.71" in out
+
+
+def test_table4_without_benchmarks_package_exits_one(capsys, monkeypatch):
+    """Run from outside the repo root, ``benchmarks`` is not importable."""
+    monkeypatch.delitem(
+        sys.modules, "benchmarks.test_table4_related_work", raising=False
+    )
+    monkeypatch.setitem(sys.modules, "benchmarks", None)
+    assert main(["table4"]) == 1
+    assert "requires the benchmarks directory" in capsys.readouterr().err
 
 
 def test_fig5_small(capsys):

@@ -4,6 +4,7 @@
 names lazily (PEP 562): a process that only runs ``SoupNode`` on
 ``LiveTransport`` used to sit at ~54 MB after imports, half of it numpy,
 networkx and ``repro.sim`` pulled in by the package ``__init__`` modules.
+The cluster builder (``repro.deploy.cluster``) is on that path too.
 """
 
 import os
@@ -17,6 +18,7 @@ PROBE = """
 import sys
 import repro.node.middleware
 import repro.deploy.live.transport
+import repro.deploy.cluster
 heavy = sorted(
     name for name in sys.modules
     if name.split(".")[0] in ("numpy", "networkx") or name.startswith("repro.sim")
