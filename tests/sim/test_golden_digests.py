@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.config import SoupConfig
 from repro.graphs.datasets import generate_dataset
 from repro.obs import Tracer, set_tracer
 from repro.sim import invariants
@@ -39,7 +40,12 @@ GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
 #: settings, fig8 altruists with faults layered on top), a non-default
 #: architecture with the shadow-DHT probe, and one adversarial run in
 #: which protective dropping really blacklists (sybil flooding + slander +
-#: mass departure + repair; 451 base nodes + 226 sybils, 3 days).
+#: mass departure + repair; 451 base nodes + 226 sybils, 3 days).  The last
+#: four (PR 23) pin branches the default path never takes: tie-weighted
+#: reports + the per-mirror request capacity + forged, reordered and
+#: duplicated experience reports; the ``by_cap`` normalisation (reports read
+#: by attribute in ``update_experience``); the cache read path; traitors
+#: with proactive repair.
 SCENARIOS = [
     (
         "fig5_availability",
@@ -101,6 +107,51 @@ SCENARIOS = [
             departure_day=1.5,
             slander_fraction=0.1,
             sybil_fraction=0.5,
+            repair=True,
+        ),
+    ),
+    (
+        "ties_capacity_report_faults",
+        dict(
+            dataset="facebook",
+            scale=0.01,
+            n_days=5,
+            seed=13,
+            use_tie_strength=True,
+            mirror_request_capacity=3,
+            slander_fraction=0.05,
+            faults="reorder:from_epoch=24;stale_reports:rate=0.5:from_epoch=24",
+        ),
+    ),
+    (
+        "by_cap_normalization",
+        dict(
+            dataset="facebook",
+            scale=0.01,
+            n_days=4,
+            seed=17,
+            soup=SoupConfig(experience_normalization="by_cap"),
+        ),
+    ),
+    (
+        "arch_cache",
+        dict(
+            dataset="facebook",
+            scale=0.01,
+            n_days=4,
+            seed=19,
+            architecture="cache",
+        ),
+    ),
+    (
+        "traitors_repair",
+        dict(
+            dataset="facebook",
+            scale=0.01,
+            n_days=5,
+            seed=23,
+            traitor_fraction=0.05,
+            betrayal_day=3.0,
             repair=True,
         ),
     ),
