@@ -15,8 +15,8 @@ observed, and ``n`` the number of reporting friends (Sec. 4.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence
 
 
 @dataclass
@@ -42,8 +42,7 @@ class ObservationRecord:
         return ObservationRecord(self.requests, self.successes)
 
 
-@dataclass(frozen=True)
-class ExperienceReport:
+class ExperienceReport(NamedTuple):
     """One friend's report about one mirror, as received in an ES exchange.
 
     ``observations`` is already capped at ``o_max`` by the sender;
@@ -53,6 +52,9 @@ class ExperienceReport:
     close friends above those from mere acquaintances.  ``bandwidth_kb_s``
     optionally carries the observed mirror bandwidth for the extended
     recommendations of Sec. 8 (None in the base protocol).
+
+    A plain tuple underneath: an exchange round builds one per observed
+    mirror per friend, and receivers unpack it.
     """
 
     reporter: int
@@ -92,6 +94,18 @@ class ExperienceSet:
         if success:
             counter[1] += 1
 
+    def observe_fetch(self, mirrors: Sequence[int], outcomes: Sequence[bool]) -> None:
+        """Record one fetch attempt at every mirror of the friend at once:
+        ``observe(mirror, outcome)`` for each pair, in order."""
+        counts = self._counts
+        for mirror, success in zip(mirrors, outcomes):
+            counter = counts.get(mirror)
+            if counter is None:
+                counter = counts[mirror] = [0, 0]
+            counter[0] += 1
+            if success:
+                counter[1] += 1
+
     def record_for(self, mirror: int) -> ObservationRecord:
         """The accumulated record for ``mirror`` (empty if never observed)."""
         counter = self._counts.get(mirror)
@@ -111,18 +125,13 @@ class ExperienceSet:
         Capping at ``o_max`` enforces the paper's security trade-off: no
         single (possibly malicious) reporter can claim unbounded influence.
         """
-        reports = []
-        for mirror, (requests, successes) in self._counts.items():
-            if requests == 0:
-                continue
-            reports.append(
-                ExperienceReport(
-                    reporter=reporter,
-                    mirror=mirror,
-                    observations=min(requests, o_max),
-                    availability=successes / requests,
-                )
+        reports = [
+            ExperienceReport(
+                reporter, mirror, min(requests, o_max), successes / requests
             )
+            for mirror, (requests, successes) in self._counts.items()
+            if requests
+        ]
         self._counts.clear()
         return reports
 

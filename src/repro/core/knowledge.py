@@ -9,7 +9,7 @@ and a TTL "that decreases every time u does not choose v as a mirror"
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 @dataclass
@@ -42,7 +42,9 @@ class KnowledgeBase:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[KBEntry]:
-        return iter(list(self._entries.values()))
+        """The entries in insertion order — a live view: do not add or
+        prune entries while iterating."""
+        return iter(self._entries.values())
 
     def get(self, node_id: int) -> Optional[KBEntry]:
         return self._entries.get(node_id)
@@ -67,15 +69,25 @@ class KnowledgeBase:
 
     def set_experience(self, node_id: int, experience: float) -> None:
         """Record a new Eq.-(1) experience value for a (candidate) mirror."""
-        entry = self.add_node(node_id)
-        entry.experience = max(0.0, min(1.0, experience))
-        entry.ttl = self.default_ttl
+        self.set_experiences(((node_id, experience),))
+
+    def set_experiences(self, values: Iterable[Tuple[int, float]]) -> None:
+        """Record ``(node, experience)`` pairs in order: each value is
+        clamped to [0, 1], an unknown node is learnt, the TTL restarts."""
+        entries = self._entries
+        default_ttl = self.default_ttl
+        for node_id, experience in values:
+            entry = entries.get(node_id)
+            if entry is None:
+                entry = self.add_node(node_id)
+            entry.experience = max(0.0, min(1.0, experience))
+            entry.ttl = default_ttl
 
     def experience_of(self, node_id: int) -> float:
         entry = self._entries.get(node_id)
         return entry.experience if entry is not None else 0.0
 
-    def mark_mirrors(self, mirrors: Iterator[int]) -> None:
+    def mark_mirrors(self, mirrors: Iterable[int]) -> None:
         """Flag the current mirror set and refresh those entries' TTLs."""
         mirror_set = set(mirrors)
         for entry in self._entries.values():
@@ -98,6 +110,51 @@ class KnowledgeBase:
                 pruned.append(node_id)
                 del self._entries[node_id]
         return pruned
+
+    def end_selection_round(self, mirrors: Iterable[int]) -> List[int]:
+        """:meth:`mark_mirrors` then :meth:`decay_ttls` in one pass over
+        the entries — what closes every selection round.  Returns the ids
+        of pruned entries."""
+        mirror_set = set(mirrors)
+        default_ttl = self.default_ttl
+        pruned = []
+        for node_id, entry in self._entries.items():
+            if node_id in mirror_set:
+                entry.is_mirror = True
+                entry.ttl = default_ttl
+                continue
+            entry.is_mirror = False
+            if not entry.is_friend:
+                entry.ttl -= 1
+                if entry.ttl <= 0:
+                    pruned.append(node_id)
+        for node_id in pruned:
+            del self._entries[node_id]
+        return pruned
+
+    def selection_view(
+        self,
+    ) -> Tuple[List[Tuple[int, float]], List[int], List[int], List[int]]:
+        """What one selection round reads, from one pass over the entries:
+        ``(ranked, friends, unranked, known)`` — the candidates with
+        positive experience, best first (:meth:`ranked_candidates` minus
+        its zero-experience tail), then :meth:`friends`,
+        :meth:`unranked_nodes` and every known id, each in KB order."""
+        positive: List[Tuple[float, int]] = []
+        friends: List[int] = []
+        unranked: List[int] = []
+        for node_id, entry in self._entries.items():
+            if entry.is_friend:
+                friends.append(node_id)
+            experience = entry.experience
+            if experience > 0.0:
+                positive.append((-experience, node_id))
+            else:
+                unranked.append(node_id)
+        # Native tuple order == ranked_candidates' (-experience, id) key.
+        positive.sort()
+        ranked = [(node_id, -negated) for negated, node_id in positive]
+        return ranked, friends, unranked, list(self._entries)
 
     def ranked_candidates(self) -> List[Tuple[int, float]]:
         """All known nodes sorted by experience value, best first."""

@@ -39,8 +39,8 @@ class Recommendation:
 class BootstrapRanker:
     """Ranks candidates from stranger recommendations (Sec. 4.3).
 
-    The rank of a candidate is the recency-weighted mean of the qualities
-    attached to its recommendations, discounted because stranger
+    The rank of a candidate is the plain mean of the qualities attached
+    to its recommendations, discounted because stranger
     recommendations are less trustworthy than own-friend experience: the
     paper notes a recommended mirror "might not be a good choice for u for
     various reasons" and bootstrapping should not be used for long.
@@ -70,12 +70,12 @@ class BootstrapRanker:
 
     def ranking(self) -> List[Tuple[int, float]]:
         """Candidates with discounted mean quality, best first."""
-        ranked = [
-            (mirror, self.TRUST_DISCOUNT * (sum(qualities) / len(qualities)))
+        discount = self.TRUST_DISCOUNT
+        ranked = sorted(
+            (-(discount * (sum(qualities) / len(qualities))), mirror)
             for mirror, qualities in self._qualities.items()
-        ]
-        ranked.sort(key=lambda pair: (-pair[1], pair[0]))
-        return ranked
+        )
+        return [(mirror, -negated) for negated, mirror in ranked]
 
     def fallback_ranking(
         self, contacts: Iterable[int], rng: random.Random
@@ -86,6 +86,29 @@ class BootstrapRanker:
         pool = list(contacts)
         rng.shuffle(pool)
         return [(node, self._config.bootstrap_prior) for node in pool]
+
+
+def candidate_ranking(
+    knowledge: KnowledgeBase, bootstrap: BootstrapRanker, prior: float
+) -> Tuple[List[Tuple[int, float]], List[int], List[int]]:
+    """Algorithm 1's inputs for one owner: ``(ranking, friends, unranked)``.
+
+    The ranking is assembled in trust order: (1) first-hand Eq.-(1)
+    experience; (2) stranger recommendations (bootstrap mode); (3) every
+    other known contact at the bootstrap ``prior`` — the paper's "randomly
+    select mirrors from her contacts" fallback, which also keeps
+    Algorithm 1 supplied with trial candidates until enough measured
+    mirrors exist to reach the ε target.  ``friends`` and ``unranked``
+    (the exploration pool) come from the same knowledge-base pass.
+    """
+    ranking, friends, unranked, known_ids = knowledge.selection_view()
+    ranked = {candidate for candidate, _ in ranking}
+    for candidate, rank in bootstrap.ranking():
+        if candidate not in ranked:
+            ranking.append((candidate, rank))
+            ranked.add(candidate)
+    ranking += [(node_id, prior) for node_id in known_ids if node_id not in ranked]
+    return ranking, friends, unranked
 
 
 class RegularRanker:
@@ -117,10 +140,10 @@ class RegularRanker:
             self._config.o_max,
             normalization=self._config.experience_normalization,
         )
-        for mirror, value in updated.items():
-            if mirror == self._knowledge.owner:
-                continue
-            self._knowledge.set_experience(mirror, value)
+        owner = self._knowledge.owner
+        self._knowledge.set_experiences(
+            (mirror, value) for mirror, value in updated.items() if mirror != owner
+        )
         return updated
 
     def _ingest_aged_counts(self, reports: Iterable[ExperienceReport]) -> Dict[int, float]:
@@ -139,27 +162,29 @@ class RegularRanker:
 
         updated: Dict[int, float] = {}
         owner = self._knowledge.owner
-        for report in reports:
-            if report.mirror == owner:
+        counters = self._counters
+        for _reporter, mirror, observations, availability, weight, _bw in reports:
+            if mirror == owner:
                 continue
             # Per-friend cap first (Eq. 1's security property), then the
             # extension weight (tie strength, Sec. 8) scales the influence.
-            weight = min(report.observations, o_max) * max(0.0, report.weight)
+            weight = min(observations, o_max) * max(0.0, weight)
             if weight <= 0:
                 continue
-            counter = self._counters.setdefault(report.mirror, [0.0, 0.0])
+            counter = counters.get(mirror)
+            if counter is None:
+                counter = counters[mirror] = [0.0, 0.0]
             counter[0] += weight
-            counter[1] += weight * report.availability
+            counter[1] += weight * availability
         prior = self._config.bootstrap_prior
         prior_weight = self._config.count_prior_weight
-        for mirror, (requests, successes) in self._counters.items():
+        for mirror, (requests, successes) in counters.items():
             if requests <= 0.0:
                 continue
             # Shrink toward the prior while observations are scarce.
             value = (successes + prior_weight * prior) / (requests + prior_weight)
-            value = max(0.0, min(1.0, value))
-            self._knowledge.set_experience(mirror, value)
-            updated[mirror] = value
+            updated[mirror] = max(0.0, min(1.0, value))
+        self._knowledge.set_experiences(updated.items())
         return updated
 
     def age_unreported(self, mirrors: Iterable[int], reported: Iterable[int]) -> None:

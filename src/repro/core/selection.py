@@ -19,7 +19,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import AbstractSet, Container, Iterable, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import (
+    AbstractSet,
+    Collection,
+    Container,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.config import SoupConfig
 
@@ -53,7 +64,8 @@ class Exclusion:
     ``holding`` the mirrors that already store its replica, which stay
     selectable while unreachable.  Building one costs O(1), asking it
     costs O(1) — where a materialised set would cost the population size
-    per owner.
+    per owner; :meth:`among` materialises only the part that concerns a
+    given handful of candidates.
     """
 
     __slots__ = ("own", "unreachable", "holding")
@@ -72,6 +84,14 @@ class Exclusion:
         return node_id in self.own or (
             node_id in self.unreachable and node_id not in self.holding
         )
+
+    def among(self, ids: Collection[int]) -> Set[int]:
+        """The members of ``ids`` that are excluded, as a plain set — built
+        in O(len(ids)) by set algebra, without touching the rest of
+        ``unreachable``."""
+        return (
+            self.unreachable.intersection(ids) - self.holding
+        ) | self.own.intersection(ids)
 
 
 def boosted_rank(rank: float, is_friend: bool, beta: float) -> float:
@@ -95,11 +115,15 @@ def select_mirrors(
     either ranking mode, best first.  ``exploration_pool`` holds known but
     unranked nodes eligible as the random addition.  ``exclude`` holds the
     nodes that must never be chosen (the owner itself, blacklisting peers,
-    unreachable ones); it is only ever asked ``in`` — a set, or an
-    :class:`Exclusion` over a shared population-sized one.
+    unreachable ones): a set, or an :class:`Exclusion` over a shared
+    population-sized one, of which only the part among the candidates is
+    materialised.
     """
     # Only ever asked about candidates, which are not excluded.
     friend_set: Set[int] = set(friends)
+    if isinstance(exclude, Exclusion):
+        exploration_pool = list(exploration_pool)
+        exclude = exclude.among([node for node, _ in ranking] + exploration_pool)
 
     candidates = [
         (node, max(0.0, min(1.0, rank)))
@@ -110,7 +134,7 @@ def select_mirrors(
     # candidates at the bootstrap prior) break randomly instead of by node
     # id — otherwise the whole OSN would pile onto the same few nodes.
     rng.shuffle(candidates)
-    candidates.sort(key=lambda pair: -pair[1])
+    candidates.sort(key=itemgetter(1), reverse=True)
 
     # --- Stage 1: greedy until perr < epsilon ---------------------------
     mirrors: List[int] = []
@@ -135,13 +159,13 @@ def select_mirrors(
         if node in friend_set and node not in selected
     ]
     # Best spare friends first, so the strongest friends do the replacing.
-    spare_friends.sort(key=lambda pair: -pair[1])
+    spare_friends.sort(key=itemgetter(1), reverse=True)
     replacements: List[Tuple[int, int]] = []
     for index, stranger in enumerate(list(mirrors)):
         if stranger in friend_set:
             continue
         stranger_rank = ranks.get(stranger, 0.0)
-        while spare_friends:
+        if spare_friends:
             friend, friend_rank = spare_friends[0]
             if boosted_rank(friend_rank, True, config.beta) > stranger_rank:
                 mirrors[index] = friend
@@ -149,7 +173,6 @@ def select_mirrors(
                 selected.add(friend)
                 replacements.append((stranger, friend))
                 spare_friends.pop(0)
-            break
 
     # --- Stage 3: random exploration --------------------------------------
     exploration_candidates = [

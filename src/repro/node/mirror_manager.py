@@ -21,7 +21,12 @@ from repro.core.config import SoupConfig
 from repro.core.dropping import ReplicaStore, StoreDecision
 from repro.core.experience import ExperienceReport, ExperienceSet
 from repro.core.knowledge import KnowledgeBase
-from repro.core.ranking import BootstrapRanker, Recommendation, RegularRanker
+from repro.core.ranking import (
+    BootstrapRanker,
+    Recommendation,
+    RegularRanker,
+    candidate_ranking,
+)
 from repro.core.selection import SelectionResult, select_mirrors
 from repro.node.devices import UpdateLog
 from repro.node.sync import PendingUpdate, UpdateBuffer
@@ -132,49 +137,38 @@ class MirrorManager:
         return count
 
     # --- selection -------------------------------------------------------------
-    def build_ranking(self, friends: Iterable[int]) -> List[Tuple[int, float]]:
+    def build_ranking(self) -> List[Tuple[int, float]]:
         """Candidate ranking: experience, then recommendations, then the
         bootstrap prior for every other known contact."""
-        ranking = [
-            (candidate, rank)
-            for candidate, rank in self.ranker.ranking()
-            if rank > 0.0
-        ]
-        known = {candidate for candidate, _ in ranking}
-        for candidate, rank in self.bootstrap.ranking():
-            if candidate not in known:
-                ranking.append((candidate, rank))
-                known.add(candidate)
-        prior = self.config.bootstrap_prior
-        ranking += [
-            (entry.node_id, prior)
-            for entry in self.knowledge
-            if entry.node_id not in known
-        ]
-        return ranking
+        return candidate_ranking(
+            self.knowledge, self.bootstrap, self.config.bootstrap_prior
+        )[0]
 
     def run_selection(self, exclude: Iterable[int] = ()) -> SelectionResult:
         """Run Algorithm 1 over the current ranking."""
         excluded = (
             {self.owner_id} | set(exclude) | self.rejected_by | self.dead_mirrors
         )
+        ranking, friends, unranked = candidate_ranking(
+            self.knowledge, self.bootstrap, self.config.bootstrap_prior
+        )
         if self.selection_strategy is None:
             result = select_mirrors(
-                ranking=self.build_ranking(self.knowledge.friends()),
-                friends=self.knowledge.friends(),
+                ranking=ranking,
+                friends=friends,
                 config=self.config,
                 rng=self.rng,
-                exploration_pool=self.knowledge.unranked_nodes(),
+                exploration_pool=unranked,
                 exclude=excluded,
             )
         else:
             result = self.selection_strategy.select(
                 self.owner_id,
-                self.build_ranking(self.knowledge.friends()),
-                self.knowledge.friends(),
+                ranking,
+                friends,
                 self.config,
                 self.rng,
-                exploration_pool=self.knowledge.unranked_nodes(),
+                exploration_pool=unranked,
                 exclude=excluded,
             )
         self.rejected_by.clear()
@@ -217,8 +211,7 @@ class MirrorManager:
     def commit_mirrors(self, accepted: List[int]) -> None:
         """Record the mirror set that actually accepted our replicas."""
         self.announced_mirrors = list(accepted)
-        self.knowledge.mark_mirrors(iter(accepted))
-        self.knowledge.decay_ttls()
+        self.knowledge.end_selection_round(accepted)
         if self.selection_strategy is not None:
             self.selection_strategy.on_commit(self.owner_id, list(accepted), 0)
 

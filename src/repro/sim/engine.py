@@ -21,9 +21,11 @@ stores their replica is online.
 
 from __future__ import annotations
 
+import gc
 import logging
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -45,7 +47,12 @@ from repro.behavior.online import OnlineModel, sample_timezones
 from repro.core.config import SoupConfig
 from repro.core.dropping import ReplicaStore
 from repro.core.knowledge import KnowledgeBase
-from repro.core.ranking import BootstrapRanker, Recommendation, RegularRanker
+from repro.core.ranking import (
+    BootstrapRanker,
+    Recommendation,
+    RegularRanker,
+    candidate_ranking,
+)
 from repro.core.selection import Exclusion, select_mirrors
 from repro.core.experience import ExperienceReport, ExperienceSet
 from repro.extensions.ties import TieStrengthModel, weigh_reports_by_tie
@@ -488,6 +495,14 @@ class SoupSimulation:
 
         self._tracer = get_tracer()
         push_registry(self.metrics)
+        # The engine's heap is acyclic — reference counting frees all of
+        # it — so the cyclic collector's automatic passes over up to a
+        # million long-lived objects only cost time (measured: a fifth of
+        # run(), nothing freed; docs/OBSERVABILITY.md).  One young-
+        # generation pass per epoch still bounds whatever cycles a
+        # strategy or tracer might create.
+        collector_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             for epoch in range(n_epochs):
                 if PROFILER.enabled:
@@ -498,6 +513,8 @@ class SoupSimulation:
                         availability, overhead, cohorts, cohort_series,
                         snapshot_epochs,
                     )
+                    with PROFILER.span("engine.collect"):
+                        gc.collect(1)
                 if (
                     PROFILER.enabled
                     and PROFILER.trace
@@ -512,6 +529,8 @@ class SoupSimulation:
                         },
                     )
         finally:
+            if collector_was_enabled:
+                gc.enable()
             if PROFILER.enabled:
                 PROFILER.set_epoch(None)
             pop_registry()
@@ -801,24 +820,27 @@ class SoupSimulation:
             # experience set records *nothing* for this read.  Starving
             # Eq. (1) of observations is the cache tier's real trade-off.
             return
-        es = node.experience_set_for(friend.node_id)
+        friend_id = friend.node_id
+        mirrors = friend.announced_mirrors
         online_now = self._online_flags_at(epoch)
+        locations = self.replica_locations
+        outcomes = [
+            online_now[mirror_id] and friend_id in locations[mirror_id]
+            for mirror_id in mirrors
+        ]
         capacity = self.config.mirror_request_capacity
-        served_any = False
-        for mirror_id in friend.announced_mirrors:
-            stores = friend.node_id in self.replica_locations.get(mirror_id, ())
-            success = online_now[mirror_id] and stores
-            if success and capacity is not None:
-                served = self._served_this_epoch.get(mirror_id, 0)
-                if served >= capacity:
-                    success = False  # request denied: mirror overloaded
-                else:
-                    self._served_this_epoch[mirror_id] = served + 1
-            if success:
-                served_any = True
-            es.observe(mirror_id, success)
+        if capacity is not None:
+            served_by = self._served_this_epoch
+            for index, mirror_id in enumerate(mirrors):
+                if outcomes[index]:
+                    served = served_by.get(mirror_id, 0)
+                    if served >= capacity:
+                        outcomes[index] = False  # request denied: mirror overloaded
+                    else:
+                        served_by[mirror_id] = served + 1
+        node.experience_set_for(friend_id).observe_fetch(mirrors, outcomes)
         if read_path is not None:
-            read_path.on_fetch(node.node_id, friend.node_id, epoch, served_any)
+            read_path.on_fetch(node.node_id, friend_id, epoch, any(outcomes))
 
     # ------------------------------------------------------------------
     # selection rounds
@@ -892,33 +914,41 @@ class SoupSimulation:
 
     def _exchange_experience(self, node: _NodeState, epoch: int = 0) -> None:
         """Send ES_u(w) to every friend w; swap stored-owner lists."""
+        nodes = self.nodes
+        node_id = node.node_id
+        o_max = self.soup.o_max
+        ties = self.ties
+        faults = self.faults
+        slander = self.slander if node.is_slanderer else None
+        experience_sets = node.experience_sets
+        store = node.store
+        # A node that stores nothing has no dropping score to update (and
+        # cannot start storing inside this loop).
+        stores_any = store.replica_count() > 0
         for friend_id in node.friends:
-            friend = self.nodes[friend_id]
+            friend = nodes[friend_id]
             if not friend.joined or friend.departed:
                 continue
-            if node.is_slanderer and self.slander is not None:
-                reports = self.slander.forge_reports(
-                    node.node_id, friend.announced_mirrors, self.soup.o_max
+            if slander is not None:
+                reports = slander.forge_reports(
+                    node_id, friend.announced_mirrors, o_max
                 )
             else:
-                es = node.experience_sets.get(friend_id)
-                if es is None or len(es) == 0:
-                    reports = []
-                else:
-                    reports = es.drain(node.node_id, self.soup.o_max)
-            if self.ties is not None and reports:
-                reports = weigh_reports_by_tie(reports, friend_id, self.ties)
-            if self.faults is not None:
-                reports = self.faults.tamper_reports(
-                    node.node_id, friend_id, reports, epoch
-                )
-            friend.pending_reports.extend(reports)
+                es = experience_sets.get(friend_id)
+                reports = es.drain(node_id, o_max) if es else []
+            if ties is not None and reports:
+                reports = weigh_reports_by_tie(reports, friend_id, ties)
+            if faults is not None:
+                reports = faults.tamper_reports(node_id, friend_id, reports, epoch)
+            if reports:
+                friend.pending_reports.extend(reports)
 
             # Dropping-score exchange: learn who stores at the friend.
-            removed = node.store.learn_friend_storage(friend.store.stored_owner_view())
-            for owner in removed:
-                self.replica_locations[node.node_id].discard(owner)
-                self.mark_stale_announcement(owner, node.node_id)
+            if stores_any:
+                removed = store.learn_friend_storage(friend.store.stored_owner_view())
+                for owner in removed:
+                    self.replica_locations[node_id].discard(owner)
+                    self.mark_stale_announcement(owner, node_id)
 
     def _ingest_reports(self, node: _NodeState, epoch: int = 0) -> None:
         if not node.pending_reports:
@@ -949,48 +979,29 @@ class SoupSimulation:
             holding=holding,
         )
 
-        # Candidate ranking, in trust order: (1) first-hand Eq.-(1)
-        # experience; (2) stranger recommendations (bootstrap mode);
-        # (3) every other known contact at the bootstrap prior — the paper's
-        # "randomly select mirrors from her contacts" fallback, which also
-        # keeps Algorithm 1 supplied with trial candidates until enough
-        # measured mirrors exist to reach the ε target.
         with PROFILER.span("engine.scoring"):
-            ranking = [
-                (candidate, rank)
-                for candidate, rank in node.ranker.ranking()
-                if rank > 0.0
-            ]
-            known = {candidate for candidate, _ in ranking}
-            for candidate, rank in node.bootstrap.ranking():
-                if candidate not in known:
-                    ranking.append((candidate, rank))
-                    known.add(candidate)
-            prior = self.soup.bootstrap_prior
-            ranking += [
-                (entry.node_id, prior)
-                for entry in node.kb
-                if entry.node_id not in known
-            ]
+            ranking, friends, unranked = candidate_ranking(
+                node.kb, node.bootstrap, self.soup.bootstrap_prior
+            )
 
         with PROFILER.span("engine.selection"):
             if self._selection_strategy is None:
                 result = select_mirrors(
                     ranking=ranking,
-                    friends=node.kb.friends(),
+                    friends=friends,
                     config=self.soup,
                     rng=self.rng,
-                    exploration_pool=node.kb.unranked_nodes(),
+                    exploration_pool=unranked,
                     exclude=excluded,
                 )
             else:
                 result = self._selection_strategy.select(
                     node.node_id,
                     ranking,
-                    node.kb.friends(),
+                    friends,
                     self.soup,
                     self.rng,
-                    exploration_pool=node.kb.unranked_nodes(),
+                    exploration_pool=unranked,
                     exclude=excluded,
                 )
         node.rejected_by.clear()
@@ -1080,8 +1091,7 @@ class SoupSimulation:
         # The owner has just rebuilt its announced set from live accepts, so
         # earlier drop notices are no longer pending for it.
         self._stale_announced.pop(node.node_id, None)
-        node.kb.mark_mirrors(iter(accepted))
-        node.kb.decay_ttls()
+        node.kb.end_selection_round(accepted)
 
         # Mirrors still storing us but not announced would flag a mismatch;
         # honest owners announce exactly their accepted set, so only stale
@@ -1119,7 +1129,7 @@ class SoupSimulation:
 
     def _retry_pending_placements(self, node: _NodeState, epoch: int) -> bool:
         """Push deferred replicas to mirrors that have come online."""
-        online_now = self.online_matrix[:, epoch]
+        online_now = self._online_flags_at(epoch)
         friend_set = set(node.friends)
         placed = False
         for mirror_id in sorted(node.pending_placements):
@@ -1180,7 +1190,7 @@ class SoupSimulation:
         """
         rel = self.result.reliability
         assert rel is not None
-        online_now = self.online_matrix[:, epoch]
+        online_now = self._online_flags_at(epoch)
         dirty = False
         for raw_id in online_ids:
             node = self.nodes[int(raw_id)]
@@ -1365,14 +1375,20 @@ class SoupSimulation:
     # measurement
     # ------------------------------------------------------------------
     def _rebuild_pairs(self) -> None:
-        owners: List[int] = []
-        mirrors: List[int] = []
-        for mirror_id, stored in self.replica_locations.items():
-            for owner in stored:
-                owners.append(owner)
-                mirrors.append(mirror_id)
-        self._pair_owners = np.array(owners, dtype=np.int64)
-        self._pair_mirrors = np.array(mirrors, dtype=np.int64)
+        """Flatten ``replica_locations`` into parallel (owner, mirror)
+        arrays, mirror-major in the dict's own order."""
+        locations = self.replica_locations
+        counts = np.fromiter(
+            map(len, locations.values()), dtype=np.int64, count=len(locations)
+        )
+        self._pair_owners = np.fromiter(
+            chain.from_iterable(locations.values()),
+            dtype=np.int64,
+            count=int(counts.sum()),
+        )
+        self._pair_mirrors = np.repeat(
+            np.fromiter(locations, dtype=np.int64, count=len(locations)), counts
+        )
 
     def _joined_benign_mask(self) -> np.ndarray:
         return self._col_joined & ~self._col_departed & self._col_benign

@@ -75,7 +75,7 @@ def test_build_ranking_layers(manager):
         * 5
     )
     manager.ingest_pending_reports()
-    ranking = dict(manager.build_ranking([]))
+    ranking = dict(manager.build_ranking())
     assert set(ranking) >= {5, 6, 7}
     assert ranking[5] > ranking[6] > ranking[7] or ranking[5] > ranking[7]
 

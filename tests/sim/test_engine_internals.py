@@ -1,7 +1,11 @@
 """White-box tests of engine internals: exchanges, recommendations, ties."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.graphs.datasets import generate_dataset
 from repro.sim.engine import SoupSimulation
@@ -102,6 +106,23 @@ class TestMeasurement:
         online[mirror] = False
         flags = sim._availability_flags(online)
         assert not flags[owner]
+
+    @given(
+        locations=st.dictionaries(
+            st.integers(0, 30), st.sets(st.integers(0, 30), max_size=6), max_size=12
+        )
+    )
+    def test_rebuild_pairs_equals_the_nested_loop(self, locations):
+        owners, mirrors = [], []
+        for mirror_id, stored in locations.items():
+            for owner in stored:
+                owners.append(owner)
+                mirrors.append(mirror_id)
+        view = SimpleNamespace(replica_locations=locations)
+        SoupSimulation._rebuild_pairs(view)
+        assert view._pair_owners.dtype == view._pair_mirrors.dtype == np.int64
+        assert view._pair_owners.tolist() == owners
+        assert view._pair_mirrors.tolist() == mirrors
 
     def test_top_half_share_range(self):
         sim, config = build()
