@@ -5,7 +5,10 @@ The paper relies on two cryptographic building blocks:
 * **Asymmetric signatures** — every SOUP object is signed with the owner's
   1024-bit key, and the SOUP ID is a 64-bit SHA-256 hash over the public key
   (Sec. 3.2).  We implement textbook RSA from scratch (:mod:`repro.crypto.rsa`)
-  on top of a Miller-Rabin prime generator (:mod:`repro.crypto.primes`).
+  on top of a Miller-Rabin prime generator (:mod:`repro.crypto.primes`);
+  both do their modular exponentiations through one kernel,
+  :func:`repro.crypto.bignum.modexp` (OpenSSL's ``BN_mod_exp``, or builtin
+  ``pow`` where no libcrypto loads).
 
 * **Ciphertext-Policy Attribute-Based Encryption (CP-ABE)** — all user data is
   encrypted under an *access structure*; only requesters holding a satisfying
@@ -30,6 +33,7 @@ from repro.crypto.abe import (
     AbePublicParameters,
 )
 from repro.crypto.access import AccessStructure, attr, and_of, or_of, threshold
+from repro.crypto.bignum import modexp
 from repro.crypto.hashing import sha256, soup_id_from_public_key
 from repro.crypto.keys import KeyPair, SignedEnvelope, sign_payload, verify_envelope
 from repro.crypto.rsa import (
@@ -52,6 +56,7 @@ __all__ = [
     "and_of",
     "or_of",
     "threshold",
+    "modexp",
     "sha256",
     "soup_id_from_public_key",
     "KeyPair",

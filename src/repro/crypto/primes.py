@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from repro.crypto.bignum import modexp
+
 # Small primes used for fast trial division before Miller-Rabin.
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
@@ -25,7 +27,7 @@ _DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
     """Return True if ``a`` witnesses that ``n`` is composite."""
-    x = pow(a, d, n)
+    x = modexp(a, d, n)
     if x in (1, n - 1):
         return False
     for _ in range(r - 1):

@@ -5,6 +5,13 @@ and derives the user's SOUP ID from the public key (Sec. 3.2).  This module
 provides key generation (Miller-Rabin primes), low-level modular
 encrypt/decrypt, and hash-then-sign signatures.
 
+The scheme, its padding and key generation are ours; each modular
+exponentiation (both CRT halves of :func:`sign` / :func:`decrypt_int`,
+:func:`verify`, :func:`encrypt_int`) is one call of
+:func:`repro.crypto.bignum.modexp`, OpenSSL's ``BN_mod_exp`` where a
+libcrypto loads and builtin ``pow`` where none does — same bits either way.
+Modular inverses stay builtin ``pow(x, -1, m)``.
+
 .. warning::
    This is *simulation-grade* cryptography: deterministic hash padding, no
    OAEP/PSS, no constant-time arithmetic.  It exists so the reproduction has
@@ -19,6 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
+from repro.crypto.bignum import modexp
 from repro.crypto.primes import generate_prime
 from repro.obs import get_registry
 from repro.obs.profiling import PROFILER
@@ -68,8 +76,8 @@ class RsaPrivateKey:
     def _crt_pow(self, c: int) -> int:
         """Compute ``c**d mod n`` via the Chinese Remainder Theorem."""
         dp, dq, q_inv = self._crt
-        m1 = pow(c % self.p, dp, self.p)
-        m2 = pow(c % self.q, dq, self.q)
+        m1 = modexp(c % self.p, dp, self.p)
+        m2 = modexp(c % self.q, dq, self.q)
         h = (q_inv * (m1 - m2)) % self.p
         return m2 + h * self.q
 
@@ -114,7 +122,7 @@ def encrypt_int(message: int, public: RsaPublicKey) -> int:
     """Raw RSA encryption of an integer ``message < n``."""
     if not 0 <= message < public.n:
         raise RsaError("plaintext out of range for modulus")
-    return pow(message, public.e, public.n)
+    return modexp(message, public.e, public.n)
 
 
 def decrypt_int(ciphertext: int, private: RsaPrivateKey) -> int:
@@ -143,4 +151,4 @@ def verify(message: bytes, signature: int, public: RsaPublicKey) -> bool:
     if not 0 <= signature < public.n:
         return False
     with PROFILER.span("crypto.rsa.verify"):
-        return pow(signature, public.e, public.n) == _digest_as_int(message, public.n)
+        return modexp(signature, public.e, public.n) == _digest_as_int(message, public.n)

@@ -25,8 +25,11 @@ module supplies the machinery between the two:
 * :class:`ReliableEndpoint` — acknowledged sends: payloads travel in
   sequence-numbered :class:`Envelope` frames, receivers ack every frame
   (including duplicates) and deduplicate before delivering to the inner
-  handler, so *ack loss → retry* never applies an update twice.  Per-
-  message timers run on the transport's clock — the simulated
+  handler, so *ack loss → retry* never applies an update twice.  Each
+  envelope carries its origin's *floor* (lowest msg id still pending
+  there), so a receiver remembers only the ids its sender may still
+  resend — O(in flight) per origin, not O(history).  Per-message timers
+  run on the transport's clock — the simulated
   :class:`~repro.network.events.EventLoop` or the live asyncio clock, so
   the same reliability code runs on either backend.
 
@@ -41,7 +44,7 @@ import itertools
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.network.transport import Clock, TimerHandle, Transport
 from repro.obs import get_registry, get_tracer
@@ -284,6 +287,9 @@ class Envelope:
     origin: int
     attempt: int
     payload: Any
+    #: The origin's lowest still-pending msg id when this copy left: every
+    #: id below it is settled (acked or given up) and is never resent.
+    floor: int = 0
 
 
 @dataclass(frozen=True)
@@ -313,6 +319,38 @@ class ReliabilityStats:
         ):
             setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
+
+
+class _OriginLedger:
+    """What a receiver remembers about one origin to deliver at most once.
+
+    ``floor`` is the highest floor the origin has announced: ids below it
+    are settled there and can arrive again only as stale copies.  ``ids``
+    holds the delivered ids; it drops those below the floor whenever it
+    has doubled since its last prune, so it stays within twice the
+    origin's in-flight window (and at least :attr:`MIN_PRUNE_AT`).
+    """
+
+    __slots__ = ("floor", "ids", "prune_at")
+
+    MIN_PRUNE_AT = 16
+
+    def __init__(self) -> None:
+        self.floor = 0
+        self.ids: Set[int] = set()
+        self.prune_at = self.MIN_PRUNE_AT
+
+    def admit(self, msg_id: int, floor: int) -> bool:
+        """Record ``msg_id``; False if it was delivered or is below the floor."""
+        if floor > self.floor:
+            self.floor = floor
+        if msg_id < self.floor or msg_id in self.ids:
+            return False
+        self.ids.add(msg_id)
+        if len(self.ids) >= self.prune_at:
+            self.ids = {i for i in self.ids if i >= self.floor}
+            self.prune_at = max(self.MIN_PRUNE_AT, 2 * len(self.ids))
+        return True
 
 
 @dataclass
@@ -371,9 +409,12 @@ class ReliableEndpoint:
         self.on_plain_failure = on_plain_failure
         self.stats = ReliabilityStats()
         self._counter = itertools.count()
+        #: In-flight sends by msg id.  Ids ascend and are inserted in
+        #: order, so the first key is the lowest pending id (the floor).
         self._pending: Dict[int, _PendingSend] = {}
-        #: (origin, msg_id) pairs already delivered to the inner handler.
-        self._delivered: Set[Tuple[int, int]] = set()
+        #: Per origin: what was delivered to the inner handler, bounded by
+        #: what that origin may still resend.
+        self._delivered: Dict[int, _OriginLedger] = {}
 
     # --- sending ----------------------------------------------------------
     def pending_count(self) -> int:
@@ -413,6 +454,7 @@ class ReliableEndpoint:
             origin=self.node_id,
             attempt=state.attempt,
             payload=state.payload,
+            floor=next(iter(self._pending)),
         )
         self.stats.sent += 1
         self.network.send(self.node_id, state.dest, envelope, state.size_bytes)
@@ -484,11 +526,12 @@ class ReliableEndpoint:
         if isinstance(message, Envelope):
             # Ack every copy — the origin may have missed the first ack.
             self.network.send(self.node_id, sender, Ack(message.msg_id), ACK_BYTES)
-            key = (message.origin, message.msg_id)
-            if key in self._delivered:
+            ledger = self._delivered.get(message.origin)
+            if ledger is None:
+                ledger = self._delivered[message.origin] = _OriginLedger()
+            if not ledger.admit(message.msg_id, message.floor):
                 self.stats.duplicates_dropped += 1
                 return
-            self._delivered.add(key)
             self.detector.record_success(message.origin)
             self.inner_handler(message.origin, message.payload)
             return

@@ -19,6 +19,7 @@ from repro.network.reliability import (
     ReliabilityStats,
     ReliableEndpoint,
     RetryPolicy,
+    _OriginLedger,
 )
 from repro.network.simnet import LinkSpec, SimNetwork
 
@@ -432,6 +433,78 @@ def test_duplicate_envelope_dropped_and_reacked():
     # Both copies were acked (the origin may have missed the first ack).
     h.run(5.0)
     assert h.net.meters[2].total_sent() == 2 * ACK_BYTES
+
+
+def test_envelope_carries_the_origins_lowest_pending_id():
+    h = Harness()
+    floors = []
+    inner = h.net.send
+
+    def spy(sender, receiver, message, size_bytes):
+        if isinstance(message, Envelope):
+            floors.append((message.msg_id, message.floor))
+        inner(sender, receiver, message, size_bytes)
+
+    h.net.send = spy
+    h.net.set_online(2, False)  # msg 0 keeps failing and stays pending
+    h.a.send_reliable(2, "stuck", 100)
+    h.run(0.1)
+    h.net.set_online(2, True)
+    h.a.send_reliable(2, "next", 100)
+    h.run(60.0)
+    assert floors[:2] == [(0, 0), (1, 0)]  # msg 0 still pending: floor 0
+    h.a.send_reliable(2, "later", 100)
+    h.run(5.0)
+    assert floors[-1] == (2, 2)  # both settled: the floor is the new id
+
+
+def test_ledger_prune_keeps_every_id_the_origin_may_still_resend():
+    ledger = _OriginLedger()
+    # Msg 0 stays pending at the origin, so every envelope says floor 0:
+    # however often the set doubles, no delivered id may be forgotten.
+    assert all(ledger.admit(i, 0) for i in range(1, 100))
+    assert not any(ledger.admit(i, 0) for i in range(1, 100))
+    assert ledger.admit(0, 0) and not ledger.admit(0, 0)
+    # Now each envelope's floor is its own id (everything older settled):
+    # the next prunes forget the settled ids, stale copies stay dropped.
+    assert all(ledger.admit(i, i) for i in range(100, 300))
+    assert len(ledger.ids) <= 2 * _OriginLedger.MIN_PRUNE_AT
+    assert not any(ledger.admit(i, 0) for i in range(300))
+
+
+def test_receiver_state_stays_bounded_over_10k_acked_sends():
+    """At-most-once needs only what the origin may still resend: after
+    10,000 acked sends the receiver remembers a few dozen ids, not 10,000."""
+    h = Harness()
+    h.b.inner_handler = lambda sender, message: None
+    n = 10_000
+    for i in range(n):
+        h.loop.schedule(i * 0.01, lambda i=i: h.a.send_reliable(2, i, 100))
+    h.run(n * 0.01 + 5.0)
+    assert h.a.stats.acked == n and h.b.stats.duplicates_dropped == 0
+    assert list(h.b._delivered) == [1]
+    ledger = h.b._delivered[1]
+    # ~40 sends are in flight at a time (one every 10 ms, ~0.4 s round trip).
+    assert len(ledger.ids) <= 128
+    assert ledger.floor >= n - 64
+
+
+def test_late_copy_of_a_given_up_send_is_dropped_not_applied():
+    """A copy that arrives after its origin gave up on the send is below
+    the floor a later envelope announced: acked, counted as a duplicate,
+    never handed to the inner handler."""
+    h = Harness(policy=RetryPolicy(max_attempts=2, jitter_fraction=0.0))
+    h.net.set_extra_delay(100.0)  # both attempts arrive at t ≈ 100 s
+    given_up = []
+    h.a.send_reliable(2, "doomed", 100, on_giveup=lambda d, p, r: given_up.append(p))
+    h.run(20.0)
+    assert given_up == ["doomed"] and h.a.pending_count() == 0
+    h.net.set_extra_delay(0.0)
+    h.a.send_reliable(2, "second", 100)  # carries floor 1
+    h.run(120.0)
+    assert [m for _, _, m in h.inbox_b] == ["second"]
+    assert h.b.stats.duplicates_dropped == 2
+    assert h.a.stats.acked == 1  # the late copies' acks match nothing pending
 
 
 def test_giveup_after_max_attempts_and_detector_declares_dead():

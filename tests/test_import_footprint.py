@@ -4,7 +4,9 @@
 names lazily (PEP 562): a process that only runs ``SoupNode`` on
 ``LiveTransport`` used to sit at ~54 MB after imports, half of it numpy,
 networkx and ``repro.sim`` pulled in by the package ``__init__`` modules.
-The cluster builder (``repro.deploy.cluster``) is on that path too.
+The cluster builder (``repro.deploy.cluster``) is on that path too, and so
+is the modular-exponentiation kernel (``repro.crypto.bignum``, stdlib
+``ctypes`` only).
 """
 
 import os
@@ -24,6 +26,7 @@ heavy = sorted(
     if name.split(".")[0] in ("numpy", "networkx") or name.startswith("repro.sim")
 )
 print(",".join(heavy))
+print("repro.crypto.bignum" in sys.modules)
 """
 
 
@@ -34,7 +37,9 @@ def test_node_and_live_transport_import_without_the_simulator():
         [sys.executable, "-c", PROBE],
         capture_output=True, text=True, check=True, timeout=120, env=env,
     )
-    assert out.stdout.strip() == "", out.stdout
+    heavy, kernel = out.stdout.split("\n")[:2]
+    assert heavy == "", out.stdout
+    assert kernel == "True", out.stdout
 
 
 def test_lazy_public_names_still_resolve():
