@@ -93,17 +93,29 @@ class TrafficMeter:
     def _spread(
         table: Dict[int, int], time_s: float, size_bytes: int, duration_s: float
     ) -> None:
-        """Distribute ``size_bytes`` over ``duration_s`` starting at
-        ``time_s`` — a large transfer occupies the link for its whole
-        duration instead of spiking one bucket."""
-        start = int(time_s)
-        seconds = max(1, int(duration_s) + 1)
-        per_second = size_bytes // seconds
-        remainder = size_bytes - per_second * seconds
-        for offset in range(seconds):
-            amount = per_second + (remainder if offset == 0 else 0)
-            if amount:
-                table[start + offset] = table.get(start + offset, 0) + amount
+        """Bin a transfer that occupies the link over ``[time_s, time_s +
+        duration_s)`` into whole seconds, each by its overlap with that
+        interval — so transfers the uplink serialises back to back fill
+        consecutive seconds instead of piling into the one they started
+        in.  Every byte lands in exactly one bucket."""
+        if not size_bytes:
+            return
+        first = int(time_s)
+        end_s = time_s + duration_s
+        last = int(end_s)
+        if last == end_s and last > first:
+            last -= 1  # ends on a second boundary: nothing in that second
+        if last == first:  # the common case: one bucket
+            table[first] = table.get(first, 0) + size_bytes
+            return
+        placed = 0
+        for second in range(first, last):
+            upto = round(size_bytes * (second + 1 - time_s) / duration_s)
+            if upto > placed:
+                table[second] = table.get(second, 0) + upto - placed
+                placed = upto
+        if size_bytes > placed:
+            table[last] = table.get(last, 0) + size_bytes - placed
 
     def record_sent(
         self, time_s: float, size_bytes: int, duration_s: float = 0.0

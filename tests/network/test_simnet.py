@@ -1,5 +1,7 @@
 """Tests for the simulated network."""
 
+import random
+
 import pytest
 
 from repro.network.events import EventLoop
@@ -127,6 +129,32 @@ class TestTrafficMeter:
         total = sum(kb for _, kb in series)
         assert total == pytest.approx(10.0)
         assert max(kb for _, kb in series) < 3.0
+
+    def test_bins_by_overlap_with_each_second(self):
+        meter = TrafficMeter()
+        # [0.5, 2.5): a quarter, a half and a quarter of the bytes.
+        meter.record_sent(0.5, 4000, duration_s=2.0)
+        assert meter._sent == {0: 1000, 1: 2000, 2: 1000}
+        # Ending exactly on a boundary leaves the next second empty.
+        meter.record_received(3.0, 999, duration_s=1.0)
+        assert meter._received == {3: 999}
+
+    def test_back_to_back_transfers_fill_consecutive_seconds(self):
+        meter = TrafficMeter()
+        for index in range(4):  # 0.6 s each, serialised on the uplink
+            meter.record_sent(index * 0.6, 600, duration_s=0.6)
+        assert meter._sent == {0: 1000, 1: 1000, 2: 400}
+
+    def test_bytes_are_conserved_exactly(self):
+        rng = random.Random(5)
+        meter = TrafficMeter()
+        total = 0
+        for _ in range(500):
+            size = rng.randrange(0, 50_000)
+            meter.record_sent(rng.uniform(0, 100), size, rng.choice([0.0, rng.uniform(0, 7)]))
+            total += size
+        assert meter.total_sent() == total
+        assert all(amount > 0 for amount in meter._sent.values())
 
     def test_empty_meter(self):
         meter = TrafficMeter()
