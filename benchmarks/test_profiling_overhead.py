@@ -87,10 +87,14 @@ def test_disabled_live_observer_under_five_percent_of_message_cost():
     """The live transport's observability hooks, when no plane is
     attached, are three ``is None`` attribute checks per message (send,
     transmit, dispatch).  Guard: that costs <5 % of the cheapest
-    unavoidable per-message work — pickling a ~2 KB wire frame."""
-    import pickle
-
+    unavoidable per-message work — encoding and decoding the frame of a
+    real ``UPDATE`` envelope (signed, as ``post_item`` sends it)."""
+    from repro.core.objects import ObjectType, SoupObject
+    from repro.crypto.keys import KeyPair
     from repro.deploy.live.transport import LiveTransport
+    from repro.deploy.live.transport_codec import LENGTH, decode_frame, encode_frame
+    from repro.network.reliability import Envelope
+    from repro.node.security_manager import SecurityManager
 
     # The attribute-lookup cost is a property of the class layout; build
     # an instance without the event-loop plumbing the real ctor needs.
@@ -108,13 +112,23 @@ def test_disabled_live_observer_under_five_percent_of_message_cost():
     def noop():
         pass
 
-    frame = (123456789, 2048, ("Envelope", 42, b"x" * 2048))
-    wire = pickle.dumps(frame)
+    keys = KeyPair.generate(bits=512, seed=3)
+    update = SoupObject(
+        source=keys.soup_id,
+        dest=keys.soup_id,
+        object_type=ObjectType.UPDATE,
+        payload={"action": "post_item", "item_id": 42, "kind": "text", "size": 2000},
+        timestamp=12.5,
+    )
+    SecurityManager(keys).sign_object(update)
+    envelope = Envelope(msg_id=42, origin=keys.soup_id, attempt=0, payload=update, floor=40)
+    wire = encode_frame(keys.soup_id, 4_048, envelope)
 
     def message_lifecycle():
         # The unavoidable per-message floor the guards amortize against:
-        # the sender pickles the frame, the receiver unpickles it.
-        pickle.loads(pickle.dumps(frame))
+        # the sender encodes the frame, the receiver decodes it.
+        frame = encode_frame(keys.soup_id, 4_048, envelope)
+        decode_frame(memoryview(frame)[LENGTH.size:])
 
     # Net guard cost: the checks themselves, minus the call overhead the
     # measuring harness adds (inline in the real transport).
@@ -123,7 +137,7 @@ def test_disabled_live_observer_under_five_percent_of_message_cost():
     overhead = guard_cost / message_cost
     print(
         f"\nguards={guard_cost * 1e9:.0f}ns "
-        f"pickle+unpickle({len(wire)}B)={message_cost * 1e9:.0f}ns "
+        f"encode+decode({len(wire)}B)={message_cost * 1e9:.0f}ns "
         f"overhead={overhead:.3%}"
     )
     assert overhead < 0.05, (

@@ -1,17 +1,18 @@
 """The live transport backend: TCP loopback sockets under asyncio.
 
 Every node gets a real TCP server on ``127.0.0.1`` (ephemeral port);
-every :meth:`LiveTransport.send` pickles the message into a
-length-prefixed frame and writes it over a real socket connection to the
-receiver's server, where it is unpickled and dispatched to the node's
-registered handler.  Protocol state stays in-process (the
-:class:`~repro.deploy.cluster.Cluster` that built the nodes still resolves
-a peer id to its live object, and holds the one shared overlay and
-bootstrap registry — exactly as in the simulated deployment, where
-decisions are synchronous but every byte crosses the metered network;
-``docs/PROTOCOL.md`` lists every such reach-through), so the middleware
-runs unchanged; what becomes real is the timing: kernel buffers,
-connection setup, wall-clock retry timers.
+every :meth:`LiveTransport.send` encodes the message into a
+length-prefixed frame (:mod:`repro.deploy.live.transport_codec`: the
+protocol's three message types, nothing else) and writes it over a real
+socket connection to the receiver's server, where it is decoded and
+dispatched to the node's registered handler.  Protocol state stays
+in-process (the :class:`~repro.deploy.cluster.Cluster` that built the
+nodes still resolves a peer id to its live object, and holds the one
+shared overlay and bootstrap registry — exactly as in the simulated
+deployment, where decisions are synchronous but every byte crosses the
+metered network; ``docs/PROTOCOL.md`` lists every such reach-through), so
+the middleware runs unchanged; what becomes real is the timing: kernel
+buffers, connection setup, wall-clock retry timers.
 
 The steady state costs no task and no await per frame: :meth:`LiveTransport.send`
 writes to the pair's open connection in place, and the receiving
@@ -23,42 +24,32 @@ delay through one per delayed frame.
 Failure semantics deliberately mirror :class:`~repro.network.simnet.SimNetwork`
 so the reliability layer sees the same reasons on both backends:
 ``sender-offline`` (immediate), ``unreachable`` (after a latency-derived
-detection delay, or when the connection errors), ``lost-in-flight`` (the
-receiver went offline while the frame was in flight), plus the chaos
-reasons (``partitioned``, ``chaos-drop``) from the shared base class.
+detection delay, when the connection errors, or when the message is not
+one the wire carries), ``lost-in-flight`` (the receiver went offline while
+the frame was in flight), plus the chaos reasons (``partitioned``,
+``chaos-drop``) from the shared base class.
 """
 
 from __future__ import annotations
 
 import asyncio
 import logging
-import pickle
-import struct
 from collections import deque
 from typing import Any, Callable, Coroutine, Deque, Dict, Optional, Set, Tuple
 
+from repro.deploy.live.transport_codec import (
+    LENGTH,
+    MAX_FRAME_BYTES,
+    WireError,
+    decode_frame,
+    encode_frame,
+)
 from repro.network.transport import TimerHandle, Transport
 from repro.obs import get_registry
 
 logger = logging.getLogger("repro.deploy.live.transport")
 
-_HEADER = struct.Struct(">I")
-
-#: The longest frame body a peer may announce.  The largest frame the
-#: protocol sends is a replica push (a pickled profile: tens of kilobytes),
-#: so this is generous; its job is to stop four hostile bytes from making
-#: the receiver buffer 4 GiB.
-MAX_FRAME_BYTES = 8 * 1024 * 1024
-
 _Pair = Tuple[int, int]  # (sender, receiver)
-
-
-def _msg_kind(message: Any) -> str:
-    """A compact label for the message type carried in trace events:
-    the tag of ``("tag", ...)`` tuples, else the payload's class name."""
-    if isinstance(message, tuple) and message and isinstance(message[0], str):
-        return message[0]
-    return type(message).__name__
 
 
 class _PausedFrame:
@@ -76,11 +67,13 @@ class _FrameReceiver(asyncio.Protocol):
     """The receiving end of one connection to a node's server.
 
     Whatever a read brings is parsed in place: every complete
-    length-prefixed frame in it is unpickled and dispatched before the
+    length-prefixed frame in it is decoded and dispatched before the
     call returns, and an incomplete tail waits for the next read.  A
     frame that announces more than :data:`MAX_FRAME_BYTES` or does not
-    unpickle into an envelope is counted as ``bad-frame`` and costs the
-    peer its connection — the stream cannot be trusted past it.
+    decode (:func:`~repro.deploy.live.transport_codec.decode_frame` builds
+    nothing but ``Ack``, ``Envelope`` and ``SoupObject``) is counted as
+    ``bad-frame`` and costs the peer its connection — the stream cannot be
+    trusted past it.
     """
 
     __slots__ = ("_net", "_node_id", "_connection", "_partial")
@@ -116,26 +109,18 @@ class _FrameReceiver(asyncio.Protocol):
         how many bytes they took (all of them after a bad frame)."""
         net, node_id = self._net, self._node_id
         start, end = 0, len(view)
-        while end - start >= _HEADER.size:
-            (length,) = _HEADER.unpack_from(view, start)
+        while end - start >= LENGTH.size:
+            (length,) = LENGTH.unpack_from(view, start)
             if length > MAX_FRAME_BYTES:
                 return self._bad_frame(end, f"announces {length} bytes")
-            body = start + _HEADER.size
+            body = start + LENGTH.size
             if end - body < length:
                 break
             start = body + length
             try:
-                # Frames are (sender, size, message) or, when an observer
-                # was attached at send time, (sender, size, message, ctx).
-                parts = pickle.loads(view[body:start])
-                if type(parts) is not tuple or not 3 <= len(parts) <= 4:
-                    raise ValueError("not an envelope")
-                sender, size_bytes, message = parts[0], parts[1], parts[2]
-                if not isinstance(size_bytes, (int, float)) or size_bytes < 0:
-                    raise ValueError("envelope without a byte count")
-                ctx = parts[3] if len(parts) > 3 else None
-            except Exception as exc:  # noqa: BLE001 — anything a hostile pickle can raise
-                return self._bad_frame(end, f"does not decode ({exc!r})")
+                sender, size_bytes, message, ctx = decode_frame(view[body:start])
+            except WireError as exc:
+                return self._bad_frame(end, f"does not decode ({exc})")
             net._dispatch(sender, node_id, message, size_bytes, ctx)
         return start
 
@@ -342,7 +327,7 @@ class LiveTransport(Transport):
                     logger.exception("handler for node %d failed", receiver)
             return
         if ctx is not None:
-            observer.on_receive(receiver, sender, ctx, _msg_kind(message))
+            observer.on_receive(receiver, sender, ctx, type(message).__name__)
         if handler is not None:
             # Scope the handler to the receiving node so every protocol
             # event it emits (repair_round, failure_declared, acks...)
@@ -382,13 +367,15 @@ class LiveTransport(Transport):
     def send(self, sender: int, receiver: int, message: Any, size_bytes: int) -> None:
         """Send a message; the frame crosses a real loopback socket.
 
-        The frame is pickled here and, in the steady state, written to the
+        The frame is encoded here and, in the steady state, written to the
         pair's open connection before this returns.  It goes through the
         pair's pump task instead when a connection has to be opened first,
         the socket has not yet taken earlier bytes, or frames of the pair
         are already waiting for either — so a pair's frames reach the wire
         in send order whichever way they go.  A chaos delay holds the frame
-        back in a task of its own first.
+        back in a task of its own first.  A message the wire does not
+        carry (anything but ``Ack``, ``Envelope`` around one ``SoupObject``,
+        and ``SoupObject``) is logged and reported ``unreachable``.
         """
         if sender not in self._links:
             raise KeyError(f"unknown sender {sender}")
@@ -422,24 +409,21 @@ class LiveTransport(Transport):
         ctx = None
         if self.observer is not None:
             ctx = self.observer.on_send(
-                sender, receiver, _msg_kind(message), size_bytes
+                sender, receiver, type(message).__name__, size_bytes
             )
         if receiver not in self._links or not self._online.get(receiver, False):
             delay = self._links[sender].latency_s * 2 + 0.5
             self._fail(delay, sender, receiver, message, "unreachable")
             return
-        envelope = (
-            (sender, size_bytes, message)
-            if ctx is None
-            else (sender, size_bytes, message, ctx)
-        )
         try:
-            payload = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:  # noqa: BLE001 — report, don't crash the runtime
-            logger.exception("unpicklable message from %d to %d", sender, receiver)
+            frame = encode_frame(sender, size_bytes, message, ctx)
+        except WireError as exc:
+            logger.warning(
+                "node %d: not sending %s to %d: %s",
+                sender, type(message).__name__, receiver, exc,
+            )
             self._fail(0.0, sender, receiver, message, "unreachable")
             return
-        frame = _HEADER.pack(len(payload)) + payload
         if extra_delay:
             self._spawn(
                 self._put_on_wire_later(extra_delay, sender, receiver, frame, message)

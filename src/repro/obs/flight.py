@@ -26,7 +26,7 @@ closes that gap with three pieces:
 Trace-context propagation: :meth:`LiveObservability.on_send` emits a
 ``live_msg_send`` event and returns a compact ``(msg_id, lamport,
 t_send)`` tuple that :class:`repro.deploy.live.transport.LiveTransport`
-pickles into the wire envelope; :meth:`LiveObservability.on_receive`
+carries in the frame header; :meth:`LiveObservability.on_receive`
 folds the carried lamport into the receiver's clock and emits the
 matching ``live_msg_recv`` — the pair is what lets
 :func:`repro.obs.analysis.merge_trace_files` reconstruct cross-node

@@ -8,19 +8,32 @@ assert on what arrived, what failed, and with which accounting.
 """
 
 import asyncio
-import pickle
 import socket
 import struct
 
 import pytest
 
+from repro.core.objects import ObjectType, SoupObject
 from repro.deploy.live import AsyncClock, LiveTransport
 from repro.deploy.live.transport import MAX_FRAME_BYTES
+from repro.deploy.live.transport_codec import LENGTH, WIRE_VERSION, encode_frame
 from repro.network.reliability import ReliableEndpoint
 
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def note(payload):
+    """A small protocol message standing in for whatever a test sends;
+    equal to any other ``note`` of the same payload."""
+    return SoupObject(
+        source=0, dest=1, object_type=ObjectType.MESSAGE, payload=payload, sequence=0
+    )
+
+
+def payloads(inbox):
+    return [message.payload for _, message in inbox]
 
 
 async def make_net(n_nodes=3):
@@ -82,9 +95,9 @@ def test_frames_round_trip_over_real_sockets():
     async def scenario():
         _, net, received, failures = await make_net()
         ports = {i: net.port_of(i) for i in range(3)}
-        net.send(0, 1, ("ping", 1), size_bytes=128)
-        net.send(1, 2, ("ping", 2), size_bytes=128)
-        net.send(2, 0, {"k": "v"}, size_bytes=128)
+        net.send(0, 1, note(["ping", 1]), size_bytes=128)
+        net.send(1, 2, note(["ping", 2]), size_bytes=128)
+        net.send(2, 0, note({"k": "v"}), size_bytes=128)
         await net.drain(0.2)
         await net.close()
         return ports, received, failures, net.messages_delivered
@@ -93,9 +106,9 @@ def test_frames_round_trip_over_real_sockets():
     # Every node got a real ephemeral TCP port.
     assert all(isinstance(p, int) and p > 0 for p in ports.values())
     assert len(set(ports.values())) == 3
-    assert received[1] == [(0, ("ping", 1))]
-    assert received[2] == [(1, ("ping", 2))]
-    assert received[0] == [(2, {"k": "v"})]
+    assert received[1] == [(0, note(["ping", 1]))]
+    assert received[2] == [(1, note(["ping", 2]))]
+    assert received[0] == [(2, note({"k": "v"}))]
     assert delivered == 3
     assert all(log == [] for log in failures.values())
 
@@ -104,7 +117,7 @@ def test_offline_receiver_is_unreachable_with_failure_callback():
     async def scenario():
         _, net, received, failures = await make_net()
         net.set_online(1, False)
-        net.send(0, 1, "lost", size_bytes=64)
+        net.send(0, 1, note("lost"), size_bytes=64)
         await net.drain(0.2)
         # Failure is surfaced after the simulated detection timeout.
         await asyncio.sleep(1.2)
@@ -113,7 +126,7 @@ def test_offline_receiver_is_unreachable_with_failure_callback():
 
     received, failures, reasons = run(scenario())
     assert received[1] == []
-    assert failures[0] and failures[0][0] == (1, "lost", "unreachable")
+    assert failures[0] and failures[0][0] == (1, note("lost"), "unreachable")
     assert reasons.get("unreachable") == 1
 
 
@@ -121,13 +134,13 @@ def test_offline_sender_fails_immediately():
     async def scenario():
         _, net, _, failures = await make_net()
         net.set_online(0, False)
-        net.send(0, 1, "dropped", size_bytes=64)
+        net.send(0, 1, note("dropped"), size_bytes=64)
         await net.drain(0.2)
         await net.close()
         return failures, dict(net.failures_by_reason)
 
     failures, reasons = run(scenario())
-    assert failures[0] == [(1, "dropped", "sender-offline")]
+    assert failures[0] == [(1, note("dropped"), "sender-offline")]
     assert reasons.get("sender-offline") == 1
 
 
@@ -135,14 +148,14 @@ def test_chaos_partition_and_pause_on_live_sockets():
     async def scenario():
         _, net, received, failures = await make_net()
         net.set_partition({0: 0, 1: 0, 2: 1})
-        net.send(0, 1, "intra", size_bytes=64)
-        net.send(0, 2, "cross", size_bytes=64)
+        net.send(0, 1, note("intra"), size_bytes=64)
+        net.send(0, 2, note("cross"), size_bytes=64)
         await net.drain(0.2)
         await asyncio.sleep(1.2)  # let the partitioned failure fire
 
         net.heal_partition()
         net.pause(1)
-        net.send(0, 1, "while-paused", size_bytes=64)
+        net.send(0, 1, note("while-paused"), size_bytes=64)
         await net.drain(0.3)
         buffered_view = list(received[1])
         net.resume(1)
@@ -151,12 +164,12 @@ def test_chaos_partition_and_pause_on_live_sockets():
         return received, failures, buffered_view, dict(net.failures_by_reason)
 
     received, failures, buffered_view, reasons = run(scenario())
-    assert ("cross" not in [m for _, m in received[2]])
-    assert (2, "cross", "partitioned") in failures[0]
+    assert "cross" not in payloads(received[2])
+    assert (2, note("cross"), "partitioned") in failures[0]
     assert reasons.get("partitioned") == 1
     # Paused: the frame crossed the wire but was buffered, then flushed.
-    assert buffered_view == [(0, "intra")]
-    assert received[1] == [(0, "intra"), (0, "while-paused")]
+    assert payloads(buffered_view) == ["intra"]
+    assert payloads(received[1]) == ["intra", "while-paused"]
 
 
 def test_chaos_drop_is_seeded_on_live_backend():
@@ -164,10 +177,10 @@ def test_chaos_drop_is_seeded_on_live_backend():
         _, net, received, _ = await make_net(2)
         net.set_drop(0.5, seed=seed)
         for i in range(30):
-            net.send(0, 1, i, size_bytes=32)
+            net.send(0, 1, note(i), size_bytes=32)
         await net.drain(0.3)
         await net.close()
-        return [m for _, m in received[1]]
+        return payloads(received[1])
 
     first = run(scenario(13))
     second = run(scenario(13))
@@ -178,14 +191,14 @@ def test_chaos_drop_is_seeded_on_live_backend():
 def test_close_is_idempotent_and_stops_serving():
     async def scenario():
         _, net, received, _ = await make_net(2)
-        net.send(0, 1, "before", size_bytes=32)
+        net.send(0, 1, note("before"), size_bytes=32)
         await net.drain(0.2)
         await net.close()
         await net.close()  # second close must not raise
         return received
 
     received = run(scenario())
-    assert received[1] == [(0, "before")]
+    assert payloads(received[1]) == ["before"]
 
 
 def test_start_is_idempotent():
@@ -208,10 +221,34 @@ def test_send_requires_registered_sender():
     async def scenario():
         _, net, _, _ = await make_net(2)
         with pytest.raises(KeyError):
-            net.send(9, 0, "nope", size_bytes=8)
+            net.send(9, 0, note("nope"), size_bytes=8)
         await net.close()
 
     run(scenario())
+
+
+@pytest.mark.parametrize(
+    "message",
+    [("ping", 1), "text", 7, note(note("nested"))],
+    ids=["tuple", "str", "int", "object-in-object"],
+)
+def test_message_outside_the_protocol_is_refused_at_send(message):
+    async def scenario():
+        _, net, received, failures = await make_net(2)
+        net.send(0, 1, message, size_bytes=32)
+        during_send = list(failures[0])
+        await net.drain(0.05)
+        await asyncio.sleep(0.02)  # the failure is reported from a timer
+        net.send(0, 1, note("after"), size_bytes=32)
+        await net.drain(0.05)
+        await net.close()
+        return received, failures, during_send, dict(net.failures_by_reason)
+
+    received, failures, during_send, reasons = run(scenario())
+    assert during_send == []
+    assert failures[0] == [(1, message, "unreachable")]
+    assert reasons == {"unreachable": 1}
+    assert payloads(received[1]) == ["after"]
 
 
 def test_pair_order_holds_across_connection_setup_and_in_place_writes():
@@ -222,18 +259,18 @@ def test_pair_order_holds_across_connection_setup_and_in_place_writes():
     async def scenario():
         _, net, received, failures = await make_net(2)
         for i in range(5):
-            net.send(0, 1, i, size_bytes=32)
+            net.send(0, 1, note(i), size_bytes=32)
         tasks_with_backlog = len(net._tasks)
         await net.drain(0.05)
         for i in range(5, 10):
-            net.send(0, 1, i, size_bytes=32)
+            net.send(0, 1, note(i), size_bytes=32)
         tasks_in_place = len(net._tasks)
         await net.drain(0.05)
         await net.close()
         return received, failures, tasks_with_backlog, tasks_in_place
 
     received, failures, tasks_with_backlog, tasks_in_place = run(scenario())
-    assert [m for _, m in received[1]] == list(range(10))
+    assert payloads(received[1]) == list(range(10))
     assert tasks_with_backlog == 1  # one pump for the pair, not one per frame
     assert tasks_in_place == 0
     assert failures[0] == []
@@ -247,15 +284,15 @@ def test_chaos_delay_holds_back_the_frame_not_the_pair():
     async def scenario():
         _, net, received, _ = await make_net(2)
         net.set_extra_delay(0.1)
-        net.send(0, 1, "slow-1", size_bytes=32)  # will also open the connection
-        net.send(0, 1, "slow-2", size_bytes=32)
+        net.send(0, 1, note("slow-1"), size_bytes=32)  # will also open the connection
+        net.send(0, 1, note("slow-2"), size_bytes=32)
         net.set_extra_delay(0.0)
-        net.send(0, 1, "prompt", size_bytes=32)
+        net.send(0, 1, note("prompt"), size_bytes=32)
         await asyncio.sleep(0.05)
-        early = [m for _, m in received[1]]
+        early = payloads(received[1])
         await net.drain(0.05)  # waits out the delay and the frames behind it
         await net.close()
-        return early, [m for _, m in received[1]]
+        return early, payloads(received[1])
 
     early, final = run(scenario())
     assert early == ["prompt"]
@@ -265,37 +302,37 @@ def test_chaos_delay_holds_back_the_frame_not_the_pair():
 def test_in_place_write_error_is_reported_on_a_later_loop_turn():
     async def scenario():
         _, net, received, failures = await make_net(2)
-        net.send(0, 1, "opens", size_bytes=32)
+        net.send(0, 1, note("opens"), size_bytes=32)
         await net.drain(0.05)
         # Break the established connection under the transport's feet.
         writer = net._writers[(0, 1)]
         writer.transport.get_extra_info("socket").shutdown(socket.SHUT_WR)
-        net.send(0, 1, "refused", size_bytes=32)
+        net.send(0, 1, note("refused"), size_bytes=32)
         during_send = list(failures[0])
         await asyncio.sleep(0.05)
         # The next send finds no usable connection and opens a new one.
-        net.send(0, 1, "reopened", size_bytes=32)
+        net.send(0, 1, note("reopened"), size_bytes=32)
         await net.drain(0.05)
         await net.close()
         return received, failures, during_send, dict(net.failures_by_reason)
 
     received, failures, during_send, reasons = run(scenario())
     assert during_send == []
-    assert failures[0] == [(1, "refused", "unreachable")]
+    assert failures[0] == [(1, note("refused"), "unreachable")]
     assert reasons == {"unreachable": 1}
-    assert [m for _, m in received[1]] == ["opens", "reopened"]
+    assert payloads(received[1]) == ["opens", "reopened"]
 
 
 def test_drain_waits_for_bytes_the_socket_has_not_taken():
     async def scenario():
         _, net, received, _ = await make_net(2)
-        net.send(0, 1, "opens", size_bytes=32)
+        net.send(0, 1, note("opens"), size_bytes=32)
         await net.drain(0.05)
         blob = b"x" * (4 * 1024 * 1024)  # more than a loopback socket buffers
-        net.send(0, 1, blob, size_bytes=len(blob))  # in place, partly buffered
+        net.send(0, 1, note(blob), size_bytes=len(blob))  # in place, partly buffered
         writer = net._writers[(0, 1)]
         buffered = writer.transport.get_write_buffer_size()
-        net.send(0, 1, "behind", size_bytes=32)  # must queue, not overtake
+        net.send(0, 1, note("behind"), size_bytes=32)  # must queue, not overtake
         await net.drain(0.05)
         left = writer.transport.get_write_buffer_size()
         await net.close()
@@ -303,38 +340,37 @@ def test_drain_waits_for_bytes_the_socket_has_not_taken():
 
     received, buffered, left = run(scenario())
     assert buffered > 0 and left == 0
-    assert [m if isinstance(m, str) else len(m) for _, m in received[1]] == [
+    assert [m if isinstance(m, str) else len(m) for m in payloads(received[1])] == [
         "opens", 4 * 1024 * 1024, "behind",
     ]
 
 
-def _frame(envelope) -> bytes:
-    payload = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
-    return struct.pack(">I", len(payload)) + payload
+def _frame(message, sender=0, size_bytes=16) -> bytes:
+    return encode_frame(sender, size_bytes, message)
 
 
 def test_receiver_reassembles_split_frames_and_dispatches_batched_ones():
     async def scenario():
         _, net, received, _ = await make_net(2)
         _, writer = await asyncio.open_connection("127.0.0.1", net.port_of(1))
-        stream = b"".join(_frame((0, 16, i)) for i in range(4))
+        stream = b"".join(_frame(note(i)) for i in range(4))
         # Two and a half frames, cut inside a header's worth of the third...
-        cut = len(_frame((0, 16, 0))) * 2 + 2
+        cut = len(_frame(note(0))) * 2 + 2
         writer.write(stream[:cut])
         await writer.drain()
         await asyncio.sleep(0.05)
-        first = [m for _, m in received[1]]
+        first = payloads(received[1])
         # ...then the rest, one byte short, then the last byte.
         writer.write(stream[cut:-1])
         await writer.drain()
         await asyncio.sleep(0.05)
-        second = [m for _, m in received[1]]
+        second = payloads(received[1])
         writer.write(stream[-1:])
         await writer.drain()
         await asyncio.sleep(0.05)
         writer.close()
         await net.close()
-        return first, second, [m for _, m in received[1]]
+        return first, second, payloads(received[1])
 
     first, second, final = run(scenario())
     assert first == [0, 1]
@@ -346,9 +382,11 @@ def test_receiver_reassembles_split_frames_and_dispatches_batched_ones():
     "bad",
     [
         struct.pack(">I", MAX_FRAME_BYTES + 1),  # announces too much
-        struct.pack(">I", 5) + b"junk!",  # not a pickle
-        _frame("no envelope"),  # a pickle, but not of an envelope
-        _frame((0, "big", "message")),  # an envelope without a byte count
+        struct.pack(">I", 5) + b"junk!",  # not a frame at all
+        # A well-formed header, then a message tag outside the table.
+        LENGTH.pack(20) + struct.pack(">BBQQB", WIRE_VERSION, 0, 0, 16, 99) + b"?",
+        # A header that ends before its byte count.
+        LENGTH.pack(10) + struct.pack(">BBQ", WIRE_VERSION, 0, 0),
     ],
     ids=["oversized", "unpicklable", "wrong-shape", "wrong-size"],
 )
@@ -356,12 +394,12 @@ def test_bad_frame_is_counted_and_costs_the_connection(bad):
     async def scenario():
         _, net, received, _ = await make_net(2)
         reader, writer = await asyncio.open_connection("127.0.0.1", net.port_of(1))
-        writer.write(_frame((0, 16, "good")) + bad + _frame((0, 16, "after")))
+        writer.write(_frame(note("good")) + bad + _frame(note("after")))
         await writer.drain()
         closed_by_server = await asyncio.wait_for(reader.read(), timeout=2.0)
         writer.close()
         # The server itself is unharmed: a new connection is served.
-        net.send(0, 1, "fresh", size_bytes=16)
+        net.send(0, 1, note("fresh"), size_bytes=16)
         await net.drain(0.05)
         await net.close()
         return received, closed_by_server, dict(net.failures_by_reason)
@@ -369,7 +407,7 @@ def test_bad_frame_is_counted_and_costs_the_connection(bad):
     received, closed_by_server, reasons = run(scenario())
     assert closed_by_server == b""  # EOF: the receiver hung up
     assert reasons == {"bad-frame": 1}
-    assert [m for _, m in received[1]] == ["good", "fresh"]
+    assert payloads(received[1]) == ["good", "fresh"]
 
 
 def test_acked_reliable_sends_leave_no_timer_in_the_clock():
@@ -389,7 +427,7 @@ def test_acked_reliable_sends_leave_no_timer_in_the_clock():
             )
         await net.start()
         for i in range(k):
-            endpoints[0].send_reliable(1, i, 64)
+            endpoints[0].send_reliable(1, note(i), 64)
         armed = clock.pending()
         for _ in range(100):
             await net.drain(0.01)
@@ -401,7 +439,7 @@ def test_acked_reliable_sends_leave_no_timer_in_the_clock():
         return inbox, armed, left, stats
 
     inbox, armed, left, stats = run(scenario(300))
-    assert inbox == list(range(300))
+    assert [message.payload for message in inbox] == list(range(300))
     assert armed == 300  # one ack timeout each...
     assert stats.acked == 300 and stats.timeouts == 0
     assert left == 0  # ...and none outlives its ack

@@ -1,0 +1,414 @@
+"""The live wire's frame codec (:mod:`repro.deploy.live.transport_codec`).
+
+Round trips over generated protocol messages, the encoder's refusals, and
+hostile bytes fed to a receiving connection: every malformed frame must end
+as one counted ``bad-frame`` with the connection closed, and nothing may
+raise out of ``data_received``.
+"""
+
+import asyncio
+import math
+import pickle
+import re
+import struct
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.core import objects
+from repro.core.objects import ObjectType, SoupObject
+from repro.crypto.by_id import ByIdSignature
+from repro.deploy.live.transport import AsyncClock, LiveTransport, _FrameReceiver
+from repro.deploy.live.transport_codec import (
+    ACK,
+    ENVELOPE,
+    LENGTH,
+    MAX_FRAME_BYTES,
+    MAX_SIGNATURE_BYTES,
+    PAYLOAD_JSON,
+    SIGNATURE_RSA,
+    SOUP_OBJECT,
+    TYPE_CODES,
+    WIRE_VERSION,
+    WireError,
+    decode_frame,
+    encode_frame,
+)
+from repro.network.reliability import Ack, Envelope
+
+U64 = st.integers(0, 2**64 - 1)
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+PAYLOADS = st.none() | st.binary(max_size=64) | JSON.filter(lambda v: v is not None)
+TIMESTAMPS = st.integers(-(2**63), 2**63 - 1) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+SIGNATURES = (
+    st.none()
+    | st.integers(0, 2 ** (8 * MAX_SIGNATURE_BYTES) - 1)
+    | st.builds(ByIdSignature, signer=U64, digest=st.binary(min_size=32, max_size=32))
+)
+SOUP_OBJECTS = st.builds(
+    SoupObject,
+    source=U64,
+    dest=U64,
+    object_type=st.sampled_from(list(ObjectType)),
+    payload=PAYLOADS,
+    timestamp=TIMESTAMPS,
+    signature=SIGNATURES,
+    sequence=U64,
+)
+MESSAGES = (
+    st.builds(Ack, msg_id=U64)
+    | SOUP_OBJECTS
+    | st.builds(
+        Envelope,
+        msg_id=U64,
+        origin=U64,
+        attempt=st.integers(0, 2**32 - 1),
+        payload=SOUP_OBJECTS,
+        floor=U64,
+    )
+)
+CONTEXTS = st.none() | st.tuples(
+    st.text(max_size=24), U64, st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+def sample_object(**overrides) -> SoupObject:
+    fields = dict(
+        source=11,
+        dest=22,
+        object_type=ObjectType.UPDATE,
+        payload={"action": "post_item", "item_id": 7, "kind": "text", "size": 2000},
+        timestamp=1.5,
+        signature=2**511 + 12345,
+        sequence=33,
+    )
+    fields.update(overrides)
+    return SoupObject(**fields)
+
+
+def sample_frame() -> bytes:
+    """A rich frame: trace context, envelope, RSA signature, JSON payload."""
+    envelope = Envelope(msg_id=5, origin=11, attempt=1, payload=sample_object(), floor=3)
+    return encode_frame(11, 4_048, envelope, ("m11-4", 9, 1234.5))
+
+
+def body_of(frame: bytes) -> bytes:
+    return frame[LENGTH.size:]
+
+
+def framed(body: bytes) -> bytes:
+    return LENGTH.pack(len(body)) + body
+
+
+def soup_fields(obj: SoupObject):
+    return (
+        obj.source, obj.dest, obj.object_type, obj.payload, obj.timestamp,
+        type(obj.timestamp), obj.signature, obj.sequence, obj.signing_bytes(),
+    )
+
+
+def same(sent, got) -> bool:
+    if type(sent) is not type(got):
+        return False
+    if isinstance(sent, Envelope):
+        return (sent.msg_id, sent.origin, sent.attempt, sent.floor) == (
+            got.msg_id, got.origin, got.attempt, got.floor
+        ) and same(sent.payload, got.payload)
+    if isinstance(sent, SoupObject):
+        return soup_fields(sent) == soup_fields(got)
+    return sent == got
+
+
+# --- round trips ---------------------------------------------------------
+@given(message=MESSAGES, sender=U64, size_bytes=U64, ctx=CONTEXTS)
+def test_every_protocol_message_round_trips(message, sender, size_bytes, ctx):
+    frame = encode_frame(sender, size_bytes, message, ctx)
+    assert LENGTH.unpack_from(frame)[0] == len(frame) - LENGTH.size
+    counter = repr(objects._sequence)
+    got_sender, got_size, got, got_ctx = decode_frame(memoryview(frame)[LENGTH.size:])
+    # Building the received object draws nothing from the sequence counter.
+    assert repr(objects._sequence) == counter
+    assert (got_sender, got_size, got_ctx) == (sender, size_bytes, ctx)
+    assert same(message, got)
+    if ctx is not None:
+        assert [type(part) for part in got_ctx] == [str, int, float]
+
+
+def test_int_timestamp_stays_int_and_signed_bytes_stay_equal():
+    for timestamp in (3, 3.0):
+        obj = sample_object(timestamp=timestamp)
+        _, _, got, _ = decode_frame(body_of(encode_frame(1, 10, obj)))
+        assert type(got.timestamp) is type(timestamp)
+        assert got.signing_bytes() == obj.signing_bytes()
+
+
+def test_frames_are_compact():
+    ack = encode_frame(1, 64, Ack(9))
+    assert len(ack) == LENGTH.size + 18 + 9
+    envelope = Envelope(msg_id=5, origin=11, attempt=0, payload=sample_object(), floor=3)
+    assert len(encode_frame(11, 4_048, envelope)) < 256
+
+
+def test_type_codes_are_explicit_unique_and_documented():
+    assert set(TYPE_CODES) == set(ObjectType)
+    assert sorted(TYPE_CODES.values()) == list(range(1, len(ObjectType) + 1))
+    protocol = (Path(__file__).parents[2] / "docs" / "PROTOCOL.md").read_text()
+    documented = {
+        name: int(code)
+        for code, name in re.findall(r"^\| (\d+) \| `([A-Z_]+)` \|", protocol, re.M)
+    }
+    assert documented == {t.value: code for t, code in TYPE_CODES.items()}
+
+
+# --- what the encoder refuses ----------------------------------------------
+class NotAnAck(Ack):
+    pass
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        ("ping", 1),
+        "text",
+        7,
+        None,
+        NotAnAck(1),
+        Envelope(msg_id=1, origin=2, attempt=0, payload="bare"),
+        Envelope(
+            msg_id=1, origin=2, attempt=0,
+            payload=Envelope(msg_id=1, origin=2, attempt=0, payload=sample_object()),
+        ),
+        sample_object(timestamp=True),
+        sample_object(timestamp=math.nan),
+        sample_object(timestamp=2**63),
+        sample_object(signature=-1),
+        sample_object(signature=2 ** (8 * MAX_SIGNATURE_BYTES)),
+        sample_object(signature=(11, b"digest")),
+        sample_object(signature=ByIdSignature(signer=11, digest=b"short")),
+        sample_object(payload={1, 2}),
+        sample_object(payload={"x": math.inf}),
+        sample_object(payload=sample_object()),
+        sample_object(payload=b"x" * (MAX_FRAME_BYTES + 1)),
+        sample_object(source=-1),
+        sample_object(sequence=2**64),
+        Envelope(msg_id=1, origin=2, attempt=2**32, payload=sample_object()),
+    ],
+    ids=[
+        "tuple", "str", "int", "none", "subclass", "envelope-of-str",
+        "nested-envelope", "bool-timestamp", "nan-timestamp", "huge-int-timestamp",
+        "negative-signature", "oversized-signature", "tuple-signature",
+        "short-digest", "set-payload", "infinite-json", "object-payload",
+        "oversized-frame", "negative-id", "huge-sequence", "huge-attempt",
+    ],
+)
+def test_encoder_refuses_what_the_wire_does_not_carry(message):
+    with pytest.raises(WireError):
+        encode_frame(1, 16, message)
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [(1, 2, 3.0), ("m", 2, 3), ("m", -2, 3.0), ("m", 2, math.inf), ("x" * 70_000, 1, 1.0)],
+    ids=["int-id", "int-time", "negative-lamport", "infinite-time", "long-id"],
+)
+def test_encoder_refuses_a_malformed_trace_context(ctx):
+    with pytest.raises(WireError):
+        encode_frame(1, 16, Ack(1), ctx)
+
+
+@pytest.mark.parametrize("sender, size_bytes", [(-1, 1), (1, -1), (1, 1.5), (2**64, 1)])
+def test_encoder_refuses_header_fields_outside_u64(sender, size_bytes):
+    with pytest.raises(WireError):
+        encode_frame(sender, size_bytes, Ack(1))
+
+
+# --- hostile bytes at a receiving connection --------------------------------
+class FakeConnection:
+    """Stands in for the accepted socket: records whether it was closed."""
+
+    closed = False
+
+    def close(self) -> None:
+        self.closed = True
+
+
+def receive(cases):
+    """Feed each case — a list of socket reads — to a fresh connection of
+    node 1; per case: (messages handled, failure reasons, closed)."""
+
+    async def scenario():
+        net = LiveTransport(AsyncClock())
+        inbox = []
+        net.register(0, lambda sender, message: None)
+        net.register(1, lambda sender, message: inbox.append(message))
+        results = []
+        for reads in cases:
+            receiver = _FrameReceiver(net, 1)
+            connection = FakeConnection()
+            receiver.connection_made(connection)
+            before = dict(net.failures_by_reason)
+            inbox.clear()
+            for data in reads:
+                if connection.closed:  # the event loop reads no further
+                    break
+                receiver.data_received(data)
+            reasons = {
+                reason: count - before.get(reason, 0)
+                for reason, count in net.failures_by_reason.items()
+                if count != before.get(reason, 0)
+            }
+            results.append((list(inbox), reasons, connection.closed))
+            receiver.connection_lost(None)
+        await net.close()
+        return results
+
+    return asyncio.run(scenario())
+
+
+def assert_rejected(results):
+    for handled, reasons, closed in results:
+        assert (handled, reasons, closed) == ([], {"bad-frame": 1}, True)
+
+
+def test_a_frame_cut_at_every_offset_is_a_bad_frame():
+    body = body_of(sample_frame())
+    assert_rejected(receive([[framed(body[:cut])] for cut in range(len(body))]))
+
+
+def test_trailing_bytes_are_a_bad_frame():
+    assert_rejected(receive([[framed(body_of(sample_frame()) + b"\0")]]))
+
+
+def _patched(offset: int, value: bytes) -> bytes:
+    body = bytearray(body_of(encode_frame(11, 16, sample_object())))
+    body[offset:offset + len(value)] = value
+    return framed(bytes(body))
+
+
+# Byte offsets in the body of a bare SOUP_OBJECT frame without a context.
+_TAG_AT, _CODE_AT, _FORMS_AT, _SIG_AT = 18, 35, 36, 53
+
+
+def with_json(raw: bytes) -> bytes:
+    """A SOUP_OBJECT frame whose JSON payload is ``raw``, verbatim."""
+    body = bytearray(body_of(encode_frame(11, 16, sample_object(payload=None))))
+    body[_FORMS_AT] |= PAYLOAD_JSON
+    return framed(bytes(body) + struct.pack(">I", len(raw)) + raw)
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [
+        _patched(0, bytes([WIRE_VERSION + 1])),
+        _patched(0, b"\0"),
+        _patched(1, b"\x02"),
+        _patched(_TAG_AT, b"\0"),
+        _patched(_TAG_AT, b"\x04"),
+        _patched(_CODE_AT, b"\0"),
+        _patched(_CODE_AT, bytes([len(ObjectType) + 1])),
+        _patched(_FORMS_AT, b"\x20"),
+        _patched(_FORMS_AT, bytes([SIGNATURE_RSA | 0x04 | 0x10])),
+        _patched(_FORMS_AT, bytes([SIGNATURE_RSA | 0x08 | 0x10])),
+        _patched(_SIG_AT, struct.pack(">H", MAX_SIGNATURE_BYTES + 1)),
+        _patched(_SIG_AT, struct.pack(">H", 500)),
+        _patched(_SIG_AT + 2, b"\0"),
+        _patched(_SIG_AT + 2 + 64, struct.pack(">I", 2**32 - 1)),
+        _patched(_SIG_AT + 2 + 64 + 4, b"\xff"),
+        _patched(_SIG_AT + 2 + 64 + 4, b" "),
+        with_json(b"nul"),
+        with_json(b"null"),
+        with_json(b"NaN"),
+        with_json(b"[1] x"),
+        with_json(b"[[["),
+        with_json(b"[" * 100_000 + b"]" * 100_000),
+        framed(body_of(encode_frame(1, 2, Ack(3), ("m", 1, 1.0)))[:18] + struct.pack(">QdH", 1, math.nan, 1) + b"m" + bytes([ACK]) + bytes(8)),
+        framed(body_of(encode_frame(1, 2, Ack(3), ("m", 1, 1.0)))[:34] + b"\xff\xff" + b"m" + bytes([ACK]) + bytes(8)),
+        framed(body_of(encode_frame(1, 2, Ack(3), ("m", 1, 1.0)))[:36] + b"\xff" + bytes([ACK]) + bytes(8)),
+    ],
+    ids=[
+        "next-version", "version-zero", "unknown-flag", "tag-zero", "unknown-tag",
+        "code-zero", "unknown-code", "unknown-forms-bit", "two-signature-forms",
+        "two-payload-forms", "oversized-signature", "signature-overruns",
+        "signature-leading-zero", "payload-overruns", "payload-not-utf8",
+        "payload-not-json", "json-invalid", "json-null", "json-nan",
+        "json-trailing-garbage", "json-truncated", "json-too-deep", "context-nan-time",
+        "context-id-overruns", "context-id-not-utf8",
+    ],
+)
+def test_malformed_fields_are_a_bad_frame(frame):
+    assert_rejected(receive([[frame]]))
+
+
+def test_a_nested_envelope_is_a_bad_frame():
+    inner = body_of(encode_frame(11, 16, Envelope(msg_id=1, origin=2, attempt=0, payload=sample_object())))
+    head = struct.pack(">BQQIQ", ENVELOPE, 9, 11, 0, 0)
+    assert_rejected(receive([[framed(inner[:18] + head + inner[18:])]]))
+
+
+def test_a_hostile_pickle_runs_nothing():
+    ran = []
+
+    class Exploit:
+        def __reduce__(self):
+            return (ran.append, ("code ran",))
+
+    hostile = pickle.dumps((0, 16, Exploit()), protocol=pickle.HIGHEST_PROTOCOL)
+    assert_rejected(receive([[framed(hostile)]]))
+    assert ran == []
+
+
+def test_frames_before_a_bad_one_are_delivered_and_none_after():
+    good = encode_frame(0, 16, sample_object(payload="good"))
+    after = encode_frame(0, 16, sample_object(payload="after"))
+    [(handled, reasons, closed)] = receive([[good + framed(b"\x07junk") + after]])
+    assert [m.payload for m in handled] == ["good"]
+    assert (reasons, closed) == ({"bad-frame": 1}, True)
+
+
+@given(junk=st.binary(max_size=200))
+def test_random_bytes_never_raise(junk):
+    [(handled, reasons, closed)] = receive([[framed(junk)]])
+    # Either one well-formed message (vanishingly unlikely) or one bad frame.
+    assert (len(handled), reasons, closed) in ((1, {}, False), (0, {"bad-frame": 1}, True))
+
+
+@given(
+    message=MESSAGES,
+    ctx=CONTEXTS,
+    position=st.integers(0, 10_000),
+    value=st.integers(0, 255),
+    split=st.integers(0, 10_000),
+)
+def test_a_corrupted_byte_yields_one_message_or_a_bad_frame(message, ctx, position, value, split):
+    frame = bytearray(encode_frame(3, 16, message, ctx))
+    position = LENGTH.size + position % (len(frame) - LENGTH.size)
+    frame[position] = value
+    split %= len(frame) + 1
+    [(handled, reasons, closed)] = receive([[bytes(frame[:split]), bytes(frame[split:])]])
+    if closed:
+        assert (handled, reasons) == ([], {"bad-frame": 1})
+    else:
+        assert len(handled) == 1 and reasons == {}
+        assert type(handled[0]) in (Ack, Envelope, SoupObject)
+
+
+def test_announcing_more_than_the_cap_is_a_bad_frame():
+    assert_rejected(receive([[LENGTH.pack(MAX_FRAME_BYTES + 1)]]))
+
+
+def test_soup_object_tag_matches_the_table():
+    body = body_of(encode_frame(11, 16, sample_object()))
+    assert body[_TAG_AT] == SOUP_OBJECT and body[_CODE_AT] == TYPE_CODES[ObjectType.UPDATE]
