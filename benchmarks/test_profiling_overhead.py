@@ -19,8 +19,8 @@ from repro.obs.profiling import PROFILER, Profiler, _NULL_SPAN
 
 #: Calls-per-selection budget: the engine's selection path runs at most
 #: this many hook calls (tracer guards, counter incs, histogram observes,
-#: phase-timer spans — ``engine.scoring``/``engine.selection`` wrap each
-#: placement, ``engine.sync``/``engine.dropping`` amortize over the round)
+#: phase-timer spans — ``engine.selection`` wraps each placement,
+#: ``engine.sync``/``engine.dropping`` amortize over the round)
 #: per ``select_mirrors`` invocation.
 _HOOKS_PER_SELECTION = 16
 

@@ -7,8 +7,10 @@ extracts the hard-wired seams into explicit strategy interfaces so
 alternative architectures become *executable* baselines:
 
 * :class:`MirrorSelectionStrategy` — wraps the Eq. (1) ranking +
-  Algorithm 1 seam (``SoupSimulation._select_and_place`` /
-  ``MirrorManager.run_selection``).
+  Algorithm 1 seam: ``repro.core.selection.ReplicationState.select``,
+  which the simulator's nodes and ``MirrorManager`` share.  The interface
+  and the paper's own :class:`SoupSelectionStrategy` live next to
+  Algorithm 1 in :mod:`repro.core.selection` and are re-exported here.
 * :class:`PlacementStrategy` — remaps the key under which a directory
   entry is published/looked up (``PastryOverlay.publish/lookup``).
 * :class:`RoutingPolicy` — offers extra next-hop candidates to Pastry's
@@ -19,9 +21,10 @@ alternative architectures become *executable* baselines:
   ``SoupNode.request_profile``).
 
 An :class:`Architecture` bundles one (or none) of each.  The default
-``"soup"`` architecture binds *no* strategies: the engine takes zero
-extra branches, keeping the paper-faithful path on the committed digests
-of ``tests/sim/test_golden_digests.py``.
+``"soup"`` architecture binds *no* strategies: every node keeps running
+:class:`SoupSelectionStrategy`, and the other seams take zero extra
+branches, keeping the paper-faithful path on the committed digests of
+``tests/sim/test_golden_digests.py``.
 
 Strategies are deliberately **RNG-free**: all randomness stays inside
 Algorithm 1 (:func:`repro.core.selection.select_mirrors`), driven by the
@@ -32,14 +35,15 @@ head-to-head comparison replayable from ``(config, seed)`` alone.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Callable, Container, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.core.config import SoupConfig
-from repro.core.selection import SelectionResult, select_mirrors
+from repro.core.selection import (  # noqa: F401  (re-exported)
+    MirrorSelectionStrategy,
+    SoupSelectionStrategy,
+)
 
 #: Architecture names accepted by ``ScenarioConfig.architecture`` (and the
 #: ``soup compare`` CLI).  Registration order is the comparison-table order.
@@ -82,50 +86,6 @@ def gini(counts: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 # strategy interfaces
 # ----------------------------------------------------------------------
-class MirrorSelectionStrategy:
-    """Chooses a node's mirror set each selection opportunity.
-
-    The engine (or ``MirrorManager``) supplies the same inputs Algorithm 1
-    consumes; a strategy may rewrite the candidate ranking, delegate to
-    :func:`select_mirrors`, or replace the algorithm outright.  The
-    K-replication contract every implementation must honour (enforced by
-    ``tests/property/test_arch_properties.py``): never more than
-    ``config.max_mirrors`` mirrors, never a node from ``exclude``
-    (owner, blacklisting/rejecting peers, offline candidates), and no
-    duplicates.  ``exclude`` may stand for a population-sized set, so a
-    strategy only ever asks it ``in`` — including for candidates it adds
-    itself — and never iterates or copies it.
-    """
-
-    name = "strategy"
-
-    def begin_round(self, view, epoch: int) -> None:
-        """Called once per selection round before any :meth:`select`.
-
-        ``view`` is the engine (duck-typed): strategies may read uptime
-        (``observed_uptime``), capacities, departure flags and replica
-        locations — but must not mutate engine state or draw RNG.
-        """
-
-    def select(
-        self,
-        owner: int,
-        ranking: Sequence[Tuple[int, float]],
-        friends: Iterable[int],
-        config: SoupConfig,
-        rng: random.Random,
-        exploration_pool: Iterable[int] = (),
-        exclude: Container[int] = (),
-    ) -> SelectionResult:
-        raise NotImplementedError
-
-    def on_commit(self, owner: int, accepted: List[int], epoch: int) -> None:
-        """The mirror set that actually accepted (capacity accounting)."""
-
-    def metrics(self) -> Dict[str, float]:
-        return {}
-
-
 class PlacementStrategy:
     """Remaps directory keys before the overlay routes them.
 
@@ -206,31 +166,6 @@ class ReadPathStrategy:
 # ----------------------------------------------------------------------
 # the default architecture: plain SOUP
 # ----------------------------------------------------------------------
-class SoupSelectionStrategy(MirrorSelectionStrategy):
-    """Paper-faithful Algorithm 1, unchanged — the identity strategy."""
-
-    name = "soup"
-
-    def select(
-        self,
-        owner: int,
-        ranking: Sequence[Tuple[int, float]],
-        friends: Iterable[int],
-        config: SoupConfig,
-        rng: random.Random,
-        exploration_pool: Iterable[int] = (),
-        exclude: Container[int] = (),
-    ) -> SelectionResult:
-        return select_mirrors(
-            ranking=ranking,
-            friends=friends,
-            config=config,
-            rng=rng,
-            exploration_pool=exploration_pool,
-            exclude=exclude,
-        )
-
-
 @dataclass
 class Architecture:
     """One architecture = a named bundle of (optional) strategies.

@@ -1010,11 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("replay", help="replay a soup-repro/v1 violation line")
     pr.add_argument("line", help="one-line repro string from an InvariantViolation")
 
-    pv = sub.add_parser(
-        "trace-validate", help="validate a JSONL trace against the event schemas"
-    )
-    pv.add_argument("path", help="trace file written by --trace")
-
     pt = sub.add_parser(
         "trace",
         help="analyze JSONL trace files: replica lifecycles, unavailability "
@@ -1068,8 +1063,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ptv = tsub.add_parser(
         "validate",
-        help="validate a trace against the event schemas (alias of "
-             "trace-validate, gzip-aware)",
+        help="validate a trace against the event schemas (exit 1 on any "
+             "schema error; gzip-aware)",
     )
     ptv.add_argument("path", help="trace file (.jsonl or .jsonl.gz)")
 
@@ -1360,8 +1355,6 @@ def _dispatch(args) -> int:
         return _cmd_fig5(args)
     if command == "metrics":
         return _cmd_metrics(args)
-    if command == "trace-validate":
-        return _cmd_trace_validate(args)
     if command == "trace":
         return _cmd_trace(args)
     if command == "fig6":

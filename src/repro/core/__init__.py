@@ -13,7 +13,9 @@ This package implements Sec. 4 of the paper end to end:
 * :mod:`repro.core.ranking` — mirror-candidate ranking in bootstrapping mode
   (Sec. 4.3) and regular mode (Sec. 4.4).
 * :mod:`repro.core.selection` — Algorithm 1: greedy ε-availability selection,
-  the social filter (Eq. 3) and the random exploration node.
+  the social filter (Eq. 3) and the random exploration node; and
+  ``ReplicationState``, one node's selection state and round, which the
+  simulator's nodes and every ``SoupNode``'s mirror manager share.
 * :mod:`repro.core.dropping` — protective dropping with per-owner dropping
   scores and blacklisting (Sec. 4.6).
 """
@@ -29,7 +31,7 @@ from repro.core.experience import (
 from repro.core.knowledge import KBEntry, KnowledgeBase
 from repro.core.objects import ObjectType, SoupObject
 from repro.core.ranking import BootstrapRanker, Recommendation, RegularRanker
-from repro.core.selection import SelectionResult, select_mirrors
+from repro.core.selection import ReplicationState, SelectionResult, select_mirrors
 
 __all__ = [
     "SoupConfig",
@@ -47,6 +49,7 @@ __all__ = [
     "BootstrapRanker",
     "Recommendation",
     "RegularRanker",
+    "ReplicationState",
     "SelectionResult",
     "select_mirrors",
 ]

@@ -64,9 +64,6 @@ class KnowledgeBase:
     def set_friend(self, node_id: int, is_friend: bool = True) -> None:
         self.add_node(node_id).is_friend = is_friend
 
-    def friends(self) -> List[int]:
-        return [e.node_id for e in self._entries.values() if e.is_friend]
-
     def set_experience(self, node_id: int, experience: float) -> None:
         """Record a new Eq.-(1) experience value for a (candidate) mirror."""
         self.set_experiences(((node_id, experience),))
@@ -87,34 +84,12 @@ class KnowledgeBase:
         entry = self._entries.get(node_id)
         return entry.experience if entry is not None else 0.0
 
-    def mark_mirrors(self, mirrors: Iterable[int]) -> None:
-        """Flag the current mirror set and refresh those entries' TTLs."""
-        mirror_set = set(mirrors)
-        for entry in self._entries.values():
-            entry.is_mirror = entry.node_id in mirror_set
-            if entry.is_mirror:
-                entry.ttl = self.default_ttl
-
-    def decay_ttls(self) -> List[int]:
-        """Age all non-mirror entries one selection round; prune expired.
-
-        Friends never expire — the social graph itself keeps them known.
-        Returns the ids of pruned entries.
-        """
-        pruned = []
-        for node_id, entry in list(self._entries.items()):
-            if entry.is_mirror or entry.is_friend:
-                continue
-            entry.ttl -= 1
-            if entry.ttl <= 0:
-                pruned.append(node_id)
-                del self._entries[node_id]
-        return pruned
-
     def end_selection_round(self, mirrors: Iterable[int]) -> List[int]:
-        """:meth:`mark_mirrors` then :meth:`decay_ttls` in one pass over
-        the entries — what closes every selection round.  Returns the ids
-        of pruned entries."""
+        """Close a selection round in one pass over the entries: flag the
+        new mirror set and restart its TTLs, then age every other entry
+        one round and prune the expired.  Friends never expire — the
+        social graph itself keeps them known.  Returns the ids of pruned
+        entries."""
         mirror_set = set(mirrors)
         default_ttl = self.default_ttl
         pruned = []
@@ -137,9 +112,9 @@ class KnowledgeBase:
     ) -> Tuple[List[Tuple[int, float]], List[int], List[int], List[int]]:
         """What one selection round reads, from one pass over the entries:
         ``(ranked, friends, unranked, known)`` — the candidates with
-        positive experience, best first (:meth:`ranked_candidates` minus
-        its zero-experience tail), then :meth:`friends`,
-        :meth:`unranked_nodes` and every known id, each in KB order."""
+        positive experience, best first (ties by id), then the friends,
+        the nodes without experience (exploration candidates) and every
+        known id, each in KB order."""
         positive: List[Tuple[float, int]] = []
         friends: List[int] = []
         unranked: List[int] = []
@@ -151,17 +126,7 @@ class KnowledgeBase:
                 positive.append((-experience, node_id))
             else:
                 unranked.append(node_id)
-        # Native tuple order == ranked_candidates' (-experience, id) key.
+        # Native tuple order: best experience first, ties by id.
         positive.sort()
         ranked = [(node_id, -negated) for negated, node_id in positive]
         return ranked, friends, unranked, list(self._entries)
-
-    def ranked_candidates(self) -> List[Tuple[int, float]]:
-        """All known nodes sorted by experience value, best first."""
-        ranked = [(e.node_id, e.experience) for e in self._entries.values()]
-        ranked.sort(key=lambda pair: (-pair[1], pair[0]))
-        return ranked
-
-    def unranked_nodes(self) -> List[int]:
-        """Known nodes with no experience yet (exploration candidates)."""
-        return [e.node_id for e in self._entries.values() if e.experience == 0.0]

@@ -13,7 +13,6 @@ in the knowledge base.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -77,16 +76,6 @@ class BootstrapRanker:
         )
         return [(mirror, -negated) for negated, mirror in ranked]
 
-    def fallback_ranking(
-        self, contacts: Iterable[int], rng: random.Random
-    ) -> List[Tuple[int, float]]:
-        """Random contacts at the bootstrap prior, for nodes that received
-        no recommendations at all ("she will randomly select mirrors from
-        her contacts", Sec. 4.3)."""
-        pool = list(contacts)
-        rng.shuffle(pool)
-        return [(node, self._config.bootstrap_prior) for node in pool]
-
 
 def candidate_ranking(
     knowledge: KnowledgeBase, bootstrap: BootstrapRanker, prior: float
@@ -115,8 +104,7 @@ class RegularRanker:
     """Ranks candidates from friends' experience sets via Eq. (1).
 
     Wraps the knowledge base: :meth:`ingest_reports` applies one exchange
-    round's reports; :meth:`ranking` exposes the KB's candidate ordering to
-    Algorithm 1.
+    round's reports to it, and :func:`candidate_ranking` reads the result.
     """
 
     def __init__(self, knowledge: KnowledgeBase, config: SoupConfig) -> None:
@@ -186,21 +174,3 @@ class RegularRanker:
             updated[mirror] = max(0.0, min(1.0, value))
         self._knowledge.set_experiences(updated.items())
         return updated
-
-    def age_unreported(self, mirrors: Iterable[int], reported: Iterable[int]) -> None:
-        """Age the experience of current mirrors nobody reported about.
-
-        A mirror that produced no observations this round earns no fresh
-        term in Eq. (1); its value decays by (1 - α), which is what Eq. (1)
-        yields with an empty recent-observation sum.
-        """
-        reported_set = set(reported)
-        for mirror in mirrors:
-            if mirror in reported_set:
-                continue
-            old = self._knowledge.experience_of(mirror)
-            if old > 0.0:
-                self._knowledge.set_experience(mirror, (1.0 - self._config.alpha) * old)
-
-    def ranking(self) -> List[Tuple[int, float]]:
-        return self._knowledge.ranked_candidates()

@@ -13,6 +13,10 @@ Three stages (paper Sec. 4.5):
 
 3. **Exploration.**  Add one random node without a ranking, "to prevent a
    possible overlooking of even better suited nodes".
+
+:class:`ReplicationState` is one node's selection state and runs one round
+of it; the epoch engine's nodes and every ``SoupNode``'s ``MirrorManager``
+are subclasses, so both protocol implementations make the decision here.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import (
     AbstractSet,
     Collection,
     Container,
+    Dict,
     Iterable,
     List,
     Optional,
@@ -33,6 +38,10 @@ from typing import (
 )
 
 from repro.core.config import SoupConfig
+from repro.core.dropping import ReplicaStore
+from repro.core.experience import ExperienceReport, ExperienceSet
+from repro.core.knowledge import KnowledgeBase
+from repro.core.ranking import BootstrapRanker, RegularRanker, candidate_ranking
 
 
 @dataclass
@@ -191,3 +200,196 @@ def select_mirrors(
         replacements=replacements,
         exploration_node=exploration_node,
     )
+
+
+class MirrorSelectionStrategy:
+    """Chooses a node's mirror set each selection opportunity.
+
+    :meth:`ReplicationState.select` supplies the inputs Algorithm 1
+    consumes; a strategy may rewrite the candidate ranking, delegate to
+    :func:`select_mirrors`, or replace the algorithm outright.  The
+    K-replication contract every implementation must honour (enforced by
+    ``tests/property/test_arch_properties.py``): never more than
+    ``config.max_mirrors`` mirrors, never a node from ``exclude``
+    (owner, blacklisting/rejecting peers, offline candidates), and no
+    duplicates.  ``exclude`` may stand for a population-sized set, so a
+    strategy only ever asks it ``in`` — including for candidates it adds
+    itself — and never iterates or copies it.  ``repro.arch`` holds the
+    alternatives to the paper's own :class:`SoupSelectionStrategy`.
+    """
+
+    name = "strategy"
+
+    def begin_round(self, view, epoch: int) -> None:
+        """Called once per selection round before any :meth:`select`.
+
+        ``view`` is the engine (duck-typed): strategies may read uptime
+        (``observed_uptime``), capacities, departure flags and replica
+        locations — but must not mutate engine state or draw RNG.
+        """
+
+    def select(
+        self,
+        owner: int,
+        ranking: Sequence[Tuple[int, float]],
+        friends: Iterable[int],
+        config: SoupConfig,
+        rng: random.Random,
+        exploration_pool: Iterable[int] = (),
+        exclude: Container[int] = (),
+    ) -> SelectionResult:
+        raise NotImplementedError
+
+    def on_commit(self, owner: int, accepted: List[int], epoch: int) -> None:
+        """The mirror set that actually accepted (capacity accounting)."""
+
+    def metrics(self) -> Dict[str, float]:
+        return {}
+
+
+class SoupSelectionStrategy(MirrorSelectionStrategy):
+    """Paper-faithful Algorithm 1, unchanged — the identity strategy."""
+
+    name = "soup"
+
+    def select(
+        self,
+        owner: int,
+        ranking: Sequence[Tuple[int, float]],
+        friends: Iterable[int],
+        config: SoupConfig,
+        rng: random.Random,
+        exploration_pool: Iterable[int] = (),
+        exclude: Container[int] = (),
+    ) -> SelectionResult:
+        return select_mirrors(
+            ranking=ranking,
+            friends=friends,
+            config=config,
+            rng=rng,
+            exploration_pool=exploration_pool,
+            exclude=exclude,
+        )
+
+
+class ReplicationState:
+    """One node's replication state, and one selection round over it.
+
+    What the paper gives the Mirror Manager (Sec. 6) and both protocol
+    implementations keep per node: the knowledge base, the rankers, the
+    replica store, experience sets and reports, and the selected /
+    announced / rejecting / dead mirrors.  The simulator's nodes and
+    ``repro.node.MirrorManager`` subclass it, so a selection round is
+    decided here once: :meth:`select` runs the installed strategy over the
+    candidate ranking, :meth:`commit` records the set that accepted.
+    Callers place replicas and instrument; this class does neither.
+    """
+
+    #: Algorithm 1 unless an architecture installs another strategy.
+    selection_strategy: MirrorSelectionStrategy = SoupSelectionStrategy()
+
+    def __init__(
+        self,
+        owner_id: int,
+        config: SoupConfig,
+        capacity_profiles: float,
+        rng: random.Random,
+    ) -> None:
+        self.owner_id = owner_id
+        self.config = config
+        #: Algorithm 1's random draws (the simulator shares one stream).
+        self.rng = rng
+        self.knowledge = KnowledgeBase(owner=owner_id, default_ttl=config.kb_ttl)
+        self.bootstrap = BootstrapRanker(config)
+        self.ranker = RegularRanker(self.knowledge, config)
+        self.store = ReplicaStore(owner_id, capacity_profiles, config)
+        #: ES_u(w) for each friend w, accumulated between exchanges.
+        self.experience_sets: Dict[int, ExperienceSet] = {}
+        #: Reports received from friends about *my* mirrors, pending ingestion.
+        self.pending_reports: List[ExperienceReport] = []
+        #: The mirror set the last selection chose.
+        self.selected_mirrors: List[int] = []
+        #: The mirror set published in the directory (announced).
+        self.announced_mirrors: List[int] = []
+        #: Mirrors that rejected a storage request since the last
+        #: selection, which excludes them once.
+        self.rejected_by: Set[int] = set()
+        #: Mirrors the failure detector declared dead: excluded from
+        #: selection until seen alive again.
+        self.dead_mirrors: Set[int] = set()
+        #: ε estimate of the last selection; above ``config.epsilon`` the
+        #: node runs on a *partial* mirror set (candidates exhausted).
+        self.last_estimated_error: Optional[float] = None
+        #: Regular mode (Sec. 4.4) once friends' reports have arrived.
+        self.has_experience = False
+
+    # --- experience ----------------------------------------------------------
+    def experience_set_for(self, friend: int) -> ExperienceSet:
+        es = self.experience_sets.get(friend)
+        if es is None:
+            es = ExperienceSet(observed_friend=friend)
+            self.experience_sets[friend] = es
+        return es
+
+    def drain_reports_for(self, friend: int) -> List[ExperienceReport]:
+        es = self.experience_sets.get(friend)
+        if es is None or len(es) == 0:
+            return []
+        return es.drain(self.owner_id, self.config.o_max)
+
+    def receive_reports(self, reports: Iterable[ExperienceReport]) -> None:
+        self.pending_reports.extend(reports)
+
+    def ingest_pending_reports(self) -> int:
+        if not self.pending_reports:
+            return 0
+        count = len(self.pending_reports)
+        self.ranker.ingest_reports(self.pending_reports)
+        self.pending_reports.clear()
+        self.has_experience = True
+        return count
+
+    # --- selection -------------------------------------------------------------
+    def select(
+        self, unreachable: AbstractSet[int], holding: AbstractSet[int] = frozenset()
+    ) -> SelectionResult:
+        """Run the strategy (Algorithm 1 by default) over the candidate
+        ranking, never choosing the owner, a mirror that rejected it since
+        the last selection, a dead one, or an ``unreachable`` node unless it
+        is ``holding`` the replica already.  Records the new selection."""
+        exclude = Exclusion(
+            own={self.owner_id} | self.rejected_by | self.dead_mirrors,
+            unreachable=unreachable,
+            holding=holding,
+        )
+        ranking, friends, unranked = candidate_ranking(
+            self.knowledge, self.bootstrap, self.config.bootstrap_prior
+        )
+        result = self.selection_strategy.select(
+            self.owner_id,
+            ranking,
+            friends,
+            self.config,
+            self.rng,
+            exploration_pool=unranked,
+            exclude=exclude,
+        )
+        self.rejected_by.clear()
+        self.selected_mirrors = list(result.mirrors)
+        self.last_estimated_error = result.estimated_error
+        return result
+
+    def has_partial_set(self) -> bool:
+        """Whether the last selection fell short of the ε target (candidate
+        pool exhausted — the set is committed anyway, degraded)."""
+        return (
+            self.last_estimated_error is not None
+            and self.last_estimated_error > self.config.epsilon
+        )
+
+    def commit(self, accepted: List[int], epoch: int) -> None:
+        """Announce the mirror set that accepted the replica and close the
+        selection round (knowledge-base TTLs, the strategy's accounting)."""
+        self.announced_mirrors = list(accepted)
+        self.knowledge.end_selection_round(accepted)
+        self.selection_strategy.on_commit(self.owner_id, self.announced_mirrors, epoch)

@@ -157,7 +157,8 @@ class Deployment:
     # ------------------------------------------------------------------
     def _join_new(self, name: str, **overrides) -> None:
         node = self.cluster.add(name, **overrides)
-        node.mirror_manager.selection_strategy = self.arch.selection
+        if self.arch.selection is not None:
+            node.mirror_manager.selection_strategy = self.arch.selection
         node.read_cache = self.arch.read_path
         self._online_seconds[node.node_id] = 0.0
         self.cluster.join(node)

@@ -627,7 +627,8 @@ class SoupNode:
                 self.mirror_manager.rejected_by.add(mirror_id)
 
         self._push_replicas(accepted, newly_accepted, replica_bytes, use_coding)
-        self.mirror_manager.commit_mirrors(accepted)
+        # A node has no epochs: strategies see every commit at epoch 0.
+        self.mirror_manager.commit(accepted, 0)
         self.publish_entry()
         # Mirrors verify the announced set against what they store.
         for mirror_id in accepted:

@@ -2,37 +2,32 @@
 
 "The Mirror Manager module is responsible for the selection of mirrors.  A
 node needs to push any change of its data to its mirrors, and it also needs
-to manage the data that it mirrors for others" (Sec. 6).  This wraps the
-:mod:`repro.core` machinery — knowledge base, experience sets, rankers,
-Algorithm 1, protective dropping — for one protocol-level node.
+to manage the data that it mirrors for others" (Sec. 6).  The replication
+state and the selection round are :class:`repro.core.selection.ReplicationState`,
+shared with the simulator's nodes; this subclass adds what only a
+protocol-level node has: instrumentation of the round, storage requests
+from other nodes, update logs and repair bookkeeping.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.obs import get_registry, get_tracer
 
 logger = logging.getLogger("repro.node.mirror_manager")
 
 from repro.core.config import SoupConfig
-from repro.core.dropping import ReplicaStore, StoreDecision
-from repro.core.experience import ExperienceReport, ExperienceSet
-from repro.core.knowledge import KnowledgeBase
-from repro.core.ranking import (
-    BootstrapRanker,
-    Recommendation,
-    RegularRanker,
-    candidate_ranking,
-)
-from repro.core.selection import SelectionResult, select_mirrors
+from repro.core.dropping import StoreDecision
+from repro.core.ranking import Recommendation
+from repro.core.selection import ReplicationState, SelectionResult
 from repro.node.devices import UpdateLog
 from repro.node.sync import PendingUpdate, UpdateBuffer
 
 
-class MirrorManager:
+class MirrorManager(ReplicationState):
     """Mirror-selection state and replica storage of one SOUP node."""
 
     def __init__(
@@ -43,44 +38,21 @@ class MirrorManager:
         rng: random.Random,
         mirroring_enabled: bool = True,
     ) -> None:
-        self.owner_id = owner_id
-        self.config = config
-        self.rng = rng
+        super().__init__(owner_id, config, capacity_profiles, rng)
         #: Mobile nodes disable mirroring by default (Sec. 7) but still
         #: select mirrors for their own data.
         self.mirroring_enabled = mirroring_enabled
-
-        self.knowledge = KnowledgeBase(owner=owner_id, default_ttl=config.kb_ttl)
-        self.bootstrap = BootstrapRanker(config)
-        self.ranker = RegularRanker(self.knowledge, config)
-        self.store = ReplicaStore(owner_id, capacity_profiles, config)
         self.update_buffer = UpdateBuffer(
             max_per_target=config.update_buffer_cap or None
         )
         #: Retained per-owner update logs for multi-device sync (Sec. 3.5).
         self.update_logs: Dict[int, UpdateLog] = {}
-
-        self.experience_sets: Dict[int, ExperienceSet] = {}
-        self.pending_reports: List[ExperienceReport] = []
-        self.selected_mirrors: List[int] = []
-        self.announced_mirrors: List[int] = []
-        self.rejected_by: Set[int] = set()
-        self.has_experience = False
-        #: Mirrors the failure detector has declared dead: excluded from
-        #: selection until an observed delivery revives them.
-        self.dead_mirrors: Set[int] = set()
         #: Proactive-repair bookkeeping (PROTOCOL.md "Reliability & repair").
         self.repairs_triggered = 0
         self.repair_replacements = 0
-        #: ε estimate of the last committed set — > config.epsilon means we
-        #: are running on a *partial* mirror set (candidates exhausted).
-        self.last_estimated_error: Optional[float] = None
         #: Erasure-coded placement of a large profile (Sec. 8 extension);
         #: None while the profile is replicated in full.
         self.coded_plan = None
-        #: Optional :class:`repro.arch.MirrorSelectionStrategy` installed by
-        #: the deployment; ``None`` keeps the paper-faithful Algorithm 1.
-        self.selection_strategy = None
 
     # --- knowledge -----------------------------------------------------
     def learn_node(self, node_id: int, is_friend: bool = False) -> None:
@@ -108,72 +80,14 @@ class MirrorManager:
         ]
 
     # --- experience ----------------------------------------------------------
-    def experience_set_for(self, friend: int) -> ExperienceSet:
-        es = self.experience_sets.get(friend)
-        if es is None:
-            es = ExperienceSet(observed_friend=friend)
-            self.experience_sets[friend] = es
-        return es
-
     def observe_mirror(self, friend: int, mirror: int, success: bool) -> None:
         self.experience_set_for(friend).observe(mirror, success)
 
-    def drain_reports_for(self, friend: int) -> List[ExperienceReport]:
-        es = self.experience_sets.get(friend)
-        if es is None or len(es) == 0:
-            return []
-        return es.drain(self.owner_id, self.config.o_max)
-
-    def receive_reports(self, reports: Iterable[ExperienceReport]) -> None:
-        self.pending_reports.extend(reports)
-
-    def ingest_pending_reports(self) -> int:
-        if not self.pending_reports:
-            return 0
-        count = len(self.pending_reports)
-        self.ranker.ingest_reports(self.pending_reports)
-        self.pending_reports.clear()
-        self.has_experience = True
-        return count
-
     # --- selection -------------------------------------------------------------
-    def build_ranking(self) -> List[Tuple[int, float]]:
-        """Candidate ranking: experience, then recommendations, then the
-        bootstrap prior for every other known contact."""
-        return candidate_ranking(
-            self.knowledge, self.bootstrap, self.config.bootstrap_prior
-        )[0]
-
     def run_selection(self, exclude: Iterable[int] = ()) -> SelectionResult:
-        """Run Algorithm 1 over the current ranking."""
-        excluded = (
-            {self.owner_id} | set(exclude) | self.rejected_by | self.dead_mirrors
-        )
-        ranking, friends, unranked = candidate_ranking(
-            self.knowledge, self.bootstrap, self.config.bootstrap_prior
-        )
-        if self.selection_strategy is None:
-            result = select_mirrors(
-                ranking=ranking,
-                friends=friends,
-                config=self.config,
-                rng=self.rng,
-                exploration_pool=unranked,
-                exclude=excluded,
-            )
-        else:
-            result = self.selection_strategy.select(
-                self.owner_id,
-                ranking,
-                friends,
-                self.config,
-                self.rng,
-                exploration_pool=unranked,
-                exclude=excluded,
-            )
-        self.rejected_by.clear()
-        self.selected_mirrors = list(result.mirrors)
-        self.last_estimated_error = result.estimated_error
+        """Run one selection with the ``exclude`` nodes unreachable (the
+        node leaves mirrors already holding its replica out of it)."""
+        result = self.select(set(exclude))
         registry = get_registry()
         registry.counter("node.selection.runs").inc()
         if result.estimated_error is not None:
@@ -199,21 +113,6 @@ class MirrorManager:
 
     def mark_mirror_alive(self, mirror_id: int) -> None:
         self.dead_mirrors.discard(mirror_id)
-
-    def has_partial_set(self) -> bool:
-        """Whether the last selection fell short of the ε target (candidate
-        pool exhausted — the set is committed anyway, degraded)."""
-        return (
-            self.last_estimated_error is not None
-            and self.last_estimated_error > self.config.epsilon
-        )
-
-    def commit_mirrors(self, accepted: List[int]) -> None:
-        """Record the mirror set that actually accepted our replicas."""
-        self.announced_mirrors = list(accepted)
-        self.knowledge.end_selection_round(accepted)
-        if self.selection_strategy is not None:
-            self.selection_strategy.on_commit(self.owner_id, list(accepted), 0)
 
     # --- storage for others ---------------------------------------------------
     def handle_store_request(

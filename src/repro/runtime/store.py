@@ -168,7 +168,7 @@ class RunStore:
     def append_telemetry_event(self, event: str, **fields: Any) -> None:
         """Append one schema-valid trace event to ``telemetry/events.jsonl``.
 
-        The file is a regular v1 trace (``soup trace-validate`` passes on
+        The file is a regular v1 trace (``soup trace validate`` passes on
         it); ``seq`` continues across resumes.  Each record is one
         ``write`` of a newline-terminated line, so concurrent appends
         from one process never interleave mid-record.

@@ -24,9 +24,8 @@ from __future__ import annotations
 import gc
 import logging
 import random
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -45,16 +44,8 @@ from repro.behavior.capacity import sample_capacities
 from repro.behavior.churn import join_epochs, top_online_nodes
 from repro.behavior.online import OnlineModel, sample_timezones
 from repro.core.config import SoupConfig
-from repro.core.dropping import ReplicaStore
-from repro.core.knowledge import KnowledgeBase
-from repro.core.ranking import (
-    BootstrapRanker,
-    Recommendation,
-    RegularRanker,
-    candidate_ranking,
-)
-from repro.core.selection import Exclusion, select_mirrors
-from repro.core.experience import ExperienceReport, ExperienceSet
+from repro.core.ranking import Recommendation
+from repro.core.selection import ReplicationState
 from repro.extensions.ties import TieStrengthModel, weigh_reports_by_tie
 from repro.graphs.datasets import generate_dataset
 from repro.sim import invariants as invariants_mod
@@ -67,52 +58,38 @@ from repro.sim.scenario import OnlineDistribution, ScenarioConfig, sample_distri
 logger = logging.getLogger("repro.sim.engine")
 
 
-@dataclass
-class _NodeState:
-    """Full per-node protocol state."""
+class _NodeState(ReplicationState):
+    """One simulated node: the replication state every SOUP node keeps
+    (shared with ``MirrorManager``) plus what only the simulator tracks."""
 
-    node_id: int
-    friends: List[int]
-    kb: KnowledgeBase
-    bootstrap: BootstrapRanker
-    ranker: RegularRanker
-    store: ReplicaStore
-    #: ES_u(w) for each friend w, accumulated between exchanges.
-    experience_sets: Dict[int, ExperienceSet] = field(default_factory=dict)
-    #: Reports received from friends about *my* mirrors, pending ingestion.
-    pending_reports: List[ExperienceReport] = field(default_factory=list)
-    #: The mirror set Algorithm 1 last chose.
-    selected_mirrors: List[int] = field(default_factory=list)
-    #: The mirror set published in the directory (announced).
-    announced_mirrors: List[int] = field(default_factory=list)
-    #: Mirrors that rejected our storage request last round (excluded once).
-    rejected_by: Set[int] = field(default_factory=set)
-    #: Selected mirrors that were offline at selection time; the replica
-    #: push is retried whenever owner and mirror are online together.
-    pending_placements: Set[int] = field(default_factory=set)
-    #: Mirrors the failure detector declared dead (repair runs only);
-    #: excluded from selection until observed online again.
-    dead_mirrors: Set[int] = field(default_factory=set)
-    #: Consecutive silent epochs per announced mirror (suspicion levels).
-    mirror_suspicion: Dict[int, int] = field(default_factory=dict)
-    #: ε estimate of the last selection; above the configured target the
-    #: node is running on a *partial* mirror set.
-    last_estimated_error: Optional[float] = None
-    joined: bool = False
-    departed: bool = False
-    join_epoch: int = 0
-    is_altruist: bool = False
-    is_slanderer: bool = False
-    is_sybil: bool = False
-    is_traitor: bool = False
-    has_experience: bool = False
-
-    def experience_set_for(self, friend: int) -> ExperienceSet:
-        es = self.experience_sets.get(friend)
-        if es is None:
-            es = ExperienceSet(observed_friend=friend)
-            self.experience_sets[friend] = es
-        return es
+    def __init__(
+        self,
+        node_id: int,
+        friends: List[int],
+        config: SoupConfig,
+        capacity_profiles: float,
+        rng: random.Random,
+        is_altruist: bool = False,
+        is_sybil: bool = False,
+        is_traitor: bool = False,
+    ) -> None:
+        super().__init__(node_id, config, capacity_profiles, rng)
+        self.node_id = node_id
+        self.friends = friends
+        for friend in friends:
+            self.knowledge.add_node(friend, is_friend=True)
+        #: Selected mirrors that were offline at selection time; the replica
+        #: push is retried whenever owner and mirror are online together.
+        self.pending_placements: Set[int] = set()
+        #: Consecutive silent epochs per announced mirror (suspicion levels).
+        self.mirror_suspicion: Dict[int, int] = {}
+        self.joined = False
+        self.departed = False
+        self.join_epoch = 0
+        self.is_altruist = is_altruist
+        self.is_slanderer = False
+        self.is_sybil = is_sybil
+        self.is_traitor = is_traitor
 
 
 class SoupSimulation:
@@ -286,16 +263,12 @@ class SoupSimulation:
             friends = (
                 sorted(graph.neighbors(node_id)) if node_id < base_n else []
             )
-            kb = KnowledgeBase(owner=node_id, default_ttl=self.soup.kb_ttl)
-            for friend in friends:
-                kb.add_node(friend, is_friend=True)
             state = _NodeState(
-                node_id=node_id,
-                friends=friends,
-                kb=kb,
-                bootstrap=BootstrapRanker(self.soup),
-                ranker=RegularRanker(kb, self.soup),
-                store=ReplicaStore(node_id, float(capacities[node_id]), self.soup),
+                node_id,
+                friends,
+                self.soup,
+                float(capacities[node_id]),
+                self.rng,
                 is_altruist=base_n <= node_id < base_n + self.n_altruists,
                 is_sybil=base_n + self.n_altruists
                 <= node_id
@@ -314,7 +287,7 @@ class SoupSimulation:
             state = self.nodes[sybil]
             state.friends = picks
             for pick in picks:
-                state.kb.add_node(pick, is_friend=True)
+                state.knowledge.add_node(pick, is_friend=True)
 
         # Join schedule: base nodes and sybils join inside the bootstrap
         # window; altruists appear at their configured day (Fig. 8).
@@ -436,6 +409,9 @@ class SoupSimulation:
 
         self.arch = create_architecture(config.architecture, config)
         self._selection_strategy = self.arch.selection
+        if self._selection_strategy is not None:
+            for node in self.nodes:
+                node.selection_strategy = self._selection_strategy
         self._read_path = self.arch.read_path
         overlay_strategies = (
             self.arch.placement is not None or self.arch.routing is not None
@@ -754,9 +730,9 @@ class SoupSimulation:
         target = self.nodes[target_id]
         if target.joined and not target.departed:
             # Meeting a node makes it (and us) known — KB entries both ways.
-            node.kb.add_node(target_id, is_friend=target_id in node.friends)
+            node.knowledge.add_node(target_id, is_friend=target_id in node.friends)
             if not target.is_sybil:
-                target.kb.add_node(node.node_id)
+                target.knowledge.add_node(node.node_id)
             # Bootstrapping nodes harvest recommendations from every contact.
             if not node.has_experience:
                 self._collect_recommendations(node, target)
@@ -796,7 +772,7 @@ class SoupSimulation:
                 Recommendation(
                     recommender=target.node_id,
                     mirror=mirror,
-                    quality=target.kb.experience_of(mirror) or None,
+                    quality=target.knowledge.experience_of(mirror) or None,
                 )
             )
 
@@ -920,7 +896,6 @@ class SoupSimulation:
         ties = self.ties
         faults = self.faults
         slander = self.slander if node.is_slanderer else None
-        experience_sets = node.experience_sets
         store = node.store
         # A node that stores nothing has no dropping score to update (and
         # cannot start storing inside this loop).
@@ -934,14 +909,13 @@ class SoupSimulation:
                     node_id, friend.announced_mirrors, o_max
                 )
             else:
-                es = experience_sets.get(friend_id)
-                reports = es.drain(node_id, o_max) if es else []
+                reports = node.drain_reports_for(friend_id)
             if ties is not None and reports:
                 reports = weigh_reports_by_tie(reports, friend_id, ties)
             if faults is not None:
                 reports = faults.tamper_reports(node_id, friend_id, reports, epoch)
             if reports:
-                friend.pending_reports.extend(reports)
+                friend.receive_reports(reports)
 
             # Dropping-score exchange: learn who stores at the friend.
             if stores_any:
@@ -951,13 +925,9 @@ class SoupSimulation:
                     self.mark_stale_announcement(owner, node_id)
 
     def _ingest_reports(self, node: _NodeState, epoch: int = 0) -> None:
-        if not node.pending_reports:
-            return
-        if self.faults is not None:
+        if self.faults is not None and node.pending_reports:
             self.faults.shuffle_reports(node.node_id, node.pending_reports, epoch)
-        node.ranker.ingest_reports(node.pending_reports)
-        node.pending_reports.clear()
-        node.has_experience = True
+        node.ingest_pending_reports()
 
     def _select_and_place(self, node: _NodeState, epoch: int) -> None:
         """Run Algorithm 1 for one node and apply the outcome.
@@ -973,39 +943,9 @@ class SoupSimulation:
             for mirror_id in node.announced_mirrors
             if node.node_id in self.replica_locations[mirror_id]
         }
-        excluded = Exclusion(
-            own={node.node_id} | node.rejected_by | node.dead_mirrors,
-            unreachable=self._unreachable_at(epoch),
-            holding=holding,
-        )
-
-        with PROFILER.span("engine.scoring"):
-            ranking, friends, unranked = candidate_ranking(
-                node.kb, node.bootstrap, self.soup.bootstrap_prior
-            )
-
+        old_mirrors = set(node.selected_mirrors)  # select() replaces them
         with PROFILER.span("engine.selection"):
-            if self._selection_strategy is None:
-                result = select_mirrors(
-                    ranking=ranking,
-                    friends=friends,
-                    config=self.soup,
-                    rng=self.rng,
-                    exploration_pool=unranked,
-                    exclude=excluded,
-                )
-            else:
-                result = self._selection_strategy.select(
-                    node.node_id,
-                    ranking,
-                    friends,
-                    self.soup,
-                    self.rng,
-                    exploration_pool=unranked,
-                    exclude=excluded,
-                )
-        node.rejected_by.clear()
-        node.last_estimated_error = result.estimated_error
+            result = node.select(self._unreachable_at(epoch), holding)
         if result.estimated_error is not None:
             self.metrics.histogram(
                 "engine.selection.error",
@@ -1020,8 +960,7 @@ class SoupSimulation:
                 epoch=epoch,
             )
 
-        old_mirrors = set(node.selected_mirrors)
-        new_mirrors = list(result.mirrors)
+        new_mirrors = node.selected_mirrors
         new_set = set(new_mirrors)
         for mirror_id in old_mirrors.symmetric_difference(new_set):
             pair = (node.node_id, mirror_id)
@@ -1039,59 +978,22 @@ class SoupSimulation:
         accepted: List[int] = []
         friend_set = set(node.friends)
         for mirror_id in new_mirrors:
-            mirror = self.nodes[mirror_id]
-            already = node.node_id in self.replica_locations[mirror_id]
-            if already:
+            if node.node_id in self.replica_locations[mirror_id]:
                 accepted.append(mirror_id)
-                continue
-            if not online_now[mirror_id]:
+            elif not online_now[mirror_id]:
                 # A fresh replica cannot be pushed to an offline mirror;
                 # the push is retried each epoch both ends are online.
                 node.pending_placements.add(mirror_id)
-                continue
-            decision = mirror.store.request_store(
-                node.node_id, size_profiles=1.0, is_friend=mirror_id in friend_set
-            )
-            self._placements_this_round += 1
-            if decision.accepted:
-                if decision.dropped_owner is not None:
-                    self.replica_locations[mirror_id].discard(decision.dropped_owner)
-                    self.mark_stale_announcement(decision.dropped_owner, mirror_id)
-                    self._drops_this_round += 1
-                    self.metrics.counter("engine.replicas.dropped").inc()
-                    self._trace_drop(decision.dropped_owner, mirror_id, "capacity", epoch)
-                if self._place_replica_payload(node.node_id, mirror_id, epoch):
-                    self.replica_locations[mirror_id].add(node.node_id)
-                    accepted.append(mirror_id)
-                    self.metrics.counter("engine.replicas.placed").inc()
-                    if self._tracer.enabled:
-                        self._tracer.emit(
-                            "replica_pushed",
-                            owner=node.node_id, mirror=mirror_id, epoch=epoch,
-                        )
-                else:
-                    # The replica payload never arrived.  Fire-and-forget
-                    # senders announce the mirror anyway (the stale
-                    # announcement the invariant checker flags); acked
-                    # transfers roll the acceptance back cleanly.
-                    mirror.store.remove(node.node_id)
-                    if not self.config.repair:
-                        accepted.append(mirror_id)
-            else:
-                node.rejected_by.add(mirror_id)
-                self.metrics.counter("engine.replicas.rejected").inc()
+            elif self._push_replica(node, mirror_id, mirror_id in friend_set, epoch):
+                accepted.append(mirror_id)
 
         node.pending_placements &= new_set
-        node.selected_mirrors = new_mirrors
-        node.announced_mirrors = accepted
-        if self._selection_strategy is not None:
-            self._selection_strategy.on_commit(node.node_id, accepted, epoch)
+        node.commit(accepted, epoch)
         if self.dht_probe is not None:
             self.dht_probe.on_publish(node.node_id, accepted, epoch)
         # The owner has just rebuilt its announced set from live accepts, so
         # earlier drop notices are no longer pending for it.
         self._stale_announced.pop(node.node_id, None)
-        node.kb.end_selection_round(accepted)
 
         # Mirrors still storing us but not announced would flag a mismatch;
         # honest owners announce exactly their accepted set, so only stale
@@ -1127,6 +1029,44 @@ class SoupSimulation:
             self._online_flags_epoch = epoch
         return self._online_flags
 
+    def _push_replica(
+        self, node: _NodeState, mirror_id: int, is_friend: bool, epoch: int
+    ) -> bool:
+        """Ask an online mirror to store ``node``'s replica and push it.
+
+        Whether the replica landed as far as the owner can tell: the
+        mirror accepted and the payload arrived — or, without repair, a
+        fire-and-forget push was lost unnoticed, which the owner announces
+        anyway (the stale announcement the invariant checker flags; acked
+        transfers roll the acceptance back cleanly).  A rejection excludes
+        the mirror from the owner's next selection.
+        """
+        mirror = self.nodes[mirror_id]
+        decision = mirror.store.request_store(
+            node.node_id, size_profiles=1.0, is_friend=is_friend
+        )
+        self._placements_this_round += 1
+        if not decision.accepted:
+            node.rejected_by.add(mirror_id)
+            self.metrics.counter("engine.replicas.rejected").inc()
+            return False
+        if decision.dropped_owner is not None:
+            self.replica_locations[mirror_id].discard(decision.dropped_owner)
+            self.mark_stale_announcement(decision.dropped_owner, mirror_id)
+            self._drops_this_round += 1
+            self.metrics.counter("engine.replicas.dropped").inc()
+            self._trace_drop(decision.dropped_owner, mirror_id, "capacity", epoch)
+        if not self._place_replica_payload(node.node_id, mirror_id, epoch):
+            mirror.store.remove(node.node_id)
+            return not self.config.repair
+        self.replica_locations[mirror_id].add(node.node_id)
+        self.metrics.counter("engine.replicas.placed").inc()
+        if self._tracer.enabled:
+            self._tracer.emit(
+                "replica_pushed", owner=node.node_id, mirror=mirror_id, epoch=epoch
+            )
+        return True
+
     def _retry_pending_placements(self, node: _NodeState, epoch: int) -> bool:
         """Push deferred replicas to mirrors that have come online."""
         online_now = self._online_flags_at(epoch)
@@ -1138,36 +1078,10 @@ class SoupSimulation:
             node.pending_placements.discard(mirror_id)
             if node.node_id in self.replica_locations[mirror_id]:
                 continue
-            mirror = self.nodes[mirror_id]
-            decision = mirror.store.request_store(
-                node.node_id, size_profiles=1.0, is_friend=mirror_id in friend_set
-            )
-            self._placements_this_round += 1
-            if decision.accepted:
-                if decision.dropped_owner is not None:
-                    self.replica_locations[mirror_id].discard(decision.dropped_owner)
-                    self.mark_stale_announcement(decision.dropped_owner, mirror_id)
-                    self._drops_this_round += 1
-                    self.metrics.counter("engine.replicas.dropped").inc()
-                    self._trace_drop(decision.dropped_owner, mirror_id, "capacity", epoch)
-                arrived = self._place_replica_payload(node.node_id, mirror_id, epoch)
-                if arrived:
-                    self.replica_locations[mirror_id].add(node.node_id)
-                    self.metrics.counter("engine.replicas.placed").inc()
-                    if self._tracer.enabled:
-                        self._tracer.emit(
-                            "replica_pushed",
-                            owner=node.node_id, mirror=mirror_id, epoch=epoch,
-                        )
-                else:
-                    mirror.store.remove(node.node_id)
-                if arrived or not self.config.repair:
-                    if mirror_id not in node.announced_mirrors:
-                        node.announced_mirrors.append(mirror_id)
-                    placed = True
-            else:
-                node.rejected_by.add(mirror_id)
-                self.metrics.counter("engine.replicas.rejected").inc()
+            if self._push_replica(node, mirror_id, mirror_id in friend_set, epoch):
+                if mirror_id not in node.announced_mirrors:
+                    node.announced_mirrors.append(mirror_id)
+                placed = True
         if placed and self.dht_probe is not None:
             # The announced set changed: the owner republishes it.
             self.dht_probe.on_publish(node.node_id, node.announced_mirrors, epoch)
@@ -1215,10 +1129,7 @@ class SoupSimulation:
                 self._repair_owner(node, dead_now, epoch)
                 dirty = True
             self._note_deficit_state(node, epoch)
-            if (
-                node.last_estimated_error is not None
-                and node.last_estimated_error > self.soup.epsilon
-            ):
+            if node.has_partial_set():
                 rel.partial_set_epochs += 1
             # A dead-declared mirror seen online again becomes selectable.
             for mirror_id in sorted(node.dead_mirrors):
@@ -1332,7 +1243,12 @@ class SoupSimulation:
         return False
 
     def _sybil_flood(self, node: _NodeState) -> None:
-        """One sybil's flooding round (Fig. 11)."""
+        """One sybil's flooding round (Fig. 11).
+
+        Not :meth:`_push_replica`: a flood counts no placed/dropped
+        replica and traces no ``replica_dropped`` for what it evicts, and
+        the ``adverse_blacklisting`` golden digest pins exactly that.
+        """
         assert self.flooding is not None
         targets = self.flooding.flood_targets(
             node.node_id, self._flood_candidates, self.rng

@@ -6,8 +6,9 @@ The epoch loop reads a knowledge base once per selection
 (``end_selection_round``), writes a round's experience values in bulk
 (``set_experiences``), records a whole fetch in one call
 (``observe_fetch``) and tests candidates against a materialised slice of
-the exclusion (``Exclusion.among``).  The slow definitions stay in the
-classes; these properties pin the fast forms to them, order included.
+the exclusion (``Exclusion.among``).  The slow definitions of the
+knowledge-base passes live in ``kb_oracles``; these properties pin the
+fast forms to them, order included.
 """
 
 import copy
@@ -23,8 +24,15 @@ from repro.core.experience import ExperienceReport, ExperienceSet
 from repro.core.knowledge import KnowledgeBase
 from repro.core.ranking import BootstrapRanker, Recommendation, candidate_ranking
 from repro.core.selection import Exclusion, select_mirrors
+from tests.core.kb_oracles import (
+    decay_ttls,
+    friends,
+    mark_mirrors,
+    ranked_candidates,
+    unranked_nodes,
+)
 
-ids = st.integers(min_value=0, max_value=40)
+ids =st.integers(min_value=0, max_value=40)
 id_sets = st.sets(ids, max_size=20)
 
 
@@ -63,9 +71,9 @@ def _replay(steps, default_ttl=3):
         elif step[0] == "exp":
             kb.set_experience(step[1], step[2])
         elif step[0] == "mark":
-            kb.mark_mirrors(step[1])
+            mark_mirrors(kb, step[1])
         else:
-            kb.decay_ttls()
+            decay_ttls(kb)
     return kb
 
 
@@ -73,9 +81,9 @@ def _replay(steps, default_ttl=3):
 def test_selection_view_equals_the_four_separate_passes(steps):
     kb = _replay(steps)
     assert kb.selection_view() == (
-        [pair for pair in kb.ranked_candidates() if pair[1] > 0.0],
-        kb.friends(),
-        kb.unranked_nodes(),
+        [pair for pair in ranked_candidates(kb) if pair[1] > 0.0],
+        friends(kb),
+        unranked_nodes(kb),
         [entry.node_id for entry in kb],
     )
 
@@ -96,7 +104,7 @@ def test_candidate_ranking_is_the_trust_order_assembly(steps, recommended):
         Recommendation(recommender=99, mirror=mirror, quality=quality)
         for mirror, quality in recommended
     )
-    expected = [pair for pair in kb.ranked_candidates() if pair[1] > 0.0]
+    expected = [pair for pair in ranked_candidates(kb) if pair[1] > 0.0]
     known = {candidate for candidate, _ in expected}
     for candidate, rank in bootstrap.ranking():
         if candidate not in known:
@@ -105,8 +113,8 @@ def test_candidate_ranking_is_the_trust_order_assembly(steps, recommended):
     expected += [(e.node_id, 0.4) for e in kb if e.node_id not in known]
     assert candidate_ranking(kb, bootstrap, 0.4) == (
         expected,
-        kb.friends(),
-        kb.unranked_nodes(),
+        friends(kb),
+        unranked_nodes(kb),
     )
 
 
@@ -114,8 +122,8 @@ def test_candidate_ranking_is_the_trust_order_assembly(steps, recommended):
 def test_end_selection_round_equals_mark_then_decay(steps, mirrors):
     fused = _replay(steps)
     split = copy.deepcopy(fused)
-    split.mark_mirrors(mirrors)
-    assert fused.end_selection_round(mirrors) == split.decay_ttls()
+    mark_mirrors(split, mirrors)
+    assert fused.end_selection_round(mirrors) == decay_ttls(split)
     assert list(fused) == list(split)  # same entries, order, TTLs, mirror flags
 
 

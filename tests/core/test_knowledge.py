@@ -31,11 +31,16 @@ def test_friend_upgrade_preserved(kb):
     assert kb.get(1).is_friend
 
 
+def _view(kb):
+    ranked, friends, unranked, _ = kb.selection_view()
+    return ranked, friends, unranked
+
+
 def test_friends_listing(kb):
     kb.add_node(1, is_friend=True)
     kb.add_node(2)
     kb.set_friend(3)
-    assert sorted(kb.friends()) == [1, 3]
+    assert sorted(_view(kb)[1]) == [1, 3]
 
 
 def test_experience_recording_and_clamping(kb):
@@ -55,49 +60,48 @@ def test_ranked_candidates_sorted(kb):
     kb.set_experience(1, 0.2)
     kb.set_experience(2, 0.9)
     kb.set_experience(3, 0.5)
-    assert [node for node, _ in kb.ranked_candidates()] == [2, 3, 1]
+    assert [node for node, _ in _view(kb)[0]] == [2, 3, 1]
 
 
 def test_unranked_nodes(kb):
     kb.add_node(1)
     kb.set_experience(2, 0.4)
-    assert kb.unranked_nodes() == [1]
+    assert _view(kb)[2] == [1]
 
 
 def test_ttl_decay_prunes_strangers(kb):
     kb.add_node(1)  # stranger, ttl=3
     for _ in range(2):
-        assert kb.decay_ttls() == []
-    assert kb.decay_ttls() == [1]
+        assert kb.end_selection_round([]) == []
+    assert kb.end_selection_round([]) == [1]
     assert 1 not in kb
 
 
 def test_friends_never_expire(kb):
     kb.add_node(1, is_friend=True)
     for _ in range(10):
-        kb.decay_ttls()
+        kb.end_selection_round([])
     assert 1 in kb
 
 
 def test_mirrors_refresh_ttl(kb):
     kb.add_node(1)
-    kb.mark_mirrors(iter([1]))
     for _ in range(10):
-        kb.decay_ttls()
-    assert 1 in kb
+        kb.end_selection_round(iter([1]))
+    assert 1 in kb and kb.get(1).is_mirror
     # De-selecting restarts the countdown.
-    kb.mark_mirrors(iter([]))
-    for _ in range(3):
-        kb.decay_ttls()
-    assert 1 not in kb
+    for _ in range(2):
+        kb.end_selection_round(iter([]))
+    assert not kb.get(1).is_mirror
+    assert kb.end_selection_round([]) == [1]
 
 
 def test_set_experience_refreshes_ttl(kb):
     kb.add_node(1)
-    kb.decay_ttls()
-    kb.decay_ttls()
+    kb.end_selection_round([])
+    kb.end_selection_round([])
     kb.set_experience(1, 0.3)
-    assert kb.decay_ttls() == []  # countdown restarted
+    assert kb.end_selection_round([]) == []  # countdown restarted
 
 
 def test_entry_validation():

@@ -1,13 +1,16 @@
 """Tests for bootstrap and regular ranking modes."""
 
-import random
-
 import pytest
 
 from repro.core.config import SoupConfig
 from repro.core.experience import ExperienceReport
 from repro.core.knowledge import KnowledgeBase
-from repro.core.ranking import BootstrapRanker, Recommendation, RegularRanker
+from repro.core.ranking import (
+    BootstrapRanker,
+    Recommendation,
+    RegularRanker,
+    candidate_ranking,
+)
 
 
 @pytest.fixture()
@@ -54,12 +57,6 @@ class TestBootstrapRanker:
         ranker.add_recommendation(Recommendation(1, mirror=10, quality=7.0))
         ((_, rank),) = ranker.ranking()
         assert rank <= 1.0
-
-    def test_fallback_ranking_uses_contacts(self, config):
-        ranker = BootstrapRanker(config)
-        ranking = ranker.fallback_ranking([1, 2, 3], random.Random(0))
-        assert {m for m, _ in ranking} == {1, 2, 3}
-        assert all(r == config.bootstrap_prior for _, r in ranking)
 
 
 class TestRegularRankerAgedCounts:
@@ -139,27 +136,11 @@ class TestRegularRankerEq1Modes:
         )
         assert kb.experience_of(5) == pytest.approx(0.75 * 0.8)
 
-    def test_age_unreported_decays(self):
-        config = SoupConfig(experience_normalization="by_cap")
-        kb = KnowledgeBase(owner=0)
-        kb.set_experience(5, 0.8)
-        ranker = RegularRanker(kb, config)
-        ranker.age_unreported(mirrors=[5], reported=[])
-        assert kb.experience_of(5) == pytest.approx(0.25 * 0.8)
-
-    def test_age_unreported_skips_reported(self):
-        config = SoupConfig(experience_normalization="by_cap")
-        kb = KnowledgeBase(owner=0)
-        kb.set_experience(5, 0.8)
-        ranker = RegularRanker(kb, config)
-        ranker.age_unreported(mirrors=[5], reported=[5])
-        assert kb.experience_of(5) == pytest.approx(0.8)
-
 
 def test_ranking_delegates_to_kb():
     config = SoupConfig()
     kb = KnowledgeBase(owner=0)
     kb.set_experience(1, 0.5)
     kb.set_experience(2, 0.9)
-    ranker = RegularRanker(kb, config)
-    assert [n for n, _ in ranker.ranking()] == [2, 1]
+    ranking, _, _ = candidate_ranking(kb, BootstrapRanker(config), 0.4)
+    assert [n for n, _ in ranking] == [2, 1]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import SoupConfig
 from repro.core.experience import ExperienceReport
-from repro.core.ranking import Recommendation
+from repro.core.ranking import Recommendation, candidate_ranking
 from repro.node.mirror_manager import MirrorManager
 
 
@@ -24,7 +24,7 @@ def test_learn_node_and_friends(manager):
     manager.learn_node(2)
     manager.set_friend(3)
     assert 2 in manager.knowledge
-    assert manager.knowledge.friends() == [3]
+    assert [e.node_id for e in manager.knowledge if e.is_friend] == [3]
 
 
 def test_learn_self_is_noop(manager):
@@ -75,7 +75,11 @@ def test_build_ranking_layers(manager):
         * 5
     )
     manager.ingest_pending_reports()
-    ranking = dict(manager.build_ranking())
+    ranking = dict(
+        candidate_ranking(
+            manager.knowledge, manager.bootstrap, manager.config.bootstrap_prior
+        )[0]
+    )
     assert set(ranking) >= {5, 6, 7}
     assert ranking[5] > ranking[6] > ranking[7] or ranking[5] > ranking[7]
 
@@ -98,7 +102,7 @@ def test_run_selection_respects_exclusions(manager):
 
 def test_commit_mirrors_updates_knowledge(manager):
     manager.learn_node(5)
-    manager.commit_mirrors([5])
+    manager.commit([5], 0)
     assert manager.announced_mirrors == [5]
     assert manager.knowledge.get(5).is_mirror
 

@@ -30,7 +30,7 @@ from repro.core.config import SoupConfig
 from repro.graphs.datasets import generate_dataset
 from repro.obs import Tracer, set_tracer
 from repro.sim import invariants
-from repro.sim.engine import run_scenario
+from repro.sim.engine import SoupSimulation
 from repro.sim.scenario import ScenarioConfig
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -166,14 +166,15 @@ def _run(overrides, trace_path):
     tracer = Tracer.to_path(str(trace_path))
     set_tracer(tracer)
     try:
-        return run_scenario(config, graph)
+        simulation = SoupSimulation(graph, config)
+        simulation.run()
+        return simulation
     finally:
         set_tracer(None)
         tracer.close()
 
 
-def _digests(overrides, trace_path):
-    result = _run(overrides, trace_path)
+def _digests(result, trace_path):
     result_json = json.dumps(
         result.to_json_dict(include_derived=True), sort_keys=True
     )
@@ -189,13 +190,23 @@ def _digests(overrides, trace_path):
 )
 def test_run_reproduces_golden_digests(name, overrides, tmp_path):
     expected = json.loads(GOLDEN_PATH.read_text())[name]
-    found = _digests(overrides, tmp_path / "trace.jsonl")
+    trace_path = tmp_path / "trace.jsonl"
+    simulation = _run(overrides, trace_path)
+    found = _digests(simulation.result, trace_path)
     if invariants.FORCE_CHECKS and not overrides.get("check_invariants"):
         # ``pytest --check-invariants`` turns the checker on in every run,
         # which adds one ``invariant_checked`` event per epoch to the
         # trace; the result must still match.
         del expected["trace_sha256"], found["trace_sha256"]
     assert found == expected
+    # The engine's nodes share MirrorManager's replication state, so they
+    # must keep its local invariants too.
+    last_epoch = simulation.config.n_epochs - 1
+    assert [
+        violation
+        for node in simulation.nodes
+        for violation in invariants.mirror_manager_violations(node, last_epoch)
+    ] == []
 
 
 def test_adversarial_golden_scenario_really_blacklists():
@@ -209,7 +220,8 @@ def _record() -> None:
     golden = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, overrides in SCENARIOS:
-            golden[name] = _digests(overrides, Path(tmp) / f"{name}.jsonl")
+            trace_path = Path(tmp) / f"{name}.jsonl"
+            golden[name] = _digests(_run(overrides, trace_path).result, trace_path)
             print(name, golden[name], file=sys.stderr)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
 

@@ -192,7 +192,7 @@ def test_trace_validate_ok(capsys, tmp_path):
         capsys, "sim", "--scale", "0.004", "--days", "2", "--trace", str(trace)
     )
     assert code == 0
-    code, out = run_cli(capsys, "trace-validate", str(trace))
+    code, out = run_cli(capsys, "trace", "validate", str(trace))
     assert code == 0
     assert "all valid" in out
 
@@ -200,7 +200,7 @@ def test_trace_validate_ok(capsys, tmp_path):
 def test_trace_validate_rejects_unknown_event(capsys, tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"v": 1, "seq": 0, "event": "bogus_event"}\n')
-    code, _ = run_cli(capsys, "trace-validate", str(bad))
+    code, _ = run_cli(capsys, "trace", "validate", str(bad))
     assert code == 1
 
 

@@ -6,7 +6,7 @@ names lazily (PEP 562): a process that only runs ``SoupNode`` on
 networkx and ``repro.sim`` pulled in by the package ``__init__`` modules.
 The cluster builder (``repro.deploy.cluster``) is on that path too, and so
 is the modular-exponentiation kernel (``repro.crypto.bignum``, stdlib
-``ctypes`` only).
+``ctypes`` only).  Nor may running the simulator load the node stack.
 """
 
 import os
@@ -30,16 +30,39 @@ print("repro.crypto.bignum" in sys.modules)
 """
 
 
-def test_node_and_live_transport_import_without_the_simulator():
+#: The reverse direction: the simulator shares the node's replication state
+#: through ``repro.core``, not by importing the node stack.
+ENGINE_PROBE = """
+import sys
+import repro.sim.engine
+print(",".join(sorted(
+    name for name in sys.modules
+    if name.split(".")[:2] in (
+        ["repro", "node"], ["repro", "crypto"], ["repro", "dht"], ["repro", "network"]
+    )
+)))
+"""
+
+
+def _probe(code: str) -> str:
     # The child finds the package wherever this process found it.
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, timeout=120, env=env,
-    )
-    heavy, kernel = out.stdout.split("\n")[:2]
-    assert heavy == "", out.stdout
-    assert kernel == "True", out.stdout
+    ).stdout
+
+
+def test_node_and_live_transport_import_without_the_simulator():
+    out = _probe(PROBE)
+    heavy, kernel = out.split("\n")[:2]
+    assert heavy == "", out
+    assert kernel == "True", out
+
+
+def test_simulator_imports_without_the_node_stack():
+    out = _probe(ENGINE_PROBE)
+    assert out.split("\n")[0] == "", out
 
 
 def test_lazy_public_names_still_resolve():
