@@ -8,23 +8,45 @@ and a TTL "that decreases every time u does not choose v as a mirror"
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
-@dataclass
 class KBEntry:
-    """One knowledge-base row: a known node and what ``u`` knows about it."""
+    """One knowledge-base row: a known node and what ``u`` knows about it.
 
-    node_id: int
-    is_friend: bool = False
-    experience: float = 0.0
-    ttl: int = 0
-    is_mirror: bool = False
+    A simulation keeps one per friendship (3.6 M at paper scale), so the
+    row has ``__slots__`` instead of an instance dict.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.experience <= 1.0:
-            raise ValueError(f"experience must be in [0, 1], got {self.experience}")
+    __slots__ = ("node_id", "is_friend", "experience", "ttl", "is_mirror")
+
+    def __init__(
+        self,
+        node_id: int,
+        is_friend: bool = False,
+        experience: float = 0.0,
+        ttl: int = 0,
+        is_mirror: bool = False,
+    ) -> None:
+        if not 0.0 <= experience <= 1.0:
+            raise ValueError(f"experience must be in [0, 1], got {experience}")
+        self.node_id = node_id
+        self.is_friend = is_friend
+        self.experience = experience
+        self.ttl = ttl
+        self.is_mirror = is_mirror
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"KBEntry({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not KBEntry:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    #: Mutable, so unhashable (as the dataclass it replaces was).
+    __hash__ = None  # type: ignore[assignment]
 
 
 class KnowledgeBase:
@@ -60,6 +82,20 @@ class KnowledgeBase:
         elif is_friend:
             entry.is_friend = True
         return entry
+
+    def add_friends(self, node_ids: Iterable[int]) -> None:
+        """``add_node(node_id, is_friend=True)`` for each id, in order, in
+        one pass: how a node learns its whole friend list at start-up."""
+        entries = self._entries
+        default_ttl = self.default_ttl
+        for node_id in node_ids:
+            entry = entries.get(node_id)
+            if entry is not None:
+                entry.is_friend = True
+            elif node_id == self.owner:
+                raise ValueError("a node does not keep a KB entry about itself")
+            else:
+                entries[node_id] = KBEntry(node_id, True, 0.0, default_ttl)
 
     def set_friend(self, node_id: int, is_friend: bool = True) -> None:
         self.add_node(node_id).is_friend = is_friend

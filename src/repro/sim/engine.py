@@ -24,6 +24,7 @@ from __future__ import annotations
 import gc
 import logging
 import random
+from contextlib import contextmanager
 from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -58,6 +59,25 @@ from repro.sim.scenario import OnlineDistribution, ScenarioConfig, sample_distri
 logger = logging.getLogger("repro.sim.engine")
 
 
+@contextmanager
+def collector_paused():
+    """Disable the cyclic collector inside, restore ``gc.isenabled()`` after.
+
+    The engine's heap is acyclic — reference counting frees all of it — so
+    the collector's automatic passes over up to a million long-lived
+    objects only cost time: a fifth of ``run()`` and, in ``__init__``, a
+    superlinear share of building one knowledge-base row per friendship
+    (docs/OBSERVABILITY.md).  Also a decorator.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class _NodeState(ReplicationState):
     """One simulated node: the replication state every SOUP node keeps
     (shared with ``MirrorManager``) plus what only the simulator tracks."""
@@ -76,8 +96,7 @@ class _NodeState(ReplicationState):
         super().__init__(node_id, config, capacity_profiles, rng)
         self.node_id = node_id
         self.friends = friends
-        for friend in friends:
-            self.knowledge.add_node(friend, is_friend=True)
+        self.knowledge.add_friends(friends)
         #: Selected mirrors that were offline at selection time; the replica
         #: push is retried whenever owner and mirror are online together.
         self.pending_placements: Set[int] = set()
@@ -95,6 +114,7 @@ class _NodeState(ReplicationState):
 class SoupSimulation:
     """One simulation run over a friendship graph."""
 
+    @collector_paused()
     def __init__(self, graph: nx.Graph, config: ScenarioConfig) -> None:
         self.config = config
         self.soup = config.soup
@@ -188,6 +208,10 @@ class SoupSimulation:
         self._repair_epochs_by_owner: Dict[int, List[int]] = {}
         self._drops_by_epoch: Dict[int, int] = {}
         self._mirror_toggles: Dict[Tuple[int, int], int] = {}
+        # The collector owes one full pass over a burst of long-lived
+        # objects.  Paid here, it is one linear pass inside construction;
+        # left to itself it would fall on the caller's next allocation.
+        gc.collect()
 
     # ------------------------------------------------------------------
     # invariant bookkeeping
@@ -286,8 +310,7 @@ class SoupSimulation:
             picks = self.rng.sample(others, min(5, len(others)))
             state = self.nodes[sybil]
             state.friends = picks
-            for pick in picks:
-                state.knowledge.add_node(pick, is_friend=True)
+            state.knowledge.add_friends(picks)
 
         # Join schedule: base nodes and sybils join inside the bootstrap
         # window; altruists appear at their configured day (Fig. 8).
@@ -471,42 +494,35 @@ class SoupSimulation:
 
         self._tracer = get_tracer()
         push_registry(self.metrics)
-        # The engine's heap is acyclic — reference counting frees all of
-        # it — so the cyclic collector's automatic passes over up to a
-        # million long-lived objects only cost time (measured: a fifth of
-        # run(), nothing freed; docs/OBSERVABILITY.md).  One young-
-        # generation pass per epoch still bounds whatever cycles a
-        # strategy or tracer might create.
-        collector_was_enabled = gc.isenabled()
-        gc.disable()
+        # One young-generation pass per epoch still bounds whatever cycles
+        # a strategy or tracer might create while the collector is paused.
         try:
-            for epoch in range(n_epochs):
-                if PROFILER.enabled:
-                    PROFILER.set_epoch(epoch)
-                with PROFILER.span("engine.epoch"):
-                    self._run_epoch(
-                        epoch, round_period, active_since_round,
-                        availability, overhead, cohorts, cohort_series,
-                        snapshot_epochs,
-                    )
-                    with PROFILER.span("engine.collect"):
-                        gc.collect(1)
-                if (
-                    PROFILER.enabled
-                    and PROFILER.trace
-                    and self._tracer.enabled
-                ):
-                    self._tracer.emit(
-                        "perf_profile",
-                        epoch=epoch,
-                        phases={
-                            name: round(wall, 9)
-                            for name, wall in PROFILER.epoch_phases(epoch).items()
-                        },
-                    )
+            with collector_paused():
+                for epoch in range(n_epochs):
+                    if PROFILER.enabled:
+                        PROFILER.set_epoch(epoch)
+                    with PROFILER.span("engine.epoch"):
+                        self._run_epoch(
+                            epoch, round_period, active_since_round,
+                            availability, overhead, cohorts, cohort_series,
+                            snapshot_epochs,
+                        )
+                        with PROFILER.span("engine.collect"):
+                            gc.collect(1)
+                    if (
+                        PROFILER.enabled
+                        and PROFILER.trace
+                        and self._tracer.enabled
+                    ):
+                        self._tracer.emit(
+                            "perf_profile",
+                            epoch=epoch,
+                            phases={
+                                name: round(wall, 9)
+                                for name, wall in PROFILER.epoch_phases(epoch).items()
+                            },
+                        )
         finally:
-            if collector_was_enabled:
-                gc.enable()
             if PROFILER.enabled:
                 PROFILER.set_epoch(None)
             pop_registry()

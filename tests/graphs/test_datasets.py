@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graphs import datasets
 from repro.graphs.datasets import (
     DATASET_SPECS,
     generate_dataset,
@@ -66,8 +67,22 @@ def test_metadata_attached():
     assert graph.graph["scale"] == 0.005
 
 
-def test_no_isolated_nodes_from_trimming():
-    graph = generate_dataset("epinions", scale=0.01, seed=2)
+def test_no_isolated_nodes_from_trimming(monkeypatch):
+    """Slashdot's Holme–Kim graph (m = 6, up to 6(n - 6) edges) overshoots
+    the Table-3 target, so ``_adjust_edge_count`` trims; Epinions' (m = 3)
+    falls short and is only topped up."""
+    counts = []
+    adjust = datasets._adjust_edge_count
+
+    def spy(adjacency, target_edges, rng):
+        before = sum(map(len, adjacency)) // 2
+        adjust(adjacency, target_edges, rng)
+        counts.append((before, sum(map(len, adjacency)) // 2, target_edges))
+
+    monkeypatch.setattr(datasets, "_adjust_edge_count", spy)
+    graph = generate_dataset("slashdot", scale=0.01, seed=2)
+    [(before, after, target)] = counts
+    assert before > after == target == graph.number_of_edges()
     assert min(d for _, d in graph.degree()) >= 1
 
 
