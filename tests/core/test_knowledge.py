@@ -114,3 +114,28 @@ def test_iteration_yields_entries(kb):
     kb.add_node(2, is_friend=True)
     ids = {entry.node_id for entry in kb}
     assert ids == {1, 2}
+
+
+def test_add_friends_is_add_node_as_friend_for_each(kb):
+    kb.add_node(2)
+    kb.set_experience(3, 0.4)
+    kb.add_friends([5, 2, 3, 5])
+    one_by_one = KnowledgeBase(owner=100, default_ttl=3)
+    one_by_one.add_node(2)
+    one_by_one.set_experience(3, 0.4)
+    for node_id in [5, 2, 3, 5]:
+        one_by_one.add_node(node_id, is_friend=True)
+    assert list(kb) == list(one_by_one)  # entries, order, flags, TTLs
+    assert all(entry.is_friend for entry in kb)
+    with pytest.raises(ValueError):
+        kb.add_friends([7, 100])
+
+
+def test_entries_have_slots_and_keyword_construction():
+    entry = KBEntry(node_id=4, is_friend=True, ttl=2)
+    assert not hasattr(entry, "__dict__")
+    assert entry == KBEntry(4, True, 0.0, 2, False)
+    assert entry != KBEntry(node_id=4, ttl=2)
+    assert repr(entry) == (
+        "KBEntry(node_id=4, is_friend=True, experience=0.0, ttl=2, is_mirror=False)"
+    )
