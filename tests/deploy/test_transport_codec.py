@@ -1,9 +1,11 @@
 """The live wire's frame codec (:mod:`repro.deploy.live.transport_codec`).
 
 Round trips over generated protocol messages, the encoder's refusals, and
-hostile bytes fed to a receiving connection: every malformed frame must end
-as one counted ``bad-frame`` with the connection closed, and nothing may
-raise out of ``data_received``.
+hostile bytes fed to a receiving connection the way the event loop feeds
+it (``get_buffer`` / ``buffer_updated``): every malformed frame must end as
+one counted ``bad-frame`` with the connection closed, nothing may raise out
+of ``buffer_updated``, any chunking of good frames delivers the same
+messages, and the receive buffer holds no more than a peer has sent.
 """
 
 import asyncio
@@ -20,7 +22,12 @@ from hypothesis import strategies as st
 from repro.core import objects
 from repro.core.objects import ObjectType, SoupObject
 from repro.crypto.by_id import ByIdSignature
-from repro.deploy.live.transport import AsyncClock, LiveTransport, _FrameReceiver
+from repro.deploy.live.transport import (
+    RECEIVE_BUFFER_BYTES,
+    AsyncClock,
+    LiveTransport,
+    _FrameReceiver,
+)
 from repro.deploy.live.transport_codec import (
     ACK,
     ENVELOPE,
@@ -245,9 +252,25 @@ class FakeConnection:
         self.closed = True
 
 
-def receive(cases):
+def feed(receiver: _FrameReceiver, connection: FakeConnection, data: bytes) -> None:
+    """Deliver ``data`` as the event loop would: copied into as many
+    buffers as the receiver hands out, each followed by
+    ``buffer_updated``, and nothing more once the connection is closed."""
+    rest = memoryview(data)
+    while rest and not connection.closed:
+        buffer = receiver.get_buffer(-1)
+        assert len(buffer) > 0
+        n = min(len(buffer), len(rest))
+        buffer[:n] = rest[:n]
+        receiver.buffer_updated(n)  # the loop still holds ``buffer`` here
+        rest = rest[n:]
+
+
+def receive(cases, capacities=None):
     """Feed each case — a list of socket reads — to a fresh connection of
-    node 1; per case: (messages handled, failure reasons, closed)."""
+    node 1; per case: (messages handled, failure reasons, closed).  With
+    ``capacities`` (a list), append the receive buffer's length after
+    every read of every case to it."""
 
     async def scenario():
         net = LiveTransport(AsyncClock())
@@ -262,9 +285,9 @@ def receive(cases):
             before = dict(net.failures_by_reason)
             inbox.clear()
             for data in reads:
-                if connection.closed:  # the event loop reads no further
-                    break
-                receiver.data_received(data)
+                feed(receiver, connection, data)
+                if capacities is not None:
+                    capacities.append(len(receiver._buffer))
             reasons = {
                 reason: count - before.get(reason, 0)
                 for reason, count in net.failures_by_reason.items()
@@ -407,6 +430,74 @@ def test_a_corrupted_byte_yields_one_message_or_a_bad_frame(message, ctx, positi
 
 def test_announcing_more_than_the_cap_is_a_bad_frame():
     assert_rejected(receive([[LENGTH.pack(MAX_FRAME_BYTES + 1)]]))
+
+
+# --- chunking and the receive buffer -----------------------------------------
+def large_object() -> SoupObject:
+    """A frame that does not fit the receive buffer."""
+    return sample_object(payload=bytes(range(256)) * 40)
+
+
+def reads_of(stream: bytes, frames, mode: str, offsets) -> list:
+    """``stream`` cut into socket reads: one byte each, each frame's
+    length prefix cut inside, or at arbitrary points."""
+    if mode == "one-byte":
+        return [stream[i:i + 1] for i in range(len(stream))]
+    points = {0, len(stream)}
+    if mode == "inside-prefix":
+        start = 0
+        for frame, offset in zip(frames, offsets + [1] * len(frames)):
+            points.add(start + 1 + offset % (LENGTH.size - 1))
+            start += len(frame)
+    else:
+        points.update(offset % (len(stream) + 1) for offset in offsets)
+    points = sorted(points)
+    return [stream[a:b] for a, b in zip(points, points[1:])]
+
+
+@given(
+    messages=st.lists(MESSAGES | st.just(large_object()), min_size=1, max_size=6),
+    ctx=CONTEXTS,
+    mode=st.sampled_from(["one-byte", "inside-prefix", "anywhere"]),
+    offsets=st.lists(st.integers(0, 2**20), max_size=12),
+)
+def test_any_chunking_delivers_the_same_messages_in_order(messages, ctx, mode, offsets):
+    frames = [encode_frame(5, 16, message, ctx) for message in messages]
+    reads = reads_of(b"".join(frames), frames, mode, offsets)
+    capacities = []
+    [(handled, reasons, closed)] = receive([reads], capacities)
+    assert (reasons, closed) == ({}, False)
+    assert len(handled) == len(messages)
+    assert all(same(sent, got) for sent, got in zip(messages, handled))
+    assert capacities[-1] == RECEIVE_BUFFER_BYTES
+
+
+def test_a_hostile_length_costs_only_what_was_sent():
+    # Announce a frame just under the cap, then send it a little at a time.
+    head = LENGTH.pack(MAX_FRAME_BYTES - 1) + b"\x01"
+    reads = [head] + [bytes(997)] * 300
+    capacities = []
+    [(handled, reasons, closed)] = receive([reads], capacities)
+    assert (handled, reasons, closed) == ([], {}, False)
+    received = 0
+    for data, capacity in zip(reads, capacities):
+        received += len(data)
+        assert capacity <= max(RECEIVE_BUFFER_BYTES, 2 * received)
+    assert capacities[-1] > RECEIVE_BUFFER_BYTES  # it did grow, with the bytes
+
+
+def test_the_buffer_shrinks_after_a_large_frame():
+    big = encode_frame(0, 16, sample_object(payload=bytes(64 * 1024)))
+    small = [encode_frame(0, 16, sample_object(payload=f"after {i}")) for i in range(3)]
+    stream = big + b"".join(small)
+    reads = [stream[i:i + 1460] for i in range(0, len(stream), 1460)]
+    capacities = []
+    [(handled, reasons, closed)] = receive([reads], capacities)
+    assert (reasons, closed) == ({}, False)
+    assert [len(m.payload) for m in handled[:1]] == [64 * 1024]
+    assert [m.payload for m in handled[1:]] == ["after 0", "after 1", "after 2"]
+    assert RECEIVE_BUFFER_BYTES < max(capacities) <= len(big)
+    assert capacities[-1] == RECEIVE_BUFFER_BYTES
 
 
 def test_soup_object_tag_matches_the_table():

@@ -38,6 +38,19 @@ def test_item_ids_unique():
     assert len({item.item_id for item in items}) == 100
 
 
+def test_items_have_slots_and_keyword_construction():
+    item = DataItem(item_id=7, kind="text", size_bytes=300)
+    assert not hasattr(item, "__dict__")
+    assert item == DataItem(7, "text", 300, 0.0)
+    assert item != DataItem(7, "text", 300, 1.0)
+    assert repr(item) == "DataItem(item_id=7, kind='text', size_bytes=300, created_at=0.0)"
+    item.size_bytes = 400  # mutable, so unhashable
+    assert item.size_bytes == 400
+    with pytest.raises(TypeError):
+        hash(item)
+    assert DataItem.message(created_at=2.0).kind == "message"
+
+
 class TestItemSizes:
     def test_measured_shape(self):
         """Sec. 7: 35 % of items < 10 KB, 93 % < 100 KB."""

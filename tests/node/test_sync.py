@@ -1,5 +1,11 @@
 """Tests for update buffering and reconciliation (Sec. 3.5)."""
 
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
 from repro.node.sync import PendingUpdate, UpdateBuffer, merge_update_streams
 
 
@@ -11,6 +17,26 @@ def update(target=1, origin=2, timestamp=0.0, sequence=0, payload="x"):
         sequence=sequence,
         payload=payload,
     )
+
+
+def test_pending_updates_have_slots_and_stay_immutable_and_hashable():
+    one = update(sequence=3)
+    assert not hasattr(one, "__dict__")
+    assert one.size_bytes == 500
+    same = PendingUpdate(1, 2, 0.0, 3, "x", 500)
+    assert one == same and hash(one) == hash(same) and len({one, same}) == 1
+    assert one != update(sequence=4)
+    assert repr(one) == (
+        "PendingUpdate(target_id=1, origin_id=2, timestamp=0.0, sequence=3, "
+        "payload='x', size_bytes=500)"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        one.sequence = 9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del one.payload
+    assert one.sequence == 3
+    assert pickle.loads(pickle.dumps(one)) == one
+    assert copy.copy(one) == one
 
 
 class TestUpdateBuffer:
