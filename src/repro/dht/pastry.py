@@ -37,6 +37,11 @@ logger = logging.getLogger("repro.dht.pastry")
 #: Hop-count histogram buckets (Pastry routes are O(log n) short).
 _HOP_BUCKETS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0)
 
+#: Most routes one overlay remembers between ring changes; the memo is
+#: emptied all at once when it is full.  A few MB at most: a ring sized
+#: for a whole social graph routes O(edges) distinct (start, key) pairs.
+ROUTE_MEMO_ENTRIES = 16_384
+
 
 class DhtError(Exception):
     """Raised on operations against unknown or offline nodes."""
@@ -128,6 +133,14 @@ class PastryOverlay:
         #: through the same monotone progress rule as structural hops.
         self._placement = None
         self._routing_policy = None
+        #: ``(start_id, key, avoid) -> (responsible, path)`` as ``_route``
+        #: computed it on the current ring.  Only membership changes and a
+        #: new routing policy alter what ``_route`` reads, so exactly those
+        #: empty it.  Nothing is remembered while a policy is installed:
+        #: its candidates come from state outside the ring.
+        self._route_memo: Dict[
+            Tuple[int, int, FrozenSet[int]], Tuple[int, Tuple[int, ...]]
+        ] = {}
 
     # --- membership -------------------------------------------------------
     def set_liveness(self, liveness: Optional[Callable[[int], bool]]) -> None:
@@ -146,6 +159,7 @@ class PastryOverlay:
     def set_routing_policy(self, policy) -> None:
         """Install (or clear) a routing policy offering shortcut hops."""
         self._routing_policy = policy
+        self._route_memo.clear()
 
     def _map_key(self, key: int) -> int:
         if self._placement is None:
@@ -188,6 +202,7 @@ class PastryOverlay:
         if not self._nodes:
             self._nodes[node_id] = new_node
             self._ring.append(node_id)
+            self._route_memo.clear()
             return RouteResult(responsible=node_id, path=[node_id])
 
         if bootstrap_id is None:
@@ -221,6 +236,7 @@ class PastryOverlay:
         # around the joiner, delivering keys it is now responsible for to
         # the old owner.
         self._repair_leaf_sets()
+        self._route_memo.clear()
         self._shift_entries_to_new_node(new_node)
         return route
 
@@ -272,6 +288,7 @@ class PastryOverlay:
             other.leaf_set.remove(node_id)
             other.routing_table.remove(node_id)
         self._repair_leaf_sets()
+        self._route_memo.clear()
 
     def _repair_leaf_sets(self) -> None:
         """Offer every node its true ring neighbours (periodic repair).
@@ -340,14 +357,33 @@ class PastryOverlay:
         terminate at the next-closest live candidate instead.  Routing
         stays structural otherwise (no per-hop liveness checks) — the
         final node is the closest *non-avoided* overlay member.
+
+        A route already computed on the current ring is answered from the
+        memo; every call still returns its own :class:`RouteResult` and is
+        observed, profiled and counted like a computed one.
         """
         self._metrics()
         if PROFILER.enabled:
             with PROFILER.span("dht.route"):
-                result = self._route(start_id, key, avoid)
+                result = self._remembered_route(start_id, key, avoid)
         else:
-            result = self._route(start_id, key, avoid)
+            result = self._remembered_route(start_id, key, avoid)
         self._hops_histogram.observe(len(result.path) - 1)
+        return result
+
+    def _remembered_route(
+        self, start_id: int, key: int, avoid: FrozenSet[int]
+    ) -> RouteResult:
+        if self._routing_policy is not None:
+            return self._route(start_id, key, avoid)
+        memo = self._route_memo
+        remembered = memo.get((start_id, key, avoid))
+        if remembered is not None:
+            return RouteResult(remembered[0], list(remembered[1]))
+        result = self._route(start_id, key, avoid)
+        if len(memo) >= ROUTE_MEMO_ENTRIES:
+            memo.clear()
+        memo[start_id, key, avoid] = (result.responsible, tuple(result.path))
         return result
 
     def _route(self, start_id: int, key: int, avoid: FrozenSet[int]) -> RouteResult:
