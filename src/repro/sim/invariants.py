@@ -30,7 +30,8 @@ failures.  Every epoch (behind ``ScenarioConfig.check_invariants``) a
 For DHT overlays (:class:`repro.dht.pastry.PastryOverlay`) the companion
 :func:`overlay_violations` checks entry placement (every directory entry
 on its responsible node — the check that would have caught the seed's
-``leave()`` bug), leaf-set symmetry/liveness and routing-table liveness.
+``leave()`` bug), leaf-set symmetry/liveness, routing-table liveness and
+that every remembered route is still the route the ring computes.
 :func:`mirror_manager_violations` gives the protocol-level node
 (:class:`repro.node.mirror_manager.MirrorManager`) the same treatment.
 
@@ -362,7 +363,12 @@ def overlay_violations(overlay, epoch: int = -1) -> List[Violation]:
       ``a``'s nearest neighbours on one side, ``a`` is among ``b``'s on
       the other.
     * ``routing-table-live`` — routing tables reference only live nodes.
+    * ``route-memo-current`` — every route the overlay remembers equals
+      the route ``_route`` computes on the current ring (a memo that
+      outlived a ring change answers with a stale owner or path).
     """
+    from repro.dht.pastry import DhtError
+
     violations: List[Violation] = []
     nodes = overlay._nodes
 
@@ -425,6 +431,30 @@ def overlay_violations(overlay, epoch: int = -1) -> List[Violation]:
                     snapshot={"node": node_id, "dead_routes": dead_routes},
                 )
             )
+
+    stale = []
+    for (start_id, key, avoid), (responsible, path) in overlay._route_memo.items():
+        remembered = [responsible, list(path)]
+        try:
+            route = overlay._route(start_id, key, avoid)
+            current = [route.responsible, route.path]
+        except DhtError as exc:  # the start node left the ring
+            current = str(exc)
+        if current != remembered:
+            stale.append({
+                "start": start_id, "key": key, "avoid": sorted(avoid),
+                "remembered": remembered, "current": current,
+            })
+    if stale:
+        violations.append(
+            Violation(
+                invariant="route-memo-current",
+                epoch=epoch,
+                node_ids=tuple(sorted({route["start"] for route in stale})),
+                detail=f"{len(stale)} remembered route(s) differ from the current ring's",
+                snapshot={"stale_routes": stale},
+            )
+        )
     return violations
 
 

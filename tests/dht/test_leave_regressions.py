@@ -46,6 +46,7 @@ def assert_all_reachable(overlay, ids, keys):
         entry, _ = overlay.lookup(survivors[0], key)
         assert entry is not None, f"lost key {key:#x}"
         assert entry.name == str(key)
+    check_overlay(overlay)  # now with the lookups' routes remembered
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 1337])

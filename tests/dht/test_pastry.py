@@ -6,6 +6,7 @@ import pytest
 
 from repro.dht.pastry import DhtError, PastryOverlay
 from repro.dht.storage import DirectoryEntry
+from repro.sim.invariants import InvariantViolation, check_overlay, overlay_violations
 
 
 def build_overlay(n, seed=42):
@@ -145,3 +146,18 @@ def test_operations_on_unknown_node_rejected():
         overlay.route(999, 5)
     with pytest.raises(DhtError):
         overlay.leave(999)
+
+
+def test_stale_remembered_route_trips_the_invariant():
+    overlay, ids, rng = build_overlay(40)
+    key = rng.getrandbits(64)
+    route = overlay.route(ids[0], key)
+    wrong = next(node_id for node_id in ids if node_id != route.responsible)
+    overlay._route_memo[ids[0], key, frozenset()] = (wrong, (ids[0], wrong))
+    with pytest.raises(InvariantViolation) as raised:
+        check_overlay(overlay)
+    assert [v.invariant for v in raised.value.violations] == ["route-memo-current"]
+    # A route remembered from a start node that has since left is stale too.
+    overlay._route_memo.clear()
+    overlay._route_memo[123, key, frozenset()] = (route.responsible, (123,))
+    assert [v.invariant for v in overlay_violations(overlay)] == ["route-memo-current"]

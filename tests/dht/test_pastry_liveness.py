@@ -175,3 +175,12 @@ def test_lookup_probes_every_route_it_computes_when_all_are_dead(monkeypatch):
     assert entry is None and not result.delivered
     assert probed == routed == _closest_first(members, key)[:4]
     assert overlay.lookup_retries == overlay.lookup_max_alternates
+
+    # The same lookup again, ring unchanged: every route, alternates
+    # included, comes from the memo, and each call gets its own result.
+    probed.clear()
+    entry, again = overlay.lookup(0xC000, key)
+    assert entry is None and not again.delivered and again is not result
+    assert probed == routed == _closest_first(members, key)[:4]
+    assert overlay.lookup_retries == 2 * overlay.lookup_max_alternates
+    assert overlay.route(0xC000, key).delivered

@@ -23,6 +23,7 @@ from repro.dht.node_state import (
 )
 from repro.dht.pastry import PastryOverlay
 from repro.dht.storage import DirectoryEntry
+from repro.sim.invariants import overlay_violations
 
 ids_strategy = st.integers(0, ID_SPACE - 1)
 
@@ -257,3 +258,90 @@ def test_responsible_node_matches_scan_under_churn(pool, ops, keys, leaf_half_si
             assert overlay.route(members[0], key).responsible == scan_closest(
                 members, key
             )
+
+
+class CountingPolicy:
+    """A routing policy stub: offers a fixed slice of the pool as shortcuts
+    and counts how often the overlay asks."""
+
+    def __init__(self, pool):
+        self.pool = sorted(pool)
+        self.calls = 0
+
+    def extra_candidates(self, node_id, key):
+        self.calls += 1
+        return self.pool[key % 3 :: 3]
+
+
+@given(
+    pool=st.lists(edge_heavy_ids, min_size=3, max_size=16, unique=True),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(
+                ["join", "leave", "fail", "route", "lookup", "publish", "policy"]
+            ),
+            st.integers(0, 1 << 16),
+            st.integers(0, 1 << 16),
+            edge_heavy_ids,
+        ),
+        max_size=40,
+    ),
+    leaf_half_size=st.sampled_from([2, 8]),
+)
+@settings(max_examples=40, deadline=None)
+def test_remembered_routes_match_the_unremembered_route(pool, ops, leaf_half_size):
+    """Two overlays take the same churn and traffic; ``oracle`` computes
+    every route afresh (as before routes were remembered).  Routes,
+    lookups, counters and routing-policy calls must agree throughout."""
+    overlay = PastryOverlay(leaf_half_size=leaf_half_size)
+    oracle = PastryOverlay(leaf_half_size=leaf_half_size)
+    oracle._remembered_route = oracle._route
+    both = (overlay, oracle)
+    policies = {}
+    outside = list(pool)
+    members = []
+
+    def join():
+        node_id = outside.pop()
+        for ring in both:
+            ring.join(node_id, members[0] if members else None)
+        members.append(node_id)
+
+    join()
+    for op, pick, mask, key in ops:
+        start = members[pick % len(members)]
+        avoid = frozenset(m for i, m in enumerate(members) if mask >> i & 1)
+        if op == "join":
+            if outside:
+                join()
+        elif op in ("leave", "fail"):
+            if len(members) > 1:
+                victim = members.pop(pick % len(members))
+                outside.append(victim)
+                for ring in both:
+                    getattr(ring, op)(victim)
+        elif op == "policy":
+            if policies:
+                policies = {}
+            else:
+                policies = {ring: CountingPolicy(pool) for ring in both}
+            for ring in both:
+                ring.set_routing_policy(policies.get(ring))
+        elif op == "route":
+            routed = overlay.route(start, key, avoid)
+            assert routed == oracle.route(start, key, avoid)
+            routed.delivered = False
+            routed.path.append(key)
+            assert overlay.route(start, key, avoid) == oracle.route(start, key, avoid)
+        elif op == "publish":
+            entry = DirectoryEntry(soup_id=key, version=mask)
+            assert overlay.publish(start, key, entry) == oracle.publish(start, key, entry)
+        else:
+            for ring in both:
+                ring.set_liveness(lambda node_id, dead=avoid: node_id not in dead)
+            assert overlay.lookup(start, key) == oracle.lookup(start, key)
+        if policies:
+            assert policies[overlay].calls == policies[oracle].calls
+        assert overlay_violations(overlay) == []
+    for counter in ("lookup_retries", "lookup_alternate_hits", "publishes_unreachable"):
+        assert getattr(overlay, counter) == getattr(oracle, counter)
