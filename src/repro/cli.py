@@ -1142,6 +1142,11 @@ def _cmd_resilience(args) -> int:
     if args.bundle and not args.obs_dir:
         print("resilience: --bundle requires --obs-dir", file=sys.stderr)
         return 2
+    try:
+        gates = load_gates(args.gates) if args.gates else []
+    except (OSError, ValueError) as exc:
+        print(f"resilience: cannot load --gates {args.gates}: {exc}", file=sys.stderr)
+        return 2
     config = ResilienceConfig(
         n_nodes=args.nodes,
         seed=args.seed,
@@ -1158,8 +1163,6 @@ def _cmd_resilience(args) -> int:
         file=sys.stderr,
     )
     report = ResilienceHarness(config).run()
-
-    gates = load_gates(args.gates) if args.gates else []
     outcome = evaluate_gates(gates, report)
     report["gates"] = outcome
 

@@ -8,9 +8,11 @@ and a TTL "that decreases every time u does not choose v as a mirror"
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
+@dataclass(slots=True)
 class KBEntry:
     """One knowledge-base row: a known node and what ``u`` knows about it.
 
@@ -18,35 +20,15 @@ class KBEntry:
     row has ``__slots__`` instead of an instance dict.
     """
 
-    __slots__ = ("node_id", "is_friend", "experience", "ttl", "is_mirror")
+    node_id: int
+    is_friend: bool = False
+    experience: float = 0.0
+    ttl: int = 0
+    is_mirror: bool = False
 
-    def __init__(
-        self,
-        node_id: int,
-        is_friend: bool = False,
-        experience: float = 0.0,
-        ttl: int = 0,
-        is_mirror: bool = False,
-    ) -> None:
-        if not 0.0 <= experience <= 1.0:
-            raise ValueError(f"experience must be in [0, 1], got {experience}")
-        self.node_id = node_id
-        self.is_friend = is_friend
-        self.experience = experience
-        self.ttl = ttl
-        self.is_mirror = is_mirror
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"KBEntry({fields})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not KBEntry:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    #: Mutable, so unhashable (as the dataclass it replaces was).
-    __hash__ = None  # type: ignore[assignment]
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.experience <= 1.0:
+            raise ValueError(f"experience must be in [0, 1], got {self.experience}")
 
 
 class KnowledgeBase:

@@ -23,17 +23,18 @@ verdict dict that the ``soup resilience`` CLI embeds into the report
 passed, 5 on violation.  The gate *file*, the chaos spec, and the seed
 together make a resilience claim replayable from one command line.
 
-TOML parsing uses :mod:`tomllib` where available (Python ≥ 3.11) and
-falls back to a small built-in parser covering the gate-file subset
-(``[[gate]]`` tables; string/number/boolean values) — the repo supports
-3.9+ and must not grow dependencies.
+A gate file is input from outside the program: :func:`load_gates` reads
+it with :mod:`tomllib` and rejects anything that is not ``[[gate]]``
+tables with a numeric ``value`` (``ValueError`` naming the gate), so a
+malformed file fails before a run starts, not at evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import tomllib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Union
 
 Number = Union[int, float]
 
@@ -152,91 +153,25 @@ def gates_from_mapping(data: dict) -> List[Gate]:
         raise ValueError("expected [[gate]] tables")
     gates = []
     for index, raw in enumerate(raw_gates):
+        if not isinstance(raw, dict):
+            raise ValueError(f"gate #{index}: expected a [[gate]] table, got {raw!r}")
         try:
-            gates.append(
-                Gate(
-                    name=str(raw["name"]),
-                    metric=str(raw["metric"]),
-                    op=str(raw["op"]),
-                    value=raw["value"],
-                    description=str(raw.get("description", "")),
-                )
+            gate = Gate(
+                name=str(raw["name"]),
+                metric=str(raw["metric"]),
+                op=str(raw["op"]),
+                value=raw["value"],
+                description=str(raw.get("description", "")),
             )
         except KeyError as exc:
             raise ValueError(f"gate #{index}: missing key {exc}") from None
+        if isinstance(gate.value, bool) or not isinstance(gate.value, (int, float)):
+            raise ValueError(f"gate #{index}: value must be a number, got {gate.value!r}")
+        gates.append(gate)
     if not gates:
         raise ValueError("gate file defines no gates")
     return gates
 
 
 def load_gates(path: Union[str, Path]) -> List[Gate]:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        import tomllib
-
-        data = tomllib.loads(text)
-    except ImportError:  # Python < 3.11: the bundled subset parser
-        data = _parse_gates_toml(text)
-    return gates_from_mapping(data)
-
-
-def _parse_scalar(raw: str):
-    raw = raw.strip()
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if raw.startswith("'") and raw.endswith("'") and len(raw) >= 2:
-        return raw[1:-1]
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"unsupported TOML value {raw!r}") from None
-
-
-def _parse_gates_toml(text: str) -> dict:
-    """Parse the gate-file TOML subset: ``[[gate]]`` array-of-tables with
-    scalar key/value lines.  Not a general TOML parser — just enough for
-    gate configs on Pythons without :mod:`tomllib`."""
-    data: dict = {"gate": []}
-    current: Optional[dict] = None
-    for line_no, raw_line in enumerate(text.splitlines(), 1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line == "[[gate]]":
-            current = {}
-            data["gate"].append(current)
-            continue
-        if line.startswith("["):
-            raise ValueError(
-                f"line {line_no}: only [[gate]] tables are supported ({line!r})"
-            )
-        if "=" not in line:
-            raise ValueError(f"line {line_no}: expected key = value ({line!r})")
-        if current is None:
-            raise ValueError(f"line {line_no}: key/value outside a [[gate]] table")
-        key, raw_value = line.split("=", 1)
-        # Strip trailing comments outside quoted strings.
-        raw_value = raw_value.strip()
-        if raw_value.startswith(('"', "'")):
-            quote = raw_value[0]
-            end = raw_value.find(quote, 1)
-            if end < 0:
-                raise ValueError(f"line {line_no}: unterminated string ({line!r})")
-            trailer = raw_value[end + 1 :].strip()
-            if trailer and not trailer.startswith("#"):
-                raise ValueError(
-                    f"line {line_no}: trailing content after string ({line!r})"
-                )
-            raw_value = raw_value[: end + 1]
-        elif "#" in raw_value:
-            raw_value = raw_value.split("#", 1)[0].strip()
-        current[key.strip()] = _parse_scalar(raw_value)
-    return data
+    return gates_from_mapping(tomllib.loads(Path(path).read_text(encoding="utf-8")))

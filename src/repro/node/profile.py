@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Optional
 _item_counter = itertools.count()
 
 
+@dataclass(slots=True)
 class DataItem:
     """One item of user data.
 
@@ -24,27 +25,10 @@ class DataItem:
     the item has ``__slots__`` instead of an instance dict.
     """
 
-    __slots__ = ("item_id", "kind", "size_bytes", "created_at")
-
-    def __init__(
-        self, item_id: int, kind: str, size_bytes: int, created_at: float = 0.0
-    ) -> None:
-        self.item_id = item_id
-        self.kind = kind  # "text" | "photo" | "video" | "message"
-        self.size_bytes = size_bytes
-        self.created_at = created_at
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"DataItem({fields})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DataItem:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    #: Mutable, so unhashable (as the dataclass it replaces was).
-    __hash__ = None  # type: ignore[assignment]
+    item_id: int
+    kind: str  # "text" | "photo" | "video" | "message"
+    size_bytes: int
+    created_at: float = 0.0
 
     @classmethod
     def text(cls, size_bytes: int = 2_000, created_at: float = 0.0) -> "DataItem":

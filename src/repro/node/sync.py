@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from bisect import insort
-from dataclasses import FrozenInstanceError
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.obs import get_registry, get_tracer
@@ -20,6 +20,7 @@ from repro.obs import get_registry, get_tracer
 logger = logging.getLogger("repro.node.sync")
 
 
+@dataclass(frozen=True, slots=True)
 class PendingUpdate:
     """One buffered update for an offline user.
 
@@ -28,48 +29,12 @@ class PendingUpdate:
     hashable, compared field by field.
     """
 
-    __slots__ = ("target_id", "origin_id", "timestamp", "sequence", "payload", "size_bytes")
-
-    def __init__(
-        self,
-        target_id: int,
-        origin_id: int,
-        timestamp: float,
-        sequence: int,
-        payload: object,
-        size_bytes: int = 500,
-    ) -> None:
-        init = object.__setattr__
-        init(self, "target_id", target_id)
-        init(self, "origin_id", origin_id)
-        init(self, "timestamp", timestamp)
-        init(self, "sequence", sequence)
-        init(self, "payload", payload)
-        init(self, "size_bytes", size_bytes)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self) -> tuple:
-        return (PendingUpdate, self._fields())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"PendingUpdate({fields})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not PendingUpdate:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+    target_id: int
+    origin_id: int
+    timestamp: float
+    sequence: int
+    payload: object
+    size_bytes: int = 500
 
 
 def update_id(update: PendingUpdate) -> Tuple[int, int]:

@@ -23,6 +23,7 @@ import enum
 import hashlib
 import itertools
 import json
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -239,13 +240,6 @@ class SweepSpec:
         path = Path(path)
         text = path.read_text(encoding="utf-8")
         if path.suffix.lower() == ".toml":
-            try:
-                import tomllib
-            except ImportError:  # Python < 3.11
-                raise ValueError(
-                    f"cannot load TOML spec {path}: tomllib unavailable on this "
-                    "Python; use a JSON spec instead"
-                ) from None
             data = tomllib.loads(text)
         else:
             data = json.loads(text)

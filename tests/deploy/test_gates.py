@@ -1,15 +1,14 @@
 """Declarative resilience gates: evaluation semantics and TOML loading.
 
 A gate must never pass vacuously: missing or non-numeric metrics fail.
-The bundled TOML-subset parser (for Pythons without :mod:`tomllib`) has
-to agree with the real parser on the committed gate files.
+A gate file is outside input: whatever :mod:`tomllib` hands back that is
+not ``[[gate]]`` tables with numeric values is refused at load time.
 """
 
 import pytest
 
 from repro.deploy.gates import (
     Gate,
-    _parse_gates_toml,
     evaluate_gates,
     gates_from_mapping,
     load_gates,
@@ -143,14 +142,9 @@ value = 0
 
 
 class TestLoading:
-    def test_fallback_parser_matches_tomllib(self):
-        tomllib = pytest.importorskip("tomllib")
-        assert _parse_gates_toml(TOML_TEXT) == tomllib.loads(TOML_TEXT)
-
-    def test_fallback_parser_handles_committed_gate_files(self):
+    def test_load_gates_handles_committed_gate_files(self):
         for path in ("configs/gates/smoke.toml", "configs/gates/strict.toml"):
-            text = open(path, encoding="utf-8").read()
-            gates = gates_from_mapping(_parse_gates_toml(text))
+            gates = load_gates(path)
             assert gates, path
             assert all(g.name and g.metric for g in gates)
 
@@ -172,13 +166,22 @@ class TestLoading:
         with pytest.raises(ValueError, match="missing key"):
             gates_from_mapping({"gate": [{"name": "x", "metric": "m", "op": "<="}]})
 
-    def test_fallback_parser_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            _parse_gates_toml("[other]\nname = 'x'\n")
-        with pytest.raises(ValueError):
-            _parse_gates_toml("name = 'orphan'\n")
-        with pytest.raises(ValueError):
-            _parse_gates_toml("[[gate]]\njust-a-line\n")
+    def test_load_gates_rejects_garbage(self, tmp_path):
+        bad_value = "[[gate]]\nname = 'c'\nmetric = 'm'\nop = '=='\nvalue = {}\n"
+        cases = [
+            ("[other]\nname = 'x'\n", "no gates"),
+            ("name = 'orphan'\n", "no gates"),
+            ("[[gate]]\njust-a-line\n", None),  # a TOMLDecodeError
+            ("gate = [1, 2]\n", r"gate #0: expected a \[\[gate\]\] table"),
+            (TOML_TEXT + bad_value.format("[1]"), "gate #2: value must be a number"),
+            (TOML_TEXT + bad_value.format('"high"'), "gate #2: value must be a number"),
+            (TOML_TEXT + bad_value.format("true"), "gate #2: value must be a number"),
+        ]
+        path = tmp_path / "gates.toml"
+        for text, match in cases:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=match):
+                load_gates(path)
 
     def test_committed_smoke_gates_pass_a_healthy_report(self):
         gates = load_gates("configs/gates/smoke.toml")

@@ -139,6 +139,52 @@ def test_reorder_and_stale_report_faults_are_benign():
     run_checked(tiny_config(n_days=4, faults="stale_reports:rate=0.5"))
 
 
+def test_slander_burst_forges_reports_into_attackers_friends():
+    """At its epoch, ``slander_burst`` makes ``count`` seeded benign nodes
+    report every announced mirror of each joined friend as always down."""
+    config = tiny_config(n_days=2)
+    sim = SoupSimulation(generate_dataset(config.dataset, scale=config.scale, seed=3), config)
+    sim.run()
+    o_max = sim.soup.o_max
+
+    def burst(base_seed, epoch=30):
+        injector = FaultInjector([FaultSpec.parse("slander_burst:epoch=30:count=3")], base_seed)
+        before = [len(node.pending_reports) for node in sim.nodes]
+        injector.on_epoch_start(sim, epoch)
+        return {
+            node.node_id: node.pending_reports[before[node.node_id]:]
+            for node in sim.nodes
+            if len(node.pending_reports) > before[node.node_id]
+        }
+
+    assert burst(base_seed=1, epoch=29) == {}
+    forged = burst(base_seed=1)
+    attackers = {report.reporter for reports in forged.values() for report in reports}
+    assert len(attackers) == 3
+    assert all(not sim.nodes[a].is_sybil and sim.nodes[a].joined for a in attackers)
+    expected = {}
+    for attacker in attackers:
+        for friend_id in sim.nodes[attacker].friends:
+            friend = sim.nodes[friend_id]
+            if friend.joined and not friend.departed:
+                pairs = expected.setdefault(friend_id, [])
+                pairs.extend((attacker, mirror) for mirror in friend.announced_mirrors)
+    expected = {victim: sorted(pairs) for victim, pairs in expected.items() if pairs}
+    assert expected
+    assert {
+        victim: sorted((r.reporter, r.mirror) for r in reports)
+        for victim, reports in forged.items()
+    } == expected
+    assert all(
+        r.observations == o_max and r.availability == 0.0
+        for reports in forged.values()
+        for r in reports
+    )
+    # The attacker draw is seeded: the same base seed picks the same nodes.
+    assert burst(base_seed=1) == forged
+    assert burst(base_seed=2) != forged
+
+
 def test_fault_injection_is_deterministic():
     config = tiny_config(n_days=6, faults="drop_transfer:rate=0.5:from_epoch=24")
     first = expect_violation(config)

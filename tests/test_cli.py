@@ -1,5 +1,6 @@
 """Tests for the experiment CLI."""
 
+import json
 import sys
 
 import pytest
@@ -518,6 +519,25 @@ class TestCompareCommand:
         )
         assert code == 0
         assert "arch.selection:" in out and "superpeer_count=" in out
+
+
+def test_replay_prints_the_violation_it_reproduces(capsys):
+    from repro.sim.invariants import format_repro
+    from repro.sim.scenario import ScenarioConfig
+
+    base = dict(dataset="epinions", scale=0.004, seed=3)
+    violating = format_repro(
+        ScenarioConfig(n_days=6, faults="drop_transfer:rate=1.0:from_epoch=24", **base)
+    )
+    code, out = run_cli(capsys, "replay", violating)
+    assert code == 0
+    violation = json.loads(out)
+    assert violation["invariant"] == "announced-mirrors-stored"
+    assert violation["repro"] == violating
+
+    code, out = run_cli(capsys, "replay", format_repro(ScenarioConfig(n_days=2, **base)))
+    assert code == 1
+    assert out.startswith("no violation")
 
 
 def test_parser_rejects_unknown_command():
