@@ -36,9 +36,9 @@ def run_fraction(fraction: float):
     sybil_ids = {n.node_id for n in sim.nodes if n.is_sybil}
     sybil_replicas = sum(
         1
-        for mirror, owners in sim.replica_locations.items()
-        if mirror not in sybil_ids
-        for owner in owners
+        for node in sim.nodes
+        if node.node_id not in sybil_ids and not node.departed
+        for owner in node.store.stored_owner_view()
         if owner in sybil_ids
     )
     benign_storage_used = sum(

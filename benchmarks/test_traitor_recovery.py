@@ -47,8 +47,9 @@ def run_with_retention(retention: float):
         if not node.is_traitor and not node.is_sybil
         and any(m in traitor_ids for m in node.announced_mirrors)
     )
+    # Traitors go offline at the betrayal but never depart.
     replicas_on_traitors = sum(
-        len(sim.replica_locations[t]) for t in traitor_ids
+        sim.nodes[t].store.replica_count() for t in traitor_ids
     )
     return result, still_bound, replicas_on_traitors
 

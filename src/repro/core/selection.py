@@ -224,8 +224,9 @@ class MirrorSelectionStrategy:
         """Called once per selection round before any :meth:`select`.
 
         ``view`` is the engine (duck-typed): strategies may read uptime
-        (``observed_uptime``), capacities, departure flags and replica
-        locations — but must not mutate engine state or draw RNG.
+        (``observed_uptime``), capacities, departure flags and where
+        replicas live (``holds``) — but must not mutate engine state or
+        draw RNG.
         """
 
     def select(

@@ -550,6 +550,10 @@ class SoupNode:
             if friend is None or not self._reachable(friend_id):
                 # Unreachable friend: keep accumulating, exchange later.
                 continue
+            # Dropping-score exchange (Sec. 4.6), with or without reports.
+            self.mirror_manager.store.learn_friend_storage(
+                friend.mirror_manager.store.stored_owner_view()
+            )
             reports = self.mirror_manager.drain_reports_for(friend_id)
             if not reports:
                 continue
@@ -569,10 +573,6 @@ class SoupNode:
             self.security.sign_object(exchange)
             self.interface.send_object(exchange)
             friend.mirror_manager.receive_reports(reports)
-            # Dropping-score exchange rides along (Sec. 4.6).
-            self.mirror_manager.store.learn_friend_storage(
-                friend.mirror_manager.store.stored_owner_view()
-            )
             sent += 1
         return sent
 

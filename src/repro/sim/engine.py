@@ -97,9 +97,6 @@ class _NodeState(ReplicationState):
         self.node_id = node_id
         self.friends = friends
         self.knowledge.add_friends(friends)
-        #: Selected mirrors that were offline at selection time; the replica
-        #: push is retried whenever owner and mirror are online together.
-        self.pending_placements: Set[int] = set()
         #: Consecutive silent epochs per announced mirror (suspicion levels).
         self.mirror_suspicion: Dict[int, int] = {}
         self.joined = False
@@ -149,11 +146,8 @@ class SoupSimulation:
             [n.join_epoch for n in self.nodes], dtype=np.int64
         )
 
-        #: mirror -> set of owners whose replica it currently stores
-        #: (ground truth; kept in sync with every ReplicaStore).
-        self.replica_locations: Dict[int, Set[int]] = {
-            node_id: set() for node_id in range(self.n_total)
-        }
+        #: Every (owner, mirror) replica as parallel arrays, flattened from
+        #: the stores by :meth:`_rebuild_pairs` for the vector measurements.
         self._pair_owners = np.zeros(0, dtype=np.int64)
         self._pair_mirrors = np.zeros(0, dtype=np.int64)
 
@@ -243,6 +237,13 @@ class SoupSimulation:
 
     def stale_announcements_of(self, owner: int) -> Set[int]:
         return self._stale_announced.get(owner, set())
+
+    def holds(self, mirror_id: int, owner: int) -> bool:
+        """Whether ``mirror_id`` stores ``owner``'s replica where it can be
+        reached.  The mirror's :class:`ReplicaStore` is the only record; a
+        departed node's store stays frozen, but nobody reaches it."""
+        mirror = self.nodes[mirror_id]
+        return not mirror.departed and mirror.store.stores_for(owner)
 
     # ------------------------------------------------------------------
     # construction
@@ -601,8 +602,7 @@ class SoupSimulation:
 
         # A node without mirrors selects immediately instead of waiting
         # for the next round: "users are most active when they have just
-        # joined" and gain a foothold right away (Sec. 4.3).  Pending
-        # replica pushes to previously offline mirrors are also retried.
+        # joined" and gain a foothold right away (Sec. 4.3).
         pairs_dirty = False
         for node_id in online_ids:
             node = self.nodes[int(node_id)]
@@ -611,8 +611,6 @@ class SoupSimulation:
             if not node.announced_mirrors:
                 self._select_and_place(node, epoch)
                 pairs_dirty = True
-            elif node.pending_placements:
-                pairs_dirty |= self._retry_pending_placements(node, epoch)
         if self.config.repair:
             with PROFILER.span("engine.repair"):
                 pairs_dirty |= self._run_repair(epoch, online_ids)
@@ -701,7 +699,6 @@ class SoupSimulation:
                 self.note_departed(node_id)
                 # A departing node's stored replicas become unreachable.
                 for owner in node.store.stored_owners():
-                    self.replica_locations[node_id].discard(owner)
                     self.mark_stale_announcement(owner, node_id)
                     self._trace_drop(owner, node_id, "mirror-departed", epoch)
 
@@ -815,9 +812,11 @@ class SoupSimulation:
         friend_id = friend.node_id
         mirrors = friend.announced_mirrors
         online_now = self._online_flags_at(epoch)
-        locations = self.replica_locations
+        nodes = self.nodes
+        # A departed node is offline for good, so an online mirror's store
+        # is the whole answer.
         outcomes = [
-            online_now[mirror_id] and friend_id in locations[mirror_id]
+            online_now[mirror_id] and nodes[mirror_id].store.stores_for(friend_id)
             for mirror_id in mirrors
         ]
         capacity = self.config.mirror_request_capacity
@@ -890,7 +889,6 @@ class SoupSimulation:
                         owner, self.nodes[owner].announced_mirrors
                     )
                     for removed_owner in removed:
-                        self.replica_locations[node_id].discard(removed_owner)
                         self.mark_stale_announcement(removed_owner, node_id)
                         self._trace_drop(removed_owner, node_id, "mismatch", epoch)
 
@@ -937,7 +935,6 @@ class SoupSimulation:
             if stores_any:
                 removed = store.learn_friend_storage(friend.store.stored_owner_view())
                 for owner in removed:
-                    self.replica_locations[node_id].discard(owner)
                     self.mark_stale_announcement(owner, node_id)
 
     def _ingest_reports(self, node: _NodeState, epoch: int = 0) -> None:
@@ -957,7 +954,7 @@ class SoupSimulation:
         holding = {
             mirror_id
             for mirror_id in node.announced_mirrors
-            if node.node_id in self.replica_locations[mirror_id]
+            if self.holds(mirror_id, node.node_id)
         }
         old_mirrors = set(node.selected_mirrors)  # select() replaces them
         with PROFILER.span("engine.selection"):
@@ -986,24 +983,22 @@ class SoupSimulation:
         for mirror_id in old_mirrors - new_set:
             mirror = self.nodes[mirror_id]
             if mirror.store.remove(node.node_id):
-                self.replica_locations[mirror_id].discard(node.node_id)
                 self._trace_drop(node.node_id, mirror_id, "withdrawn", epoch)
 
-        # Place replicas at newly selected mirrors.
+        # Place replicas at newly selected mirrors.  The exclusion contract
+        # keeps an offline mirror out of the selection unless it already
+        # holds the replica; one a strategy picks anyway is skipped for the
+        # round, as SoupNode skips it.
         online_now = self._online_flags_at(epoch)
         accepted: List[int] = []
         friend_set = set(node.friends)
         for mirror_id in new_mirrors:
-            if node.node_id in self.replica_locations[mirror_id]:
-                accepted.append(mirror_id)
-            elif not online_now[mirror_id]:
-                # A fresh replica cannot be pushed to an offline mirror;
-                # the push is retried each epoch both ends are online.
-                node.pending_placements.add(mirror_id)
-            elif self._push_replica(node, mirror_id, mirror_id in friend_set, epoch):
+            if self.holds(mirror_id, node.node_id) or (
+                online_now[mirror_id]
+                and self._push_replica(node, mirror_id, mirror_id in friend_set, epoch)
+            ):
                 accepted.append(mirror_id)
 
-        node.pending_placements &= new_set
         node.commit(accepted, epoch)
         if self.dht_probe is not None:
             self.dht_probe.on_publish(node.node_id, accepted, epoch)
@@ -1019,7 +1014,6 @@ class SoupSimulation:
                 node.node_id, accepted
             )
             for owner in removed:
-                self.replica_locations[mirror_id].discard(owner)
                 self.mark_stale_announcement(owner, mirror_id)
                 self._trace_drop(owner, mirror_id, "mismatch", epoch)
 
@@ -1067,7 +1061,6 @@ class SoupSimulation:
             self.metrics.counter("engine.replicas.rejected").inc()
             return False
         if decision.dropped_owner is not None:
-            self.replica_locations[mirror_id].discard(decision.dropped_owner)
             self.mark_stale_announcement(decision.dropped_owner, mirror_id)
             self._drops_this_round += 1
             self.metrics.counter("engine.replicas.dropped").inc()
@@ -1075,33 +1068,12 @@ class SoupSimulation:
         if not self._place_replica_payload(node.node_id, mirror_id, epoch):
             mirror.store.remove(node.node_id)
             return not self.config.repair
-        self.replica_locations[mirror_id].add(node.node_id)
         self.metrics.counter("engine.replicas.placed").inc()
         if self._tracer.enabled:
             self._tracer.emit(
                 "replica_pushed", owner=node.node_id, mirror=mirror_id, epoch=epoch
             )
         return True
-
-    def _retry_pending_placements(self, node: _NodeState, epoch: int) -> bool:
-        """Push deferred replicas to mirrors that have come online."""
-        online_now = self._online_flags_at(epoch)
-        friend_set = set(node.friends)
-        placed = False
-        for mirror_id in sorted(node.pending_placements):
-            if not online_now[mirror_id]:
-                continue
-            node.pending_placements.discard(mirror_id)
-            if node.node_id in self.replica_locations[mirror_id]:
-                continue
-            if self._push_replica(node, mirror_id, mirror_id in friend_set, epoch):
-                if mirror_id not in node.announced_mirrors:
-                    node.announced_mirrors.append(mirror_id)
-                placed = True
-        if placed and self.dht_probe is not None:
-            # The announced set changed: the owner republishes it.
-            self.dht_probe.on_publish(node.node_id, node.announced_mirrors, epoch)
-        return placed
 
     # ------------------------------------------------------------------
     # reliability layer: failure detection + proactive repair
@@ -1116,7 +1088,7 @@ class SoupSimulation:
         until ``repair_suspicion_epochs``, then is declared dead.  Dead
         mirrors trigger an immediate reselection + re-replication instead
         of waiting for the next daily round.  Returns True when any
-        replica ground truth changed.
+        replica moved.
         """
         rel = self.result.reliability
         assert rel is not None
@@ -1130,7 +1102,7 @@ class SoupSimulation:
             for mirror_id in list(node.announced_mirrors):
                 mirror = self.nodes[mirror_id]
                 if online_now[mirror_id] and not mirror.departed:
-                    if node.node_id in self.replica_locations[mirror_id]:
+                    if mirror.store.stores_for(node.node_id):
                         node.mirror_suspicion.pop(mirror_id, None)
                     else:
                         # The probe answered without our replica: direct
@@ -1172,11 +1144,9 @@ class SoupSimulation:
                 )
             # Withdraw whatever the mirror still holds (a spurious verdict
             # costs one re-replication, never a stale announcement).
-            if self.nodes[mirror_id].store.remove(node.node_id):
-                self.replica_locations[mirror_id].discard(node.node_id)
+            self.nodes[mirror_id].store.remove(node.node_id)
             if mirror_id in node.announced_mirrors:
                 node.announced_mirrors.remove(mirror_id)
-            node.pending_placements.discard(mirror_id)
         self._deficit_since.setdefault(node.node_id, epoch)
         self._repair_epochs_by_owner.setdefault(node.node_id, []).append(epoch)
         rel.repairs_triggered += 1
@@ -1206,10 +1176,7 @@ class SoupSimulation:
         restored = (
             bool(selected)
             and selected == set(node.announced_mirrors)
-            and all(
-                node.node_id in self.replica_locations[mirror_id]
-                for mirror_id in selected
-            )
+            and all(self.holds(mirror_id, node.node_id) for mirror_id in selected)
         )
         if restored:
             self._deficit_since.pop(node.node_id, None)
@@ -1274,7 +1241,7 @@ class SoupSimulation:
             target = self.nodes[target_id]
             if not target.joined or target.departed:
                 continue
-            if node.node_id in self.replica_locations[target_id]:
+            if target.store.stores_for(node.node_id):
                 accepted.append(target_id)
                 continue
             decision = target.store.request_store(
@@ -1283,9 +1250,7 @@ class SoupSimulation:
             self._placements_this_round += 1
             if decision.accepted:
                 accepted.append(target_id)
-                self.replica_locations[target_id].add(node.node_id)
                 if decision.dropped_owner is not None:
-                    self.replica_locations[target_id].discard(decision.dropped_owner)
                     self.mark_stale_announcement(decision.dropped_owner, target_id)
                     self._drops_this_round += 1
 
@@ -1300,26 +1265,24 @@ class SoupSimulation:
                 node.node_id, announced
             )
             for owner in removed:
-                self.replica_locations[mirror_id].discard(owner)
                 self.mark_stale_announcement(owner, mirror_id)
 
     # ------------------------------------------------------------------
     # measurement
     # ------------------------------------------------------------------
     def _rebuild_pairs(self) -> None:
-        """Flatten ``replica_locations`` into parallel (owner, mirror)
-        arrays, mirror-major in the dict's own order."""
-        locations = self.replica_locations
-        counts = np.fromiter(
-            map(len, locations.values()), dtype=np.int64, count=len(locations)
-        )
+        """Flatten the stores of every node that has not departed into
+        parallel (owner, mirror) arrays, mirror-major in node id order."""
+        stored = [
+            () if node.departed else node.store.stored_owner_view()
+            for node in self.nodes
+        ]
+        counts = np.fromiter(map(len, stored), dtype=np.int64, count=len(stored))
         self._pair_owners = np.fromiter(
-            chain.from_iterable(locations.values()),
-            dtype=np.int64,
-            count=int(counts.sum()),
+            chain.from_iterable(stored), dtype=np.int64, count=int(counts.sum())
         )
         self._pair_mirrors = np.repeat(
-            np.fromiter(locations, dtype=np.int64, count=len(locations)), counts
+            np.arange(len(stored), dtype=np.int64), counts
         )
 
     def _joined_benign_mask(self) -> np.ndarray:

@@ -237,7 +237,6 @@ class FaultInjector:
             sim.note_departed(victim)
             sim.online_matrix[victim, epoch:] = False
             for owner in node.store.stored_owners():
-                sim.replica_locations[victim].discard(owner)
                 sim.mark_stale_announcement(owner, victim)
             self._crashed.append(victim)
 

@@ -11,11 +11,9 @@ failures.  Every epoch (behind ``ScenarioConfig.check_invariants``) a
   directory actually stores its replica, unless the engine knows the owner
   has not yet learned of a legitimate drop (the paper's protective-dropping
   precondition: announced-vs-real mismatches must come from attackers, not
-  from the engine's own bookkeeping).
-* ``replica-locations-consistent`` — the engine's ground-truth
-  ``replica_locations`` map and every node's :class:`ReplicaStore` agree
-  (conservation of replicas across placement, withdrawal, dropping,
-  blacklisting and departure).
+  from the engine's own bookkeeping).  Where a replica lives is read from
+  the one record of it, the mirror's :class:`ReplicaStore`, through
+  ``SoupSimulation.holds`` (a departed mirror holds nothing).
 * ``replica-count-meets-target`` — an online owner retains at least as
   many live replicas as its net announced mirror set (Algorithm 1's
   accepted selection target).
@@ -124,7 +122,7 @@ def _announced_mirrors_stored(sim, epoch: int) -> List[Violation]:
         missing = [
             mirror_id
             for mirror_id in node.announced_mirrors
-            if node.node_id not in sim.replica_locations[mirror_id]
+            if not sim.holds(mirror_id, node.node_id)
             and mirror_id not in stale
         ]
         if missing:
@@ -141,55 +139,12 @@ def _announced_mirrors_stored(sim, epoch: int) -> List[Violation]:
                     snapshot={
                         "owner": node.node_id,
                         "announced": list(node.announced_mirrors),
-                        "actually_stored_at": sorted(
+                        "actually_stored_at": [
                             mirror_id
-                            for mirror_id, owners in sim.replica_locations.items()
-                            if node.node_id in owners
-                        ),
+                            for mirror_id in range(len(sim.nodes))
+                            if sim.holds(mirror_id, node.node_id)
+                        ],
                         "pending_drop_notice": sorted(stale),
-                    },
-                )
-            )
-    return violations
-
-
-def _replica_locations_consistent(sim, epoch: int) -> List[Violation]:
-    violations: List[Violation] = []
-    for node in sim.nodes:
-        recorded = sim.replica_locations[node.node_id]
-        stored = set(node.store.stored_owners())
-        if node.departed:
-            # A departed mirror's replicas are unreachable: the engine clears
-            # its ground-truth locations while the store object is frozen.
-            if recorded:
-                violations.append(
-                    Violation(
-                        invariant="replica-locations-consistent",
-                        epoch=epoch,
-                        node_ids=(node.node_id,),
-                        detail=(
-                            f"departed mirror {node.node_id} still listed as "
-                            f"storing {sorted(recorded)}"
-                        ),
-                        snapshot={"mirror": node.node_id, "recorded": sorted(recorded)},
-                    )
-                )
-            continue
-        if recorded != stored:
-            violations.append(
-                Violation(
-                    invariant="replica-locations-consistent",
-                    epoch=epoch,
-                    node_ids=(node.node_id,),
-                    detail=(
-                        f"mirror {node.node_id}: ground truth and ReplicaStore "
-                        f"disagree (only-ground-truth={sorted(recorded - stored)}, "
-                        f"only-store={sorted(stored - recorded)})"
-                    ),
-                    snapshot={
-                        "mirror": node.node_id,
-                        "ground_truth": sorted(recorded),
-                        "replica_store": sorted(stored),
                     },
                 )
             )
@@ -212,7 +167,7 @@ def _replica_count_meets_target(sim, epoch: int) -> List[Violation]:
         live = sum(
             1
             for mirror_id in set(node.announced_mirrors)
-            if node.node_id in sim.replica_locations[mirror_id]
+            if sim.holds(mirror_id, node.node_id)
         )
         if live < target:
             violations.append(
@@ -301,7 +256,6 @@ def _membership_columns_consistent(sim, epoch: int) -> List[Violation]:
 
 ENGINE_INVARIANTS: Dict[str, Callable] = {
     "announced-mirrors-stored": _announced_mirrors_stored,
-    "replica-locations-consistent": _replica_locations_consistent,
     "replica-count-meets-target": _replica_count_meets_target,
     "storage-within-capacity": _storage_within_capacity,
     "membership-columns-consistent": _membership_columns_consistent,

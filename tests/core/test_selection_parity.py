@@ -10,9 +10,12 @@ Algorithm 1: the mirror manager through ``ingest_pending_reports`` and
 state and the knowledge base after committing the same accepted set must
 agree.
 
-Where the two implementations still differ (``docs/PROTOCOL.md`` §11,
-"Where the engine and SoupNode still differ"), a test below pins the
-difference instead of hiding it.
+Two more parity tests pin what both sides do outside a plain round: a
+strategy that breaks the exclusion contract, and the dropping-score
+exchange with a friend nobody has reports for.  Where the two
+implementations still differ (``docs/PROTOCOL.md`` §11, "Where the engine
+and SoupNode still differ"), a test below pins the difference instead of
+hiding it.
 """
 
 import random
@@ -26,6 +29,7 @@ from repro.arch import create_architecture
 from repro.core.config import SoupConfig
 from repro.core.experience import ExperienceReport
 from repro.core.ranking import Recommendation
+from repro.core.selection import MirrorSelectionStrategy, SelectionResult
 from repro.node.mirror_manager import MirrorManager
 from repro.sim.engine import SoupSimulation
 from repro.sim.scenario import ScenarioConfig
@@ -135,7 +139,6 @@ def test_engine_and_mirror_manager_make_the_same_selection(
     # node is online at epoch 0 unless drawn unreachable.
     for mirror_id in held:
         assert sim.nodes[mirror_id].store.request_store(OWNER).accepted
-        sim.replica_locations[mirror_id].add(OWNER)
     sim.online_matrix[:, 0] = [i not in unreachable for i in range(N)]
     sim.online_matrix[OWNER, 0] = True
 
@@ -161,6 +164,77 @@ def test_engine_and_mirror_manager_make_the_same_selection(
     assert list(node.knowledge) == list(manager.knowledge)
 
 
+class _PickOffline(MirrorSelectionStrategy):
+    """Breaks the exclusion contract: always returns one excluded mirror."""
+
+    name = "pick-offline"
+
+    def __init__(self, mirror: int) -> None:
+        self.mirror = mirror
+
+    def select(self, owner, ranking, friends, config, rng,
+               exploration_pool=(), exclude=()):
+        assert self.mirror in exclude
+        return SelectionResult(mirrors=[self.mirror], estimated_error=1.0)
+
+
+def test_both_skip_an_offline_mirror_that_holds_nothing(cluster):
+    sim = _simulation(SoupConfig())
+    node = sim.nodes[OWNER]
+    node.selection_strategy = _PickOffline(3)
+    sim.online_matrix[:, 0] = True
+    sim.online_matrix[3, 0] = False
+    sim._select_and_place(node, 0)
+    assert node.selected_mirrors == [3]
+    assert node.announced_mirrors == []
+    assert not sim.nodes[3].store.stores_for(OWNER)
+
+    owner = cluster.add("owner", seed=1)
+    mirror = cluster.add("mirror", seed=2)
+    cluster.join_all()
+    owner.contact(mirror.node_id)
+    mirror.go_offline()
+    owner.mirror_manager.selection_strategy = _PickOffline(mirror.node_id)
+    assert owner.run_selection_round() == []
+    assert owner.mirror_manager.selected_mirrors == [mirror.node_id]
+    assert owner.mirror_manager.announced_mirrors == []
+    assert not mirror.mirror_manager.store.stores_for(owner.node_id)
+
+
+def test_both_exchange_dropping_scores_with_a_friend_without_reports(cluster):
+    """Sec. 4.6: the exchange with a friend updates the dropping scores even
+    when there are no experience reports to send it."""
+    sim = _simulation(SoupConfig())
+    node, friend = sim.nodes[OWNER], sim.nodes[1]
+    node.friends = [1]
+    # Node 0 stores its friend's replica and a stranger's; the friend
+    # stores the same stranger's.
+    assert node.store.request_store(1, is_friend=True).accepted
+    assert node.store.request_store(5).accepted
+    assert friend.store.request_store(5).accepted
+    sim._exchange_experience(node, 0)
+    engine_scores = [node.store.dropping_score(1), node.store.dropping_score(5)]
+
+    owner = cluster.add("owner", seed=1)
+    buddy = cluster.add("buddy", seed=2)
+    stranger = cluster.add("stranger", seed=3)
+    cluster.join_all()
+    assert owner.befriend(buddy.node_id)
+    store = owner.mirror_manager.store
+    assert store.request_store(buddy.node_id, is_friend=True).accepted
+    assert store.request_store(stranger.node_id).accepted
+    assert buddy.mirror_manager.store.request_store(stranger.node_id).accepted
+    assert owner.exchange_experience_sets() == 0  # no reports to send
+    node_scores = [
+        store.dropping_score(buddy.node_id),
+        store.dropping_score(stranger.node_id),
+    ]
+
+    # The friend's replica gets the -1/β protection; the stranger's, stored
+    # at the friend too, scores +1.
+    assert engine_scores == node_scores == [-1.0 / SoupConfig().beta, 1.0]
+
+
 # ---------------------------------------------------------------------------
 # divergences, pinned (docs/PROTOCOL.md §11)
 # ---------------------------------------------------------------------------
@@ -173,28 +247,6 @@ def test_divergence_only_mirror_manager_leaves_the_requester_out_of_recommendati
     sim.nodes[OWNER].announced_mirrors = [5, 6]
     sim._collect_recommendations(sim.nodes[5], sim.nodes[OWNER])
     assert sorted(m for m, _ in sim.nodes[5].bootstrap.ranking()) == [5, 6]
-
-
-def test_divergence_only_the_engine_defers_a_placement_to_an_offline_mirror():
-    sim = _simulation(SoupConfig())
-    node = sim.nodes[OWNER]
-    node.selected_mirrors = [3]
-    node.pending_placements = {3}
-    sim.online_matrix[:, 1] = True
-    sim.online_matrix[3, 0] = False
-
-    # Still offline: the push waits.
-    assert not sim._retry_pending_placements(node, 0)
-    assert node.pending_placements == {3} and node.announced_mirrors == []
-    # Both ends online: pushed, stored and announced.
-    assert sim._retry_pending_placements(node, 1)
-    assert node.pending_placements == set()
-    assert OWNER in sim.replica_locations[3]
-    assert sim.nodes[3].store.stores_for(OWNER)
-    assert node.announced_mirrors == [3]
-    assert sim.metrics.counter("engine.replicas.placed").value == 1
-
-    assert not hasattr(_manager(SoupConfig(), 0), "pending_placements")
 
 
 def test_divergence_soup_node_commits_every_round_as_epoch_zero(cluster):

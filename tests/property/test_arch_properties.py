@@ -20,6 +20,7 @@ from repro.arch import (
     create_architecture,
 )
 from repro.core.config import SoupConfig
+from repro.core.selection import Exclusion
 
 node_ids = st.integers(1, 2_000)
 ranks = st.floats(0.0, 1.0, allow_nan=False)
@@ -46,28 +47,43 @@ class _EngineView:
         return True
 
 
+#: Index picks into the candidate ids (ranking ids, then exploration-pool
+#: ids): the owner's own exclusions, the shared unreachable set, and the
+#: mirrors already holding the replica, which stay selectable unreachable.
+exclusion_picks = st.tuples(
+    st.sets(st.integers(0, 54), max_size=10),
+    st.sets(st.integers(0, 54), max_size=20),
+    st.sets(st.integers(0, 54), max_size=10),
+)
+
+
 @given(
     ranking=rankings,
     owner=node_ids,
-    exclude_picks=st.sets(st.integers(0, 49), max_size=10),
+    picks=exclusion_picks,
     pool=st.sets(st.integers(3_000, 3_500), max_size=5),
     seed=st.integers(0, 20),
     view_seed=st.integers(0, 10_000),
 )
 def test_every_selection_strategy_preserves_replication_invariant(
-    ranking, owner, exclude_picks, pool, seed, view_seed
+    ranking, owner, picks, pool, seed, view_seed
 ):
-    """K-cap, no duplicates, no excluded/blacklisted/offline nodes —
-    for every architecture's selection strategy, after a real election
-    round over a randomized engine view."""
+    """K-cap, no duplicates, no node the :class:`Exclusion` holds
+    (blacklisting/rejecting, or unreachable and not already holding the
+    replica) — for every architecture's selection strategy, after a real
+    election round over a randomized engine view.  The engine relies on
+    this: it skips a selected mirror that is offline, with no retry."""
     config = SoupConfig()
     view_rng = np.random.default_rng(view_seed)
     view = _EngineView(
         uptime=view_rng.random(_N),
         capacities=view_rng.uniform(1.0, 100.0, _N),
     )
-    exclude = {ranking[i][0] for i in exclude_picks if i < len(ranking)}
-    exclude.add(owner)
+    candidates = [node for node, _ in ranking] + sorted(pool)
+    own, unreachable, holding = (
+        {candidates[i] for i in drawn if i < len(candidates)} for drawn in picks
+    )
+    exclude = Exclusion(own=own | {owner}, unreachable=unreachable, holding=holding)
 
     for name in architecture_names():
         strategy = create_architecture(name).selection or SoupSelectionStrategy()
@@ -84,7 +100,7 @@ def test_every_selection_strategy_preserves_replication_invariant(
         mirrors = result.mirrors
         assert len(mirrors) <= config.max_mirrors + 1, name
         assert len(set(mirrors)) == len(mirrors), name
-        assert not exclude & set(mirrors), name
+        assert [m for m in mirrors if m in exclude] == [], name
         assert owner not in mirrors, name
 
 

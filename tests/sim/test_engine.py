@@ -41,19 +41,6 @@ def test_replica_overhead_positive_and_bounded(base_result):
     assert base_result.replica_overhead.max() <= 31  # max_mirrors + exploration
 
 
-def test_replica_locations_consistent_with_stores():
-    config = tiny_config()
-    graph = generate_dataset(config.dataset, config.scale, config.seed)
-    sim = SoupSimulation(graph, config)
-    sim.run()
-    for mirror_id, owners in sim.replica_locations.items():
-        store = sim.nodes[mirror_id].store
-        for owner in owners:
-            assert store.stores_for(owner)
-        for owner in store.stored_owners():
-            assert owner in owners
-
-
 def test_mirror_sets_exclude_self():
     config = tiny_config()
     graph = generate_dataset(config.dataset, config.scale, config.seed)
@@ -79,7 +66,7 @@ def test_announced_mirrors_mostly_store_the_data():
             continue
         for mirror in node.announced_mirrors:
             total += 1
-            if node.node_id in sim.replica_locations[mirror]:
+            if sim.holds(mirror, node.node_id):
                 stored += 1
     assert total > 0
     assert stored / total > 0.9

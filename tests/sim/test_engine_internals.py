@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.config import SoupConfig
+from repro.core.dropping import ReplicaStore
 from repro.graphs.datasets import generate_dataset
 from repro.sim.engine import SoupSimulation
 from repro.sim.scenario import ScenarioConfig
@@ -81,9 +83,9 @@ class TestRecommendations:
         friend_id = node.friends[0]
         friend = sim.nodes[friend_id]
         node.joined = friend.joined = True
-        mirror_id = 5
+        mirror_id = next(i for i in range(sim.n_total) if i not in (0, friend_id))
         friend.announced_mirrors = [mirror_id]
-        sim.replica_locations[mirror_id].add(friend_id)
+        assert sim.nodes[mirror_id].store.request_store(friend_id).accepted
         sim.online_matrix[mirror_id, 0] = True
         sim._served_this_epoch = {}
         sim._request_profile(node, friend, epoch=0)
@@ -94,11 +96,11 @@ class TestRecommendations:
 
 
 class TestMeasurement:
-    def test_availability_flags_use_replica_locations(self):
+    def test_availability_flags_use_the_stores(self):
         sim, config = build()
         online = np.zeros(sim.n_total, dtype=bool)
         owner, mirror = 0, 1
-        sim.replica_locations[mirror].add(owner)
+        assert sim.nodes[mirror].store.request_store(owner).accepted
         sim._rebuild_pairs()
         online[mirror] = True
         flags = sim._availability_flags(online)
@@ -106,19 +108,39 @@ class TestMeasurement:
         online[mirror] = False
         flags = sim._availability_flags(online)
         assert not flags[owner]
+        # A departed mirror's store stays frozen but serves nobody.
+        sim.note_departed(mirror)
+        sim._rebuild_pairs()
+        online[mirror] = True
+        flags = sim._availability_flags(online)
+        assert not flags[owner]
 
     @given(
         locations=st.dictionaries(
             st.integers(0, 30), st.sets(st.integers(0, 30), max_size=6), max_size=12
-        )
+        ),
+        departed=st.sets(st.integers(0, 30), max_size=6),
     )
-    def test_rebuild_pairs_equals_the_nested_loop(self, locations):
-        owners, mirrors = [], []
+    def test_rebuild_pairs_equals_the_nested_loop(self, locations, departed):
+        config = SoupConfig()
+        nodes = [
+            SimpleNamespace(
+                departed=node_id in departed,
+                store=ReplicaStore(node_id, 10.0, config),
+            )
+            for node_id in range(31)
+        ]
         for mirror_id, stored in locations.items():
-            for owner in stored:
+            for owner in stored - {mirror_id}:
+                assert nodes[mirror_id].store.request_store(owner).accepted
+        owners, mirrors = [], []
+        for mirror_id, node in enumerate(nodes):
+            if node.departed:
+                continue
+            for owner in node.store.stored_owners():
                 owners.append(owner)
                 mirrors.append(mirror_id)
-        view = SimpleNamespace(replica_locations=locations)
+        view = SimpleNamespace(nodes=nodes)
         SoupSimulation._rebuild_pairs(view)
         assert view._pair_owners.dtype == view._pair_mirrors.dtype == np.int64
         assert view._pair_owners.tolist() == owners

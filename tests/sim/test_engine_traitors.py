@@ -1,4 +1,4 @@
-"""Engine tests for the traitor population and pending placements."""
+"""Engine tests for the traitor population and placement reachability."""
 
 import numpy as np
 import pytest
@@ -40,6 +40,10 @@ class TestTraitors:
         attracted = sum(sim.nodes[t].store.replica_count() for t in traitor_ids)
         assert attracted > 0
 
+    def test_validation_rejects_bad_traitor_fraction(self):
+        with pytest.raises(ValueError):
+            ScenarioConfig(traitor_fraction=1.0)
+
     def test_traitors_excluded_from_benign_metrics(self):
         sim, config = build(traitor_fraction=0.1)
         mask = sim._joined_benign_mask()
@@ -77,15 +81,25 @@ class TestTraitors:
         assert bound < 0.6 * len(benign)
 
 
-class TestReachabilityAndPendingPlacements:
+class TestReachability:
     def test_new_replicas_only_at_reachable_mirrors(self):
+        """The engine pushes a fresh replica only to a mirror that is
+        online, joined and not departed."""
         sim, config = build()
-        result = sim.run()
-        # Invariant maintained throughout: locations match stores.
-        for mirror_id, owners in sim.replica_locations.items():
-            store = sim.nodes[mirror_id].store
-            assert set(store.stored_owners()) == owners
+        push = sim._push_replica
+        pushes = []
 
-    def test_validation_rejects_bad_traitor_fraction(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(traitor_fraction=1.0)
+        def recording_push(node, mirror_id, is_friend, epoch):
+            mirror = sim.nodes[mirror_id]
+            reachable = (
+                bool(sim.online_matrix[mirror_id, epoch])
+                and mirror.joined
+                and not mirror.departed
+            )
+            pushes.append((mirror_id, epoch, reachable))
+            return push(node, mirror_id, is_friend, epoch)
+
+        sim._push_replica = recording_push
+        sim.run()
+        assert pushes
+        assert [p for p in pushes if not p[2]] == []

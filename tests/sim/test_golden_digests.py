@@ -74,12 +74,13 @@ SCENARIOS = [
             faults="crash:epoch=30:count=2",
             check_invariants=True,
             # The trace's ``invariant_checked`` events carry the number of
-            # checks run, so the scenario names the four that existed when
-            # the digest was recorded; invariants added since are covered
-            # by tests/sim/test_invariants.py.
+            # checks run, and the digest was recorded with four, so the
+            # scenario names four.  ``membership-columns-consistent`` stands
+            # in for a check of a mirror -> owners map the engine no longer
+            # keeps.  Every invariant is covered by tests/sim/test_invariants.py.
             invariant_names=(
                 "announced-mirrors-stored",
-                "replica-locations-consistent",
+                "membership-columns-consistent",
                 "replica-count-meets-target",
                 "storage-within-capacity",
             ),
