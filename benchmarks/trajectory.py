@@ -9,7 +9,18 @@ dirty or unknown tree, a ``--tiny`` or traced run, a run that is not
 ``correct`` and a (commit, workload, seeds) already recorded are each refused
 before anything is written.
 
-``trajectory.py`` alone prints the trajectory, one table per workload.  The
+Raw medians of different days do not compare: the host's speed wanders by
+up to a quarter between days.  What a PR's alternating pairs do measure is
+the ratio of change to parent on one day, so ``--parent FILE...`` takes the
+parent-side documents of the same pairs (same seeds, one parent commit) and
+writes a row of schema ``soup-e2e-history/v2``: the change side as in v1,
+plus the parent's quartiles and the paired median ratio (the median over
+seeds of change / parent) of every metric.
+
+``trajectory.py`` alone prints the trajectory, one table per workload, and
+under it the chained index of the workload's v2 rows: the running product
+of their paired median ratios, the one form in which a number compares
+across PRs measured on different days.  The
 file is append-only, which is why its first two rows still have the schema of
 the retired in-tree suite; they are counted, never rewritten.  A row with a
 ``source`` was transcribed from the prose it names: quartiles are ``null``
@@ -22,9 +33,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 REPO = Path(__file__).resolve().parents[1]
 if str(REPO / "benchmarks" / "e2e") not in sys.path:
@@ -34,6 +46,8 @@ from compare import load_runs, quartiles  # noqa: E402
 
 HISTORY = REPO / "benchmarks" / "baselines" / "HISTORY.jsonl"
 SCHEMA = "soup-e2e-history/v1"
+#: A v1 row plus ``parent`` (commit, quartiles) and ``paired_ratio``.
+PAIRED_SCHEMA = "soup-e2e-history/v2"
 RETIRED_SCHEMA = "soup-bench-history/v1"
 
 
@@ -58,7 +72,7 @@ def load_history(path: Path) -> Tuple[List[dict], int]:
             if row["schema"] == RETIRED_SCHEMA:
                 retired += 1
                 continue
-            if row["schema"] != SCHEMA:
+            if row["schema"] not in (SCHEMA, PAIRED_SCHEMA):
                 raise ValueError(f"unknown schema {row['schema']!r}")
             if not (row["label"] and row["git_sha"] and row["workload"]):
                 raise ValueError("empty label, commit or workload")
@@ -68,14 +82,20 @@ def load_history(path: Path) -> Tuple[List[dict], int]:
                 raise ValueError(f"metrics are not {sorted(names)}")
             if any(v is not None and len(v) != 3 for v in row["metrics"].values()):
                 raise ValueError("a metric is neither null nor [q1, median, q3]")
+            if row["schema"] == PAIRED_SCHEMA:
+                if not row["parent"]["git_sha"]:
+                    raise ValueError("empty parent commit")
+                if set(row["parent"]["metrics"]) != names or set(row["paired_ratio"]) != names:
+                    raise ValueError(f"parent metrics or ratios are not {sorted(names)}")
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc!r}") from exc
         rows.append(row)
     return rows, retired
 
 
-def rows_from(paths: List[str], label: str) -> List[dict]:
-    """One row per workload of the documents; ``ValueError`` says why not."""
+def _runs_of(paths: List[str]) -> Tuple[str, Dict[str, List[dict]]]:
+    """The one commit of the documents and their runs per workload, in
+    document order; ``ValueError`` says why they are not a measurement."""
     shas, by_workload = set(), {}
     for path in paths:
         with open(path, encoding="utf-8") as handle:
@@ -94,28 +114,68 @@ def rows_from(paths: List[str], label: str) -> List[dict]:
             by_workload.setdefault(run["workload"], []).append(run)
     if len(shas) != 1:
         raise ValueError(f"documents of {len(shas)} commits, need one: {sorted(shas)}")
-    (sha,) = shas
-    names = metric_names()
-    rows = []
     for workload, runs in by_workload.items():
         lengths = {run.get("seconds") for run in runs}
         if len(lengths) != 1:
             raise ValueError(f"{workload}: runs of different lengths: {lengths}")
-        rows.append({
+    return shas.pop(), by_workload
+
+
+def _quartiles(runs: List[dict], names: List[str]) -> Dict[str, List[float]]:
+    return {name: list(quartiles([run["metrics"][name] for run in runs])) for name in names}
+
+
+def _paired_ratio(runs: List[dict], parent_runs: List[dict], name: str) -> Optional[float]:
+    """Median over seeds of change / parent; None if no parent value is
+    nonzero."""
+    parent = {run["seed"]: run["metrics"][name] for run in parent_runs}
+    ratios = [
+        run["metrics"][name] / parent[run["seed"]] for run in runs if parent[run["seed"]]
+    ]
+    return statistics.median(ratios) if ratios else None
+
+
+def rows_from(paths: List[str], label: str, parent_paths: Sequence[str] = ()) -> List[dict]:
+    """One row per workload of the documents (v2 rows with ``parent_paths``);
+    ``ValueError`` says why not."""
+    sha, by_workload = _runs_of(paths)
+    if parent_paths:
+        parent_sha, parent_by_workload = _runs_of(list(parent_paths))
+        if parent_sha == sha:
+            raise ValueError(f"the parent documents are of the change's own commit {sha[:7]}")
+    names = metric_names()
+    rows = []
+    for workload, runs in by_workload.items():
+        seeds = sorted(run["seed"] for run in runs)
+        row = {
             "schema": SCHEMA, "label": label, "git_sha": sha, "git_dirty": False,
-            "workload": workload, "seeds": sorted(run["seed"] for run in runs),
-            "seconds": lengths.pop(),
-            "metrics": {
-                name: list(quartiles([run["metrics"][name] for run in runs]))
-                for name in names
-            },
-        })  # fmt: skip
+            "workload": workload, "seeds": seeds, "seconds": runs[0].get("seconds"),
+            "metrics": _quartiles(runs, names),
+        }  # fmt: skip
+        if parent_paths:
+            parent_runs = parent_by_workload.get(workload, [])
+            parent_seeds = sorted(run["seed"] for run in parent_runs)
+            if parent_seeds != seeds or len(set(seeds)) != len(seeds):
+                raise ValueError(
+                    f"{workload}: parent seeds {parent_seeds} do not pair one to one"
+                    f" with change seeds {seeds}"
+                )
+            if parent_runs[0].get("seconds") != row["seconds"]:
+                raise ValueError(f"{workload}: parent runs of a different length")
+            row["schema"] = PAIRED_SCHEMA
+            row["parent"] = {"git_sha": parent_sha, "metrics": _quartiles(parent_runs, names)}
+            row["paired_ratio"] = {
+                name: _paired_ratio(runs, parent_runs, name) for name in names
+            }
+        rows.append(row)
     return rows
 
 
-def append(history: Path, paths: List[str], label: str) -> List[dict]:
+def append(
+    history: Path, paths: List[str], label: str, parent_paths: Sequence[str] = ()
+) -> List[dict]:
     recorded = set(map(_key, load_history(history)[0]))
-    rows = rows_from(paths, label)
+    rows = rows_from(paths, label, parent_paths)
     for row in rows:
         if _key(row) in recorded:
             raise ValueError(f"{row['workload']} at {row['git_sha'][:7]}: seeds already recorded")
@@ -136,27 +196,66 @@ def _seeds(seeds: List[int]) -> str:
     return f"{seeds[0]}-{seeds[-1]} ({len(seeds)})" if seeds else "?"
 
 
+def _table(table: List[List[str]]) -> List[str]:
+    widths = [max(map(len, column)) for column in zip(*table)]
+    return [
+        "  " + "  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip()
+        for cells in table
+    ]
+
+
+def chained_index(rows: List[dict], names: List[str]) -> List[Dict[str, Optional[float]]]:
+    """Per v2 row, in order: the product of the paired median ratios of it
+    and every v2 row before it; None from the first row without a ratio."""
+    index: Dict[str, Optional[float]] = dict.fromkeys(names, 1.0)
+    out = []
+    for row in rows:
+        for name in names:
+            ratio = row["paired_ratio"][name]
+            index[name] = None if index[name] is None or ratio is None else index[name] * ratio
+        out.append(dict(index))
+    return out
+
+
+def _ratio(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.4f}"
+
+
 def render(history: Path) -> List[str]:
     rows, retired = load_history(history)
     names = metric_names()
     lines: List[str] = []
     for workload in dict.fromkeys(row["workload"] for row in rows):
-        table = [["label", "commit", "seeds", *names]] + [
+        mine = [row for row in rows if row["workload"] == workload]
+        lines += [workload] + _table([["label", "commit", "seeds", *names]] + [
             [
                 row["label"] + ("*" if "source" in row else ""),
                 row["git_sha"][:7],
                 _seeds(row["seeds"]),
                 *(_cell(row["metrics"][name]) for name in names),
             ]
-            for row in rows
-            if row["workload"] == workload
-        ]
-        widths = [max(map(len, column)) for column in zip(*table)]
-        lines += [workload] + [
-            "  " + "  ".join(cell.ljust(w) for cell, w in zip(cells, widths)).rstrip()
-            for cells in table
-        ] + [""]  # fmt: skip
+            for row in mine
+        ])  # fmt: skip
+        paired = [row for row in mine if row["schema"] == PAIRED_SCHEMA]
+        if paired:
+            lines += ["  chained index (paired ratio)"] + _table(
+                [["label", "commit", "parent", *names]] + [
+                    [
+                        row["label"], row["git_sha"][:7], row["parent"]["git_sha"][:7],
+                        *(
+                            f"{_ratio(index[name])} ({_ratio(row['paired_ratio'][name])})"
+                            for name in names
+                        ),
+                    ]
+                    for row, index in zip(paired, chained_index(paired, names))
+                ]
+            )  # fmt: skip
+        lines.append("")
     lines.append("median [q1, q3]; * transcribed from the prose the row's `source` names")
+    lines.append(
+        "chained index: product of the paired median ratios (change / parent)"
+        " of the workload's --parent rows so far"
+    )
     lines.append(f"{retired} rows of retired schema {RETIRED_SCHEMA} not shown")
     return lines
 
@@ -165,12 +264,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("documents", nargs="*", metavar="FILE", help="run.py --out documents")
     parser.add_argument("--label", help="name of the appended rows, e.g. 'PR 20'")
+    parser.add_argument(
+        "--parent", nargs="+", default=[], metavar="FILE",
+        help="run.py --out documents of the parent side of the same pairs",
+    )  # fmt: skip
     args = parser.parse_args(argv)
     if bool(args.documents) != bool(args.label):
         parser.error("--label and FILE go together")
+    if args.parent and not args.documents:
+        parser.error("--parent needs the change's FILE too")
     try:
         if args.documents:
-            for row in append(HISTORY, args.documents, args.label):
+            for row in append(HISTORY, args.documents, args.label, args.parent):
                 print(f"appended {row['label']} {row['workload']} {row['git_sha'][:7]}")
         else:
             print("\n".join(render(HISTORY)))

@@ -7,8 +7,9 @@ The paper relies on two cryptographic building blocks:
   (Sec. 3.2).  We implement textbook RSA from scratch (:mod:`repro.crypto.rsa`)
   on top of a Miller-Rabin prime generator (:mod:`repro.crypto.primes`);
   both do their modular exponentiations through one kernel,
-  :func:`repro.crypto.bignum.modexp` (OpenSSL's ``BN_mod_exp``, or builtin
-  ``pow`` where no libcrypto loads).
+  :class:`repro.crypto.bignum.Kernel`, bound once per ``(exp, mod)`` a key or
+  a prime candidate fixes (OpenSSL's ``BN_mod_exp_mont``, or builtin ``pow``
+  where no libcrypto loads).
 
 * **Ciphertext-Policy Attribute-Based Encryption (CP-ABE)** — all user data is
   encrypted under an *access structure*; only requesters holding a satisfying

@@ -4,6 +4,11 @@ Implements deterministic Miller-Rabin for 64-bit inputs and probabilistic
 Miller-Rabin with configurable rounds for larger candidates, plus a simple
 random prime generator seeded through :class:`random.Random` so that key
 generation is reproducible in tests and simulations.
+
+A candidate that survives trial division binds one
+:class:`repro.crypto.bignum.Kernel` to ``(d, n)`` (``n - 1 = d * 2**r``),
+and every witness's ``a ** d mod n`` runs through it, so the modulus is
+put into Montgomery form once per candidate, not once per witness.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.crypto.bignum import modexp
+from repro.crypto.bignum import Kernel
 
 # Small primes used for fast trial division before Miller-Rabin.
 _SMALL_PRIMES = (
@@ -25,9 +30,10 @@ _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-def _miller_rabin_round(n: int, a: int, d: int, r: int) -> bool:
-    """Return True if ``a`` witnesses that ``n`` is composite."""
-    x = modexp(a, d, n)
+def _miller_rabin_round(n: int, a: int, a_to_the_d: Kernel, r: int) -> bool:
+    """Return True if ``a`` witnesses that ``n`` is composite
+    (``a_to_the_d`` is the kernel of ``x ** d mod n``)."""
+    x = a_to_the_d(a)
     if x in (1, n - 1):
         return False
     for _ in range(r - 1):
@@ -63,7 +69,8 @@ def is_probable_prime(n: int, rounds: int = 40, rng: Optional[random.Random] = N
         rng = rng or random.Random()
         witnesses = [rng.randrange(2, n - 1) for _ in range(rounds)]
 
-    return not any(_miller_rabin_round(n, a, d, r) for a in witnesses)
+    a_to_the_d = Kernel(d, n)
+    return not any(_miller_rabin_round(n, a, a_to_the_d, r) for a in witnesses)
 
 
 def generate_prime(bits: int, rng: random.Random) -> int:

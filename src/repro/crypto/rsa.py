@@ -7,10 +7,13 @@ encrypt/decrypt, and hash-then-sign signatures.
 
 The scheme, its padding and key generation are ours; each modular
 exponentiation (both CRT halves of :func:`sign` / :func:`decrypt_int`,
-:func:`verify`, :func:`encrypt_int`) is one call of
-:func:`repro.crypto.bignum.modexp`, OpenSSL's ``BN_mod_exp`` where a
-libcrypto loads and builtin ``pow`` where none does — same bits either way.
-Modular inverses stay builtin ``pow(x, -1, m)``.
+:func:`verify`, :func:`encrypt_int`) is one call of a
+:class:`repro.crypto.bignum.Kernel` the key binds on first use and keeps:
+the private key one per CRT half, ``(d mod p-1, p)`` and ``(d mod q-1, q)``,
+the public key one for ``(e, n)``.  A kernel runs OpenSSL's
+``BN_mod_exp_mont`` where a libcrypto loads and builtin ``pow`` where none
+does — same bits either way.  Modular inverses stay builtin
+``pow(x, -1, m)``.
 
 .. warning::
    This is *simulation-grade* cryptography: deterministic hash padding, no
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Tuple
 
-from repro.crypto.bignum import modexp
+from repro.crypto.bignum import Kernel
 from repro.crypto.primes import generate_prime
 from repro.obs import get_registry
 from repro.obs.profiling import PROFILER
@@ -47,6 +50,11 @@ class RsaPublicKey:
     def bits(self) -> int:
         return self.n.bit_length()
 
+    @cached_property
+    def _kernel(self) -> Kernel:
+        """``x ** e mod n``, bound on first use."""
+        return Kernel(self.e, self.n)
+
     def to_bytes(self) -> bytes:
         """Canonical serialization used for SOUP ID derivation."""
         n_bytes = self.n.to_bytes((self.n.bit_length() + 7) // 8, "big")
@@ -64,20 +72,21 @@ class RsaPrivateKey:
     q: int
 
     @cached_property
-    def _crt(self) -> Tuple[int, int, int]:
-        """``(d mod p-1, d mod q-1, q^-1 mod p)``: fixed by the key, so
-        derived on first use and not per signature."""
+    def _crt(self) -> Tuple[Kernel, Kernel, int]:
+        """The kernels of ``x ** (d mod p-1) mod p`` and ``x ** (d mod q-1)
+        mod q``, and ``q^-1 mod p``: fixed by the key, so bound on first use
+        and not per signature."""
         return (
-            self.d % (self.p - 1),
-            self.d % (self.q - 1),
+            Kernel(self.d % (self.p - 1), self.p),
+            Kernel(self.d % (self.q - 1), self.q),
             pow(self.q, -1, self.p),
         )
 
     def _crt_pow(self, c: int) -> int:
         """Compute ``c**d mod n`` via the Chinese Remainder Theorem."""
-        dp, dq, q_inv = self._crt
-        m1 = modexp(c % self.p, dp, self.p)
-        m2 = modexp(c % self.q, dq, self.q)
+        half_p, half_q, q_inv = self._crt
+        m1 = half_p(c)
+        m2 = half_q(c)
         h = (q_inv * (m1 - m2)) % self.p
         return m2 + h * self.q
 
@@ -122,7 +131,7 @@ def encrypt_int(message: int, public: RsaPublicKey) -> int:
     """Raw RSA encryption of an integer ``message < n``."""
     if not 0 <= message < public.n:
         raise RsaError("plaintext out of range for modulus")
-    return modexp(message, public.e, public.n)
+    return public._kernel(message)
 
 
 def decrypt_int(ciphertext: int, private: RsaPrivateKey) -> int:
@@ -151,4 +160,4 @@ def verify(message: bytes, signature: int, public: RsaPublicKey) -> bool:
     if not 0 <= signature < public.n:
         return False
     with PROFILER.span("crypto.rsa.verify"):
-        return modexp(signature, public.e, public.n) == _digest_as_int(message, public.n)
+        return public._kernel(signature) == _digest_as_int(message, public.n)

@@ -37,9 +37,11 @@ the frame was in flight), plus the chaos reasons (``partitioned``,
 from __future__ import annotations
 
 import asyncio
+import heapq
+import itertools
 import logging
 from collections import deque
-from typing import Any, Callable, Coroutine, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Coroutine, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.deploy.live.transport_codec import (
     LENGTH,
@@ -48,6 +50,7 @@ from repro.deploy.live.transport_codec import (
     decode_frame,
     encode_frame,
 )
+from repro.network.events import Timer
 from repro.network.transport import TimerHandle, Transport
 from repro.obs import get_registry
 
@@ -159,52 +162,41 @@ class _FrameReceiver(asyncio.BufferedProtocol):
         self._connection.close()
 
 
-class _Timer:
-    """One armed ``call_later`` of an :class:`AsyncClock`.
-
-    The callback is guarded: an exception in a retry timer must not kill
-    the event loop.
-    """
-
-    __slots__ = ("_clock", "_callback", "_handle")
-
-    def __init__(
-        self, clock: "AsyncClock", delay: float, callback: Callable[[], None]
-    ) -> None:
-        self._clock = clock
-        self._callback: Optional[Callable[[], None]] = callback
-        self._handle = clock.aioloop.call_later(max(0.0, delay), self._fire)
-        clock._timers.add(self)
-
-    def _fire(self) -> None:
-        self._clock._timers.discard(self)
-        callback, self._callback = self._callback, None
-        try:
-            callback()
-        except Exception:  # noqa: BLE001 — timers must not kill the loop
-            logger.exception("scheduled callback failed")
-
-    def cancel(self) -> None:
-        if self._callback is not None:
-            self._callback = None
-            self._clock._timers.discard(self)
-            self._handle.cancel()
-
-
 class AsyncClock:
     """Wallclock :class:`~repro.network.transport.Clock` over asyncio.
 
     ``now`` is seconds since the clock was created (so timestamps look
-    like the simulator's small floats, not epoch seconds); ``schedule``
-    maps to ``call_later`` and returns a handle whose ``cancel`` takes the
-    timer out of the clock (and, lazily, out of asyncio's heap) at once.
-    Must be constructed inside a running event loop.
+    like the simulator's small floats, not epoch seconds).  The clock keeps
+    its own heap of ``(when, seq, Timer)`` entries — the discipline
+    :class:`~repro.network.events.EventLoop` follows — and holds one
+    asyncio ``call_at`` handle, armed for the earliest live deadline, so a
+    timer costs a heap push and not an asyncio handle of its own.  When the
+    handle fires, it runs, in ``(when, seq)`` order, every timer that was
+    due and scheduled before it fired (a zero-delay timer scheduled by one
+    of those callbacks waits for the next pass); an exception in a
+    callback is logged and must not kill the event loop, nor the rest of
+    the pass.  Then the handle re-arms.
+
+    ``cancel`` on a returned :class:`~repro.network.events.Timer` drops its
+    callback at once; its heap entry goes when its deadline comes, or
+    earlier, when the heap has doubled since it was last rebuilt without
+    cancelled entries, so the heap stays within about twice the live
+    timers.  Must be constructed inside a running event loop.
     """
+
+    #: The heap is never rebuilt below this many entries.
+    MIN_REBUILD = 64
 
     def __init__(self) -> None:
         self.aioloop = asyncio.get_running_loop()
         self._t0 = self.aioloop.time()
-        self._timers: Set[_Timer] = set()
+        self._heap: List[Tuple[float, int, Timer]] = []
+        self._sequence = itertools.count()
+        #: Rebuild the heap once it holds more entries than this.
+        self._rebuild_above = self.MIN_REBUILD
+        #: The one asyncio handle and the loop time it is armed for.
+        self._handle: Optional[asyncio.TimerHandle] = None
+        self._armed_at = 0.0
         self._closed = False
 
     @property
@@ -212,21 +204,69 @@ class AsyncClock:
         return self.aioloop.time() - self._t0
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
-        timer = _Timer(self, delay, callback)
+        timer = Timer(callback)
         if self._closed:
             timer.cancel()
+            return timer
+        when = self.aioloop.time() + max(0.0, delay)
+        heap = self._heap
+        heapq.heappush(heap, (when, next(self._sequence), timer))
+        if len(heap) > self._rebuild_above:
+            heap[:] = [entry for entry in heap if entry[2].callback is not None]
+            heapq.heapify(heap)
+            self._rebuild_above = max(self.MIN_REBUILD, 2 * len(heap))
+        # While a pass runs, its fired handle stays in _handle with a time
+        # no later than anything scheduled now: the pass re-arms at its end.
+        if self._handle is None or when < self._armed_at:
+            if self._handle is not None:
+                self._handle.cancel()
+            self._arm(when)
         return timer
+
+    def _arm(self, when: float) -> None:
+        self._handle = self.aioloop.call_at(when, self._run_due)
+        self._armed_at = when
+
+    def _run_due(self) -> None:
+        """One pass: run what is due, then re-arm for the earliest live
+        deadline."""
+        heap = self._heap
+        now = self.aioloop.time()
+        fence = next(self._sequence)  # entries scheduled from here wait
+        try:
+            while heap:
+                when, seq, timer = heap[0]
+                callback = timer.callback
+                if callback is not None and (when > now or seq > fence):
+                    break
+                heapq.heappop(heap)
+                if callback is None:
+                    continue
+                timer.callback = None
+                try:
+                    callback()
+                except Exception:  # noqa: BLE001 — timers must not kill the loop
+                    logger.exception("scheduled callback failed")
+        finally:
+            self._handle = None
+            if heap and not self._closed:
+                self._arm(heap[0][0])
 
     def pending(self) -> int:
         """Timers armed and neither fired nor cancelled."""
-        return len(self._timers)
+        return sum(1 for _, _, timer in self._heap if timer.callback is not None)
 
     def close(self) -> None:
         """Cancel every outstanding timer (teardown: pending retries from
-        killed nodes must not fire into a dismantled cluster)."""
+        killed nodes must not fire into a dismantled cluster); later
+        schedules are inert."""
         self._closed = True
-        for timer in list(self._timers):
+        for _, _, timer in self._heap:
             timer.cancel()
+        self._heap.clear()
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
 
 
 class LiveTransport(Transport):

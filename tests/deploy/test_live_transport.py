@@ -10,6 +10,7 @@ assert on what arrived, what failed, and with which accounting.
 import asyncio
 import socket
 import struct
+from collections import deque
 
 import pytest
 
@@ -89,6 +90,146 @@ def test_cancelled_timer_never_fires_and_leaves_the_clock():
     fired, pending = run(scenario())
     assert fired == ["keep"]
     assert pending == 0
+
+
+class FrozenTime:
+    """Holds an event loop's clock still, so timers can share a deadline
+    and a pass can be stepped: ``advance`` moves it, ``turns`` lets the
+    loop run its ready callbacks."""
+
+    def __init__(self, loop):
+        self.value = loop.time()
+        loop.time = lambda: self.value
+
+    def advance(self, seconds):
+        self.value += seconds
+
+    @staticmethod
+    async def turns(n=3):
+        for _ in range(n):
+            await asyncio.sleep(0)
+
+
+def test_equal_deadlines_fire_first_in_first_out():
+    async def scenario():
+        time = FrozenTime(asyncio.get_running_loop())
+        clock = AsyncClock()
+        fired = []
+        for i in range(5):
+            clock.schedule(0.01, lambda i=i: fired.append(i))
+        clock.schedule(0.005, lambda: fired.append("earlier"))
+        clock.schedule(0.02, lambda: fired.append("later"))
+        time.advance(0.01)
+        await time.turns()
+        first_pass = list(fired)
+        time.advance(0.01)
+        await time.turns()
+        clock.close()
+        return first_pass, fired
+
+    first_pass, fired = run(scenario())
+    assert first_pass == ["earlier", 0, 1, 2, 3, 4]
+    assert fired == ["earlier", 0, 1, 2, 3, 4, "later"]
+
+
+def test_zero_delay_timer_scheduled_in_a_callback_runs_on_a_later_pass():
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        time = FrozenTime(loop)
+        clock = AsyncClock()
+        fired = []
+
+        def first():
+            fired.append("first")
+            # Due at once (the loop's time does not move), yet not this pass.
+            clock.schedule(0.0, lambda: fired.append("zero-delay"))
+            loop.call_soon(lambda: fired.append("after the pass"))
+
+        clock.schedule(0.0, first)
+        clock.schedule(0.0, lambda: fired.append("second"))
+        await time.turns()
+        pending = clock.pending()
+        clock.close()
+        return fired, pending
+
+    fired, pending = run(scenario())
+    assert fired == ["first", "second", "after the pass", "zero-delay"]
+    assert pending == 0
+
+
+def test_raising_callback_is_logged_and_the_rest_of_its_pass_runs(caplog):
+    async def scenario():
+        time = FrozenTime(asyncio.get_running_loop())
+        clock = AsyncClock()
+        fired = []
+
+        def boom():
+            fired.append("boom")
+            raise RuntimeError("retry handler bug")
+
+        clock.schedule(0.01, lambda: fired.append("before"))
+        clock.schedule(0.01, boom)
+        clock.schedule(0.01, lambda: fired.append("after"))
+        clock.schedule(0.05, lambda: fired.append("next pass"))
+        time.advance(0.01)
+        await time.turns()
+        first_pass = list(fired)
+        time.advance(0.05)
+        await time.turns()
+        clock.close()
+        return first_pass, fired
+
+    with caplog.at_level("ERROR", logger="repro.deploy.live.transport"):
+        first_pass, fired = run(scenario())
+    assert first_pass == ["before", "boom", "after"]
+    assert fired[-1] == "next pass"  # the handle re-armed after the error
+    failures = [r for r in caplog.records if r.getMessage() == "scheduled callback failed"]
+    assert len(failures) == 1 and failures[0].exc_info[0] is RuntimeError
+
+
+def test_close_cancels_everything_and_later_schedules_are_inert():
+    async def scenario():
+        time = FrozenTime(asyncio.get_running_loop())
+        clock = AsyncClock()
+        fired = []
+        armed = [clock.schedule(delay, lambda: fired.append("armed")) for delay in (0, 0.01, 5)]
+        assert clock.pending() == 3
+        clock.close()
+        closed_pending = clock.pending()
+        late = clock.schedule(0.0, lambda: fired.append("late"))
+        late_pending = clock.pending()
+        late.cancel()  # harmless
+        time.advance(10)
+        await time.turns()
+        return fired, closed_pending, late_pending, armed
+
+    fired, closed_pending, late_pending, armed = run(scenario())
+    assert fired == []
+    assert closed_pending == 0 and late_pending == 0
+    assert all(timer.callback is None for timer in armed)
+
+
+def test_cancelled_entries_keep_the_heap_within_twice_the_live_timers():
+    """100,000 schedule-and-cancel cycles, at most 4 timers live at once:
+    the clock's heap never holds more than ``2 * live + 64`` entries.
+    Nothing waits for a deadline, so the bound needs no clock."""
+
+    async def scenario():
+        clock = AsyncClock()
+        live = deque()
+        worst = 0
+        for i in range(100_000):
+            if len(live) == 4:
+                live.popleft().cancel()
+            live.append(clock.schedule(60.0 + (i % 7), lambda: None))
+            worst = max(worst, len(clock._heap) - 2 * len(live))
+        pending = clock.pending()
+        clock.close()
+        return worst, pending
+
+    worst, pending = run(scenario())
+    assert pending == 4
+    assert worst <= 64
 
 
 def test_frames_round_trip_over_real_sockets():
