@@ -35,9 +35,10 @@ SEED = 5
 SIMNET_NODES = 64
 SIMNET_MESSAGES = 20_000
 CRYPTO_BITS = 512
-#: by_id is ~5x faster per op (full RSA runs its modular exponentiations
-#: on OpenSSL's BN_mod_exp), so it gets proportionally more objects; both
-#: rounds take ~17 ms — a sub-millisecond round would be all jitter.
+#: by_id is ~3.5x faster per op (full RSA runs its modular exponentiations
+#: on OpenSSL's BN_mod_exp_mont, one Montgomery context kept per key), so it
+#: gets more objects; both rounds take 12-17 ms — a sub-millisecond round
+#: would be all jitter.
 CRYPTO_OBJECTS = {"full": 240, "by_id": 1_200}
 SYNTH_NODES = 5_000
 SYNTH_AVG_DEGREE = 12.0
