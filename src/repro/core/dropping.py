@@ -11,13 +11,20 @@ defend itself against sybil flooders.  For each node ``w`` storing data at
 * if ``v`` holds a copy of ``w``'s data but is **not** in ``w``'s published
   mirror set, ``d_w += c`` (announced/real mismatch signals flooding);
 * at ``d_w ≥ θ`` the owner is blacklisted (θ=300, c=100: three strikes).
+
+A node learns from all its friends of a round in one
+:meth:`ReplicaStore.learn_friend_storage` call, which equals one call per
+friend, in order: the same scores, score-table order and removals.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Container, Dict, KeysView, List, Optional, Set
+from functools import reduce
+from itertools import repeat
+from operator import sub
+from typing import Container, Dict, Iterable, KeysView, List, Optional, Set
 
 from repro.core.config import SoupConfig
 
@@ -175,29 +182,75 @@ class ReplicaStore:
         if score > self._ceiling:
             self._ceiling = score
 
-    def learn_friend_storage(self, stored_at_friend: Container[int]) -> List[int]:
-        """Update scores from an ES exchange with a friend.
+    def learn_friend_storage(self, *stored_at_friends: Iterable[int]) -> List[int]:
+        """Update scores from one round of ES exchanges with friends.
 
-        ``stored_at_friend`` holds the owners storing replicas at the friend
-        (only ever asked ``in``: pass the friend's
-        :meth:`stored_owner_view`).  Owners we also store score +1; our
-        friends get the -1/β protection.  Returns owners whose replicas
-        were removed by blacklisting.
+        Each argument holds the owners storing replicas at one friend (pass
+        the friend's :meth:`stored_owner_view`; it is intersected with our
+        stored owners).  Per friend, owners we also store score +1 and our
+        friends get the -1/β protection.  The result equals one call per
+        argument, in order, bit for bit: every score takes the same float
+        steps in the same order, a new owner enters the score table at the
+        first friend that touches it, and blacklisting fires after the
+        same friend.  Returns owners whose replicas were removed by
+        blacklisting, in that order.
         """
+        if not stored_at_friends:
+            return []
+        replicas = self._replicas
         scores = self._scores
-        ceiling = self._ceiling
         protection = 1.0 / self._config.beta
-        for owner, info in self._replicas.items():
-            if owner in stored_at_friend:
-                score = scores.get(owner, 0.0) + 1.0
-                if info.is_friend:
-                    score -= protection
-                scores[owner] = score
-                if score > ceiling:
-                    ceiling = score
+        n_views = len(stored_at_friends)
+        hits = [replicas.keys() & view for view in stored_at_friends]
+        hit_any = set().union(*hits)
+        ceiling = self._ceiling
+        learnt: Dict[int, float] = {}
+        # start score -> after one protection step per view (friends
+        # stored in the same round share their score history).
+        protected: Dict[float, float] = {}
+        for owner, info in replicas.items():
+            if owner in hit_any:
+                is_friend = info.is_friend
+                score = scores.get(owner, 0.0)
+                for hit in hits:
+                    if owner in hit:
+                        score += 1.0
+                        if is_friend:
+                            score -= protection
+                        if score > ceiling:
+                            ceiling = score
+                    elif is_friend:
+                        score -= protection
+                learnt[owner] = score
             elif info.is_friend:
-                # A decrease never lifts the ceiling.
-                scores[owner] = scores.get(owner, 0.0) - protection
+                # One protection step per view; a decrease never lifts
+                # the ceiling.
+                start = scores.get(owner, 0.0)
+                score = protected.get(start)
+                if score is None:
+                    score = protected[start] = reduce(
+                        sub, repeat(protection, n_views), start
+                    )
+                learnt[owner] = score
+        if ceiling >= self._config.theta and n_views > 1:
+            # A blacklist check may fire between two friends: take them
+            # one at a time.
+            removed = []
+            for view in stored_at_friends:
+                removed += self.learn_friend_storage(view)
+            return removed
+        fresh = [owner for owner in learnt if owner not in scores]
+        if fresh:
+            # Friends are first touched by the first view, other owners by
+            # their first hit; the sort is stable, so store order breaks ties.
+            fresh.sort(
+                key=lambda owner: 0
+                if replicas[owner].is_friend
+                else next(k for k, hit in enumerate(hits) if owner in hit)
+            )
+            for owner in fresh:
+                scores[owner] = learnt[owner]
+        scores.update(learnt)
         self._ceiling = ceiling
         if ceiling < self._config.theta:
             return []

@@ -125,9 +125,21 @@ class ExperienceSet:
         Capping at ``o_max`` enforces the paper's security trade-off: no
         single (possibly malicious) reporter can claim unbounded influence.
         """
+        # One report per observed mirror of every friend, every round:
+        # built by tuple.__new__ (no constructor frame), capped by a
+        # comparison (no min call).
+        new = tuple.__new__
         reports = [
-            ExperienceReport(
-                reporter, mirror, min(requests, o_max), successes / requests
+            new(
+                ExperienceReport,
+                (
+                    reporter,
+                    mirror,
+                    o_max if requests > o_max else requests,
+                    successes / requests,
+                    1.0,
+                    None,
+                ),
             )
             for mirror, (requests, successes) in self._counts.items()
             if requests

@@ -545,15 +545,14 @@ class SoupNode:
     def exchange_experience_sets(self) -> int:
         """Send accumulated ES_u(w) to every friend w (Sec. 4.4)."""
         sent = 0
+        friend_views = []
         for friend_id in self.social.friends():
             friend = self._peer(friend_id)
             if friend is None or not self._reachable(friend_id):
                 # Unreachable friend: keep accumulating, exchange later.
                 continue
             # Dropping-score exchange (Sec. 4.6), with or without reports.
-            self.mirror_manager.store.learn_friend_storage(
-                friend.mirror_manager.store.stored_owner_view()
-            )
+            friend_views.append(friend.mirror_manager.store.stored_owner_view())
             reports = self.mirror_manager.drain_reports_for(friend_id)
             if not reports:
                 continue
@@ -574,6 +573,9 @@ class SoupNode:
             self.interface.send_object(exchange)
             friend.mirror_manager.receive_reports(reports)
             sent += 1
+        # Learn who stores at every reached friend at once.
+        manager = self.mirror_manager
+        manager.evict_blacklisted(manager.store.learn_friend_storage(*friend_views))
         return sent
 
     def run_selection_round(self) -> List[int]:
@@ -634,8 +636,9 @@ class SoupNode:
         for mirror_id in accepted:
             mirror = self._peer(mirror_id)
             if mirror is not None:
-                mirror.mirror_manager.store.observe_published_mirrors(
-                    self.node_id, accepted
+                manager = mirror.mirror_manager
+                manager.evict_blacklisted(
+                    manager.store.observe_published_mirrors(self.node_id, accepted)
                 )
         return accepted
 

@@ -135,6 +135,21 @@ class MirrorManager(ReplicationState):
                 )
         return decision
 
+    def evict_blacklisted(self, owners: Iterable[int]) -> None:
+        """Forget the replicas the store has just dropped by blacklisting
+        (Sec. 4.6): their update logs go too."""
+        tracer = get_tracer()
+        for owner in owners:
+            self.update_logs.pop(owner, None)
+            get_registry().counter("node.replicas.evicted").inc()
+            if tracer.enabled:
+                tracer.emit(
+                    "replica_dropped",
+                    owner=owner,
+                    mirror=self.owner_id,
+                    reason="blacklisted",
+                )
+
     def handle_withdraw(self, owner: int) -> bool:
         self.update_logs.pop(owner, None)
         return self.store.remove(owner)

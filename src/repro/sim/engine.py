@@ -914,6 +914,7 @@ class SoupSimulation:
         # A node that stores nothing has no dropping score to update (and
         # cannot start storing inside this loop).
         stores_any = store.replica_count() > 0
+        friend_views = []
         for friend_id in node.friends:
             friend = nodes[friend_id]
             if not friend.joined or friend.departed:
@@ -931,11 +932,14 @@ class SoupSimulation:
             if reports:
                 friend.receive_reports(reports)
 
-            # Dropping-score exchange: learn who stores at the friend.
             if stores_any:
-                removed = store.learn_friend_storage(friend.store.stored_owner_view())
-                for owner in removed:
-                    self.mark_stale_announcement(owner, node_id)
+                friend_views.append(friend.store.stored_owner_view())
+
+        # Dropping-score exchange: learn who stores at every friend at once
+        # (no store changes inside the loop above).
+        if friend_views:
+            for owner in store.learn_friend_storage(*friend_views):
+                self.mark_stale_announcement(owner, node_id)
 
     def _ingest_reports(self, node: _NodeState, epoch: int = 0) -> None:
         if self.faults is not None and node.pending_reports:

@@ -59,6 +59,16 @@ class TestBootstrapRanker:
         assert rank <= 1.0
 
 
+    def test_nan_quality_is_dropped_not_clamped_to_one(self, config):
+        ranker = BootstrapRanker(config)
+        ranker.add_recommendation(Recommendation(1, mirror=10, quality=0.9))
+        ranker.add_recommendation(Recommendation(2, mirror=11, quality=float("nan")))
+        ranker.add_recommendation(Recommendation(3, mirror=12, quality=float("inf")))
+        assert [m for m, _ in ranker.ranking()] == [10]
+        assert ranker.recommendation_count == 1
+        assert ranker.rejected_recommendations == 2
+
+
 class TestRegularRankerAgedCounts:
     def test_experience_tracks_reported_availability(self, config):
         kb = KnowledgeBase(owner=0)
@@ -119,6 +129,44 @@ class TestRegularRankerAgedCounts:
             [ExperienceReport(reporter=1, mirror=0, observations=3, availability=1.0)]
         )
         assert 0 not in kb
+
+
+    def test_one_nan_report_does_not_pin_experience(self, config):
+        kb = KnowledgeBase(owner=0)
+        ranker = RegularRanker(kb, config)
+        assert ranker.ingest_reports([ExperienceReport(5, 9, 3, float("nan"))]) == {}
+        for _ in range(10):
+            updated = ranker.ingest_reports([ExperienceReport(5, 9, 3, 0.0)])
+        assert updated[9] < 0.2
+        assert kb.experience_of(9) == updated[9]
+        assert ranker.rejected_reports == 1
+
+    @pytest.mark.parametrize(
+        "observations, availability, weight",
+        [
+            (float("nan"), 1.0, 1.0),
+            (float("inf"), 1.0, 1.0),
+            (-1, 1.0, 1.0),
+            (3, float("nan"), 1.0),
+            (3, -0.5, 1.0),
+            (3, 1.5, 1.0),
+            (3, 1.0, float("nan")),
+            (3, 1.0, float("inf")),
+            (3, 1.0, float("-inf")),
+        ],
+    )
+    @pytest.mark.parametrize("normalization", ["aged_counts", "by_observations", "by_cap"])
+    def test_malformed_reports_are_skipped_and_counted(
+        self, observations, availability, weight, normalization
+    ):
+        kb = KnowledgeBase(owner=0)
+        ranker = RegularRanker(kb, SoupConfig(experience_normalization=normalization))
+        honest = ExperienceReport(1, 7, 3, 1.0)
+        hostile = ExperienceReport(2, 7, observations, availability, weight)
+        assert ranker.ingest_reports([hostile, honest]) == RegularRanker(
+            KnowledgeBase(owner=0), SoupConfig(experience_normalization=normalization)
+        ).ingest_reports([honest])
+        assert ranker.rejected_reports == 1
 
 
 class TestRegularRankerEq1Modes:

@@ -1,8 +1,18 @@
 """Edge-case tests for middleware paths not covered elsewhere."""
 
+import io
+import json
+import random
+
 import pytest
 
+from repro.core.config import SoupConfig
+from repro.deploy.cluster import Cluster
+from repro.network.events import EventLoop
+from repro.network.simnet import SimNetwork
 from repro.node.profile import DataItem
+from repro.node.sync import PendingUpdate
+from repro.obs import tracing, use_registry
 
 
 @pytest.fixture()
@@ -106,3 +116,40 @@ def test_coded_node_with_too_few_mirrors_falls_back_to_full(world):
     # Fewer than k mirrors available: full replication is used instead.
     assert len(accepted) < 30
     assert owner.mirror_manager.coded_plan is None
+
+
+def test_blacklisting_in_an_exchange_evicts_the_owner_at_the_mirror():
+    """A dropping score driven past θ by experience exchanges drops the
+    owner's update log at the mirror, and counts and traces the eviction."""
+    cluster = Cluster(
+        SimNetwork(EventLoop()), random.Random(3), config=SoupConfig(theta=2.0),
+        key_bits=256,
+    )
+    cluster.overlay.set_liveness(None)
+    mirror, friend, owner = (cluster.add(f"u{i}", seed=30 + i) for i in range(3))
+    cluster.join_all()
+    mirror.befriend(friend.node_id)
+    for holder in (mirror, friend):
+        assert holder.mirror_manager.handle_store_request(
+            owner.node_id, size_profiles=1.0, is_friend=False
+        ).accepted
+    mirror.mirror_manager.record_owner_update(
+        owner.node_id, PendingUpdate(owner.node_id, owner.node_id, 0.0, 1, None)
+    )
+    buf = io.StringIO()
+    with use_registry() as registry, tracing(buf):
+        mirror.exchange_experience_sets()  # the owner also stores at the friend: +1
+        assert mirror.mirror_manager.update_log_for(owner.node_id) is not None
+        mirror.exchange_experience_sets()  # +1 reaches θ
+    store = mirror.mirror_manager.store
+    assert store.is_blacklisted(owner.node_id)
+    assert not store.stores_for(owner.node_id)
+    assert mirror.mirror_manager.update_log_for(owner.node_id) is None
+    assert registry.counter("node.replicas.evicted").value == 1
+    drops = [
+        json.loads(line) for line in buf.getvalue().splitlines()
+        if '"replica_dropped"' in line
+    ]
+    assert [(d["owner"], d["mirror"], d["reason"]) for d in drops] == [
+        (owner.node_id, mirror.node_id, "blacklisted")
+    ]

@@ -6,12 +6,17 @@ at 8 N nodes.  It used to materialise "everyone unreachable right now" as a
 set of its own three times per call, so its peak grew with N — O(N²) per
 selection round, the superlinear term behind ROADMAP "Flatten the scale
 curve".
+
+A second guard counts calls: a participant's experience exchange learns
+its dropping scores in one ``learn_friend_storage`` call, not one per
+friend.
 """
 
 import tracemalloc
 
 import networkx as nx
 
+from repro.core.dropping import ReplicaStore
 from repro.sim.engine import SoupSimulation
 from repro.sim.scenario import ScenarioConfig
 
@@ -49,3 +54,28 @@ def test_select_and_place_peak_allocation_independent_of_population():
     small = _peak_bytes_of_one_selection(500)
     large = _peak_bytes_of_one_selection(4000)
     assert large < 2 * small, (small, large)
+
+
+def test_exchange_learns_dropping_scores_once_per_participant(monkeypatch):
+    graph = nx.circulant_graph(120, range(1, DEGREE // 2 + 1))
+    sim = SoupSimulation(graph, ScenarioConfig(n_days=2, seed=4))
+    learn = ReplicaStore.learn_friend_storage
+    exchange = SoupSimulation._exchange_experience
+    per_exchange = []
+    views = []
+
+    def counting_learn(store, *stored_at_friends):
+        per_exchange[-1] += 1
+        views.append(len(stored_at_friends))
+        return learn(store, *stored_at_friends)
+
+    def counting_exchange(self, node, epoch=0):
+        per_exchange.append(0)
+        exchange(self, node, epoch)
+
+    monkeypatch.setattr(ReplicaStore, "learn_friend_storage", counting_learn)
+    monkeypatch.setattr(SoupSimulation, "_exchange_experience", counting_exchange)
+    sim.run()
+    assert max(per_exchange) == 1
+    # One call per active friendship would have entered it this many times.
+    assert sum(views) > 3 * sum(per_exchange), (sum(views), sum(per_exchange))
