@@ -18,21 +18,24 @@ plus the parent's quartiles and the paired median ratio (the median over
 seeds of change / parent) of every metric.
 
 ``trajectory.py`` alone prints the trajectory, one table per workload, and
-under it the chained index of the workload's v2 rows: the running product
-of their paired median ratios, the one form in which a number compares
-across PRs measured on different days.  The
+under it the chained index of the workload's v2 rows, in PR order: the
+running product of their paired median ratios, the one form in which a
+number compares across PRs measured on different days.  The
 file is append-only, which is why its first two rows still have the schema of
 the retired in-tree suite; they are counted, never rewritten.  A row with a
 ``source`` was transcribed from the prose it names: quartiles are ``null``
 where that prose gives only a median, a metric is ``null`` where it gives no
-number.  This is a record, not a gate — ``compare.py`` on same-machine
-alternating pairs is the gate.
+number; a transcribed v2 row whose prose kept no per-seed pairs carries
+the ratio of the two medians.  This is a record, not a gate —
+``compare.py`` on same-machine alternating pairs is the gate.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import statistics
 import sys
 from pathlib import Path
@@ -217,6 +220,13 @@ def chained_index(rows: List[dict], names: List[str]) -> List[Dict[str, Optional
     return out
 
 
+def _pr_order(row: dict) -> float:
+    """A row's PR number (``"PR 23"`` -> 23), or +inf for other labels, so
+    that transcribed rows appended later still chain in PR order."""
+    match = re.fullmatch(r"PR (\d+)", row["label"])
+    return int(match[1]) if match else math.inf
+
+
 def _ratio(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:.4f}"
 
@@ -236,12 +246,15 @@ def render(history: Path) -> List[str]:
             ]
             for row in mine
         ])  # fmt: skip
-        paired = [row for row in mine if row["schema"] == PAIRED_SCHEMA]
+        paired = sorted(
+            (row for row in mine if row["schema"] == PAIRED_SCHEMA), key=_pr_order
+        )
         if paired:
             lines += ["  chained index (paired ratio)"] + _table(
                 [["label", "commit", "parent", *names]] + [
                     [
-                        row["label"], row["git_sha"][:7], row["parent"]["git_sha"][:7],
+                        row["label"] + ("*" if "source" in row else ""),
+                        row["git_sha"][:7], row["parent"]["git_sha"][:7],
                         *(
                             f"{_ratio(index[name])} ({_ratio(row['paired_ratio'][name])})"
                             for name in names

@@ -256,6 +256,27 @@ def test_the_table_chains_the_paired_ratios_per_workload(tmp_path, history):
     assert trajectory.chained_index([missing, paired[1]], METRICS)[1] == dict.fromkeys(METRICS)
 
 
+def test_transcribed_paired_rows_chain_in_pr_order(tmp_path, history):
+    late = _scaled(_document(tmp_path, "late.json", sha="05" * 20), dict.fromkeys((7, 8, 9), 1.25))
+    trajectory.append(history, [late], "PR 9", [_document(tmp_path, "p.json", sha=PARENT)])
+    # Backfilled after PR 9's row: a PR 3 transcribed from prose.
+    early = {
+        "schema": trajectory.PAIRED_SCHEMA, "label": "PR 3", "git_sha": "06" * 20,
+        "git_dirty": False, "workload": "live_write", "seeds": [1, 2], "seconds": 15,
+        "metrics": {m: [None, 5.0, None] for m in METRICS},
+        "parent": {"git_sha": "07" * 20, "metrics": {m: [None, 10.0, None] for m in METRICS}},
+        "paired_ratio": dict.fromkeys(METRICS, 0.5), "source": "a table",
+    }  # fmt: skip
+    with history.open("a") as sink:
+        sink.write(json.dumps(early) + "\n")
+
+    text = "\n".join(trajectory.render(history))
+    block = text.split("live_write\n", 1)[1].split("\n\n", 1)[0]
+    chain = block.split("chained index", 1)[1].splitlines()
+    assert chain[2].split()[:2] == ["PR", "3*"] and "0.5000 (0.5000)" in chain[2]
+    assert chain[3].split()[:2] == ["PR", "9"] and "0.6250 (1.2500)" in chain[3]
+
+
 def test_cli_parent_flag_writes_v2_rows(tmp_path, history, monkeypatch, capsys):
     monkeypatch.setattr(trajectory, "HISTORY", history)
     change = _document(tmp_path, "change.json")
