@@ -40,6 +40,7 @@ import asyncio
 import heapq
 import itertools
 import logging
+import time
 from collections import deque
 from typing import Any, Callable, Coroutine, Deque, Dict, List, Optional, Set, Tuple
 
@@ -57,6 +58,10 @@ from repro.obs import get_registry
 logger = logging.getLogger("repro.deploy.live.transport")
 
 _Pair = Tuple[int, int]  # (sender, receiver)
+
+#: asyncio runs a handle due within this much of ``loop.time()``
+#: (``BaseEventLoop._run_once``); a pass counts the same timers as due.
+_CLOCK_RESOLUTION = time.get_clock_info("monotonic").resolution
 
 
 class _PausedFrame:
@@ -231,7 +236,10 @@ class AsyncClock:
         """One pass: run what is due, then re-arm for the earliest live
         deadline."""
         heap = self._heap
-        now = self.aioloop.time()
+        # Without the resolution, a deadline that float rounding puts a
+        # hair past the time the handle fired at would re-arm a handle
+        # asyncio runs at once, a spin until the loop's time moves on.
+        now = self.aioloop.time() + _CLOCK_RESOLUTION
         fence = next(self._sequence)  # entries scheduled from here wait
         try:
             while heap:

@@ -132,6 +132,27 @@ def test_equal_deadlines_fire_first_in_first_out():
     assert fired == ["earlier", 0, 1, 2, 3, 4, "later"]
 
 
+def test_a_deadline_rounded_past_the_firing_time_still_runs():
+    """At loop time 100000, (t + 0.01) + 0.01 falls one ulp short of
+    t + 0.02: asyncio runs the handle (it is within the clock's
+    resolution), so the pass must run the timer too."""
+
+    async def scenario():
+        time = FrozenTime(asyncio.get_running_loop())
+        time.value = 100_000.0
+        clock = AsyncClock()
+        fired = []
+        clock.schedule(0.02, lambda: fired.append("due"))
+        time.advance(0.01)
+        time.advance(0.01)
+        assert time.value < 100_000.0 + 0.02
+        await time.turns()
+        clock.close()
+        return fired
+
+    assert run(scenario()) == ["due"]
+
+
 def test_zero_delay_timer_scheduled_in_a_callback_runs_on_a_later_pass():
     async def scenario():
         loop = asyncio.get_running_loop()
