@@ -3,15 +3,14 @@
 Not a paper experiment — these track the cost of the operations every node
 runs continuously (Algorithm 1, Eq. (1) ingestion, DHT routing, ABE
 encryption), so performance regressions in the core surface here.  The
-last three — simulated-network delivery, sign+verify per crypto mode, the
-scale-free graph generator — are measured by nothing else in the repo
-(``benchmarks/e2e`` runs the live transport and full RSA only).
+last three — simulated-network delivery, RSA sign+verify, the scale-free
+graph generator — are measured by nothing else in the repo
+(``benchmarks/e2e`` runs them only inside the live transport).
 """
 
 import random
 
 import numpy as np
-import pytest
 
 from repro.core.config import SoupConfig
 from repro.core.experience import ExperienceReport
@@ -35,11 +34,10 @@ SEED = 5
 SIMNET_NODES = 64
 SIMNET_MESSAGES = 20_000
 CRYPTO_BITS = 512
-#: by_id is ~3.5x faster per op (full RSA runs its modular exponentiations
-#: on OpenSSL's BN_mod_exp_mont, one Montgomery context kept per key), so it
-#: gets more objects; both rounds take 12-17 ms — a sub-millisecond round
-#: would be all jitter.
-CRYPTO_OBJECTS = {"full": 240, "by_id": 1_200}
+#: Enough objects for a 12-17 ms round (RSA runs its modular
+#: exponentiations on OpenSSL's BN_mod_exp_mont, one Montgomery context
+#: kept per key); a sub-millisecond round would be all jitter.
+CRYPTO_OBJECTS = 240
 SYNTH_NODES = 5_000
 SYNTH_AVG_DEGREE = 12.0
 
@@ -135,16 +133,14 @@ def test_simnet_message_rate(benchmark):
     assert benchmark(deliver_all) == (SIMNET_MESSAGES, SIMNET_MESSAGES)
 
 
-@pytest.mark.parametrize("mode", sorted(CRYPTO_OBJECTS))
-def test_crypto_mode_sign_verify_speed(benchmark, mode):
-    """Sign+verify in each ``crypto_mode``; the ratio of the two rows is
-    what ``by_id`` buys a deployment that does not attack signatures."""
+def test_sign_verify_speed(benchmark):
+    """RSA sign+verify of one SOUP object, the price of every update."""
     keys = KeyPair.generate(bits=CRYPTO_BITS, seed=SEED)
-    manager = SecurityManager(keys, crypto_mode=mode)
+    manager = SecurityManager(keys)
     manager.learn_public_key(keys.soup_id, keys.public)
 
     def sign_and_verify():
-        for i in range(CRYPTO_OBJECTS[mode]):
+        for i in range(CRYPTO_OBJECTS):
             obj = SoupObject(
                 source=keys.soup_id,
                 dest=keys.soup_id,
@@ -152,7 +148,7 @@ def test_crypto_mode_sign_verify_speed(benchmark, mode):
                 payload={"seq": i},
             )
             manager.sign_object(obj)
-            assert manager.verify_object(obj), mode
+            assert manager.verify_object(obj)
 
     benchmark(sign_and_verify)
 

@@ -290,7 +290,6 @@ def _cmd_deploy(args) -> int:
         n_desktop=args.desktop,
         n_mobile=args.mobile,
         seed=args.seed,
-        crypto_mode=args.crypto_mode,
         architecture=args.architecture,
     )
     report = deployment.run(duration_s=args.duration, selection_rounds=args.rounds)
@@ -823,10 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--duration", type=float, default=1800.0)
     pd.add_argument("--rounds", type=int, default=15)
     pd.add_argument("--seed", type=int, default=7)
-    pd.add_argument("--crypto-mode", default="full",
-                    choices=("full", "by_id"),
-                    help="signature scheme: real RSA ('full') or simulated "
-                         "by-ID signatures ('by_id'; see docs/PROTOCOL.md)")
     _obs_flags(pd)
 
     ps = sub.add_parser(
@@ -1325,8 +1320,13 @@ def _cmd_live(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from repro.sim.invariants import run_repro
+    from repro.sim.invariants import parse_repro, run_repro
 
+    try:
+        parse_repro(args.line)
+    except ValueError as exc:
+        print(f"replay: {exc}", file=sys.stderr)
+        return 2
     violation = run_repro(args.line)
     if violation is None:
         print("no violation: scenario completed with invariant checks green")

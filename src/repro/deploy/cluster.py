@@ -28,7 +28,7 @@ class Cluster:
     """Nodes on one transport, plus the state they share in-process.
 
     ``node_defaults`` are :class:`SoupNode` keyword arguments applied to
-    every node (``key_bits``, ``crypto_mode``, ...); :meth:`add` overrides
+    every node (``key_bits``, ``mobile_relay_limit``, ...); :meth:`add` overrides
     them per node.
     """
 

@@ -115,7 +115,6 @@ class Deployment:
         seed: int = 7,
         config: Optional[SoupConfig] = None,
         key_bits: int = 512,
-        crypto_mode: str = "full",
         architecture: str = "soup",
     ) -> None:
         if n_desktop < 1:
@@ -129,7 +128,6 @@ class Deployment:
             self.rng,
             config=self.config,
             key_bits=key_bits,
-            crypto_mode=crypto_mode,
             # Sec. 7: "All phones were relaying via the same gateway node"
             # — the study pinned phones to the gateway, so regular users
             # refuse relays (the limit every regular node can set).

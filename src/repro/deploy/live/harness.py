@@ -36,7 +36,7 @@ import asyncio
 import random
 import time
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.deploy.cluster import Cluster
@@ -78,10 +78,9 @@ class ResilienceConfig:
     load_rps: float = 40.0
     friends_per_node: int = 3
     items_per_node: int = 2
-    #: Small keys + simulated signatures keep a 25-node smoke run fast;
-    #: the protocol logic is identical (forgeries still rejected).
+    #: Small RSA keys keep a 25-node smoke run fast; signing and
+    #: verification are the ones a deployment runs (forgeries rejected).
     key_bits: int = 256
-    crypto_mode: str = "by_id"
     #: Live backend only: wall seconds for sockets to settle after setup.
     settle_s: float = 0.25
     #: Observability plane output directory (flight recorders, heartbeat).
@@ -99,14 +98,6 @@ class ResilienceConfig:
             raise ValueError("epoch duration must be positive")
         if self.load_rps <= 0:
             raise ValueError("load rate must be positive")
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, object]) -> "ResilienceConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown resilience config keys: {sorted(unknown)}")
-        return cls(**raw)  # type: ignore[arg-type]
 
 
 class ResilienceHarness:
@@ -153,7 +144,6 @@ class ResilienceHarness:
             network,
             random.Random(cfg.seed),
             key_bits=cfg.key_bits,
-            crypto_mode=cfg.crypto_mode,
         )
         self.cluster.add("gateway", link=SERVER_LINK)
         for index in range(1, cfg.n_nodes):

@@ -25,10 +25,10 @@ A frame is a 4-byte big-endian body length (at most
 A SOUP object is ``source`` u64, ``dest`` u64, a type code u8 from
 :data:`TYPE_CODES`, a ``forms`` u8, the timestamp as f64 or i64 (``forms``
 says which, so an ``int`` timestamp stays an ``int`` and the signed bytes
-stay the same), ``sequence`` u64, then the signature — none, an RSA
+stay the same), ``sequence`` u64, then the signature — none or an RSA
 integer (u16 length + big-endian magnitude, at most
-:data:`MAX_SIGNATURE_BYTES`) or a by-id signature (signer u64 + 32-byte
-digest) — and the payload — none, bytes or UTF-8 JSON (u32 length each).
+:data:`MAX_SIGNATURE_BYTES`) — and the payload — none, bytes or UTF-8
+JSON (u32 length each).
 
 :func:`decode_frame` checks every length against the frame, every tag,
 code and form against its table, and that nothing trails the message; any
@@ -44,7 +44,6 @@ from math import isfinite
 from typing import Any, Optional, Tuple
 
 from repro.core.objects import ObjectType, SoupObject
-from repro.crypto.by_id import ByIdSignature
 from repro.network.reliability import Ack, Envelope
 
 
@@ -94,11 +93,12 @@ ACK, ENVELOPE, SOUP_OBJECT = 1, 2, 3
 #: ``flags`` bit: a trace context follows the header.
 FLAG_CONTEXT = 0x01
 
-# ``forms`` bits of a SOUP object.
+# ``forms`` bits of a SOUP object.  Bit 0x04 (the retired by-id
+# signature form) is not among them: a frame that sets it is refused.
 TIMESTAMP_INT = 0x01
-SIGNATURE_RSA, SIGNATURE_BY_ID, _SIGNATURE_MASK = 0x02, 0x04, 0x06
+SIGNATURE_RSA = 0x02
 PAYLOAD_BYTES, PAYLOAD_JSON, _PAYLOAD_MASK = 0x08, 0x10, 0x18
-_FORMS = TIMESTAMP_INT | _SIGNATURE_MASK | _PAYLOAD_MASK
+_FORMS = TIMESTAMP_INT | SIGNATURE_RSA | _PAYLOAD_MASK
 
 #: A u32 length: the frame prefix, and the prefix of a payload.
 LENGTH = struct.Struct(">I")
@@ -110,7 +110,6 @@ _SOUP_FLOAT = struct.Struct(">QQBBdQ")
 _SOUP_INT = struct.Struct(">QQBBqQ")
 _TIMESTAMP_AT = 18  # offset of the timestamp in a SOUP object's fields
 _I64 = struct.Struct(">q")
-_BY_ID = struct.Struct(">Q32s")
 _U16 = struct.Struct(">H")
 _SOUP_TAG = bytes([SOUP_OBJECT])
 
@@ -206,11 +205,6 @@ def _encode_soup(parts: list, obj: SoupObject) -> None:
                 raise WireError("RSA signature out of range")
             forms |= SIGNATURE_RSA
             signed = _U16.pack(size) + signature.to_bytes(size, "big")
-        elif type(signature) is ByIdSignature:
-            if type(signature.digest) is not bytes or len(signature.digest) != 32:
-                raise WireError("by-id digest must be 32 bytes")
-            forms |= SIGNATURE_BY_ID
-            signed = _BY_ID.pack(signature.signer, signature.digest)
         else:
             raise WireError(f"signature of type {type(signature).__name__}")
     payload = obj.payload
@@ -304,10 +298,7 @@ def _decode_soup(body, offset: int, end: int) -> Tuple[SoupObject, int]:
         raise WireError("timestamp is not finite")
     offset += _SOUP_FLOAT.size
 
-    form = forms & _SIGNATURE_MASK
-    if not form:
-        signature = None
-    elif form == SIGNATURE_RSA:
+    if forms & SIGNATURE_RSA:
         (size,) = _U16.unpack_from(body, offset)
         if size > MAX_SIGNATURE_BYTES:
             raise WireError(f"RSA signature of {size} bytes")
@@ -317,12 +308,8 @@ def _decode_soup(body, offset: int, end: int) -> Tuple[SoupObject, int]:
             raise WireError("RSA signature with a leading zero byte")
         signature = int.from_bytes(body[offset:stop], "big")
         offset = stop
-    elif form == SIGNATURE_BY_ID:
-        signer, digest = _BY_ID.unpack_from(body, offset)
-        signature = ByIdSignature(signer=signer, digest=digest)
-        offset += _BY_ID.size
     else:
-        raise WireError("two signature forms at once")
+        signature = None
 
     form = forms & _PAYLOAD_MASK
     if not form:

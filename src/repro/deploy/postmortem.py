@@ -161,36 +161,61 @@ class Bundle:
         ]
 
 
+def _load_json_object(path: str, name: str) -> Dict[str, Any]:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except ValueError as exc:
+        raise BundleError(f"{name} is not JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise BundleError(f"{name} is not a JSON object")
+    return document
+
+
 def load_bundle(path: str) -> Bundle:
-    """Open a bundle, verifying every file against the manifest hashes."""
+    """Open a bundle, verifying every file against the manifest hashes.
+
+    Anything the manifest gets wrong — bad JSON, a missing field, a file
+    name that leaves the bundle directory — is a :class:`BundleError`.
+    """
     manifest_path = os.path.join(path, _MANIFEST)
     if not os.path.isfile(manifest_path):
         raise BundleError(f"{path!r} is not a post-mortem bundle (no {_MANIFEST})")
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    manifest = _load_json_object(manifest_path, _MANIFEST)
     if manifest.get("schema") != BUNDLE_SCHEMA:
         raise BundleError(
             f"unsupported bundle schema {manifest.get('schema')!r} "
             f"(expected {BUNDLE_SCHEMA})"
         )
-    for name, meta in manifest.get("files", {}).items():
+    key = manifest.get("key")
+    if not isinstance(key, str):
+        raise BundleError(f"{_MANIFEST} has no key")
+    files = manifest.get("files", {})
+    if not isinstance(files, dict):
+        raise BundleError(f"{_MANIFEST} files is not an object")
+    root = os.path.realpath(path)
+    for name, meta in files.items():
+        expected = meta.get("sha256") if isinstance(meta, dict) else None
+        if not isinstance(expected, str):
+            raise BundleError(f"{_MANIFEST} entry {name!r} has no sha256")
         file_path = os.path.join(path, name)
+        if os.path.isabs(name) or os.path.commonpath(
+            [root, os.path.realpath(file_path)]
+        ) != root:
+            raise BundleError(f"bundle file outside the bundle: {name!r}")
         if not os.path.isfile(file_path):
             raise BundleError(f"bundle file missing: {name}")
         actual = _sha256_file(file_path)
-        if actual != meta["sha256"]:
+        if actual != expected:
             raise BundleError(
                 f"bundle file corrupted: {name} "
-                f"(sha256 {actual[:12]}… != manifest {meta['sha256'][:12]}…)"
+                f"(sha256 {actual[:12]}… != manifest {expected[:12]}…)"
             )
     report = None
     report_path = os.path.join(path, "report.json")
     if os.path.isfile(report_path):
-        with open(report_path, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
-    return Bundle(
-        path=path, key=manifest["key"], manifest=manifest, report=report
-    )
+        report = _load_json_object(report_path, "report.json")
+    return Bundle(path=path, key=key, manifest=manifest, report=report)
 
 
 # ----------------------------------------------------------------------

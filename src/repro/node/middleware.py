@@ -71,6 +71,10 @@ class SoupNode:
         mobile_relay_limit: int = 4,
         crypto_mode: str = "full",
     ) -> None:
+        # RSA is the only signature scheme; the keyword survives for
+        # callers that still pass ``crypto_mode="full"``.
+        if crypto_mode != "full":
+            raise ValueError(f"crypto_mode must be 'full', got {crypto_mode!r}")
         self.name = name
         self.config = config or SoupConfig()
         self.rng = random.Random(seed)
@@ -83,8 +87,7 @@ class SoupNode:
         self.overlay = overlay
         self.registry = registry
 
-        self.crypto_mode = crypto_mode
-        self.security = SecurityManager(self.keys, crypto_mode=crypto_mode)
+        self.security = SecurityManager(self.keys)
         self.social = SocialManager(self.node_id, self.security)
         self.applications = ApplicationManager(self.node_id)
         self.mirror_manager = MirrorManager(

@@ -13,7 +13,6 @@ from repro.core.objects import SoupObject
 from repro.crypto import rsa
 from repro.crypto.abe import AbeAuthority, AbeCiphertext, AbePrivateKey, decrypt as abe_decrypt
 from repro.crypto.access import AccessStructure, attr
-from repro.crypto.by_id import sign_by_id, verify_by_id
 from repro.crypto.keys import KeyPair
 from repro.obs.profiling import PROFILER
 
@@ -21,12 +20,9 @@ from repro.obs.profiling import PROFILER
 class SecurityManager:
     """All cryptographic state and operations of one SOUP node.
 
-    ``crypto_mode`` selects the signature scheme: ``"full"`` runs real
-    textbook-RSA sign/verify; ``"by_id"`` simulates signatures by
-    (signer ID, digest), skipping the modular exponentiation — for
-    scenarios that do not attack the signature scheme itself (see
-    :mod:`repro.crypto.by_id`).  Either way an object forged with
-    someone else's source ID fails verification.
+    Objects are signed and verified with textbook RSA
+    (:mod:`repro.crypto.rsa`), so an object forged with someone else's
+    source ID fails verification.
     """
 
     #: Default access policy: data readable by anyone granted "friend".
@@ -36,14 +32,8 @@ class SecurityManager:
         self,
         keys: KeyPair,
         master_secret: Optional[bytes] = None,
-        crypto_mode: str = "full",
     ) -> None:
-        if crypto_mode not in ("full", "by_id"):
-            raise ValueError(
-                f"crypto_mode must be 'full' or 'by_id', got {crypto_mode!r}"
-            )
         self.keys = keys
-        self.crypto_mode = crypto_mode
         self.authority = AbeAuthority(
             master_secret=master_secret,
             authority_id=f"{keys.soup_id:016x}",
@@ -63,10 +53,7 @@ class SecurityManager:
         return self._sign_object(obj)
 
     def _sign_object(self, obj: SoupObject) -> SoupObject:
-        if self.crypto_mode == "by_id":
-            obj.signature = sign_by_id(obj.signing_bytes(), self.keys.soup_id)
-        else:
-            obj.signature = rsa.sign(obj.signing_bytes(), self.keys.private)
+        obj.signature = rsa.sign(obj.signing_bytes(), self.keys.private)
         return obj
 
     def verify_object(self, obj: SoupObject) -> bool:
@@ -74,10 +61,7 @@ class SecurityManager:
 
         Unknown senders cannot be verified; the object is rejected, which
         is the conservative behaviour the paper requires ("will otherwise
-        be discarded").  In ``by_id`` mode the directory-resolution
-        requirement is unchanged — the source's public key must still be
-        known — and the signature must embed the source's own ID, so
-        forged-source objects are rejected in both modes.
+        be discarded").
         """
         if PROFILER.enabled:
             with PROFILER.span("crypto.verify"):
@@ -90,10 +74,8 @@ class SecurityManager:
         public_key = self._known_public_keys.get(obj.source)
         if public_key is None:
             return False
-        if self.crypto_mode == "by_id":
-            return verify_by_id(obj.signing_bytes(), obj.signature, obj.source)
         if not isinstance(obj.signature, int):
-            # A by_id tuple is never acceptable to a full-crypto verifier.
+            # An RSA signature is an integer; anything else is refused.
             return False
         return rsa.verify(obj.signing_bytes(), obj.signature, public_key)
 

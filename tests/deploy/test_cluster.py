@@ -56,13 +56,13 @@ def test_join_all_bootstraps_through_the_first_regular_node():
 
 
 def test_defaults_and_per_node_overrides_reach_the_node():
-    cluster = make_cluster(crypto_mode="by_id", mobile_relay_limit=0)
+    cluster = make_cluster(key_bits=384, mobile_relay_limit=0)
     plain = cluster.add("plain")
     special = cluster.add(
         "special", is_mobile=True, coding_k=3, mobile_relay_limit=2, link=SERVER_LINK
     )
     assert plain.config is special.config is cluster.config
-    assert plain.security.crypto_mode == special.security.crypto_mode == "by_id"
+    assert plain.keys.public.bits == special.keys.public.bits == 384
     assert (plain.is_mobile, plain.coding_k, plain.mobile_relay_limit) == (False, 0, 0)
     assert (special.is_mobile, special.coding_k, special.mobile_relay_limit) == (True, 3, 2)
     link_of = cluster.network.link_of

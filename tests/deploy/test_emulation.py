@@ -61,32 +61,6 @@ def test_deployment_needs_gateway():
         Deployment(n_desktop=0)
 
 
-def test_by_id_crypto_mode_matches_full_deployment():
-    """crypto_mode only swaps the signature scheme: a by_id deployment runs
-    the same workload with the same outcome counts, and no object is
-    dropped for verification reasons in either mode."""
-
-    def run(mode):
-        deployment = Deployment(
-            n_desktop=6, n_mobile=1, seed=7, crypto_mode=mode
-        )
-        report = deployment.run(duration_s=300.0, selection_rounds=4)
-        dropped = sum(node.dropped_objects for node in deployment.users)
-        assert all(
-            node.security.crypto_mode == mode for node in deployment.users
-        )
-        return report, dropped
-
-    full_report, full_dropped = run("full")
-    by_id_report, by_id_dropped = run("by_id")
-    assert full_dropped == by_id_dropped == 0
-    assert by_id_report.friendships == full_report.friendships
-    assert by_id_report.messages_sent == full_report.messages_sent
-    assert by_id_report.photos_shared == full_report.photos_shared
-    assert by_id_report.profile_requests == full_report.profile_requests
-    assert by_id_report.profile_failures == full_report.profile_failures
-
-
 class TestDeploymentArchitectures:
     """The pluggable architecture layer also drives the live deployment."""
 

@@ -100,6 +100,85 @@ class TestBundleIntegrity:
             load_bundle(str(tmp_path))
 
 
+def write_bundle(directory, manifest, files=(), report=None):
+    """A bundle directory whose ``MANIFEST.json`` holds ``manifest``
+    verbatim (a string is written as is, anything else as JSON)."""
+    os.makedirs(directory / "flight", exist_ok=True)
+    for name in files:
+        (directory / name).write_text("{}\n")
+    if report is not None:
+        (directory / "report.json").write_text(report)
+    text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+    (directory / "MANIFEST.json").write_text(text)
+    return str(directory)
+
+
+GOOD_FILE = {
+    "flight/node-1.jsonl": {
+        "sha256": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356"
+    }
+}
+
+
+class TestUntrustedManifest:
+    """A bundle's manifest is input: whatever it gets wrong ends as a
+    ``BundleError`` (exit 2 from ``soup postmortem``), never a traceback."""
+
+    def test_a_well_formed_bundle_loads(self, tmp_path):
+        path = write_bundle(
+            tmp_path,
+            {"schema": "soup-postmortem/v1", "key": "k", "files": GOOD_FILE},
+            files=GOOD_FILE,
+            report='{"gates": null}',
+        )
+        bundle = load_bundle(path)
+        assert bundle.key == "k" and bundle.report == {"gates": None}
+        assert bundle.flight_paths() == [os.path.join(path, "flight/node-1.jsonl")]
+
+    @pytest.mark.parametrize(
+        "manifest, match",
+        [
+            ("{not json", "not JSON"),
+            ('["soup-postmortem/v1"]', "not a JSON object"),
+            ({"schema": "soup-postmortem/v1", "files": {}}, "no key"),
+            ({"schema": "soup-postmortem/v1", "key": 7, "files": {}}, "no key"),
+            ({"schema": "soup-postmortem/v1", "key": "k", "files": ["a"]}, "files"),
+            ({"schema": "soup-postmortem/v1", "key": "k",
+              "files": {"flight/node-1.jsonl": {}}}, "sha256"),
+            ({"schema": "soup-postmortem/v1", "key": "k",
+              "files": {"flight/node-1.jsonl": "abc"}}, "sha256"),
+            ({"schema": "soup-postmortem/v1", "key": "k",
+              "files": {"/outside.json": {"sha256": "0"}}}, "outside"),
+            ({"schema": "soup-postmortem/v1", "key": "k",
+              "files": {"../outside.json": {"sha256": "0"}}}, "outside"),
+            ({"schema": "soup-postmortem/v1", "key": "k",
+              "files": {"flight/../../outside.json": {"sha256": "0"}}}, "outside"),
+        ],
+        ids=[
+            "not-json", "not-an-object", "no-key", "non-string-key",
+            "files-is-a-list", "entry-without-sha256", "entry-not-an-object",
+            "absolute-name", "parent-name", "escaping-name",
+        ],
+    )
+    def test_a_malformed_manifest_is_a_bundle_error(self, tmp_path, manifest, match):
+        (tmp_path / "outside.json").write_text("{}\n")
+        path = write_bundle(tmp_path / "bundle", manifest, files=GOOD_FILE)
+        with pytest.raises(BundleError, match=match):
+            load_bundle(path)
+        assert cli_main(["postmortem", path]) == 2
+
+    @pytest.mark.parametrize("report", ["{truncated", "[1, 2]"], ids=["not-json", "list"])
+    def test_a_malformed_report_is_a_bundle_error(self, tmp_path, report):
+        path = write_bundle(
+            tmp_path,
+            {"schema": "soup-postmortem/v1", "key": "k", "files": {}},
+            report=report,
+        )
+        with pytest.raises(BundleError, match="report.json"):
+            load_bundle(path)
+        assert cli_main(["postmortem", path]) == 2
+
+
 class TestCausalChains:
     def test_kill_chain_links_to_unavailability_cross_node(self, run):
         # The acceptance criterion: >= 1 cross-node chain linking the

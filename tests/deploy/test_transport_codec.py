@@ -9,6 +9,7 @@ messages, and the receive buffer holds no more than a peer has sent.
 """
 
 import asyncio
+import hashlib
 import math
 import pickle
 import re
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core import objects
 from repro.core.objects import ObjectType, SoupObject
-from repro.crypto.by_id import ByIdSignature
 from repro.deploy.live.transport import (
     RECEIVE_BUFFER_BYTES,
     AsyncClock,
@@ -60,11 +60,7 @@ PAYLOADS = st.none() | st.binary(max_size=64) | JSON.filter(lambda v: v is not N
 TIMESTAMPS = st.integers(-(2**63), 2**63 - 1) | st.floats(
     allow_nan=False, allow_infinity=False
 )
-SIGNATURES = (
-    st.none()
-    | st.integers(0, 2 ** (8 * MAX_SIGNATURE_BYTES) - 1)
-    | st.builds(ByIdSignature, signer=U64, digest=st.binary(min_size=32, max_size=32))
-)
+SIGNATURES = st.none() | st.integers(0, 2 ** (8 * MAX_SIGNATURE_BYTES) - 1)
 SOUP_OBJECTS = st.builds(
     SoupObject,
     source=U64,
@@ -204,7 +200,7 @@ class NotAnAck(Ack):
         sample_object(signature=-1),
         sample_object(signature=2 ** (8 * MAX_SIGNATURE_BYTES)),
         sample_object(signature=(11, b"digest")),
-        sample_object(signature=ByIdSignature(signer=11, digest=b"short")),
+        sample_object(signature=b"short"),
         sample_object(payload={1, 2}),
         sample_object(payload={"x": math.inf}),
         sample_object(payload=sample_object()),
@@ -373,6 +369,22 @@ def with_json(raw: bytes) -> bytes:
 )
 def test_malformed_fields_are_a_bad_frame(frame):
     assert_rejected(receive([[frame]]))
+
+
+def retired_by_id_frame() -> bytes:
+    """A SOUP_OBJECT frame in the retired by-id signature form: forms bit
+    0x04, then signer u64 + 32-byte SHA-256 digest."""
+    obj = sample_object(signature=None, payload=None)
+    body = bytearray(body_of(encode_frame(11, 16, obj)))
+    body[_FORMS_AT] |= 0x04
+    digest = hashlib.sha256(obj.signing_bytes()).digest()
+    return framed(bytes(body) + struct.pack(">Q32s", obj.source, digest))
+
+
+def test_the_retired_by_id_form_is_refused():
+    with pytest.raises(WireError, match="unknown forms"):
+        decode_frame(body_of(retired_by_id_frame()))
+    assert_rejected(receive([[retired_by_id_frame()]]))
 
 
 def test_a_nested_envelope_is_a_bad_frame():

@@ -11,7 +11,7 @@ A SOUP object must also keep the exact bytes its signature covers — an
 * 16 nodes with full RSA at 512 bits (the ``live_*`` benchmark's cluster)
   befriend, select mirrors, post, message, read, exchange experience sets
   and repair around a mirror that went dark;
-* 8 nodes with ``by_id`` signatures and a :class:`LiveObservability`
+* 8 nodes with 256-bit RSA keys and a :class:`LiveObservability`
   attached, so every frame also carries a trace context, which must
   arrive unchanged too.
 """
@@ -22,7 +22,6 @@ import random
 
 from repro.core.objects import ObjectType, SoupObject
 from repro.crypto import rsa
-from repro.crypto.by_id import verify_by_id
 from repro.deploy.cluster import Cluster
 from repro.deploy.live.transport import AsyncClock, LiveTransport
 from repro.network.reliability import Envelope
@@ -117,10 +116,7 @@ def check_wire(net: RecordingTransport, cluster: Cluster, failed_before: int) ->
                 if obj.signature is None:
                     continue
                 signer = cluster.nodes[obj.source]
-                if signer.security.crypto_mode == "full":
-                    assert rsa.verify(obj.signing_bytes(), obj.signature, signer.keys.public)
-                else:
-                    assert verify_by_id(obj.signing_bytes(), obj.signature, obj.source)
+                assert rsa.verify(obj.signing_bytes(), obj.signature, signer.keys.public)
                 verified += 1
     return {"kinds": kinds, "verified": verified, "handled": handled_total}
 
@@ -159,7 +155,7 @@ async def boot(net, cluster, n_nodes, extra_friends):
 def test_full_crypto_cluster_messages_cross_the_wire_unchanged():
     async def scenario():
         net = RecordingTransport(AsyncClock())
-        cluster = Cluster(net, random.Random(26), key_bits=512, crypto_mode="full")
+        cluster = Cluster(net, random.Random(26), key_bits=512)
         await boot(net, cluster, 16, extra_friends=1)
         users, order = cluster.users, cluster.order
         failed_before = net.messages_failed
@@ -212,10 +208,10 @@ def test_full_crypto_cluster_messages_cross_the_wire_unchanged():
     } <= carried
 
 
-def test_by_id_cluster_with_trace_contexts_crosses_the_wire_unchanged(tmp_path):
+def test_small_key_cluster_with_trace_contexts_crosses_the_wire_unchanged(tmp_path):
     async def scenario():
         net = RecordingTransport(AsyncClock())
-        cluster = Cluster(net, random.Random(7), key_bits=256, crypto_mode="by_id")
+        cluster = Cluster(net, random.Random(7), key_bits=256)
         for index in range(8):
             cluster.add(f"user{index:02d}")
         obs = RecordingObservability(str(tmp_path), cluster.order)

@@ -1,17 +1,21 @@
-"""crypto_mode: by_id simulated signatures vs full RSA.
+"""Signatures: every SOUP object is signed and verified with RSA.
 
-The performance escape hatch must not change the security semantics the
-simulations rely on: an attacker signing an object whose ``source`` claims
-someone else's identity is rejected by receivers in *both* modes, and the
-directory-resolution requirement (the source's public key must be known)
-holds in both modes too.
+An attacker signing an object whose ``source`` claims someone else's
+identity is rejected by receivers, and so is an object from a source whose
+public key the receiver has not resolved, or one whose signature is not an
+RSA integer.  ``SoupNode`` keeps a ``crypto_mode`` keyword that accepts
+only ``"full"``.
 """
+
+import random
 
 import pytest
 
 from repro.core.objects import ObjectType, SoupObject
-from repro.crypto.by_id import ByIdSignature, sign_by_id, verify_by_id
 from repro.crypto.keys import KeyPair
+from repro.deploy.cluster import Cluster
+from repro.network.events import EventLoop
+from repro.network.simnet import SimNetwork
 from repro.node.security_manager import SecurityManager
 
 ALICE = KeyPair.generate(bits=256, seed=1)
@@ -27,72 +31,54 @@ def _update_from(source_id: int) -> SoupObject:
     )
 
 
-def _verifier(mode: str) -> SecurityManager:
+def _verifier() -> SecurityManager:
     """A receiving node that knows both parties' public keys."""
-    receiver = SecurityManager(KeyPair.generate(bits=256, seed=3), crypto_mode=mode)
+    receiver = SecurityManager(KeyPair.generate(bits=256, seed=3))
     receiver.learn_public_key(ALICE.soup_id, ALICE.public)
     receiver.learn_public_key(MALLORY.soup_id, MALLORY.public)
     return receiver
 
 
-@pytest.mark.parametrize("mode", ["full", "by_id"])
-def test_legitimate_object_verifies(mode):
-    alice = SecurityManager(ALICE, crypto_mode=mode)
-    obj = alice.sign_object(_update_from(ALICE.soup_id))
-    assert _verifier(mode).verify_object(obj)
+def test_legitimate_object_verifies():
+    obj = SecurityManager(ALICE).sign_object(_update_from(ALICE.soup_id))
+    assert isinstance(obj.signature, int)
+    assert _verifier().verify_object(obj)
 
 
-@pytest.mark.parametrize("mode", ["full", "by_id"])
-def test_forged_source_is_rejected(mode):
+def test_forged_source_is_rejected():
     # Mallory crafts an update claiming to come from Alice and signs it
     # with her own manager — the only signing oracle she controls.
-    mallory = SecurityManager(MALLORY, crypto_mode=mode)
-    forged = mallory.sign_object(_update_from(ALICE.soup_id))
-    assert not _verifier(mode).verify_object(forged)
+    forged = SecurityManager(MALLORY).sign_object(_update_from(ALICE.soup_id))
+    assert not _verifier().verify_object(forged)
 
 
-@pytest.mark.parametrize("mode", ["full", "by_id"])
-def test_tampered_payload_is_rejected(mode):
-    alice = SecurityManager(ALICE, crypto_mode=mode)
-    obj = alice.sign_object(_update_from(ALICE.soup_id))
+def test_tampered_payload_is_rejected():
+    obj = SecurityManager(ALICE).sign_object(_update_from(ALICE.soup_id))
     obj.payload = {"status": "send money"}
-    assert not _verifier(mode).verify_object(obj)
+    assert not _verifier().verify_object(obj)
 
 
-@pytest.mark.parametrize("mode", ["full", "by_id"])
-def test_unknown_sender_is_rejected(mode):
-    alice = SecurityManager(ALICE, crypto_mode=mode)
-    obj = alice.sign_object(_update_from(ALICE.soup_id))
-    stranger = SecurityManager(KeyPair.generate(bits=256, seed=4), crypto_mode=mode)
+def test_unknown_sender_is_rejected():
+    obj = SecurityManager(ALICE).sign_object(_update_from(ALICE.soup_id))
+    stranger = SecurityManager(KeyPair.generate(bits=256, seed=4))
     assert not stranger.verify_object(obj)
 
 
-def test_full_mode_rejects_by_id_signatures():
-    # A by_id tuple must never satisfy a full-crypto verifier — otherwise
-    # by_id signatures would be trivially forgeable in full scenarios.
+@pytest.mark.parametrize(
+    "signature",
+    [(ALICE.soup_id, b"\x00" * 32), b"\x01" * 32, "signed", 1.0],
+    ids=["tuple", "bytes", "str", "float"],
+)
+def test_non_rsa_signature_is_rejected(signature):
     obj = _update_from(ALICE.soup_id)
-    obj.signature = sign_by_id(obj.signing_bytes(), ALICE.soup_id)
-    assert not _verifier("full").verify_object(obj)
-
-
-def test_by_id_mode_rejects_rsa_signatures():
-    alice_full = SecurityManager(ALICE, crypto_mode="full")
-    obj = alice_full.sign_object(_update_from(ALICE.soup_id))
-    assert not _verifier("by_id").verify_object(obj)
-
-
-def test_by_id_primitives():
-    message = b"hello soup"
-    signature = sign_by_id(message, 42)
-    assert verify_by_id(message, signature, 42)
-    assert not verify_by_id(message, signature, 43)
-    assert not verify_by_id(b"hello sou?", signature, 42)
-    assert not verify_by_id(message, "not a signature", 42)
-    assert not verify_by_id(
-        message, ByIdSignature(signer=42, digest=b"\x00" * 32), 42
-    )
+    obj.signature = signature
+    assert not _verifier().verify_object(obj)
 
 
 def test_invalid_mode_rejected():
-    with pytest.raises(ValueError):
-        SecurityManager(ALICE, crypto_mode="fast")
+    cluster = Cluster(SimNetwork(EventLoop()), random.Random(3), key_bits=256)
+    cluster.add("full", crypto_mode="full")
+    for mode in ("by_id", "fast", ""):
+        with pytest.raises(ValueError, match="crypto_mode"):
+            cluster.add("other", crypto_mode=mode)
+    assert len(cluster.users) == 1

@@ -540,6 +540,21 @@ def test_replay_prints_the_violation_it_reproduces(capsys):
     assert out.startswith("no violation")
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["garbage", "soup-repro/v1 scale=abc", "soup-repro/v1 scale", "soup-repro/v1 nope=1", ""],
+    ids=["not-a-repro-line", "bad-value", "no-equals", "unknown-token", "empty"],
+)
+def test_replay_refuses_a_malformed_line(capsys, line):
+    # Exit 1 means "ran clean, no violation"; a line that does not parse
+    # must not be reported that way.
+    code = main(["replay", line])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("replay: ") and captured.err.count("\n") == 1
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["does-not-exist"])
