@@ -17,7 +17,8 @@ writes a row of schema ``soup-e2e-history/v2``: the change side as in v1,
 plus the parent's quartiles and the paired median ratio (the median over
 seeds of change / parent) of every metric.
 
-``trajectory.py`` alone prints the trajectory, one table per workload, and
+``trajectory.py`` alone prints the trajectory, one table per workload with
+one row per PR (its v2 row where it has one, else its v1 row), and
 under it the chained index of the workload's v2 rows, in PR order: the
 running product of their paired median ratios, the one form in which a
 number compares across PRs measured on different days.  The
@@ -227,6 +228,17 @@ def _pr_order(row: dict) -> float:
     return int(match[1]) if match else math.inf
 
 
+def one_per_label(rows: List[dict]) -> List[dict]:
+    """One row per label, in the order labels first appear: the label's v2
+    row where it has one, else its native row."""
+    chosen: Dict[str, dict] = {}
+    for row in rows:
+        held = chosen.get(row["label"])
+        if held is None or row["schema"] == PAIRED_SCHEMA or held["schema"] != PAIRED_SCHEMA:
+            chosen[row["label"]] = row
+    return list(chosen.values())
+
+
 def _ratio(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:.4f}"
 
@@ -236,7 +248,7 @@ def render(history: Path) -> List[str]:
     names = metric_names()
     lines: List[str] = []
     for workload in dict.fromkeys(row["workload"] for row in rows):
-        mine = [row for row in rows if row["workload"] == workload]
+        mine = one_per_label([row for row in rows if row["workload"] == workload])
         lines += [workload] + _table([["label", "commit", "seeds", *names]] + [
             [
                 row["label"] + ("*" if "source" in row else ""),

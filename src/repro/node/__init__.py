@@ -21,7 +21,7 @@ paper's deployment measurements (Sec. 7).
 from repro.node.devices import DeviceGroup, DeviceReplica, UpdateLog
 from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem, Profile
-from repro.node.sync import PendingUpdate, UpdateBuffer, merge_update_streams
+from repro.node.sync import PendingUpdate, UpdateBuffer
 
 __all__ = [
     "DeviceGroup",
@@ -32,5 +32,4 @@ __all__ = [
     "Profile",
     "PendingUpdate",
     "UpdateBuffer",
-    "merge_update_streams",
 ]

@@ -94,9 +94,6 @@ class DeviceReplica:
                 )
         return fresh
 
-    def has_applied(self, update: PendingUpdate) -> bool:
-        return update_id(update) in self._applied
-
     @property
     def item_count(self) -> int:
         return len(self.profile)

@@ -6,17 +6,17 @@ selects mirrors and pushes encrypted replicas to them, serves as a mirror
 for others, buffers updates for offline users, and exchanges experience
 sets with friends.
 
-Protocol decisions (store/reject, profile serving, update collection) are
-evaluated synchronously against the peer's state for simulation simplicity,
-while every byte still crosses the metered simulated network — so the
-traffic figures of Sec. 7 are reproduced faithfully.
+Protocol decisions (store/reject, profile serving) are evaluated
+synchronously against the peer's state, while every byte crosses the
+metered network, so Sec. 7's traffic figures hold.  Held messages and their
+collection are the exception: the receiver of a signed frame decides.
 """
 
 from __future__ import annotations
 
 import logging
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Set, Tuple
 
 from repro.obs import get_registry, get_tracer
 from repro.obs.profiling import PROFILER
@@ -39,7 +39,7 @@ from repro.node.profile import DataItem, Profile
 from repro.node.security_manager import SecurityManager
 from repro.node.social_manager import SocialManager
 from repro.node.devices import DeviceGroup
-from repro.node.sync import PendingUpdate, merge_update_streams
+from repro.node.sync import PendingUpdate
 
 #: Encryption expands a replica slightly (ABE header + MAC + shares).
 _ENCRYPTION_OVERHEAD_BYTES = 2_048
@@ -121,8 +121,10 @@ class SoupNode:
         #: Sec. 3.3).
         self.mobile_relay_limit = mobile_relay_limit
         self.relayed_mobiles: set = set()
-        #: Inbound objects discarded for missing/invalid signatures.
+        #: Inbound objects refused (:meth:`_refuse`, reasons in PROTOCOL.md §12).
         self.dropped_objects = 0
+        #: ``(source, sequence)`` of the requests and relayed messages acted on.
+        self._seen: Set[Tuple[int, int]] = set()
         #: Optional :class:`repro.arch.ReadPathStrategy` installed by the
         #: deployment (shared across nodes); ``None`` keeps every profile
         #: read on the owner/mirror path.  The cache's epoch clock ticks
@@ -223,6 +225,11 @@ class SoupNode:
             self.node_id, peer_id
         )
 
+    def _probe(self, peer_id: int) -> bool:
+        """Liveness probe (PROTOCOL.md §11): online, and no chaos blocks it."""
+        peer = self._peer(peer_id)
+        return peer is not None and peer.online and self._reachable(peer_id)
+
     # ------------------------------------------------------------------
     # directory
     # ------------------------------------------------------------------
@@ -251,9 +258,9 @@ class SoupNode:
     # ------------------------------------------------------------------
     def befriend(self, other_id: int) -> bool:
         """Full friend-request handshake with attribute-key exchange."""
-        other = self._require_peer(other_id)
-        if other is None or not other.online or not self._reachable(other_id):
+        if not self._probe(other_id):
             return False
+        other = self._peer(other_id)
         self.social.initiate_request(other_id)
         request = self.applications.encapsulate(
             other_id, ObjectType.FRIEND_REQUEST, {"from": self.name}, self._now()
@@ -282,7 +289,7 @@ class SoupNode:
         """Meet a node: exchange KB knowledge and (if bootstrapping) harvest
         mirror recommendations (Sec. 4.3).  Mobile nodes also probe every
         encountered regular node as a potential gateway (Sec. 3.3)."""
-        other = self._require_peer(other_id)
+        other = self._peer(other_id)
         if other is None:
             return
         self.mirror_manager.learn_node(other_id, self.social.is_friend(other_id))
@@ -360,8 +367,7 @@ class SoupNode:
             dest_id, ObjectType.MESSAGE, {"text": text}, self._now()
         )
         self.security.sign_object(message)
-        dest = self._peer(dest_id)
-        if dest is not None and dest.online and self._reachable(dest_id):
+        if self._probe(dest_id):
             self.interface.send_object(message)
             return True
         # Store-and-forward through the recipient's mirrors (Sec. 3.5).
@@ -439,10 +445,9 @@ class SoupNode:
         """
         replica = self.devices.device(device_name)
         for mirror_id in self.mirror_manager.announced_mirrors:
-            mirror = self._peer(mirror_id)
-            if mirror is None or not mirror.online or not self._reachable(mirror_id):
+            if not self._probe(mirror_id):
                 continue
-            log = mirror.mirror_manager.update_log_for(self.node_id)
+            log = self._peer(mirror_id).mirror_manager.update_log_for(self.node_id)
             if log is None or len(log) == 0:
                 continue
             fresh = replica.apply(log.entries())
@@ -487,22 +492,10 @@ class SoupNode:
         if owner is not None and owner.online and self._reachable(owner_id):
             self._transfer_from(owner_id, size)
             if record:
-                self._observe_mirrors(owner_id, entry.mirror_ids)
+                self._serving_mirrors(owner_id, entry.mirror_ids, record)
             return True
 
-        serving: List[int] = []
-        for mirror_id in entry.mirror_ids:
-            mirror = self._peer(mirror_id)
-            serves = (
-                mirror is not None
-                and mirror.online
-                and self._reachable(mirror_id)
-                and mirror.mirror_manager.store.stores_for(owner_id)
-            )
-            if record:
-                self.mirror_manager.observe_mirror(owner_id, mirror_id, serves)
-            if serves:
-                serving.append(mirror_id)
+        serving = self._serving_mirrors(owner_id, entry.mirror_ids, record)
 
         plan = owner.mirror_manager.coded_plan if owner is not None else None
         if plan is not None:
@@ -519,8 +512,12 @@ class SoupNode:
             return True
         return False
 
-    def _observe_mirrors(self, owner_id: int, mirror_ids: Iterable[int]) -> None:
-        """Record mirror availability alongside a direct fetch."""
+    def _serving_mirrors(
+        self, owner_id: int, mirror_ids: Iterable[int], record: bool
+    ) -> List[int]:
+        """The mirrors that are up and store the owner's replica; with
+        ``record``, each check is also an experience observation."""
+        serving: List[int] = []
         for mirror_id in mirror_ids:
             mirror = self._peer(mirror_id)
             serves = (
@@ -529,7 +526,11 @@ class SoupNode:
                 and self._reachable(mirror_id)
                 and mirror.mirror_manager.store.stores_for(owner_id)
             )
-            self.mirror_manager.observe_mirror(owner_id, mirror_id, serves)
+            if record:
+                self.mirror_manager.observe_mirror(owner_id, mirror_id, serves)
+            if serves:
+                serving.append(mirror_id)
+        return serving
 
     def _transfer_from(self, source_id: int, size_bytes: int) -> None:
         """Meter a data download from ``source_id`` to us."""
@@ -612,11 +613,11 @@ class SoupNode:
         accepted: List[int] = []
         newly_accepted: List[int] = []
         for mirror_id in result.mirrors:
-            mirror = self._peer(mirror_id)
-            if mirror is None or not mirror.online or not self._reachable(mirror_id):
+            if not self._probe(mirror_id):
                 if mirror_id in old:
                     accepted.append(mirror_id)  # still holds our replica
                 continue
+            mirror = self._peer(mirror_id)
             if mirror.mirror_manager.store.stores_for(self.node_id):
                 accepted.append(mirror_id)
                 continue
@@ -773,12 +774,11 @@ class SoupNode:
         holding = set(self.mirror_manager.announced_mirrors)
         unreachable = []
         for entry in self.mirror_manager.knowledge:
-            peer = self._peer(entry.node_id)
-            if peer is None or (
-                (not peer.online or not self._reachable(entry.node_id))
-                and entry.node_id not in holding
+            node_id = entry.node_id
+            if self._peer(node_id) is None or (
+                not self._probe(node_id) and node_id not in holding
             ):
-                unreachable.append(entry.node_id)
+                unreachable.append(node_id)
         return unreachable
 
     # ------------------------------------------------------------------
@@ -787,93 +787,109 @@ class SoupNode:
     def _deliver_update_via_mirrors(
         self, entry: DirectoryEntry, update_object: SoupObject
     ) -> bool:
-        """Store an update at the target's mirrors; if a mirror is offline,
-        pass it on to that mirror's mirrors (Fig. 2)."""
-        pending = PendingUpdate(
-            target_id=update_object.dest,
-            origin_id=self.node_id,
-            timestamp=update_object.timestamp,
-            sequence=update_object.sequence,
-            payload=update_object.payload,
-            size_bytes=update_object.size_bytes(),
-        )
+        """Send an update for an offline user to her online mirrors and, for
+        each offline one, to the first online mirror its entry names (Fig. 2)."""
+        size = update_object.size_bytes()
         delivered = False
         for mirror_id in entry.mirror_ids:
-            mirror = self._peer(mirror_id)
-            if mirror is not None and mirror.online and self._reachable(mirror_id):
-                self.interface.send_bytes_reliable(
-                    mirror_id, update_object, pending.size_bytes
-                )
-                mirror.mirror_manager.update_buffer.add(pending)
+            holder: Optional[int] = mirror_id
+            if not self._probe(mirror_id):
+                # One hop further, to the offline mirror's mirrors.
+                mirror_entry = self.lookup_user(mirror_id)
+                subs = mirror_entry.mirror_ids if mirror_entry is not None else ()
+                holder = next((sub for sub in subs if self._probe(sub)), None)
+            if holder is not None:
+                self.interface.send_bytes_reliable(holder, update_object, size)
                 delivered = True
-            elif mirror is not None:
-                # One level of forwarding to the offline mirror's mirrors.
-                for sub_id in mirror.mirror_manager.announced_mirrors:
-                    sub = self._peer(sub_id)
-                    if sub is not None and sub.online and self._reachable(sub_id):
-                        self.interface.send_bytes_reliable(
-                            sub_id, update_object, pending.size_bytes
-                        )
-                        sub.mirror_manager.update_buffer.add(pending)
-                        delivered = True
-                        break
         return delivered
 
-    def collect_updates(self) -> List[PendingUpdate]:
-        """On returning online, gather buffered updates from our mirrors."""
-        streams = []
+    def collect_updates(self) -> None:
+        """Ask each reachable mirror for what it held, by ``UPDATE_COLLECT``."""
         for mirror_id in self.mirror_manager.announced_mirrors:
-            mirror = self._peer(mirror_id)
-            if mirror is None or not mirror.online or not self._reachable(mirror_id):
+            if not self._probe(mirror_id):
                 continue
-            stream = mirror.mirror_manager.update_buffer.collect(self.node_id)
-            if stream:
-                for update in stream:
-                    self._transfer_from(mirror_id, update.size_bytes)
-                streams.append(stream)
-        merged = merge_update_streams(*streams)
-        for update in merged:
-            self.applications.deliver(
-                SoupObject(
-                    source=update.origin_id,
-                    dest=self.node_id,
-                    object_type=ObjectType.MESSAGE,
-                    payload=update.payload,
-                    timestamp=update.timestamp,
-                )
+            request = self.applications.encapsulate(
+                mirror_id, ObjectType.UPDATE_COLLECT, None, self._now()
             )
-        return merged
+            self.security.sign_object(request)
+            self.interface.send_bytes_reliable(mirror_id, request, request.size_bytes())
+
+    def _hold(self, sender: int, message: SoupObject) -> None:
+        """Hold a message for ``dest`` if its directory entry names this node,
+        else for the first mirror it names whose replica this node stores."""
+        entry = self._lookup_quietly(message.dest)
+        mirrors = entry.mirror_ids if entry is not None else ()
+        stores = self.mirror_manager.store.stores_for
+        target = next((m for m in mirrors if stores(m)), None)
+        if self.node_id in mirrors:
+            target = message.dest
+        elif target is None:
+            self._refuse(sender, message, "not-held-here")
+            return
+        self.mirror_manager.update_buffer.add(PendingUpdate(
+            target, message.source, message.timestamp, message.sequence,
+            message, message.size_bytes(),
+        ))
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
     def _handle_network(self, sender: int, message: object) -> None:
-        if not isinstance(message, SoupObject):
-            return
-        if message.object_type in (
-            ObjectType.MESSAGE,
-            ObjectType.FRIEND_REQUEST,
-            ObjectType.FRIEND_CONFIRM,
+        if not isinstance(message, SoupObject) or message.object_type not in (
+            ObjectType.MESSAGE, ObjectType.FRIEND_REQUEST, ObjectType.FRIEND_CONFIRM,
+            ObjectType.UPDATE_COLLECT,
         ):
-            # "Requests ... must be encapsulated in an appropriately signed
-            # SOUP object, and will otherwise be discarded" (Sec. 3.4).
-            # Unknown senders are resolved through the directory first —
-            # SOUP IDs are self-certifying.
-            if not self.security.knows_public_key(message.source):
-                try:
-                    self._ensure_gateway()
-                    entry, _ = self.interface.lookup_entry(message.source)
-                except DhtError:
-                    entry = None
-                if entry is not None and entry.public_key is not None:
-                    self.security.learn_public_key(entry.soup_id, entry.public_key)
-            if not self.security.verify_object(message):
-                self.dropped_objects += 1
-                return
+            return
+        kind, uid = message.object_type, (message.source, message.sequence)
+        # "Requests ... must be encapsulated in an appropriately signed
+        # SOUP object, and will otherwise be discarded" (Sec. 3.4).
+        # Unknown senders are resolved through the directory first —
+        # SOUP IDs are self-certifying.
+        if not self.security.knows_public_key(message.source):
+            self._lookup_quietly(message.source)
+        if not self.security.verify_object(message):
+            self._refuse(sender, message, "bad-signature")
+        elif sender != message.source and (
+            kind is not ObjectType.MESSAGE
+            or sender not in self.mirror_manager.announced_mirrors
+        ):
+            # Only a message is relayed, by our mirror returning it to us.
+            self._refuse(sender, message, "not-sender")
+        elif message.dest != self.node_id:
+            if kind is ObjectType.MESSAGE:
+                self._hold(sender, message)
+            else:
+                self._refuse(sender, message, "not-addressed")
+        elif uid in self._seen:
+            # Each mirror that held a message returns it; else a replay.
+            if kind is not ObjectType.MESSAGE:
+                self._refuse(sender, message, "replay")
+        elif kind is not ObjectType.UPDATE_COLLECT:
+            if sender != message.source or kind is not ObjectType.MESSAGE:
+                self._seen.add(uid)  # a direct message is sent once
             self.applications.deliver(message)
+        else:
+            # Drain the signer's queue, each object as its origin signed it.
+            self._seen.add(uid)
+            for held in self.mirror_manager.update_buffer.collect(sender):
+                self.interface.send_bytes_reliable(sender, held.payload, held.size_bytes)
 
-    def _require_peer(self, node_id: int) -> Optional["SoupNode"]:
-        return self._peer(node_id)
+    def _lookup_quietly(self, soup_id: int) -> Optional[DirectoryEntry]:
+        """:meth:`lookup_user`, but None where a mobile node has no gateway."""
+        try:
+            return self.lookup_user(soup_id)
+        except DhtError:
+            return None
+
+    def _refuse(self, sender: int, obj: SoupObject, reason: str) -> None:
+        """Count and trace an inbound object this node does not act on."""
+        self.dropped_objects += 1
+        tracer = get_tracer()
+        if tracer.enabled:
+            tracer.emit(
+                "object_refused", node=self.node_id, sender=sender,
+                kind=obj.object_type.value, reason=reason, t=self._now(),
+            )
 
     def _now(self) -> float:
         return self.network.loop.now

@@ -3,9 +3,9 @@
 While a user is offline, updates addressed to her are stored by her mirrors
 acting as surrogates.  If a mirror is itself offline, the update is passed
 on to *that mirror's* mirrors, so at least one online holder always exists.
-On returning online the user collects pending updates, orders them by the
-timestamps in the SOUP objects, and applies them to her data — which also
-keeps her multiple personal devices in sync.
+On returning online the user collects them: each mirror hands back its
+queue ordered by the timestamps in the SOUP objects, and the user keeps the
+first copy of each update — which also keeps her devices in sync.
 """
 
 from __future__ import annotations
@@ -141,27 +141,11 @@ class UpdateBuffer:
 
     def collect(self, target_id: int) -> List[PendingUpdate]:
         """Hand pending updates to the returning user and clear them."""
-        updates = self.pending_for(target_id)
-        self._pending.pop(target_id, None)
-        return updates
+        queue = self._pending.pop(target_id, None)
+        return queue.entries() if queue is not None else []
 
     def pending_count(self, target_id: Optional[int] = None) -> int:
         if target_id is not None:
             return len(self._pending.get(target_id, ()))
         return sum(len(queue) for queue in self._pending.values())
 
-
-def merge_update_streams(*streams: List[PendingUpdate]) -> List[PendingUpdate]:
-    """Merge updates collected from several mirrors, deduplicated and in
-    timestamp order — the returning user's reconciliation step."""
-    seen = set()
-    merged: List[PendingUpdate] = []
-    for stream in streams:
-        for update in stream:
-            uid = update_id(update)
-            if uid in seen:
-                continue
-            seen.add(uid)
-            merged.append(update)
-    merged.sort(key=update_order)
-    return merged

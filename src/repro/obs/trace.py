@@ -72,6 +72,10 @@ EVENT_SCHEMAS: Dict[str, Dict[str, Dict[str, tuple]]] = {
         "required": {"target": (int,), "origin": (int,), "reason": (str,)},
         "optional": {"t": _NUM},
     },
+    "object_refused": {
+        "required": {"node": (int,), "reason": (str,)},
+        "optional": {"sender": (int,), "kind": (str,), "t": _NUM},
+    },
     # One per measured epoch: how many joined benign owners were (un)available
     # and exactly which owners were unavailable — the ground truth the trace
     # analyzer reconstructs per-owner unavailability windows from.

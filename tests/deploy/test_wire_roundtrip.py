@@ -9,8 +9,9 @@ A SOUP object must also keep the exact bytes its signature covers — an
 ``int`` timestamp stays an ``int`` — and the signature must still verify.
 
 * 16 nodes with full RSA at 512 bits (the ``live_*`` benchmark's cluster)
-  befriend, select mirrors, post, message, read, exchange experience sets
-  and repair around a mirror that went dark;
+  befriend, select mirrors, post, message, read, exchange experience sets,
+  repair around a mirror that went dark and, when it returns, collect
+  what its mirrors held for it;
 * 8 nodes with 256-bit RSA keys and a :class:`LiveObservability`
   attached, so every frame also carries a trace context, which must
   arrive unchanged too.
@@ -185,6 +186,9 @@ def test_full_crypto_cluster_messages_cross_the_wire_unchanged():
             if node.online:
                 post(node, net)
         await settle(net, cluster)
+        # Back online, it asks its mirrors for what they held for it.
+        cluster.nodes[victim_id].go_online()
+        await settle(net, cluster)
         await net.close()
         return net, cluster, failed_before, owners, victim_id
 
@@ -204,7 +208,7 @@ def test_full_crypto_cluster_messages_cross_the_wire_unchanged():
     assert {
         ObjectType.FRIEND_REQUEST, ObjectType.FRIEND_CONFIRM, ObjectType.UPDATE,
         ObjectType.REPLICA_PUSH, ObjectType.MESSAGE, ObjectType.PROFILE_RESPONSE,
-        ObjectType.ES_EXCHANGE,
+        ObjectType.ES_EXCHANGE, ObjectType.UPDATE_COLLECT,
     } <= carried
 
 

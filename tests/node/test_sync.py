@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.node.sync import PendingUpdate, UpdateBuffer, merge_update_streams
+from repro.node.sync import PendingUpdate, UpdateBuffer
 
 
 def update(target=1, origin=2, timestamp=0.0, sequence=0, payload="x"):
@@ -69,28 +69,6 @@ class TestUpdateBuffer:
         assert buffer.pending_count() == 2
         buffer.collect(1)
         assert buffer.pending_count(2) == 1
-
-
-class TestMerge:
-    def test_merge_deduplicates_across_mirrors(self):
-        a = [update(sequence=1), update(sequence=2)]
-        b = [update(sequence=2), update(sequence=3)]
-        merged = merge_update_streams(a, b)
-        assert len(merged) == 3
-
-    def test_merge_orders_by_timestamp(self):
-        a = [update(timestamp=3.0, sequence=1)]
-        b = [update(timestamp=1.0, sequence=2), update(timestamp=2.0, sequence=3)]
-        merged = merge_update_streams(a, b)
-        assert [u.timestamp for u in merged] == [1.0, 2.0, 3.0]
-
-    def test_merge_distinguishes_origins(self):
-        a = [update(origin=10, sequence=1)]
-        b = [update(origin=11, sequence=1)]
-        assert len(merge_update_streams(a, b)) == 2
-
-    def test_merge_empty(self):
-        assert merge_update_streams([], []) == []
 
 
 class TestUpdateBufferCap:

@@ -116,6 +116,7 @@ class TestValidateEvent:
             "repair_round": dict(owner=7, dead=[1], replacements=1),
             "invariant_checked": dict(epoch=3, ok=True, checks=4),
             "update_dropped": dict(target=1, origin=2, reason="buffer-full"),
+            "object_refused": dict(node=1, reason="replay"),
             "availability_sample": dict(
                 epoch=3, population=10, available=9, unavailable=[4]
             ),

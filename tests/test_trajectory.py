@@ -288,3 +288,28 @@ def test_cli_parent_flag_writes_v2_rows(tmp_path, history, monkeypatch, capsys):
     with pytest.raises(SystemExit):
         trajectory.main(["--parent", parent])
     assert "--parent needs" in capsys.readouterr().err
+
+
+def _table_labels(text, workload):
+    """The labels of a workload's main table, as printed (chain excluded)."""
+    block = text.split(f"{workload}\n", 1)[1].split("\n\n", 1)[0]
+    rows = block.split("chained index", 1)[0].splitlines()[1:]
+    return [line.split("  ")[1] for line in rows if line.strip()]
+
+
+def test_a_label_prints_once_per_workload_and_its_paired_row_wins(tmp_path, history):
+    trajectory.append(history, [_document(tmp_path, "native.json", sha="08" * 20)], "PR 5")
+    paired = _document(tmp_path, "paired.json", sha="09" * 20, seeds=(1, 2, 3))
+    parent = _document(tmp_path, "p.json", sha=PARENT, seeds=(1, 2, 3))
+    trajectory.append(history, [paired], "PR 5", [parent])
+    trajectory.append(history, [_document(tmp_path, "only.json", sha="0a" * 20)], "PR 6")
+    text = "\n".join(trajectory.render(history))
+    for workload in WORKLOADS:
+        assert _table_labels(text, workload) == ["PR 5", "PR 6"]
+        table = text.split(f"{workload}\n", 1)[1].split("chained index", 1)[0]
+        assert "0909090" in table and "0808080" not in table and "0a0a0a0" in table
+
+    committed = "\n".join(trajectory.render(COMMITTED))
+    for workload in WORKLOADS:
+        labels = _table_labels(committed, workload)
+        assert labels and len(labels) == len(set(labels)), workload
