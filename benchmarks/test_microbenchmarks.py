@@ -2,15 +2,18 @@
 
 Not a paper experiment — these track the cost of the operations every node
 runs continuously (Algorithm 1, Eq. (1) ingestion, DHT routing, ABE
-encryption), so performance regressions in the core surface here.  The
-last three — simulated-network delivery, RSA sign+verify, the scale-free
-graph generator — are measured by nothing else in the repo
-(``benchmarks/e2e`` runs them only inside the live transport).
+encryption), so performance regressions in the core surface here.
+Simulated-network delivery, RSA sign+verify and the scale-free graph
+generator are measured by nothing else in the repo (``benchmarks/e2e``
+runs them only inside the live transport); the live frame codec and one
+post's fan-out to four mirrors are timed here one step at a time.
 """
 
+import asyncio
 import random
 
 import numpy as np
+import pytest
 
 from repro.core.config import SoupConfig
 from repro.core.experience import ExperienceReport
@@ -22,10 +25,15 @@ from repro.crypto import abe
 from repro.crypto.abe import AbeAuthority
 from repro.crypto.access import and_of, attr, or_of
 from repro.crypto.keys import KeyPair
+from repro.deploy.cluster import Cluster
+from repro.deploy.live.transport import AsyncClock, LiveTransport
+from repro.deploy.live.transport_codec import LENGTH, decode_frame, encode_frame
 from repro.dht.pastry import PastryOverlay
 from repro.graphs.datasets import generate_scale_free
 from repro.network.events import EventLoop
+from repro.network.reliability import ACK_BYTES, Ack, Envelope
 from repro.network.simnet import SimNetwork
+from repro.node.profile import DataItem
 from repro.node.security_manager import SecurityManager
 
 CONFIG = SoupConfig()
@@ -167,3 +175,83 @@ def test_synth_graph_generation_speed(benchmark):
         f"p99_degree={np.percentile(degrees, 99.0):.0f}"
     )
     assert degrees.min() >= 1
+
+
+def _signed_update_envelope():
+    keys = KeyPair.generate(bits=CRYPTO_BITS, seed=SEED)
+    update = SoupObject(
+        source=keys.soup_id,
+        dest=keys.soup_id,
+        object_type=ObjectType.UPDATE,
+        payload={"action": "post_item", "item_id": 42, "kind": "text", "size": 2000},
+        timestamp=12.5,
+    )
+    SecurityManager(keys).sign_object(update)
+    return keys.soup_id, Envelope(msg_id=42, origin=keys.soup_id, attempt=0, payload=update, floor=40)
+
+
+@pytest.mark.parametrize(
+    "step", ["ack-encode", "ack-decode", "update-encode", "update-decode"]
+)
+def test_frame_codec_speed(benchmark, step):
+    """One live frame: an ack (the fixed 31-byte layout) or a signed
+    ``UPDATE`` in its envelope, encoded by the sender or decoded by the
+    receiver."""
+    sender, envelope = _signed_update_envelope()
+    message, size = (Ack(9), ACK_BYTES) if step.startswith("ack") else (envelope, 4_048)
+    body = memoryview(encode_frame(sender, size, message))[LENGTH.size:]
+    if step.endswith("encode"):
+        frame = benchmark(lambda: encode_frame(sender, size, message))
+        assert frame[LENGTH.size:] == body
+    else:
+        got = benchmark(lambda: decode_frame(body))
+        assert got[:2] == (sender, size) and type(got[2]) is type(message)
+
+
+FAN_OUT_MIRRORS = 4
+
+
+async def _live_owner(mirrors: int):
+    """A 10-node live cluster and a node that has ``mirrors`` mirrors."""
+    net = LiveTransport(AsyncClock())
+    cluster = Cluster(net, random.Random(SEED), key_bits=CRYPTO_BITS)
+    for index in range(10):
+        cluster.add(f"user{index:02d}")
+    await net.start()
+    cluster.join_all()
+    cluster.befriend_ring(extra=2)
+    for node in cluster.users:
+        node.run_selection_round()
+    await net.drain(0.05)
+    owners = [
+        node for node in cluster.users
+        if len(node.mirror_manager.announced_mirrors) == mirrors
+    ]
+    return net, owners[0] if owners else None
+
+
+async def _acked(net: LiveTransport, owner) -> None:
+    while owner.reliability.pending_count():
+        await asyncio.sleep(0)
+
+
+def test_post_item_fan_out_speed(benchmark):
+    """One ``post_item`` on the live transport until every mirror has
+    acked: sign once, encode the update once for all four envelopes, four
+    frames out, four acks back."""
+    loop = asyncio.new_event_loop()
+    net, owner = loop.run_until_complete(_live_owner(FAN_OUT_MIRRORS))
+    try:
+        assert owner is not None, f"no node with {FAN_OUT_MIRRORS} mirrors"
+        acked_before = owner.reliability.stats.acked
+
+        def post_and_collect_acks():
+            owner.post_item(DataItem.text(size_bytes=2_000, created_at=net.loop.now))
+            loop.run_until_complete(_acked(net, owner))
+
+        benchmark(post_and_collect_acks)
+        acks = owner.reliability.stats.acked - acked_before
+        assert acks > 0 and acks % FAN_OUT_MIRRORS == 0
+    finally:
+        loop.run_until_complete(net.close())
+        loop.close()

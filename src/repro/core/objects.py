@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
+import threading
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Optional
 
 
@@ -75,10 +76,10 @@ class SoupObject:
             "sequence": self.sequence,
         }
         if isinstance(self.payload, bytes):
-            head = json.dumps(body, sort_keys=True).encode("utf-8")
+            head = _dumps(_canonical.sorted, body).encode("utf-8")
             return head + b"|" + self.payload
         body["payload"] = self.payload
-        return json.dumps(body, sort_keys=True, default=_json_fallback).encode("utf-8")
+        return _dumps(_canonical.sorted, body).encode("utf-8")
 
     def size_bytes(self) -> int:
         """Approximate wire size for traffic accounting.
@@ -91,9 +92,7 @@ class SoupObject:
         elif self.payload is None:
             payload_size = 0
         else:
-            payload_size = len(
-                json.dumps(self.payload, default=_json_fallback).encode("utf-8")
-            )
+            payload_size = len(_dumps(_canonical.unsorted, self.payload))
         return 8 + 8 + 16 + 8 + 8 + 128 + payload_size
 
     def is_signed(self) -> bool:
@@ -107,3 +106,45 @@ def _json_fallback(value: Any) -> Any:
     if hasattr(value, "__dict__"):
         return vars(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+class _CanonicalJson(threading.local):
+    """``json.dumps(value, sort_keys=..., default=_json_fallback)``'s C
+    encoder, built once per thread instead of once per call.
+
+    Its output is the one ``json.dumps`` writes with those arguments
+    (``ensure_ascii``, ``", "`` and ``": "``), so every signature stays the
+    same.  Both encoders share one circular-reference ``markers`` dict,
+    which a finished call leaves empty; per thread, so no two calls share
+    it at once.
+    """
+
+    def __init__(self) -> None:
+        self.markers: dict = {}
+        self.sorted = self._encoder(sort_keys=True)
+        self.unsorted = self._encoder(sort_keys=False)
+
+    def _encoder(self, sort_keys: bool):
+        return c_make_encoder(
+            self.markers, _json_fallback, encode_basestring_ascii, None,
+            ": ", ", ", sort_keys, False, True,
+        )
+
+
+_canonical = _CanonicalJson()
+
+
+def _dumps(encoder, value: Any) -> str:
+    """``value`` as JSON text, through one of :data:`_canonical`'s encoders.
+
+    An encoder that raises (a cycle, a value ``_json_fallback`` refuses)
+    leaves its markers behind, holding the objects it was inside; they
+    are dropped here so that the next call neither keeps them alive nor
+    takes an object at a recycled address for a cycle.  The ASCII output
+    has as many bytes as characters.
+    """
+    try:
+        return "".join(encoder(value, 0))
+    except BaseException:
+        _canonical.markers.clear()
+        raise

@@ -50,8 +50,10 @@ from repro.deploy.live.transport_codec import (
     WireError,
     decode_frame,
     encode_frame,
+    soup_section,
 )
 from repro.network.events import Timer
+from repro.network.reliability import Envelope
 from repro.network.transport import TimerHandle, Transport
 from repro.obs import get_registry
 
@@ -75,9 +77,42 @@ class _PausedFrame:
         self.ctx = ctx
 
 
+class _FanOut:
+    """One :meth:`LiveTransport.fan_out` scope: the SOUP section of
+    ``obj``, encoded by the first frame that carries it and reused by the
+    others."""
+
+    __slots__ = ("obj", "_net", "_soup")
+
+    def __init__(self, net: "LiveTransport", obj: Any) -> None:
+        self.obj = obj
+        self._net = net
+        self._soup: Optional[bytes] = None
+
+    def __enter__(self) -> "_FanOut":
+        self._net._fan_out = self
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._net._fan_out = None
+
+    def soup(self) -> bytes:
+        soup = self._soup
+        if soup is None:
+            soup = self._soup = soup_section(self.obj)
+        return soup
+
+
 #: Bytes a connection's receive buffer holds when no large frame is
 #: arriving.  Every frame the protocol sends fits, with room for a few.
 RECEIVE_BUFFER_BYTES = 4096
+
+#: The most bytes a frame's message may say it meters.  The receiver bins
+#: those bytes over the seconds its downlink takes for them, one meter
+#: entry per second, so the claim must not be free to size that work:
+#: 2**60 bytes would be billions of entries.  Every message the protocol
+#: sends meters far less.
+MAX_METERED_BYTES = 2**32 - 1
 
 
 class _FrameReceiver(asyncio.BufferedProtocol):
@@ -96,11 +131,11 @@ class _FrameReceiver(asyncio.BufferedProtocol):
     and sends little costs at most twice what it sent.  Once the large
     frame is consumed, the buffer goes back to the small size.
 
-    A frame that announces more than :data:`MAX_FRAME_BYTES` or does not
+    A frame that announces more than :data:`MAX_FRAME_BYTES`, does not
     decode (:func:`~repro.deploy.live.transport_codec.decode_frame` builds
-    nothing but ``Ack``, ``Envelope`` and ``SoupObject``) is counted as
-    ``bad-frame`` and costs the peer its connection — the stream cannot be
-    trusted past it.
+    nothing but ``Ack``, ``Envelope`` and ``SoupObject``) or says it meters
+    more than :data:`MAX_METERED_BYTES` is counted as ``bad-frame`` and
+    costs the peer its connection — the stream cannot be trusted past it.
     """
 
     __slots__ = ("_net", "_node_id", "_connection", "_buffer", "_end")
@@ -141,6 +176,8 @@ class _FrameReceiver(asyncio.BufferedProtocol):
                 sender, size_bytes, message, ctx = decode_frame(view[body:start])
             except WireError as exc:
                 return self._bad_frame(f"does not decode ({exc})")
+            if size_bytes > MAX_METERED_BYTES:
+                return self._bad_frame(f"meters {size_bytes} bytes")
             net._dispatch(sender, node_id, message, size_bytes, ctx)
         tail = end - start
         capacity = len(view)
@@ -304,6 +341,8 @@ class LiveTransport(Transport):
         #: every send of the pair queues behind it.
         self._backlog: Dict[_Pair, Deque[Tuple[bytes, Any]]] = {}
         self._tasks: Set[asyncio.Task] = set()
+        #: The open :meth:`fan_out` scope, if any.
+        self._fan_out: Optional[_FanOut] = None
         self._closed = False
 
     # --- lifecycle --------------------------------------------------------
@@ -453,13 +492,15 @@ class LiveTransport(Transport):
         carry (anything but ``Ack``, ``Envelope`` around one ``SoupObject``,
         and ``SoupObject``) is logged and reported ``unreachable``.
         """
-        if sender not in self._links:
+        links, online = self._links, self._online
+        link = links.get(sender)
+        if link is None:
             raise KeyError(f"unknown sender {sender}")
         if size_bytes < 0:
             raise ValueError("message size cannot be negative")
         if self._closed:
             return
-        if not self._online.get(sender, False):
+        if not online.get(sender, False):
             self._fail(0.0, sender, receiver, message, "sender-offline")
             return
         extra_delay = 0.0
@@ -472,11 +513,11 @@ class LiveTransport(Transport):
                 self._count_failure("chaos-drop")
                 return
             if blocked is not None:  # "partitioned"
-                delay = self._links[sender].latency_s * 2 + 0.5
+                delay = link.latency_s * 2 + 0.5
                 self._fail(delay, sender, receiver, message, blocked)
                 return
             extra_delay = self._chaos_extra_delay()
-        send_duration = size_bytes / self._links[sender].upstream_bytes_per_s
+        send_duration = size_bytes / link.upstream_bytes_per_s
         self.meters[sender].record_sent(self.loop.now, size_bytes, send_duration)
         # Trace context is minted after the chaos checks (a resumed,
         # re-sent frame records once per actual wire attempt) but before
@@ -487,12 +528,20 @@ class LiveTransport(Transport):
             ctx = self.observer.on_send(
                 sender, receiver, type(message).__name__, size_bytes
             )
-        if receiver not in self._links or not self._online.get(receiver, False):
-            delay = self._links[sender].latency_s * 2 + 0.5
+        if receiver not in links or not online.get(receiver, False):
+            delay = link.latency_s * 2 + 0.5
             self._fail(delay, sender, receiver, message, "unreachable")
             return
+        scope = self._fan_out
         try:
-            frame = encode_frame(sender, size_bytes, message, ctx)
+            if (
+                scope is not None
+                and type(message) is Envelope
+                and message.payload is scope.obj
+            ):
+                frame = encode_frame(sender, size_bytes, message, ctx, scope.soup())
+            else:
+                frame = encode_frame(sender, size_bytes, message, ctx)
         except WireError as exc:
             logger.warning(
                 "node %d: not sending %s to %d: %s",
@@ -506,6 +555,21 @@ class LiveTransport(Transport):
             )
         else:
             self._put_on_wire(sender, receiver, frame, message)
+
+    def fan_out(self, obj: Any) -> _FanOut:
+        """A scope in which every ``Envelope`` around ``obj`` is framed
+        with one encoding of ``obj``, made by the first of them.  Each
+        frame still gets its own header, envelope fields and trace
+        context, and carries the bytes a frame encoded on its own would
+        (``docs/PROTOCOL.md`` §12)."""
+        return _FanOut(self, obj)
+
+    def uplink_backlog_s(self, node_id: int) -> float:
+        """Always 0: nothing here books the uplink.  On a real socket the
+        kernel serialises a node's sends, and a frame it has queued is
+        covered by the attempt timeout, which is seconds on a loopback
+        that moves a frame in microseconds."""
+        return 0.0
 
     def _spawn(self, coro: Coroutine[Any, Any, None]) -> None:
         task = self._aio.create_task(coro)
@@ -529,17 +593,16 @@ class LiveTransport(Transport):
         key = (sender, receiver)
         backlog = self._backlog.get(key)
         if backlog is None:
-            writer = self._writers.get(key)
-            if (
-                writer is not None
-                and not writer.is_closing()
-                and not writer.transport.get_write_buffer_size()
-            ):
-                writer.write(frame)
-                if writer.is_closing():  # the socket refused the bytes
-                    del self._writers[key]
-                    self._fail(0.0, sender, receiver, message, "unreachable")
-                return
+            writers = self._writers
+            writer = writers.get(key)
+            if writer is not None:
+                wire = writer.transport  # the socket's own, not the wrappers
+                if not wire.is_closing() and not wire.get_write_buffer_size():
+                    wire.write(frame)
+                    if wire.is_closing():  # the socket refused the bytes
+                        del writers[key]
+                        self._fail(0.0, sender, receiver, message, "unreachable")
+                    return
             backlog = self._backlog[key] = deque()
             self._spawn(self._pump(key))
         backlog.append((frame, message))

@@ -105,6 +105,10 @@ LENGTH = struct.Struct(">I")
 _HEAD = struct.Struct(">BBQQ")
 _CONTEXT = struct.Struct(">QdH")
 _ACK = struct.Struct(">BQ")
+#: An ACK frame without a trace context is one fixed layout: length
+#: prefix, head and ACK in 31 bytes, its body in 27.
+_ACK_FRAME = struct.Struct(">IBBQQBQ")
+_ACK_BODY = struct.Struct(">BBQQBQ")
 _ENVELOPE = struct.Struct(">BQQIQ")
 _SOUP_FLOAT = struct.Struct(">QQBBdQ")
 _SOUP_INT = struct.Struct(">QQBBqQ")
@@ -112,6 +116,8 @@ _TIMESTAMP_AT = 18  # offset of the timestamp in a SOUP object's fields
 _I64 = struct.Struct(">q")
 _U16 = struct.Struct(">H")
 _SOUP_TAG = bytes([SOUP_OBJECT])
+#: Builds a decoded ``Envelope`` or ``Ack`` without its ``__new__`` frame.
+_new = tuple.__new__
 
 
 def _not_json(value: Any) -> Any:
@@ -132,6 +138,9 @@ _json_chunks = json.encoder.c_make_encoder(
 )
 _json_scan = json.JSONDecoder(parse_constant=_refuse_constant).scan_once
 
+#: What the encoder's primitives raise on a field the layout cannot carry.
+_UNENCODABLE = (struct.error, TypeError, ValueError, RecursionError)
+
 #: What the decoder's primitives raise on bytes that are not a frame (the
 #: JSON scanner raises StopIteration where no value starts).
 _MALFORMED = (struct.error, IndexError, ValueError, RecursionError, StopIteration)
@@ -139,54 +148,81 @@ _MALFORMED = (struct.error, IndexError, ValueError, RecursionError, StopIteratio
 
 # --- encoding ---------------------------------------------------------------
 def encode_frame(
-    sender: int, size_bytes: int, message: Any, ctx: Optional[tuple] = None
+    sender: int,
+    size_bytes: int,
+    message: Any,
+    ctx: Optional[tuple] = None,
+    soup: Optional[bytes] = None,
 ) -> bytes:
     """The whole frame, length prefix included, for ``message``.
+
+    ``soup``, when given, is what :func:`soup_section` returned for the
+    object ``message`` envelopes: a fan-out encodes its object once and
+    every frame reuses the bytes, which are the ones this function would
+    write.
 
     Raises :class:`WireError` for a message outside the three protocol
     types (an envelope must wrap exactly one SOUP object) or a field the
     layout cannot carry.
     """
+    kind = type(message)
     try:
-        flags = 0 if ctx is None else FLAG_CONTEXT
-        parts = [b"", _HEAD.pack(WIRE_VERSION, flags, sender, size_bytes)]
-        if ctx is not None:
-            msg_id, lamport, t_send = ctx
-            if type(msg_id) is not str or type(t_send) is not float or not isfinite(t_send):
-                raise WireError("trace context must be (str, int, finite float)")
-            tag = msg_id.encode("utf-8")
-            parts.append(_CONTEXT.pack(lamport, t_send, len(tag)))
-            parts.append(tag)
-        kind = type(message)
         if kind is Envelope:
             inner = message.payload
             if type(inner) is not SoupObject:
                 raise WireError("an envelope carries exactly one SOUP object")
-            parts.append(
-                _ENVELOPE.pack(
-                    ENVELOPE, message.msg_id, message.origin, message.attempt, message.floor
-                )
-            )
-            _encode_soup(parts, inner)
+            if soup is None:
+                soup = _encode_soup(inner)
+            msg_id, origin, attempt, _, floor = message
+            tail = _ENVELOPE.pack(ENVELOPE, msg_id, origin, attempt, floor) + soup
         elif kind is SoupObject:
-            parts.append(_SOUP_TAG)
-            _encode_soup(parts, message)
+            tail = _SOUP_TAG + _encode_soup(message)
         elif kind is Ack:
-            parts.append(_ACK.pack(ACK, message.msg_id))
+            if ctx is None:
+                return _ACK_FRAME.pack(
+                    _ACK_FRAME.size - LENGTH.size, WIRE_VERSION, 0,
+                    sender, size_bytes, ACK, message.msg_id,
+                )
+            tail = _ACK.pack(ACK, message.msg_id)
         else:
             raise WireError(f"{kind.__name__} is not a protocol message")
+        if ctx is None:
+            head = _HEAD.pack(WIRE_VERSION, 0, sender, size_bytes)
+        else:
+            msg_id, lamport, t_send = ctx
+            if type(msg_id) is not str or type(t_send) is not float or not isfinite(t_send):
+                raise WireError("trace context must be (str, int, finite float)")
+            tag = msg_id.encode("utf-8")
+            head = (
+                _HEAD.pack(WIRE_VERSION, FLAG_CONTEXT, sender, size_bytes)
+                + _CONTEXT.pack(lamport, t_send, len(tag))
+                + tag
+            )
     except WireError:
         raise
-    except (struct.error, TypeError, ValueError, RecursionError) as exc:
+    except _UNENCODABLE as exc:
         raise WireError(f"cannot encode: {exc}") from None
-    length = sum(map(len, parts))
+    length = len(head) + len(tail)
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame body of {length} bytes exceeds {MAX_FRAME_BYTES}")
-    parts[0] = LENGTH.pack(length)
-    return b"".join(parts)
+    return LENGTH.pack(length) + head + tail
 
 
-def _encode_soup(parts: list, obj: SoupObject) -> None:
+def soup_section(obj: SoupObject) -> bytes:
+    """``obj``'s fields as an ``ENVELOPE`` frame carries them, after its
+    envelope fields: the bytes :func:`encode_frame` takes as ``soup``.
+
+    Raises :class:`WireError` for an object the layout cannot carry.
+    """
+    try:
+        return _encode_soup(obj)
+    except WireError:
+        raise
+    except _UNENCODABLE as exc:
+        raise WireError(f"cannot encode: {exc}") from None
+
+
+def _encode_soup(obj: SoupObject) -> bytes:
     timestamp = obj.timestamp
     if type(timestamp) is float:
         if not isfinite(timestamp):
@@ -209,22 +245,22 @@ def _encode_soup(parts: list, obj: SoupObject) -> None:
             raise WireError(f"signature of type {type(signature).__name__}")
     payload = obj.payload
     if payload is None:
-        raw = None
+        raw = b""
     elif type(payload) is bytes:
         forms |= PAYLOAD_BYTES
-        raw = payload
+        raw = LENGTH.pack(len(payload)) + payload
     else:
         forms |= PAYLOAD_JSON
-        raw = "".join(_json_chunks(payload, 0)).encode("utf-8")
+        text = "".join(_json_chunks(payload, 0)).encode("utf-8")
+        raw = LENGTH.pack(len(text)) + text
     code = TYPE_CODES.get(obj.object_type)
     if code is None:
         raise WireError(f"object type {obj.object_type!r} has no wire code")
-    parts.append(fields.pack(obj.source, obj.dest, code, forms, timestamp, obj.sequence))
-    if signed:
-        parts.append(signed)
-    if raw is not None:
-        parts.append(LENGTH.pack(len(raw)))
-        parts.append(raw)
+    return (
+        fields.pack(obj.source, obj.dest, code, forms, timestamp, obj.sequence)
+        + signed
+        + raw
+    )
 
 
 # --- decoding ---------------------------------------------------------------
@@ -234,6 +270,17 @@ def decode_frame(body) -> Tuple[int, int, Any, Optional[tuple]]:
 
     Raises :class:`WireError` for anything that is not exactly one frame.
     """
+    if len(body) == _ACK_BODY.size:
+        # An ACK without a trace context, in one unpack; a body of this
+        # length that is anything else takes the general path.
+        version, flags, sender, size_bytes, tag, msg_id = _ACK_BODY.unpack(body)
+        if version == WIRE_VERSION and not flags and tag == ACK:
+            return sender, size_bytes, _new(Ack, (msg_id,)), None
+    return _decode_general(body)
+
+
+def _decode_general(body) -> Tuple[int, int, Any, Optional[tuple]]:
+    """:func:`decode_frame` for every layout, the ACK included."""
     try:
         return _decode(body)
     except WireError:
@@ -263,12 +310,12 @@ def _decode(body) -> Tuple[int, int, Any, Optional[tuple]]:
     if tag == ENVELOPE:
         _, msg_id, origin, attempt, floor = _ENVELOPE.unpack_from(body, offset)
         obj, offset = _decode_soup(body, offset + _ENVELOPE.size, end)
-        message = Envelope(msg_id, origin, attempt, obj, floor)
+        message = _new(Envelope, (msg_id, origin, attempt, obj, floor))
     elif tag == SOUP_OBJECT:
         message, offset = _decode_soup(body, offset + 1, end)
     elif tag == ACK:
         _, msg_id = _ACK.unpack_from(body, offset)
-        message = Ack(msg_id)
+        message = _new(Ack, (msg_id,))
         offset += _ACK.size
     else:
         raise WireError(f"unknown message tag {tag}")

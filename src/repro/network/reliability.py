@@ -44,7 +44,7 @@ import itertools
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set
 
 from repro.network.transport import Clock, TimerHandle, Transport
 from repro.obs import get_registry, get_tracer
@@ -279,9 +279,13 @@ class FailureDetector:
 # ---------------------------------------------------------------------------
 # acknowledged sends
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class Envelope:
-    """A reliably-sent payload: (origin, msg_id) identifies it for dedup."""
+class Envelope(NamedTuple):
+    """A reliably-sent payload: (origin, msg_id) identifies it for dedup.
+
+    A tuple, like :class:`~repro.core.experience.ExperienceReport`: every
+    reliable frame builds one to send and one on receipt, and the hot
+    paths build it with ``tuple.__new__`` (see :data:`_new`).
+    """
 
     msg_id: int
     origin: int
@@ -292,11 +296,15 @@ class Envelope:
     floor: int = 0
 
 
-@dataclass(frozen=True)
-class Ack:
+class Ack(NamedTuple):
     """Acknowledgement of one envelope."""
 
     msg_id: int
+
+
+#: Builds an ``Envelope`` or ``Ack`` from a tuple of all its fields without
+#: the generated ``__new__``'s Python frame: ``_new(Ack, (msg_id,))``.
+_new = tuple.__new__
 
 
 @dataclass
@@ -449,13 +457,10 @@ class ReliableEndpoint:
         return msg_id
 
     def _attempt(self, state: _PendingSend) -> None:
-        envelope = Envelope(
-            msg_id=state.msg_id,
-            origin=self.node_id,
-            attempt=state.attempt,
-            payload=state.payload,
-            floor=next(iter(self._pending)),
-        )
+        envelope = _new(Envelope, (
+            state.msg_id, self.node_id, state.attempt, state.payload,
+            next(iter(self._pending)),
+        ))
         self.stats.sent += 1
         self.network.send(self.node_id, state.dest, envelope, state.size_bytes)
         # Measured *after* the send, the uplink backlog covers this frame's
@@ -525,7 +530,7 @@ class ReliableEndpoint:
             return
         if isinstance(message, Envelope):
             # Ack every copy — the origin may have missed the first ack.
-            self.network.send(self.node_id, sender, Ack(message.msg_id), ACK_BYTES)
+            self.network.send(self.node_id, sender, _new(Ack, (message.msg_id,)), ACK_BYTES)
             ledger = self._delivered.get(message.origin)
             if ledger is None:
                 ledger = self._delivered[message.origin] = _OriginLedger()

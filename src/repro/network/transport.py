@@ -32,9 +32,12 @@ behaves bit-for-bit like one without these hooks (guarded by a single
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Protocol, Set, Tuple
+from typing import (
+    Any, Callable, ContextManager, Dict, List, Optional, Protocol, Set, Tuple,
+)
 
 
 class TimerHandle(Protocol):
@@ -444,3 +447,19 @@ class Transport:
         """Send a message; delivery or failure is reported asynchronously
         through the registered handlers."""
         raise NotImplementedError
+
+    def fan_out(self, obj: Any) -> ContextManager[Any]:
+        """A scope around the sends that carry the same ``obj`` to several
+        receivers, such as one update to each mirror.
+
+        A backend that encodes frames may encode ``obj`` once inside the
+        scope and reuse the bytes for every frame that carries it, so
+        ``obj`` must not change while the scope is open; a send after it
+        closes (a retry) encodes afresh.  Here, and on ``SimNetwork``,
+        which encodes nothing, the scope does nothing.
+        """
+        return _NO_SCOPE
+
+
+#: :meth:`Transport.fan_out` of a backend with nothing to share.
+_NO_SCOPE = contextlib.nullcontext()

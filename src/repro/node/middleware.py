@@ -417,18 +417,19 @@ class SoupNode:
             replica = self.devices.device(device)
             replica.profile.add_item(item)
             replica.record_local(pending)
-        for mirror_id in self.mirror_manager.announced_mirrors:
-            mirror = self._peer(mirror_id)
-            if mirror is None or not self._reachable(mirror_id):
-                continue
-            self.interface.send_bytes_reliable(
-                mirror_id,
-                update,
-                item.size_bytes + _ENCRYPTION_OVERHEAD_BYTES,
-                on_ack=on_push_ack,
-                on_giveup=on_push_giveup,
-            )
-            mirror.mirror_manager.record_owner_update(self.node_id, pending)
+        with self.network.fan_out(update):
+            for mirror_id in self.mirror_manager.announced_mirrors:
+                mirror = self._peer(mirror_id)
+                if mirror is None or not self._reachable(mirror_id):
+                    continue
+                self.interface.send_bytes_reliable(
+                    mirror_id,
+                    update,
+                    item.size_bytes + _ENCRYPTION_OVERHEAD_BYTES,
+                    on_ack=on_push_ack,
+                    on_giveup=on_push_giveup,
+                )
+                mirror.mirror_manager.record_owner_update(self.node_id, pending)
 
     # ------------------------------------------------------------------
     # multi-device synchronization (Sec. 3.5)
@@ -791,16 +792,17 @@ class SoupNode:
         each offline one, to the first online mirror its entry names (Fig. 2)."""
         size = update_object.size_bytes()
         delivered = False
-        for mirror_id in entry.mirror_ids:
-            holder: Optional[int] = mirror_id
-            if not self._probe(mirror_id):
-                # One hop further, to the offline mirror's mirrors.
-                mirror_entry = self.lookup_user(mirror_id)
-                subs = mirror_entry.mirror_ids if mirror_entry is not None else ()
-                holder = next((sub for sub in subs if self._probe(sub)), None)
-            if holder is not None:
-                self.interface.send_bytes_reliable(holder, update_object, size)
-                delivered = True
+        with self.network.fan_out(update_object):
+            for mirror_id in entry.mirror_ids:
+                holder: Optional[int] = mirror_id
+                if not self._probe(mirror_id):
+                    # One hop further, to the offline mirror's mirrors.
+                    mirror_entry = self.lookup_user(mirror_id)
+                    subs = mirror_entry.mirror_ids if mirror_entry is not None else ()
+                    holder = next((sub for sub in subs if self._probe(sub)), None)
+                if holder is not None:
+                    self.interface.send_bytes_reliable(holder, update_object, size)
+                    delivered = True
         return delivered
 
     def collect_updates(self) -> None:

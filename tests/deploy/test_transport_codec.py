@@ -1,6 +1,8 @@
 """The live wire's frame codec (:mod:`repro.deploy.live.transport_codec`).
 
-Round trips over generated protocol messages, the encoder's refusals, and
+Round trips over generated protocol messages, golden frames, the fast
+paths (a context-free ACK, an envelope around an already encoded SOUP
+section) against the general ones, the encoder's refusals, and
 hostile bytes fed to a receiving connection the way the event loop feeds
 it (``get_buffer`` / ``buffer_updated``): every malformed frame must end as
 one counted ``bad-frame`` with the connection closed, nothing may raise out
@@ -15,6 +17,7 @@ import pickle
 import re
 import struct
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import pytest
 from hypothesis import given
@@ -23,11 +26,13 @@ from hypothesis import strategies as st
 from repro.core import objects
 from repro.core.objects import ObjectType, SoupObject
 from repro.deploy.live.transport import (
+    MAX_METERED_BYTES,
     RECEIVE_BUFFER_BYTES,
     AsyncClock,
     LiveTransport,
     _FrameReceiver,
 )
+from repro.deploy.live import transport_codec
 from repro.deploy.live.transport_codec import (
     ACK,
     ENVELOPE,
@@ -42,6 +47,7 @@ from repro.deploy.live.transport_codec import (
     WireError,
     decode_frame,
     encode_frame,
+    soup_section,
 )
 from repro.network.reliability import Ack, Envelope
 
@@ -165,6 +171,154 @@ def test_frames_are_compact():
     assert len(encode_frame(11, 4_048, envelope)) < 256
 
 
+# --- golden frames ----------------------------------------------------------
+GOLDEN_SENDER = 0x9167453D489BA97F
+GOLDEN_SIGNATURE = int(
+    "1727319779876273441506384137195427895691844278491654785267214688798134857292"
+    "247251108508023359827982638687560920871091112044550740897210087734325002044072"
+)
+
+
+def golden_update() -> SoupObject:
+    """An update signed by the 512-bit key of ``KeyPair.generate(bits=512, seed=7)``."""
+    return SoupObject(
+        source=GOLDEN_SENDER, dest=GOLDEN_SENDER, object_type=ObjectType.UPDATE,
+        payload={"action": "post_item", "item_id": 7, "kind": "text", "size": 2000},
+        timestamp=12.25, signature=GOLDEN_SIGNATURE, sequence=41,
+    )
+
+
+def golden_response() -> SoupObject:
+    return SoupObject(
+        source=22, dest=GOLDEN_SENDER, object_type=ObjectType.PROFILE_RESPONSE,
+        payload={"owner": 22, "items": ["a", "\u00e9"], "served_by": 33},
+        timestamp=3, sequence=8,
+    )
+
+
+def golden_envelope() -> Envelope:
+    return Envelope(msg_id=5, origin=GOLDEN_SENDER, attempt=1, payload=golden_update(), floor=3)
+
+
+#: Frames recorded before the ACK and shared-section fast paths existed.
+GOLDEN_FRAMES = [
+    (lambda: encode_frame(GOLDEN_SENDER, 64, Ack(9)),
+     "0000001b01009167453d489ba97f0000000000000040010000000000000009"),
+    (lambda: encode_frame(GOLDEN_SENDER, 64, Ack(9), ("m3-17", 5, 2.5)),
+     "0000003201019167453d489ba97f00000000000000400000000000000005400400000000000000056d332d3137010000000000000009"),
+    (lambda: encode_frame(GOLDEN_SENDER, 2256, golden_envelope()),
+     "000000d301009167453d489ba97f00000000000008d00200000000000000059167453d489ba97f000000010000000000"
+     "0000039167453d489ba97f9167453d489ba97f0e1240288000000000000000000000000029004020faf69500a4704f37"
+     "e4deda7cb09455d377600464b0923ad021a01bbb03f56924b6444c8c89b8586a783839b683498161119d427a8260201f"
+     "37462a8f0302a80000003c7b22616374696f6e223a22706f73745f6974656d222c226974656d5f6964223a372c226b69"
+     "6e64223a2274657874222c2273697a65223a323030307d"),
+    (lambda: encode_frame(GOLDEN_SENDER, 2256, golden_envelope(), ("m3-18", 6, 2.75)),
+     "000000ea01019167453d489ba97f00000000000008d00000000000000006400600000000000000056d332d3138020000"
+     "0000000000059167453d489ba97f0000000100000000000000039167453d489ba97f9167453d489ba97f0e1240288000"
+     "000000000000000000000029004020faf69500a4704f37e4deda7cb09455d377600464b0923ad021a01bbb03f56924b6"
+     "444c8c89b8586a783839b683498161119d427a8260201f37462a8f0302a80000003c7b22616374696f6e223a22706f73"
+     "745f6974656d222c226974656d5f6964223a372c226b696e64223a2274657874222c2273697a65223a323030307d"),
+    (lambda: encode_frame(22, 512, golden_response()),
+     "000000670100000000000000001600000000000002000300000000000000169167453d489ba97f081100000000000000"
+     "0300000000000000080000002e7b226f776e6572223a32322c226974656d73223a5b2261222c22c3a9225d2c227365727665645f6279223a33337d"),
+]
+
+
+@pytest.mark.parametrize(
+    "encode, golden", GOLDEN_FRAMES,
+    ids=["ack", "ack-with-context", "update-envelope", "update-envelope-with-context",
+         "bare-profile-response"],
+)
+def test_frames_are_byte_for_byte_the_recorded_ones(encode, golden):
+    frame = encode()
+    assert frame.hex() == golden
+    # What the receiver builds from it encodes back to the same bytes.
+    sender, size_bytes, message, ctx = decode_frame(body_of(frame))
+    assert encode_frame(sender, size_bytes, message, ctx) == frame
+
+
+def test_a_shared_section_gives_the_recorded_envelope_frame():
+    envelope = golden_envelope()
+    shared = encode_frame(GOLDEN_SENDER, 2256, envelope, None, soup_section(envelope.payload))
+    assert shared.hex() == GOLDEN_FRAMES[2][1]
+
+
+# --- fast paths against the general ones --------------------------------------
+def decode_both(body):
+    """What the fast path and the general decoder make of ``body``: a
+    result, or ``WireError``."""
+    outcomes = []
+    for decode in (decode_frame, transport_codec._decode_general):
+        try:
+            outcomes.append(decode(body))
+        except WireError:
+            outcomes.append(WireError)
+    return outcomes
+
+
+def assert_same_decoding(body):
+    fast, general = decode_both(body)
+    assert fast == general
+    if fast is not WireError:
+        assert type(fast[2]) is type(general[2])
+
+
+@given(body=st.binary(min_size=27, max_size=27))
+def test_every_27_byte_body_decodes_alike_on_both_paths(body):
+    assert_same_decoding(body)
+
+
+@given(
+    msg_id=U64, sender=U64, size_bytes=U64,
+    position=st.integers(0, 26), value=st.integers(0, 255),
+)
+def test_a_corrupted_ack_decodes_alike_on_both_paths(msg_id, sender, size_bytes, position, value):
+    body = bytearray(body_of(encode_frame(sender, size_bytes, Ack(msg_id))))
+    assert len(body) == 27
+    assert decode_frame(bytes(body)) == (sender, size_bytes, Ack(msg_id), None)
+    body[position] = value
+    assert_same_decoding(bytes(body))
+
+
+def test_an_ack_frame_is_31_bytes_and_round_trips_on_the_fast_path():
+    frame = encode_frame(1, 64, Ack(2**64 - 1))
+    assert len(frame) == 31
+    sender, size_bytes, message, ctx = decode_frame(memoryview(frame)[LENGTH.size:])
+    assert (sender, size_bytes, message, ctx) == (1, 64, Ack(2**64 - 1), None)
+    assert type(message) is Ack
+
+
+ENVELOPES = st.builds(
+    Envelope,
+    msg_id=U64,
+    origin=U64,
+    attempt=st.integers(0, 2**32 - 1),
+    payload=SOUP_OBJECTS,
+    floor=U64,
+)
+
+
+@given(envelope=ENVELOPES, sender=U64, size_bytes=U64, ctx=CONTEXTS)
+def test_a_shared_soup_section_frames_the_bytes_of_one_encoded_alone(
+    envelope, sender, size_bytes, ctx
+):
+    alone = encode_frame(sender, size_bytes, envelope, ctx)
+    soup = soup_section(envelope.payload)
+    assert encode_frame(sender, size_bytes, envelope, ctx, soup) == alone
+    # A second frame of the same fan-out: same section, other fields.
+    again = envelope._replace(msg_id=envelope.msg_id ^ 1, attempt=0)
+    assert encode_frame(sender, size_bytes, again, ctx, soup) == encode_frame(
+        sender, size_bytes, again, ctx
+    )
+
+
+def test_soup_section_refuses_what_the_wire_does_not_carry():
+    with pytest.raises(WireError):
+        soup_section(sample_object(payload={1, 2}))
+    with pytest.raises(WireError):
+        soup_section(sample_object(timestamp=math.nan))
+
+
 def test_type_codes_are_explicit_unique_and_documented():
     assert set(TYPE_CODES) == set(ObjectType)
     assert sorted(TYPE_CODES.values()) == list(range(1, len(ObjectType) + 1))
@@ -181,10 +335,26 @@ class NotAnAck(Ack):
     pass
 
 
+class LikeAnAck(NamedTuple):
+    msg_id: int
+
+
+class LikeAnEnvelope(NamedTuple):
+    msg_id: int
+    origin: int
+    attempt: int
+    payload: Any
+    floor: int = 0
+
+
 @pytest.mark.parametrize(
     "message",
     [
         ("ping", 1),
+        (9,),
+        (1, 2, 0, sample_object(), 0),
+        LikeAnAck(9),
+        LikeAnEnvelope(1, 2, 0, sample_object(), 0),
         "text",
         7,
         None,
@@ -210,7 +380,8 @@ class NotAnAck(Ack):
         Envelope(msg_id=1, origin=2, attempt=2**32, payload=sample_object()),
     ],
     ids=[
-        "tuple", "str", "int", "none", "subclass", "envelope-of-str",
+        "tuple", "bare-ack-tuple", "bare-envelope-tuple", "namedtuple-like-ack",
+        "namedtuple-like-envelope", "str", "int", "none", "subclass", "envelope-of-str",
         "nested-envelope", "bool-timestamp", "nan-timestamp", "huge-int-timestamp",
         "negative-signature", "oversized-signature", "tuple-signature",
         "short-digest", "set-payload", "infinite-json", "object-payload",
@@ -438,6 +609,19 @@ def test_a_corrupted_byte_yields_one_message_or_a_bad_frame(message, ctx, positi
     else:
         assert len(handled) == 1 and reasons == {}
         assert type(handled[0]) in (Ack, Envelope, SoupObject)
+
+
+@pytest.mark.parametrize("size_bytes", [MAX_METERED_BYTES + 1, 2**60, 2**64 - 1])
+def test_metering_more_than_the_cap_is_a_bad_frame(size_bytes):
+    # The receiver would bin these bytes over one meter entry per second
+    # of its downlink: billions of entries for a few hostile bytes.
+    assert_rejected(receive([[encode_frame(0, size_bytes, Ack(1))]]))
+    assert_rejected(receive([[encode_frame(0, size_bytes, sample_object())]]))
+
+
+def test_metering_up_to_the_cap_is_delivered():
+    [(handled, reasons, closed)] = receive([[encode_frame(0, MAX_METERED_BYTES, Ack(1))]])
+    assert (handled, reasons, closed) == ([Ack(1)], {}, False)
 
 
 def test_announcing_more_than_the_cap_is_a_bad_frame():
