@@ -46,7 +46,7 @@ def _resolve_lazy(package, table, name):
 
 #: Public names and the modules that define them, imported on first access:
 #: a process that only runs the node middleware never loads the simulator
-#: (numpy, networkx) behind ``run_scenario``.
+#: and the numpy it needs behind ``run_scenario``.
 _LAZY = {
     "SoupConfig": "repro.core.config",
     "run_scenario": "repro.sim.engine",

@@ -17,10 +17,12 @@ exactly the number the paper reports for Safebook.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.graphs.friendship import FriendshipGraph
 
 
 @dataclass
@@ -35,7 +37,7 @@ class SafebookModel:
 
     def assign_mirrors(
         self,
-        graph: nx.Graph,
+        graph: FriendshipGraph,
         online_probabilities: np.ndarray,
         rng: np.random.Generator,
     ) -> List[List[int]]:
@@ -87,7 +89,7 @@ class SafebookModel:
 
     def summary(
         self,
-        graph: nx.Graph,
+        graph: FriendshipGraph,
         online_probabilities: np.ndarray,
         seed: int = 0,
         n_epochs: int = 24 * 7,

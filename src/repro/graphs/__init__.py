@@ -8,6 +8,14 @@ graphs matching each dataset's node count, edge count and heavy-tailed
 degree shape — the only graph properties the simulation consumes.  A loader
 for the real edge lists (:mod:`repro.graphs.loader`) is provided for users
 who have the files.
+
+Both return a :class:`~repro.graphs.friendship.FriendshipGraph`: the
+adjacency as two flat integer arrays (CSR offsets and neighbour ids) over
+nodes ``0..n-1``, with networkx's node, edge and neighbour orders.  No
+module here imports networkx at load time: the statistics' clustering and
+the samplers' components import it when they run, on the graph's
+:meth:`~repro.graphs.friendship.FriendshipGraph.to_networkx` copy, so a
+process that generates a dataset and simulates it never loads networkx.
 """
 
 from repro.graphs.datasets import (
@@ -16,6 +24,7 @@ from repro.graphs.datasets import (
     generate_dataset,
     table3_rows,
 )
+from repro.graphs.friendship import FriendshipGraph
 from repro.graphs.loader import load_edge_list
 from repro.graphs.sampling import largest_component, sample_subgraph
 from repro.graphs.stats import GraphStats, graph_stats
@@ -25,6 +34,7 @@ __all__ = [
     "DatasetSpec",
     "generate_dataset",
     "table3_rows",
+    "FriendshipGraph",
     "load_edge_list",
     "largest_component",
     "sample_subgraph",

@@ -30,7 +30,10 @@ scale (``tests/graphs/test_generation_scaling.py``), where networkx's hub
 scans grew with the graph.  ``tests/graphs/test_holme_kim_oracle.py`` checks
 the equality against networkx's generator, and
 ``tests/graphs/test_golden_graphs.py`` pins every order the engine reads to
-digests recorded from the networkx pipeline.
+digests recorded from the networkx pipeline.  ``generate_dataset`` packs the
+grown adjacency into a :class:`~repro.graphs.friendship.FriendshipGraph`
+(two flat integer arrays), so neither the growth nor its result needs
+networkx.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-import networkx as nx
 import numpy as np
+
+from repro.graphs.friendship import FriendshipGraph
 
 
 @dataclass(frozen=True)
@@ -189,7 +193,7 @@ def _adjust_edge_count(
                 edge_count -= 1
 
 
-def generate_dataset(name: str, scale: float = 1.0, seed: int = 0) -> nx.Graph:
+def generate_dataset(name: str, scale: float = 1.0, seed: int = 0) -> FriendshipGraph:
     """Generate the synthetic graph for dataset ``name`` at ``scale``.
 
     Nodes are the contiguous integers ``0..n-1``; the graph carries
@@ -214,14 +218,11 @@ def generate_dataset(name: str, scale: float = 1.0, seed: int = 0) -> nx.Graph:
     adjacency = _holme_kim(n, m, spec.triangle_probability, growth_rng)
     _adjust_edge_count(adjacency, target_edges, rng)
 
-    # Nodes first, then edges in ``edges`` order: the node, edge and
-    # neighbour orders networkx's relabelled copy of the graph had.
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(_edges(adjacency))
-    graph.graph["dataset"] = spec.name
-    graph.graph["scale"] = scale
-    return graph
+    # Edges in ``edges`` order, each appended at both ends: the node, edge
+    # and neighbour orders networkx's relabelled copy of the graph had.
+    return FriendshipGraph.from_edges(
+        n, _edges(adjacency), graph={"dataset": spec.name, "scale": scale}
+    )
 
 
 def generate_scale_free(
@@ -229,11 +230,13 @@ def generate_scale_free(
 ) -> np.ndarray:
     """Deterministic Barabási–Albert scale-free edge list.
 
-    The Table-3 generators build a networkx graph, whose per-node Python
-    objects cap out far below the roadmap's 1M-node target.  This
-    generator keeps pure preferential attachment but works on
-    preallocated int64 arrays — ~16 bytes per edge, no graph objects —
-    so a million-node graph is a seconds-scale operation
+    The Table-3 generators grow their graphs over Python adjacency dicts
+    (networkx's Holme–Kim draw for draw), whose per-node objects cap out
+    far below the roadmap's 1M-node target before they are packed into a
+    :class:`~repro.graphs.friendship.FriendshipGraph`.  This generator
+    keeps pure preferential attachment but works on preallocated int64
+    arrays from the start — ~16 bytes per edge, no graph objects — so a
+    million-node graph is a seconds-scale operation
     (``benchmarks/test_microbenchmarks.py`` tracks the rate).
 
     Returns an ``(E, 2)`` int64 array of undirected edges over nodes

@@ -5,33 +5,43 @@ Random-node induced subgraphs destroy the degree distribution's tail, so
 preferentially keeps hubs, preserving the heavy-tailed shape the mirror
 selection exploits.  All samples are reduced to their largest connected
 component so every node can learn about others through contacts.
+
+Components and induced subgraphs are networkx's, on the graph's
+:meth:`~repro.graphs.friendship.FriendshipGraph.to_networkx` copy.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import TYPE_CHECKING
 
-import networkx as nx
+from repro.graphs.friendship import FriendshipGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
-def largest_component(graph: nx.Graph) -> nx.Graph:
+def _largest_component(graph: nx.Graph) -> FriendshipGraph:
+    import networkx as nx
+
+    component = max(nx.connected_components(graph), key=len)
+    sub = nx.convert_node_labels_to_integers(graph.subgraph(component).copy())
+    return FriendshipGraph.from_networkx(sub)
+
+
+def largest_component(graph: FriendshipGraph) -> FriendshipGraph:
     """The induced subgraph on the largest connected component, relabeled."""
     if graph.number_of_nodes() == 0:
-        return graph.copy()
-    component = max(nx.connected_components(graph), key=len)
-    sub = graph.subgraph(component).copy()
-    sub = nx.convert_node_labels_to_integers(sub)
-    sub.graph.update(graph.graph)
-    return sub
+        return FriendshipGraph.from_edges(0, [], graph=dict(graph.graph))
+    return _largest_component(graph.to_networkx())
 
 
 def sample_subgraph(
-    graph: nx.Graph,
+    graph: FriendshipGraph,
     target_nodes: int,
     seed: int = 0,
     restart_probability: float = 0.15,
-) -> nx.Graph:
+) -> FriendshipGraph:
     """Random-walk sample of ``target_nodes`` nodes from ``graph``.
 
     A walk with restarts visits nodes proportionally to degree (hub-biased),
@@ -45,7 +55,7 @@ def sample_subgraph(
         return largest_component(graph)
 
     rng = random.Random(seed)
-    nodes = list(graph.nodes)
+    nodes = graph.nodes()
     start = rng.choice(nodes)
     visited = {start}
     current = start
@@ -53,14 +63,13 @@ def sample_subgraph(
     steps = 0
     while len(visited) < target_nodes and steps < stall_budget:
         steps += 1
-        neighbors = list(graph.neighbors(current))
+        neighbors = graph.neighbors(current)
         if not neighbors or rng.random() < restart_probability:
             current = rng.choice(nodes)
         else:
             current = rng.choice(neighbors)
         visited.add(current)
 
-    sample = graph.subgraph(visited).copy()
-    sample.graph.update(graph.graph)
+    sample = graph.to_networkx().subgraph(visited).copy()
     sample.graph["sampled_from"] = graph.number_of_nodes()
-    return largest_component(sample)
+    return _largest_component(sample)

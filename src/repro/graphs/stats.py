@@ -5,8 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import networkx as nx
 import numpy as np
+
+from repro.graphs.friendship import FriendshipGraph
 
 
 @dataclass(frozen=True)
@@ -38,20 +39,27 @@ def _gini(values: np.ndarray) -> float:
     return float((n + 1 - 2 * np.sum(cumulative) / cumulative[-1]) / n)
 
 
-def graph_stats(graph: nx.Graph, clustering_sample_size: int = 500, seed: int = 0) -> GraphStats:
+def graph_stats(
+    graph: FriendshipGraph, clustering_sample_size: int = 500, seed: int = 0
+) -> GraphStats:
     """Compute :class:`GraphStats`; clustering is estimated on a node sample
     because exact clustering on 90k-node graphs is needlessly slow."""
-    degrees = np.array([d for _, d in graph.degree()], dtype=int)
+    degrees = graph.degrees()
     rng = np.random.default_rng(seed)
-    if graph.number_of_nodes() > clustering_sample_size:
-        sample_nodes = rng.choice(
-            np.array(graph.nodes), size=clustering_sample_size, replace=False
-        )
-        clustering = nx.average_clustering(graph, nodes=list(sample_nodes))
-    elif graph.number_of_nodes() > 0:
-        clustering = nx.average_clustering(graph)
-    else:
-        clustering = 0.0
+    clustering = 0.0
+    if graph.number_of_nodes() > 0:
+        import networkx as nx
+
+        nx_graph = graph.to_networkx()
+        if graph.number_of_nodes() > clustering_sample_size:
+            sample_nodes = rng.choice(
+                np.arange(graph.number_of_nodes()),
+                size=clustering_sample_size,
+                replace=False,
+            )
+            clustering = nx.average_clustering(nx_graph, nodes=list(sample_nodes))
+        else:
+            clustering = nx.average_clustering(nx_graph)
     return GraphStats(
         nodes=graph.number_of_nodes(),
         edges=graph.number_of_edges(),
@@ -63,9 +71,9 @@ def graph_stats(graph: nx.Graph, clustering_sample_size: int = 500, seed: int = 
     )
 
 
-def degree_ccdf(graph: nx.Graph) -> List[Tuple[int, float]]:
+def degree_ccdf(graph: FriendshipGraph) -> List[Tuple[int, float]]:
     """Complementary CDF of the degree distribution, for tail inspection."""
-    degrees = sorted((d for _, d in graph.degree()), reverse=True)
+    degrees = sorted(graph.degrees().tolist(), reverse=True)
     n = len(degrees)
     if n == 0:
         return []

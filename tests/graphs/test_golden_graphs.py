@@ -46,9 +46,9 @@ def graph_digest(graph) -> dict:
     """Counts plus one SHA-256 over every order the engine can observe."""
     payload = json.dumps(
         {
-            "nodes": list(graph.nodes),
-            "edges": list(graph.edges),
-            "adjacency": [list(graph.adj[node]) for node in graph.nodes],
+            "nodes": list(graph.nodes()),
+            "edges": list(graph.edges()),
+            "adjacency": [graph.neighbors(node) for node in graph.nodes()],
             "graph": graph.graph,
         },
         separators=(",", ":"),

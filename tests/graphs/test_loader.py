@@ -1,9 +1,12 @@
 """Tests for the edge-list loader."""
 
 import gzip
+import random
 
+import networkx as nx
 import pytest
 
+from repro.graphs.friendship import FriendshipGraph
 from repro.graphs.loader import load_edge_list
 
 
@@ -41,7 +44,23 @@ def test_relabeled_to_contiguous_integers(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("1000 2000\n2000 50\n")
     graph = load_edge_list(path)
-    assert set(graph.nodes) == {0, 1, 2}
+    assert set(graph.nodes()) == {0, 1, 2}
+
+
+def test_same_graph_as_the_networkx_loader(tmp_path):
+    """Repeats, reversed repeats and self-loops included, the graph equals
+    the one ``add_edge`` + ``convert_node_labels_to_integers`` built."""
+    rng = random.Random(5)
+    lines = [(rng.randrange(1000, 1030), rng.randrange(1000, 1030)) for _ in range(200)]
+    path = tmp_path / "edges.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in lines))
+    oracle = nx.Graph()
+    for u, v in lines:
+        if u != v:
+            oracle.add_edge(u, v)
+    oracle = nx.convert_node_labels_to_integers(oracle)
+    oracle.graph.update(dataset="edges", scale=1.0)
+    assert load_edge_list(path) == FriendshipGraph.from_networkx(oracle)
 
 
 def test_missing_file_raises():

@@ -4,11 +4,12 @@ import networkx as nx
 import pytest
 
 from repro.graphs.datasets import generate_dataset
+from repro.graphs.friendship import FriendshipGraph
 from repro.graphs.stats import degree_ccdf, graph_stats
 
 
 def test_stats_on_known_graph():
-    graph = nx.complete_graph(5)
+    graph = FriendshipGraph.from_networkx(nx.complete_graph(5))
     stats = graph_stats(graph)
     assert stats.nodes == 5
     assert stats.edges == 10
@@ -20,13 +21,13 @@ def test_stats_on_known_graph():
 
 
 def test_gini_detects_heterogeneity():
-    star = graph_stats(nx.star_graph(20))
-    ring = graph_stats(nx.cycle_graph(21))
+    star = graph_stats(FriendshipGraph.from_networkx(nx.star_graph(20)))
+    ring = graph_stats(FriendshipGraph.from_networkx(nx.cycle_graph(21)))
     assert star.degree_gini > ring.degree_gini
 
 
 def test_as_row_matches_table3_view():
-    graph = nx.complete_graph(4)
+    graph = FriendshipGraph.from_networkx(nx.complete_graph(4))
     assert graph_stats(graph).as_row() == (4, 6, 3.0)
 
 
@@ -45,4 +46,4 @@ def test_degree_ccdf_monotone():
 
 
 def test_degree_ccdf_empty_graph():
-    assert degree_ccdf(nx.Graph()) == []
+    assert degree_ccdf(FriendshipGraph.from_edges(0, [])) == []

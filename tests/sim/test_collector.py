@@ -51,6 +51,7 @@ def test_construction_leaves_the_collector_as_it_found_it(enabled, restore_colle
 
 def test_construction_restores_the_collector_when_it_raises(restore_collector):
     graph, config = inputs()
+    graph = graph.to_networkx()  # a FriendshipGraph holds no self-loop
     graph.add_edge(3, 3)  # node 3 befriends itself: its knowledge base refuses
     gc.enable()
     with pytest.raises(ValueError, match="about itself"):

@@ -10,8 +10,14 @@ from hypothesis import strategies as st
 from repro.core.config import SoupConfig
 from repro.core.dropping import ReplicaStore
 from repro.graphs.datasets import generate_dataset
-from repro.sim.engine import SoupSimulation
+from repro.sim.engine import SoupSimulation, _median
 from repro.sim.scenario import ScenarioConfig
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_median_is_numpys_bit_for_bit(values):
+    array = np.array(values)
+    assert _median(array).hex() == float(np.median(array)).hex()
 
 
 def build(**overrides):
