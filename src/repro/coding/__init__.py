@@ -6,32 +6,23 @@ pieces, which are in turn encoded into n fragments using an (n, k) maximum
 distance separable code. After distributing the fragments to n nodes, it
 is possible to obtain the complete information from k encoded fragments."
 
-This package implements that extension from scratch:
+This package holds the codec and the availability maths of that extension.
+Both are for the extension benchmark only: the middleware replicates whole
+profiles, and no run-time path encodes or decodes a fragment.
 
 * :mod:`repro.coding.gf256` — arithmetic in GF(2^8) (the field every
   practical storage code uses), with log/antilog tables.
 * :mod:`repro.coding.reed_solomon` — a systematic (n, k) Reed-Solomon MDS
   code over GF(2^8): encode into n fragments, reconstruct from any k.
-* :mod:`repro.coding.fragments` — the SOUP integration: split + encode a
-  profile, place fragments on mirrors, availability semantics ("data
-  available iff ≥ k fragment holders online") and the storage-overhead
-  accounting (n/k × instead of R ×).
+* :mod:`repro.coding.fragments` — availability semantics ("data available
+  iff ≥ k fragment holders online") and the full-replication count that
+  meets the same target.
 """
 
-from repro.coding.fragments import (
-    CodedReplicationPlan,
-    FragmentPlacement,
-    coded_availability,
-    plan_for_profile,
-)
 from repro.coding.gf256 import GF256
 from repro.coding.reed_solomon import ReedSolomonCode, ReedSolomonError
 
 __all__ = [
-    "CodedReplicationPlan",
-    "FragmentPlacement",
-    "coded_availability",
-    "plan_for_profile",
     "GF256",
     "ReedSolomonCode",
     "ReedSolomonError",

@@ -1,96 +1,18 @@
-"""SOUP integration of erasure-coded replication (Sec. 8 extension).
+"""Availability maths of erasure-coded replication (Sec. 8 extension).
 
-Instead of storing R full replicas, a large profile is encoded into n
-fragments of size ``profile/k`` placed on n mirrors; the data is available
-whenever at least k fragment holders are online.  This module provides the
-placement plan, the availability semantics, and the comparison maths the
-extension bench uses (full replication vs coding at equal storage budget).
+Instead of storing R full replicas, a large profile could be encoded into
+n fragments of size ``profile/k`` placed on n mirrors; the data would be
+available whenever at least k fragment holders are online.  The middleware
+replicates whole profiles only: these closed forms serve the extension
+benchmark (``benchmarks/test_extension_coding.py``), which compares full
+replication with coding at equal storage budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from repro.coding.reed_solomon import Fragment, ReedSolomonCode, ReedSolomonError
-
-
-@dataclass(frozen=True)
-class FragmentPlacement:
-    """One fragment assigned to one mirror."""
-
-    mirror: int
-    fragment_index: int
-    size_bytes: int
-
-
-@dataclass
-class CodedReplicationPlan:
-    """A profile's erasure-coded placement."""
-
-    owner: int
-    n: int
-    k: int
-    profile_bytes: int
-    placements: List[FragmentPlacement]
-
-    @property
-    def fragment_bytes(self) -> int:
-        return (self.profile_bytes + self.k - 1) // self.k
-
-    @property
-    def stored_bytes(self) -> int:
-        return sum(p.size_bytes for p in self.placements)
-
-    @property
-    def storage_overhead(self) -> float:
-        """Stored bytes relative to the profile size (n/k for full plans)."""
-        if self.profile_bytes == 0:
-            return 0.0
-        return self.stored_bytes / self.profile_bytes
-
-    def holders(self) -> List[int]:
-        return [p.mirror for p in self.placements]
-
-
-def plan_for_profile(
-    owner: int,
-    profile_bytes: int,
-    mirrors: Sequence[int],
-    k: int,
-) -> CodedReplicationPlan:
-    """Place an (n, k) coding of the profile across the given mirrors.
-
-    ``n`` is the number of mirrors supplied; each mirror holds exactly one
-    fragment (the paper's point: no single node is burdened with the whole
-    large profile).
-    """
-    n = len(mirrors)
-    if n < k:
-        raise ReedSolomonError(f"need at least k={k} mirrors, got {n}")
-    if profile_bytes < 0:
-        raise ValueError("profile size cannot be negative")
-    fragment_bytes = (profile_bytes + k - 1) // k if profile_bytes else 0
-    placements = [
-        FragmentPlacement(mirror=mirror, fragment_index=index, size_bytes=fragment_bytes)
-        for index, mirror in enumerate(mirrors)
-    ]
-    return CodedReplicationPlan(
-        owner=owner, n=n, k=k, profile_bytes=profile_bytes, placements=placements
-    )
-
-
-def coded_availability(
-    plan: CodedReplicationPlan, online: Dict[int, bool] | np.ndarray
-) -> bool:
-    """Data available iff ≥ k fragment holders are online."""
-    if isinstance(online, np.ndarray):
-        online_count = int(sum(bool(online[p.mirror]) for p in plan.placements))
-    else:
-        online_count = sum(1 for p in plan.placements if online.get(p.mirror, False))
-    return online_count >= plan.k
 
 
 def availability_probability(

@@ -19,7 +19,6 @@ friend, in order: the same scores, score-table order and removals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
@@ -34,7 +33,6 @@ class ReplicaInfo:
     """Metadata a mirror keeps about one stored replica."""
 
     owner: int
-    size_profiles: float = 1.0
     is_friend: bool = False
 
 
@@ -51,7 +49,8 @@ class ReplicaStore:
     """A mirror's replica storage with protective dropping.
 
     ``capacity_profiles`` is the node's storage budget expressed in profile
-    units (Sec. 5.1: Gaussian with median 50 profiles).
+    units (Sec. 5.1: Gaussian with median 50 profiles); every replica is
+    one whole profile, so the store is full at that many replicas.
     """
 
     def __init__(self, owner: int, capacity_profiles: float, config: SoupConfig) -> None:
@@ -61,9 +60,6 @@ class ReplicaStore:
         self.capacity_profiles = capacity_profiles
         self._config = config
         self._replicas: Dict[int, ReplicaInfo] = {}
-        #: Running total of the stored replicas' sizes, adjusted wherever
-        #: ``_replicas`` gains, loses or resizes an entry.
-        self._used = 0.0
         #: Dropping scores.  Insertion order is the order blacklisting
         #: reports removals in, so entries are only ever added, never moved.
         self._scores: Dict[int, float] = {}
@@ -76,12 +72,12 @@ class ReplicaStore:
 
     # --- inspection -------------------------------------------------------
     @property
-    def used_profiles(self) -> float:
-        return self._used
+    def used_profiles(self) -> int:
+        return len(self._replicas)
 
     @property
     def free_profiles(self) -> float:
-        return self.capacity_profiles - self._used
+        return self.capacity_profiles - len(self._replicas)
 
     def stores_for(self, owner: int) -> bool:
         return owner in self._replicas
@@ -107,59 +103,42 @@ class ReplicaStore:
         return set(self._blacklist)
 
     # --- storage protocol ---------------------------------------------------
-    def request_store(
-        self, owner: int, size_profiles: float = 1.0, is_friend: bool = False
-    ) -> StoreDecision:
+    def request_store(self, owner: int, is_friend: bool = False) -> StoreDecision:
         """Handle a storage request; may evict a high-score replica.
 
         Friends' replicas are protected from eviction.  A request from a
         blacklisted owner is always rejected.  A request from an owner
-        already stored refreshes its metadata (size or friendship may
-        change); a refresh that grows the replica must fit like a new one
-        — by evicting others or not at all, the old replica staying put.
+        already stored refreshes its friendship flag and takes no room.
         """
         if owner == self.owner:
             raise ValueError("a node does not mirror its own data")
-        # The size comes off the wire: NaN compares false against any bound.
-        if not (math.isfinite(size_profiles) and size_profiles > 0):
-            return StoreDecision(accepted=False, reason="invalid size")
         if owner in self._blacklist:
             return StoreDecision(accepted=False, reason="blacklisted")
-        if size_profiles > self.capacity_profiles:
+        if self.capacity_profiles < 1:
             return StoreDecision(accepted=False, reason="larger than capacity")
         current = self._replicas.get(owner)
-        held = current.size_profiles if current is not None else 0.0
+        if current is not None:
+            current.is_friend = is_friend
+            return StoreDecision(accepted=True, reason="already stored")
 
         dropped: Optional[int] = None
-        while self._used - held + size_profiles > self.capacity_profiles:
+        while len(self._replicas) + 1 > self.capacity_profiles:
             victim = self._pick_victim(requesting_owner=owner)
             if victim is None:
                 return StoreDecision(accepted=False, reason="storage exhausted")
-            self._used -= self._replicas.pop(victim).size_profiles
+            del self._replicas[victim]
             dropped = victim
 
-        self._replicas[owner] = ReplicaInfo(owner, size_profiles, is_friend)
-        self._used += size_profiles - held
-        return StoreDecision(
-            accepted=True,
-            dropped_owner=dropped,
-            reason="stored" if current is None else "already stored",
-        )
+        self._replicas[owner] = ReplicaInfo(owner, is_friend)
+        return StoreDecision(accepted=True, dropped_owner=dropped, reason="stored")
 
     def remove(self, owner: int) -> bool:
         """Drop a replica because the owner de-selected this mirror."""
-        info = self._replicas.pop(owner, None)
-        if info is None:
-            return False
-        self._used -= info.size_profiles
-        return True
+        return self._replicas.pop(owner, None) is not None
 
     def _pick_victim(self, requesting_owner: int) -> Optional[int]:
-        """Choose the replica to drop: highest dropping score, never friends.
-
-        Ties break toward larger replicas (freeing more space); the
-        requesting owner's own data can obviously not be a victim.
-        """
+        """Choose the replica to drop: highest dropping score, never friends;
+        ties break toward the lowest owner id."""
         scores = self._scores
         victim = min(
             (
@@ -167,11 +146,7 @@ class ReplicaStore:
                 for info in self._replicas.values()
                 if not info.is_friend and info.owner != requesting_owner
             ),
-            key=lambda info: (
-                -scores.get(info.owner, 0.0),
-                -info.size_profiles,
-                info.owner,
-            ),
+            key=lambda info: (-scores.get(info.owner, 0.0), info.owner),
             default=None,
         )
         return victim.owner if victim is not None else None
@@ -286,9 +261,7 @@ class ReplicaStore:
                 continue
             if score >= theta:
                 self._blacklist.add(owner)
-                info = self._replicas.pop(owner, None)
-                if info is not None:
-                    self._used -= info.size_profiles
+                if self._replicas.pop(owner, None) is not None:
                     removed.append(owner)
             elif score > ceiling:
                 ceiling = score

@@ -28,7 +28,8 @@ from repro.core.config import SoupConfig
 from repro.deploy.cluster import Cluster
 from repro.deploy.workload import WorkloadEvent, build_workload
 from repro.network.events import EventLoop
-from repro.network.simnet import SERVER_LINK, SimNetwork
+from repro.network.simnet import SimNetwork
+from repro.network.transport import SERVER_LINK
 from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem, sample_item_size
 from repro.sim.metrics import ReliabilityMetrics

@@ -11,8 +11,9 @@ implemented here on top of the unchanged core:
 * :mod:`repro.extensions.bandwidth` — **extended recommendations**:
   friends also report the bandwidth observed at mirrors, and selection
   breaks availability ties toward faster mirrors for better QoS.
-* :mod:`repro.coding` — **large profiles** via (n, k) erasure coding
-  (its own package; see there).
+* :mod:`repro.coding` — **large profiles** via (n, k) erasure coding:
+  the codec and its availability maths, for the extension benchmark only
+  (the middleware replicates whole profiles; see there).
 """
 
 from repro.extensions.bandwidth import (

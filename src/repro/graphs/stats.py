@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -39,6 +39,32 @@ def _gini(values: np.ndarray) -> float:
     return float((n + 1 - 2 * np.sum(cumulative) / cumulative[-1]) / n)
 
 
+def _clustering(graph: FriendshipGraph, nodes: Iterable[int]) -> float:
+    """networkx's ``average_clustering(graph, nodes)``, read off the CSR
+    arrays: the same per-node values, summed in the same order.
+
+    A node's value is ``t / (d (d - 1))``, where ``t`` counts each
+    triangle through it twice: once from each of its two other corners,
+    as a neighbour whose own friends include the third corner.
+    """
+    offsets, targets = graph.offsets, graph.targets
+    is_friend = np.zeros(graph.number_of_nodes(), dtype=bool)
+    values = []
+    for node in nodes:
+        friends = targets[offsets[node] : offsets[node + 1]]
+        degree = len(friends)
+        starts = offsets[friends]
+        lengths = offsets[friends + 1] - starts
+        # Every friend's own friend list, end to end.
+        shifts = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        second = targets[np.arange(int(lengths.sum())) + shifts]
+        is_friend[friends] = True
+        triangles = int(np.count_nonzero(is_friend[second]))
+        is_friend[friends] = False
+        values.append(0 if triangles == 0 else triangles / (degree * (degree - 1)))
+    return sum(values) / len(values)
+
+
 def graph_stats(
     graph: FriendshipGraph, clustering_sample_size: int = 500, seed: int = 0
 ) -> GraphStats:
@@ -47,19 +73,12 @@ def graph_stats(
     degrees = graph.degrees()
     rng = np.random.default_rng(seed)
     clustering = 0.0
-    if graph.number_of_nodes() > 0:
-        import networkx as nx
-
-        nx_graph = graph.to_networkx()
-        if graph.number_of_nodes() > clustering_sample_size:
-            sample_nodes = rng.choice(
-                np.arange(graph.number_of_nodes()),
-                size=clustering_sample_size,
-                replace=False,
-            )
-            clustering = nx.average_clustering(nx_graph, nodes=list(sample_nodes))
-        else:
-            clustering = nx.average_clustering(nx_graph)
+    n = graph.number_of_nodes()
+    if n > clustering_sample_size:
+        sample_nodes = rng.choice(np.arange(n), size=clustering_sample_size, replace=False)
+        clustering = _clustering(graph, sample_nodes.tolist())
+    elif n > 0:
+        clustering = _clustering(graph, range(n))
     return GraphStats(
         nodes=graph.number_of_nodes(),
         edges=graph.number_of_edges(),

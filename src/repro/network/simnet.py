@@ -22,17 +22,7 @@ import logging
 from typing import Any, List, Optional
 
 from repro.network.events import EventLoop
-from repro.network.transport import (  # noqa: F401  (re-exported compat names)
-    DESKTOP_LINK,
-    MOBILE_LINK,
-    SERVER_LINK,
-    DeliveryFailure,
-    FailureHandler,
-    Handler,
-    LinkSpec,
-    TrafficMeter,
-    Transport,
-)
+from repro.network.transport import FailureHandler, Transport
 from repro.obs import get_registry
 from repro.obs.profiling import PROFILER
 

@@ -66,8 +66,6 @@ class SoupNode:
         link: Optional[LinkSpec] = None,
         capacity_profiles: float = 50.0,
         key_bits: int = 512,
-        coding_k: int = 0,
-        coding_threshold_bytes: int = 8_000_000,
         mobile_relay_limit: int = 4,
         crypto_mode: str = "full",
     ) -> None:
@@ -111,11 +109,6 @@ class SoupNode:
         self.joined = False
         self.online = False
         self._entry_version = 0
-        #: Sec. 8 extension: profiles above the threshold are distributed
-        #: as (n, k) erasure-coded fragments instead of full replicas;
-        #: ``coding_k = 0`` disables coding (the base protocol).
-        self.coding_k = coding_k
-        self.coding_threshold_bytes = coding_threshold_bytes
         #: How many mobile nodes this (regular) node is willing to relay
         #: for ("every regular node can set a limit to mobile connections",
         #: Sec. 3.3).
@@ -497,17 +490,6 @@ class SoupNode:
             return True
 
         serving = self._serving_mirrors(owner_id, entry.mirror_ids, record)
-
-        plan = owner.mirror_manager.coded_plan if owner is not None else None
-        if plan is not None:
-            # Coded profile (Sec. 8): any k online fragment holders serve.
-            if len(serving) < plan.k:
-                return False
-            fetch_each = max(1, size // plan.k)
-            for mirror_id in serving[: plan.k]:
-                self._transfer_from(mirror_id, fetch_each)
-            return True
-
         if serving:
             self._transfer_from(serving[0], size)
             return True
@@ -604,13 +586,6 @@ class SoupNode:
             if dropped is not None:
                 dropped.mirror_manager.handle_withdraw(self.node_id)
 
-        replica_bytes = self.replica_size_bytes()
-        use_coding = (
-            self.coding_k > 0 and replica_bytes > self.coding_threshold_bytes
-        )
-        # Under coding, every mirror stores only a 1/k-sized fragment.
-        store_units = 1.0 / self.coding_k if use_coding else 1.0
-
         accepted: List[int] = []
         newly_accepted: List[int] = []
         for mirror_id in result.mirrors:
@@ -623,9 +598,7 @@ class SoupNode:
                 accepted.append(mirror_id)
                 continue
             decision = mirror.mirror_manager.handle_store_request(
-                self.node_id,
-                size_profiles=store_units,
-                is_friend=mirror.social.is_friend(self.node_id),
+                self.node_id, is_friend=mirror.social.is_friend(self.node_id)
             )
             if decision.accepted:
                 accepted.append(mirror_id)
@@ -633,7 +606,7 @@ class SoupNode:
             else:
                 self.mirror_manager.rejected_by.add(mirror_id)
 
-        self._push_replicas(accepted, newly_accepted, replica_bytes, use_coding)
+        self._push_replicas(newly_accepted)
         # A node has no epochs: strategies see every commit at epoch 0.
         self.mirror_manager.commit(accepted, 0)
         self.publish_entry()
@@ -647,48 +620,9 @@ class SoupNode:
                 )
         return accepted
 
-    def _push_replicas(
-        self,
-        accepted: List[int],
-        newly_accepted: List[int],
-        replica_bytes: int,
-        use_coding: bool,
-    ) -> None:
-        """Transfer replica data to the accepted mirrors.
-
-        Full replication pushes the whole (encrypted) profile to each new
-        mirror; the coding extension (Sec. 8) pushes one 1/k fragment per
-        mirror instead — re-laid-out whenever the accepted set changes,
-        since fragment indices are positional.
-        """
-        if use_coding and len(accepted) >= self.coding_k:
-            from repro.coding.fragments import plan_for_profile
-
-            plan = plan_for_profile(
-                self.node_id, replica_bytes, accepted, self.coding_k
-            )
-            changed_layout = (
-                self.mirror_manager.coded_plan is None
-                or self.mirror_manager.coded_plan.holders() != accepted
-            )
-            for placement in plan.placements:
-                if not changed_layout and placement.mirror not in newly_accepted:
-                    continue
-                push = SoupObject(
-                    source=self.node_id,
-                    dest=placement.mirror,
-                    object_type=ObjectType.REPLICA_PUSH,
-                    payload={"fragment": placement.fragment_index, "k": plan.k},
-                    timestamp=self._now(),
-                )
-                self.interface.send_bytes_reliable(
-                    placement.mirror, push, placement.size_bytes
-                )
-                self._note_replica_pushed(placement.mirror, placement.size_bytes)
-            self.mirror_manager.coded_plan = plan
-            return
-
-        self.mirror_manager.coded_plan = None
+    def _push_replicas(self, newly_accepted: List[int]) -> None:
+        """Push the whole (encrypted) profile to each newly accepted mirror."""
+        replica_bytes = self.replica_size_bytes()
         for mirror_id in newly_accepted:
             push = SoupObject(
                 source=self.node_id,

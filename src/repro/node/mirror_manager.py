@@ -50,9 +50,6 @@ class MirrorManager(ReplicationState):
         #: Proactive-repair bookkeeping (PROTOCOL.md "Reliability & repair").
         self.repairs_triggered = 0
         self.repair_replacements = 0
-        #: Erasure-coded placement of a large profile (Sec. 8 extension);
-        #: None while the profile is replicated in full.
-        self.coded_plan = None
 
     # --- knowledge -----------------------------------------------------
     def learn_node(self, node_id: int, is_friend: bool = False) -> None:
@@ -115,14 +112,10 @@ class MirrorManager(ReplicationState):
         self.dead_mirrors.discard(mirror_id)
 
     # --- storage for others ---------------------------------------------------
-    def handle_store_request(
-        self, owner: int, size_profiles: float, is_friend: bool
-    ) -> StoreDecision:
+    def handle_store_request(self, owner: int, is_friend: bool) -> StoreDecision:
         if not self.mirroring_enabled:
             return StoreDecision(accepted=False, reason="mirroring disabled")
-        decision = self.store.request_store(
-            owner, size_profiles=size_profiles, is_friend=is_friend
-        )
+        decision = self.store.request_store(owner, is_friend=is_friend)
         if decision.dropped_owner is not None:
             get_registry().counter("node.replicas.evicted").inc()
             tracer = get_tracer()

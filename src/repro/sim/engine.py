@@ -1075,9 +1075,7 @@ class SoupSimulation:
         the mirror from the owner's next selection.
         """
         mirror = self.nodes[mirror_id]
-        decision = mirror.store.request_store(
-            node.node_id, size_profiles=1.0, is_friend=is_friend
-        )
+        decision = mirror.store.request_store(node.node_id, is_friend=is_friend)
         self._placements_this_round += 1
         if not decision.accepted:
             node.rejected_by.add(mirror_id)
@@ -1267,9 +1265,7 @@ class SoupSimulation:
             if target.store.stores_for(node.node_id):
                 accepted.append(target_id)
                 continue
-            decision = target.store.request_store(
-                node.node_id, size_profiles=1.0, is_friend=False
-            )
+            decision = target.store.request_store(node.node_id, is_friend=False)
             self._placements_this_round += 1
             if decision.accepted:
                 accepted.append(target_id)

@@ -17,8 +17,8 @@ failures.  Every epoch (behind ``ScenarioConfig.check_invariants``) a
 * ``replica-count-meets-target`` — an online owner retains at least as
   many live replicas as its net announced mirror set (Algorithm 1's
   accepted selection target).
-* ``storage-within-capacity`` — conservation of stored bytes: no replica
-  store exceeds its capacity budget.
+* ``storage-within-capacity`` — no replica store holds more whole
+  profiles than its capacity budget.
 * ``membership-columns-consistent`` — the engine's packed membership
   arrays (joined / departed / benign / join epoch), which every per-epoch
   vector pass reads, agree with the per-node flags they shadow: a write
@@ -195,14 +195,14 @@ def _storage_within_capacity(sim, epoch: int) -> List[Violation]:
     for node in sim.nodes:
         used = node.store.used_profiles
         capacity = node.store.capacity_profiles
-        if used > capacity + 1e-9:
+        if used > capacity:
             violations.append(
                 Violation(
                     invariant="storage-within-capacity",
                     epoch=epoch,
                     node_ids=(node.node_id,),
                     detail=(
-                        f"mirror {node.node_id} stores {used:.3f} profiles, "
+                        f"mirror {node.node_id} stores {used} profiles, "
                         f"over its {capacity:.3f}-profile capacity"
                     ),
                     snapshot={
@@ -433,13 +433,13 @@ def mirror_manager_violations(manager, epoch: int = -1) -> List[Violation]:
     violations: List[Violation] = []
     used = manager.store.used_profiles
     capacity = manager.store.capacity_profiles
-    if used > capacity + 1e-9:
+    if used > capacity:
         violations.append(
             Violation(
                 invariant="storage-within-capacity",
                 epoch=epoch,
                 node_ids=(manager.owner_id,),
-                detail=f"node {manager.owner_id} stores {used:.3f}/{capacity:.3f} profiles",
+                detail=f"node {manager.owner_id} stores {used}/{capacity:.3f} profiles",
                 snapshot={"used": used, "capacity": capacity},
             )
         )

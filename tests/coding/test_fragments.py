@@ -1,49 +1,11 @@
-"""Tests for erasure-coded replica placement."""
+"""Tests for the availability maths of erasure-coded replication."""
 
-import numpy as np
 import pytest
 
 from repro.coding.fragments import (
     availability_probability,
-    coded_availability,
     equivalent_full_replication,
-    plan_for_profile,
 )
-from repro.coding.reed_solomon import ReedSolomonError
-
-
-def test_plan_shapes():
-    plan = plan_for_profile(owner=1, profile_bytes=10_000_000, mirrors=list(range(12)), k=8)
-    assert plan.n == 12
-    assert plan.fragment_bytes == 1_250_000
-    assert plan.storage_overhead == pytest.approx(1.5)
-    assert plan.holders() == list(range(12))
-
-
-def test_plan_requires_enough_mirrors():
-    with pytest.raises(ReedSolomonError):
-        plan_for_profile(1, 1000, mirrors=[1, 2], k=3)
-
-
-def test_zero_byte_profile():
-    plan = plan_for_profile(1, 0, mirrors=[1, 2, 3], k=2)
-    assert plan.fragment_bytes == 0
-    assert plan.storage_overhead == 0.0
-
-
-def test_coded_availability_threshold():
-    plan = plan_for_profile(1, 1000, mirrors=list(range(10)), k=4)
-    online = {m: m < 4 for m in range(10)}
-    assert coded_availability(plan, online)
-    online[3] = False
-    assert not coded_availability(plan, online)
-
-
-def test_coded_availability_with_numpy_row():
-    plan = plan_for_profile(1, 1000, mirrors=[0, 1, 2, 3], k=2)
-    online = np.array([True, True, False, False])
-    assert coded_availability(plan, online)
-    assert not coded_availability(plan, np.array([True, False, False, False]))
 
 
 class TestAvailabilityProbability:
@@ -66,6 +28,11 @@ class TestAvailabilityProbability:
 
     def test_k_zero_always_available(self):
         assert availability_probability([], 0) == 1.0
+
+    def test_holders_surely_up_or_down_give_the_k_of_n_threshold(self):
+        online = [1.0] * 4 + [0.0] * 6
+        assert availability_probability(online, 4) == 1.0
+        assert availability_probability(online, 5) == 0.0
 
 
 def test_coding_beats_replication_on_storage():

@@ -40,66 +40,39 @@ def test_restore_is_idempotent(config):
 
 
 def test_oversized_replica_rejected(config):
-    store = make_store(2.0, config)
-    assert not store.request_store(1, size_profiles=3.0).accepted
-
-
-# --- refresh of an already stored replica (capacity bypass regression) -----
-
-
-def test_growing_refresh_beyond_capacity_refused_and_old_replica_kept(config):
-    store = make_store(2.0, config)
-    assert store.request_store(1, size_profiles=1.0).accepted
-    decision = store.request_store(1, size_profiles=50.0)
+    store = make_store(0.5, config)
+    decision = store.request_store(1)
     assert not decision.accepted
     assert decision.reason == "larger than capacity"
-    assert store.stores_for(1)
-    assert store.used_profiles == 1.0
+    assert store.replica_count() == 0
 
 
-def test_growing_refresh_refused_when_nothing_can_be_evicted(config):
+# --- refresh of an already stored replica ------------------------------------
+
+
+def test_refresh_at_a_full_store_takes_no_room_and_evicts_nothing(config):
     store = make_store(3.0, config)
-    store.request_store(1, size_profiles=1.0)
-    store.request_store(2, size_profiles=2.0, is_friend=True)
-    decision = store.request_store(1, size_profiles=1.5)
-    assert not decision.accepted
-    assert decision.reason == "storage exhausted"
-    assert store.stores_for(1) and store.stores_for(2)
-    assert store.used_profiles == 3.0
-
-
-def test_growing_refresh_fits_by_evicting_like_a_new_request(config):
-    store = make_store(3.0, config)
-    store.request_store(1, size_profiles=1.0)
-    store.request_store(2, size_profiles=1.0)
-    store.request_store(3, size_profiles=1.0)
+    store.request_store(1)
+    store.request_store(2)
+    store.request_store(3)
     store.learn_friend_storage([3])  # 3 has the highest dropping score
-    decision = store.request_store(1, size_profiles=2.0)
+    decision = store.request_store(1)
     assert decision.accepted
     assert decision.reason == "already stored"
-    assert decision.dropped_owner == 3
-    assert store.stored_owners() == [1, 2]
-    assert store.used_profiles == 3.0
+    assert decision.dropped_owner is None
+    assert store.stored_owners() == [1, 2, 3]
+    assert store.used_profiles == 3
 
 
-def test_shrinking_refresh_frees_space(config):
+def test_refresh_updates_friendship_in_place(config):
     store = make_store(2.0, config)
-    store.request_store(1, size_profiles=2.0)
-    assert store.request_store(1, size_profiles=0.5, is_friend=True).accepted
-    assert store.used_profiles == 0.5
-    assert store.free_profiles == 1.5
-
-
-@pytest.mark.parametrize("size", [float("nan"), float("inf"), 0.0, -1.0])
-def test_non_finite_or_non_positive_size_rejected(config, size):
-    store = make_store(2.0, config)
-    store.request_store(1, size_profiles=1.0)
-    for owner in (1, 2):  # as a refresh and as a new request
-        decision = store.request_store(owner, size_profiles=size)
-        assert not decision.accepted
-        assert decision.reason == "invalid size"
-    assert store.stored_owners() == [1]
-    assert store.used_profiles == 1.0
+    store.request_store(1)
+    store.request_store(2)
+    store.learn_friend_storage([1])  # 1 has the highest dropping score
+    assert store.request_store(1, is_friend=True).accepted
+    decision = store.request_store(3)
+    assert decision.dropped_owner == 2  # the friend is protected
+    assert store.stored_owners() == [1, 3]
 
 
 def test_eviction_picks_highest_dropping_score(config):
@@ -192,14 +165,14 @@ def test_capacity_validation(config):
         ReplicaStore(owner=1, capacity_profiles=0.0, config=config)
 
 
-def test_eviction_frees_enough_space_for_larger_replica(config):
+def test_eviction_tie_breaks_toward_the_lowest_owner_id(config):
     store = make_store(3.0, config)
-    store.request_store(1, size_profiles=1.0)
-    store.request_store(2, size_profiles=1.0)
-    store.request_store(3, size_profiles=1.0)
-    decision = store.request_store(4, size_profiles=2.0)
+    for owner in (3, 1, 2):
+        store.request_store(owner)
+    decision = store.request_store(4)
     assert decision.accepted
-    assert store.used_profiles <= 3.0
+    assert decision.dropped_owner == 1
+    assert store.stored_owners() == [3, 2, 4]
 
 
 # --- threshold boundary behaviour (θ, c, 1/β exact values) -----------------

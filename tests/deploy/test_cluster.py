@@ -7,7 +7,8 @@ from pathlib import Path
 import repro
 from repro.deploy.cluster import Cluster
 from repro.network.events import EventLoop
-from repro.network.simnet import MOBILE_LINK, SERVER_LINK, SimNetwork
+from repro.network.simnet import SimNetwork
+from repro.network.transport import MOBILE_LINK, SERVER_LINK
 
 
 def make_cluster(seed=3, **node_defaults):
@@ -59,12 +60,20 @@ def test_defaults_and_per_node_overrides_reach_the_node():
     cluster = make_cluster(key_bits=384, mobile_relay_limit=0)
     plain = cluster.add("plain")
     special = cluster.add(
-        "special", is_mobile=True, coding_k=3, mobile_relay_limit=2, link=SERVER_LINK
+        "special",
+        is_mobile=True,
+        capacity_profiles=7.0,
+        mobile_relay_limit=2,
+        link=SERVER_LINK,
     )
     assert plain.config is special.config is cluster.config
     assert plain.keys.public.bits == special.keys.public.bits == 384
-    assert (plain.is_mobile, plain.coding_k, plain.mobile_relay_limit) == (False, 0, 0)
-    assert (special.is_mobile, special.coding_k, special.mobile_relay_limit) == (True, 3, 2)
+
+    def capacity(node):
+        return node.mirror_manager.store.capacity_profiles
+
+    assert (plain.is_mobile, capacity(plain), plain.mobile_relay_limit) == (False, 50.0, 0)
+    assert (special.is_mobile, capacity(special), special.mobile_relay_limit) == (True, 7.0, 2)
     link_of = cluster.network.link_of
     assert link_of(special.node_id) is SERVER_LINK
     assert link_of(cluster.add("phone", is_mobile=True).node_id) is MOBILE_LINK

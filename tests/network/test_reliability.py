@@ -21,7 +21,8 @@ from repro.network.reliability import (
     RetryPolicy,
     _OriginLedger,
 )
-from repro.network.simnet import LinkSpec, SimNetwork
+from repro.network.simnet import SimNetwork
+from repro.network.transport import LinkSpec
 
 FAST_LINK = LinkSpec(
     latency_s=0.1, upstream_bytes_per_s=1e9, downstream_bytes_per_s=1e9

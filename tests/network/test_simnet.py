@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.network.events import EventLoop
-from repro.network.simnet import DeliveryFailure, LinkSpec, SimNetwork, TrafficMeter
+from repro.network.simnet import SimNetwork
+from repro.network.transport import DeliveryFailure, LinkSpec, TrafficMeter
 
 
 @pytest.fixture()

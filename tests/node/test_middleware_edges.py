@@ -105,19 +105,6 @@ def test_sync_unknown_device_rejected(world):
         users[0].sync_device("ghost-device")
 
 
-def test_coded_node_with_too_few_mirrors_falls_back_to_full(world):
-    loop, network, nodes, boot, users, make = world
-    owner = make("coded-owner", 99, coding_k=30, coding_threshold_bytes=1000)
-    owner.join()
-    for other in users:
-        owner.contact(other.node_id)
-    owner.post_item(DataItem.video(5_000_000, created_at=loop.now))
-    accepted = owner.run_selection_round()
-    # Fewer than k mirrors available: full replication is used instead.
-    assert len(accepted) < 30
-    assert owner.mirror_manager.coded_plan is None
-
-
 def test_blacklisting_in_an_exchange_evicts_the_owner_at_the_mirror():
     """A dropping score driven past θ by experience exchanges drops the
     owner's update log at the mirror, and counts and traces the eviction."""
@@ -131,7 +118,7 @@ def test_blacklisting_in_an_exchange_evicts_the_owner_at_the_mirror():
     mirror.befriend(friend.node_id)
     for holder in (mirror, friend):
         assert holder.mirror_manager.handle_store_request(
-            owner.node_id, size_profiles=1.0, is_friend=False
+            owner.node_id, is_friend=False
         ).accepted
     mirror.mirror_manager.record_owner_update(
         owner.node_id, PendingUpdate(owner.node_id, owner.node_id, 0.0, 1, None)

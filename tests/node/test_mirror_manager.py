@@ -108,21 +108,22 @@ def test_commit_mirrors_updates_knowledge(manager):
 
 
 def test_store_request_handling(manager):
-    decision = manager.handle_store_request(owner=9, size_profiles=1.0, is_friend=False)
+    decision = manager.handle_store_request(owner=9, is_friend=False)
     assert decision.accepted
     assert manager.store.stores_for(9)
     assert manager.handle_withdraw(9)
 
 
 def test_store_request_refresh_cannot_bypass_capacity(manager):
-    """The size arrives off the wire: an owner admitted at 1.0 must not
-    "refresh" its way past the mirror's capacity (10 profiles here)."""
-    assert manager.handle_store_request(owner=9, size_profiles=1.0, is_friend=False).accepted
-    for size in (11.0, 1e9, float("inf"), float("nan"), -3.0):
-        decision = manager.handle_store_request(owner=9, size_profiles=size, is_friend=False)
-        assert not decision.accepted
-    assert manager.store.stores_for(9)
-    assert manager.store.used_profiles == 1.0
+    """A replica is one whole profile: at a full mirror (10 profiles here)
+    a stored owner's refresh takes no room and a new owner evicts one."""
+    for owner in range(10, 20):
+        assert manager.handle_store_request(owner=owner, is_friend=False).accepted
+    for owner in range(10, 20):
+        decision = manager.handle_store_request(owner=owner, is_friend=True)
+        assert (decision.accepted, decision.dropped_owner) == (True, None)
+    assert manager.store.used_profiles == 10
+    assert not manager.handle_store_request(owner=9, is_friend=False).accepted
     manager.verify_invariants()
 
 
@@ -134,7 +135,7 @@ def test_mirroring_disabled_rejects_storage():
         rng=random.Random(0),
         mirroring_enabled=False,
     )
-    decision = mobile.handle_store_request(owner=9, size_profiles=1.0, is_friend=False)
+    decision = mobile.handle_store_request(owner=9, is_friend=False)
     assert not decision.accepted
     assert decision.reason == "mirroring disabled"
     # But the mobile node still selects mirrors for its own data.

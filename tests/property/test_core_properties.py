@@ -121,8 +121,8 @@ class TestDroppingProperties:
     def test_capacity_never_exceeded(self, requests, capacity):
         store = ReplicaStore(owner=999, capacity_profiles=capacity, config=CONFIG)
         for owner, is_friend in requests:
-            store.request_store(owner, size_profiles=1.0, is_friend=is_friend)
-        assert store.used_profiles <= capacity + 1e-9
+            store.request_store(owner, is_friend=is_friend)
+        assert store.used_profiles <= capacity
 
     @given(
         requests=st.lists(st.integers(1, 30), min_size=1, max_size=60),

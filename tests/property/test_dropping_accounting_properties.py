@@ -1,20 +1,19 @@
 """Property-based tests for ``ReplicaStore``'s incremental accounting.
 
-The store keeps ``used_profiles`` as a running total and skips the blacklist
-scan while a running upper bound of the scores is below θ.  The oracle below
-does neither: it sums the stored sizes on every read and scans every score
-after every score change.  Under any sequence of storage requests
-(refreshes, growing and shrinking, included), withdrawals, experience
-exchanges and published-mirror checks the two must agree on every decision,
-every score, the blacklist and the *order* of the owners each call reports
-as removed (it becomes the order of trace events).
+The store skips the blacklist scan while a running upper bound of the
+scores is below θ.  The oracle below does not: it scans every score after
+every score change.  Under any sequence of storage requests (refreshes
+included), withdrawals, experience exchanges and published-mirror checks
+the two must agree on every decision, every score, the blacklist and the
+*order* of the owners each call reports as removed (it becomes the order of
+trace events).
 
 An ``exchange_round`` is one node's experience exchange with several
 friends: the store learns every friend's stored owners in one round, the
 oracle one friend at a time.
 
-Sizes are multiples of 1/4, so every sum is exact in binary floating point
-and "equal" means ``==`` — the simulator only ever stores size 1.0.
+Every replica is one whole profile; capacities are multiples of 1/4 from
+1/2 up, so some stores cannot hold even one.
 """
 
 from hypothesis import example, given, settings
@@ -33,38 +32,38 @@ class ScanEverythingStore:
 
     def __init__(self, capacity):
         self.capacity = capacity
-        self.replicas = {}  # owner -> (size, is_friend), insertion-ordered
+        self.replicas = {}  # owner -> is_friend, insertion-ordered
         self.scores = {}
         self.blacklist = set()
 
     def used(self):
-        return sum(size for size, _ in self.replicas.values())
+        return len(self.replicas)
 
-    def request_store(self, owner, size, is_friend):
+    def request_store(self, owner, is_friend):
         if owner in self.blacklist:
             return (False, None)
-        if size > self.capacity:
+        if 1 > self.capacity:
             return (False, None)
-        held = self.replicas[owner][0] if owner in self.replicas else 0.0
+        held = 1 if owner in self.replicas else 0
         dropped = None
-        while self.used() - held + size > self.capacity:
+        while self.used() - held + 1 > self.capacity:
             victims = [
-                (-self.scores.get(other, 0.0), -other_size, other)
-                for other, (other_size, friend) in self.replicas.items()
+                (-self.scores.get(other, 0.0), other)
+                for other, friend in self.replicas.items()
                 if not friend and other != owner
             ]
             if not victims:
                 return (False, None)
-            dropped = min(victims)[2]
+            dropped = min(victims)[1]
             del self.replicas[dropped]
-        self.replicas[owner] = (size, is_friend)
+        self.replicas[owner] = is_friend
         return (True, dropped)
 
     def remove(self, owner):
         return self.replicas.pop(owner, None) is not None
 
     def learn_friend_storage(self, stored_at_friend):
-        for owner, (_, is_friend) in self.replicas.items():
+        for owner, is_friend in self.replicas.items():
             if owner in stored_at_friend:
                 self.scores[owner] = self.scores.get(owner, 0.0) + 1.0
             if is_friend:
@@ -90,12 +89,7 @@ class ScanEverythingStore:
 
 owners = st.integers(1, 6)
 operations = st.one_of(
-    st.tuples(
-        st.just("store"),
-        owners,
-        st.integers(1, 12).map(lambda quarters: quarters / 4),
-        st.booleans(),
-    ),
+    st.tuples(st.just("store"), owners, st.booleans()),
     st.tuples(st.just("remove"), owners),
     st.tuples(st.just("learn"), st.frozensets(owners, max_size=4)),
     st.tuples(
@@ -107,7 +101,7 @@ operations = st.one_of(
 
 
 @given(
-    capacity=st.integers(4, 24).map(lambda quarters: quarters / 4),
+    capacity=st.integers(2, 24).map(lambda quarters: quarters / 4),
     ops=st.lists(operations, min_size=20, max_size=80),
 )
 @settings(max_examples=200)
@@ -116,9 +110,9 @@ operations = st.one_of(
 @example(
     capacity=6.0,
     ops=[
-        ("store", 1, 1.0, True),
-        ("store", 2, 1.0, False),
-        ("store", 3, 1.0, False),
+        ("store", 1, True),
+        ("store", 2, False),
+        ("store", 3, False),
         ("exchange_round", [frozenset({2}), frozenset(), frozenset({3, 2}),
                             frozenset({2, 3, 1}), frozenset({2, 3})]),
     ] + [("remove", 6)] * 16,
@@ -128,9 +122,9 @@ def test_store_agrees_with_scan_everything_oracle(capacity, ops):
     oracle = ScanEverythingStore(capacity)
     for op in ops:
         if op[0] == "store":
-            decision = store.request_store(op[1], size_profiles=op[2], is_friend=op[3])
+            decision = store.request_store(op[1], is_friend=op[2])
             assert (decision.accepted, decision.dropped_owner) == oracle.request_store(
-                op[1], op[2], op[3]
+                op[1], op[2]
             )
         elif op[0] == "remove":
             assert store.remove(op[1]) == oracle.remove(op[1])

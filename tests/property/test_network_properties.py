@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network.events import EventLoop
-from repro.network.simnet import LinkSpec, SimNetwork
+from repro.network.simnet import SimNetwork
+from repro.network.transport import LinkSpec
 
 # --- pooled SimNetwork: at-most-once, no payload cross-wiring -------------
 

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro.network.events import EventLoop
 from repro.network.reliability import Envelope, ReliableEndpoint, RetryPolicy
-from repro.network.simnet import LinkSpec, SimNetwork
+from repro.network.simnet import SimNetwork
+from repro.network.transport import LinkSpec
 
 LINK = LinkSpec(latency_s=0.1, upstream_bytes_per_s=1e9, downstream_bytes_per_s=1e9)
 
