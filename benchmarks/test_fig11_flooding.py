@@ -42,7 +42,7 @@ def run_fraction(fraction: float):
         if owner in sybil_ids
     )
     benign_storage_used = sum(
-        sim.nodes[i].store.used_profiles for i in range(sim.n_base)
+        sim.nodes[i].store.replica_count() for i in range(sim.n_base)
     )
     benign_capacity = sum(
         sim.nodes[i].store.capacity_profiles for i in range(sim.n_base)

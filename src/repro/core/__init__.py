@@ -21,28 +21,26 @@ This package implements Sec. 4 of the paper end to end:
 """
 
 from repro.core.config import SoupConfig
-from repro.core.dropping import ReplicaInfo, ReplicaStore, StoreDecision
+from repro.core.dropping import ReplicaStore, StoreDecision
 from repro.core.experience import (
     ExperienceReport,
     ExperienceSet,
     ObservationRecord,
     update_experience,
 )
-from repro.core.knowledge import KBEntry, KnowledgeBase
+from repro.core.knowledge import KnowledgeBase
 from repro.core.objects import ObjectType, SoupObject
 from repro.core.ranking import BootstrapRanker, Recommendation, RegularRanker
 from repro.core.selection import ReplicationState, SelectionResult, select_mirrors
 
 __all__ = [
     "SoupConfig",
-    "ReplicaInfo",
     "ReplicaStore",
     "StoreDecision",
     "ExperienceReport",
     "ExperienceSet",
     "ObservationRecord",
     "update_experience",
-    "KBEntry",
     "KnowledgeBase",
     "ObjectType",
     "SoupObject",

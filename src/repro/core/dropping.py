@@ -28,14 +28,6 @@ from typing import Container, Dict, Iterable, KeysView, List, Optional, Set
 from repro.core.config import SoupConfig
 
 
-@dataclass
-class ReplicaInfo:
-    """Metadata a mirror keeps about one stored replica."""
-
-    owner: int
-    is_friend: bool = False
-
-
 @dataclass(frozen=True)
 class StoreDecision:
     """Outcome of a storage request at a mirror."""
@@ -59,7 +51,9 @@ class ReplicaStore:
         self.owner = owner
         self.capacity_profiles = capacity_profiles
         self._config = config
-        self._replicas: Dict[int, ReplicaInfo] = {}
+        #: Stored owner -> whether it is a friend (friends are never
+        #: evicted), in storage order.
+        self._replicas: Dict[int, bool] = {}
         #: Dropping scores.  Insertion order is the order blacklisting
         #: reports removals in, so entries are only ever added, never moved.
         self._scores: Dict[int, float] = {}
@@ -71,14 +65,6 @@ class ReplicaStore:
         self._blacklist: Set[int] = set()
 
     # --- inspection -------------------------------------------------------
-    @property
-    def used_profiles(self) -> int:
-        return len(self._replicas)
-
-    @property
-    def free_profiles(self) -> float:
-        return self.capacity_profiles - len(self._replicas)
-
     def stores_for(self, owner: int) -> bool:
         return owner in self._replicas
 
@@ -116,9 +102,8 @@ class ReplicaStore:
             return StoreDecision(accepted=False, reason="blacklisted")
         if self.capacity_profiles < 1:
             return StoreDecision(accepted=False, reason="larger than capacity")
-        current = self._replicas.get(owner)
-        if current is not None:
-            current.is_friend = is_friend
+        if owner in self._replicas:
+            self._replicas[owner] = is_friend
             return StoreDecision(accepted=True, reason="already stored")
 
         dropped: Optional[int] = None
@@ -129,7 +114,7 @@ class ReplicaStore:
             del self._replicas[victim]
             dropped = victim
 
-        self._replicas[owner] = ReplicaInfo(owner, is_friend)
+        self._replicas[owner] = is_friend
         return StoreDecision(accepted=True, dropped_owner=dropped, reason="stored")
 
     def remove(self, owner: int) -> bool:
@@ -140,16 +125,15 @@ class ReplicaStore:
         """Choose the replica to drop: highest dropping score, never friends;
         ties break toward the lowest owner id."""
         scores = self._scores
-        victim = min(
+        return min(
             (
-                info
-                for info in self._replicas.values()
-                if not info.is_friend and info.owner != requesting_owner
+                owner
+                for owner, is_friend in self._replicas.items()
+                if not is_friend and owner != requesting_owner
             ),
-            key=lambda info: (-scores.get(info.owner, 0.0), info.owner),
+            key=lambda owner: (-scores.get(owner, 0.0), owner),
             default=None,
         )
-        return victim.owner if victim is not None else None
 
     # --- dropping-score maintenance -----------------------------------------
     def _set_score(self, owner: int, score: float) -> None:
@@ -183,9 +167,8 @@ class ReplicaStore:
         # start score -> after one protection step per view (friends
         # stored in the same round share their score history).
         protected: Dict[float, float] = {}
-        for owner, info in replicas.items():
+        for owner, is_friend in replicas.items():
             if owner in hit_any:
-                is_friend = info.is_friend
                 score = scores.get(owner, 0.0)
                 for hit in hits:
                     if owner in hit:
@@ -197,7 +180,7 @@ class ReplicaStore:
                     elif is_friend:
                         score -= protection
                 learnt[owner] = score
-            elif info.is_friend:
+            elif is_friend:
                 # One protection step per view; a decrease never lifts
                 # the ceiling.
                 start = scores.get(owner, 0.0)
@@ -220,7 +203,7 @@ class ReplicaStore:
             # their first hit; the sort is stable, so store order breaks ties.
             fresh.sort(
                 key=lambda owner: 0
-                if replicas[owner].is_friend
+                if replicas[owner]
                 else next(k for k, hit in enumerate(hits) if owner in hit)
             )
             for owner in fresh:

@@ -1,86 +1,114 @@
 """The per-node knowledge base ``KB_u`` (paper Fig. 3).
 
-Every entry is about a node ``v`` that ``u`` knows: whether ``v`` is a friend
-(``sr(u,v)``), the experience value ``exp_v`` when ``v`` serves as a mirror,
-and a TTL "that decreases every time u does not choose v as a mirror"
-(Sec. 4.4) so stale strangers eventually drop out of the candidate pool.
+``u`` knows a set of nodes ``v``: whether ``v`` is a friend (``sr(u,v)``),
+the experience value ``exp_v`` when ``v`` serves as a mirror, and a TTL
+"that decreases every time u does not choose v as a mirror" (Sec. 4.4) so
+stale strangers eventually drop out of the candidate pool.
+
+A simulation knows one node per friendship (3.6 M at paper scale), so a
+known node is a dict slot, not an object: one ordered map from node to
+experience value holds every known node in KB order, a second map holds
+the TTLs of strangers only (friends never expire), and a set holds the
+current mirrors.  The maps hold only ints and floats, which the cyclic
+collector does not track.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-
-@dataclass(slots=True)
-class KBEntry:
-    """One knowledge-base row: a known node and what ``u`` knows about it.
-
-    A simulation keeps one per friendship (3.6 M at paper scale), so the
-    row has ``__slots__`` instead of an instance dict.
-    """
-
-    node_id: int
-    is_friend: bool = False
-    experience: float = 0.0
-    ttl: int = 0
-    is_mirror: bool = False
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.experience <= 1.0:
-            raise ValueError(f"experience must be in [0, 1], got {self.experience}")
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 class KnowledgeBase:
-    """All nodes ``u`` knows about, with friendship, experience and TTL."""
+    """All nodes ``u`` knows about, with friendship, experience and TTL.
+
+    A node is a friend exactly when it is known and has no TTL.
+    """
 
     def __init__(self, owner: int, default_ttl: int = 30) -> None:
         self.owner = owner
         self.default_ttl = default_ttl
-        self._entries: Dict[int, KBEntry] = {}
+        #: Every known node -> its experience value, in KB order (first
+        #: learnt first).
+        self._experience: Dict[int, float] = {}
+        #: Strangers -> selection rounds left, in KB order.
+        self._ttl: Dict[int, int] = {}
+        #: The known nodes in the mirror set of the last selection round.
+        self._mirrors: Set[int] = set()
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self._entries
+        return node_id in self._experience
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._experience)
 
-    def __iter__(self) -> Iterator[KBEntry]:
-        """The entries in insertion order — a live view: do not add or
-        prune entries while iterating."""
-        return iter(self._entries.values())
+    def __iter__(self) -> Iterator[int]:
+        """The known node ids in KB order — a live view: do not add or
+        prune nodes while iterating."""
+        return iter(self._experience)
 
-    def get(self, node_id: int) -> Optional[KBEntry]:
-        return self._entries.get(node_id)
+    def is_friend(self, node_id: int) -> bool:
+        return node_id in self._experience and node_id not in self._ttl
 
-    def add_node(self, node_id: int, is_friend: bool = False) -> KBEntry:
+    def is_mirror(self, node_id: int) -> bool:
+        return node_id in self._mirrors
+
+    def experience_of(self, node_id: int) -> float:
+        return self._experience.get(node_id, 0.0)
+
+    def ttl_of(self, node_id: int) -> Optional[int]:
+        """Selection rounds a stranger has left; ``None`` for a friend
+        (friends never expire) or an unknown node."""
+        return self._ttl.get(node_id)
+
+    def add_node(self, node_id: int, is_friend: bool = False) -> None:
         """Learn about a node (no-op if already known; friendship upgrades)."""
+        if node_id in self._experience:
+            if is_friend:
+                self._ttl.pop(node_id, None)
+            return
         if node_id == self.owner:
             raise ValueError("a node does not keep a KB entry about itself")
-        entry = self._entries.get(node_id)
-        if entry is None:
-            entry = KBEntry(node_id=node_id, is_friend=is_friend, ttl=self.default_ttl)
-            self._entries[node_id] = entry
-        elif is_friend:
-            entry.is_friend = True
-        return entry
+        self._experience[node_id] = 0.0
+        if not is_friend:
+            self._ttl[node_id] = self.default_ttl
 
     def add_friends(self, node_ids: Iterable[int]) -> None:
         """``add_node(node_id, is_friend=True)`` for each id, in order, in
         one pass: how a node learns its whole friend list at start-up."""
-        entries = self._entries
-        default_ttl = self.default_ttl
+        experience = self._experience
+        if not experience:
+            learnt = dict.fromkeys(node_ids, 0.0)
+            if self.owner in learnt:
+                raise ValueError("a node does not keep a KB entry about itself")
+            self._experience = learnt
+            return
+        ttl = self._ttl
         for node_id in node_ids:
-            entry = entries.get(node_id)
-            if entry is not None:
-                entry.is_friend = True
+            if node_id in experience:
+                ttl.pop(node_id, None)
             elif node_id == self.owner:
                 raise ValueError("a node does not keep a KB entry about itself")
             else:
-                entries[node_id] = KBEntry(node_id, True, 0.0, default_ttl)
+                experience[node_id] = 0.0
 
     def set_friend(self, node_id: int, is_friend: bool = True) -> None:
-        self.add_node(node_id).is_friend = is_friend
+        """Learn ``node_id`` as a friend, or as a stranger with
+        ``is_friend=False``.  A friend turned back into a stranger starts
+        its countdown afresh at ``default_ttl`` (no protocol path does
+        this: a friendship, once known, stays)."""
+        if is_friend:
+            self.add_node(node_id, is_friend=True)
+        elif node_id not in self._experience:
+            self.add_node(node_id)
+        elif node_id not in self._ttl:
+            # Keep the TTL map in KB order, so prunes come out in it.
+            ttl = self._ttl
+            default_ttl = self.default_ttl
+            self._ttl = {
+                known: default_ttl if known == node_id else ttl[known]
+                for known in self._experience
+                if known == node_id or known in ttl
+            }
 
     def set_experience(self, node_id: int, experience: float) -> None:
         """Record a new Eq.-(1) experience value for a (candidate) mirror."""
@@ -88,63 +116,64 @@ class KnowledgeBase:
 
     def set_experiences(self, values: Iterable[Tuple[int, float]]) -> None:
         """Record ``(node, experience)`` pairs in order: each value is
-        clamped to [0, 1], an unknown node is learnt, the TTL restarts."""
-        entries = self._entries
+        clamped to [0, 1], an unknown node is learnt, a stranger's TTL
+        restarts."""
+        experience = self._experience
+        ttl = self._ttl
         default_ttl = self.default_ttl
-        for node_id, experience in values:
-            entry = entries.get(node_id)
-            if entry is None:
-                entry = self.add_node(node_id)
-            entry.experience = max(0.0, min(1.0, experience))
-            entry.ttl = default_ttl
+        for node_id, value in values:
+            if node_id in ttl:
+                ttl[node_id] = default_ttl
+            elif node_id not in experience:
+                self.add_node(node_id)
+            experience[node_id] = max(0.0, min(1.0, value))
 
-    def experience_of(self, node_id: int) -> float:
-        entry = self._entries.get(node_id)
-        return entry.experience if entry is not None else 0.0
+    def experience_values(self) -> Dict[int, float]:
+        """Every known node's experience value, in KB order — the live map
+        itself, to be read, never written."""
+        return self._experience
 
     def end_selection_round(self, mirrors: Iterable[int]) -> List[int]:
-        """Close a selection round in one pass over the entries: flag the
-        new mirror set and restart its TTLs, then age every other entry
+        """Close a selection round in one pass over the strangers: flag the
+        new mirror set and restart its TTLs, then age every other stranger
         one round and prune the expired.  Friends never expire — the
         social graph itself keeps them known.  Returns the ids of pruned
-        entries."""
+        nodes, in KB order."""
         mirror_set = set(mirrors)
+        experience = self._experience
+        self._mirrors = {node_id for node_id in mirror_set if node_id in experience}
         default_ttl = self.default_ttl
+        ttl = self._ttl
         pruned = []
-        for node_id, entry in self._entries.items():
+        # Only values change inside the loop, never keys.
+        for node_id, remaining in ttl.items():
             if node_id in mirror_set:
-                entry.is_mirror = True
-                entry.ttl = default_ttl
-                continue
-            entry.is_mirror = False
-            if not entry.is_friend:
-                entry.ttl -= 1
-                if entry.ttl <= 0:
-                    pruned.append(node_id)
+                ttl[node_id] = default_ttl
+            elif remaining > 1:
+                ttl[node_id] = remaining - 1
+            else:
+                pruned.append(node_id)
         for node_id in pruned:
-            del self._entries[node_id]
+            del ttl[node_id]
+            del experience[node_id]
         return pruned
 
     def selection_view(
         self,
     ) -> Tuple[List[Tuple[int, float]], List[int], List[int], List[int]]:
-        """What one selection round reads, from one pass over the entries:
-        ``(ranked, friends, unranked, known)`` — the candidates with
-        positive experience, best first (ties by id), then the friends,
-        the nodes without experience (exploration candidates) and every
-        known id, each in KB order."""
-        positive: List[Tuple[float, int]] = []
-        friends: List[int] = []
-        unranked: List[int] = []
-        for node_id, entry in self._entries.items():
-            if entry.is_friend:
-                friends.append(node_id)
-            experience = entry.experience
-            if experience > 0.0:
-                positive.append((-experience, node_id))
-            else:
-                unranked.append(node_id)
+        """What one selection round reads: ``(ranked, friends, unranked,
+        known)`` — the candidates with positive experience, best first
+        (ties by id), then the friends, the nodes without experience
+        (exploration candidates) and every known id, each in KB order."""
+        experience = self._experience
+        ttl = self._ttl
         # Native tuple order: best experience first, ties by id.
-        positive.sort()
+        positive = sorted(
+            [(-value, node_id) for node_id, value in experience.items() if value > 0.0]
+        )
         ranked = [(node_id, -negated) for negated, node_id in positive]
-        return ranked, friends, unranked, list(self._entries)
+        unranked = [
+            node_id for node_id, value in experience.items() if not value > 0.0
+        ]
+        friends = [node_id for node_id in experience if node_id not in ttl]
+        return ranked, friends, unranked, list(experience)

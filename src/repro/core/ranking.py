@@ -54,6 +54,9 @@ class BootstrapRanker:
     def __init__(self, config: SoupConfig) -> None:
         self._config = config
         self._qualities: Dict[int, List[float]] = {}
+        #: :meth:`ranking` as last computed; ``None`` after a new
+        #: recommendation.  A regular-mode node takes none, so it sorts once.
+        self._ranking: Optional[Tuple[Tuple[int, float], ...]] = None
         #: Recommendations dropped for a non-finite quality (the clamp
         #: below would turn NaN into 1.0).
         self.rejected_recommendations = 0
@@ -67,6 +70,7 @@ class BootstrapRanker:
             return
         quality = max(0.0, min(1.0, quality))
         self._qualities.setdefault(recommendation.mirror, []).append(quality)
+        self._ranking = None
 
     def add_recommendations(self, recommendations: Iterable[Recommendation]) -> None:
         for recommendation in recommendations:
@@ -76,14 +80,16 @@ class BootstrapRanker:
     def recommendation_count(self) -> int:
         return sum(len(v) for v in self._qualities.values())
 
-    def ranking(self) -> List[Tuple[int, float]]:
+    def ranking(self) -> Tuple[Tuple[int, float], ...]:
         """Candidates with discounted mean quality, best first."""
-        discount = self.TRUST_DISCOUNT
-        ranked = sorted(
-            (-(discount * (sum(qualities) / len(qualities))), mirror)
-            for mirror, qualities in self._qualities.items()
-        )
-        return [(mirror, -negated) for negated, mirror in ranked]
+        if self._ranking is None:
+            discount = self.TRUST_DISCOUNT
+            ranked = sorted(
+                (-(discount * (sum(qualities) / len(qualities))), mirror)
+                for mirror, qualities in self._qualities.items()
+            )
+            self._ranking = tuple((mirror, -negated) for negated, mirror in ranked)
+        return self._ranking
 
 
 def candidate_ranking(
@@ -137,11 +143,8 @@ class RegularRanker:
         received = list(reports)
         reports = [report for report in received if well_formed(report)]
         self.rejected_reports += len(received) - len(reports)
-        old_values = {
-            entry.node_id: entry.experience for entry in self._knowledge
-        }
         updated = update_experience(
-            old_values,
+            self._knowledge.experience_values(),
             reports,
             self._config.alpha,
             self._config.o_max,

@@ -708,8 +708,7 @@ class SoupNode:
         selectable while offline (the replica is already there)."""
         holding = set(self.mirror_manager.announced_mirrors)
         unreachable = []
-        for entry in self.mirror_manager.knowledge:
-            node_id = entry.node_id
+        for node_id in self.mirror_manager.knowledge:
             if self._peer(node_id) is None or (
                 not self._probe(node_id) and node_id not in holding
             ):

@@ -193,7 +193,7 @@ def _replica_count_meets_target(sim, epoch: int) -> List[Violation]:
 def _storage_within_capacity(sim, epoch: int) -> List[Violation]:
     violations: List[Violation] = []
     for node in sim.nodes:
-        used = node.store.used_profiles
+        used = node.store.replica_count()
         capacity = node.store.capacity_profiles
         if used > capacity:
             violations.append(
@@ -431,7 +431,7 @@ def mirror_manager_violations(manager, epoch: int = -1) -> List[Violation]:
       only publishes mirrors Algorithm 1 actually chose and that accepted).
     """
     violations: List[Violation] = []
-    used = manager.store.used_profiles
+    used = manager.store.replica_count()
     capacity = manager.store.capacity_profiles
     if used > capacity:
         violations.append(

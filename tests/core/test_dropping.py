@@ -21,7 +21,6 @@ def test_store_within_capacity(config):
     assert store.request_store(2).accepted
     assert store.stores_for(1)
     assert store.replica_count() == 2
-    assert store.free_profiles == 1.0
 
 
 def test_no_self_storage(config):
@@ -61,7 +60,7 @@ def test_refresh_at_a_full_store_takes_no_room_and_evicts_nothing(config):
     assert decision.reason == "already stored"
     assert decision.dropped_owner is None
     assert store.stored_owners() == [1, 2, 3]
-    assert store.used_profiles == 3
+    assert store.replica_count() == 3
 
 
 def test_refresh_updates_friendship_in_place(config):

@@ -8,7 +8,8 @@ The epoch loop reads a knowledge base once per selection
 (``observe_fetch``) and tests candidates against a materialised slice of
 the exclusion (``Exclusion.among``).  The slow definitions of the
 knowledge-base passes live in ``kb_oracles``; these properties pin the
-fast forms to them, order included.
+fast forms to them, order included.  A knowledge base is compared whole
+as its ``kb_oracles.rows``.
 """
 
 import copy
@@ -29,6 +30,7 @@ from tests.core.kb_oracles import (
     friends,
     mark_mirrors,
     ranked_candidates,
+    rows,
     unranked_nodes,
 )
 
@@ -46,18 +48,18 @@ def test_among_is_the_membership_test_restricted_to_the_ids(
     assert unreachable == unreachable_before  # the shared set is never written
 
 
-#: A KB history: learn a node, set an experience value (0.0 included),
-#: mark a mirror set, or age one round.
+#: A KB history: learn a node or a friend list, set an experience value
+#: (0.0 included), or close a round over a mirror set (empty: age only).
 kb_steps = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.integers(1, 40), st.booleans()),
+        st.tuples(st.just("friends"), st.lists(st.integers(1, 40), max_size=4)),
         st.tuples(
             st.just("exp"),
             st.integers(1, 40),
             st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.5, 0.9, 1.0]),
         ),
-        st.tuples(st.just("mark"), st.lists(st.integers(1, 40), max_size=4)),
-        st.tuples(st.just("decay")),
+        st.tuples(st.just("round"), st.lists(st.integers(1, 40), max_size=4)),
     ),
     max_size=40,
 )
@@ -68,12 +70,12 @@ def _replay(steps, default_ttl=3):
     for step in steps:
         if step[0] == "add":
             kb.add_node(step[1], is_friend=step[2])
+        elif step[0] == "friends":
+            kb.add_friends(step[1])
         elif step[0] == "exp":
             kb.set_experience(step[1], step[2])
-        elif step[0] == "mark":
-            mark_mirrors(kb, step[1])
         else:
-            decay_ttls(kb)
+            kb.end_selection_round(step[1])
     return kb
 
 
@@ -84,7 +86,7 @@ def test_selection_view_equals_the_four_separate_passes(steps):
         [pair for pair in ranked_candidates(kb) if pair[1] > 0.0],
         friends(kb),
         unranked_nodes(kb),
-        [entry.node_id for entry in kb],
+        list(kb),
     )
 
 
@@ -110,7 +112,7 @@ def test_candidate_ranking_is_the_trust_order_assembly(steps, recommended):
         if candidate not in known:
             expected.append((candidate, rank))
             known.add(candidate)
-    expected += [(e.node_id, 0.4) for e in kb if e.node_id not in known]
+    expected += [(node_id, 0.4) for node_id in kb if node_id not in known]
     assert candidate_ranking(kb, bootstrap, 0.4) == (
         expected,
         friends(kb),
@@ -121,10 +123,9 @@ def test_candidate_ranking_is_the_trust_order_assembly(steps, recommended):
 @given(steps=kb_steps, mirrors=st.lists(st.integers(1, 45), max_size=5))
 def test_end_selection_round_equals_mark_then_decay(steps, mirrors):
     fused = _replay(steps)
-    split = copy.deepcopy(fused)
-    mark_mirrors(split, mirrors)
-    assert fused.end_selection_round(mirrors) == decay_ttls(split)
-    assert list(fused) == list(split)  # same entries, order, TTLs, mirror flags
+    pruned, kept = decay_ttls(mark_mirrors(rows(fused), mirrors, fused.default_ttl))
+    assert fused.end_selection_round(mirrors) == pruned
+    assert rows(fused) == kept  # same nodes, order, TTLs, mirror flags
 
 
 @given(
@@ -140,7 +141,7 @@ def test_bulk_setter_equals_one_set_experience_per_pair(values, steps):
     bulk.set_experiences(values)
     for node_id, value in values:
         single.set_experience(node_id, value)
-    assert list(bulk) == list(single)
+    assert rows(bulk) == rows(single)
 
 
 fetches = st.lists(

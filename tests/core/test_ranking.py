@@ -68,6 +68,19 @@ class TestBootstrapRanker:
         assert ranker.recommendation_count == 1
         assert ranker.rejected_recommendations == 2
 
+    def test_ranking_is_kept_until_the_next_recommendation(self, config):
+        ranker = BootstrapRanker(config)
+        ranker.add_recommendation(Recommendation(1, mirror=11, quality=0.2))
+        first = ranker.ranking()
+        assert isinstance(first, tuple)
+        assert ranker.ranking() is first  # no re-sort between recommendations
+        ranker.add_recommendation(Recommendation(2, mirror=10, quality=0.9))
+        assert [m for m, _ in ranker.ranking()] == [10, 11]
+        fresh = BootstrapRanker(config)
+        fresh.add_recommendation(Recommendation(1, mirror=11, quality=0.2))
+        fresh.add_recommendation(Recommendation(2, mirror=10, quality=0.9))
+        assert ranker.ranking() == fresh.ranking()
+
 
 class TestRegularRankerAgedCounts:
     def test_experience_tracks_reported_availability(self, config):

@@ -112,6 +112,6 @@ def test_aged_counts_match_the_min_max_reference(rounds):
             type(value) for value in expected.values()
         ]
         assert ranker._counters == reference_counters
-        assert [(e.node_id, e.experience) for e in knowledge] == [
-            (e.node_id, e.experience) for e in reference_knowledge
-        ]
+        assert list(knowledge.experience_values().items()) == list(
+            reference_knowledge.experience_values().items()
+        )

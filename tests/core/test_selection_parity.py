@@ -33,6 +33,7 @@ from repro.core.selection import MirrorSelectionStrategy, SelectionResult
 from repro.node.mirror_manager import MirrorManager
 from repro.sim.engine import SoupSimulation
 from repro.sim.scenario import ScenarioConfig
+from tests.core.kb_oracles import rows
 
 #: Population of the tiny simulation; node 0 is the owner under test.
 N = 24
@@ -134,7 +135,7 @@ def test_engine_and_mirror_manager_make_the_same_selection(
         state.has_experience = experienced
         state.selected_mirrors = list(held)
         state.announced_mirrors = list(held)
-    node.friends = [entry.node_id for entry in node.knowledge if entry.is_friend]
+    node.friends = [n for n in node.knowledge if node.knowledge.is_friend(n)]
     # The engine's holding mirrors really store the replica; every other
     # node is online at epoch 0 unless drawn unreachable.
     for mirror_id in held:
@@ -161,7 +162,7 @@ def test_engine_and_mirror_manager_make_the_same_selection(
 
     manager.commit(list(node.announced_mirrors), 0)
     assert manager.announced_mirrors == node.announced_mirrors
-    assert list(node.knowledge) == list(manager.knowledge)
+    assert rows(node.knowledge) == rows(manager.knowledge)
 
 
 class _PickOffline(MirrorSelectionStrategy):

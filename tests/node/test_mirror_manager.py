@@ -24,7 +24,7 @@ def test_learn_node_and_friends(manager):
     manager.learn_node(2)
     manager.set_friend(3)
     assert 2 in manager.knowledge
-    assert [e.node_id for e in manager.knowledge if e.is_friend] == [3]
+    assert [n for n in manager.knowledge if manager.knowledge.is_friend(n)] == [3]
 
 
 def test_learn_self_is_noop(manager):
@@ -104,7 +104,7 @@ def test_commit_mirrors_updates_knowledge(manager):
     manager.learn_node(5)
     manager.commit([5], 0)
     assert manager.announced_mirrors == [5]
-    assert manager.knowledge.get(5).is_mirror
+    assert manager.knowledge.is_mirror(5)
 
 
 def test_store_request_handling(manager):
@@ -122,7 +122,7 @@ def test_store_request_refresh_cannot_bypass_capacity(manager):
     for owner in range(10, 20):
         decision = manager.handle_store_request(owner=owner, is_friend=True)
         assert (decision.accepted, decision.dropped_owner) == (True, None)
-    assert manager.store.used_profiles == 10
+    assert manager.store.replica_count() == 10
     assert not manager.handle_store_request(owner=9, is_friend=False).accepted
     manager.verify_invariants()
 

@@ -122,7 +122,7 @@ class TestDroppingProperties:
         store = ReplicaStore(owner=999, capacity_profiles=capacity, config=CONFIG)
         for owner, is_friend in requests:
             store.request_store(owner, is_friend=is_friend)
-        assert store.used_profiles <= capacity
+        assert store.replica_count() <= capacity
 
     @given(
         requests=st.lists(st.integers(1, 30), min_size=1, max_size=60),

@@ -142,9 +142,8 @@ def test_store_agrees_with_scan_everything_oracle(capacity, ops):
             ) == oracle.observe_published_mirrors(op[1], op[2])
 
         assert store.stored_owners() == list(oracle.replicas)
-        assert store.used_profiles == oracle.used()
-        assert store.used_profiles <= capacity
-        assert store.free_profiles == capacity - oracle.used()
+        assert store.replica_count() == oracle.used()
+        assert store.replica_count() <= capacity
         assert store.blacklisted_owners() == oracle.blacklist
         # Same scores, inserted in the same order (the order of `removed`).
         assert list(store._scores.items()) == list(oracle.scores.items())

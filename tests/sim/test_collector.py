@@ -1,8 +1,9 @@
 """Construction and the epoch loop run with the cyclic collector paused.
 
-``SoupSimulation.__init__`` builds one knowledge-base row per friendship
-with automatic collection off and ends with one full pass, so the
-collector's cost of the new heap is paid once, inside construction.
+``SoupSimulation.__init__`` builds every node's state (its knowledge base
+holds one dict slot per friendship) with automatic collection off and ends
+with one full pass, so the collector's cost of the new heap is paid once,
+inside construction.
 ``SoupSimulation.run()`` disables automatic collection for the loop and
 makes one young-generation pass per epoch (the ``engine.collect`` phase).
 Both leave ``gc.isenabled()`` as they found it.  That is safe only while

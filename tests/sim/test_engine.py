@@ -78,7 +78,7 @@ def test_capacity_never_exceeded():
     sim = SoupSimulation(graph, config)
     sim.run()
     for node in sim.nodes:
-        assert node.store.used_profiles <= node.store.capacity_profiles
+        assert node.store.replica_count() <= node.store.capacity_profiles
 
 
 def test_cohort_series_present(base_result):
