@@ -3,16 +3,15 @@
 Not a paper experiment — these track the cost of the operations every node
 runs continuously (Algorithm 1, Eq. (1) ingestion, DHT routing, ABE
 encryption), so performance regressions in the core surface here.
-Simulated-network delivery, RSA sign+verify and the scale-free graph
-generator are measured by nothing else in the repo (``benchmarks/e2e``
-runs them only inside the live transport); the live frame codec and one
-post's fan-out to four mirrors are timed here one step at a time.
+Simulated-network delivery and RSA sign+verify are measured by nothing
+else in the repo (``benchmarks/e2e`` runs them only inside the live
+transport); the live frame codec and one post's fan-out to four mirrors
+are timed here one step at a time.
 """
 
 import asyncio
 import random
 
-import numpy as np
 import pytest
 
 from repro.core.config import SoupConfig
@@ -29,7 +28,6 @@ from repro.deploy.cluster import Cluster
 from repro.deploy.live.transport import AsyncClock, LiveTransport
 from repro.deploy.live.transport_codec import LENGTH, decode_frame, encode_frame
 from repro.dht.pastry import PastryOverlay
-from repro.graphs.datasets import generate_scale_free
 from repro.network.events import EventLoop
 from repro.network.reliability import ACK_BYTES, Ack, Envelope
 from repro.network.simnet import SimNetwork
@@ -46,8 +44,6 @@ CRYPTO_BITS = 512
 #: exponentiations on OpenSSL's BN_mod_exp_mont, one Montgomery context
 #: kept per key); a sub-millisecond round would be all jitter.
 CRYPTO_OBJECTS = 240
-SYNTH_NODES = 5_000
-SYNTH_AVG_DEGREE = 12.0
 
 
 def test_algorithm1_selection_speed(benchmark):
@@ -159,22 +155,6 @@ def test_sign_verify_speed(benchmark):
             assert manager.verify_object(obj)
 
     benchmark(sign_and_verify)
-
-
-def test_synth_graph_generation_speed(benchmark):
-    """The array-backed scale-free generator; the degree shape is printed
-    so a silent change of the generator shows beside its speed."""
-    edges = benchmark(
-        lambda: generate_scale_free(SYNTH_NODES, SYNTH_AVG_DEGREE, seed=SEED)
-    )
-    degrees = np.bincount(edges.ravel(), minlength=SYNTH_NODES)
-    print(
-        f"\nsynth_graph: nodes={SYNTH_NODES} edges={edges.shape[0]} "
-        f"avg_degree={2.0 * edges.shape[0] / SYNTH_NODES:.2f} "
-        f"max_degree={int(degrees.max())} "
-        f"p99_degree={np.percentile(degrees, 99.0):.0f}"
-    )
-    assert degrees.min() >= 1
 
 
 def _signed_update_envelope():

@@ -12,54 +12,55 @@ Paper claims:
   availability depends on each user's own online time.
 * Under Safebook's uniform p = 0.3: SOUP ~100 % with ~4 replicas vs
   Safebook ~90 % with 13-24 friend replicas.
+
+Every row runs through the one engine: SOUP as ``architecture="soup"``,
+PeerSoN and Safebook as the ``peerson`` and ``safebook`` architectures
+(docs/ARCHITECTURES.md), each under the related work's own online-time
+distribution.
 """
 
-import numpy as np
-import pytest
-
 from benchmarks.conftest import DEFAULT_SCALE, print_table, run_once
-from repro.baselines.peerson import PeerSonModel
-from repro.baselines.safebook import SafebookModel
-from repro.graphs.datasets import generate_dataset
 from repro.sim.engine import run_scenario
-from repro.sim.scenario import OnlineDistribution, ScenarioConfig, sample_distribution
+from repro.sim.scenario import OnlineDistribution, ScenarioConfig
 
 DAYS = 14
 
 
-def run_soup(distribution: OnlineDistribution):
+def run_row(distribution: OnlineDistribution, architecture: str = "soup"):
     config = ScenarioConfig(
         dataset="facebook",
         scale=DEFAULT_SCALE,
         n_days=DAYS,
         seed=5,
         online_distribution=distribution,
+        architecture=architecture,
     )
     return run_scenario(config)
 
 
-def run_comparison():
-    rng = np.random.default_rng(5)
-    graph = generate_dataset("facebook", scale=DEFAULT_SCALE, seed=5)
-    n = graph.number_of_nodes()
-
-    soup_powerlaw = run_soup(OnlineDistribution.POWER_LAW)
-    soup_peerson = run_soup(OnlineDistribution.PEERSON)
-    soup_uniform = run_soup(OnlineDistribution.UNIFORM_03)
-
-    peerson_p = sample_distribution(OnlineDistribution.PEERSON, n, rng)
-    peerson = PeerSonModel(replica_count=6).summary(peerson_p, seed=5, n_epochs=24 * 7)
-
-    uniform_p = np.full(n, 0.3)
-    safebook = SafebookModel(max_mirrors=24).summary(
-        graph, uniform_p, seed=5, n_epochs=24 * 7
-    )
+def summary(result):
+    """A baseline row: steady availability and replicas, plus each
+    owner's availability over the whole run (join day included) from the
+    engine's per-owner count of unavailable epochs."""
+    per_node = [
+        1.0 - result.unavailable_owner_epochs.get(owner, 0) / result.n_epochs
+        for owner in range(result.n_nodes)
+    ]
     return {
-        "soup_powerlaw": soup_powerlaw,
-        "soup_peerson": soup_peerson,
-        "soup_uniform": soup_uniform,
-        "peerson": peerson,
-        "safebook": safebook,
+        "availability": result.steady_state_availability(3),
+        "availability_min": min(per_node),
+        "availability_max": max(per_node),
+        "replicas": result.steady_state_replicas(3),
+    }
+
+
+def run_comparison():
+    return {
+        "soup_powerlaw": run_row(OnlineDistribution.POWER_LAW),
+        "soup_peerson": run_row(OnlineDistribution.PEERSON),
+        "soup_uniform": run_row(OnlineDistribution.UNIFORM_03),
+        "peerson": summary(run_row(OnlineDistribution.PEERSON, "peerson")),
+        "safebook": summary(run_row(OnlineDistribution.UNIFORM_03, "safebook")),
     }
 
 

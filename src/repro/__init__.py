@@ -15,7 +15,9 @@ Top-level entry points:
 * :class:`repro.deploy.Deployment` — the 31-node deployment emulation
   (Sec. 7).
 * :mod:`repro.graphs` — the three evaluation datasets (Table 3).
-* :mod:`repro.baselines` — PeerSoN / Safebook / Cachet models (Tables 1, 4).
+* :mod:`repro.arch` — pluggable architectures: SOUP and the related work
+  (PeerSoN, Safebook, super-peers, …) through the one engine (Table 4).
+* :mod:`repro.baselines` — the DOSN feature matrix (Table 1).
 
 See DESIGN.md for the complete system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.

@@ -1,4 +1,4 @@
-"""Pluggable DOSN architectures: strategy seams + executable baselines.
+"""Pluggable DOSN architectures: strategy seams + the architectures.
 
 See :mod:`repro.arch.base` for the strategy interfaces and
 ``docs/ARCHITECTURES.md`` for the design.  Importing this package
@@ -9,6 +9,8 @@ registers the built-in architectures::
     superpeer   SuperNova-style super-peer mirror economy
     social_dht  socially-aware Pastry placement + friend-shortcut routing
     cache       LRU/TTL read-cache tier over mirrors
+    peerson     PeerSoN-style mutual partners of similar uptime
+    safebook    Safebook-style friend mirrors behind shell relays
 """
 
 from repro.arch.base import (
@@ -26,6 +28,8 @@ from repro.arch.base import (
 )
 from repro.arch.cache import MirrorReadCache
 from repro.arch.dhtprobe import DhtProbe, derive_dht_id
+from repro.arch.peerson import MutualPartners
+from repro.arch.safebook import FriendMirrors, ShellRelay
 from repro.arch.social import SocialMap, SocialPlacement, SocialRouting, build_social_map
 from repro.arch.superpeer import SuperPeerEconomy
 
@@ -33,11 +37,14 @@ __all__ = [
     "ARCHITECTURES",
     "Architecture",
     "DhtProbe",
+    "FriendMirrors",
     "MirrorReadCache",
     "MirrorSelectionStrategy",
+    "MutualPartners",
     "PlacementStrategy",
     "ReadPathStrategy",
     "RoutingPolicy",
+    "ShellRelay",
     "SocialMap",
     "SocialPlacement",
     "SocialRouting",

@@ -1,10 +1,9 @@
 """Strategy interfaces for pluggable DOSN architectures.
 
-SOUP's evaluation (Sec. 5.3) compares against PeerSoN, Safebook and
-Cachet only through analytic replication models — the alternatives never
-run through the same engine, overlay, and churn machinery.  This module
-extracts the hard-wired seams into explicit strategy interfaces so
-alternative architectures become *executable* baselines:
+SOUP's evaluation (Sec. 5.3, Table 4) compares against PeerSoN and
+Safebook.  This module extracts the hard-wired seams into explicit
+strategy interfaces, so each alternative architecture runs through the
+same engine, overlay and churn machinery as SOUP itself:
 
 * :class:`MirrorSelectionStrategy` — wraps the Eq. (1) ranking +
   Algorithm 1 seam: ``repro.core.selection.ReplicationState.select``,
@@ -18,7 +17,8 @@ alternative architectures become *executable* baselines:
   monotone-progress rule so termination is preserved.
 * :class:`ReadPathStrategy` — intercepts profile reads before they hit
   the mirrors (``SoupSimulation._request_profile`` /
-  ``SoupNode.request_profile``).
+  ``SoupNode.request_profile``) and decides which online mirrors the
+  simulator counts as serving.
 
 An :class:`Architecture` bundles one (or none) of each.  The default
 ``"soup"`` architecture binds *no* strategies: every node keeps running
@@ -81,6 +81,15 @@ def gini(counts: np.ndarray) -> float:
     # Standard rank formulation: G = (2 Σ i·x_i)/(n Σ x) - (n+1)/n.
     ranks = np.arange(1, n + 1)
     return float(2.0 * (ranks * values).sum() / (n * total) - (n + 1) / n)
+
+
+def unavailability(uptime, mirrors: Iterable[int]) -> float:
+    """Π (1 - uptime[mirror]): the ε estimate Algorithm 1 reports, for a
+    mirror set a strategy chose without it."""
+    perr = 1.0
+    for mirror in mirrors:
+        perr *= 1.0 - float(uptime[mirror])
+    return perr
 
 
 # ----------------------------------------------------------------------
@@ -159,6 +168,11 @@ class ReadPathStrategy:
         """Owners reachable through the cache tier this epoch."""
         return ()
 
+    def serving(self, online_now: np.ndarray) -> np.ndarray:
+        """Which nodes can serve a replica this epoch: a subset of the
+        online ones (the simulator's mirror reads and availability)."""
+        return online_now
+
     def metrics(self) -> Dict[str, float]:
         return {}
 
@@ -218,9 +232,6 @@ def create_architecture(name: str, config=None) -> Architecture:
     object carrying the flat ``arch_*`` knobs); factories read their
     parameters from it and fall back to defaults when absent.
     """
-    # Import for side effects: the baseline modules self-register.
-    from repro.arch import cache, social, superpeer  # noqa: F401
-
     factory = ARCHITECTURES.get(name)
     if factory is None:
         raise ValueError(

@@ -1,24 +1,15 @@
-"""Related-work baselines (paper Sec. 2, Table 1, Table 4).
+"""Related-work data (paper Sec. 2, Table 1).
 
-SOUP's evaluation compares against the DOSN replication strategies of
-PeerSoN (mutual storage agreements), Safebook (friends-only mirrors) and
-Cachet (data in the DHT).  These are analytic/simulation models of each
-scheme's *replication behaviour* — enough to regenerate Table 4's
-availability/overhead comparison and Table 1's feature matrix — not full
-reimplementations of those systems.
+``features`` encodes Table 1's DOSN feature matrix.  Table 4's replication
+comparison runs PeerSoN and Safebook as architectures of the one engine
+(``repro.arch.peerson``, ``repro.arch.safebook``), not from here.
 """
 
-from repro.baselines.cachet import CachetModel
 from repro.baselines.features import FEATURES, SYSTEMS, feature_matrix, table1_rows
-from repro.baselines.peerson import PeerSonModel
-from repro.baselines.safebook import SafebookModel
 
 __all__ = [
-    "CachetModel",
     "FEATURES",
     "SYSTEMS",
     "feature_matrix",
     "table1_rows",
-    "PeerSonModel",
-    "SafebookModel",
 ]

@@ -5,7 +5,7 @@ Examples::
     python -m repro fig5 --dataset epinions --days 10
     python -m repro fig10 --fraction 0.5
     python -m repro table1
-    python -m repro table4
+    python -m repro compare configs/compare/table4.toml --archs soup,peerson,safebook -o t4
     python -m repro deploy --duration 1200
     python -m repro fig15 --rate 20
 
@@ -256,30 +256,6 @@ def _cmd_table3(args) -> int:
 
     for name, nodes, edges, degree in table3_rows(scale=args.scale, seed=args.seed):
         print(f"{name:<10} nodes={nodes:<8} edges={edges:<9} avg_degree={degree}")
-    return 0
-
-
-def _cmd_table4(args) -> int:
-    try:
-        from benchmarks.test_table4_related_work import run_comparison
-    except ImportError:
-        print("table4 requires the benchmarks directory on sys.path", file=sys.stderr)
-        return 1
-    outcome = run_comparison()
-    soup = outcome["soup_powerlaw"]
-    print(f"SOUP (power-law): availability={soup.steady_state_availability(3):.3f} "
-          f"replicas={soup.steady_state_replicas(3):.1f}")
-    soup_ps = outcome["soup_peerson"]
-    peerson = outcome["peerson"]
-    print(f"SOUP (PeerSoN mix): {soup_ps.steady_state_availability(3):.3f}/"
-          f"{soup_ps.steady_state_replicas(3):.1f}  vs  PeerSoN "
-          f"{peerson['availability']:.3f}/{peerson['replicas']:.1f} "
-          f"(per-node {peerson['availability_min']:.2f}-{peerson['availability_max']:.2f})")
-    soup_u = outcome["soup_uniform"]
-    safebook = outcome["safebook"]
-    print(f"SOUP (uniform 0.3): {soup_u.steady_state_availability(3):.3f}/"
-          f"{soup_u.steady_state_replicas(3):.1f}  vs  Safebook "
-          f"{safebook['availability']:.3f}/{safebook['replicas']:.1f}")
     return 0
 
 
@@ -775,9 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "replica transfers with retries, mirror failure "
                             "detection, and proactive replica repair")
         p.add_argument("--architecture", default="soup", metavar="NAME",
-                       help="pluggable architecture: soup (default), "
-                            "superpeer, social_dht, or cache "
-                            "(docs/ARCHITECTURES.md)")
+                       help="pluggable architecture, soup by default "
+                            "(the registered names: docs/ARCHITECTURES.md)")
         p.add_argument("--measure-dht", action="store_true",
                        help="run the shadow DHT probe and report "
                             "arch.dht.* / arch.storage.* metrics")
@@ -811,12 +786,11 @@ def build_parser() -> argparse.ArgumentParser:
     p3 = sub.add_parser("table3", help="dataset summary")
     p3.add_argument("--scale", type=float, default=1.0)
     p3.add_argument("--seed", type=int, default=0)
-    sub.add_parser("table4", help="SOUP vs PeerSoN/Safebook")
 
     pd = sub.add_parser("deploy", help="31-node deployment emulation")
     pd.add_argument("--architecture", default="soup", metavar="NAME",
-                    help="pluggable architecture: soup (default), superpeer, "
-                         "social_dht, or cache (docs/ARCHITECTURES.md)")
+                    help="pluggable architecture, soup by default "
+                         "(the registered names: docs/ARCHITECTURES.md)")
     pd.add_argument("--desktop", type=int, default=27)
     pd.add_argument("--mobile", type=int, default=4)
     pd.add_argument("--duration", type=float, default=1800.0)
@@ -875,8 +849,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser(
         "compare",
         help="head-to-head architecture comparison: fan one scenario over "
-             "the registered architectures (soup, superpeer, social_dht, "
-             "cache) and print one table (see docs/ARCHITECTURES.md)",
+             "the registered architectures and print one table (see "
+             "docs/ARCHITECTURES.md)",
     )
     pc.add_argument("spec", nargs="?", default=None,
                     help="sweep spec file (TOML or JSON) with the base "
@@ -1376,8 +1350,6 @@ def _dispatch(args) -> int:
         return _cmd_table1(args)
     if command == "table3":
         return _cmd_table3(args)
-    if command == "table4":
-        return _cmd_table4(args)
     if command == "deploy":
         return _cmd_deploy(args)
     if command == "fig15":

@@ -42,8 +42,6 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-import numpy as np
-
 from repro.graphs.friendship import FriendshipGraph
 
 
@@ -223,58 +221,6 @@ def generate_dataset(name: str, scale: float = 1.0, seed: int = 0) -> Friendship
     return FriendshipGraph.from_edges(
         n, _edges(adjacency), graph={"dataset": spec.name, "scale": scale}
     )
-
-
-def generate_scale_free(
-    n: int, avg_degree: float = 12.0, seed: int = 0
-) -> np.ndarray:
-    """Deterministic Barabási–Albert scale-free edge list.
-
-    The Table-3 generators grow their graphs over Python adjacency dicts
-    (networkx's Holme–Kim draw for draw), whose per-node objects cap out
-    far below the roadmap's 1M-node target before they are packed into a
-    :class:`~repro.graphs.friendship.FriendshipGraph`.  This generator
-    keeps pure preferential attachment but works on preallocated int64
-    arrays from the start — ~16 bytes per edge, no graph objects — so a
-    million-node graph is a seconds-scale operation
-    (``benchmarks/test_microbenchmarks.py`` tracks the rate).
-
-    Returns an ``(E, 2)`` int64 array of undirected edges over nodes
-    ``0..n-1``; every new node attaches ``m = round(avg_degree / 2)``
-    edges to endpoints sampled proportionally to their current degree.
-    Same ``(n, avg_degree, seed)`` → byte-identical edge array.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 nodes, got {n}")
-    if avg_degree <= 0:
-        raise ValueError(f"avg_degree must be positive, got {avg_degree}")
-    m = max(1, min(n - 1, round(avg_degree / 2.0)))
-    rng = random.Random(seed)
-
-    n_new = n - m
-    edges = np.empty((m * n_new, 2), dtype=np.int64)
-    #: Flat endpoint pool: every edge contributes both endpoints, so a
-    #: uniform draw from the pool IS degree-proportional sampling.
-    pool = np.empty(2 * m * n_new, dtype=np.int64)
-    targets = np.arange(m, dtype=np.int64)
-    pool_len = 0
-    edge_count = 0
-    for source in range(m, n):
-        edges[edge_count : edge_count + m, 0] = source
-        edges[edge_count : edge_count + m, 1] = targets
-        edge_count += m
-        pool[pool_len : pool_len + m] = targets
-        pool_len += m
-        pool[pool_len : pool_len + m] = source
-        pool_len += m
-        if source + 1 == n:
-            break
-        chosen: set = set()
-        while len(chosen) < m:
-            chosen.add(int(pool[rng.randrange(pool_len)]))
-        # Sorted for determinism: set iteration order is hash-dependent.
-        targets = np.fromiter(sorted(chosen), dtype=np.int64, count=m)
-    return edges[:edge_count]
 
 
 def table3_rows(scale: float = 1.0, seed: int = 0) -> List[Tuple[str, int, int, float]]:

@@ -446,6 +446,8 @@ class SoupSimulation:
         self.dht_probe = None
         self._selection_strategy = None
         self._read_path = None
+        #: This epoch's ``read_path.serving`` flags as Python bools.
+        self._serving_flags: List[bool] = []
         if config.architecture == "soup" and not config.measure_dht:
             return
         from repro.arch import create_architecture
@@ -614,6 +616,7 @@ class SoupSimulation:
             self.dht_probe.begin_epoch(epoch, online_now)
         if self._read_path is not None:
             self._read_path.begin_epoch(epoch)
+            self._serving_flags = self._read_path.serving(online_now).tolist()
         self._activate_joins(epoch)
         online_ids = np.nonzero(online_now)[0]
         active_since_round.update(int(i) for i in online_ids)
@@ -833,7 +836,11 @@ class SoupSimulation:
             return
         friend_id = friend.node_id
         mirrors = friend.announced_mirrors
-        online_now = self._online_flags_at(epoch)
+        # The read path decides which online mirrors serve (Safebook: only
+        # those whose shell relay is online too).
+        online_now = (
+            self._online_flags_at(epoch) if read_path is None else self._serving_flags
+        )
         nodes = self.nodes
         # A departed node is offline for good, so an online mirror's store
         # is the whole answer.
@@ -1312,8 +1319,11 @@ class SoupSimulation:
 
     def _availability_flags(self, online_now: np.ndarray) -> np.ndarray:
         available = online_now.copy()
+        serving = online_now
+        if self._read_path is not None:
+            serving = self._read_path.serving(online_now)
         if len(self._pair_owners):
-            mirror_online = online_now[self._pair_mirrors]
+            mirror_online = serving[self._pair_mirrors]
             available[self._pair_owners[mirror_online]] = True
         if self._read_path is not None:
             # Cache tier: an owner with a fresh copy at an online reader

@@ -154,11 +154,8 @@ class ScenarioConfig:
 
     # --- architecture (repro.arch) ----------------------------------------------
     #: Which architecture runs the seams: ``"soup"`` (the paper's design,
-    #: byte-identical to the pre-refactor engine), ``"superpeer"``
-    #: (SuperNova-style super-peer mirror economy), ``"social_dht"``
-    #: (socially-aware Pastry placement + friend-shortcut routing), or
-    #: ``"cache"`` (LRU/TTL read-cache tier over mirrors).  See
-    #: docs/ARCHITECTURES.md.
+    #: byte-identical to the pre-refactor engine) or any other name
+    #: registered in ``repro.arch`` (docs/ARCHITECTURES.md lists them).
     architecture: str = "soup"
     #: Run the shadow DHT probe (repro.arch.dhtprobe): an observational
     #: Pastry ring mirroring joins/departures/publishes/lookups so the

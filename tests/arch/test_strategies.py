@@ -7,7 +7,11 @@ import pytest
 
 from repro.arch import (
     Architecture,
+    FriendMirrors,
     MirrorReadCache,
+    MutualPartners,
+    ReadPathStrategy,
+    ShellRelay,
     SocialMap,
     SocialPlacement,
     SocialRouting,
@@ -19,20 +23,23 @@ from repro.arch import (
     derive_dht_id,
     gini,
 )
+from repro.arch.peerson import PARTNERS
+from repro.arch.safebook import MAX_MIRRORS, shell_relays
 from repro.arch.social import ANCHOR_BITS, cluster_anchor
 from repro.arch.superpeer import SUPERPEER_RANK
 from repro.core.config import SoupConfig
+from repro.core.selection import select_mirrors
 
 
 class TestRegistry:
     def test_all_four_registered(self):
-        names = architecture_names()
-        for expected in ("soup", "superpeer", "social_dht", "cache"):
-            assert expected in names
+        assert set(architecture_names()) == {
+            "soup", "superpeer", "social_dht", "cache", "peerson", "safebook"
+        }
 
     def test_unknown_architecture_raises_with_known_list(self):
         with pytest.raises(ValueError, match="soup"):
-            create_architecture("peerson")
+            create_architecture("no_such_arch")
 
     def test_soup_binds_no_strategies(self):
         arch = create_architecture("soup")
@@ -153,6 +160,139 @@ class TestSuperPeerEconomy:
 
         economy.begin_round(DictView(), epoch=0)
         assert economy.superpeers == [205, 101]
+
+
+def _select(strategy, owner, friends=(), exclude=None, ranking=()):
+    return strategy.select(
+        owner, list(ranking), list(friends), SoupConfig(), random.Random(0),
+        exclude={owner} if exclude is None else exclude,
+    )
+
+
+class TestMutualPartners:
+    """PeerSoN: mutual agreements between peers of similar uptime."""
+
+    @staticmethod
+    def strategy(uptime):
+        partners = MutualPartners()
+        partners.begin_round(_View(uptime, np.ones(len(uptime))), epoch=0)
+        return partners
+
+    def test_six_partners_never_the_node_itself(self):
+        strategy = self.strategy(np.random.default_rng(0).random(200))
+        for owner in range(200):
+            mirrors = _select(strategy, owner).mirrors
+            assert len(mirrors) == PARTNERS == len(set(mirrors))
+            assert owner not in mirrors
+
+    def test_partners_have_similar_uptime(self):
+        uptime = np.random.default_rng(1).random(500)
+        strategy = self.strategy(uptime)
+        gaps = [
+            abs(uptime[owner] - uptime[partner])
+            for owner in range(500)
+            for partner in _select(strategy, owner).mirrors
+        ]
+        assert np.mean(gaps) < 0.02
+
+    def test_partners_are_mutual_while_both_reachable(self):
+        strategy = self.strategy(np.random.default_rng(2).random(100))
+        partners = {owner: set(_select(strategy, owner).mirrors) for owner in range(100)}
+        # Away from both ends of the uptime order the window is symmetric.
+        reach = PARTNERS // 2
+        for owner in strategy._order[reach:-reach]:
+            for partner in partners[owner]:
+                assert owner in partners[partner]
+
+    def test_unreachable_nodes_are_skipped(self):
+        uptime = np.linspace(0.0, 1.0, 20)  # position = node id
+        strategy = self.strategy(uptime)
+        mirrors = _select(strategy, 10, exclude={10, 9, 11}).mirrors
+        assert mirrors == [8, 12, 7, 13, 6, 14]
+
+    def test_algorithm_one_until_the_first_round(self):
+        ranking = [(1, 0.5), (2, 0.4), (3, 0.3)]
+        result = _select(MutualPartners(), 0, ranking=ranking)
+        expected = select_mirrors(
+            ranking=ranking, friends=[], config=SoupConfig(),
+            rng=random.Random(0), exclude={0},
+        )
+        assert result.mirrors == expected.mirrors
+
+    def test_dict_backed_view_matches_deployment_shape(self):
+        uptime = {101: 0.9, 205: 0.95, 307: 0.1, 411: 0.5}
+
+        class DictView:
+            capacities = {node: 10.0 for node in uptime}
+
+            def observed_uptime(self, epoch):
+                return uptime
+
+        strategy = MutualPartners()
+        strategy.begin_round(DictView(), epoch=0)
+        assert strategy._order == [307, 411, 101, 205]
+        assert _select(strategy, 101).mirrors == [411, 205, 307]
+
+
+class TestFriendMirrors:
+    """Safebook: friends only, best observed uptime first."""
+
+    @staticmethod
+    def strategy(uptime):
+        friends = FriendMirrors()
+        friends.begin_round(_View(uptime, np.ones(len(uptime))), epoch=0)
+        return friends
+
+    def test_friends_only_best_uptime_first_at_most_24(self):
+        uptime = np.random.default_rng(3).random(100)
+        friends = list(range(1, 100, 2))  # 50 friends
+        mirrors = _select(self.strategy(uptime), 0, friends).mirrors
+        assert len(mirrors) == MAX_MIRRORS
+        assert set(mirrors) <= set(friends)
+        assert mirrors == sorted(friends, key=lambda f: -uptime[f])[:MAX_MIRRORS]
+
+    def test_low_degree_nodes_get_few_mirrors(self):
+        strategy = self.strategy(np.full(10, 0.5))
+        assert _select(strategy, 0, friends=[7]).mirrors == [7]
+        assert _select(strategy, 1, friends=[]).mirrors == []
+
+    def test_excluded_friends_are_skipped(self):
+        strategy = self.strategy(np.array([0.5, 0.9, 0.8, 0.7, 0.6]))
+        mirrors = _select(strategy, 0, friends=[1, 2, 3, 4], exclude={0, 1, 3}).mirrors
+        assert mirrors == [2, 4]
+
+    def test_ranking_order_until_the_first_round(self):
+        result = _select(
+            FriendMirrors(), 0, friends=[1, 2, 3], ranking=[(9, 0.9), (2, 0.7), (1, 0.2)]
+        )
+        assert result.mirrors == [2, 1, 3]
+
+
+class TestShellRelay:
+    def test_default_read_path_serves_every_online_node(self):
+        online = np.array([True, False, True])
+        assert ReadPathStrategy().serving(online) is online
+
+    def test_relays_are_fixed_other_nodes(self):
+        relays = shell_relays(1_000)
+        assert (relays != np.arange(1_000)).all()
+        assert relays.min() >= 0 and relays.max() < 1_000
+        assert (shell_relays(1_000) == relays).all()
+
+    def test_serving_is_a_subset_of_online(self):
+        online = np.random.default_rng(4).random(500) < 0.3
+        serving = ShellRelay().serving(online)
+        assert not (serving & ~online).any()
+        # Uniform p = 0.3: a path needs mirror and relay, about p² = 0.09.
+        assert 0.04 < serving.mean() < 0.14
+
+    def test_mirror_with_offline_relay_does_not_serve(self):
+        online = np.ones(50, dtype=bool)
+        mirror = 7
+        online[shell_relays(50)[mirror]] = False
+        serving = ShellRelay().serving(online)
+        assert online[mirror] and not serving[mirror]
+        assert not create_architecture("safebook").read_path.serving(online)[mirror]
 
 
 class TestSocialDht:

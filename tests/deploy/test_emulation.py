@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.arch.peerson import PARTNERS
+from repro.arch.safebook import MAX_MIRRORS
 from repro.deploy.emulation import Deployment
 
 
@@ -99,6 +101,21 @@ class TestDeploymentArchitectures:
         assert "shortcut_offers" in report.arch_metrics["routing"]
         assert report.availability > 0.99
 
+    @pytest.mark.parametrize("architecture", ["peerson", "safebook"])
+    def test_related_work_selection_runs_on_the_deployment_view(self, architecture):
+        """PeerSoN's and Safebook's selection read the dict-shaped
+        deployment view; the shells are not modelled here, so reads see
+        the plain online mirrors."""
+        deployment, report = self.run(architecture)
+        assert report.architecture == architecture
+        assert report.profile_requests > 0
+        bound = {"peerson": PARTNERS, "safebook": MAX_MIRRORS}[architecture]
+        for user in deployment.users:
+            mirrors = user.mirror_manager.announced_mirrors
+            assert 0 < len(mirrors) <= bound
+            if architecture == "safebook":
+                assert set(mirrors) <= set(user.social.friends())
+
     def test_unknown_architecture_rejected(self):
         with pytest.raises(ValueError):
-            Deployment(n_desktop=4, architecture="peerson")
+            Deployment(n_desktop=4, architecture="no_such_arch")

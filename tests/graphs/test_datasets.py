@@ -1,13 +1,11 @@
 """Tests for the synthetic dataset generators (Table 3)."""
 
-import numpy as np
 import pytest
 
 from repro.graphs import datasets
 from repro.graphs.datasets import (
     DATASET_SPECS,
     generate_dataset,
-    generate_scale_free,
     table3_rows,
 )
 
@@ -111,37 +109,3 @@ def test_table3_rows_scaled_measures_generated_graphs():
     # Directed-edge convention: reported degree ~ the full-scale value.
     assert by_name["facebook"][3] == pytest.approx(40.4, rel=0.05)
     assert by_name["epinions"][3] == pytest.approx(6.71, rel=0.1)
-
-
-# --- the array-backed scale-free generator ---------------------------------
-
-
-def test_scale_free_is_byte_identical_per_seed():
-    one = generate_scale_free(400, avg_degree=12.0, seed=5)
-    two = generate_scale_free(400, avg_degree=12.0, seed=5)
-    assert one.dtype == np.int64 and one.shape[1] == 2
-    assert one.tobytes() == two.tobytes()
-    other = generate_scale_free(400, avg_degree=12.0, seed=6)
-    assert other.shape == one.shape
-    assert other.tobytes() != one.tobytes()
-
-
-@pytest.mark.parametrize("n, avg_degree", [(2, 12.0), (50, 1.0), (400, 12.0), (401, 7.0)])
-def test_scale_free_edge_list_is_a_simple_graph(n, avg_degree):
-    edges = generate_scale_free(n, avg_degree=avg_degree, seed=3)
-    m = max(1, min(n - 1, round(avg_degree / 2.0)))
-    assert edges.shape == (m * (n - m), 2)
-    assert edges.min() >= 0 and edges.max() == n - 1
-    sources, targets = edges[:, 0], edges[:, 1]
-    assert (sources != targets).all(), "self-loop"
-    pairs = set(map(tuple, edges.tolist()))
-    assert len(pairs) == edges.shape[0], "a source repeats a target"
-
-
-def test_scale_free_rejects_degenerate_input():
-    with pytest.raises(ValueError, match="at least 2 nodes"):
-        generate_scale_free(1)
-    with pytest.raises(ValueError, match="avg_degree must be positive"):
-        generate_scale_free(10, avg_degree=0.0)
-    with pytest.raises(ValueError, match="avg_degree must be positive"):
-        generate_scale_free(10, avg_degree=-2.0)

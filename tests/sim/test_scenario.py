@@ -72,12 +72,12 @@ def test_validate_callable_after_mutation():
 
 def test_architecture_validation():
     with pytest.raises(ValueError):
-        ScenarioConfig(architecture="peerson").validate()
+        ScenarioConfig(architecture="no_such_arch").validate()
     with pytest.raises(ValueError):
         ScenarioConfig(architecture="superpeer", arch_superpeer_fraction=1.5).validate()
     with pytest.raises(ValueError):
         ScenarioConfig(architecture="cache", arch_cache_capacity=0).validate()
-    for name in ("soup", "superpeer", "social_dht", "cache"):
+    for name in ("soup", "superpeer", "social_dht", "cache", "peerson", "safebook"):
         ScenarioConfig(architecture=name).validate()
     # The engine has one path and does no crypto: neither knob exists.
     with pytest.raises(TypeError):

@@ -1,7 +1,6 @@
 """Tests for the experiment CLI."""
 
 import json
-import sys
 
 import pytest
 
@@ -28,14 +27,23 @@ def test_table3_full_scale(capsys):
     assert "6.71" in out
 
 
-def test_table4_without_benchmarks_package_exits_one(capsys, monkeypatch):
-    """Run from outside the repo root, ``benchmarks`` is not importable."""
-    monkeypatch.delitem(
-        sys.modules, "benchmarks.test_table4_related_work", raising=False
+def test_table4_spec_crosses_three_online_time_rows():
+    """Table 4 is a ``soup compare`` run: SOUP's, PeerSoN's and Safebook's
+    online-time assumptions, each a row of the committed spec."""
+    from pathlib import Path
+
+    from repro.runtime import SweepSpec
+    from repro.sim.scenario import OnlineDistribution
+
+    spec = SweepSpec.from_file(
+        Path(__file__).resolve().parents[1] / "configs" / "compare" / "table4.toml"
     )
-    monkeypatch.setitem(sys.modules, "benchmarks", None)
-    assert main(["table4"]) == 1
-    assert "requires the benchmarks directory" in capsys.readouterr().err
+    tasks = spec.expand()
+    assert [task.build_config().online_distribution for task in tasks] == [
+        OnlineDistribution.POWER_LAW,
+        OnlineDistribution.PEERSON,
+        OnlineDistribution.UNIFORM_03,
+    ]
 
 
 def test_fig5_small(capsys):
@@ -454,6 +462,9 @@ class TestSweepCommand:
         assert "scale" in captured.err
 
 
+ARCHS = ("soup", "superpeer", "social_dht", "cache", "peerson", "safebook")
+
+
 class TestCompareCommand:
     COMPARE_ARGS = (
         "compare",
@@ -469,14 +480,14 @@ class TestCompareCommand:
         code, out = run_cli(capsys, *self.COMPARE_ARGS, "--out", str(run_dir))
         assert code == 0
         # One table row per architecture, plus the acceptance metrics.
-        for arch in ("soup", "superpeer", "social_dht", "cache"):
+        for arch in ARCHS:
             assert arch in out
         for column in ("avail", "lookup_hops", "control_msgs", "storage_gini"):
             assert column in out
         payload = json.loads((run_dir / "compare.json").read_text())
         assert payload["schema"] == "soup-compare/v1"
         archs = {cell["architecture"] for cell in payload["cells"]}
-        assert archs == {"soup", "superpeer", "social_dht", "cache"}
+        assert archs == set(ARCHS)
         for cell in payload["cells"]:
             assert "arch.dht.mean_lookup_hops" in cell["stats"]
             assert "arch.storage.gini" in cell["stats"]
@@ -497,7 +508,7 @@ class TestCompareCommand:
 
     def test_compare_rejects_unknown_architecture(self, capsys, tmp_path):
         code, _ = run_cli(
-            capsys, "compare", "--archs", "peerson", "--out", str(tmp_path / "r"),
+            capsys, "compare", "--archs", "no_such_arch", "--out", str(tmp_path / "r"),
         )
         assert code == 2
 
