@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.core.config import SoupConfig
-from repro.core.experience import ExperienceReport
+from repro.core.experience import ExperienceReport, ExperienceSet
 from repro.core.knowledge import KnowledgeBase
 from repro.core.objects import ObjectType, SoupObject
 from repro.core.ranking import RegularRanker
@@ -74,6 +74,24 @@ def test_eq1_ingestion_speed(benchmark):
         for _ in range(300)
     ]
     benchmark(lambda: ranker.ingest_reports(reports))
+    assert len(kb) > 0
+
+
+def test_eq1_batch_ingestion_speed(benchmark):
+    """What the epoch engine ingests: each friend's experience set handed
+    over whole, one batch per friend (100 friends, 3 mirrors each, 1-3
+    fetches per mirror — the shape of the report list above)."""
+    kb = KnowledgeBase(owner=0)
+    ranker = RegularRanker(kb, CONFIG)
+    rng = random.Random(0)
+    batches = []
+    for reporter in range(100):
+        es = ExperienceSet(observed_friend=0)
+        for mirror in rng.sample(range(1, 50), 3):
+            for _ in range(rng.randint(1, 3)):
+                es.observe(mirror, rng.random() < 0.8)
+        batches.append(es.hand_over(reporter))
+    benchmark(lambda: ranker.ingest_reports(batches))
     assert len(kb) > 0
 
 

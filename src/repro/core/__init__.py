@@ -23,6 +23,7 @@ This package implements Sec. 4 of the paper end to end:
 from repro.core.config import SoupConfig
 from repro.core.dropping import ReplicaStore, StoreDecision
 from repro.core.experience import (
+    ExperienceBatch,
     ExperienceReport,
     ExperienceSet,
     ObservationRecord,
@@ -37,6 +38,7 @@ __all__ = [
     "SoupConfig",
     "ReplicaStore",
     "StoreDecision",
+    "ExperienceBatch",
     "ExperienceReport",
     "ExperienceSet",
     "ObservationRecord",

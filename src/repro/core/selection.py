@@ -35,11 +35,12 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.core.config import SoupConfig
 from repro.core.dropping import ReplicaStore
-from repro.core.experience import ExperienceReport, ExperienceSet
+from repro.core.experience import ExperienceBatch, ExperienceReport, ExperienceSet
 from repro.core.knowledge import KnowledgeBase
 from repro.core.ranking import BootstrapRanker, RegularRanker, candidate_ranking
 
@@ -306,8 +307,10 @@ class ReplicationState:
         self.store = ReplicaStore(owner_id, capacity_profiles, config)
         #: ES_u(w) for each friend w, accumulated between exchanges.
         self.experience_sets: Dict[int, ExperienceSet] = {}
-        #: Reports received from friends about *my* mirrors, pending ingestion.
-        self.pending_reports: List[ExperienceReport] = []
+        #: What friends sent about *my* mirrors, pending ingestion, in
+        #: arrival order: one batch of counts per exchange with a friend,
+        #: and single reports (forged, re-weighed or tampered with).
+        self.pending_reports: List[Union[ExperienceBatch, ExperienceReport]] = []
         #: The mirror set the last selection chose.
         self.selected_mirrors: List[int] = []
         #: The mirror set published in the directory (announced).
@@ -332,11 +335,16 @@ class ReplicationState:
             self.experience_sets[friend] = es
         return es
 
-    def drain_reports_for(self, friend: int) -> List[ExperienceReport]:
+    def hand_over(self, friend: int, weight: float = 1.0) -> Optional[ExperienceBatch]:
+        """ES_u(friend) for an exchange: the counts themselves, as one batch
+        (``None`` if nothing was observed since the last exchange)."""
         es = self.experience_sets.get(friend)
-        if es is None or len(es) == 0:
-            return []
-        return es.drain(self.owner_id, self.config.o_max)
+        if es is None:
+            return None
+        return es.hand_over(self.owner_id, weight)
+
+    def receive_batch(self, batch: ExperienceBatch) -> None:
+        self.pending_reports.append(batch)
 
     def receive_reports(self, reports: Iterable[ExperienceReport]) -> None:
         self.pending_reports.extend(reports)

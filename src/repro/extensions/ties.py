@@ -82,6 +82,14 @@ class TieStrengthModel:
         return float(np.mean(list(self._strengths.values())))
 
 
+def tie_weight(
+    ties: TieStrengthModel, receiver: int, reporter: int, floor: float = 0.1
+) -> float:
+    """How much the receiver weighs what the reporter sends: their tie
+    strength, never below ``floor`` (see :func:`weigh_reports_by_tie`)."""
+    return max(floor, ties.strength(receiver, reporter))
+
+
 def weigh_reports_by_tie(
     reports: Iterable[ExperienceReport],
     receiver: int,
@@ -95,8 +103,7 @@ def weigh_reports_by_tie(
     """
     weighted = []
     for report in reports:
-        strength = ties.strength(receiver, report.reporter)
-        weight = report.weight * max(floor, strength)
+        weight = report.weight * tie_weight(ties, receiver, report.reporter, floor)
         weighted.append(
             ExperienceReport(
                 reporter=report.reporter,

@@ -540,25 +540,27 @@ class SoupNode:
                 continue
             # Dropping-score exchange (Sec. 4.6), with or without reports.
             friend_views.append(friend.mirror_manager.store.stored_owner_view())
-            reports = self.mirror_manager.drain_reports_for(friend_id)
-            if not reports:
+            batch = self.mirror_manager.hand_over(friend_id)
+            if batch is None:
                 continue
             exchange = self.applications.encapsulate(
                 friend_id,
                 ObjectType.ES_EXCHANGE,
                 [
                     {
-                        "mirror": r.mirror,
-                        "observations": r.observations,
-                        "availability": r.availability,
+                        "mirror": mirror,
+                        "observations": observations,
+                        "availability": availability,
                     }
-                    for r in reports
+                    for mirror, observations, availability in batch.observations(
+                        self.mirror_manager.config.o_max
+                    )
                 ],
                 self._now(),
             )
             self.security.sign_object(exchange)
             self.interface.send_object(exchange)
-            friend.mirror_manager.receive_reports(reports)
+            friend.mirror_manager.receive_batch(batch)
             sent += 1
         # Learn who stores at every reached friend at once.
         manager = self.mirror_manager

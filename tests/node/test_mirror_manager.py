@@ -50,10 +50,10 @@ def test_recommendations_for_requester_excludes_requester(manager):
 def test_observation_and_drain(manager):
     manager.observe_mirror(friend=2, mirror=5, success=True)
     manager.observe_mirror(friend=2, mirror=5, success=False)
-    reports = manager.drain_reports_for(2)
+    reports = manager.hand_over(2).reports(manager.config.o_max)
     assert len(reports) == 1
     assert reports[0].availability == 0.5
-    assert manager.drain_reports_for(2) == []
+    assert manager.hand_over(2) is None
 
 
 def test_ingest_pending_reports_transitions_mode(manager):

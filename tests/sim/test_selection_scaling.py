@@ -9,7 +9,9 @@ curve".
 
 A second guard counts calls: a participant's experience exchange learns
 its dropping scores in one ``learn_friend_storage`` call, not one per
-friend.
+friend.  A third measures allocation again: the exchange hands each
+friend the experience set's counts as they are, so what it allocates does
+not grow with the number of mirrors the sets name.
 """
 
 import tracemalloc
@@ -79,3 +81,32 @@ def test_exchange_learns_dropping_scores_once_per_participant(monkeypatch):
     assert max(per_exchange) == 1
     # One call per active friendship would have entered it this many times.
     assert sum(views) > 3 * sum(per_exchange), (sum(views), sum(per_exchange))
+
+
+def _peak_bytes_of_one_exchange(mirrors_per_friend: int) -> int:
+    graph = nx.circulant_graph(60, range(1, DEGREE // 2 + 1))
+    sim = SoupSimulation(graph, ScenarioConfig(n_days=1, seed=4))
+    for node in sim.nodes:
+        node.joined = True
+    node = sim.nodes[0]
+    for friend_id in node.friends:
+        es = node.experience_set_for(friend_id)
+        for mirror in range(10, 10 + mirrors_per_friend):
+            es.observe(mirror, True)
+            es.observe(mirror, mirror % 2 == 0)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        sim._exchange_experience(node, EPOCH)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(sim.nodes[f].pending_reports for f in node.friends), "nothing was sent"
+    return peak - before
+
+
+def test_exchange_allocation_independent_of_mirrors_per_friend():
+    two = _peak_bytes_of_one_exchange(2)
+    eight = _peak_bytes_of_one_exchange(8)
+    assert eight == two, (two, eight)
