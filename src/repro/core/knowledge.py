@@ -15,7 +15,9 @@ collector does not track.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Tuple
+
+_NO_MIRRORS: AbstractSet[int] = frozenset()
 
 
 class KnowledgeBase:
@@ -32,8 +34,9 @@ class KnowledgeBase:
         self._experience: Dict[int, float] = {}
         #: Strangers -> selection rounds left, in KB order.
         self._ttl: Dict[int, int] = {}
-        #: The known nodes in the mirror set of the last selection round.
-        self._mirrors: Set[int] = set()
+        #: The known nodes in the mirror set of the last selection round,
+        #: replaced whole each round (the shared empty set before the first).
+        self._mirrors: AbstractSet[int] = _NO_MIRRORS
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in self._experience

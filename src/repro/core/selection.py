@@ -311,10 +311,12 @@ class ReplicationState:
         #: arrival order: one batch of counts per exchange with a friend,
         #: and single reports (forged, re-weighed or tampered with).
         self.pending_reports: List[Union[ExperienceBatch, ExperienceReport]] = []
-        #: The mirror set the last selection chose.
-        self.selected_mirrors: List[int] = []
+        #: The mirror set the last selection chose.  This and the announced
+        #: set are only ever replaced whole, so both start as the shared
+        #: empty tuple: no container per node until a selection.
+        self.selected_mirrors: Sequence[int] = ()
         #: The mirror set published in the directory (announced).
-        self.announced_mirrors: List[int] = []
+        self.announced_mirrors: Sequence[int] = ()
         #: Mirrors that rejected a storage request since the last
         #: selection, which excludes them once.
         self.rejected_by: Set[int] = set()

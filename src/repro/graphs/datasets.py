@@ -27,20 +27,28 @@ in the same order, the same edges, the same neighbour order.  Only the
 triangle step's cost differs — O(m) per draw instead of a scan of the
 target's whole adjacency — so generation costs the same per edge at any
 scale (``tests/graphs/test_generation_scaling.py``), where networkx's hub
-scans grew with the graph.  ``tests/graphs/test_holme_kim_oracle.py`` checks
-the equality against networkx's generator, and
+scans grew with the graph.  The growth calls ``rng._randbelow`` directly
+where networkx calls ``rng.choice(seq)``: ``choice`` is
+``seq[self._randbelow(len(seq))]`` on every supported Python, so the same
+draw picks the same element, without a ``choice`` frame or a ``range``
+per draw.  ``tests/graphs/test_holme_kim_oracle.py`` checks
+the equality against networkx's generator, random state included, and
 ``tests/graphs/test_golden_graphs.py`` pins every order the engine reads to
 digests recorded from the networkx pipeline.  ``generate_dataset`` packs the
 grown adjacency into a :class:`~repro.graphs.friendship.FriendshipGraph`
-(two flat integer arrays), so neither the growth nor its result needs
-networkx.
+(two flat integer arrays) from an edge array that numpy builds out of the
+neighbour dicts, so neither the growth nor its result needs networkx, and
+no tuple per edge is made.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterator, List, Tuple
+
+import numpy as np
 
 from repro.graphs.friendship import FriendshipGraph
 
@@ -90,36 +98,40 @@ def _holme_kim(n: int, m: int, p: float, rng: random.Random) -> Adjacency:
     so a hub costs its degree — and draws ``choice(list)``.  Here the
     eligible neighbours are counted instead: the excluded ones are
     ``source`` and the ≤ m nodes ``source`` links to, so their insertion
-    positions in the target's order are known in O(m).  One
-    ``choice(range(count))`` draws the same ``_randbelow(count)`` as
-    ``choice(list)``, and the drawn index maps to a neighbour by stepping
-    over the excluded positions that precede it.
+    positions in the target's order are known in O(m).  ``choice(seq)`` is
+    ``seq[rng._randbelow(len(seq))]``, so one ``_randbelow(count)`` draws
+    what ``choice(list)`` draws, and the drawn index maps to a neighbour by
+    stepping over the excluded positions that precede it.
     """
     adjacency: Adjacency = [{} for _ in range(n)]
     #: order[u][i] is u's i-th neighbour: adjacency[u] read by position.
     order: List[List[int]] = [[] for _ in range(n)]
     # Every node once per incident edge, so a uniform draw is preferential.
     repeated_nodes = list(range(m))
-    choice = rng.choice
+    repeat = repeated_nodes.append
+    # What ``rng.choice`` calls, bound once: the same draws, no frame each.
+    randbelow = rng._randbelow
     uniform = rng.random
-
-    def link(u: int, v: int) -> None:
-        """``nx.Graph.add_edge(u, v)`` for a new edge: append at both ends."""
-        adjacency[u][v] = len(order[u])
-        order[u].append(v)
-        adjacency[v][u] = len(order[v])
-        order[v].append(u)
 
     for source in range(m, n):
         # networkx's _random_subset: the same set built the same way, so
         # set.pop() hands out the targets in the same order.
         targets = set()
+        add_target = targets.add
+        size = len(repeated_nodes)
         while len(targets) < m:
-            targets.add(choice(repeated_nodes))
+            add_target(repeated_nodes[randbelow(size)])
         linked = adjacency[source]
+        source_order = order[source]
+        # Each new edge is appended at both ends, as ``nx.Graph.add_edge``
+        # appends it.
         target = targets.pop()
-        link(source, target)
-        repeated_nodes.append(target)
+        linked[target] = len(source_order)
+        source_order.append(target)
+        target_neighbours = adjacency[target]
+        target_neighbours[source] = len(target_neighbours)
+        order[target].append(source)
+        repeat(target)
         count = 1
         while count < m:
             if uniform() < p:
@@ -130,21 +142,29 @@ def _holme_kim(n: int, m: int, p: float, rng: random.Random) -> Adjacency:
                 )
                 eligible = len(target_neighbours) - len(excluded)
                 if eligible:
-                    index = choice(range(eligible))
+                    index = randbelow(eligible)
                     for position in excluded:
                         if position > index:
                             break
                         index += 1
                     neighbour = order[target][index]
-                    link(source, neighbour)
-                    repeated_nodes.append(neighbour)
+                    linked[neighbour] = len(source_order)
+                    source_order.append(neighbour)
+                    neighbours = adjacency[neighbour]
+                    neighbours[source] = len(neighbours)
+                    order[neighbour].append(source)
+                    repeat(neighbour)
                     count += 1
                     continue
             target = targets.pop()
             # A target the triangle step already linked adds no edge.
             if target not in linked:
-                link(source, target)
-            repeated_nodes.append(target)
+                linked[target] = len(source_order)
+                source_order.append(target)
+                target_neighbours = adjacency[target]
+                target_neighbours[source] = len(target_neighbours)
+                order[target].append(source)
+            repeat(target)
             count += 1
         repeated_nodes.extend([source] * m)
     return adjacency
@@ -157,6 +177,19 @@ def _edges(adjacency: Adjacency) -> Iterator[Tuple[int, int]]:
         for v in neighbours:
             if v > u:
                 yield u, v
+
+
+def _edge_array(adjacency: Adjacency) -> np.ndarray:
+    """:func:`_edges` as an ``(m, 2)`` array, built from the neighbour
+    lists in C: every adjacency slot as ``(node, neighbour)`` in node then
+    neighbour order, and the slots seen from their lower end kept."""
+    degrees = np.fromiter(map(len, adjacency), dtype=np.int64, count=len(adjacency))
+    neighbours = np.fromiter(
+        chain.from_iterable(adjacency), dtype=np.int32, count=int(degrees.sum())
+    )
+    nodes = np.repeat(np.arange(len(adjacency), dtype=np.int32), degrees)
+    lower = nodes < neighbours
+    return np.column_stack((nodes[lower], neighbours[lower]))
 
 
 def _adjust_edge_count(
@@ -218,8 +251,11 @@ def generate_dataset(name: str, scale: float = 1.0, seed: int = 0) -> Friendship
 
     # Edges in ``edges`` order, each appended at both ends: the node, edge
     # and neighbour orders networkx's relabelled copy of the graph had.
+    edges = _edge_array(adjacency)
+    # The dicts go before packing allocates, so the two never peak together.
+    del adjacency
     return FriendshipGraph.from_edges(
-        n, _edges(adjacency), graph={"dataset": spec.name, "scale": scale}
+        n, edges, graph={"dataset": spec.name, "scale": scale}
     )
 
 

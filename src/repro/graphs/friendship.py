@@ -22,7 +22,16 @@ its algorithms and for tests.
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -51,21 +60,32 @@ class FriendshipGraph:
 
     @classmethod
     def from_edges(
-        cls, n: int, edges: Iterable[Tuple[int, int]], graph: Optional[Dict] = None
+        cls,
+        n: int,
+        edges: Union[np.ndarray, Iterable[Tuple[int, int]]],
+        graph: Optional[Dict] = None,
     ) -> FriendshipGraph:
         """The graph ``add_nodes_from(range(n))`` + ``add_edges_from(edges)``
-        builds in networkx.  ``edges`` must be simple: no self-loop and no
-        edge twice, in either direction."""
+        builds in networkx.  ``edges`` is an iterable of pairs or an
+        ``(m, 2)`` integer array of them, and must be simple: no self-loop
+        and no edge twice, in either direction."""
         if n < 0:
             raise ValueError(f"node count must be non-negative, got {n}")
-        pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
+        if isinstance(edges, np.ndarray):
+            if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+                raise ValueError(
+                    f"an edge array holds (m, 2) integers, not {edges.dtype} {edges.shape}"
+                )
+            pairs = edges
+        else:
+            pairs = np.fromiter(chain.from_iterable(edges), dtype=np.int64).reshape(-1, 2)
         if len(pairs):
             if pairs.min() < 0 or pairs.max() >= n:
                 raise ValueError(f"an edge end lies outside 0..{n - 1}")
             low, high = pairs.min(axis=1), pairs.max(axis=1)
             if (low == high).any():
                 raise ValueError("a self-loop is not a friendship")
-            keys = np.sort(low * n + high)
+            keys = np.sort(low.astype(np.int64) * n + high)
             if (keys[1:] == keys[:-1]).any():
                 raise ValueError("an edge appears twice")
         # Edge k is listed at its first end (entry 2k) and at its second
@@ -75,7 +95,7 @@ class FriendshipGraph:
         order = np.argsort(listed_at, kind="stable")
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(listed_at, minlength=n), out=offsets[1:])
-        targets = pairs[:, ::-1].ravel()[order].astype(np.int32)
+        targets = pairs[:, ::-1].ravel()[order].astype(np.int32, copy=False)
         return cls(offsets, targets, graph)
 
     @classmethod
@@ -154,6 +174,21 @@ class FriendshipGraph:
             raise KeyError(f"node {node} is not in the graph")
         offsets = self.offsets
         return self.targets[offsets[node] : offsets[node + 1]].tolist()
+
+    def sorted_neighbor_lists(self) -> List[List[int]]:
+        """Every node's friends in ascending order, one list per node, from
+        one sort of all the rows and one ``tolist``.  Each node id is one
+        int object, shared by every list it appears in."""
+        n = self.number_of_nodes()
+        # Row u's keys lie in [u n, (u + 1) n), so one sort orders every
+        # row in place.
+        row_base = np.repeat(np.arange(n, dtype=np.int64) * n, self.degrees())
+        ascending = np.sort(row_base + self.targets)
+        ascending -= row_base
+        del row_base
+        flat = np.arange(n).astype(object)[ascending].tolist()
+        bounds = self.offsets.tolist()
+        return [flat[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
     def degrees(self) -> np.ndarray:
         """Every node's degree, indexed by node."""

@@ -39,6 +39,9 @@ class MirrorManager(ReplicationState):
         mirroring_enabled: bool = True,
     ) -> None:
         super().__init__(owner_id, config, capacity_profiles, rng)
+        #: A node hands its announced set out as a list
+        #: (``SoupNode.run_selection_round``), the empty one included.
+        self.announced_mirrors: List[int] = []
         #: Mobile nodes disable mirroring by default (Sec. 7) but still
         #: select mirrors for their own data.
         self.mirroring_enabled = mirroring_enabled

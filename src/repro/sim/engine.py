@@ -48,8 +48,9 @@ from repro.core.ranking import Recommendation
 from repro.core.selection import ReplicationState
 from repro.extensions.ties import TieStrengthModel, tie_weight, weigh_reports_by_tie
 from repro.graphs.datasets import generate_dataset
+from repro.graphs.friendship import FriendshipGraph
 from repro.sim import invariants as invariants_mod
-from repro.sim.attacks import FloodingAttack, SlanderAttack
+from repro.sim.attacks import FloodingAttack, SlanderAttack, sample_others
 from repro.sim.faults import FaultInjector
 from repro.sim.invariants import InvariantChecker
 from repro.sim.metrics import ReliabilityMetrics, SimulationResult
@@ -58,10 +59,9 @@ from repro.sim.scenario import OnlineDistribution, ScenarioConfig, sample_distri
 if TYPE_CHECKING:
     import networkx as nx
 
-    from repro.graphs.friendship import FriendshipGraph
-
-    #: What the engine reads of a graph: ``number_of_nodes()`` and
-    #: ``neighbors(u)`` over nodes ``0..n-1``.
+    #: A graph over nodes ``0..n-1``: every node's friends come from one
+    #: sort of a FriendshipGraph's rows, or from a networkx graph's
+    #: ``neighbors(u)``, node by node.
     Graph = FriendshipGraph | nx.Graph
 
 logger = logging.getLogger("repro.sim.engine")
@@ -85,8 +85,9 @@ def collector_paused():
     The engine's heap is acyclic — reference counting frees all of it — so
     the collector's automatic passes over its long-lived objects only cost
     time: a fifth of ``run()`` and, in ``__init__``, a superlinear share of
-    building the population — about 13 tracked objects per node, since a
+    building the population — 10 tracked objects per node, since a
     knowledge base holds its friends in dicts the collector does not track
+    and the mirror sets start as shared empty containers
     (docs/OBSERVABILITY.md).  Also a decorator.
     """
     was_enabled = gc.isenabled()
@@ -303,35 +304,38 @@ class SoupSimulation:
         #: read these for slot accounting and elections.
         self.capacities = capacities
 
-        self.nodes: List[_NodeState] = []
-        for node_id in range(self.n_total):
-            friends = (
-                sorted(graph.neighbors(node_id)) if node_id < base_n else []
-            )
-            state = _NodeState(
-                node_id,
-                friends,
-                self.soup,
-                float(capacities[node_id]),
-                self.rng,
-                is_altruist=base_n <= node_id < base_n + self.n_altruists,
-                is_sybil=base_n + self.n_altruists
-                <= node_id
-                < first_traitor,
-                is_traitor=node_id >= first_traitor,
-            )
-            self.nodes.append(state)
-
+        if isinstance(graph, FriendshipGraph):
+            friend_lists = graph.sorted_neighbor_lists()
+        else:
+            # A networkx graph (tests' hand-built worlds), read as given:
+            # a self-loop reaches the knowledge base, which refuses it.
+            friend_lists = [sorted(graph.neighbors(node)) for node in range(base_n)]
+        friend_lists += [[] for _ in range(self.n_altruists)]
         # Sybils befriend each other (cheap) but not honest nodes — "malicious
         # identities usually have difficulties establishing social
         # connections to regular nodes" (Sec. 4.6).
-        sybil_ids = [n.node_id for n in self.nodes if n.is_sybil]
-        for sybil in sybil_ids:
-            others = [s for s in sybil_ids if s != sybil]
-            picks = self.rng.sample(others, min(5, len(others)))
-            state = self.nodes[sybil]
-            state.friends = picks
-            state.knowledge.add_friends(picks)
+        sybil_ids = range(base_n + self.n_altruists, first_traitor)
+        friend_lists += [
+            sample_others(sybil_ids, position, 5, self.rng)
+            for position in range(self.n_sybils)
+        ]
+        friend_lists += [[] for _ in range(self.n_traitors)]
+
+        self.nodes: List[_NodeState] = [
+            _NodeState(
+                node_id,
+                friends,
+                self.soup,
+                capacity,
+                self.rng,
+                is_altruist=base_n <= node_id < sybil_ids.start,
+                is_sybil=node_id in sybil_ids,
+                is_traitor=node_id >= first_traitor,
+            )
+            for node_id, (friends, capacity) in enumerate(
+                zip(friend_lists, capacities.tolist())
+            )
+        ]
 
         # Join schedule: base nodes and sybils join inside the bootstrap
         # window; altruists appear at their configured day (Fig. 8).
@@ -796,11 +800,7 @@ class SoupSimulation:
             return
         if target.is_sybil:
             # Sybils recommend fellow sybils to lure storage.
-            accomplices = [
-                s for s in (self.flooding.sybil_ids if self.flooding else set())
-                if s != target.node_id
-            ]
-            picks = self.rng.sample(accomplices, min(3, len(accomplices)))
+            picks = self.flooding.accomplices(target.node_id, self.rng)
             node.bootstrap.add_recommendations(
                 Recommendation(target.node_id, pick, quality=1.0) for pick in picks
             )
@@ -949,6 +949,9 @@ class SoupSimulation:
             if not friend.joined or friend.departed:
                 continue
             if slander is not None:
+                # What the slanderer observed of this friend's mirrors is
+                # handed over and discarded: only forgeries leave.
+                node.hand_over(friend_id)
                 reports = slander.forge_reports(
                     node_id, friend.announced_mirrors, o_max
                 )
@@ -1189,7 +1192,9 @@ class SoupSimulation:
             # costs one re-replication, never a stale announcement).
             self.nodes[mirror_id].store.remove(node.node_id)
             if mirror_id in node.announced_mirrors:
-                node.announced_mirrors.remove(mirror_id)
+                node.announced_mirrors = [
+                    mirror for mirror in node.announced_mirrors if mirror != mirror_id
+                ]
         self._deficit_since.setdefault(node.node_id, epoch)
         self._repair_epochs_by_owner.setdefault(node.node_id, []).append(epoch)
         rel.repairs_triggered += 1

@@ -13,6 +13,7 @@ import pickle
 import tracemalloc
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -69,6 +70,30 @@ def test_every_read_equals_networkx(stream):
     assert _reads(FriendshipGraph.from_edges(n, edges)) == _reads(_networkx(n, edges))
 
 
+@given(edge_streams(), st.sampled_from([np.int32, np.int64, np.uint32]))
+def test_from_edges_reads_an_edge_array_as_its_pairs(stream, dtype):
+    n, edges = stream
+    array = np.array(edges, dtype=dtype).reshape(-1, 2)
+    assert FriendshipGraph.from_edges(n, array) == FriendshipGraph.from_edges(n, edges)
+
+
+@given(edge_streams())
+def test_sorted_neighbor_lists_sort_every_row(stream):
+    n, edges = stream
+    graph = FriendshipGraph.from_edges(n, edges)
+    lists = graph.sorted_neighbor_lists()
+    assert lists == [sorted(graph.neighbors(node)) for node in graph.nodes()]
+
+
+def test_sorted_neighbor_lists_hold_one_int_object_per_node():
+    """Ids above 256 are not cached by the interpreter: each must still be
+    one object, however many lists it appears in."""
+    lists = generate_dataset("facebook", scale=0.004, seed=3).sorted_neighbor_lists()
+    friends = [friend for row in lists for friend in row]
+    assert max(friends) > 256
+    assert len({id(friend) for friend in friends}) == len(set(friends))
+
+
 @given(edge_streams())
 def test_to_networkx_and_back_round_trips(stream):
     n, edges = stream
@@ -114,6 +139,15 @@ def test_from_networkx_relabels_in_node_order():
 def test_from_edges_rejects_what_is_not_a_simple_graph(edges, message):
     with pytest.raises(ValueError, match=message):
         FriendshipGraph.from_edges(3, edges)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.zeros((2, 3), dtype=np.int32), np.zeros(4, dtype=np.int32), np.zeros((2, 2))],
+)
+def test_from_edges_rejects_an_array_that_is_not_pairs_of_integers(array):
+    with pytest.raises(ValueError, match="edge array"):
+        FriendshipGraph.from_edges(3, array)
 
 
 def test_from_networkx_rejects_directed_and_self_loops():

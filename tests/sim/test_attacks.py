@@ -2,7 +2,59 @@
 
 import random
 
-from repro.sim.attacks import FloodingAttack, SlanderAttack
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.sim.attacks import FloodingAttack, SlanderAttack, sample_others
+
+
+@st.composite
+def exclusions(draw):
+    """``(members, position, count, seed)``, members on both sides of the
+    21-element size where ``random.sample`` switches from a pool to a
+    set of drawn indices (further out for counts above 5)."""
+    members = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=100))
+    position = draw(st.integers(0, len(members)))
+    count = draw(st.integers(0, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return members, position, count, seed
+
+
+@given(exclusions())
+def test_sample_others_is_sample_of_the_explicit_list(case):
+    """Index-mapped sampling picks and draws what ``rng.sample`` does over
+    the list with ``members[position]`` left out."""
+    members, position, count, seed = case
+    others = members[:position] + members[position + 1 :]
+    expected_rng, rng = random.Random(seed), random.Random(seed)
+    expected = expected_rng.sample(others, min(count, len(others)))
+    assert sample_others(members, position, count, rng) == expected
+    assert rng.getstate() == expected_rng.getstate()
+
+
+@given(
+    st.sets(st.integers(0, 500), max_size=60),
+    st.integers(0, 500),
+    st.integers(0, 2**32 - 1),
+)
+def test_attack_picks_are_the_list_built_picks(ids, caller, seed):
+    """Both attacks pick, and draw, what sampling a freshly built list of
+    every other member did."""
+    expected_rng, rng = random.Random(seed), random.Random(seed)
+    # The same set object: a copy of a set may iterate in another order.
+    slander = SlanderAttack(attacker_ids=ids)
+    others = [member for member in slander.attacker_ids if member != caller]
+    pool = others if others else list(range(40))
+    expected = expected_rng.sample(pool, min(5, len(pool)))
+    recommendations = slander.forge_recommendations(caller, range(40), rng)
+    assert [r.mirror for r in recommendations] == expected
+    assert rng.getstate() == expected_rng.getstate()
+
+    flooding = FloodingAttack(sybil_ids=ids | {caller})
+    others = [member for member in flooding.sybil_ids if member != caller]
+    expected = expected_rng.sample(others, min(3, len(others)))
+    assert flooding.accomplices(caller, rng) == expected
+    assert rng.getstate() == expected_rng.getstate()
 
 
 class TestSlander:

@@ -51,6 +51,20 @@ class TestExchanges:
         assert all(r.availability == 0.0 for r in forged)
         assert all(r.observations == sim.soup.o_max for r in forged)
 
+    def test_slanderer_keeps_no_observations_after_an_exchange(self):
+        """A slanderer sends only forgeries, so what it observed of its
+        friends' mirrors is discarded at each exchange instead of growing
+        for the whole run."""
+        sim, config = build(slander_fraction=0.3)
+        attacker = next(n for n in sim.nodes if n.is_slanderer and n.friends)
+        attacker.joined = True
+        for friend_id in attacker.friends:
+            sim.nodes[friend_id].joined = True
+            attacker.experience_set_for(friend_id).observe_fetch([1, 2], [True, False])
+        sim._exchange_experience(attacker)
+        assert attacker.experience_sets
+        assert all(len(es) == 0 for es in attacker.experience_sets.values())
+
     def test_tie_weights_applied_to_reports(self):
         sim, config = build(use_tie_strength=True)
         assert sim.ties is not None
