@@ -47,7 +47,7 @@ from repro.core.selection import (  # noqa: F401  (re-exported)
 
 #: Architecture names accepted by ``ScenarioConfig.architecture`` (and the
 #: ``soup compare`` CLI).  Registration order is the comparison-table order.
-ARCHITECTURES: Dict[str, Callable[..., "Architecture"]] = {}
+ARCHITECTURES: Dict[str, Callable[[], "Architecture"]] = {}
 
 
 def register_architecture(name: str):
@@ -220,21 +220,16 @@ class Architecture:
 
 
 @register_architecture("soup")
-def _make_soup(config=None) -> Architecture:
+def _make_soup() -> Architecture:
     """The paper's own design: no seam overridden."""
     return Architecture(name="soup")
 
 
-def create_architecture(name: str, config=None) -> Architecture:
-    """Instantiate a registered architecture.
-
-    ``config`` is the :class:`~repro.sim.scenario.ScenarioConfig` (or any
-    object carrying the flat ``arch_*`` knobs); factories read their
-    parameters from it and fall back to defaults when absent.
-    """
+def create_architecture(name: str) -> Architecture:
+    """Instantiate a registered architecture."""
     factory = ARCHITECTURES.get(name)
     if factory is None:
         raise ValueError(
             f"unknown architecture {name!r} (known: {sorted(ARCHITECTURES)})"
         )
-    return factory(config)
+    return factory()

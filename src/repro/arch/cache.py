@@ -9,12 +9,12 @@ implements a per-reader LRU with a TTL:
 * A successful mirror fetch inserts ``owner`` into the reader's cache
   stamped with the fetch epoch.
 * A later read hits if the entry is younger than
-  ``arch_cache_ttl_epochs``; the mirrors are *not* contacted — which
+  ``ttl_epochs`` (6); the mirrors are *not* contacted — which
   deliberately starves the experience sets of observations (cached
   reads produce no mirror evidence).  That trade-off is real in any
   cache-over-reputation design, and it is exactly what the head-to-head
   comparison is for.
-* The cache holds ``arch_cache_capacity`` owners per reader; insertion
+* The cache holds ``capacity`` (8) owners per reader; insertion
   beyond capacity evicts the least recently used entry.
 
 Availability accounting: an owner counts as available if any reader
@@ -148,11 +148,8 @@ class MirrorReadCache(ReadPathStrategy):
 
 
 @register_architecture("cache")
-def _make_cache(config=None) -> Architecture:
+def _make_cache() -> Architecture:
     return Architecture(
         name="cache",
-        read_path=MirrorReadCache(
-            capacity=getattr(config, "arch_cache_capacity", 8) or 8,
-            ttl_epochs=getattr(config, "arch_cache_ttl_epochs", 6) or 6,
-        ),
+        read_path=MirrorReadCache(),
     )

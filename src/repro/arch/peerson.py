@@ -74,5 +74,5 @@ class MutualPartners(MirrorSelectionStrategy):
 
 
 @register_architecture("peerson")
-def _make_peerson(config=None) -> Architecture:
+def _make_peerson() -> Architecture:
     return Architecture(name="peerson", selection=MutualPartners())

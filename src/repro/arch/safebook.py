@@ -94,5 +94,5 @@ class ShellRelay(ReadPathStrategy):
 
 
 @register_architecture("safebook")
-def _make_safebook(config=None) -> Architecture:
+def _make_safebook() -> Architecture:
     return Architecture(name="safebook", selection=FriendMirrors(), read_path=ShellRelay())

@@ -145,7 +145,7 @@ def build_social_map(
 
 
 @register_architecture("social_dht")
-def _make_social(config=None) -> Architecture:
+def _make_social() -> Architecture:
     social_map = SocialMap()
     return Architecture(
         name="social_dht",

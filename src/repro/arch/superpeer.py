@@ -7,13 +7,13 @@ social neighbourhood.  This baseline reproduces that economy on top of
 SOUP's machinery:
 
 * **Election.**  Each selection round, joined benign nodes with observed
-  uptime ≥ ``arch_superpeer_min_uptime`` are ranked by (uptime,
-  capacity) and the top ``arch_superpeer_fraction`` of the population
-  volunteer as super-peers.  Departed or churned-out super-peers are
+  uptime ≥ ``min_uptime`` (0.6) are ranked by (uptime, capacity) and
+  the top ``fraction`` (5 %) of the population volunteer as
+  super-peers.  Departed or churned-out super-peers are
   demoted and replaced — re-election on churn.
 * **Capacity accounting.**  Every super-peer advertises a bounded number
-  of hosting *slots* derived from its storage capacity (or the
-  ``arch_superpeer_slots`` override).  Commitments decrement the free
+  of hosting *slots* derived from its storage capacity (or a fixed
+  ``slots_override``).  Commitments decrement the free
   slots; a full super-peer stops being offered.
 * **Selection.**  Weak owners (observed uptime below the election bar)
   get available super-peers spliced into their candidate ranking at a
@@ -180,12 +180,8 @@ class SuperPeerEconomy(MirrorSelectionStrategy):
 
 
 @register_architecture("superpeer")
-def _make_superpeer(config=None) -> Architecture:
+def _make_superpeer() -> Architecture:
     return Architecture(
         name="superpeer",
-        selection=SuperPeerEconomy(
-            fraction=getattr(config, "arch_superpeer_fraction", 0.05),
-            min_uptime=getattr(config, "arch_superpeer_min_uptime", 0.6),
-            slots_override=getattr(config, "arch_superpeer_slots", None),
-        ),
+        selection=SuperPeerEconomy(),
     )

@@ -976,7 +976,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print one snapshot and exit "
                           "(exit 3 if the run has not finished)")
 
-    pr = sub.add_parser("replay", help="replay a soup-repro/v1 violation line")
+    pr = sub.add_parser("replay", help="replay a soup-repro/v2 violation line")
     pr.add_argument("line", help="one-line repro string from an InvariantViolation")
 
     pt = sub.add_parser(
@@ -1298,7 +1298,7 @@ def _cmd_replay(args) -> int:
 
     try:
         parse_repro(args.line)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         print(f"replay: {exc}", file=sys.stderr)
         return 2
     violation = run_repro(args.line)

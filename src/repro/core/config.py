@@ -13,6 +13,15 @@ report as best:
   penalty; the "three-strike principle" (Sec. 4.6).
 * o_max — per-exchange observation cap confining the influence of any single
   reporter in Eq. (1) (Sec. 4.4).
+
+What is a field and what is not: a value is a field here if the paper names
+it as a tunable (the ones above and the storage median of Sec. 5.1) or if a
+caller outside tests and examples sets it.  A value with one useful setting
+is a constant in the code that uses it instead — the ranking prior and its
+weight (:mod:`repro.core.ranking`), the knowledge-base TTL
+(:class:`~repro.core.knowledge.KnowledgeBase`), the storage spread
+(:func:`~repro.behavior.capacity.sample_capacities`) and the update-buffer
+cap (:class:`~repro.node.sync.UpdateBuffer`).
 """
 
 from __future__ import annotations
@@ -55,11 +64,6 @@ class SoupConfig:
     #: Retention factor for "aged_counts": each exchange round multiplies
     #: accumulated observation counters by this before adding new reports.
     count_retention: float = 0.85
-    #: Pseudo-observation weight shrinking an under-observed mirror's exp
-    #: toward ``bootstrap_prior``.  Counters noisy estimates being selected
-    #: for their luck (winner's curse): a mirror seen online twice out of
-    #: two observations is *not* treated as 100 % available.
-    count_prior_weight: float = 2.0
 
     # --- Algorithm 1: selection ----------------------------------------
     #: Target error rate ε: select mirrors until P(data unavailable) < ε.
@@ -70,8 +74,6 @@ class SoupConfig:
     #: greedy loop run away (the paper reports ≤ ~13 replicas even under
     #: attack; the cap is far above normal operation).
     max_mirrors: int = 30
-    #: Prior rank assigned to recommendations whose quality is unknown.
-    bootstrap_prior: float = 0.3
 
     # --- Sec. 4.6: protective dropping ----------------------------------
     #: Blacklist threshold θ.
@@ -79,21 +81,10 @@ class SoupConfig:
     #: Dropping-score increase c for announced-vs-stored mirror mismatches.
     mismatch_penalty: float = 100.0
 
-    # --- Knowledge base --------------------------------------------------
-    #: TTL (in selection rounds) before an unused non-friend KB entry expires.
-    kb_ttl: int = 30
-
     # --- Storage ----------------------------------------------------------
     #: Median node storage capacity, in profiles (Sec. 5.1: Gaussian with a
     #: median of space for mirroring data of 50 users).
     storage_median_profiles: int = 50
-    storage_sigma_profiles: float = 15.0
-    storage_min_profiles: int = 5
-    #: Cap on buffered updates a mirror keeps per offline target, so a
-    #: flooding origin cannot grow surrogate storage without limit; the
-    #: oldest update is dropped when full (a returning user refetches
-    #: older history from the origin's profile).  0 disables the cap.
-    update_buffer_cap: int = 512
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
@@ -118,18 +109,10 @@ class SoupConfig:
             raise ValueError(
                 f"count_retention must be in (0, 1), got {self.count_retention}"
             )
-        if self.count_prior_weight < 0.0:
-            raise ValueError(
-                f"count_prior_weight cannot be negative, got {self.count_prior_weight}"
-            )
         if self.theta <= 0 or self.mismatch_penalty <= 0:
             raise ValueError("theta and mismatch_penalty must be positive")
         if self.max_mirrors < 1:
             raise ValueError(f"max_mirrors must be positive, got {self.max_mirrors}")
-        if self.update_buffer_cap < 0:
-            raise ValueError(
-                f"update_buffer_cap cannot be negative, got {self.update_buffer_cap}"
-            )
 
     @property
     def strikes_to_blacklist(self) -> int:

@@ -28,14 +28,22 @@ from repro.core.knowledge import KnowledgeBase
 
 _INF = math.inf
 
+#: Rank assumed for a recommendation of unknown quality, and for a known
+#: contact nobody has reported on (the random-contact fallback).
+BOOTSTRAP_PRIOR = 0.3
+#: Pseudo-observation weight shrinking an under-observed mirror's exp
+#: toward :data:`BOOTSTRAP_PRIOR` under ``"aged_counts"``.  Counters noisy
+#: estimates being selected for their luck (winner's curse): a mirror seen
+#: online twice out of two observations is *not* treated as 100 % available.
+COUNT_PRIOR_WEIGHT = 2.0
+
 
 @dataclass(frozen=True)
 class Recommendation:
     """A mirror suggestion received from a contacted node.
 
     ``quality`` is the recommender's own experience value for that mirror;
-    recommenders that do not disclose quality yield the configured
-    bootstrap prior.
+    recommenders that do not disclose quality yield :data:`BOOTSTRAP_PRIOR`.
     """
 
     recommender: int
@@ -56,8 +64,7 @@ class BootstrapRanker:
     #: Discount applied to recommended qualities versus first-hand experience.
     TRUST_DISCOUNT = 0.8
 
-    def __init__(self, config: SoupConfig) -> None:
-        self._config = config
+    def __init__(self) -> None:
         self._qualities: Dict[int, List[float]] = {}
         #: :meth:`ranking` as last computed; ``None`` after a new
         #: recommendation.  A regular-mode node takes none, so it sorts once.
@@ -69,7 +76,7 @@ class BootstrapRanker:
     def add_recommendation(self, recommendation: Recommendation) -> None:
         quality = recommendation.quality
         if quality is None:
-            quality = self._config.bootstrap_prior
+            quality = BOOTSTRAP_PRIOR
         elif not math.isfinite(quality):
             self.rejected_recommendations += 1
             return
@@ -238,8 +245,7 @@ class RegularRanker:
             counter[0] += weight
             counter[1] += weight * availability
         self.rejected_reports += rejected
-        prior = self._config.bootstrap_prior
-        prior_weight = self._config.count_prior_weight
+        prior, prior_weight = BOOTSTRAP_PRIOR, COUNT_PRIOR_WEIGHT
         for mirror, (requests, successes) in counters.items():
             if requests <= 0.0:
                 continue

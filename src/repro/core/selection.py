@@ -42,7 +42,12 @@ from repro.core.config import SoupConfig
 from repro.core.dropping import ReplicaStore
 from repro.core.experience import ExperienceBatch, ExperienceReport, ExperienceSet
 from repro.core.knowledge import KnowledgeBase
-from repro.core.ranking import BootstrapRanker, RegularRanker, candidate_ranking
+from repro.core.ranking import (
+    BOOTSTRAP_PRIOR,
+    BootstrapRanker,
+    RegularRanker,
+    candidate_ranking,
+)
 
 
 @dataclass
@@ -301,8 +306,8 @@ class ReplicationState:
         self.config = config
         #: Algorithm 1's random draws (the simulator shares one stream).
         self.rng = rng
-        self.knowledge = KnowledgeBase(owner=owner_id, default_ttl=config.kb_ttl)
-        self.bootstrap = BootstrapRanker(config)
+        self.knowledge = KnowledgeBase(owner=owner_id)
+        self.bootstrap = BootstrapRanker()
         self.ranker = RegularRanker(self.knowledge, config)
         self.store = ReplicaStore(owner_id, capacity_profiles, config)
         #: ES_u(w) for each friend w, accumulated between exchanges.
@@ -374,7 +379,7 @@ class ReplicationState:
             holding=holding,
         )
         ranking, friends, unranked = candidate_ranking(
-            self.knowledge, self.bootstrap, self.config.bootstrap_prior
+            self.knowledge, self.bootstrap, BOOTSTRAP_PRIOR
         )
         result = self.selection_strategy.select(
             self.owner_id,

@@ -143,7 +143,7 @@ class Deployment:
         # the simulator uses, installed on the *real* overlay and nodes.
         from repro.arch import create_architecture
 
-        self.arch = create_architecture(architecture, self.config)
+        self.arch = create_architecture(architecture)
         if self.arch.placement is not None:
             self.overlay.set_placement(self.arch.placement)
         if self.arch.routing is not None:

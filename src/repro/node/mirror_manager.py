@@ -45,9 +45,7 @@ class MirrorManager(ReplicationState):
         #: Mobile nodes disable mirroring by default (Sec. 7) but still
         #: select mirrors for their own data.
         self.mirroring_enabled = mirroring_enabled
-        self.update_buffer = UpdateBuffer(
-            max_per_target=config.update_buffer_cap or None
-        )
+        self.update_buffer = UpdateBuffer()
         #: Retained per-owner update logs for multi-device sync (Sec. 3.5).
         self.update_logs: Dict[int, UpdateLog] = {}
         #: Proactive-repair bookkeeping (PROTOCOL.md "Reliability & repair").

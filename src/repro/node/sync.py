@@ -103,8 +103,8 @@ class UpdateBuffer:
     profile — and ``dropped_updates`` counts the losses.
     """
 
-    def __init__(self, max_per_target: Optional[int] = None) -> None:
-        if max_per_target is not None and max_per_target < 1:
+    def __init__(self, max_per_target: int = 512) -> None:
+        if max_per_target < 1:
             raise ValueError("max_per_target must be positive")
         self._pending: Dict[int, OrderedUpdates] = {}
         self.max_per_target = max_per_target
@@ -117,7 +117,7 @@ class UpdateBuffer:
         # Idempotent: the same update may arrive via several mirrors.
         if not queue.insert(update):
             return
-        if self.max_per_target is not None and len(queue) > self.max_per_target:
+        if len(queue) > self.max_per_target:
             evicted = queue.pop_oldest()
             self.dropped_updates += 1
             get_registry().counter("sync.updates_dropped").inc()

@@ -66,6 +66,22 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger("repro.sim.engine")
 
+#: Window (days) over which nodes join asynchronously (Sec. 5.1).
+JOIN_WINDOW_DAYS = 1.0
+#: Probability an interaction targets a friend (vs a random stranger).
+FRIEND_CONTACT_PROBABILITY = 0.8
+#: Friend profiles browsed per interaction session.  OSN interactions are
+#: feed/profile-browsing sessions touching several friends [22, 23], which
+#: is what feeds experience sets enough observations per exchange period
+#: for Eq. (1) to average over.
+PROFILES_PER_SESSION = 6
+#: Silent (offline) epochs before repair declares an announced mirror dead:
+#: half a day at 24 epochs/day, so diurnally-offline mirrors survive while
+#: crashed ones, which never return, are always caught.
+REPAIR_SUSPICION_EPOCHS = 12
+#: Attempts per replica transfer under repair, the first included.
+PUSH_RETRY_ATTEMPTS = 3
+
 
 def _median(values: np.ndarray) -> float:
     """``np.median(values)`` bit for bit, for a non-empty array without
@@ -290,8 +306,6 @@ class SoupSimulation:
             self.n_total,
             self.np_rng,
             median_profiles=self.soup.storage_median_profiles,
-            sigma_profiles=self.soup.storage_sigma_profiles,
-            min_profiles=self.soup.storage_min_profiles,
         )
         # Altruistic nodes contribute server-class storage (Sec. 5.2.4).
         capacities[base_n : base_n + self.n_altruists] = (
@@ -339,7 +353,7 @@ class SoupSimulation:
 
         # Join schedule: base nodes and sybils join inside the bootstrap
         # window; altruists appear at their configured day (Fig. 8).
-        window = max(1, int(config.join_window_days * config.epochs_per_day))
+        window = max(1, int(JOIN_WINDOW_DAYS * config.epochs_per_day))
         joins = join_epochs(self.online_probabilities, window, self.np_rng)
         altruist_epoch = min(
             config.n_epochs - 1,
@@ -361,7 +375,6 @@ class SoupSimulation:
             base_probabilities=self.online_probabilities,
             timezone_offsets=self.timezones,
             epoch_hours=24.0 / config.epochs_per_day,
-            mean_session_epochs=config.mean_session_epochs,
         )
         self.online_matrix = model.generate_matrix(config.n_epochs, self.np_rng)
 
@@ -457,7 +470,7 @@ class SoupSimulation:
         from repro.arch import create_architecture
         from repro.arch.dhtprobe import DhtProbe
 
-        self.arch = create_architecture(config.architecture, config)
+        self.arch = create_architecture(config.architecture)
         self._selection_strategy = self.arch.selection
         if self._selection_strategy is not None:
             for node in self.nodes:
@@ -756,10 +769,8 @@ class SoupSimulation:
 
     def _one_interaction(self, node: _NodeState, epoch: int) -> None:
         """One user session: contact a node, then browse friend profiles."""
-        config = self.config
         contact_friend = (
-            node.friends
-            and self.rng.random() < config.friend_contact_probability
+            node.friends and self.rng.random() < FRIEND_CONTACT_PROBABILITY
         )
         if contact_friend:
             target_id = self.rng.choice(node.friends)
@@ -784,7 +795,7 @@ class SoupSimulation:
         if not node.friends:
             return
         browsed = self.rng.choices(
-            node.friends, k=min(config.profiles_per_session, len(node.friends))
+            node.friends, k=min(PROFILES_PER_SESSION, len(node.friends))
         )
         for friend_id in set(browsed):
             friend = self.nodes[friend_id]
@@ -1131,7 +1142,7 @@ class SoupSimulation:
         answers *with* the replica clears its suspicion; one that answers
         *without* it (lost transfer, capacity eviction) is declared dead on
         the spot; a silent (offline/departed) mirror accumulates suspicion
-        until ``repair_suspicion_epochs``, then is declared dead.  Dead
+        until :data:`REPAIR_SUSPICION_EPOCHS`, then is declared dead.  Dead
         mirrors trigger an immediate reselection + re-replication instead
         of waiting for the next daily round.  Returns True when any
         replica moved.
@@ -1157,7 +1168,7 @@ class SoupSimulation:
                 else:
                     level = node.mirror_suspicion.get(mirror_id, 0) + 1
                     node.mirror_suspicion[mirror_id] = level
-                    if level >= self.config.repair_suspicion_epochs:
+                    if level >= REPAIR_SUSPICION_EPOCHS:
                         dead_now.append(mirror_id)
             if dead_now:
                 self._repair_owner(node, dead_now, epoch)
@@ -1241,7 +1252,7 @@ class SoupSimulation:
         Without repair, a transfer is fire-and-forget: one fault draw, and
         a drop goes unnoticed (the stale announcement the invariant
         checker flags).  With repair, transfers are acknowledged and
-        retried up to ``push_retry_attempts`` times — each retry re-draws
+        retried up to :data:`PUSH_RETRY_ATTEMPTS` times — each retry re-draws
         the fault deterministically from the injector's stream.
         """
         if self.faults is None:
@@ -1253,7 +1264,7 @@ class SoupSimulation:
         rel = self.result.reliability
         assert rel is not None
         retry_counter = self.metrics.counter("engine.transfer.retries")
-        for attempt in range(self.config.push_retry_attempts - 1):
+        for attempt in range(PUSH_RETRY_ATTEMPTS - 1):
             rel.transfer_retries += 1
             retry_counter.inc()
             if self._tracer.enabled:
@@ -1269,7 +1280,7 @@ class SoupSimulation:
         self.metrics.counter("engine.transfer.giveups").inc()
         logger.debug(
             "replica transfer %d->%d gave up after %d attempts (epoch %d)",
-            owner_id, mirror_id, self.config.push_retry_attempts, epoch,
+            owner_id, mirror_id, PUSH_RETRY_ATTEMPTS, epoch,
         )
         return False
 

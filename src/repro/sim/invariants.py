@@ -42,6 +42,8 @@ checking enabled — see :func:`format_repro` / :func:`parse_repro` /
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -490,107 +492,58 @@ def check_mirror_manager(manager, epoch: int = -1, repro: str = "") -> None:
 # ---------------------------------------------------------------------------
 # one-line repro strings
 # ---------------------------------------------------------------------------
-_REPRO_PREFIX = "soup-repro/v1"
+_REPRO_PREFIX = "soup-repro/v2"
+#: Written even at their default values: the scenario's identity.
+_REPRO_ALWAYS = ("dataset", "scale", "seed", "n_days")
 
-#: token -> ScenarioConfig field.  Only scalar fields participate; model
-#: objects (SoupConfig, ActivityModel) keep their defaults on replay.
-_REPRO_FIELDS: Dict[str, str] = {
-    "dataset": "dataset",
-    "scale": "scale",
-    "seed": "seed",
-    "days": "n_days",
-    "epd": "epochs_per_day",
-    "join_window": "join_window_days",
-    "round_days": "round_period_days",
-    "dist": "online_distribution",
-    "session": "mean_session_epochs",
-    "friend_p": "friend_contact_probability",
-    "profiles": "profiles_per_session",
-    "altruists": "altruist_fraction",
-    "altruist_day": "altruist_join_day",
-    "departure": "departure_fraction",
-    "departure_day": "departure_day",
-    "traitors": "traitor_fraction",
-    "betrayal_day": "betrayal_day",
-    "slander": "slander_fraction",
-    "sybil": "sybil_fraction",
-    "flood_req": "sybil_flood_requests",
-    "capacity": "mirror_request_capacity",
-    "ties": "use_tie_strength",
-    "repair": "repair",
-    "suspicion": "repair_suspicion_epochs",
-    "push_retries": "push_retry_attempts",
-    "faults": "faults",
-    "invariants": "invariant_names",
-}
-#: Tokens always emitted even at default values (scenario identity).
-_REPRO_ALWAYS = ("dataset", "scale", "seed", "days")
+
+def _repro_overrides(config, defaults, prefix: str = ""):
+    """``(name, value)`` for every field of ``config`` that differs from
+    ``defaults``, dotted into the nested model dataclasses."""
+    for item in dataclasses.fields(config):
+        name = prefix + item.name
+        value, default = getattr(config, item.name), getattr(defaults, item.name)
+        if dataclasses.is_dataclass(value):
+            yield from _repro_overrides(value, default, name + ".")
+        elif name != "check_invariants" and (value != default or name in _REPRO_ALWAYS):
+            yield name, value.value if isinstance(value, enum.Enum) else value
 
 
 def format_repro(config) -> str:
     """Serialize a scenario to the one-line repro string.
 
-    The line replays with :func:`run_repro` (or ``python -m repro replay``)
-    and always re-enables invariant checking.
+    Each token is a ``soup sweep --base`` override, ``name=value`` with a
+    JSON value (``soup.*``/``activity.*`` for the nested models), one for
+    every field off its default plus the scenario's identity.  The line
+    replays with :func:`run_repro` (or ``python -m repro replay``) and
+    always re-enables invariant checking.
     """
     from repro.sim.scenario import ScenarioConfig
 
-    defaults = ScenarioConfig()
     tokens = [_REPRO_PREFIX]
-    for token, attr in _REPRO_FIELDS.items():
-        value = getattr(config, attr)
-        if token not in _REPRO_ALWAYS and value == getattr(defaults, attr):
-            continue
-        if value is None:
-            continue
-        if attr == "online_distribution":
-            value = value.value
-        elif attr == "invariant_names":
-            value = ",".join(value)
-        elif isinstance(value, bool):
-            value = int(value)
-        tokens.append(f"{token}={value}")
+    for name, value in _repro_overrides(config, ScenarioConfig()):
+        tokens.append(f"{name}={json.dumps(value, separators=(',', ':'))}")
     return " ".join(tokens)
 
 
 def parse_repro(line: str):
     """Parse a repro line back into a ScenarioConfig (checking enabled)."""
-    from repro.sim.scenario import OnlineDistribution, ScenarioConfig
+    from repro.runtime.spec import build_config
 
-    parts = line.split()
-    if not parts or parts[0] != _REPRO_PREFIX:
-        raise ValueError(
-            f"not a {_REPRO_PREFIX} line: {line[:60]!r}"
-        )
-    defaults = ScenarioConfig()
-    kwargs: Dict[str, object] = {}
-    for token in parts[1:]:
-        if "=" not in token:
+    prefix, *tokens = line.split() or [""]
+    if prefix != _REPRO_PREFIX:
+        raise ValueError(f"not a {_REPRO_PREFIX} line: {line[:60]!r}")
+    overrides: Dict[str, object] = {}
+    for token in tokens:
+        name, sep, text = token.partition("=")
+        if not sep:
             raise ValueError(f"malformed repro token {token!r}")
-        key, raw = token.split("=", 1)
-        attr = _REPRO_FIELDS.get(key)
-        if attr is None:
-            raise ValueError(f"unknown repro token {key!r}")
-        default = getattr(defaults, attr)
-        if attr == "online_distribution":
-            value: object = OnlineDistribution(raw)
-        elif attr == "invariant_names":
-            value = tuple(raw.split(","))
-        elif attr == "faults":
-            value = raw
-        elif isinstance(default, bool):
-            value = bool(int(raw))
-        elif isinstance(default, int) and not isinstance(default, bool):
-            value = int(raw)
-        elif isinstance(default, float):
-            value = float(raw)
-        elif default is None:  # e.g. mirror_request_capacity
-            value = int(raw)
-        else:
-            value = raw
-        kwargs[attr] = value
-    kwargs["check_invariants"] = True
-    return ScenarioConfig(**kwargs)
+        try:
+            overrides[name] = json.loads(text)
+        except ValueError:
+            raise ValueError(f"repro token {token!r} has no JSON value") from None
+    overrides["check_invariants"] = True
+    return build_config(overrides)
 
 
 def run_repro(line: str):

@@ -74,8 +74,6 @@ class ScenarioConfig:
     # --- time -------------------------------------------------------------
     n_days: int = 20
     epochs_per_day: int = 24
-    #: Window (days) over which nodes join asynchronously (Sec. 5.1).
-    join_window_days: float = 1.0
     #: Cadence of ES exchanges + selection rounds, in days.
     round_period_days: float = 1.0
 
@@ -83,14 +81,6 @@ class ScenarioConfig:
     soup: SoupConfig = field(default_factory=SoupConfig)
     activity: ActivityModel = field(default_factory=ActivityModel)
     online_distribution: OnlineDistribution = OnlineDistribution.POWER_LAW
-    mean_session_epochs: float = 3.0
-    #: Probability an interaction targets a friend (vs a random stranger).
-    friend_contact_probability: float = 0.8
-    #: Friend profiles browsed per interaction session.  OSN interactions
-    #: are feed/profile-browsing sessions touching several friends [22, 23],
-    #: which is what feeds experience sets enough observations per exchange
-    #: period for Eq. (1) to average over.
-    profiles_per_session: int = 6
 
     # --- openness: altruistic nodes (Fig. 8) ---------------------------------
     altruist_fraction: float = 0.0
@@ -139,18 +129,6 @@ class ScenarioConfig:
     #: mirror is declared dead).  Off by default — the base experiments
     #: reproduce the paper's passive-recovery behaviour.
     repair: bool = False
-    #: Consecutive epochs an announced mirror must be silent (offline)
-    #: before the failure detector declares it dead.  A mirror observed
-    #: online *without* our replica is declared dead immediately.  The
-    #: default (half a day at 24 epochs/day) trades detection speed
-    #: against falsely declaring diurnally-offline mirrors dead; crashed
-    #: nodes never return, so they are always caught eventually.
-    repair_suspicion_epochs: int = 12
-    #: Attempts per replica transfer when repair is enabled (first try
-    #: included); an injected transfer drop is re-drawn per attempt, and a
-    #: transfer failing every attempt is rolled back cleanly instead of
-    #: leaving a stale announcement.
-    push_retry_attempts: int = 3
 
     # --- architecture (repro.arch) ----------------------------------------------
     #: Which architecture runs the seams: ``"soup"`` (the paper's design,
@@ -163,18 +141,6 @@ class ScenarioConfig:
     #: (the probe never feeds back, but it costs time); ``soup compare``
     #: enables it on every row so hop counts are comparable.
     measure_dht: bool = False
-    #: Fraction of the population elected as super-peers.
-    arch_superpeer_fraction: float = 0.05
-    #: Observed-uptime bar for super-peer candidacy (also the "weak
-    #: owner" threshold below which owners receive super-peer offers).
-    arch_superpeer_min_uptime: float = 0.6
-    #: Fixed hosting slots per super-peer; None derives slots from the
-    #: super-peer's sampled storage capacity.
-    arch_superpeer_slots: Optional[int] = None
-    #: Read-cache entries per reader (``architecture="cache"``).
-    arch_cache_capacity: int = 8
-    #: Epochs a cached profile stays fresh.
-    arch_cache_ttl_epochs: int = 6
 
     # --- correctness harness ----------------------------------------------------
     #: Run the per-epoch runtime invariant checker (repro.sim.invariants);
@@ -204,6 +170,15 @@ class ScenarioConfig:
             raise ValueError(
                 f"epochs_per_day must be positive, got {self.epochs_per_day}"
             )
+        if self.round_period_days <= 0:
+            raise ValueError(
+                f"round_period_days must be positive, got {self.round_period_days}"
+            )
+        for name in (
+            "altruist_join_day", "departure_day", "betrayal_day", "sybil_flood_requests"
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} cannot be negative, got {getattr(self, name)}")
         if not 0.0 <= self.altruist_fraction < 1.0:
             raise ValueError(
                 f"altruist fraction must be in [0, 1), got {self.altruist_fraction}"
@@ -224,10 +199,10 @@ class ScenarioConfig:
             raise ValueError(
                 f"sybil fraction must be in [0, 1], got {self.sybil_fraction}"
             )
-        if not 0.0 <= self.friend_contact_probability <= 1.0:
+        if self.mirror_request_capacity is not None and self.mirror_request_capacity < 1:
             raise ValueError(
-                "friend contact probability must be in [0, 1], "
-                f"got {self.friend_contact_probability}"
+                "mirror_request_capacity must be positive when set, "
+                f"got {self.mirror_request_capacity}"
             )
         if self.architecture != "soup":
             # Fail at construction (sweep-expansion time), like faults.
@@ -238,26 +213,6 @@ class ScenarioConfig:
                     f"unknown architecture {self.architecture!r} "
                     f"(known: {sorted(ARCHITECTURES)})"
                 )
-        if not 0.0 < self.arch_superpeer_fraction <= 1.0:
-            raise ValueError(
-                "arch_superpeer_fraction must be in (0, 1], "
-                f"got {self.arch_superpeer_fraction}"
-            )
-        if not 0.0 <= self.arch_superpeer_min_uptime <= 1.0:
-            raise ValueError(
-                "arch_superpeer_min_uptime must be in [0, 1], "
-                f"got {self.arch_superpeer_min_uptime}"
-            )
-        if self.arch_superpeer_slots is not None and self.arch_superpeer_slots < 1:
-            raise ValueError("arch_superpeer_slots must be positive when set")
-        if self.arch_cache_capacity < 1:
-            raise ValueError("arch_cache_capacity must be positive")
-        if self.arch_cache_ttl_epochs < 1:
-            raise ValueError("arch_cache_ttl_epochs must be positive")
-        if self.repair_suspicion_epochs < 1:
-            raise ValueError("repair_suspicion_epochs must be positive")
-        if self.push_retry_attempts < 1:
-            raise ValueError("push_retry_attempts must be positive")
         if self.faults is not None:
             # Fail fast on malformed fault specs rather than mid-run.
             from repro.sim.faults import FaultInjector

@@ -49,21 +49,6 @@ class TestRegistry:
         assert arch.read_path is None
         assert arch.metrics() == {}
 
-    def test_factories_read_config_knobs(self):
-        class Config:
-            arch_cache_capacity = 3
-            arch_cache_ttl_epochs = 2
-            arch_superpeer_fraction = 0.2
-            arch_superpeer_min_uptime = 0.5
-            arch_superpeer_slots = 7
-
-        cache = create_architecture("cache", Config()).read_path
-        assert cache.capacity == 3 and cache.ttl_epochs == 2
-        economy = create_architecture("superpeer", Config()).selection
-        assert economy.fraction == 0.2
-        assert economy.min_uptime == 0.5
-        assert economy.slots_override == 7
-
     def test_metrics_groups_merge_extra(self):
         arch = create_architecture("cache")
         arch.extra_metrics["dht"] = {"mean_lookup_hops": 2.0}

@@ -72,8 +72,3 @@ def test_retention_open_interval():
     with pytest.raises(ValueError):
         SoupConfig(count_retention=1.0)
 
-
-def test_prior_weight_non_negative():
-    SoupConfig(count_prior_weight=0.0)
-    with pytest.raises(ValueError):
-        SoupConfig(count_prior_weight=-1.0)

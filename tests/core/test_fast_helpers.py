@@ -101,7 +101,7 @@ def test_candidate_ranking_is_the_trust_order_assembly(steps, recommended):
     """Experience first, then recommendations, then every other contact at
     the prior — as the engine and the mirror manager each used to spell it."""
     kb = _replay(steps)
-    bootstrap = BootstrapRanker(SoupConfig())
+    bootstrap = BootstrapRanker()
     bootstrap.add_recommendations(
         Recommendation(recommender=99, mirror=mirror, quality=quality)
         for mirror, quality in recommended

@@ -6,6 +6,7 @@ from repro.core.config import SoupConfig
 from repro.core.experience import ExperienceReport
 from repro.core.knowledge import KnowledgeBase
 from repro.core.ranking import (
+    BOOTSTRAP_PRIOR,
     BootstrapRanker,
     Recommendation,
     RegularRanker,
@@ -19,29 +20,27 @@ def config():
 
 
 class TestBootstrapRanker:
-    def test_recommendations_ranked_by_quality(self, config):
-        ranker = BootstrapRanker(config)
+    def test_recommendations_ranked_by_quality(self):
+        ranker = BootstrapRanker()
         ranker.add_recommendation(Recommendation(1, mirror=10, quality=0.9))
         ranker.add_recommendation(Recommendation(1, mirror=11, quality=0.2))
         ranking = ranker.ranking()
         assert [m for m, _ in ranking] == [10, 11]
 
-    def test_quality_discounted(self, config):
-        ranker = BootstrapRanker(config)
+    def test_quality_discounted(self):
+        ranker = BootstrapRanker()
         ranker.add_recommendation(Recommendation(1, mirror=10, quality=1.0))
         ((_, rank),) = ranker.ranking()
         assert rank == pytest.approx(BootstrapRanker.TRUST_DISCOUNT)
 
-    def test_unknown_quality_gets_prior(self, config):
-        ranker = BootstrapRanker(config)
+    def test_unknown_quality_gets_prior(self):
+        ranker = BootstrapRanker()
         ranker.add_recommendation(Recommendation(1, mirror=10, quality=None))
         ((_, rank),) = ranker.ranking()
-        assert rank == pytest.approx(
-            BootstrapRanker.TRUST_DISCOUNT * config.bootstrap_prior
-        )
+        assert rank == pytest.approx(BootstrapRanker.TRUST_DISCOUNT * BOOTSTRAP_PRIOR)
 
-    def test_multiple_recommendations_averaged(self, config):
-        ranker = BootstrapRanker(config)
+    def test_multiple_recommendations_averaged(self):
+        ranker = BootstrapRanker()
         ranker.add_recommendations(
             [
                 Recommendation(1, mirror=10, quality=1.0),
@@ -52,15 +51,15 @@ class TestBootstrapRanker:
         assert rank == pytest.approx(BootstrapRanker.TRUST_DISCOUNT * 0.75)
         assert ranker.recommendation_count == 2
 
-    def test_quality_clamped(self, config):
-        ranker = BootstrapRanker(config)
+    def test_quality_clamped(self):
+        ranker = BootstrapRanker()
         ranker.add_recommendation(Recommendation(1, mirror=10, quality=7.0))
         ((_, rank),) = ranker.ranking()
         assert rank <= 1.0
 
 
-    def test_nan_quality_is_dropped_not_clamped_to_one(self, config):
-        ranker = BootstrapRanker(config)
+    def test_nan_quality_is_dropped_not_clamped_to_one(self):
+        ranker = BootstrapRanker()
         ranker.add_recommendation(Recommendation(1, mirror=10, quality=0.9))
         ranker.add_recommendation(Recommendation(2, mirror=11, quality=float("nan")))
         ranker.add_recommendation(Recommendation(3, mirror=12, quality=float("inf")))
@@ -68,15 +67,15 @@ class TestBootstrapRanker:
         assert ranker.recommendation_count == 1
         assert ranker.rejected_recommendations == 2
 
-    def test_ranking_is_kept_until_the_next_recommendation(self, config):
-        ranker = BootstrapRanker(config)
+    def test_ranking_is_kept_until_the_next_recommendation(self):
+        ranker = BootstrapRanker()
         ranker.add_recommendation(Recommendation(1, mirror=11, quality=0.2))
         first = ranker.ranking()
         assert isinstance(first, tuple)
         assert ranker.ranking() is first  # no re-sort between recommendations
         ranker.add_recommendation(Recommendation(2, mirror=10, quality=0.9))
         assert [m for m, _ in ranker.ranking()] == [10, 11]
-        fresh = BootstrapRanker(config)
+        fresh = BootstrapRanker()
         fresh.add_recommendation(Recommendation(1, mirror=11, quality=0.2))
         fresh.add_recommendation(Recommendation(2, mirror=10, quality=0.9))
         assert ranker.ranking() == fresh.ranking()
@@ -199,9 +198,8 @@ class TestRegularRankerEq1Modes:
 
 
 def test_ranking_delegates_to_kb():
-    config = SoupConfig()
     kb = KnowledgeBase(owner=0)
     kb.set_experience(1, 0.5)
     kb.set_experience(2, 0.9)
-    ranking, _, _ = candidate_ranking(kb, BootstrapRanker(config), 0.4)
+    ranking, _, _ = candidate_ranking(kb, BootstrapRanker(), 0.4)
     assert [n for n, _ in ranking] == [2, 1]

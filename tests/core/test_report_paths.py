@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.config import SoupConfig
 from repro.core.experience import ExperienceReport, ExperienceSet
 from repro.core.knowledge import KnowledgeBase
-from repro.core.ranking import RegularRanker
+from repro.core.ranking import BOOTSTRAP_PRIOR, COUNT_PRIOR_WEIGHT, RegularRanker
 from repro.sim.attacks import SlanderAttack
 from repro.sim.engine import SoupSimulation
 from repro.sim.faults import FaultInjector
@@ -77,8 +77,7 @@ def reference_aged_counts(counters, knowledge, config, reports):
             counter = counters[mirror] = [0.0, 0.0]
         counter[0] += weight
         counter[1] += weight * availability
-    prior = config.bootstrap_prior
-    prior_weight = config.count_prior_weight
+    prior, prior_weight = BOOTSTRAP_PRIOR, COUNT_PRIOR_WEIGHT
     for mirror, (requests, successes) in counters.items():
         if requests <= 0.0:
             continue

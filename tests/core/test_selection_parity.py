@@ -120,7 +120,7 @@ def test_engine_and_mirror_manager_make_the_same_selection(
     architecture, steps, recommended, pending, rejected_by, dead,
     unreachable, holding, experienced, normalization, seed,
 ):
-    soup = SoupConfig(kb_ttl=3, experience_normalization=normalization)
+    soup = SoupConfig(experience_normalization=normalization)
     sim = _simulation(soup, architecture)
     node = sim.nodes[OWNER]
     manager = _manager(soup, seed, architecture)
@@ -128,6 +128,7 @@ def test_engine_and_mirror_manager_make_the_same_selection(
 
     held = sorted(holding)
     for state in (node, manager):
+        state.knowledge.default_ttl = 3
         _load(state.knowledge, state.bootstrap, steps, recommended)
         state.pending_reports.extend(pending)
         state.rejected_by.update(rejected_by)

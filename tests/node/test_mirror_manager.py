@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import SoupConfig
 from repro.core.experience import ExperienceReport
-from repro.core.ranking import Recommendation, candidate_ranking
+from repro.core.ranking import BOOTSTRAP_PRIOR, Recommendation, candidate_ranking
 from repro.node.mirror_manager import MirrorManager
 
 
@@ -76,9 +76,7 @@ def test_build_ranking_layers(manager):
     )
     manager.ingest_pending_reports()
     ranking = dict(
-        candidate_ranking(
-            manager.knowledge, manager.bootstrap, manager.config.bootstrap_prior
-        )[0]
+        candidate_ranking(manager.knowledge, manager.bootstrap, BOOTSTRAP_PRIOR)[0]
     )
     assert set(ranking) >= {5, 6, 7}
     assert ranking[5] > ranking[6] > ranking[7] or ranking[5] > ranking[7]

@@ -81,13 +81,6 @@ class TestUpdateBufferCap:
         assert [u.timestamp for u in pending] == [2.0, 3.0]
         assert buffer.dropped_updates == 1
 
-    def test_unbounded_by_default(self):
-        buffer = UpdateBuffer()
-        for seq in range(1000):
-            buffer.add(update(sequence=seq))
-        assert buffer.pending_count(1) == 1000
-        assert buffer.dropped_updates == 0
-
     def test_duplicate_does_not_evict(self):
         buffer = UpdateBuffer(max_per_target=2)
         buffer.add(update(timestamp=1.0, sequence=1))

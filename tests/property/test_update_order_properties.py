@@ -92,7 +92,7 @@ def test_update_log_equals_sort_per_append(updates, cap):
     assert log.size_bytes() == sum(u.size_bytes for u in oracle.entries)
 
 
-@given(updates=updates_strategy, cap=st.one_of(st.none(), st.integers(1, 8)))
+@given(updates=updates_strategy, cap=st.integers(1, 8))
 def test_update_buffer_equals_scan_and_evict(updates, cap):
     buffer, oracle = UpdateBuffer(max_per_target=cap), ScanAndEvictBuffer(cap)
     for update in updates:

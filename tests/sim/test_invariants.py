@@ -14,10 +14,15 @@ Three families:
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.graphs.datasets import generate_dataset
+from repro.arch import ARCHITECTURES
+from repro.behavior.activity import ActivityModel
+from repro.core.config import SoupConfig
+from repro.graphs.datasets import DATASET_SPECS, generate_dataset
 from repro.sim.engine import SoupSimulation
-from repro.sim.faults import FaultInjector, FaultSpec
+from repro.sim.faults import _KINDS, FaultInjector, FaultSpec
 from repro.sim.invariants import (
     ENGINE_INVARIANTS,
     InvariantChecker,
@@ -25,7 +30,7 @@ from repro.sim.invariants import (
     format_repro,
     parse_repro,
 )
-from repro.sim.scenario import ScenarioConfig
+from repro.sim.scenario import OnlineDistribution, ScenarioConfig
 from repro.testing import expect_violation, run_checked
 
 
@@ -85,8 +90,8 @@ def test_dropped_transfer_raises_structured_violation():
     assert violation.epoch >= 24
     assert violation.node_ids  # names the owner/mirror pair involved
     assert violation.violations[0].snapshot  # minimal state snapshot attached
-    assert violation.repro.startswith("soup-repro/v1 ")
-    assert "faults=drop_transfer:rate=1.0:from_epoch=24" in violation.repro
+    assert violation.repro.startswith("soup-repro/v2 ")
+    assert 'faults="drop_transfer:rate=1.0:from_epoch=24"' in violation.repro
 
 
 def test_violation_serializes_for_triage():
@@ -214,7 +219,93 @@ def test_repro_line_omits_defaults():
     line = format_repro(tiny_config())
     assert "departure" not in line
     assert "faults" not in line
-    assert line.startswith("soup-repro/v1 ")
+    assert line.startswith("soup-repro/v2 ")
+
+
+def _every_field(cls, **strategies):
+    """``st.builds(cls)`` that draws every field: a field added to ``cls``
+    without a strategy here fails collection instead of going untested."""
+    missing = {f.name for f in dataclasses.fields(cls)} - set(strategies)
+    assert not missing, f"no strategy for {cls.__name__} field(s) {sorted(missing)}"
+    return st.builds(cls, **strategies)
+
+
+def _floats(low, high, **kwargs):
+    return st.floats(low, high, allow_nan=False, **kwargs)
+
+
+_fault_clauses = st.builds(
+    lambda kind, params: ":".join([kind, *(f"{k}={v}" for k, v in params.items())]),
+    st.sampled_from(_KINDS),
+    st.dictionaries(
+        st.sampled_from(["rate", "epoch", "count", "from_epoch", "to_epoch", "node"]),
+        st.integers(0, 500) | _floats(0.0, 1.0),
+        max_size=3,
+    ),
+)
+_fractions = _floats(0.0, 1.0, exclude_max=True)
+_days = _floats(0.0, 60.0)
+
+scenario_configs = _every_field(
+    ScenarioConfig,
+    dataset=st.sampled_from(sorted(DATASET_SPECS)),
+    scale=_floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**63),
+    n_days=st.integers(1, 400),
+    epochs_per_day=st.integers(1, 96),
+    round_period_days=_floats(0.0, 30.0, exclude_min=True),
+    soup=_every_field(
+        SoupConfig,
+        alpha=_floats(0.0, 1.0),
+        o_max=st.integers(1, 50),
+        experience_normalization=st.sampled_from(
+            ["aged_counts", "by_observations", "by_cap"]
+        ),
+        count_retention=_floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        epsilon=_floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        beta=_floats(1.0, 10.0),
+        max_mirrors=st.integers(1, 100),
+        theta=_floats(0.0, 1e4, exclude_min=True),
+        mismatch_penalty=_floats(0.0, 1e4, exclude_min=True),
+        storage_median_profiles=st.integers(1, 500),
+    ),
+    activity=_every_field(
+        ActivityModel,
+        # Disjoint ranges: the peak rate never falls below the floor.
+        peak_per_day=_floats(10.0, 60.0),
+        floor_per_day=_floats(0.0, 10.0),
+        decay_per_day=_floats(0.0, 5.0),
+    ),
+    online_distribution=st.sampled_from(OnlineDistribution),
+    altruist_fraction=_fractions,
+    altruist_join_day=_days,
+    departure_fraction=_fractions,
+    departure_day=_days,
+    traitor_fraction=_fractions,
+    betrayal_day=_days,
+    slander_fraction=_floats(0.0, 0.9),
+    sybil_fraction=_floats(0.0, 1.0),
+    sybil_flood_requests=st.integers(0, 100),
+    mirror_request_capacity=st.none() | st.integers(1, 1000),
+    use_tie_strength=st.booleans(),
+    cdf_snapshot_days=st.lists(st.integers(0, 60), max_size=4).map(tuple),
+    repair=st.booleans(),
+    architecture=st.sampled_from(sorted(ARCHITECTURES)),
+    measure_dht=st.booleans(),
+    check_invariants=st.booleans(),
+    invariant_names=st.none()
+    | st.lists(st.sampled_from(sorted(ENGINE_INVARIANTS)), unique=True).map(tuple),
+    faults=st.none() | st.lists(_fault_clauses, min_size=1, max_size=3).map(";".join),
+)
+
+
+@given(config=scenario_configs)
+def test_repro_line_replays_the_scenario_it_names(config):
+    """Every field survives the line: architecture, the nested models,
+    the tuple fields and fault plans included."""
+    line = format_repro(config)
+    assert "\n" not in line
+    assert parse_repro(line) == dataclasses.replace(config, check_invariants=True)
 
 
 def test_parse_rejects_garbage():

@@ -43,7 +43,14 @@ def test_with_overrides_copies():
         ("departure_fraction", -0.1),
         ("slander_fraction", 0.95),
         ("sybil_fraction", 1.5),
-        ("friend_contact_probability", 2.0),
+        ("round_period_days", 0.0),
+        ("round_period_days", -1.0),
+        ("mirror_request_capacity", 0),
+        ("mirror_request_capacity", -3),
+        ("sybil_flood_requests", -5),
+        ("altruist_join_day", -1.0),
+        ("departure_day", -1.0),
+        ("betrayal_day", -1.0),
     ],
 )
 def test_validation(field, value):
@@ -73,10 +80,6 @@ def test_validate_callable_after_mutation():
 def test_architecture_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(architecture="no_such_arch").validate()
-    with pytest.raises(ValueError):
-        ScenarioConfig(architecture="superpeer", arch_superpeer_fraction=1.5).validate()
-    with pytest.raises(ValueError):
-        ScenarioConfig(architecture="cache", arch_cache_capacity=0).validate()
     for name in ("soup", "superpeer", "social_dht", "cache", "peerson", "safebook"):
         ScenarioConfig(architecture=name).validate()
     # The engine has one path and does no crypto: neither knob exists.

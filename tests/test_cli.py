@@ -553,8 +553,19 @@ def test_replay_prints_the_violation_it_reproduces(capsys):
 
 @pytest.mark.parametrize(
     "line",
-    ["garbage", "soup-repro/v1 scale=abc", "soup-repro/v1 scale", "soup-repro/v1 nope=1", ""],
-    ids=["not-a-repro-line", "bad-value", "no-equals", "unknown-token", "empty"],
+    [
+        "garbage",
+        "soup-repro/v1 dataset=epinions scale=0.004 seed=3 days=6",
+        "soup-repro/v2 scale=abc",
+        'soup-repro/v2 scale="abc"',
+        "soup-repro/v2 scale",
+        "soup-repro/v2 nope=1",
+        "",
+    ],
+    ids=[
+        "not-a-repro-line", "v1-line", "bad-value", "wrong-type", "no-equals",
+        "unknown-token", "empty",
+    ],
 )
 def test_replay_refuses_a_malformed_line(capsys, line):
     # Exit 1 means "ran clean, no violation"; a line that does not parse
