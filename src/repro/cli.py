@@ -2,14 +2,18 @@
 
 Examples::
 
-    python -m repro fig5 --dataset epinions --days 10
-    python -m repro fig10 --fraction 0.5
+    python -m repro fig5 --base dataset=epinions --base n_days=10
+    python -m repro fig10 --base slander_fraction=0.3 --base use_tie_strength=true
     python -m repro table1
     python -m repro compare configs/compare/table4.toml --archs soup,peerson,safebook -o t4
     python -m repro deploy --duration 1200
     python -m repro fig15 --rate 20
 
-Each subcommand prints the corresponding table/series; the benchmark suite
+A scenario command (``sim``, ``metrics``, ``fig5``-``fig11``, ``perf``)
+runs its preset ScenarioConfig (``SCENARIO_PRESETS``) under repeatable
+``--base KEY=VALUE`` overrides, the grammar ``sweep --base`` and the
+tokens of a repro line share.  Each subcommand prints the corresponding
+table/series; the benchmark suite
 (`pytest benchmarks/ --benchmark-only`) runs the same experiments with the
 paper's shape assertions attached.
 """
@@ -17,6 +21,7 @@ paper's shape assertions attached.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -110,74 +115,97 @@ def _teardown_observability(args, tracer) -> None:
                 print(line, file=sys.stderr)
 
 
-def _correctness_overrides(args) -> dict:
-    """ScenarioConfig overrides from the shared correctness-harness flags."""
-    overrides = {}
-    if getattr(args, "check_invariants", False):
-        overrides["check_invariants"] = True
-    if getattr(args, "faults", None):
-        overrides["faults"] = args.faults
+#: Each scenario command's preset: ScenarioConfig overrides under the
+#: command's own ``--base KEY=VALUE`` flags (value grammar: docs/SWEEPS.md).
+SCENARIO_PRESETS = {
+    "sim": {"scale": 0.01, "n_days": 20, "seed": 5},
+    "metrics": {"scale": 0.01, "n_days": 20, "seed": 5},
+    "fig5": {"scale": 0.01, "n_days": 20, "seed": 5},
+    "fig6": {"scale": 0.01, "n_days": 30, "seed": 5},
+    "fig7": {"scale": 0.01, "n_days": 18, "seed": 5},
+    "fig8": {"altruist_fraction": 0.05, "scale": 0.01, "n_days": 26, "seed": 5},
+    "fig9": {"departure_fraction": 0.05, "scale": 0.01, "n_days": 26, "seed": 5},
+    "fig10": {"slander_fraction": 0.5, "scale": 0.01, "n_days": 26, "seed": 5},
+    "fig11": {"sybil_fraction": 0.5, "scale": 0.01, "n_days": 26, "seed": 5},
+    "perf": {"scale": 0.02, "n_days": 4, "seed": 42},
+}
+
+#: Figs. 8-11: the experiment each one runs and the field its fraction is.
+_ATTACKS = {
+    "fig8": ("altruism", "altruist_fraction"),
+    "fig9": ("departure", "departure_fraction"),
+    "fig10": ("slander", "slander_fraction"),
+    "fig11": ("flooding", "sybil_fraction"),
+}
+
+
+def scenario_config(command: str, base_flags=()):
+    """The ScenarioConfig a scenario command runs: its preset, then its
+    ``--base KEY=VALUE`` flags in order."""
+    from repro.runtime import build_config, parse_base_flag
+
+    overrides = dict(SCENARIO_PRESETS[command])
+    overrides.update(parse_base_flag(flag) for flag in base_flags or ())
+    if overrides.get("faults"):
         # A fault-injected run without the checker would corrupt silently.
         overrides.setdefault("check_invariants", True)
-    if getattr(args, "repair", False):
-        overrides["repair"] = True
-    # Architecture flags ride along: left at the defaults they add nothing
-    # to the overrides, keeping the byte-identical soup path untouched.
-    architecture = getattr(args, "architecture", None)
-    if architecture and architecture != "soup":
-        overrides["architecture"] = architecture
-    if getattr(args, "measure_dht", False):
-        overrides["measure_dht"] = True
-    return overrides
+    config = build_config(overrides)
+    if command == "fig6" and "cdf_snapshot_days" not in overrides:
+        # The stored-profile CDF on day 1, day 14 and the last day.
+        days = config.n_days
+        config = dataclasses.replace(
+            config, cdf_snapshot_days=tuple(d for d in (1, 14, days) if d <= days)
+        )
+    return config
 
 
-def _cmd_fig5(args) -> int:
+def _cmd_availability(args) -> int:
+    """Availability and replica overhead per day: fig5/sim and, under
+    their experiment's name, the attack figures 8-11."""
     from repro.sim.engine import run_scenario
-    from repro.sim.scenario import ScenarioConfig
-
-    config = ScenarioConfig(
-        dataset=args.dataset, scale=args.scale, n_days=args.days, seed=args.seed,
-        **_correctness_overrides(args),
-    )
-    result = run_scenario(config)
-    if getattr(args, "json", False):
-        print(_result_json(result, dataset=args.dataset, scale=args.scale))
-        return 0
     from repro.sim.reporting import sparkline
 
-    print(f"dataset={args.dataset} scale={args.scale} days={args.days}")
-    print("availability/day:", _series(result.daily_availability()),
-          f"  {sparkline(result.daily_availability(), 0.5, 1.0)}")
-    print("replicas/day:    ", _series(result.daily_replica_overhead(), "{:.2f}"),
-          f"  {sparkline(result.daily_replica_overhead())}")
+    config = args.config
+    result = run_scenario(config)
+    attack = _ATTACKS.get(args.command)
+    if attack:
+        kind, field = attack
+        tags = {"experiment": kind, "fraction": getattr(config, field)}
+    else:
+        tags = {"dataset": config.dataset, "scale": config.scale}
+    if args.json:
+        print(_result_json(result, **tags))
+        return 0
+    availability = result.daily_availability()
+    replicas = result.daily_replica_overhead()
+    if attack:
+        print(f"{kind} fraction={tags['fraction']}")
+        print("availability/day:", _series(availability))
+        print("replicas/day:    ", _series(replicas, "{:.2f}"))
+        if kind == "flooding":
+            print(f"blacklist entries: {result.blacklisted_owner_count}")
+        return 0
+    print(f"dataset={config.dataset} scale={config.scale} days={config.n_days}")
+    print("availability/day:", _series(availability),
+          f"  {sparkline(availability, 0.5, 1.0)}")
+    print("replicas/day:    ", _series(replicas, "{:.2f}"),
+          f"  {sparkline(replicas)}")
     print(f"availability@day1={result.availability_at_day(1):.3f} "
           f"steady={result.steady_state_availability():.3f} "
           f"replicas={result.steady_state_replicas():.2f}")
-    if result.arch:
-        for component, numbers in sorted(result.arch.items()):
-            rendered = " ".join(
-                f"{key}={value:g}" for key, value in sorted(numbers.items())
-            )
-            print(f"arch.{component}: {rendered}")
+    for component, numbers in sorted((result.arch or {}).items()):
+        rendered = " ".join(
+            f"{key}={value:g}" for key, value in sorted(numbers.items())
+        )
+        print(f"arch.{component}: {rendered}")
     return 0
 
 
 def _cmd_fig6(args) -> int:
     from repro.sim.engine import run_scenario
     from repro.sim.metrics import percentile_of
-    from repro.sim.scenario import ScenarioConfig
 
-    config = ScenarioConfig(
-        dataset=args.dataset,
-        scale=args.scale,
-        n_days=args.days,
-        seed=args.seed,
-        cdf_snapshot_days=tuple(
-            d for d in (1, 14, args.days) if d <= args.days
-        ),
-        **_correctness_overrides(args),
-    )
-    result = run_scenario(config)
+    result = run_scenario(args.config)
     for day, counts in sorted(result.stored_profiles_snapshots.items()):
         print(f"day {day:>3}: mean={np.mean(counts):.2f} "
               f"median={percentile_of(counts, 0.5):.0f} "
@@ -189,54 +217,12 @@ def _cmd_fig6(args) -> int:
 
 def _cmd_fig7(args) -> int:
     from repro.sim.engine import run_scenario
-    from repro.sim.scenario import ScenarioConfig
 
-    result = run_scenario(
-        ScenarioConfig(
-            dataset=args.dataset, scale=args.scale, n_days=args.days, seed=args.seed,
-            **_correctness_overrides(args),
-        )
-    )
+    result = run_scenario(args.config)
     for cohort, series in sorted(result.cohort_availability.items()):
         days = len(series) // result.epochs_per_day
         daily = series[: days * result.epochs_per_day].reshape(days, -1).mean(axis=1)
         print(f"{cohort:<15}", _series(daily))
-    return 0
-
-
-def _cmd_attack(args, kind: str) -> int:
-    from repro.sim.engine import run_scenario
-    from repro.sim.scenario import ScenarioConfig
-
-    overrides = _correctness_overrides(args)
-    if kind == "slander":
-        overrides["slander_fraction"] = args.fraction
-        overrides["use_tie_strength"] = getattr(args, "ties", False)
-    elif kind == "flooding":
-        overrides["sybil_fraction"] = args.fraction
-    elif kind == "departure":
-        overrides["departure_fraction"] = args.fraction
-        overrides["departure_day"] = args.event_day
-    elif kind == "altruism":
-        overrides["altruist_fraction"] = args.fraction
-        overrides["altruist_join_day"] = args.event_day
-    result = run_scenario(
-        ScenarioConfig(
-            dataset=args.dataset,
-            scale=args.scale,
-            n_days=args.days,
-            seed=args.seed,
-            **overrides,
-        )
-    )
-    if getattr(args, "json", False):
-        print(_result_json(result, experiment=kind, fraction=args.fraction))
-        return 0
-    print(f"{kind} fraction={args.fraction}")
-    print("availability/day:", _series(result.daily_availability()))
-    print("replicas/day:    ", _series(result.daily_replica_overhead(), "{:.2f}"))
-    if kind == "flooding":
-        print(f"blacklist entries: {result.blacklisted_owner_count}")
     return 0
 
 
@@ -301,14 +287,9 @@ def _cmd_metrics(args) -> int:
     """Run a scenario and render the metrics-registry view."""
     from repro.sim.engine import run_scenario
     from repro.sim.reporting import metrics_table
-    from repro.sim.scenario import ScenarioConfig
 
-    config = ScenarioConfig(
-        dataset=args.dataset, scale=args.scale, n_days=args.days, seed=args.seed,
-        **_correctness_overrides(args),
-    )
-    result = run_scenario(config)
-    if getattr(args, "json", False):
+    result = run_scenario(args.config)
+    if args.json:
         payload = {"metrics": result.metrics or {}, "summary": result.summary()}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -436,8 +417,9 @@ def _cmd_trace(args) -> int:
     raise AssertionError(f"unhandled trace subcommand {subcommand}")
 
 
-def _build_sweep_spec(args):
-    """Assemble the SweepSpec from a spec file and/or grid flags."""
+def _build_sweep_spec(args, archs=None):
+    """Assemble the SweepSpec from a spec file and/or grid flags; with
+    ``archs`` (``compare``), cross every row with each architecture."""
     from repro.runtime import (
         SweepSpec,
         parse_base_flag,
@@ -456,6 +438,18 @@ def _build_sweep_spec(args):
         spec.seeds = parse_seeds(args.seeds)
     if args.name:
         spec.name = args.name
+    elif archs is not None and spec.name == "sweep":
+        spec.name = "compare"
+    if archs is not None:
+        # The architecture axis is the whole point: cross every row of
+        # the underlying scenario with each architecture, DHT probe on
+        # so every row reports hops/control/storage numbers.
+        rows = spec.configs or [{}]
+        spec.configs = [
+            {**row, "architecture": arch, "measure_dht": True}
+            for arch in archs
+            for row in rows
+        ]
     return spec
 
 
@@ -525,22 +519,41 @@ def _cmd_sweep_status(args) -> int:
         _time.sleep(interval)
 
 
+def _compare_archs(args) -> List[str]:
+    """The architectures ``compare`` runs: ``--archs`` or every one."""
+    from repro.arch import architecture_names
+
+    known = architecture_names()
+    if not args.archs:
+        return list(known)
+    archs = [name.strip() for name in args.archs.split(",") if name.strip()]
+    unknown = sorted(set(archs) - set(known))
+    if unknown:
+        raise ValueError(f"unknown architecture(s) {unknown}; registered: {known}")
+    return archs
+
+
 def _cmd_sweep(args) -> int:
+    """``sweep``, and ``compare``: a sweep with an injected architecture
+    axis, reduced to one comparison table (docs/ARCHITECTURES.md)."""
     from repro.runtime import aggregate_json, aggregate_run, run_sweep
     from repro.sim.reporting import sweep_table
 
     if args.status:
         return _cmd_sweep_status(args)
 
-    if not args.aggregate_only:
-        try:
-            spec = _build_sweep_spec(args)
+    command = args.command
+    try:
+        archs = _compare_archs(args) if command == "compare" else None
+        if not args.aggregate_only:
+            spec = _build_sweep_spec(args, archs)
             tasks = spec.expand()
-        except ValueError as exc:
-            print(f"sweep: invalid spec: {exc}", file=sys.stderr)
-            return 2
+    except ValueError as exc:
+        print(f"{command}: invalid spec: {exc}", file=sys.stderr)
+        return 2
+    if not args.aggregate_only:
         print(
-            f"sweep {spec.name}: {len(tasks)} tasks -> {args.out} "
+            f"{command} {spec.name}: {len(tasks)} tasks -> {args.out} "
             f"(jobs={args.jobs or 'auto'})",
             file=sys.stderr,
         )
@@ -564,7 +577,7 @@ def _cmd_sweep(args) -> int:
             profile_phases=args.profile_phases,
         )
         print(
-            f"sweep {spec.name}: {len(outcome.executed)} run, "
+            f"{command} {spec.name}: {len(outcome.executed)} run, "
             f"{len(outcome.skipped)} cached, {len(outcome.failed)} failed",
             file=sys.stderr,
         )
@@ -574,12 +587,14 @@ def _cmd_sweep(args) -> int:
                 print(line, file=sys.stderr)
         if outcome.interrupted:
             print(
-                f"sweep {spec.name}: interrupted; checkpoint saved, "
-                f"rerun with --resume to continue",
+                f"{command} {spec.name}: interrupted; checkpoint saved, "
+                f"rerun the same command to continue",
                 file=sys.stderr,
             )
     cells = aggregate_run(args.out)
-    if args.json:
+    if archs is not None:
+        _write_comparison(args, archs, cells)
+    elif args.json:
         print(aggregate_json(cells))
     else:
         for line in sweep_table(cells):
@@ -592,96 +607,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    """Head-to-head architecture comparison (docs/ARCHITECTURES.md).
-
-    Fans one scenario (spec file and/or ``--base`` flags) over every
-    requested architecture with ``measure_dht`` forced on, runs the grid
-    through the sweep orchestrator (checkpoint/resume and all), and
-    reduces the artifacts into one comparison table plus a
-    ``compare.json`` artifact in the run directory.
-    """
-    import json as _json
-    from pathlib import Path
-
-    from repro.arch import architecture_names
-    from repro.runtime import (
-        SweepSpec,
-        aggregate_run,
-        parse_base_flag,
-        parse_seeds,
-        run_sweep,
-    )
+def _write_comparison(args, archs, cells) -> None:
+    """Write DIR/compare.json and print the comparison table (or JSON)."""
     from repro.sim.reporting import COMPARE_TABLE_METRICS, compare_table
 
-    known = architecture_names()
-    if args.archs:
-        archs = [name.strip() for name in args.archs.split(",") if name.strip()]
-        unknown = sorted(set(archs) - set(known))
-        if unknown:
-            print(
-                f"compare: unknown architecture(s) {unknown}; "
-                f"registered: {known}",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        archs = list(known)
-
-    if not args.aggregate_only:
-        try:
-            spec = SweepSpec.from_file(args.spec) if args.spec else SweepSpec()
-            for flag in args.base or ():
-                key, value = parse_base_flag(flag)
-                spec.base[key] = value
-            if args.seeds:
-                spec.seeds = parse_seeds(args.seeds)
-            spec.name = args.name or (
-                spec.name if spec.name != "sweep" else "compare"
-            )
-            # The architecture axis is the whole point: cross every row of
-            # the underlying scenario with each architecture, DHT probe on
-            # so every row reports hops/control/storage numbers.
-            rows = spec.configs or [{}]
-            spec.configs = [
-                {**row, "architecture": arch, "measure_dht": True}
-                for arch in archs
-                for row in rows
-            ]
-            tasks = spec.expand()
-        except ValueError as exc:
-            print(f"compare: invalid spec: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"compare {spec.name}: {len(archs)} architectures, "
-            f"{len(tasks)} tasks -> {args.out} (jobs={args.jobs or 'auto'})",
-            file=sys.stderr,
-        )
-
-        def progress(event, task, detail):
-            if event == "ok":
-                print(
-                    f"  [{task.task_id}] ok ({detail:.1f}s)  {task.label()}",
-                    file=sys.stderr,
-                )
-            elif event == "fail":
-                print(
-                    f"  [{task.task_id}] FAILED: {detail}  {task.label()}",
-                    file=sys.stderr,
-                )
-            elif event == "skip" and args.verbose:
-                print(f"  [{task.task_id}] cached  {task.label()}", file=sys.stderr)
-
-        outcome = run_sweep(
-            spec, args.out, jobs=args.jobs, limit=args.limit, progress=progress,
-        )
-        print(
-            f"compare {spec.name}: {len(outcome.executed)} run, "
-            f"{len(outcome.skipped)} cached, {len(outcome.failed)} failed",
-            file=sys.stderr,
-        )
-
-    cells = aggregate_run(args.out)
     payload = {
         "schema": "soup-compare/v1",
         "architectures": archs,
@@ -698,20 +627,14 @@ def _cmd_compare(args) -> int:
     }
     artifact_path = Path(args.out) / "compare.json"
     artifact_path.write_text(
-        _json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
+        json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
     )
     if args.json:
-        print(_json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in compare_table(cells):
             print(line)
         print(f"compare: artifact written to {artifact_path}", file=sys.stderr)
-    if not args.aggregate_only:
-        if outcome.interrupted:
-            return 130
-        if outcome.failed:
-            return 1
-    return 0
 
 
 def _cmd_fig15(args) -> int:
@@ -731,56 +654,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, days=20):
-        p.add_argument("--dataset", default="facebook",
-                       choices=("facebook", "epinions", "slashdot"))
-        p.add_argument("--scale", type=float, default=0.01)
-        p.add_argument("--days", type=int, default=days)
-        p.add_argument("--seed", type=int, default=5)
-        p.add_argument("--json", action="store_true",
-                       help="emit the result series as JSON")
-        p.add_argument("--check-invariants", action="store_true",
-                       help="verify protocol invariants every epoch; a "
-                            "violation aborts with a one-line repro string")
-        p.add_argument("--faults", default=None, metavar="SPEC",
-                       help="fault-injection plan, e.g. "
-                            "'drop_transfer:rate=1.0:from_epoch=24' "
-                            "(implies --check-invariants)")
-        p.add_argument("--repair", action="store_true",
-                       help="enable the reliability layer: acknowledged "
-                            "replica transfers with retries, mirror failure "
-                            "detection, and proactive replica repair")
-        p.add_argument("--architecture", default="soup", metavar="NAME",
-                       help="pluggable architecture, soup by default "
-                            "(the registered names: docs/ARCHITECTURES.md)")
-        p.add_argument("--measure-dht", action="store_true",
-                       help="run the shadow DHT probe and report "
-                            "arch.dht.* / arch.storage.* metrics")
-        _obs_flags(p)
+    def scenario(name, help_text, json_help="emit the result series as JSON"):
+        """A scenario command: a preset plus repeatable --base overrides."""
+        preset = " ".join(
+            f"{key}={json.dumps(value)}"
+            for key, value in SCENARIO_PRESETS[name].items()
+        )
+        p = sub.add_parser(name, help=help_text, description=f"preset: {preset}")
+        p.add_argument("--base", action="append", metavar="KEY=VALUE",
+                       help="ScenarioConfig override on top of the preset "
+                            "(repeatable): a JSON value, a bare word being a "
+                            "string, e.g. --base dataset=epinions --base "
+                            "repair=true --base soup.epsilon=0.02; faults "
+                            "imply check_invariants=true; the tokens of a "
+                            "repro line are such flags (docs/SWEEPS.md)")
+        p.add_argument("--json", action="store_true", help=json_help)
+        return p
 
-    common(sub.add_parser(
-        "sim", help="run the replication simulator (generic entry point)"
-    ))
-    common(sub.add_parser(
-        "metrics", help="run a scenario and print the metrics-registry view"
-    ))
-    common(sub.add_parser("fig5", help="availability & replica overhead"))
-    common(sub.add_parser("fig6", help="stored-profile CDF snapshots"), days=30)
-    common(sub.add_parser("fig7", help="cohort robustness"), days=18)
-
-    for name, help_text, default_fraction in (
-        ("fig8", "altruistic nodes", 0.05),
-        ("fig9", "mass departure", 0.05),
-        ("fig10", "slander attack", 0.5),
-        ("fig11", "sybil flooding", 0.5),
+    for name, help_text in (
+        ("sim", "run the replication simulator (generic entry point)"),
+        ("metrics", "run a scenario and print the metrics-registry view"),
+        ("fig5", "availability & replica overhead"),
+        ("fig6", "stored-profile CDF snapshots"),
+        ("fig7", "cohort robustness"),
+        ("fig8", "altruistic nodes"),
+        ("fig9", "mass departure"),
+        ("fig10", "slander attack"),
+        ("fig11", "sybil flooding"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        common(p, days=26)
-        p.add_argument("--fraction", type=float, default=default_fraction)
-        p.add_argument("--event-day", type=float, default=10.0)
-        if name == "fig10":
-            p.add_argument("--ties", action="store_true",
-                           help="enable the tie-strength extension")
+        _obs_flags(scenario(name, help_text))
 
     sub.add_parser("table1", help="DOSN feature matrix")
     p3 = sub.add_parser("table3", help="dataset summary")
@@ -798,33 +700,47 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--seed", type=int, default=7)
     _obs_flags(pd)
 
-    ps = sub.add_parser(
+    def grid(name, help_text):
+        """The options ``sweep`` and ``compare`` share."""
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("spec", nargs="?", default=None,
+                       help="sweep spec file (TOML or JSON); optional when "
+                            "the scenario is given via flags")
+        p.add_argument("--out", "-o", required=True, metavar="DIR",
+                       help="run directory (created if missing; re-running "
+                            "resumes: completed tasks are skipped by content "
+                            "key)")
+        p.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
+                       help="worker processes (default: all cores; 1 = "
+                            "serial in-process, byte-identical artifacts)")
+        p.add_argument("--base", action="append", metavar="KEY=VALUE",
+                       help="override applied to every task (repeatable), "
+                            "e.g. --base scale=0.01; dotted keys reach nested "
+                            "config (--base soup.epsilon=0.02)")
+        p.add_argument("--seeds", default=None, metavar="LIST|LO:HI",
+                       help="seeds per cell: '0,1,5' or half-open range '0:4'")
+        p.add_argument("--name", default=None,
+                       help="sweep name for the manifest")
+        p.add_argument("--limit", type=int, default=None, metavar="N",
+                       help="execute at most N pending tasks, then stop "
+                            "(the rest stays pending for a later resume)")
+        p.add_argument("--aggregate-only", action="store_true",
+                       help="skip execution; re-aggregate existing artifacts")
+        p.add_argument("--json", action="store_true",
+                       help="emit the aggregated cells (compare: the "
+                            "comparison artifact) as JSON")
+        p.add_argument("--verbose", action="store_true",
+                       help="also log cached (skipped) tasks")
+        return p
+
+    ps = grid(
         "sweep",
-        help="run a declarative scenario sweep over a process pool "
-             "with checkpoint/resume (see docs/SWEEPS.md)",
+        "run a declarative scenario sweep over a process pool "
+        "with checkpoint/resume (see docs/SWEEPS.md)",
     )
-    ps.add_argument("spec", nargs="?", default=None,
-                    help="sweep spec file (TOML or JSON); optional when the "
-                         "grid is given via --set/--base flags")
-    ps.add_argument("--out", "-o", required=True, metavar="DIR",
-                    help="run directory (created if missing; re-running "
-                         "resumes: completed tasks are skipped by content key)")
-    ps.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
-                    help="worker processes (default: all cores; 1 = serial "
-                         "in-process, byte-identical artifacts)")
     ps.add_argument("--set", action="append", metavar="KEY=V1,V2,...",
                     help="add a grid axis (repeatable), e.g. "
                          "--set altruist_fraction=0.0,0.02,0.05")
-    ps.add_argument("--base", action="append", metavar="KEY=VALUE",
-                    help="override applied to every task (repeatable), e.g. "
-                         "--base scale=0.01; dotted keys reach nested "
-                         "config (--base soup.epsilon=0.02)")
-    ps.add_argument("--seeds", default=None, metavar="LIST|LO:HI",
-                    help="seeds per cell: '0,1,5' or half-open range '0:4'")
-    ps.add_argument("--name", default=None, help="sweep name for the manifest")
-    ps.add_argument("--limit", type=int, default=None, metavar="N",
-                    help="execute at most N pending tasks, then stop "
-                         "(the rest stays pending for a later resume)")
     ps.add_argument("--status", action="store_true",
                     help="only report the run directory's completion state "
                          "(exit 3 if tasks are missing)")
@@ -835,66 +751,35 @@ def build_parser() -> argparse.ArgumentParser:
                          "with failures (exit 1)")
     ps.add_argument("--interval", type=float, default=2.0, metavar="SECONDS",
                     help="poll interval for --watch (default: 2)")
-    ps.add_argument("--aggregate-only", action="store_true",
-                    help="skip execution; re-aggregate existing artifacts")
-    ps.add_argument("--json", action="store_true",
-                    help="emit the aggregated cells as JSON")
-    ps.add_argument("--verbose", action="store_true",
-                    help="also log cached (skipped) tasks")
     ps.add_argument("--profile-phases", action="store_true",
                     help="capture each task's phase breakdown in its "
                          "artifact, merge across workers, and print the "
                          "folded per-phase table at exit")
 
-    pc = sub.add_parser(
+    pc = grid(
         "compare",
-        help="head-to-head architecture comparison: fan one scenario over "
-             "the registered architectures and print one table (see "
-             "docs/ARCHITECTURES.md)",
+        "head-to-head architecture comparison: a sweep with an injected "
+        "architecture axis, printed as one table; the artifact lands at "
+        "DIR/compare.json (see docs/ARCHITECTURES.md)",
     )
-    pc.add_argument("spec", nargs="?", default=None,
-                    help="sweep spec file (TOML or JSON) with the base "
-                         "scenario; the architecture axis is injected")
-    pc.add_argument("--out", "-o", required=True, metavar="DIR",
-                    help="run directory (created if missing; re-running "
-                         "resumes; the comparison artifact lands at "
-                         "DIR/compare.json)")
     pc.add_argument("--archs", default=None, metavar="A,B,...",
                     help="comma-separated architectures to compare "
                          "(default: every registered one)")
-    pc.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
-                    help="worker processes (default: all cores)")
-    pc.add_argument("--base", action="append", metavar="KEY=VALUE",
-                    help="override applied to every task (repeatable), "
-                         "e.g. --base scale=0.005")
-    pc.add_argument("--seeds", default=None, metavar="LIST|LO:HI",
-                    help="seeds per architecture: '0,1,5' or range '0:4'")
-    pc.add_argument("--name", default=None, help="run name for the manifest")
-    pc.add_argument("--limit", type=int, default=None, metavar="N",
-                    help="execute at most N pending tasks, then stop")
-    pc.add_argument("--aggregate-only", action="store_true",
-                    help="skip execution; re-aggregate existing artifacts")
-    pc.add_argument("--json", action="store_true",
-                    help="print the comparison artifact JSON instead of "
-                         "the table")
-    pc.add_argument("--verbose", action="store_true",
-                    help="also log cached (skipped) tasks")
+    pc.set_defaults(set=None, status=False, profile_phases=False)
 
     pf = sub.add_parser("fig15", help="mirror under high request rates")
     pf.add_argument("--rate", type=float, default=20.0)
     pf.add_argument("--duration", type=int, default=300)
     pf.add_argument("--seed", type=int, default=7)
 
-    pp = sub.add_parser(
+    pp = scenario(
         "perf",
-        help="profile one epoch-loop run and export the per-phase "
-             "breakdown: table, folded stacks (flamegraph input), "
-             "Chrome trace-event JSON (see docs/OBSERVABILITY.md)",
+        "profile one epoch-loop run and export the per-phase "
+        "breakdown: table, folded stacks (flamegraph input), "
+        "Chrome trace-event JSON (see docs/OBSERVABILITY.md)",
+        json_help="print the phase breakdown as one JSON document "
+                  "on stdout (the tables go to stderr)",
     )
-    pp.add_argument("--dataset", default="facebook")
-    pp.add_argument("--scale", type=float, default=0.02)
-    pp.add_argument("--days", type=int, default=4)
-    pp.add_argument("--seed", type=int, default=42)
     pp.add_argument("--folded", default=None, metavar="PATH",
                     help="write folded-stack lines ('path micros') for "
                          "flamegraph.pl / speedscope")
@@ -903,9 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(chrome://tracing, Perfetto)")
     pp.add_argument("--by-epoch", action="store_true",
                     help="also print the per-epoch phase breakdown")
-    pp.add_argument("--json", action="store_true",
-                    help="print the phase breakdown as one JSON document "
-                         "on stdout (the tables go to stderr)")
 
     prs = sub.add_parser(
         "resilience",
@@ -1044,14 +926,8 @@ def _cmd_perf(args) -> int:
     from repro.obs.perf import chrome_trace, folded_lines
     from repro.obs.profiling import PROFILER
     from repro.sim.engine import run_scenario
-    from repro.sim.scenario import ScenarioConfig
 
-    config = ScenarioConfig(
-        dataset=args.dataset,
-        scale=args.scale,
-        n_days=args.days,
-        seed=args.seed,
-    )
+    config = args.config
     PROFILER.reset()
     PROFILER.enable()
     PROFILER.record_events = bool(args.chrome)
@@ -1061,8 +937,8 @@ def _cmd_perf(args) -> int:
         PROFILER.disable()
         PROFILER.record_events = False
 
-    print(f"dataset={args.dataset} scale={args.scale} days={args.days} "
-          f"seed={args.seed} steady={result.steady_state_availability():.3f}",
+    print(f"dataset={config.dataset} scale={config.scale} days={config.n_days} "
+          f"seed={config.seed} steady={result.steady_state_availability():.3f}",
           file=sys.stderr)
     # Under --json stdout is exactly one JSON document; the tables move.
     table = sys.stderr if args.json else sys.stdout
@@ -1310,10 +1186,16 @@ def _cmd_replay(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command in SCENARIO_PRESETS:
+        try:
+            args.config = scenario_config(args.command, args.base)
+        except ValueError as exc:
+            parser.error(f"{args.command}: {exc}")
     tracer = _setup_observability(args)
     try:
-        return _dispatch(args)
+        return _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - surface repro line, keep traceback opt-in
         from repro.sim.invariants import InvariantViolation
 
@@ -1326,49 +1208,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         _teardown_observability(args, tracer)
 
 
-def _dispatch(args) -> int:
-    command = args.command
-    if command in ("fig5", "sim"):
-        return _cmd_fig5(args)
-    if command == "metrics":
-        return _cmd_metrics(args)
-    if command == "trace":
-        return _cmd_trace(args)
-    if command == "fig6":
-        return _cmd_fig6(args)
-    if command == "fig7":
-        return _cmd_fig7(args)
-    if command == "fig8":
-        return _cmd_attack(args, "altruism")
-    if command == "fig9":
-        return _cmd_attack(args, "departure")
-    if command == "fig10":
-        return _cmd_attack(args, "slander")
-    if command == "fig11":
-        return _cmd_attack(args, "flooding")
-    if command == "table1":
-        return _cmd_table1(args)
-    if command == "table3":
-        return _cmd_table3(args)
-    if command == "deploy":
-        return _cmd_deploy(args)
-    if command == "fig15":
-        return _cmd_fig15(args)
-    if command == "sweep":
-        return _cmd_sweep(args)
-    if command == "compare":
-        return _cmd_compare(args)
-    if command == "resilience":
-        return _cmd_resilience(args)
-    if command == "postmortem":
-        return _cmd_postmortem(args)
-    if command == "live":
-        return _cmd_live(args)
-    if command == "replay":
-        return _cmd_replay(args)
-    if command == "perf":
-        return _cmd_perf(args)
-    raise AssertionError(f"unhandled command {command}")
+_COMMANDS = {
+    "sim": _cmd_availability,
+    "metrics": _cmd_metrics,
+    "fig5": _cmd_availability,
+    "fig6": _cmd_fig6,
+    "fig7": _cmd_fig7,
+    "fig8": _cmd_availability,
+    "fig9": _cmd_availability,
+    "fig10": _cmd_availability,
+    "fig11": _cmd_availability,
+    "table1": _cmd_table1,
+    "table3": _cmd_table3,
+    "deploy": _cmd_deploy,
+    "sweep": _cmd_sweep,
+    "compare": _cmd_sweep,
+    "fig15": _cmd_fig15,
+    "perf": _cmd_perf,
+    "resilience": _cmd_resilience,
+    "postmortem": _cmd_postmortem,
+    "live": _cmd_live,
+    "replay": _cmd_replay,
+    "trace": _cmd_trace,
+}
 
 
 if __name__ == "__main__":

@@ -91,7 +91,7 @@ class SweepTelemetry:
 
     def sweep_interrupted(self, reason: str) -> None:
         """Record the early stop: one final trace event + a last valid
-        heartbeat (``interrupted: true``) so ``--status`` and ``--resume``
+        heartbeat (``interrupted: true``) so ``--status`` and a re-run
         see a cleanly checkpointed, not silently dead, run."""
         self.interrupted = True
         self.store.append_telemetry_event(

@@ -20,42 +20,36 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import itertools
 import json
 import tomllib
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sim.scenario import OnlineDistribution, ScenarioConfig
+from repro.sim.scenario import ScenarioConfig
 
 #: Bumped whenever task execution semantics change in a way that makes old
 #: artifacts incomparable (a "code-relevant knob" of the task key).
 TASK_KEY_VERSION = 1
 
-#: ScenarioConfig fields that accept sequences (TOML/JSON lists arrive as
-#: lists; the dataclass wants tuples).
-_TUPLE_FIELDS = {"cdf_snapshot_days", "invariant_names"}
-
 _SPEC_KEYS = {"name", "base", "grid", "configs", "seeds"}
 
 
 def coerce_value(text: str) -> Any:
-    """Parse one ``--set``/``--base`` value: int, float, bool, or string."""
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    if lowered in ("none", "null"):
-        return None
-    for parser in (int, float):
-        try:
-            return parser(text)
-        except ValueError:
-            continue
-    return text.strip()
+    """Parse one ``--set``/``--base`` value: JSON, or a bare word as a string.
+
+    ``0.5``, ``true``, ``null``, ``[1, 2]`` and ``"facebook"`` are JSON;
+    ``facebook`` (no quotes) is the string ``"facebook"``.
+    """
+    text = text.strip()
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
 
 
 def parse_set_flag(flag: str) -> Tuple[str, List[Any]]:
@@ -91,20 +85,69 @@ def parse_seeds(text: str) -> List[int]:
     return seeds
 
 
-def _scenario_field_names() -> Dict[str, dataclasses.Field]:
-    return {f.name: f for f in dataclasses.fields(ScenarioConfig)}
+#: How a refused value's field is spelled, by the field's type.
+_SPELLINGS = {
+    bool: "a JSON boolean (true or false)",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+}
+
+
+@functools.cache
+def _field_types(cls: type) -> Dict[str, Any]:
+    return typing.get_type_hints(cls)
+
+
+def _field_value(name: str, hint: Any, value: Any) -> Any:
+    """``value`` as the field ``name`` of type ``hint`` takes it.
+
+    Bool fields take JSON booleans only, int fields integers, float fields
+    any number, tuple fields a list; an enum field takes its string value.
+    Anything else fails naming the field, so ``repair = "no"`` in a spec
+    file is an error rather than a truthy string.
+    """
+    optional = type(None) in typing.get_args(hint)
+    if value is None and optional:
+        return None
+    kind = next(
+        (arg for arg in typing.get_args(hint) if arg is not type(None)), hint
+    )
+    if kind is tuple:
+        if isinstance(value, (list, tuple)):
+            return tuple(value)
+        raise ValueError(
+            f"{name} takes a list, e.g. {name}={json.dumps([value])}; "
+            f"got {value!r}"
+        )
+    if issubclass(kind, enum.Enum):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{name} takes one of {[member.value for member in kind]}, "
+                f"got {value!r}"
+            ) from None
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, accepted) and (kind is bool or not isinstance(value, bool)):
+        return value
+    spelling = _SPELLINGS.get(kind, f"{kind.__name__} (or {name}.* keys)")
+    raise ValueError(
+        f"{name} takes {spelling}{' or null' if optional else ''}, got {value!r}"
+    )
 
 
 def build_config(overrides: Mapping[str, Any]) -> ScenarioConfig:
     """Build a validated :class:`ScenarioConfig` from a flat override map.
 
     Dotted keys reach into the nested model dataclasses: ``soup.epsilon``
-    or ``activity.peak_per_day``.  Enum-valued fields accept their string
-    value (``online_distribution = "peerson"``).  Unknown field names fail
+    or ``activity.peak_per_day``.  Each value must have its field's type
+    (:func:`_field_value`); enum-valued fields accept their string value
+    (``online_distribution = "peerson"``).  Unknown field names fail
     with the list of valid ones, so a typo in a sweep spec dies at
     expansion time.
     """
-    fields = _scenario_field_names()
+    types = _field_types(ScenarioConfig)
     direct: Dict[str, Any] = {}
     nested: Dict[str, Dict[str, Any]] = {}
     for key, value in overrides.items():
@@ -112,16 +155,12 @@ def build_config(overrides: Mapping[str, Any]) -> ScenarioConfig:
             head, _, rest = key.partition(".")
             nested.setdefault(head, {})[rest] = value
             continue
-        if key not in fields:
+        if key not in types:
             raise ValueError(
                 f"unknown ScenarioConfig field {key!r}; "
-                f"valid fields: {', '.join(sorted(fields))}"
+                f"valid fields: {', '.join(sorted(types))}"
             )
-        if key == "online_distribution" and isinstance(value, str):
-            value = OnlineDistribution(value)
-        if key in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
-        direct[key] = value
+        direct[key] = _field_value(key, types[key], value)
 
     for head, sub in nested.items():
         if head not in ("soup", "activity"):
@@ -130,14 +169,17 @@ def build_config(overrides: Mapping[str, Any]) -> ScenarioConfig:
             )
         if head in direct:
             raise ValueError(f"cannot mix {head!r} and {head}.* overrides")
-        base = type(getattr(ScenarioConfig(), head))()
-        valid = {f.name for f in dataclasses.fields(base)}
-        unknown = sorted(set(sub) - valid)
+        model = types[head]
+        sub_types = _field_types(model)
+        unknown = sorted(set(sub) - set(sub_types))
         if unknown:
             raise ValueError(
-                f"unknown {head}.* field(s) {unknown}; valid: {sorted(valid)}"
+                f"unknown {head}.* field(s) {unknown}; valid: {sorted(sub_types)}"
             )
-        direct[head] = dataclasses.replace(base, **sub)
+        direct[head] = model(**{
+            key: _field_value(f"{head}.{key}", sub_types[key], value)
+            for key, value in sub.items()
+        })
 
     return ScenarioConfig(**direct)
 

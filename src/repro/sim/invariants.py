@@ -512,11 +512,12 @@ def _repro_overrides(config, defaults, prefix: str = ""):
 def format_repro(config) -> str:
     """Serialize a scenario to the one-line repro string.
 
-    Each token is a ``soup sweep --base`` override, ``name=value`` with a
-    JSON value (``soup.*``/``activity.*`` for the nested models), one for
-    every field off its default plus the scenario's identity.  The line
-    replays with :func:`run_repro` (or ``python -m repro replay``) and
-    always re-enables invariant checking.
+    Each token is a ``--base`` flag of any scenario command (``soup sim``,
+    ``soup sweep``, ...), ``name=value`` with a JSON value
+    (``soup.*``/``activity.*`` for the nested models), one for every field
+    off its default plus the scenario's identity.  The line replays with
+    :func:`run_repro` (or ``python -m repro replay``) and always
+    re-enables invariant checking.
     """
     from repro.sim.scenario import ScenarioConfig
 
@@ -527,21 +528,14 @@ def format_repro(config) -> str:
 
 
 def parse_repro(line: str):
-    """Parse a repro line back into a ScenarioConfig (checking enabled)."""
-    from repro.runtime.spec import build_config
+    """Parse a repro line back into a ScenarioConfig (checking enabled):
+    each token is read exactly as a ``--base`` flag is."""
+    from repro.runtime.spec import build_config, parse_base_flag
 
     prefix, *tokens = line.split() or [""]
     if prefix != _REPRO_PREFIX:
         raise ValueError(f"not a {_REPRO_PREFIX} line: {line[:60]!r}")
-    overrides: Dict[str, object] = {}
-    for token in tokens:
-        name, sep, text = token.partition("=")
-        if not sep:
-            raise ValueError(f"malformed repro token {token!r}")
-        try:
-            overrides[name] = json.loads(text)
-        except ValueError:
-            raise ValueError(f"repro token {token!r} has no JSON value") from None
+    overrides = dict(parse_base_flag(token) for token in tokens)
     overrides["check_invariants"] = True
     return build_config(overrides)
 

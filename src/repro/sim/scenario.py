@@ -162,6 +162,12 @@ class ScenarioConfig:
         which for a sweep means at spec-expansion time, not mid-run with a
         process pool already fanned out.
         """
+        from repro.graphs.datasets import DATASET_SPECS
+
+        if self.dataset not in DATASET_SPECS:
+            raise ValueError(
+                f"unknown dataset {self.dataset!r} (known: {sorted(DATASET_SPECS)})"
+            )
         if self.scale <= 0:
             raise ValueError(f"scale must be positive, got {self.scale}")
         if self.n_days <= 0:

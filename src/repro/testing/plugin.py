@@ -5,7 +5,7 @@ Loaded via ``pytest_plugins = ["repro.testing.plugin"]`` in
 
 * ``pytest --check-invariants`` — forces *every* :class:`SoupSimulation`
   built during the test session to run with the per-epoch invariant
-  checker on, exactly like passing ``--check-invariants`` to the CLI.
+  checker on, exactly like ``--base check_invariants=true`` on the CLI.
   Any simulation any test runs then fails loudly (with a one-line repro
   string) the moment protocol state goes inconsistent.
 * ``checked_overlay`` fixture — a :class:`PastryOverlay` factory whose

@@ -134,14 +134,23 @@ def test_limit_leaves_remainder_pending(tmp_path):
     assert len(finish.executed) == 3 and len(finish.skipped) == 1
 
 
-def test_failure_recorded_and_sweep_continues(tmp_path):
-    # altruist_join_day far beyond n_days is valid config-wise but the
-    # point here is an executor-level failure: use an unknown dataset,
-    # which only explodes inside the worker when the graph is generated.
+def test_failure_recorded_and_sweep_continues(tmp_path, monkeypatch):
+    # An executor-level failure: a task that raises inside the worker (a
+    # bad value, an unknown dataset included, fails at expansion instead).
+    from repro.runtime import executor as executor_module
+
+    real = executor_module.execute_task
+
+    def failing_on_epinions(payload):
+        if payload["overrides"]["dataset"] == "epinions":
+            raise RuntimeError("worker exploded on epinions")
+        return real(payload)
+
+    monkeypatch.setattr(executor_module, "execute_task", failing_on_epinions)
     spec = SweepSpec(
         name="partial-fail",
         base={"scale": 0.004, "n_days": 1},
-        grid={"dataset": ["facebook", "no-such-dataset"]},
+        grid={"dataset": ["facebook", "epinions"]},
         seeds=[3],
     )
     outcome = run_sweep(spec, tmp_path / "run", jobs=1)
@@ -149,7 +158,7 @@ def test_failure_recorded_and_sweep_continues(tmp_path):
     assert len(outcome.executed) == 1
     assert len(outcome.failed) == 1
     (message,) = outcome.failed.values()
-    assert "no-such-dataset" in message
+    assert "worker exploded on epinions" in message
     statuses = {e["status"] for e in RunStore(tmp_path / "run").load_manifest()["tasks"]}
     assert statuses == {"ok", "failed"}
 

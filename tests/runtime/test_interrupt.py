@@ -3,7 +3,7 @@
 A sweep stopped by Ctrl-C or SIGTERM must not leave a corrupt run
 directory behind: telemetry is flushed (one final ``sweep_interrupted``
 event plus a last valid heartbeat with ``interrupted: true``), the
-manifest is finalized, and ``soup sweep --resume`` on the same directory
+manifest is finalized, and re-running ``soup sweep`` on the same directory
 executes exactly the missing tasks with byte-identical artifacts.
 """
 

@@ -1,6 +1,7 @@
 """Tests for sweep specifications: parsing, expansion, task keys."""
 
 import json
+import re
 
 import pytest
 
@@ -21,9 +22,16 @@ class TestFlagParsing:
         assert coerce_value("3") == 3
         assert coerce_value("0.5") == 0.5
         assert coerce_value("true") is True
-        assert coerce_value("off") is False
-        assert coerce_value("none") is None
+        assert coerce_value("false") is False
+        assert coerce_value("null") is None
+        assert coerce_value("[1, 2]") == [1, 2]
+        # A bare word is a string; a quoted one is the same string.
         assert coerce_value("facebook") == "facebook"
+        assert coerce_value('"facebook"') == "facebook"
+        assert coerce_value('"3"') == "3"
+        # No spellings beyond JSON's: these are plain words.
+        assert coerce_value("yes") == "yes"
+        assert coerce_value("none") == "none"
 
     def test_set_flag(self):
         key, values = parse_set_flag("altruist_fraction=0.0,0.02,0.05")
@@ -79,6 +87,41 @@ class TestBuildConfig:
             build_config({"n_days": -1})
         with pytest.raises(ValueError, match="altruist"):
             build_config({"altruist_fraction": 1.5})
+
+
+    def test_tuple_fields_take_lists(self):
+        config = build_config({"cdf_snapshot_days": [1, 2], "invariant_names": None})
+        assert config.cdf_snapshot_days == (1, 2)
+        assert config.invariant_names is None
+        # An integer is a number: a float field keeps it as given.
+        assert build_config({"scale": 1}).scale == 1
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"check_invariants": "no"}, "check_invariants takes a JSON boolean"),
+        ({"repair": 1}, "repair takes a JSON boolean"),
+        ({"n_days": "3"}, "n_days takes an integer, got '3'"),
+        ({"seed": 1.5}, "seed takes an integer"),
+        ({"seed": True}, "seed takes an integer"),
+        ({"scale": "0.01"}, "scale takes a number"),
+        ({"dataset": 7}, "dataset takes a string"),
+        ({"faults": False}, "faults takes a string or null"),
+        ({"mirror_request_capacity": "none"}, "takes an integer or null"),
+        (
+            {"invariant_names": "announced-mirrors-stored"},
+            'invariant_names=["announced-mirrors-stored"]',
+        ),
+        ({"cdf_snapshot_days": 5}, "cdf_snapshot_days=[5]"),
+        ({"online_distribution": "zipf"}, "'powerlaw', 'peerson', 'uniform03'"),
+        ({"soup.o_max": "3"}, "soup.o_max takes an integer"),
+        ({"activity.peak_per_day": None}, "activity.peak_per_day takes a number"),
+    ],
+)
+def test_build_config_refuses_a_value_of_the_wrong_type(overrides, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_config(overrides)
 
 
 class TestExpansion:

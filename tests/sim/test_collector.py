@@ -154,7 +154,9 @@ def test_a_run_leaves_the_collector_next_to_nothing_to_reclaim(restore_collector
 
 
 def test_soup_perf_lists_the_collect_phase_once_per_epoch(capsys):
-    code = main(["perf", "--scale", "0.003", "--days", "1", "--seed", "1", "--json"])
+    code = main([
+        "perf", "--base", "scale=0.003", "--base", "n_days=1", "--base", "seed=1", "--json",
+    ])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["counts"]["engine.collect"] == payload["counts"]["engine.epoch"] == 24

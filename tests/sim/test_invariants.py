@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 
 from repro.arch import ARCHITECTURES
 from repro.behavior.activity import ActivityModel
+from repro.cli import scenario_config
 from repro.core.config import SoupConfig
 from repro.graphs.datasets import DATASET_SPECS, generate_dataset
+from repro.runtime.spec import build_config, parse_base_flag
 from repro.sim.engine import SoupSimulation
 from repro.sim.faults import _KINDS, FaultInjector, FaultSpec
 from repro.sim.invariants import (
@@ -305,7 +307,14 @@ def test_repro_line_replays_the_scenario_it_names(config):
     the tuple fields and fault plans included."""
     line = format_repro(config)
     assert "\n" not in line
-    assert parse_repro(line) == dataclasses.replace(config, check_invariants=True)
+    replayed = dataclasses.replace(config, check_invariants=True)
+    assert parse_repro(line) == replayed
+    # Each token is a --base flag: the same tokens passed to a scenario
+    # command rebuild the config that `soup replay` runs.
+    tokens = line.split()[1:]
+    overrides = dict(parse_base_flag(token) for token in tokens)
+    assert build_config({**overrides, "check_invariants": True}) == replayed
+    assert scenario_config("sim", [*tokens, "check_invariants=true"]) == replayed
 
 
 def test_parse_rejects_garbage():

@@ -34,6 +34,7 @@ def test_with_overrides_copies():
 @pytest.mark.parametrize(
     "field,value",
     [
+        ("dataset", "facebok"),
         ("scale", 0.0),
         ("scale", -0.5),
         ("n_days", 0),

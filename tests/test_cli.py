@@ -4,7 +4,12 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import SCENARIO_PRESETS, build_parser, main, scenario_config
+
+
+def base(*overrides):
+    """``--base`` flags, one per ``KEY=VALUE``."""
+    return [flag for override in overrides for flag in ("--base", override)]
 
 
 def run_cli(capsys, *argv):
@@ -48,7 +53,7 @@ def test_table4_spec_crosses_three_online_time_rows():
 
 def test_fig5_small(capsys):
     code, out = run_cli(
-        capsys, "fig5", "--scale", "0.004", "--days", "3", "--dataset", "epinions"
+        capsys, "fig5", *base("scale=0.004", "n_days=3", "dataset=epinions")
     )
     assert code == 0
     assert "availability/day:" in out
@@ -59,10 +64,8 @@ def test_fig10_with_ties_flag(capsys):
     code, out = run_cli(
         capsys,
         "fig10",
-        "--scale", "0.004",
-        "--days", "3",
-        "--fraction", "0.3",
-        "--ties",
+        *base("scale=0.004", "n_days=3", "slander_fraction=0.3",
+              "use_tie_strength=true"),
     )
     assert code == 0
     assert "slander fraction=0.3" in out
@@ -70,7 +73,7 @@ def test_fig10_with_ties_flag(capsys):
 
 def test_fig11_reports_blacklist(capsys):
     code, out = run_cli(
-        capsys, "fig11", "--scale", "0.004", "--days", "3", "--fraction", "0.3"
+        capsys, "fig11", *base("scale=0.004", "n_days=3", "sybil_fraction=0.3")
     )
     assert code == 0
     assert "blacklist entries:" in out
@@ -94,7 +97,7 @@ def test_deploy_small(capsys):
 
 def test_fig6_snapshots(capsys):
     code, out = run_cli(
-        capsys, "fig6", "--scale", "0.004", "--days", "3", "--dataset", "epinions"
+        capsys, "fig6", *base("scale=0.004", "n_days=3", "dataset=epinions")
     )
     assert code == 0
     assert "day   1:" in out or "day 1" in out
@@ -102,7 +105,7 @@ def test_fig6_snapshots(capsys):
 
 
 def test_fig7_cohorts(capsys):
-    code, out = run_cli(capsys, "fig7", "--scale", "0.004", "--days", "2")
+    code, out = run_cli(capsys, "fig7", *base("scale=0.004", "n_days=2"))
     assert code == 0
     for cohort in ("top_online", "bottom_online", "top_friends", "bottom_friends"):
         assert cohort in out
@@ -110,8 +113,8 @@ def test_fig7_cohorts(capsys):
 
 def test_fig8_altruism(capsys):
     code, out = run_cli(
-        capsys, "fig8", "--scale", "0.004", "--days", "3",
-        "--fraction", "0.05", "--event-day", "1",
+        capsys, "fig8", *base("scale=0.004", "n_days=3",
+                              "altruist_fraction=0.05", "altruist_join_day=1"),
     )
     assert code == 0
     assert "altruism fraction=0.05" in out
@@ -119,15 +122,15 @@ def test_fig8_altruism(capsys):
 
 def test_fig9_departure(capsys):
     code, out = run_cli(
-        capsys, "fig9", "--scale", "0.004", "--days", "3",
-        "--fraction", "0.05", "--event-day", "1",
+        capsys, "fig9", *base("scale=0.004", "n_days=3",
+                              "departure_fraction=0.05", "departure_day=1"),
     )
     assert code == 0
     assert "departure fraction=0.05" in out
 
 
 def test_fig5_sparkline_present(capsys):
-    code, out = run_cli(capsys, "fig5", "--scale", "0.004", "--days", "2")
+    code, out = run_cli(capsys, "fig5", *base("scale=0.004", "n_days=2"))
     assert code == 0
     assert any(block in out for block in "▁▂▃▄▅▆▇█")
 
@@ -136,7 +139,7 @@ def test_fig5_json_export(capsys):
     import json
 
     code, out = run_cli(
-        capsys, "fig5", "--scale", "0.004", "--days", "2", "--json"
+        capsys, "fig5", *base("scale=0.004", "n_days=2"), "--json"
     )
     assert code == 0
     payload = json.loads(out)
@@ -149,8 +152,8 @@ def test_fig11_json_export(capsys):
     import json
 
     code, out = run_cli(
-        capsys, "fig11", "--scale", "0.004", "--days", "2",
-        "--fraction", "0.2", "--json",
+        capsys, "fig11", *base("scale=0.004", "n_days=2", "sybil_fraction=0.2"),
+        "--json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -160,7 +163,7 @@ def test_fig11_json_export(capsys):
 
 
 def test_sim_generic_entry_point(capsys):
-    code, out = run_cli(capsys, "sim", "--scale", "0.004", "--days", "2")
+    code, out = run_cli(capsys, "sim", *base("scale=0.004", "n_days=2"))
     assert code == 0
     assert "availability/day:" in out
 
@@ -170,8 +173,8 @@ def test_sim_writes_valid_trace(capsys, tmp_path):
 
     trace = tmp_path / "trace.jsonl"
     code, out = run_cli(
-        capsys, "sim", "--scale", "0.004", "--days", "2",
-        "--trace", str(trace), "--check-invariants",
+        capsys, "sim", *base("scale=0.004", "n_days=2", "check_invariants=true"),
+        "--trace", str(trace),
     )
     assert code == 0
     assert trace.exists()
@@ -184,7 +187,7 @@ def test_sim_trace_filter(capsys, tmp_path):
 
     trace = tmp_path / "trace.jsonl"
     code, _ = run_cli(
-        capsys, "sim", "--scale", "0.004", "--days", "2",
+        capsys, "sim", *base("scale=0.004", "n_days=2"),
         "--trace", str(trace), "--trace-filter", "mirror_selected",
     )
     assert code == 0
@@ -198,7 +201,7 @@ def test_sim_trace_filter(capsys, tmp_path):
 def test_trace_validate_ok(capsys, tmp_path):
     trace = tmp_path / "trace.jsonl"
     code, _ = run_cli(
-        capsys, "sim", "--scale", "0.004", "--days", "2", "--trace", str(trace)
+        capsys, "sim", *base("scale=0.004", "n_days=2"), "--trace", str(trace)
     )
     assert code == 0
     code, out = run_cli(capsys, "trace", "validate", str(trace))
@@ -218,8 +221,9 @@ class TestTraceCommands:
     def trace_path(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("trace") / "trace.jsonl.gz"
         code = main([
-            "sim", "--scale", "0.004", "--days", "3", "--repair",
-            "--faults", "drop_transfer:rate=0.5:from_epoch=6:until_epoch=40",
+            "sim",
+            *base("scale=0.004", "n_days=3", "repair=true",
+                  "faults=drop_transfer:rate=0.5:from_epoch=6:until_epoch=40"),
             "--trace", str(path),
         ])
         assert code == 0
@@ -269,7 +273,7 @@ class TestTraceCommands:
 
 def test_metrics_view(capsys):
     code, out = run_cli(
-        capsys, "metrics", "--scale", "0.004", "--days", "2", "--repair"
+        capsys, "metrics", *base("scale=0.004", "n_days=2", "repair=true")
     )
     assert code == 0
     assert "engine.replicas.placed" in out
@@ -282,7 +286,7 @@ def test_metrics_json(capsys):
     import json
 
     code, out = run_cli(
-        capsys, "metrics", "--scale", "0.004", "--days", "2", "--json"
+        capsys, "metrics", *base("scale=0.004", "n_days=2"), "--json"
     )
     assert code == 0
     payload = json.loads(out)
@@ -291,7 +295,7 @@ def test_metrics_json(capsys):
 
 
 def test_profile_flag_prints_breakdown(capsys):
-    code = main(["sim", "--scale", "0.004", "--days", "2", "--profile"])
+    code = main(["sim", *base("scale=0.004", "n_days=2"), "--profile"])
     captured = capsys.readouterr()
     assert code == 0
     assert "engine.epoch" in captured.err
@@ -302,7 +306,7 @@ def test_profile_flag_prints_breakdown(capsys):
 
 
 class TestPerfCommand:
-    PERF_ARGS = ("perf", "--scale", "0.003", "--days", "1", "--seed", "1")
+    PERF_ARGS = ("perf", *base("scale=0.003", "n_days=1", "seed=1"))
 
     def test_json_is_the_only_thing_on_stdout(self, capsys):
         import json
@@ -462,6 +466,17 @@ class TestSweepCommand:
         assert "scale" in captured.err
 
 
+    def test_sweep_rejects_unknown_dataset_before_any_task(self, capsys, tmp_path):
+        run_dir = tmp_path / "run"
+        code = main([
+            "sweep", *base("scale=0.004", "n_days=2"),
+            "--set", "dataset=facebook,facebok", "--out", str(run_dir),
+        ])
+        assert code == 2
+        assert "unknown dataset 'facebok'" in capsys.readouterr().err
+        assert not (run_dir / "manifest.json").exists()
+
+
 ARCHS = ("soup", "superpeer", "social_dht", "cache", "peerson", "safebook")
 
 
@@ -514,9 +529,9 @@ class TestCompareCommand:
 
     def test_sim_architecture_flag_prints_arch_metrics(self, capsys):
         code, out = run_cli(
-            capsys, "sim", "--dataset", "epinions", "--scale", "0.004",
-            "--days", "2", "--seed", "3", "--architecture", "cache",
-            "--measure-dht",
+            capsys, "sim",
+            *base("dataset=epinions", "scale=0.004", "n_days=2", "seed=3",
+                  "architecture=cache", "measure_dht=true"),
         )
         assert code == 0
         assert "arch.cache:" in out and "hit_rate=" in out
@@ -582,6 +597,67 @@ def test_parser_rejects_unknown_command():
         build_parser().parse_args(["does-not-exist"])
 
 
-def test_parser_rejects_bad_dataset():
+def test_parser_rejects_bad_dataset(capsys):
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["fig5", "--dataset", "myspace"])
+        main(["fig5", *base("dataset=myspace")])
+    assert "unknown dataset 'myspace'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override", ["repair=yes", "n_days=two", "invariant_names=x", "nope=1", "scale"]
+)
+def test_scenario_command_refuses_a_bad_override(capsys, override):
+    """A bad --base is a usage error, like any argparse error: exit 2
+    before anything runs, naming the field."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sim", *base(override)])
+    assert exit_info.value.code == 2
+    assert override.partition("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(SCENARIO_PRESETS))
+def test_every_scenario_preset_builds_a_valid_config(command):
+    config = scenario_config(command)
+    for key, value in SCENARIO_PRESETS[command].items():
+        assert getattr(config, key) == value
+
+
+def test_no_scenario_command_has_a_flag_for_a_config_field():
+    import argparse
+    import dataclasses
+
+    from repro.sim.scenario import ScenarioConfig
+
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    named = {f"--{name}" for name in fields} | {
+        f"--{name.replace('_', '-')}" for name in fields
+    }
+    removed = {"--days", "--fraction", "--event-day", "--ties"}
+    commands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    for command in SCENARIO_PRESETS:
+        options = {
+            option for action in commands[command]._actions
+            for option in action.option_strings
+        }
+        assert "--base" in options, command
+        assert not options & (named | removed), command
+
+
+def test_scenario_config_rules():
+    # Faults imply the checker unless it is set explicitly.
+    faults = "faults=drop_transfer:rate=1.0"
+    assert scenario_config("sim", [faults]).check_invariants
+    assert not scenario_config("sim", [faults, "check_invariants=false"]).check_invariants
+    # Fig. 6 snapshots day 1, day 14 and the last day, unless told otherwise.
+    assert scenario_config("fig6").cdf_snapshot_days == (1, 14, 30)
+    assert scenario_config("fig6", ["n_days=2"]).cdf_snapshot_days == (1, 2)
+    assert scenario_config(
+        "fig6", ["cdf_snapshot_days=[3]"]
+    ).cdf_snapshot_days == (3,)
+    # Later flags win, and a repro token's quoted JSON string is a string.
+    assert scenario_config(
+        "fig10", ["dataset=\"epinions\"", "seed=1", "seed=2"]
+    ) == scenario_config("fig10", ["dataset=epinions", "seed=2"])
