@@ -9,12 +9,12 @@ implements a per-reader LRU with a TTL:
 * A successful mirror fetch inserts ``owner`` into the reader's cache
   stamped with the fetch epoch.
 * A later read hits if the entry is younger than
-  ``ttl_epochs`` (6); the mirrors are *not* contacted — which
+  :data:`CACHE_TTL_EPOCHS` (6); the mirrors are *not* contacted — which
   deliberately starves the experience sets of observations (cached
   reads produce no mirror evidence).  That trade-off is real in any
   cache-over-reputation design, and it is exactly what the head-to-head
   comparison is for.
-* The cache holds ``capacity`` (8) owners per reader; insertion
+* The cache holds :data:`CACHE_CAPACITY` (8) owners per reader; insertion
   beyond capacity evicts the least recently used entry.
 
 Availability accounting: an owner counts as available if any reader
@@ -31,20 +31,18 @@ import numpy as np
 
 from repro.arch.base import Architecture, ReadPathStrategy, register_architecture
 
+#: Owners one reader's cache holds before it evicts the least recently used.
+CACHE_CAPACITY = 8
+#: Epochs a cached copy stays fresh after its fetch.
+CACHE_TTL_EPOCHS = 6
+
 
 class MirrorReadCache(ReadPathStrategy):
     """Per-reader LRU/TTL cache of recently fetched profiles."""
 
     name = "cache"
 
-    def __init__(self, capacity: int = 8, ttl_epochs: int = 6) -> None:
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be positive, got {capacity}")
-        if ttl_epochs < 1:
-            raise ValueError(f"cache TTL must be positive, got {ttl_epochs}")
-        self.capacity = capacity
-        self.ttl_epochs = ttl_epochs
-
+    def __init__(self) -> None:
         #: reader -> OrderedDict(owner -> insert_epoch), LRU order (oldest
         #: use first).
         self._by_reader: Dict[int, "OrderedDict[int, int]"] = {}
@@ -77,7 +75,7 @@ class MirrorReadCache(ReadPathStrategy):
             self.misses += 1
             return False
         inserted = entries[owner]
-        if epoch - inserted >= self.ttl_epochs:
+        if epoch - inserted >= CACHE_TTL_EPOCHS:
             self.expirations += 1
             self.misses += 1
             self._drop(reader, owner)
@@ -94,7 +92,7 @@ class MirrorReadCache(ReadPathStrategy):
         entries = self._by_reader.setdefault(reader, OrderedDict())
         if owner in entries:
             entries.move_to_end(owner)
-        elif len(entries) >= self.capacity:
+        elif len(entries) >= CACHE_CAPACITY:
             evicted, _ = entries.popitem(last=False)
             holders = self._holders.get(evicted)
             if holders is not None:
@@ -124,7 +122,7 @@ class MirrorReadCache(ReadPathStrategy):
         served = []
         for owner, holders in self._holders.items():
             for reader, inserted in holders.items():
-                if epoch - inserted < self.ttl_epochs and online_now[reader]:
+                if epoch - inserted < CACHE_TTL_EPOCHS and online_now[reader]:
                     served.append(owner)
                     break
         return served

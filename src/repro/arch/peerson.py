@@ -61,7 +61,7 @@ class MutualPartners(MirrorSelectionStrategy):
         position = self._position.get(owner)
         if position is None:  # no round yet, or joined after it
             return select_mirrors(ranking, friends, config, rng, exploration_pool, exclude)
-        order, count = self._order, min(PARTNERS, config.max_mirrors)
+        order, count = self._order, PARTNERS
         mirrors: List[int] = []
         for step in range(1, len(order)):
             for index in (position - step, position + step):

@@ -73,7 +73,7 @@ class FriendMirrors(MirrorSelectionStrategy):
             (friend for friend in friends if friend != owner and friend not in exclude),
             key=lambda friend: (-uptime[friend], friend),
         )
-        mirrors = candidates[: min(MAX_MIRRORS, config.max_mirrors)]
+        mirrors = candidates[:MAX_MIRRORS]
         return SelectionResult(
             mirrors=mirrors, estimated_error=unavailability(uptime, mirrors)
         )

@@ -7,13 +7,12 @@ social neighbourhood.  This baseline reproduces that economy on top of
 SOUP's machinery:
 
 * **Election.**  Each selection round, joined benign nodes with observed
-  uptime ≥ ``min_uptime`` (0.6) are ranked by (uptime, capacity) and
-  the top ``fraction`` (5 %) of the population volunteer as
+  uptime ≥ :data:`MIN_UPTIME` (0.6) are ranked by (uptime, capacity) and
+  the top :data:`SUPERPEER_FRACTION` (5 %) of the population volunteer as
   super-peers.  Departed or churned-out super-peers are
   demoted and replaced — re-election on churn.
 * **Capacity accounting.**  Every super-peer advertises a bounded number
-  of hosting *slots* derived from its storage capacity (or a fixed
-  ``slots_override``).  Commitments decrement the free
+  of hosting *slots*, half its storage capacity.  Commitments decrement the free
   slots; a full super-peer stops being offered.
 * **Selection.**  Weak owners (observed uptime below the election bar)
   get available super-peers spliced into their candidate ranking at a
@@ -30,7 +29,7 @@ byte-identical.
 from __future__ import annotations
 
 import random
-from typing import Container, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Sequence, Tuple
 
 from repro.arch.base import (
     Architecture,
@@ -44,6 +43,11 @@ from repro.core.selection import SelectionResult, select_mirrors
 #: 1.0 experience so first-hand evidence of a *better* mirror still
 #: wins, but above every bootstrap-prior candidate.
 SUPERPEER_RANK = 0.95
+#: Share of the population elected super-peer each round.
+SUPERPEER_FRACTION = 0.05
+#: Observed uptime that makes a node electable, and below which an owner
+#: counts as weak and is offered super-peer slots.
+MIN_UPTIME = 0.6
 
 
 class SuperPeerEconomy(MirrorSelectionStrategy):
@@ -51,16 +55,7 @@ class SuperPeerEconomy(MirrorSelectionStrategy):
 
     name = "superpeer"
 
-    def __init__(
-        self,
-        fraction: float = 0.05,
-        min_uptime: float = 0.6,
-        slots_override: Optional[int] = None,
-    ) -> None:
-        self.fraction = fraction
-        self.min_uptime = min_uptime
-        self.slots_override = slots_override
-
+    def __init__(self) -> None:
         #: super-peer id -> free hosting slots this round.
         self.free_slots: Dict[int, int] = {}
         #: Current super-peer set, in election (quality) order.
@@ -94,28 +89,23 @@ class SuperPeerEconomy(MirrorSelectionStrategy):
         candidates = [
             node_id
             for node_id in population
-            if view.is_electable(node_id) and uptime[node_id] >= self.min_uptime
+            if view.is_electable(node_id) and uptime[node_id] >= MIN_UPTIME
         ]
         candidates.sort(
             key=lambda nid: (-uptime[nid], -capacities[nid], nid)
         )
-        quota = max(1, int(round(n_total * self.fraction)))
+        quota = max(1, int(round(n_total * SUPERPEER_FRACTION)))
         elected = candidates[:quota]
 
         self.demotions += sum(1 for nid in previous if nid not in set(elected))
         self.elections += 1
         self.superpeers = elected
         self._uptime = {nid: float(uptime[nid]) for nid in elected}
-        self.free_slots = {nid: self._slots_for(capacities[nid]) for nid in elected}
-        self._slots_total_last = sum(self.free_slots.values())
-        self._owner_uptime = uptime
-
-    def _slots_for(self, capacity: float) -> int:
-        if self.slots_override is not None:
-            return max(1, int(self.slots_override))
         # A super-peer pledges half its storage capacity to the economy,
         # keeping the rest for organically selected replicas.
-        return max(1, int(capacity // 2))
+        self.free_slots = {nid: max(1, int(capacities[nid] // 2)) for nid in elected}
+        self._slots_total_last = sum(self.free_slots.values())
+        self._owner_uptime = uptime
 
     # ------------------------------------------------------------------
     def augment_ranking(
@@ -123,7 +113,7 @@ class SuperPeerEconomy(MirrorSelectionStrategy):
     ) -> List[Tuple[int, float]]:
         """Splice open super-peers into a weak owner's candidate list."""
         uptime = getattr(self, "_owner_uptime", None)
-        if uptime is None or uptime[owner] >= self.min_uptime:
+        if uptime is None or uptime[owner] >= MIN_UPTIME:
             return list(ranking)
         offers = [
             nid

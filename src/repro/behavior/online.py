@@ -27,6 +27,11 @@ import numpy as np
 TIMEZONE_OFFSETS = (-6, 1, 8)
 #: Probability of a node belonging to each zone (US, EU/Africa, Asia/Oceania).
 TIMEZONE_PROBABILITIES = (0.4, 0.3, 0.3)
+#: Mean session length in epochs: the session chain's on→off rate is its
+#: inverse, which keeps sessions short and bursty.
+MEAN_SESSION_EPOCHS = 3.0
+#: Nodes online at least this often (altruistic servers) never go offline.
+ALWAYS_ONLINE_THRESHOLD = 0.999
 
 #: 24-hour activity profile: quiet at night, peak in the local evening.
 _RAW_DIURNAL = np.array(
@@ -88,15 +93,13 @@ class OnlineModel:
     """Generates the per-epoch online matrix for a node population.
 
     ``base_probabilities`` are the long-run online fractions; nodes with
-    base probability >= ``always_online_threshold`` (altruistic servers) are
-    pinned online for every epoch.
+    base probability >= :data:`ALWAYS_ONLINE_THRESHOLD` (altruistic
+    servers) are pinned online for every epoch.
     """
 
     base_probabilities: np.ndarray
     timezone_offsets: np.ndarray
     epoch_hours: float = 1.0
-    mean_session_epochs: float = 3.0
-    always_online_threshold: float = 0.999
 
     def __post_init__(self) -> None:
         self.base_probabilities = np.asarray(self.base_probabilities, dtype=float)
@@ -105,8 +108,6 @@ class OnlineModel:
             raise ValueError("probabilities and timezones must align")
         if np.any((self.base_probabilities < 0) | (self.base_probabilities > 1)):
             raise ValueError("base probabilities must lie in [0, 1]")
-        if self.mean_session_epochs < 1:
-            raise ValueError("mean session length must be >= 1 epoch")
 
     @property
     def n_nodes(self) -> int:
@@ -135,15 +136,15 @@ class OnlineModel:
 
         Off→on rate ``a_t`` is chosen so the chain's stationary distribution
         tracks the (diurnal) target probability while the on→off rate
-        ``1/mean_session`` keeps sessions short and bursty.
+        ``1 / MEAN_SESSION_EPOCHS`` keeps sessions short and bursty.
         """
         if n_epochs <= 0:
             raise ValueError(f"n_epochs must be positive, got {n_epochs}")
         n = self.n_nodes
         matrix = np.zeros((n, n_epochs), dtype=bool)
-        always_on = self.base_probabilities >= self.always_online_threshold
+        always_on = self.base_probabilities >= ALWAYS_ONLINE_THRESHOLD
 
-        leave_rate = 1.0 / self.mean_session_epochs
+        leave_rate = 1.0 / MEAN_SESSION_EPOCHS
         state = rng.random(n) < self.epoch_probabilities(0)
         state |= always_on
         matrix[:, 0] = state

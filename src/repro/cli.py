@@ -206,6 +206,9 @@ def _cmd_fig6(args) -> int:
     from repro.sim.metrics import percentile_of
 
     result = run_scenario(args.config)
+    if args.json:
+        print(_result_json(result))
+        return 0
     for day, counts in sorted(result.stored_profiles_snapshots.items()):
         print(f"day {day:>3}: mean={np.mean(counts):.2f} "
               f"median={percentile_of(counts, 0.5):.0f} "
@@ -219,6 +222,9 @@ def _cmd_fig7(args) -> int:
     from repro.sim.engine import run_scenario
 
     result = run_scenario(args.config)
+    if args.json:
+        print(_result_json(result))
+        return 0
     for cohort, series in sorted(result.cohort_availability.items()):
         days = len(series) // result.epochs_per_day
         daily = series[: days * result.epochs_per_day].reshape(days, -1).mean(axis=1)

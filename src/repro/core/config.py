@@ -18,10 +18,19 @@ What is a field and what is not: a value is a field here if the paper names
 it as a tunable (the ones above and the storage median of Sec. 5.1) or if a
 caller outside tests and examples sets it.  A value with one useful setting
 is a constant in the code that uses it instead — the ranking prior and its
-weight (:mod:`repro.core.ranking`), the knowledge-base TTL
-(:class:`~repro.core.knowledge.KnowledgeBase`), the storage spread
+weight (:mod:`repro.core.ranking`), the mirror-set cap
+(:data:`repro.core.selection.MAX_MIRRORS`), the knowledge-base TTL
+(:data:`repro.core.knowledge.STRANGER_TTL`), the storage spread
 (:func:`~repro.behavior.capacity.sample_capacities`) and the update-buffer
-cap (:class:`~repro.node.sync.UpdateBuffer`).
+cap (:data:`repro.node.sync.UPDATE_BUFFER_PER_TARGET`).
+
+The same rule holds for a constructor keyword anywhere in :mod:`repro`: a
+class takes a value as a keyword only if some caller in ``src/`` passes a
+second one.  Otherwise the value is an upper-case module constant beside
+the code that reads it, read when the code runs (never bound as a default
+argument), so a test changes it with ``monkeypatch.setattr(module, NAME,
+value)`` — the retry, circuit-breaker and failure-detector constants of
+:mod:`repro.network.reliability`, for example.
 """
 
 from __future__ import annotations
@@ -70,10 +79,6 @@ class SoupConfig:
     epsilon: float = 0.01
     #: Social filter β: friends win if β·rank beats a stranger's rank.
     beta: float = 1.25
-    #: Hard cap on mirror-set size, so low-quality rankings cannot make the
-    #: greedy loop run away (the paper reports ≤ ~13 replicas even under
-    #: attack; the cap is far above normal operation).
-    max_mirrors: int = 30
 
     # --- Sec. 4.6: protective dropping ----------------------------------
     #: Blacklist threshold θ.
@@ -111,8 +116,6 @@ class SoupConfig:
             )
         if self.theta <= 0 or self.mismatch_penalty <= 0:
             raise ValueError("theta and mismatch_penalty must be positive")
-        if self.max_mirrors < 1:
-            raise ValueError(f"max_mirrors must be positive, got {self.max_mirrors}")
 
     @property
     def strikes_to_blacklist(self) -> int:

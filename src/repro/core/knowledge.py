@@ -19,6 +19,10 @@ from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Tuple
 
 _NO_MIRRORS: AbstractSet[int] = frozenset()
 
+#: Selection rounds a stranger stays known without being chosen as a
+#: mirror (Sec. 4.4's TTL); choosing it restarts the countdown.
+STRANGER_TTL = 30
+
 
 class KnowledgeBase:
     """All nodes ``u`` knows about, with friendship, experience and TTL.
@@ -26,9 +30,8 @@ class KnowledgeBase:
     A node is a friend exactly when it is known and has no TTL.
     """
 
-    def __init__(self, owner: int, default_ttl: int = 30) -> None:
+    def __init__(self, owner: int) -> None:
         self.owner = owner
-        self.default_ttl = default_ttl
         #: Every known node -> its experience value, in KB order (first
         #: learnt first).
         self._experience: Dict[int, float] = {}
@@ -73,7 +76,7 @@ class KnowledgeBase:
             raise ValueError("a node does not keep a KB entry about itself")
         self._experience[node_id] = 0.0
         if not is_friend:
-            self._ttl[node_id] = self.default_ttl
+            self._ttl[node_id] = STRANGER_TTL
 
     def add_friends(self, node_ids: Iterable[int]) -> None:
         """``add_node(node_id, is_friend=True)`` for each id, in order, in
@@ -97,7 +100,7 @@ class KnowledgeBase:
     def set_friend(self, node_id: int, is_friend: bool = True) -> None:
         """Learn ``node_id`` as a friend, or as a stranger with
         ``is_friend=False``.  A friend turned back into a stranger starts
-        its countdown afresh at ``default_ttl`` (no protocol path does
+        its countdown afresh at :data:`STRANGER_TTL` (no protocol path does
         this: a friendship, once known, stays)."""
         if is_friend:
             self.add_node(node_id, is_friend=True)
@@ -106,9 +109,8 @@ class KnowledgeBase:
         elif node_id not in self._ttl:
             # Keep the TTL map in KB order, so prunes come out in it.
             ttl = self._ttl
-            default_ttl = self.default_ttl
             self._ttl = {
-                known: default_ttl if known == node_id else ttl[known]
+                known: STRANGER_TTL if known == node_id else ttl[known]
                 for known in self._experience
                 if known == node_id or known in ttl
             }
@@ -123,10 +125,10 @@ class KnowledgeBase:
         restarts."""
         experience = self._experience
         ttl = self._ttl
-        default_ttl = self.default_ttl
+        stranger_ttl = STRANGER_TTL
         for node_id, value in values:
             if node_id in ttl:
-                ttl[node_id] = default_ttl
+                ttl[node_id] = stranger_ttl
             elif node_id not in experience:
                 self.add_node(node_id)
             experience[node_id] = max(0.0, min(1.0, value))
@@ -145,13 +147,13 @@ class KnowledgeBase:
         mirror_set = set(mirrors)
         experience = self._experience
         self._mirrors = {node_id for node_id in mirror_set if node_id in experience}
-        default_ttl = self.default_ttl
+        stranger_ttl = STRANGER_TTL
         ttl = self._ttl
         pruned = []
         # Only values change inside the loop, never keys.
         for node_id, remaining in ttl.items():
             if node_id in mirror_set:
-                ttl[node_id] = default_ttl
+                ttl[node_id] = stranger_ttl
             elif remaining > 1:
                 ttl[node_id] = remaining - 1
             else:

@@ -49,6 +49,12 @@ from repro.core.ranking import (
     candidate_ranking,
 )
 
+#: Hard cap on mirror-set size, so low-quality rankings cannot make the
+#: greedy loop run away (the paper reports ≤ ~13 replicas even under
+#: attack; the cap is far above normal operation).  Exploration may add
+#: one node beyond it.
+MAX_MIRRORS = 30
+
 
 @dataclass
 class SelectionResult:
@@ -156,7 +162,7 @@ def select_mirrors(
     perr = 1.0
     for node, rank in candidates:
         # The paper's loop runs "while perr > ε": reaching ε exactly stops.
-        if perr <= config.epsilon or len(mirrors) >= config.max_mirrors:
+        if perr <= config.epsilon or len(mirrors) >= MAX_MIRRORS:
             break
         if rank <= 0.0:
             # Candidates below this point (the list is sorted) cannot reduce
@@ -196,7 +202,7 @@ def select_mirrors(
         if node not in selected and node not in exclude
     ]
     exploration_node: Optional[int] = None
-    if exploration_candidates and len(mirrors) < config.max_mirrors:
+    if exploration_candidates and len(mirrors) < MAX_MIRRORS:
         exploration_node = rng.choice(exploration_candidates)
         mirrors.append(exploration_node)
 
@@ -216,7 +222,7 @@ class MirrorSelectionStrategy:
     :func:`select_mirrors`, or replace the algorithm outright.  The
     K-replication contract every implementation must honour (enforced by
     ``tests/property/test_arch_properties.py``): never more than
-    ``config.max_mirrors`` mirrors, never a node from ``exclude``
+    :data:`MAX_MIRRORS` mirrors, never a node from ``exclude``
     (owner, blacklisting/rejecting peers, offline candidates), and no
     duplicates.  ``exclude`` may stand for a population-sized set, so a
     strategy only ever asks it ``in`` — including for candidates it adds

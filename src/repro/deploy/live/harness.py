@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.deploy.cluster import Cluster
 from repro.deploy.live.chaos import ChaosController
-from repro.deploy.live.load import DEFAULT_MIX, LATENCY_BUCKETS, LoadOp, build_load_plan
+from repro.deploy.live.load import DEFAULT_MIX, LoadOp, build_load_plan
 from repro.deploy.live.transport import AsyncClock, LiveTransport
 from repro.network.events import EventLoop
 from repro.network.reliability import ReliabilityStats
@@ -50,6 +50,7 @@ from repro.network.transport import SERVER_LINK, Transport
 from repro.node.middleware import SoupNode
 from repro.node.profile import DataItem
 from repro.obs import (
+    LATENCY_BUCKETS,
     LiveObservability,
     Tracer,
     get_registry,
@@ -169,9 +170,7 @@ class ResilienceHarness:
         backend."""
         if not self.config.obs_dir:
             return
-        self.obs = LiveObservability(
-            self.config.obs_dir, self.order, latency_buckets=LATENCY_BUCKETS
-        )
+        self.obs = LiveObservability(self.config.obs_dir, self.order)
         if isinstance(self.network, LiveTransport):
             self.network.observer = self.obs
         self._saved_tracer = set_tracer(self.obs.tracer)

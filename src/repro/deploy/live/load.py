@@ -26,28 +26,6 @@ DEFAULT_MIX: Tuple[Tuple[str, float], ...] = (
     ("message", 0.10),
 )
 
-#: Sub-second log-spaced buckets for operation latency histograms
-#: (loopback operations run from tens of microseconds to, under chaos,
-#: whole retry timeouts).
-LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.00005,
-    0.0001,
-    0.00025,
-    0.0005,
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-)
-
 
 @dataclass(frozen=True)
 class LoadOp:

@@ -80,12 +80,16 @@ class MirrorLoadResult:
         return max((kb for _, kb in self.bandwidth_series), default=0.0)
 
 
+#: The mirror's uplink capacity.
+MIRROR_UPLINK_BYTES_PER_S = 800_000.0
+#: A request still in the backlog after this long times out.
+REQUEST_TIMEOUT_S = 10.0
+
+
 @dataclass
 class MirrorLoadModel:
     """One mirror serving its stored profiles through a finite uplink."""
 
-    uplink_bytes_per_s: float = 800_000.0
-    timeout_s: float = 10.0
     seed: int = 0
 
     def run(self, request_rate: float, duration_s: int = 300) -> MirrorLoadResult:
@@ -114,14 +118,14 @@ class MirrorLoadModel:
             # Expire requests stuck in the backlog beyond the timeout.
             fresh: List[Tuple[float, int]] = []
             for arrival, remaining in backlog:
-                if second - arrival > self.timeout_s:
+                if second - arrival > REQUEST_TIMEOUT_S:
                     timed_out += 1
                 else:
                     fresh.append((arrival, remaining))
             backlog = fresh
 
             # Serve FIFO up to the uplink capacity.
-            budget = self.uplink_bytes_per_s
+            budget = MIRROR_UPLINK_BYTES_PER_S
             sent = 0.0
             next_backlog: List[Tuple[float, int]] = []
             for arrival, remaining in backlog:

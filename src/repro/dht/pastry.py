@@ -42,6 +42,11 @@ _HOP_BUCKETS = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 12.0, 16.0, 32.0, 64.0)
 #: for a whole social graph routes O(edges) distinct (start, key) pairs.
 ROUTE_MEMO_ENTRIES = 16_384
 
+#: Leaf-set members kept on each side of a node.
+LEAF_HALF_SIZE = 8
+#: Hops after which a route counts as a loop.
+MAX_ROUTE_HOPS = 64
+
 
 class DhtError(Exception):
     """Raised on operations against unknown or offline nodes."""
@@ -99,12 +104,10 @@ class _Counters(dict):
 class PastryOverlay:
     """An in-process Pastry ring with directory-entry storage."""
 
-    def __init__(self, leaf_half_size: int = 8, max_route_hops: int = 64) -> None:
+    def __init__(self) -> None:
         self._nodes: Dict[int, _OverlayNode] = {}
         #: The member ids in ring order (kept in step with ``_nodes``).
         self._ring: List[int] = []
-        self._leaf_half_size = leaf_half_size
-        self._max_route_hops = max_route_hops
         #: Log of entry movements; deployment emulation drains this to
         #: charge bandwidth to the nodes involved.
         self.transfer_log: List[TransferRecord] = []
@@ -197,7 +200,7 @@ class PastryOverlay:
         new_node = _OverlayNode(
             node_id=node_id,
             routing_table=RoutingTable(node_id),
-            leaf_set=LeafSet(node_id, self._leaf_half_size),
+            leaf_set=LeafSet(node_id, LEAF_HALF_SIZE),
         )
         if not self._nodes:
             self._nodes[node_id] = new_node
@@ -307,7 +310,7 @@ class PastryOverlay:
             return
         for index, node_id in enumerate(ordered):
             node = self._nodes[node_id]
-            for offset in range(1, self._leaf_half_size + 1):
+            for offset in range(1, LEAF_HALF_SIZE + 1):
                 node.leaf_set.consider(ordered[(index + offset) % n])
                 node.leaf_set.consider(ordered[(index - offset) % n])
 
@@ -389,7 +392,7 @@ class PastryOverlay:
     def _route(self, start_id: int, key: int, avoid: FrozenSet[int]) -> RouteResult:
         current = self._require(start_id)
         path = [current.node_id]
-        for _ in range(self._max_route_hops):
+        for _ in range(MAX_ROUTE_HOPS):
             next_id = self._next_hop(current, key, avoid)
             if next_id is None or next_id == current.node_id:
                 return RouteResult(responsible=current.node_id, path=path)

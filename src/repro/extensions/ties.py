@@ -22,30 +22,30 @@ Implemented here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.experience import ExperienceReport
 
+#: Beta-distribution shape of honest ties: right-skewed, most weak.
+HONEST_ALPHA = 1.2
+HONEST_BETA = 2.8
+#: Infiltration ties (attacker edges) are uniform in
+#: [MIN_TIE_STRENGTH, INFILTRATION_MAX]: uniformly weak.
+INFILTRATION_MAX = 0.3
+#: The weakest tie any edge gets.
+MIN_TIE_STRENGTH = 0.02
+
 
 def _edge_key(a: int, b: int) -> Tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass
 class TieStrengthModel:
     """Tie strengths over a friendship edge set."""
 
-    #: Beta-distribution shape for honest ties: right-skewed, most weak.
-    honest_alpha: float = 1.2
-    honest_beta: float = 2.8
-    #: Infiltration ties (attacker edges) are uniformly weak.
-    infiltration_max: float = 0.3
-    minimum: float = 0.02
-
-    def __post_init__(self) -> None:
+    def __init__(self) -> None:
         self._strengths: Dict[Tuple[int, int], float] = {}
 
     def assign(
@@ -57,11 +57,11 @@ class TieStrengthModel:
         """Sample a strength for every edge; attacker edges drawn weak."""
         attacker_ids = attacker_ids or set()
         edges = list(edges)
-        honest_draws = rng.beta(self.honest_alpha, self.honest_beta, size=len(edges))
-        weak_draws = rng.uniform(self.minimum, self.infiltration_max, size=len(edges))
+        honest_draws = rng.beta(HONEST_ALPHA, HONEST_BETA, size=len(edges))
+        weak_draws = rng.uniform(MIN_TIE_STRENGTH, INFILTRATION_MAX, size=len(edges))
         for (a, b), honest, weak in zip(edges, honest_draws, weak_draws):
             infiltration = a in attacker_ids or b in attacker_ids
-            strength = weak if infiltration else max(self.minimum, honest)
+            strength = weak if infiltration else max(MIN_TIE_STRENGTH, honest)
             self._strengths[_edge_key(a, b)] = float(strength)
 
     def strength(self, a: int, b: int) -> float:

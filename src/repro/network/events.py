@@ -33,8 +33,8 @@ class Timer:
 class EventLoop:
     """Deterministic discrete-event scheduler."""
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self._now = start_time
+    def __init__(self) -> None:
+        self._now = 0.0
         self._sequence = itertools.count()
         self._queue: List[Tuple[float, int, Timer]] = []
 

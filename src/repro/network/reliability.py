@@ -8,10 +8,11 @@ participant [is] always available" — that rest on those very messages
 (replica pushes, buffered-update deliveries) actually arriving.  This
 module supplies the machinery between the two:
 
-* :class:`RetryPolicy` — exponential backoff with deterministic,
-  seed-derived jitter, a per-attempt timeout and an attempt cap.  The
-  jitter for (seed, message, attempt) is a pure function, so a fixed
-  scenario seed replays the exact retry schedule.
+* :func:`backoff_s` — exponential backoff with deterministic,
+  seed-derived jitter; with :data:`ATTEMPT_TIMEOUT_S` and
+  :data:`MAX_ATTEMPTS` it is the retry policy.  The jitter for (seed,
+  message, attempt) is a pure function, so a fixed scenario seed replays
+  the exact retry schedule.
 * :class:`CircuitBreaker` — per-destination closed → open → half-open
   breaker.  A destination that keeps timing out stops consuming uplink
   and timers until a probe succeeds (cf. the gateway-overload concern of
@@ -43,8 +44,8 @@ from __future__ import annotations
 import itertools
 import logging
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, NamedTuple, Optional, Set
 
 from repro.network.transport import Clock, TimerHandle, Transport
 from repro.obs import get_registry, get_tracer
@@ -61,51 +62,31 @@ AckHandler = Callable[[int, Any], None]
 # ---------------------------------------------------------------------------
 # retry policy
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff with deterministic seed-derived jitter.
+#: Total send attempts (first try included).
+MAX_ATTEMPTS = 4
+#: Backoff before the first retry.
+BASE_DELAY_S = 0.5
+#: Backoff growth factor per retry.
+BACKOFF_MULTIPLIER = 2.0
+#: Fractional jitter: each delay is scaled by ``1 ± JITTER_FRACTION``.
+JITTER_FRACTION = 0.25
+#: How long to wait for an ack before declaring the attempt lost.
+ATTEMPT_TIMEOUT_S = 3.0
 
-    ``backoff_s(attempt, seed, key)`` is a pure function: the same
-    (policy, seed, key, attempt) always yields the same delay, so retry
-    schedules replay exactly under a fixed scenario seed — jitter draws
-    its own :class:`random.Random` stream and never touches shared RNGs.
+
+def backoff_s(attempt: int, seed: object, key: object) -> float:
+    """Delay before retry number ``attempt`` (1-based) of message ``key``.
+
+    A pure function: the same (seed, key, attempt) always yields the same
+    delay, so retry schedules replay exactly under a fixed scenario seed —
+    jitter draws its own :class:`random.Random` stream and never touches
+    shared RNGs.
     """
-
-    #: Total send attempts (first try included).
-    max_attempts: int = 4
-    #: Backoff before the first retry.
-    base_delay_s: float = 0.5
-    #: Backoff growth factor per retry.
-    multiplier: float = 2.0
-    #: Fractional jitter: each delay is scaled by ``1 ± jitter_fraction``.
-    jitter_fraction: float = 0.25
-    #: How long to wait for an ack before declaring the attempt lost.
-    attempt_timeout_s: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        if self.base_delay_s < 0 or self.attempt_timeout_s <= 0:
-            raise ValueError("delays must be non-negative, timeout positive")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1 (backoff must not shrink)")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ValueError("jitter_fraction must be in [0, 1)")
-
-    def backoff_s(self, attempt: int, seed: object, key: object) -> float:
-        """Delay before retry number ``attempt`` (1-based) of message ``key``."""
-        delay = self.base_delay_s * self.multiplier ** max(0, attempt - 1)
-        if self.jitter_fraction:
-            u = random.Random(f"{seed}/{key}/{attempt}").random()
-            delay *= 1.0 + self.jitter_fraction * (2.0 * u - 1.0)
-        return delay
-
-    def schedule(self, seed: object, key: object) -> List[float]:
-        """The full backoff schedule for one message (determinism tests)."""
-        return [
-            self.backoff_s(attempt, seed, key)
-            for attempt in range(1, self.max_attempts)
-        ]
+    delay = BASE_DELAY_S * BACKOFF_MULTIPLIER ** max(0, attempt - 1)
+    if JITTER_FRACTION:
+        u = random.Random(f"{seed}/{key}/{attempt}").random()
+        delay *= 1.0 + JITTER_FRACTION * (2.0 * u - 1.0)
+    return delay
 
 
 # ---------------------------------------------------------------------------
@@ -116,30 +97,33 @@ OPEN = "open"
 HALF_OPEN = "half-open"
 
 
+#: Consecutive failures that open a destination's circuit.
+FAILURE_THRESHOLD = 3
+#: How long an open circuit waits before it lets one probe through.
+RESET_TIMEOUT_S = 30.0
+
+
 class CircuitBreaker:
     """Per-destination circuit breaker (closed → open → half-open).
 
-    ``failure_threshold`` consecutive failures open the circuit; after
-    ``reset_timeout_s`` a single probe send is allowed (half-open).  A
+    :data:`FAILURE_THRESHOLD` consecutive failures open the circuit; after
+    :data:`RESET_TIMEOUT_S` a single probe send is allowed (half-open).  A
     success closes the circuit again, another failure re-opens it.
     State transitions are counted for the reliability metrics.
     """
 
-    def __init__(
-        self, failure_threshold: int = 3, reset_timeout_s: float = 30.0
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be at least 1")
-        if reset_timeout_s <= 0:
-            raise ValueError("reset_timeout_s must be positive")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
+    def __init__(self) -> None:
         self._state: Dict[int, str] = {}
         self._failures: Dict[int, int] = {}
         self._opened_at: Dict[int, float] = {}
         #: "closed->open" / "open->half-open" / "half-open->closed" /
         #: "half-open->open" counters.
         self.transitions: Dict[str, int] = {}
+
+    @property
+    def failure_threshold(self) -> int:
+        """:data:`FAILURE_THRESHOLD`, for callers that force a circuit open."""
+        return FAILURE_THRESHOLD
 
     def _transition(self, dest: int, new_state: str) -> None:
         old = self._state.get(dest, CLOSED)
@@ -160,7 +144,7 @@ class CircuitBreaker:
         if (
             state == OPEN
             and now is not None
-            and now - self._opened_at.get(dest, 0.0) >= self.reset_timeout_s
+            and now - self._opened_at.get(dest, 0.0) >= RESET_TIMEOUT_S
         ):
             self._transition(dest, HALF_OPEN)
             return HALF_OPEN
@@ -183,7 +167,7 @@ class CircuitBreaker:
             return
         count = self._failures.get(dest, 0) + 1
         self._failures[dest] = count
-        if state == CLOSED and count >= self.failure_threshold:
+        if state == CLOSED and count >= FAILURE_THRESHOLD:
             self._opened_at[dest] = now
             self._transition(dest, OPEN)
 
@@ -191,12 +175,16 @@ class CircuitBreaker:
 # ---------------------------------------------------------------------------
 # failure detector
 # ---------------------------------------------------------------------------
+#: Missed acks (or failed probes) in a row that declare a peer dead.
+SUSPICION_THRESHOLD = 3
+
+
 class FailureDetector:
     """Suspicion-based failure detection.
 
     Every missed ack (or failed probe) raises a peer's suspicion level by
     one; any observed delivery from the peer resets it.  Crossing
-    ``suspicion_threshold`` declares the peer dead and fires ``on_dead``
+    :data:`SUSPICION_THRESHOLD` declares the peer dead and fires ``on_dead``
     once; a later observed delivery revives it (and fires ``on_alive``).
 
     The detector is intentionally simple — an integer suspicion level per
@@ -207,13 +195,9 @@ class FailureDetector:
 
     def __init__(
         self,
-        suspicion_threshold: int = 3,
         on_dead: Optional[Callable[[int], None]] = None,
         on_alive: Optional[Callable[[int], None]] = None,
     ) -> None:
-        if suspicion_threshold < 1:
-            raise ValueError("suspicion_threshold must be at least 1")
-        self.suspicion_threshold = suspicion_threshold
         self.on_dead = on_dead
         self.on_alive = on_alive
         self._suspicion: Dict[int, int] = {}
@@ -234,7 +218,7 @@ class FailureDetector:
         """Raise suspicion; returns True when ``peer`` is *newly* dead."""
         level = self._suspicion.get(peer, 0) + 1
         self._suspicion[peer] = level
-        if level >= self.suspicion_threshold and peer not in self._dead:
+        if level >= SUSPICION_THRESHOLD and peer not in self._dead:
             self._dead.add(peer)
             self.deaths_declared += 1
             self._note_death(peer, "suspicion-threshold")
@@ -263,9 +247,7 @@ class FailureDetector:
     def declare_dead(self, peer: int) -> bool:
         """Force-declare a peer dead (e.g. on direct evidence such as a
         storage probe answering without the replica)."""
-        self._suspicion[peer] = max(
-            self._suspicion.get(peer, 0), self.suspicion_threshold
-        )
+        self._suspicion[peer] = max(self._suspicion.get(peer, 0), SUSPICION_THRESHOLD)
         if peer in self._dead:
             return False
         self._dead.add(peer)
@@ -400,21 +382,16 @@ class ReliableEndpoint:
         node_id: int,
         network: Transport,
         inner_handler: Callable[[int, Any], None],
-        policy: Optional[RetryPolicy] = None,
-        breaker: Optional[CircuitBreaker] = None,
         detector: Optional[FailureDetector] = None,
         seed: object = 0,
-        on_plain_failure: Optional[GiveUpHandler] = None,
     ) -> None:
         self.node_id = node_id
         self.network = network
         self.loop: Clock = network.loop
         self.inner_handler = inner_handler
-        self.policy = policy or RetryPolicy()
-        self.breaker = breaker or CircuitBreaker()
+        self.breaker = CircuitBreaker()
         self.detector = detector or FailureDetector()
         self.seed = seed
-        self.on_plain_failure = on_plain_failure
         self.stats = ReliabilityStats()
         self._counter = itertools.count()
         #: In-flight sends by msg id.  Ids ascend and are inserted in
@@ -467,7 +444,7 @@ class ReliableEndpoint:
         # own wire time plus everything queued ahead of it; add the path
         # estimate for the receiver leg and the returning ack.
         timeout = (
-            self.policy.attempt_timeout_s
+            ATTEMPT_TIMEOUT_S
             + self.network.uplink_backlog_s(self.node_id)
             + self._transfer_estimate(state.dest, state.size_bytes)
         )
@@ -490,7 +467,7 @@ class ReliableEndpoint:
         now = self.loop.now
         self.breaker.record_failure(state.dest, now)
         self.detector.record_failure(state.dest)
-        retries_left = state.attempt + 1 < self.policy.max_attempts
+        retries_left = state.attempt + 1 < MAX_ATTEMPTS
         if not retries_left or not self.breaker.allow(state.dest, now):
             self._pending.pop(state.msg_id, None)
             self.stats.give_ups += 1
@@ -512,7 +489,7 @@ class ReliableEndpoint:
                 attempt=state.attempt + 1, reason=reason,
                 msg_id=state.msg_id, t=now,
             )
-        delay = self.policy.backoff_s(state.attempt, self.seed, state.msg_id)
+        delay = backoff_s(state.attempt, self.seed, state.msg_id)
         state.timer = self.loop.schedule(delay, lambda: self._attempt(state))
 
     # --- receiving --------------------------------------------------------
@@ -546,7 +523,7 @@ class ReliableEndpoint:
 
     def handle_network_failure(self, dest: int, message: Any, reason: str) -> None:
         """SimNetwork failure handler: immediate nack for envelopes, an
-        observation (plus optional passthrough) for everything else."""
+        observation for everything else."""
         self.stats.network_failures += 1
         if isinstance(message, Envelope):
             state = self._pending.get(message.msg_id)
@@ -554,5 +531,3 @@ class ReliableEndpoint:
                 self._attempt_failed(state, reason)
             return
         self.detector.record_failure(dest)
-        if self.on_plain_failure is not None:
-            self.on_plain_failure(dest, message, reason)

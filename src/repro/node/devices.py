@@ -23,26 +23,26 @@ from repro.node.sync import (
 
 UpdateKey = Tuple[int, int]  # (origin id, sequence)
 
+#: Updates a mirror retains per owner for device replay.
+UPDATE_LOG_ENTRIES = 500
+
 
 class UpdateLog:
     """A mirror's bounded, ordered log of one owner's updates.
 
     Unlike the offline-message buffer (which is drained on collection),
     the log is *retained* so that any number of devices can replay it;
-    old entries are pruned by count.
+    old entries are pruned by count (:data:`UPDATE_LOG_ENTRIES`).
     """
 
-    def __init__(self, max_entries: int = 500) -> None:
-        if max_entries < 1:
-            raise ValueError("log must retain at least one entry")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._updates = OrderedUpdates()
 
     def append(self, update: PendingUpdate) -> bool:
         """Add an update; duplicates (same origin+sequence) are ignored."""
         if not self._updates.insert(update):
             return False
-        if len(self._updates) > self.max_entries:
+        if len(self._updates) > UPDATE_LOG_ENTRIES:
             self._updates.pop_oldest()
         return True
 

@@ -159,16 +159,3 @@ class MirrorManager(ReplicationState):
 
     def update_log_for(self, owner: int) -> Optional[UpdateLog]:
         return self.update_logs.get(owner)
-
-    # --- correctness ----------------------------------------------------------
-    def verify_invariants(self, epoch: int = -1) -> None:
-        """Check this node's local protocol invariants.
-
-        Raises :class:`repro.sim.invariants.InvariantViolation` if the
-        replica store exceeds its capacity, holds a blacklisted owner's
-        replica, or the announced mirror set is not a subset of the last
-        selection.  Used by the runtime checker and the test harness.
-        """
-        from repro.sim.invariants import check_mirror_manager
-
-        check_mirror_manager(self, epoch=epoch)

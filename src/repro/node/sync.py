@@ -92,10 +92,14 @@ class OrderedUpdates:
         return len(self._entries)
 
 
+#: Updates a mirror buffers per offline target before it drops the oldest.
+UPDATE_BUFFER_PER_TARGET = 512
+
+
 class UpdateBuffer:
     """A mirror's surrogate storage of updates for the users it mirrors.
 
-    Each target's queue is bounded by ``max_per_target``: otherwise one
+    Each target's queue is bounded by :data:`UPDATE_BUFFER_PER_TARGET`: otherwise one
     flooding origin could grow a mirror's surrogate storage without limit
     (the same resource-exhaustion angle protective dropping guards the
     forwarding path against).  When full, the oldest update is dropped —
@@ -103,11 +107,8 @@ class UpdateBuffer:
     profile — and ``dropped_updates`` counts the losses.
     """
 
-    def __init__(self, max_per_target: int = 512) -> None:
-        if max_per_target < 1:
-            raise ValueError("max_per_target must be positive")
+    def __init__(self) -> None:
         self._pending: Dict[int, OrderedUpdates] = {}
-        self.max_per_target = max_per_target
         self.dropped_updates = 0
 
     def add(self, update: PendingUpdate) -> None:
@@ -117,7 +118,7 @@ class UpdateBuffer:
         # Idempotent: the same update may arrive via several mirrors.
         if not queue.insert(update):
             return
-        if len(queue) > self.max_per_target:
+        if len(queue) > UPDATE_BUFFER_PER_TARGET:
             evicted = queue.pop_oldest()
             self.dropped_updates += 1
             get_registry().counter("sync.updates_dropped").inc()

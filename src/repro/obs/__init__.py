@@ -40,6 +40,7 @@ from repro.obs.analysis import (
 )
 from repro.obs.flight import (
     HARNESS_NODE_ID,
+    LATENCY_BUCKETS,
     FlightRecorder,
     LamportClock,
     LiveObservability,
@@ -80,6 +81,7 @@ __all__ = [
     "Finding",
     "FlightRecorder",
     "HARNESS_NODE_ID",
+    "LATENCY_BUCKETS",
     "LamportClock",
     "LiveObservability",
     "PROFILER",

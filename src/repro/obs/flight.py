@@ -35,7 +35,6 @@ causal chains from a crashed cluster's flight recorders.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import deque
@@ -44,7 +43,7 @@ from contextvars import ContextVar
 from typing import Any, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import TRACE_SCHEMA_VERSION, Tracer
+from repro.obs.trace import Tracer, encode_trace_event
 
 #: Node id used by the harness's own flight recorder.  Negative so it can
 #: never collide with a cluster node.
@@ -52,13 +51,14 @@ HARNESS_NODE_ID = -1
 
 #: Ring capacity: how many recent events each node keeps in memory (the
 #: file on disk is unbounded; the ring feeds post-mortem "last moments").
-DEFAULT_FLIGHT_CAPACITY = 512
+FLIGHT_CAPACITY = 512
 
-#: Sub-second log-spaced latency buckets for live message round-trips.
-#: Kept local so ``repro.obs`` does not import from ``repro.deploy``.
-LIVE_LATENCY_BUCKETS: Tuple[float, ...] = (
-    0.0005, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05,
-    0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0,
+#: Sub-second log-spaced buckets for live message and operation latency
+#: histograms (loopback operations run from tens of microseconds to, under
+#: chaos, whole retry timeouts).  The live harness imports them from here.
+LATENCY_BUCKETS: Tuple[float, ...] = (
+    0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
+    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
 
 #: The currently scoped node id.  A ``ContextVar`` (not a plain attribute)
@@ -73,8 +73,8 @@ class LamportClock:
 
     __slots__ = ("value",)
 
-    def __init__(self, start: int = 0) -> None:
-        self.value = start
+    def __init__(self) -> None:
+        self.value = 0
 
     def tick(self) -> int:
         self.value += 1
@@ -105,17 +105,11 @@ class FlightRecorder:
 
     __slots__ = ("node_id", "path", "clock", "_ring", "_seq", "_file", "closed")
 
-    def __init__(
-        self,
-        node_id: int,
-        path: str,
-        capacity: int = DEFAULT_FLIGHT_CAPACITY,
-        clock: Optional[LamportClock] = None,
-    ) -> None:
+    def __init__(self, node_id: int, path: str) -> None:
         self.node_id = node_id
         self.path = path
-        self.clock = clock if clock is not None else LamportClock()
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
+        self.clock = LamportClock()
+        self._ring: Deque[Dict[str, Any]] = deque(maxlen=FLIGHT_CAPACITY)
         self._seq = 0
         self._file = open(path, "ab", buffering=0)
         self.closed = False
@@ -126,19 +120,14 @@ class FlightRecorder:
         """Record one event; returns the full stamped record (the caller
         may read back the ``lamport`` it was assigned, e.g. to carry it
         in a message envelope)."""
-        record: Dict[str, Any] = {
-            "v": TRACE_SCHEMA_VERSION,
-            "seq": self._seq,
-            "event": event,
-            "node": self.node_id,
-            "lamport": self.clock.tick(),
-        }
-        record.update(fields)
+        record, line = encode_trace_event(
+            self._seq, event,
+            {"node": self.node_id, "lamport": self.clock.tick(), **fields},
+        )
         self._seq += 1
         self._ring.append(record)
         if not self.closed:
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            self._file.write(line.encode("utf-8") + b"\n")
+            self._file.write(line.encode("utf-8"))
         return record
 
     def recent(self) -> List[Dict[str, Any]]:
@@ -177,25 +166,16 @@ class RouterTracer(Tracer):
 class LiveObservability:
     """The harness-side observability plane for one resilience run."""
 
-    def __init__(
-        self,
-        out_dir: str,
-        node_ids: Sequence[int],
-        capacity: int = DEFAULT_FLIGHT_CAPACITY,
-        latency_buckets: Sequence[float] = LIVE_LATENCY_BUCKETS,
-    ) -> None:
+    def __init__(self, out_dir: str, node_ids: Sequence[int]) -> None:
         self.out_dir = out_dir
         self.flight_dir = os.path.join(out_dir, "flight")
         os.makedirs(self.flight_dir, exist_ok=True)
-        self._latency_buckets = tuple(latency_buckets)
         self._recorders: Dict[int, FlightRecorder] = {}
         for node_id in node_ids:
             path = os.path.join(self.flight_dir, f"node-{node_id:05d}.jsonl")
-            self._recorders[node_id] = FlightRecorder(node_id, path, capacity)
+            self._recorders[node_id] = FlightRecorder(node_id, path)
         self.harness = FlightRecorder(
-            HARNESS_NODE_ID,
-            os.path.join(self.flight_dir, "harness.jsonl"),
-            capacity,
+            HARNESS_NODE_ID, os.path.join(self.flight_dir, "harness.jsonl")
         )
         self._registries: Dict[int, MetricsRegistry] = {}
         self._msg_counts: Dict[int, int] = {}
@@ -262,7 +242,7 @@ class LiveObservability:
         registry = self.registry_for(receiver)
         registry.counter("live.msgs.recv").inc()
         registry.histogram(
-            "live.msg.latency_s", buckets=self._latency_buckets
+            "live.msg.latency_s", buckets=LATENCY_BUCKETS
         ).observe(latency)
 
     # --- streaming aggregation -----------------------------------------

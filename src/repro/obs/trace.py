@@ -18,7 +18,7 @@ import gzip
 import io
 import json
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, IO, Iterable, Iterator, List, Optional, Set, Union
+from typing import Any, Callable, Dict, IO, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 #: Bumped whenever an event's required fields change shape.
 TRACE_SCHEMA_VERSION = 1
@@ -231,6 +231,18 @@ def validate_trace_file(path: str) -> List[str]:
     return report.errors
 
 
+def encode_trace_event(
+    seq: int, event: str, fields: Dict[str, Any]
+) -> Tuple[Dict[str, Any], str]:
+    """One v1 trace record, ``{"v", "seq", "event"}`` updated with
+    ``fields``, and its JSONL line: compact, keys sorted, newline-terminated.
+    Every trace writer (the tracer, the flight recorders, a sweep's
+    telemetry) encodes through here, so their lines cannot drift apart."""
+    record = {"v": TRACE_SCHEMA_VERSION, "seq": seq, "event": event}
+    record.update(fields)
+    return record, json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 class Tracer:
     """Writes typed events as schema-versioned JSONL.
 
@@ -280,16 +292,13 @@ class Tracer:
             return
         if self._filter is not None and event not in self._filter:
             return
-        record = {"v": TRACE_SCHEMA_VERSION, "seq": self._seq, "event": event}
-        record.update(fields)
+        record, line = encode_trace_event(self._seq, event, fields)
         if self._strict:
             problem = validate_event(record)
             if problem is not None:
                 raise ValueError(f"invalid trace event: {problem}")
         self._seq += 1
-        self._sink.write(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        self._sink.write(line)
 
     def close(self) -> None:
         if self._sink is not None:

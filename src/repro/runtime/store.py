@@ -173,7 +173,7 @@ class RunStore:
         ``write`` of a newline-terminated line, so concurrent appends
         from one process never interleave mid-record.
         """
-        from repro.obs.trace import TRACE_SCHEMA_VERSION
+        from repro.obs.trace import encode_trace_event
 
         self.telemetry_dir.mkdir(parents=True, exist_ok=True)
         if self._telemetry_seq is None:
@@ -184,14 +184,10 @@ class RunStore:
                     self._telemetry_seq = sum(1 for _ in handle)
             except OSError:
                 self._telemetry_seq = 0
-        record = {"v": TRACE_SCHEMA_VERSION, "seq": self._telemetry_seq,
-                  "event": event}
-        record.update(fields)
+        _, line = encode_trace_event(self._telemetry_seq, event, fields)
         self._telemetry_seq += 1
         with open(self.telemetry_events_path, "a", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            )
+            handle.write(line)
 
     # ------------------------------------------------------------------
     # artifacts

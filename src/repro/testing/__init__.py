@@ -4,8 +4,8 @@ Everything the simulator checks at runtime (:mod:`repro.sim.invariants`,
 :mod:`repro.sim.faults`) is re-exported here so tests — and the pytest
 plugin in :mod:`repro.testing.plugin` — drive the *same* machinery:
 
-* :func:`assert_overlay_invariants` / :func:`assert_mirror_manager_invariants`
-  — structural checks for DHT overlays and protocol nodes.
+* :func:`check_overlay` / :func:`check_mirror_manager` — structural
+  checks for DHT overlays and protocol nodes.
 * :func:`run_checked` — run a scenario with invariant checking forced on.
 * :func:`expect_violation` — run a scenario that *must* violate an
   invariant; returns the :class:`InvariantViolation` and asserts the
@@ -38,8 +38,6 @@ __all__ = [
     "InvariantChecker",
     "InvariantViolation",
     "Violation",
-    "assert_mirror_manager_invariants",
-    "assert_overlay_invariants",
     "check_mirror_manager",
     "check_overlay",
     "expect_violation",
@@ -50,16 +48,6 @@ __all__ = [
     "run_checked",
     "run_repro",
 ]
-
-
-def assert_overlay_invariants(overlay, epoch: int = -1) -> None:
-    """Assert a :class:`PastryOverlay` satisfies every structural invariant."""
-    check_overlay(overlay, epoch=epoch)
-
-
-def assert_mirror_manager_invariants(manager, epoch: int = -1) -> None:
-    """Assert a :class:`MirrorManager`'s local state is consistent."""
-    check_mirror_manager(manager, epoch=epoch)
 
 
 def run_checked(config):

@@ -62,8 +62,8 @@ def checked_overlay():
 
     overlays = []
 
-    def build(**kwargs) -> PastryOverlay:
-        overlay = PastryOverlay(**kwargs)
+    def build() -> PastryOverlay:
+        overlay = PastryOverlay()
         overlays.append(overlay)
         return overlay
 

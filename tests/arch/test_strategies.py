@@ -23,6 +23,7 @@ from repro.arch import (
     derive_dht_id,
     gini,
 )
+from repro.arch import cache, superpeer
 from repro.arch.peerson import PARTNERS
 from repro.arch.safebook import MAX_MIRRORS, shell_relays
 from repro.arch.social import ANCHOR_BITS, cluster_anchor
@@ -83,9 +84,17 @@ class _View:
         return self._electable is None or node_id in self._electable
 
 
+def _economy(monkeypatch, fraction):
+    """A super-peer economy electing ``fraction`` of the population from
+    the nodes with uptime at least 0.6."""
+    monkeypatch.setattr(superpeer, "SUPERPEER_FRACTION", fraction)
+    monkeypatch.setattr(superpeer, "MIN_UPTIME", 0.6)
+    return SuperPeerEconomy()
+
+
 class TestSuperPeerEconomy:
-    def test_election_ranks_by_uptime_then_capacity(self):
-        economy = SuperPeerEconomy(fraction=0.25, min_uptime=0.6)
+    def test_election_ranks_by_uptime_then_capacity(self, monkeypatch):
+        economy = _economy(monkeypatch, 0.25)
         view = _View(
             uptime=[0.9, 0.9, 0.3, 0.95, 0.7, 0.9, 0.1, 0.65],
             capacities=[10, 50, 99, 10, 10, 20, 99, 10],
@@ -96,8 +105,8 @@ class TestSuperPeerEconomy:
         assert economy.superpeers == [3, 1]
         assert economy.free_slots == {3: 5, 1: 25}
 
-    def test_weak_owner_gets_boost_strong_owner_does_not(self):
-        economy = SuperPeerEconomy(fraction=0.25, min_uptime=0.6)
+    def test_weak_owner_gets_boost_strong_owner_does_not(self, monkeypatch):
+        economy = _economy(monkeypatch, 0.25)
         view = _View(uptime=[0.9, 0.8, 0.2, 0.3], capacities=[10, 10, 10, 10])
         economy.begin_round(view, epoch=0)
         ranking = [(2, 0.4), (3, 0.3)]
@@ -108,9 +117,10 @@ class TestSuperPeerEconomy:
         untouched = economy.augment_ranking(0, ranking, exclude=())
         assert untouched == list(ranking)
 
-    def test_commit_consumes_slots_until_full(self):
-        economy = SuperPeerEconomy(fraction=0.5, min_uptime=0.6, slots_override=1)
-        view = _View(uptime=[0.9, 0.9, 0.2, 0.2], capacities=[10, 10, 10, 10])
+    def test_commit_consumes_slots_until_full(self, monkeypatch):
+        economy = _economy(monkeypatch, 0.5)
+        # A super-peer pledges half its capacity: one slot each here.
+        view = _View(uptime=[0.9, 0.9, 0.2, 0.2], capacities=[2, 2, 10, 10])
         economy.begin_round(view, epoch=0)
         superpeer = economy.superpeers[0]
         economy.on_commit(2, [superpeer], epoch=0)
@@ -118,8 +128,8 @@ class TestSuperPeerEconomy:
         boosted = economy.augment_ranking(3, [(2, 0.1)], exclude=())
         assert superpeer not in {nid for nid, _ in boosted if _ == SUPERPEER_RANK}
 
-    def test_selection_respects_exclusions(self):
-        economy = SuperPeerEconomy(fraction=0.5, min_uptime=0.6)
+    def test_selection_respects_exclusions(self, monkeypatch):
+        economy = _economy(monkeypatch, 0.5)
         view = _View(uptime=[0.9, 0.9, 0.2], capacities=[10, 10, 10])
         economy.begin_round(view, epoch=0)
         result = economy.select(
@@ -129,8 +139,8 @@ class TestSuperPeerEconomy:
         assert 0 not in result.mirrors
         assert 2 not in result.mirrors
 
-    def test_dict_backed_view_matches_deployment_shape(self):
-        economy = SuperPeerEconomy(fraction=0.5, min_uptime=0.6)
+    def test_dict_backed_view_matches_deployment_shape(self, monkeypatch):
+        economy = _economy(monkeypatch, 0.5)
         uptime = {101: 0.9, 205: 0.95, 307: 0.1}
         caps = {101: 10.0, 205: 10.0, 307: 10.0}
 
@@ -357,17 +367,23 @@ class TestSocialDht:
             assert routed.hops <= base.hops
 
 
+def _cache(monkeypatch, capacity=cache.CACHE_CAPACITY, ttl_epochs=cache.CACHE_TTL_EPOCHS):
+    monkeypatch.setattr(cache, "CACHE_CAPACITY", capacity)
+    monkeypatch.setattr(cache, "CACHE_TTL_EPOCHS", ttl_epochs)
+    return MirrorReadCache()
+
+
 class TestMirrorReadCache:
-    def test_miss_then_hit_within_ttl(self):
-        cache = MirrorReadCache(capacity=4, ttl_epochs=3)
+    def test_miss_then_hit_within_ttl(self, monkeypatch):
+        cache = _cache(monkeypatch, capacity=4, ttl_epochs=3)
         assert not cache.try_serve(reader=1, owner=9, epoch=0)
         cache.on_fetch(reader=1, owner=9, epoch=0, success=True)
         assert cache.try_serve(reader=1, owner=9, epoch=2)
         assert cache.metrics()["hits"] == 1.0
         assert cache.metrics()["mean_staleness_epochs"] == 2.0
 
-    def test_ttl_expiry_drops_entry(self):
-        cache = MirrorReadCache(capacity=4, ttl_epochs=3)
+    def test_ttl_expiry_drops_entry(self, monkeypatch):
+        cache = _cache(monkeypatch, capacity=4, ttl_epochs=3)
         cache.on_fetch(1, 9, epoch=0, success=True)
         assert not cache.try_serve(1, 9, epoch=3)
         assert cache.metrics()["expirations"] == 1.0
@@ -378,8 +394,8 @@ class TestMirrorReadCache:
         cache.on_fetch(1, 9, epoch=0, success=False)
         assert not cache.try_serve(1, 9, epoch=0)
 
-    def test_lru_eviction_at_capacity(self):
-        cache = MirrorReadCache(capacity=2, ttl_epochs=10)
+    def test_lru_eviction_at_capacity(self, monkeypatch):
+        cache = _cache(monkeypatch, capacity=2, ttl_epochs=10)
         cache.on_fetch(1, 10, epoch=0, success=True)
         cache.on_fetch(1, 20, epoch=0, success=True)
         assert cache.try_serve(1, 10, epoch=1)  # 10 now most recent
@@ -397,19 +413,13 @@ class TestMirrorReadCache:
         assert not cache.try_serve(2, 9, epoch=0)
         assert cache.metrics()["invalidations"] == 2.0
 
-    def test_available_owners_requires_online_fresh_reader(self):
-        cache = MirrorReadCache(ttl_epochs=2)
+    def test_available_owners_requires_online_fresh_reader(self, monkeypatch):
+        cache = _cache(monkeypatch, ttl_epochs=2)
         cache.on_fetch(reader=1, owner=9, epoch=0, success=True)
         online = np.array([True, True])
         assert cache.available_owners(online, epoch=1) == [9]
         assert cache.available_owners(np.array([True, False]), epoch=1) == []
         assert cache.available_owners(online, epoch=2) == []  # stale
-
-    def test_rejects_degenerate_knobs(self):
-        with pytest.raises(ValueError):
-            MirrorReadCache(capacity=0)
-        with pytest.raises(ValueError):
-            MirrorReadCache(ttl_epochs=0)
 
 
 class TestDhtProbe:

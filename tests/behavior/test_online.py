@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.behavior import online
 from repro.behavior.online import (
     DIURNAL_PROFILE,
     TIMEZONE_OFFSETS,
@@ -85,11 +86,10 @@ class TestOnlineModel:
         by_hour = matrix.reshape(500, 7, 24).mean(axis=(0, 1))
         assert by_hour.min() > 0.6 * by_hour.max()
 
-    def test_sessions_are_bursty(self, rng):
+    def test_sessions_are_bursty(self, rng, monkeypatch):
         """Mean session length tracks the configured burstiness."""
-        model = OnlineModel(
-            np.full(300, 0.3), np.zeros(300, dtype=int), mean_session_epochs=3.0
-        )
+        monkeypatch.setattr(online, "MEAN_SESSION_EPOCHS", 3.0)
+        model = OnlineModel(np.full(300, 0.3), np.zeros(300, dtype=int))
         matrix = model.generate_matrix(24 * 14, rng)
         # Count on-runs.
         lengths = []
@@ -110,8 +110,6 @@ class TestOnlineModel:
             OnlineModel(np.array([0.5]), np.array([0, 1]))
         with pytest.raises(ValueError):
             OnlineModel(np.array([1.5]), np.array([0]))
-        with pytest.raises(ValueError):
-            OnlineModel(np.array([0.5]), np.array([0]), mean_session_epochs=0.5)
 
     def test_invalid_epoch_count(self, rng):
         model = OnlineModel(np.array([0.5]), np.array([0]))

@@ -53,11 +53,6 @@ def test_theta_and_penalty_positive():
         SoupConfig(mismatch_penalty=-1)
 
 
-def test_max_mirrors_positive():
-    with pytest.raises(ValueError):
-        SoupConfig(max_mirrors=0)
-
-
 def test_normalization_validated():
     SoupConfig(experience_normalization="by_cap")
     SoupConfig(experience_normalization="by_observations")

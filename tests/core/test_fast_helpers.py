@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import knowledge
 from repro.core.config import SoupConfig
 from repro.core.experience import ExperienceReport, ExperienceSet
 from repro.core.knowledge import KnowledgeBase
@@ -36,6 +37,14 @@ from tests.core.kb_oracles import (
 
 ids =st.integers(min_value=0, max_value=40)
 id_sets = st.sets(ids, max_size=20)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def short_stranger_ttl():
+    """Strangers here expire after 3 rounds, so a few steps prune some."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knowledge, "STRANGER_TTL", 3)
+        yield
 
 
 @given(own=id_sets, unreachable=id_sets, holding=id_sets, asked=st.lists(ids, max_size=30))
@@ -65,8 +74,8 @@ kb_steps = st.lists(
 )
 
 
-def _replay(steps, default_ttl=3):
-    kb = KnowledgeBase(owner=0, default_ttl=default_ttl)
+def _replay(steps):
+    kb = KnowledgeBase(owner=0)
     for step in steps:
         if step[0] == "add":
             kb.add_node(step[1], is_friend=step[2])
@@ -123,7 +132,7 @@ def test_candidate_ranking_is_the_trust_order_assembly(steps, recommended):
 @given(steps=kb_steps, mirrors=st.lists(st.integers(1, 45), max_size=5))
 def test_end_selection_round_equals_mark_then_decay(steps, mirrors):
     fused = _replay(steps)
-    pruned, kept = decay_ttls(mark_mirrors(rows(fused), mirrors, fused.default_ttl))
+    pruned, kept = decay_ttls(mark_mirrors(rows(fused), mirrors, knowledge.STRANGER_TTL))
     assert fused.end_selection_round(mirrors) == pruned
     assert rows(fused) == kept  # same nodes, order, TTLs, mirror flags
 

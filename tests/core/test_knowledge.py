@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import knowledge
 from repro.core.knowledge import KnowledgeBase
 from repro.graphs.datasets import generate_dataset
 from tests.core.kb_oracles import rows
 
 
 @pytest.fixture()
-def kb():
-    return KnowledgeBase(owner=100, default_ttl=3)
+def kb(monkeypatch):
+    monkeypatch.setattr(knowledge, "STRANGER_TTL", 3)
+    return KnowledgeBase(owner=100)
 
 
 def test_add_and_contains(kb):
@@ -135,7 +137,7 @@ def test_add_friends_is_add_node_as_friend_for_each(kb):
     kb.add_node(2)
     kb.set_experience(3, 0.4)
     kb.add_friends([5, 2, 3, 5])
-    one_by_one = KnowledgeBase(owner=100, default_ttl=3)
+    one_by_one = KnowledgeBase(owner=100)
     one_by_one.add_node(2)
     one_by_one.set_experience(3, 0.4)
     for node_id in [5, 2, 3, 5]:
@@ -144,7 +146,7 @@ def test_add_friends_is_add_node_as_friend_for_each(kb):
     assert all(kb.is_friend(node_id) for node_id in kb)
     with pytest.raises(ValueError):
         kb.add_friends([7, 100])
-    empty = KnowledgeBase(owner=100, default_ttl=3)
+    empty = KnowledgeBase(owner=100)
     empty.add_friends(iter([5, 2, 3, 5]))  # the one-call start-up form
     assert rows(empty) == [(5, True, 0.0, None, False), (2, True, 0.0, None, False),
                            (3, True, 0.0, None, False)]
@@ -239,7 +241,13 @@ kb_operations = st.lists(
 
 @given(operations=kb_operations)
 def test_per_id_knowledge_base_equals_the_row_per_node_model(operations):
-    kb = KnowledgeBase(owner=0, default_ttl=2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knowledge, "STRANGER_TTL", 2)
+        _replay_against_the_row_model(operations)
+
+
+def _replay_against_the_row_model(operations):
+    kb = KnowledgeBase(owner=0)
     model = RowKnowledgeBase(owner=0, default_ttl=2)
     for name, *arguments in operations:
         result = getattr(kb, name)(*arguments)
@@ -273,7 +281,7 @@ def test_knowledge_bases_of_a_facebook_graph_hold_under_64_bytes_per_friendship(
         before = tracemalloc.get_traced_memory()[0]
         knowledge = []
         for node, friends in enumerate(friend_lists):
-            kb = KnowledgeBase(owner=node, default_ttl=30)
+            kb = KnowledgeBase(owner=node)
             kb.add_friends(friends)
             knowledge.append(kb)
         held = tracemalloc.get_traced_memory()[0] - before

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core import selection
 from repro.core.config import SoupConfig
 from repro.core.selection import boosted_rank, select_mirrors
 
@@ -46,10 +47,10 @@ def test_zero_rank_candidates_not_selected(config):
     assert 3 not in result.mirrors or result.exploration_node == 3
 
 
-def test_max_mirrors_cap():
-    config = SoupConfig(max_mirrors=5)
+def test_max_mirrors_cap(monkeypatch):
+    monkeypatch.setattr(selection, "MAX_MIRRORS", 5)
     ranking = [(i, 0.1) for i in range(100)]
-    result = select_mirrors(ranking, friends=[], config=config, rng=rng())
+    result = select_mirrors(ranking, friends=[], config=SoupConfig(), rng=rng())
     assert len(result.mirrors) <= 5
 
 

@@ -26,6 +26,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.arch import create_architecture
+from repro.core import knowledge
 from repro.core.config import SoupConfig
 from repro.core.experience import ExperienceReport
 from repro.core.ranking import Recommendation
@@ -120,6 +121,19 @@ def test_engine_and_mirror_manager_make_the_same_selection(
     architecture, steps, recommended, pending, rejected_by, dead,
     unreachable, holding, experienced, normalization, seed,
 ):
+    # Strangers expire after 3 rounds, so the loaded steps prune some.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(knowledge, "STRANGER_TTL", 3)
+        _same_selection(
+            architecture, steps, recommended, pending, rejected_by, dead,
+            unreachable, holding, experienced, normalization, seed,
+        )
+
+
+def _same_selection(
+    architecture, steps, recommended, pending, rejected_by, dead,
+    unreachable, holding, experienced, normalization, seed,
+):
     soup = SoupConfig(experience_normalization=normalization)
     sim = _simulation(soup, architecture)
     node = sim.nodes[OWNER]
@@ -128,7 +142,6 @@ def test_engine_and_mirror_manager_make_the_same_selection(
 
     held = sorted(holding)
     for state in (node, manager):
-        state.knowledge.default_ttl = 3
         _load(state.knowledge, state.bootstrap, steps, recommended)
         state.pending_reports.extend(pending)
         state.rejected_by.update(rejected_by)

@@ -14,7 +14,8 @@ from repro.core.objects import ObjectType, SoupObject
 from repro.deploy.cluster import Cluster
 from repro.deploy.live import transport_codec
 from repro.deploy.live.transport import AsyncClock, LiveTransport
-from repro.network.reliability import Envelope, RetryPolicy
+from repro.network import reliability
+from repro.network.reliability import Envelope
 from repro.node.profile import DataItem
 
 
@@ -76,9 +77,9 @@ def test_a_post_encodes_its_update_once_and_a_retry_encodes_it_again(monkeypatch
         )
         mirrors = list(owner.mirror_manager.announced_mirrors)
         # Short timeouts and no backoff, so the forced retry comes at once.
-        owner.reliability.policy = RetryPolicy(
-            base_delay_s=0.0, jitter_fraction=0.0, attempt_timeout_s=0.05
-        )
+        monkeypatch.setattr(reliability, "BASE_DELAY_S", 0.0)
+        monkeypatch.setattr(reliability, "JITTER_FRACTION", 0.0)
+        monkeypatch.setattr(reliability, "ATTEMPT_TIMEOUT_S", 0.05)
         net.handled.clear()
         calls.clear()
 

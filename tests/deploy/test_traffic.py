@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.deploy import traffic
 from repro.deploy.traffic import MirrorLoadModel, build_inventory
 
 
@@ -40,14 +41,17 @@ class TestMirrorLoad:
         ]
         assert means[0] < means[1] <= means[2] * 1.05
 
-    def test_uplink_capacity_respected(self):
-        model = MirrorLoadModel(uplink_bytes_per_s=500_000, seed=3)
+    def test_uplink_capacity_respected(self, monkeypatch):
+        monkeypatch.setattr(traffic, "MIRROR_UPLINK_BYTES_PER_S", 500_000)
+        model = MirrorLoadModel(seed=3)
         result = model.run(request_rate=20.0, duration_s=120)
         assert result.peak_kb_per_s <= 500_000 / 1024 + 1
 
-    def test_overload_causes_timeouts(self):
+    def test_overload_causes_timeouts(self, monkeypatch):
         """'A request might time out once a mirror becomes overloaded.'"""
-        model = MirrorLoadModel(uplink_bytes_per_s=100_000, timeout_s=3.0, seed=4)
+        monkeypatch.setattr(traffic, "MIRROR_UPLINK_BYTES_PER_S", 100_000)
+        monkeypatch.setattr(traffic, "REQUEST_TIMEOUT_S", 3.0)
+        model = MirrorLoadModel(seed=4)
         result = model.run(request_rate=20.0, duration_s=120)
         assert result.requests_timed_out > 0
 
@@ -58,7 +62,7 @@ class TestMirrorLoad:
         result = model.run(request_rate=20.0, duration_s=300)
         assert result.peak_kb_per_s > 1.3 * result.mean_kb_per_s
         assert result.peak_kb_per_s == pytest.approx(
-            model.uplink_bytes_per_s / 1024, rel=0.01
+            traffic.MIRROR_UPLINK_BYTES_PER_S / 1024, rel=0.01
         )
 
     def test_sweep_covers_paper_rates(self):

@@ -31,6 +31,7 @@ import pytest
 
 from repro.arch.social import SocialMap, SocialRouting
 from repro.dht.node_state import ID_SPACE
+from repro.dht import pastry
 from repro.dht.pastry import PastryOverlay
 from repro.dht.storage import DirectoryEntry
 
@@ -67,10 +68,10 @@ def _dead_set(rng, members, fraction):
             return dead
 
 
-def _run(leaf_half_size, seed, dead_fraction=0.0, policy=False):
+def _run(seed, dead_fraction=0.0, policy=False):
     """Drive one scenario; returns ``(events, summary)``."""
     rng = random.Random(seed)
-    overlay = PastryOverlay(leaf_half_size=leaf_half_size)
+    overlay = PastryOverlay()
     pool = EDGE_IDS + [rng.getrandbits(64) for _ in range(150)]
     rng.shuffle(pool)
     if policy:
@@ -175,7 +176,10 @@ def _run(leaf_half_size, seed, dead_fraction=0.0, policy=False):
 
 
 def _digest(params):
-    events, summary = _run(**params)
+    params = dict(params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pastry, "LEAF_HALF_SIZE", params.pop("leaf_half_size"))
+        events, summary = _run(**params)
     payload = json.dumps(events, separators=(",", ":"))
     return dict(summary, sha256=hashlib.sha256(payload.encode()).hexdigest())
 

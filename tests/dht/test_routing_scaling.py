@@ -4,7 +4,7 @@ once per stored entry.
 Deterministic guards (Python call counts via ``sys.setprofile``, no timing).
 One route inside the leaf range used to cost O(l) calls per hop (``covers``
 looped over the members, ``closest_to`` ran ``min`` over a lambda: 125 calls
-at ``leaf_half_size`` 8, 797 at 64, in the scenario below), and one join
+at ``LEAF_HALF_SIZE`` 8, 797 at 64, in the scenario below), and one join
 used to call the O(N) ``_responsible_node`` for every entry stored anywhere
 (84,839 calls for the 200th join, 1,294,700 for the 800th: cubic in total).
 With the sorted-ring index a route costs the same at any leaf-set size (25
@@ -20,6 +20,7 @@ the same two-hop route computed), and the memo never holds more than
 import random
 import sys
 
+from repro.dht import pastry
 from repro.dht.pastry import ROUTE_MEMO_ENTRIES, PastryOverlay
 from repro.dht.storage import DirectoryEntry
 
@@ -43,30 +44,32 @@ def _python_calls(fn, names=None) -> int:
     return calls
 
 
-def _ring(size: int, leaf_half_size: int = 8):
+def _ring(size: int):
     rng = random.Random(3)
     ids = sorted(rng.getrandbits(64) for _ in range(size))
-    overlay = PastryOverlay(leaf_half_size=leaf_half_size)
+    overlay = PastryOverlay()
     for index, node_id in enumerate(ids):
         overlay.join(node_id, ids[0] if index else None)
     return overlay, ids, rng
 
 
-def _calls_of_one_leaf_range_route(leaf_half_size: int) -> int:
-    overlay, ids, _ = _ring(160, leaf_half_size)
+def _calls_of_one_leaf_range_route() -> int:
+    overlay, ids, _ = _ring(160)
     start, target = ids[40], ids[43]
     key = target + 1
     assert overlay._nodes[start].leaf_set.covers(key)
-    assert len(overlay._nodes[start].leaf_set) == 2 * leaf_half_size
+    assert len(overlay._nodes[start].leaf_set) == 2 * pastry.LEAF_HALF_SIZE
     result = []
     calls = _python_calls(lambda: result.append(overlay.route(start, key)))
     assert result[0].path == [start, target]
     return calls
 
 
-def test_route_cost_independent_of_leaf_set_size():
-    small = _calls_of_one_leaf_range_route(8)
-    large = _calls_of_one_leaf_range_route(64)
+def test_route_cost_independent_of_leaf_set_size(monkeypatch):
+    monkeypatch.setattr(pastry, "LEAF_HALF_SIZE", 8)
+    small = _calls_of_one_leaf_range_route()
+    monkeypatch.setattr(pastry, "LEAF_HALF_SIZE", 64)
+    large = _calls_of_one_leaf_range_route()
     assert large < 1.5 * small, (small, large)
 
 

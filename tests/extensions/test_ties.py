@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.experience import ExperienceReport
-from repro.extensions.ties import TieStrengthModel, tie_adjusted_beta, weigh_reports_by_tie
+from repro.extensions.ties import (
+    INFILTRATION_MAX,
+    TieStrengthModel,
+    tie_adjusted_beta,
+    weigh_reports_by_tie,
+)
 
 
 @pytest.fixture()
@@ -25,7 +30,7 @@ def test_non_friends_have_zero_strength(model):
 
 
 def test_infiltration_ties_are_weak(model):
-    assert model.strength(3, 0) <= TieStrengthModel().infiltration_max
+    assert model.strength(3, 0) <= INFILTRATION_MAX
 
 
 def test_honest_ties_heavy_tailed():

@@ -51,7 +51,8 @@ def test_events_can_schedule_events():
 
 
 def test_schedule_at_absolute_time():
-    loop = EventLoop(start_time=10.0)
+    loop = EventLoop()
+    loop.run_until(10.0)
     fired = []
     loop.schedule_at(12.5, lambda: fired.append(loop.now))
     loop.run_until(20.0)

@@ -1,11 +1,15 @@
-"""Tests for the reliability layer: retry policy, circuit breaker,
-failure detector, and acknowledged sends over the simulated network."""
+"""Tests for the reliability layer: retry backoff, circuit breaker,
+failure detector, and acknowledged sends over the simulated network.
+
+A test that needs another retry, breaker or detector value patches the
+module constant (see :func:`patch`)."""
 
 import gc
 import weakref
 
 import pytest
 
+from repro.network import reliability
 from repro.network.events import EventLoop
 from repro.network.reliability import (
     ACK_BYTES,
@@ -18,8 +22,8 @@ from repro.network.reliability import (
     FailureDetector,
     ReliabilityStats,
     ReliableEndpoint,
-    RetryPolicy,
     _OriginLedger,
+    backoff_s,
 )
 from repro.network.simnet import SimNetwork
 from repro.network.transport import LinkSpec
@@ -29,75 +33,78 @@ FAST_LINK = LinkSpec(
 )
 
 
+def patch(monkeypatch, **constants):
+    """Set reliability module constants for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(reliability, name, value)
+
+
+def retry_delays(seed, key):
+    """The backoff before every retry of one message."""
+    return [backoff_s(attempt, seed, key) for attempt in range(1, reliability.MAX_ATTEMPTS)]
+
+
 class TestRetryPolicy:
     def test_schedule_deterministic_for_seed_and_key(self):
-        policy = RetryPolicy()
-        assert policy.schedule(seed=7, key=42) == policy.schedule(seed=7, key=42)
+        assert retry_delays(seed=7, key=42) == retry_delays(seed=7, key=42)
 
     def test_schedule_varies_with_seed_and_key(self):
-        policy = RetryPolicy()
-        base = policy.schedule(seed=7, key=42)
-        assert base != policy.schedule(seed=8, key=42)
-        assert base != policy.schedule(seed=7, key=43)
+        base = retry_delays(seed=7, key=42)
+        assert base != retry_delays(seed=8, key=42)
+        assert base != retry_delays(seed=7, key=43)
 
-    def test_backoff_grows_within_jitter_bounds(self):
-        policy = RetryPolicy(
-            base_delay_s=1.0, multiplier=2.0, jitter_fraction=0.25, max_attempts=5
-        )
-        for attempt in range(1, policy.max_attempts):
-            nominal = policy.base_delay_s * policy.multiplier ** (attempt - 1)
-            delay = policy.backoff_s(attempt, seed=0, key="k")
+    def test_backoff_grows_within_jitter_bounds(self, monkeypatch):
+        patch(monkeypatch, BASE_DELAY_S=1.0, BACKOFF_MULTIPLIER=2.0,
+              JITTER_FRACTION=0.25, MAX_ATTEMPTS=5)
+        for attempt in range(1, 5):
+            nominal = 1.0 * 2.0 ** (attempt - 1)
+            delay = backoff_s(attempt, seed=0, key="k")
             assert nominal * 0.75 <= delay <= nominal * 1.25
 
-    def test_zero_jitter_is_exact_exponential(self):
-        policy = RetryPolicy(base_delay_s=0.5, multiplier=2.0, jitter_fraction=0.0)
-        assert policy.schedule(seed=0, key=0) == [0.5, 1.0, 2.0]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(attempt_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_fraction=1.0)
+    def test_zero_jitter_is_exact_exponential(self, monkeypatch):
+        patch(monkeypatch, BASE_DELAY_S=0.5, BACKOFF_MULTIPLIER=2.0, JITTER_FRACTION=0.0)
+        assert retry_delays(seed=0, key=0) == [0.5, 1.0, 2.0]
 
 
 class TestCircuitBreaker:
-    def test_stays_closed_below_threshold(self):
-        breaker = CircuitBreaker(failure_threshold=3)
+    def test_stays_closed_below_threshold(self, monkeypatch):
+        patch(monkeypatch, FAILURE_THRESHOLD=3)
+        breaker = CircuitBreaker()
         breaker.record_failure(1, now=0.0)
         breaker.record_failure(1, now=1.0)
         assert breaker.state_of(1) == CLOSED
         assert breaker.allow(1, now=2.0)
 
-    def test_opens_at_threshold_and_blocks(self):
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout_s=30.0)
+    def test_opens_at_threshold_and_blocks(self, monkeypatch):
+        patch(monkeypatch, FAILURE_THRESHOLD=3, RESET_TIMEOUT_S=30.0)
+        breaker = CircuitBreaker()
         for t in range(3):
             breaker.record_failure(1, now=float(t))
         assert breaker.state_of(1) == OPEN
         assert not breaker.allow(1, now=5.0)
         assert breaker.transitions == {"closed->open": 1}
 
-    def test_half_open_after_reset_timeout(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=10.0)
+    def test_half_open_after_reset_timeout(self, monkeypatch):
+        patch(monkeypatch, FAILURE_THRESHOLD=1, RESET_TIMEOUT_S=10.0)
+        breaker = CircuitBreaker()
         breaker.record_failure(1, now=0.0)
         assert not breaker.allow(1, now=9.9)
         assert breaker.allow(1, now=10.0)
         assert breaker.state_of(1) == HALF_OPEN
         assert breaker.transitions["open->half-open"] == 1
 
-    def test_probe_success_closes(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=10.0)
+    def test_probe_success_closes(self, monkeypatch):
+        patch(monkeypatch, FAILURE_THRESHOLD=1, RESET_TIMEOUT_S=10.0)
+        breaker = CircuitBreaker()
         breaker.record_failure(1, now=0.0)
         breaker.state_of(1, now=10.0)  # -> half-open
         breaker.record_success(1, now=10.5)
         assert breaker.state_of(1) == CLOSED
         assert breaker.transitions["half-open->closed"] == 1
 
-    def test_probe_failure_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=10.0)
+    def test_probe_failure_reopens(self, monkeypatch):
+        patch(monkeypatch, FAILURE_THRESHOLD=1, RESET_TIMEOUT_S=10.0)
+        breaker = CircuitBreaker()
         breaker.record_failure(1, now=0.0)
         breaker.state_of(1, now=10.0)  # -> half-open
         breaker.record_failure(1, now=10.5)
@@ -106,30 +113,27 @@ class TestCircuitBreaker:
         # The reopened window restarts from the probe failure.
         assert breaker.state_of(1, now=20.6) == HALF_OPEN
 
-    def test_success_resets_failure_count(self):
-        breaker = CircuitBreaker(failure_threshold=2)
+    def test_success_resets_failure_count(self, monkeypatch):
+        patch(monkeypatch, FAILURE_THRESHOLD=2)
+        breaker = CircuitBreaker()
         breaker.record_failure(1, now=0.0)
         breaker.record_success(1, now=1.0)
         breaker.record_failure(1, now=2.0)
         assert breaker.state_of(1) == CLOSED
 
-    def test_destinations_independent(self):
-        breaker = CircuitBreaker(failure_threshold=1)
+    def test_destinations_independent(self, monkeypatch):
+        patch(monkeypatch, FAILURE_THRESHOLD=1)
+        breaker = CircuitBreaker()
         breaker.record_failure(1, now=0.0)
         assert breaker.state_of(1) == OPEN
         assert breaker.state_of(2) == CLOSED
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(reset_timeout_s=0.0)
-
-    def test_half_open_reprobe_cycles_until_success(self):
+    def test_half_open_reprobe_cycles_until_success(self, monkeypatch):
         # open -> half-open -> probe fails -> open -> half-open -> probe
         # succeeds -> closed: every transition is counted exactly once per
         # cycle and each reopened window restarts from the failed probe.
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=10.0)
+        patch(monkeypatch, FAILURE_THRESHOLD=1, RESET_TIMEOUT_S=10.0)
+        breaker = CircuitBreaker()
         breaker.record_failure(1, now=0.0)
         assert breaker.state_of(1, now=10.0) == HALF_OPEN
         breaker.record_failure(1, now=10.5)  # probe #1 fails
@@ -144,10 +148,11 @@ class TestCircuitBreaker:
             "half-open->closed": 1,
         }
 
-    def test_closed_after_probe_requires_full_threshold_again(self):
+    def test_closed_after_probe_requires_full_threshold_again(self, monkeypatch):
         # A recovery via the half-open probe must not leave stale failure
-        # counts: re-opening takes ``failure_threshold`` fresh failures.
-        breaker = CircuitBreaker(failure_threshold=3, reset_timeout_s=10.0)
+        # counts: re-opening takes ``FAILURE_THRESHOLD`` fresh failures.
+        patch(monkeypatch, FAILURE_THRESHOLD=3, RESET_TIMEOUT_S=10.0)
+        breaker = CircuitBreaker()
         for t in range(3):
             breaker.record_failure(1, now=float(t))
         breaker.state_of(1, now=20.0)  # -> half-open
@@ -158,10 +163,11 @@ class TestCircuitBreaker:
         breaker.record_failure(1, now=23.0)
         assert breaker.state_of(1) == OPEN
 
-    def test_clock_skew_backwards_keeps_circuit_open(self):
+    def test_clock_skew_backwards_keeps_circuit_open(self, monkeypatch):
         # A ``now`` earlier than the opening timestamp (clock skew, replayed
         # timers) must never count as "timeout elapsed".
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=10.0)
+        patch(monkeypatch, FAILURE_THRESHOLD=1, RESET_TIMEOUT_S=10.0)
+        breaker = CircuitBreaker()
         breaker.record_failure(1, now=100.0)
         assert breaker.state_of(1, now=95.0) == OPEN
         assert not breaker.allow(1, now=0.0)
@@ -169,9 +175,10 @@ class TestCircuitBreaker:
         assert breaker.allow(1, now=110.0)
         assert breaker.state_of(1) == HALF_OPEN
 
-    def test_state_of_without_now_never_transitions(self):
+    def test_state_of_without_now_never_transitions(self, monkeypatch):
         # Read-only inspection (no ``now``) must not promote open circuits.
-        breaker = CircuitBreaker(failure_threshold=1, reset_timeout_s=10.0)
+        patch(monkeypatch, FAILURE_THRESHOLD=1, RESET_TIMEOUT_S=10.0)
+        breaker = CircuitBreaker()
         breaker.record_failure(1, now=0.0)
         for _ in range(3):
             assert breaker.state_of(1) == OPEN
@@ -179,9 +186,10 @@ class TestCircuitBreaker:
 
 
 class TestFailureDetector:
-    def test_declares_dead_at_threshold_once(self):
+    def test_declares_dead_at_threshold_once(self, monkeypatch):
+        patch(monkeypatch, SUSPICION_THRESHOLD=3)
         deaths = []
-        detector = FailureDetector(suspicion_threshold=3, on_dead=deaths.append)
+        detector = FailureDetector(on_dead=deaths.append)
         assert not detector.record_failure(9)
         assert not detector.record_failure(9)
         assert detector.record_failure(9)  # newly dead
@@ -190,16 +198,18 @@ class TestFailureDetector:
         assert detector.is_dead(9)
         assert detector.deaths_declared == 1
 
-    def test_success_resets_suspicion(self):
-        detector = FailureDetector(suspicion_threshold=2)
+    def test_success_resets_suspicion(self, monkeypatch):
+        patch(monkeypatch, SUSPICION_THRESHOLD=2)
+        detector = FailureDetector()
         detector.record_failure(9)
         detector.record_success(9)
         detector.record_failure(9)
         assert not detector.is_dead(9)
 
-    def test_revival_fires_on_alive(self):
+    def test_revival_fires_on_alive(self, monkeypatch):
+        patch(monkeypatch, SUSPICION_THRESHOLD=1)
         alive = []
-        detector = FailureDetector(suspicion_threshold=1, on_alive=alive.append)
+        detector = FailureDetector(on_alive=alive.append)
         detector.record_failure(9)
         assert detector.is_dead(9)
         detector.record_success(9)
@@ -207,22 +217,22 @@ class TestFailureDetector:
         assert alive == [9]
         assert detector.revivals == 1
 
-    def test_declare_dead_is_immediate_and_idempotent(self):
+    def test_declare_dead_is_immediate_and_idempotent(self, monkeypatch):
+        patch(monkeypatch, SUSPICION_THRESHOLD=5)
         deaths = []
-        detector = FailureDetector(suspicion_threshold=5, on_dead=deaths.append)
+        detector = FailureDetector(on_dead=deaths.append)
         assert detector.declare_dead(9)
         assert not detector.declare_dead(9)
         assert deaths == [9]
         assert detector.dead_peers() == {9}
 
-    def test_success_after_declared_dead_revives_and_resets(self):
+    def test_success_after_declared_dead_revives_and_resets(self, monkeypatch):
         # A delivery observed from a force-declared-dead peer (e.g. the
         # "dead" mirror answers a later probe) revives it AND zeroes its
         # suspicion — a single stale failure afterwards must not re-kill it.
+        patch(monkeypatch, SUSPICION_THRESHOLD=3)
         deaths, alive = [], []
-        detector = FailureDetector(
-            suspicion_threshold=3, on_dead=deaths.append, on_alive=alive.append
-        )
+        detector = FailureDetector(on_dead=deaths.append, on_alive=alive.append)
         detector.declare_dead(9)
         assert detector.suspicion_of(9) == 3
         detector.record_success(9)
@@ -235,9 +245,10 @@ class TestFailureDetector:
         assert detector.record_failure(9)
         assert deaths == [9, 9] and detector.deaths_declared == 2
 
-    def test_failures_after_death_keep_raising_suspicion_silently(self):
+    def test_failures_after_death_keep_raising_suspicion_silently(self, monkeypatch):
+        patch(monkeypatch, SUSPICION_THRESHOLD=2)
         deaths = []
-        detector = FailureDetector(suspicion_threshold=2, on_dead=deaths.append)
+        detector = FailureDetector(on_dead=deaths.append)
         detector.record_failure(9)
         detector.record_failure(9)
         assert detector.is_dead(9)
@@ -248,23 +259,21 @@ class TestFailureDetector:
         assert detector.suspicion_of(9) == 4
         assert deaths == [9] and detector.deaths_declared == 1
 
-    def test_success_on_unknown_peer_is_a_noop(self):
+    def test_success_on_unknown_peer_is_a_noop(self, monkeypatch):
+        patch(monkeypatch, SUSPICION_THRESHOLD=2)
         alive = []
-        detector = FailureDetector(suspicion_threshold=2, on_alive=alive.append)
+        detector = FailureDetector(on_alive=alive.append)
         detector.record_success(42)
         assert not alive and detector.revivals == 0
         assert detector.suspicion_of(42) == 0
 
-    def test_declare_dead_never_lowers_suspicion(self):
-        detector = FailureDetector(suspicion_threshold=2)
+    def test_declare_dead_never_lowers_suspicion(self, monkeypatch):
+        patch(monkeypatch, SUSPICION_THRESHOLD=2)
+        detector = FailureDetector()
         for _ in range(5):
             detector.record_failure(9)
         detector.declare_dead(9)  # already dead via threshold
         assert detector.suspicion_of(9) == 5  # max(), not overwrite
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FailureDetector(suspicion_threshold=0)
 
 
 class TestReliabilityStats:
@@ -281,7 +290,7 @@ class TestReliabilityStats:
 class Harness:
     """Two reliable endpoints on one simulated network."""
 
-    def __init__(self, seed=0, policy=None, breaker=None):
+    def __init__(self, seed=0):
         self.loop = EventLoop()
         self.net = SimNetwork(self.loop)
         self.inbox_a = []
@@ -290,8 +299,6 @@ class Harness:
             1,
             self.net,
             inner_handler=lambda s, m: self.inbox_a.append((self.loop.now, s, m)),
-            policy=policy,
-            breaker=breaker,
             seed=seed,
         )
         self.b = ReliableEndpoint(
@@ -408,11 +415,12 @@ def test_cancelled_ack_timer_does_not_fire_into_a_later_send():
     assert h.a.pending_count() == 0 and h.loop.pending() == 0
 
 
-def test_network_failure_cancels_the_ack_timer_of_that_attempt():
+def test_network_failure_cancels_the_ack_timer_of_that_attempt(monkeypatch):
     """An attempt that fails fast (receiver unreachable) moves on to its
     backoff; the ack timer it leaves behind must not count a timeout
     against the retry."""
-    h = Harness(policy=RetryPolicy(base_delay_s=2.5, jitter_fraction=0.0))
+    patch(monkeypatch, BASE_DELAY_S=2.5, JITTER_FRACTION=0.0)
+    h = Harness()
     h.net.set_online(2, False)
     h.loop.schedule(1.0, lambda: h.net.set_online(2, True))
     h.a.send_reliable(2, "x", 100)
@@ -490,11 +498,12 @@ def test_receiver_state_stays_bounded_over_10k_acked_sends():
     assert ledger.floor >= n - 64
 
 
-def test_late_copy_of_a_given_up_send_is_dropped_not_applied():
+def test_late_copy_of_a_given_up_send_is_dropped_not_applied(monkeypatch):
     """A copy that arrives after its origin gave up on the send is below
     the floor a later envelope announced: acked, counted as a duplicate,
     never handed to the inner handler."""
-    h = Harness(policy=RetryPolicy(max_attempts=2, jitter_fraction=0.0))
+    patch(monkeypatch, MAX_ATTEMPTS=2, JITTER_FRACTION=0.0)
+    h = Harness()
     h.net.set_extra_delay(100.0)  # both attempts arrive at t ≈ 100 s
     given_up = []
     h.a.send_reliable(2, "doomed", 100, on_giveup=lambda d, p, r: given_up.append(p))
@@ -525,9 +534,10 @@ def test_giveup_after_max_attempts_and_detector_declares_dead():
     assert h.a.detector.is_dead(2)
 
 
-def test_open_circuit_blocks_sends():
+def test_open_circuit_blocks_sends(monkeypatch):
     # Long reset timeout so the breaker cannot drift to half-open here.
-    h = Harness(breaker=CircuitBreaker(failure_threshold=3, reset_timeout_s=1000.0))
+    patch(monkeypatch, FAILURE_THRESHOLD=3, RESET_TIMEOUT_S=1000.0)
+    h = Harness()
     h.net.set_online(2, False)
     h.a.send_reliable(2, "first", 100)
     h.run(120.0)  # exhausts retries, opens the breaker
@@ -547,7 +557,7 @@ def test_half_open_probe_recovers_after_outage():
     # state_of without a clock never transitions lazily to half-open.
     assert h.a.breaker.state_of(2) == OPEN
     h.net.set_online(2, True)
-    h.run(h.a.breaker.reset_timeout_s + 1.0)  # open -> half-open
+    h.run(reliability.RESET_TIMEOUT_S + 1.0)  # open -> half-open
     h.a.send_reliable(2, "probe", 100)
     h.run(10.0)
     assert "probe" in [m for _, _, m in h.inbox_b]
@@ -586,5 +596,4 @@ def test_retry_timeline_is_deterministic_for_fixed_seed():
         return events, h.a.stats.retries, h.a.stats.timeouts
 
     assert timeline(7) == timeline(7)
-    policy = RetryPolicy()
-    assert policy.schedule(7, 0) != policy.schedule(8, 0)
+    assert retry_delays(7, 0) != retry_delays(8, 0)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.node import devices
 from repro.node.devices import DeviceGroup, DeviceReplica, UpdateLog
 from repro.node.profile import DataItem
 from repro.node.sync import PendingUpdate
@@ -31,16 +32,13 @@ class TestUpdateLog:
         log.append(update(1, timestamp=1.0))
         assert [u.sequence for u in log.entries()] == [1, 2]
 
-    def test_bounded_retention(self):
-        log = UpdateLog(max_entries=3)
+    def test_bounded_retention(self, monkeypatch):
+        monkeypatch.setattr(devices, "UPDATE_LOG_ENTRIES", 3)
+        log = UpdateLog()
         for seq in range(6):
             log.append(update(seq, timestamp=float(seq)))
         assert len(log) == 3
         assert [u.sequence for u in log.entries()] == [3, 4, 5]
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            UpdateLog(max_entries=0)
 
 
 class TestDeviceReplica:

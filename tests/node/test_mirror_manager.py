@@ -8,6 +8,7 @@ from repro.core.config import SoupConfig
 from repro.core.experience import ExperienceReport
 from repro.core.ranking import BOOTSTRAP_PRIOR, Recommendation, candidate_ranking
 from repro.node.mirror_manager import MirrorManager
+from repro.sim.invariants import check_mirror_manager
 
 
 @pytest.fixture()
@@ -122,7 +123,7 @@ def test_store_request_refresh_cannot_bypass_capacity(manager):
         assert (decision.accepted, decision.dropped_owner) == (True, None)
     assert manager.store.replica_count() == 10
     assert not manager.handle_store_request(owner=9, is_friend=False).accepted
-    manager.verify_invariants()
+    check_mirror_manager(manager)
 
 
 def test_mirroring_disabled_rejects_storage():

@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from repro.node import sync
 from repro.node.sync import PendingUpdate, UpdateBuffer
 
 
@@ -72,8 +73,9 @@ class TestUpdateBuffer:
 
 
 class TestUpdateBufferCap:
-    def test_cap_drops_oldest_keeps_newest(self):
-        buffer = UpdateBuffer(max_per_target=2)
+    def test_cap_drops_oldest_keeps_newest(self, monkeypatch):
+        monkeypatch.setattr(sync, "UPDATE_BUFFER_PER_TARGET", 2)
+        buffer = UpdateBuffer()
         buffer.add(update(timestamp=1.0, sequence=1))
         buffer.add(update(timestamp=2.0, sequence=2))
         buffer.add(update(timestamp=3.0, sequence=3))
@@ -81,24 +83,20 @@ class TestUpdateBufferCap:
         assert [u.timestamp for u in pending] == [2.0, 3.0]
         assert buffer.dropped_updates == 1
 
-    def test_duplicate_does_not_evict(self):
-        buffer = UpdateBuffer(max_per_target=2)
+    def test_duplicate_does_not_evict(self, monkeypatch):
+        monkeypatch.setattr(sync, "UPDATE_BUFFER_PER_TARGET", 2)
+        buffer = UpdateBuffer()
         buffer.add(update(timestamp=1.0, sequence=1))
         buffer.add(update(timestamp=2.0, sequence=2))
         buffer.add(update(timestamp=2.0, sequence=2))  # dedup, not overflow
         assert buffer.pending_count(1) == 2
         assert buffer.dropped_updates == 0
 
-    def test_cap_is_per_target(self):
-        buffer = UpdateBuffer(max_per_target=1)
+    def test_cap_is_per_target(self, monkeypatch):
+        monkeypatch.setattr(sync, "UPDATE_BUFFER_PER_TARGET", 1)
+        buffer = UpdateBuffer()
         buffer.add(update(target=1, sequence=1))
         buffer.add(update(target=2, sequence=2))
         assert buffer.pending_count(1) == 1
         assert buffer.pending_count(2) == 1
         assert buffer.dropped_updates == 0
-
-    def test_invalid_cap_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            UpdateBuffer(max_per_target=0)

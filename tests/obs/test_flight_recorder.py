@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 
+from repro.obs import flight
 from repro.obs import (
     FlightRecorder,
     HARNESS_NODE_ID,
@@ -72,9 +73,10 @@ class TestFlightRecorder:
         recorder.close()
         assert record["node"] == 42
 
-    def test_ring_is_bounded_file_is_not(self, tmp_path):
+    def test_ring_is_bounded_file_is_not(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(flight, "FLIGHT_CAPACITY", 8)
         path = str(tmp_path / "node.jsonl")
-        recorder = FlightRecorder(1, path, capacity=8)
+        recorder = FlightRecorder(1, path)
         for attempt in range(50):
             recorder.emit("retry", kind="push", attempt=attempt)
         recent = recorder.recent()

@@ -2,7 +2,7 @@
 
 Every registered :class:`~repro.arch.MirrorSelectionStrategy` must honour
 the K-replication contract Algorithm 1 guarantees, whatever it does to
-the candidate ranking: never more than ``max_mirrors`` mirrors (plus the
+the candidate ranking: never more than ``MAX_MIRRORS`` mirrors (plus the
 one exploration node), no duplicates, and never a node from ``exclude``
 — which is how the engine passes blacklisted, rejecting, and offline
 nodes into selection.
@@ -20,7 +20,7 @@ from repro.arch import (
     create_architecture,
 )
 from repro.core.config import SoupConfig
-from repro.core.selection import Exclusion
+from repro.core.selection import MAX_MIRRORS, Exclusion
 
 node_ids = st.integers(1, 2_000)
 ranks = st.floats(0.0, 1.0, allow_nan=False)
@@ -98,7 +98,7 @@ def test_every_selection_strategy_preserves_replication_invariant(
             exclude=exclude,
         )
         mirrors = result.mirrors
-        assert len(mirrors) <= config.max_mirrors + 1, name
+        assert len(mirrors) <= MAX_MIRRORS + 1, name
         assert len(set(mirrors)) == len(mirrors), name
         assert [m for m in mirrors if m in exclude] == [], name
         assert owner not in mirrors, name

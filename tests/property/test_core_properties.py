@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.config import SoupConfig
 from repro.core.dropping import ReplicaStore
 from repro.core.experience import ExperienceReport, update_experience
-from repro.core.selection import select_mirrors
+from repro.core.selection import MAX_MIRRORS, select_mirrors
 
 CONFIG = SoupConfig()
 
@@ -81,7 +81,7 @@ class TestSelectionProperties:
     @settings(max_examples=60)
     def test_mirror_count_bounded(self, ranking, seed):
         result = select_mirrors(ranking, [], CONFIG, random.Random(seed))
-        assert len(result.mirrors) <= CONFIG.max_mirrors + 1  # + exploration
+        assert len(result.mirrors) <= MAX_MIRRORS + 1  # + exploration
 
     @given(ranking=ranking_strategy, seed=st.integers(0, 1000))
     @settings(max_examples=60)

@@ -9,9 +9,11 @@ everywhere, including where a bisect is easiest to get wrong: ids 0 and
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dht import pastry
 from repro.dht.node_state import (
     ID_DIGITS,
     ID_SPACE,
@@ -230,34 +232,36 @@ def test_indexed_leaf_set_matches_scan_oracle(owner, half_size, ops, keys):
 )
 @settings(max_examples=30, deadline=None)
 def test_responsible_node_matches_scan_under_churn(pool, ops, keys, leaf_half_size):
-    overlay = PastryOverlay(leaf_half_size=leaf_half_size)
-    outside = list(pool)
-    members = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pastry, "LEAF_HALF_SIZE", leaf_half_size)
+        overlay = PastryOverlay()
+        outside = list(pool)
+        members = []
 
-    def join():
-        node_id = outside.pop()
-        overlay.join(node_id, members[0] if members else None)
-        members.append(node_id)
+        def join():
+            node_id = outside.pop()
+            overlay.join(node_id, members[0] if members else None)
+            members.append(node_id)
 
-    join()
-    for op, pick in ops:
-        if op == "join":
-            if not outside:
-                continue
-            join()
-        else:
-            if len(members) < 2:
-                continue
-            victim = members.pop(pick % len(members))
-            outside.append(victim)
-            getattr(overlay, op)(victim)
-        assert sorted(overlay.node_ids()) == sorted(members)
-        for key in keys + members:
-            assert overlay._responsible_node(key) == scan_closest(members, key)
-            # With repaired leaf sets, routing agrees with the ground truth.
-            assert overlay.route(members[0], key).responsible == scan_closest(
-                members, key
-            )
+        join()
+        for op, pick in ops:
+            if op == "join":
+                if not outside:
+                    continue
+                join()
+            else:
+                if len(members) < 2:
+                    continue
+                victim = members.pop(pick % len(members))
+                outside.append(victim)
+                getattr(overlay, op)(victim)
+            assert sorted(overlay.node_ids()) == sorted(members)
+            for key in keys + members:
+                assert overlay._responsible_node(key) == scan_closest(members, key)
+                # With repaired leaf sets, routing agrees with the ground truth.
+                assert overlay.route(members[0], key).responsible == scan_closest(
+                    members, key
+                )
 
 
 class CountingPolicy:
@@ -293,55 +297,57 @@ def test_remembered_routes_match_the_unremembered_route(pool, ops, leaf_half_siz
     """Two overlays take the same churn and traffic; ``oracle`` computes
     every route afresh (as before routes were remembered).  Routes,
     lookups, counters and routing-policy calls must agree throughout."""
-    overlay = PastryOverlay(leaf_half_size=leaf_half_size)
-    oracle = PastryOverlay(leaf_half_size=leaf_half_size)
-    oracle._remembered_route = oracle._route
-    both = (overlay, oracle)
-    policies = {}
-    outside = list(pool)
-    members = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pastry, "LEAF_HALF_SIZE", leaf_half_size)
+        overlay = PastryOverlay()
+        oracle = PastryOverlay()
+        oracle._remembered_route = oracle._route
+        both = (overlay, oracle)
+        policies = {}
+        outside = list(pool)
+        members = []
 
-    def join():
-        node_id = outside.pop()
-        for ring in both:
-            ring.join(node_id, members[0] if members else None)
-        members.append(node_id)
+        def join():
+            node_id = outside.pop()
+            for ring in both:
+                ring.join(node_id, members[0] if members else None)
+            members.append(node_id)
 
-    join()
-    for op, pick, mask, key in ops:
-        start = members[pick % len(members)]
-        avoid = frozenset(m for i, m in enumerate(members) if mask >> i & 1)
-        if op == "join":
-            if outside:
-                join()
-        elif op in ("leave", "fail"):
-            if len(members) > 1:
-                victim = members.pop(pick % len(members))
-                outside.append(victim)
+        join()
+        for op, pick, mask, key in ops:
+            start = members[pick % len(members)]
+            avoid = frozenset(m for i, m in enumerate(members) if mask >> i & 1)
+            if op == "join":
+                if outside:
+                    join()
+            elif op in ("leave", "fail"):
+                if len(members) > 1:
+                    victim = members.pop(pick % len(members))
+                    outside.append(victim)
+                    for ring in both:
+                        getattr(ring, op)(victim)
+            elif op == "policy":
+                if policies:
+                    policies = {}
+                else:
+                    policies = {ring: CountingPolicy(pool) for ring in both}
                 for ring in both:
-                    getattr(ring, op)(victim)
-        elif op == "policy":
-            if policies:
-                policies = {}
+                    ring.set_routing_policy(policies.get(ring))
+            elif op == "route":
+                routed = overlay.route(start, key, avoid)
+                assert routed == oracle.route(start, key, avoid)
+                routed.delivered = False
+                routed.path.append(key)
+                assert overlay.route(start, key, avoid) == oracle.route(start, key, avoid)
+            elif op == "publish":
+                entry = DirectoryEntry(soup_id=key, version=mask)
+                assert overlay.publish(start, key, entry) == oracle.publish(start, key, entry)
             else:
-                policies = {ring: CountingPolicy(pool) for ring in both}
-            for ring in both:
-                ring.set_routing_policy(policies.get(ring))
-        elif op == "route":
-            routed = overlay.route(start, key, avoid)
-            assert routed == oracle.route(start, key, avoid)
-            routed.delivered = False
-            routed.path.append(key)
-            assert overlay.route(start, key, avoid) == oracle.route(start, key, avoid)
-        elif op == "publish":
-            entry = DirectoryEntry(soup_id=key, version=mask)
-            assert overlay.publish(start, key, entry) == oracle.publish(start, key, entry)
-        else:
-            for ring in both:
-                ring.set_liveness(lambda node_id, dead=avoid: node_id not in dead)
-            assert overlay.lookup(start, key) == oracle.lookup(start, key)
-        if policies:
-            assert policies[overlay].calls == policies[oracle].calls
-        assert overlay_violations(overlay) == []
-    for counter in ("lookup_retries", "lookup_alternate_hits", "publishes_unreachable"):
-        assert getattr(overlay, counter) == getattr(oracle, counter)
+                for ring in both:
+                    ring.set_liveness(lambda node_id, dead=avoid: node_id not in dead)
+                assert overlay.lookup(start, key) == oracle.lookup(start, key)
+            if policies:
+                assert policies[overlay].calls == policies[oracle].calls
+            assert overlay_violations(overlay) == []
+        for counter in ("lookup_retries", "lookup_alternate_hits", "publishes_unreachable"):
+            assert getattr(overlay, counter) == getattr(oracle, counter)

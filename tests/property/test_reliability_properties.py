@@ -9,11 +9,13 @@ layer must absorb every copy.
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network import reliability
 from repro.network.events import EventLoop
-from repro.network.reliability import Envelope, ReliableEndpoint, RetryPolicy
+from repro.network.reliability import Envelope, ReliableEndpoint, backoff_s
 from repro.network.simnet import SimNetwork
 from repro.network.transport import LinkSpec
 
@@ -83,12 +85,12 @@ def test_reliable_delivery_never_applies_twice(seed, n_messages, blips):
 )
 @settings(max_examples=60, deadline=None)
 def test_retry_schedule_pure_and_bounded(seed, key, max_attempts, jitter):
-    policy = RetryPolicy(max_attempts=max_attempts, jitter_fraction=jitter)
-    first = policy.schedule(seed, key)
-    assert first == policy.schedule(seed, key)
-    assert len(first) == max_attempts - 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reliability, "JITTER_FRACTION", jitter)
+        first = [backoff_s(attempt, seed, key) for attempt in range(1, max_attempts)]
+        assert first == [backoff_s(attempt, seed, key) for attempt in range(1, max_attempts)]
     for attempt, delay in enumerate(first, start=1):
-        nominal = policy.base_delay_s * policy.multiplier ** (attempt - 1)
+        nominal = reliability.BASE_DELAY_S * reliability.BACKOFF_MULTIPLIER ** (attempt - 1)
         assert nominal * (1 - jitter) <= delay <= nominal * (1 + jitter)
 
 
@@ -139,13 +141,18 @@ def test_at_most_once_under_duplicated_reordered_delayed_envelopes(
     duplicates, reorders and delays envelopes; retries and give-ups
     happen.  Every payload is applied at most once, every ack is backed
     by an application, and every send resolves."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reliability, "MAX_ATTEMPTS", max_attempts)
+        _at_most_once(seed, n_messages, max_copies, max_delay_s, blips)
+
+
+def _at_most_once(seed, n_messages, max_copies, max_delay_s, blips):
     loop = EventLoop()
     net = ChaoticNetwork(loop, seed, max_copies, max_delay_s)
-    policy = RetryPolicy(max_attempts=max_attempts)
     applied = {2: [], 3: []}
     endpoints = {
         node: ReliableEndpoint(
-            node, net, policy=policy, seed=seed + node,
+            node, net, seed=seed + node,
             inner_handler=lambda s, m, node=node: applied.get(node, []).append(m),
         )
         for node in (1, 2, 3)

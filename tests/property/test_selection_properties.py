@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SoupConfig
-from repro.core.selection import boosted_rank, select_mirrors
+from repro.core.selection import MAX_MIRRORS, boosted_rank, select_mirrors
 
 node_ids = st.integers(1, 10_000)
 ranks = st.floats(0.0, 1.0, allow_nan=False)
@@ -32,7 +32,7 @@ def test_greedy_terminates_at_epsilon_or_exhaustion(ranking, seed):
     config = SoupConfig()
     result = run(ranking, seed=seed, config=config)
     positive = [r for _, r in ranking if r > 0.0]
-    exhausted = len(result.mirrors) >= min(len(positive), config.max_mirrors)
+    exhausted = len(result.mirrors) >= min(len(positive), MAX_MIRRORS)
     assert result.estimated_error <= config.epsilon or exhausted
     # perr matches the product over the greedy-selected ranks exactly.
     ranks_by_node = {node: min(1.0, max(0.0, r)) for node, r in ranking}
@@ -49,7 +49,7 @@ def test_no_superfluous_mirrors(ranking, seed):
     config = SoupConfig()
     result = run(ranking, seed=seed, config=config)
     greedy = [m for m in result.mirrors if m != result.exploration_node]
-    if len(greedy) < 2 or len(greedy) >= config.max_mirrors:
+    if len(greedy) < 2 or len(greedy) >= MAX_MIRRORS:
         return
     ranks_by_node = {node: min(1.0, max(0.0, r)) for node, r in ranking}
     perr_without_last = 1.0
@@ -67,9 +67,9 @@ def test_exploration_node_always_included(ranking, pool, seed):
     """Stage 3 always adds one unranked node while under the mirror cap."""
     config = SoupConfig()
     result = run(ranking, pool=sorted(pool), seed=seed, config=config)
-    if len(result.mirrors) <= config.max_mirrors and result.exploration_node is None:
+    if len(result.mirrors) <= MAX_MIRRORS and result.exploration_node is None:
         # Only legal if the greedy stage alone already filled the cap.
-        assert len(result.mirrors) >= config.max_mirrors
+        assert len(result.mirrors) >= MAX_MIRRORS
     if result.exploration_node is not None:
         assert result.exploration_node in pool
         assert result.exploration_node in result.mirrors
@@ -112,4 +112,4 @@ def test_selection_sanity(ranking, pool, exclude_picks, seed):
     result = run(ranking, pool=sorted(pool), exclude=exclude, seed=seed, config=config)
     assert len(result.mirrors) == len(set(result.mirrors))
     assert not exclude & set(result.mirrors)
-    assert len(result.mirrors) <= config.max_mirrors + 1
+    assert len(result.mirrors) <= MAX_MIRRORS + 1

@@ -8,9 +8,11 @@ the minimum (``UpdateBuffer``).  Under any arrival order, duplicates and cap
 overflow the two must agree entry for entry.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.node import devices, sync
 from repro.node.devices import UpdateLog
 from repro.node.sync import PendingUpdate, UpdateBuffer
 
@@ -84,23 +86,27 @@ updates_strategy = st.lists(
 
 @given(updates=updates_strategy, cap=st.integers(1, 8))
 def test_update_log_equals_sort_per_append(updates, cap):
-    log, oracle = UpdateLog(max_entries=cap), SortPerAppendLog(cap)
-    for update in updates:
-        assert log.append(update) == oracle.append(update)
-        assert log.entries() == oracle.entries
-        assert len(log) == len(oracle.entries)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(devices, "UPDATE_LOG_ENTRIES", cap)
+        log, oracle = UpdateLog(), SortPerAppendLog(cap)
+        for update in updates:
+            assert log.append(update) == oracle.append(update)
+            assert log.entries() == oracle.entries
+            assert len(log) == len(oracle.entries)
     assert log.size_bytes() == sum(u.size_bytes for u in oracle.entries)
 
 
 @given(updates=updates_strategy, cap=st.integers(1, 8))
 def test_update_buffer_equals_scan_and_evict(updates, cap):
-    buffer, oracle = UpdateBuffer(max_per_target=cap), ScanAndEvictBuffer(cap)
-    for update in updates:
-        buffer.add(update)
-        oracle.add(update)
-        for target in (1, 2):
-            assert buffer.pending_for(target) == oracle.pending_for(target)
-            assert buffer.pending_count(target) == len(oracle.pending_for(target))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sync, "UPDATE_BUFFER_PER_TARGET", cap)
+        buffer, oracle = UpdateBuffer(), ScanAndEvictBuffer(cap)
+        for update in updates:
+            buffer.add(update)
+            oracle.add(update)
+            for target in (1, 2):
+                assert buffer.pending_for(target) == oracle.pending_for(target)
+                assert buffer.pending_count(target) == len(oracle.pending_for(target))
     assert buffer.dropped_updates == oracle.dropped
     assert buffer.pending_count() == sum(len(q) for q in oracle.queues.values())
     collected = buffer.collect(1)

@@ -38,7 +38,7 @@ def test_availability_improves_over_time(base_result):
 
 def test_replica_overhead_positive_and_bounded(base_result):
     assert base_result.replica_overhead[-1] > 1
-    assert base_result.replica_overhead.max() <= 31  # max_mirrors + exploration
+    assert base_result.replica_overhead.max() <= 31  # MAX_MIRRORS + exploration
 
 
 def test_mirror_sets_exclude_self():

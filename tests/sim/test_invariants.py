@@ -266,7 +266,6 @@ scenario_configs = _every_field(
         count_retention=_floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         epsilon=_floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         beta=_floats(1.0, 10.0),
-        max_mirrors=st.integers(1, 100),
         theta=_floats(0.0, 1e4, exclude_min=True),
         mismatch_penalty=_floats(0.0, 1e4, exclude_min=True),
         storage_median_profiles=st.integers(1, 500),

@@ -162,6 +162,22 @@ def test_fig11_json_export(capsys):
     assert "blacklisted_owner_count" in payload
 
 
+@pytest.mark.parametrize(
+    "command, key", [
+        ("fig6", "stored_profiles_snapshots"),
+        ("fig7", "cohort_availability"),
+    ],
+)
+def test_fig6_fig7_json_export(capsys, command, key):
+    code, out = run_cli(
+        capsys, command, *base("scale=0.004", "n_days=2"), "--json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload[key]
+    assert len(payload["daily_availability"]) == 2
+
+
 def test_sim_generic_entry_point(capsys):
     code, out = run_cli(capsys, "sim", *base("scale=0.004", "n_days=2"))
     assert code == 0
