@@ -186,7 +186,6 @@ def test_enabled_phase_timers_under_fifteen_percent_on_epoch_loop():
     plain run.  Best-of-3 each way so one scheduler hiccup cannot flip
     the verdict."""
     from repro.graphs.datasets import generate_dataset
-    from repro.obs.perf import capture_phases
     from repro.sim.engine import SoupSimulation
     from repro.sim.scenario import ScenarioConfig
 
@@ -201,16 +200,21 @@ def test_enabled_phase_timers_under_fifteen_percent_on_epoch_loop():
         return time.perf_counter() - start
 
     def run_profiled() -> float:
-        with capture_phases() as report:
+        PROFILER.reset()
+        PROFILER.enable()
+        try:
             start = time.perf_counter()
             SoupSimulation(graph, config).run()
             elapsed = time.perf_counter() - start
-        assert report.phases, "profiled run captured no phases"
+        finally:
+            PROFILER.disable()
+        assert PROFILER.totals(), "profiled run recorded no phases"
         return elapsed
 
     run_plain()  # warm caches/allocators out of the measurement
     plain = min(run_plain() for _ in range(3))
     profiled = min(run_profiled() for _ in range(3))
+    PROFILER.reset()
     overhead = profiled / plain - 1.0
     print(
         f"\nplain={plain:.3f}s profiled={profiled:.3f}s "

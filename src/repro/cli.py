@@ -52,20 +52,14 @@ def _obs_flags(p) -> None:
     p.add_argument("--trace-filter", default=None, metavar="EVENT,...",
                    help="only emit the named trace event types "
                         "(comma-separated; see docs/OBSERVABILITY.md)")
-    p.add_argument("--profile", action="store_true",
-                   help="time wall-clock hot paths and print a per-phase "
-                        "breakdown at exit")
-    p.add_argument("--profile-trace", action="store_true",
-                   help="with --trace: also emit a perf_profile event with "
-                        "the per-epoch phase breakdown into the trace")
     p.add_argument("--log-level", default=None, metavar="LEVEL",
                    choices=("debug", "info", "warning", "error"),
                    help="attach a stderr handler to the repro.* loggers")
 
 
 def _setup_observability(args):
-    """Install tracer/profiler/logging from the CLI flags; returns the
-    tracer (or None) for teardown."""
+    """Install tracer/logging (and ``deploy --profile``'s phase timers)
+    from the CLI flags; returns the tracer (or None) for teardown."""
     level = getattr(args, "log_level", None)
     if level:
         import logging
@@ -89,12 +83,11 @@ def _setup_observability(args):
         )
         tracer = Tracer.to_path(args.trace, event_filter)
         set_tracer(tracer)
-    if getattr(args, "profile", False) or getattr(args, "profile_trace", False):
+    if getattr(args, "profile", False):
         from repro.obs.profiling import PROFILER
 
         PROFILER.reset()
         PROFILER.enable()
-        PROFILER.trace = bool(getattr(args, "profile_trace", False))
     return tracer
 
 
@@ -104,15 +97,13 @@ def _teardown_observability(args, tracer) -> None:
 
         set_tracer(None)
         tracer.close()
-    if getattr(args, "profile", False) or getattr(args, "profile_trace", False):
+    if getattr(args, "profile", False):
         from repro.obs.profiling import PROFILER
 
         PROFILER.disable()
-        PROFILER.trace = False
-        if getattr(args, "profile", False):
-            print("", file=sys.stderr)
-            for line in PROFILER.report_lines(top_level="engine.epoch"):
-                print(line, file=sys.stderr)
+        print("", file=sys.stderr)
+        for line in PROFILER.report_lines():
+            print(line, file=sys.stderr)
 
 
 #: Each scenario command's preset: ScenarioConfig overrides under the
@@ -580,17 +571,12 @@ def _cmd_sweep(args) -> int:
 
         outcome = run_sweep(
             spec, args.out, jobs=args.jobs, limit=args.limit, progress=progress,
-            profile_phases=args.profile_phases,
         )
         print(
             f"{command} {spec.name}: {len(outcome.executed)} run, "
             f"{len(outcome.skipped)} cached, {len(outcome.failed)} failed",
             file=sys.stderr,
         )
-        if args.profile_phases and outcome.phases.totals():
-            print("", file=sys.stderr)
-            for line in outcome.phases.report_lines(top_level="runtime.task"):
-                print(line, file=sys.stderr)
         if outcome.interrupted:
             print(
                 f"{command} {spec.name}: interrupted; checkpoint saved, "
@@ -704,6 +690,10 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--duration", type=float, default=1800.0)
     pd.add_argument("--rounds", type=int, default=15)
     pd.add_argument("--seed", type=int, default=7)
+    pd.add_argument("--profile", action="store_true",
+                    help="time the middleware's hot paths and print a "
+                         "per-phase breakdown at exit (a simulation: "
+                         "soup perf)")
     _obs_flags(pd)
 
     def grid(name, help_text):
@@ -757,10 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "with failures (exit 1)")
     ps.add_argument("--interval", type=float, default=2.0, metavar="SECONDS",
                     help="poll interval for --watch (default: 2)")
-    ps.add_argument("--profile-phases", action="store_true",
-                    help="capture each task's phase breakdown in its "
-                         "artifact, merge across workers, and print the "
-                         "folded per-phase table at exit")
 
     pc = grid(
         "compare",
@@ -771,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--archs", default=None, metavar="A,B,...",
                     help="comma-separated architectures to compare "
                          "(default: every registered one)")
-    pc.set_defaults(set=None, status=False, profile_phases=False)
+    pc.set_defaults(set=None, status=False)
 
     pf = sub.add_parser("fig15", help="mirror under high request rates")
     pf.add_argument("--rate", type=float, default=20.0)

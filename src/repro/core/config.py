@@ -66,8 +66,6 @@ class SoupConfig:
     #:   under the paper's decaying activity model, per-round observation
     #:   volume is small, and applying the printed EWMA directly would let a
     #:   single unlucky sample evict a good mirror.
-    #: * ``"by_observations"`` — Eq. (1) with the fresh term normalized by
-    #:   reported (capped) observations instead of ``n·o_max``.
     #: * ``"by_cap"`` — Eq. (1) exactly as printed (ablation bench).
     experience_normalization: str = "aged_counts"
     #: Retention factor for "aged_counts": each exchange round multiplies
@@ -100,15 +98,10 @@ class SoupConfig:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.o_max < 1:
             raise ValueError(f"o_max must be positive, got {self.o_max}")
-        if self.experience_normalization not in (
-            "aged_counts",
-            "by_observations",
-            "by_cap",
-        ):
+        if self.experience_normalization not in ("aged_counts", "by_cap"):
             raise ValueError(
-                "experience_normalization must be 'aged_counts', "
-                "'by_observations' or 'by_cap', got "
-                f"{self.experience_normalization!r}"
+                "experience_normalization must be 'aged_counts' or 'by_cap', "
+                f"got {self.experience_normalization!r}"
             )
         if not 0.0 < self.count_retention < 1.0:
             raise ValueError(

@@ -66,7 +66,7 @@ class ExperienceReport(NamedTuple):
     A plain tuple underneath.  What a node builds from its own counts is an
     :class:`ExperienceBatch`; reports are what the receiver cannot trust to
     be well formed (forgeries, the fault injector's tampering) and what the
-    ``by_cap`` / ``by_observations`` normalizations of Eq. (1) read.
+    ``by_cap`` normalization of Eq. (1) reads.
     """
 
     reporter: int
@@ -180,33 +180,20 @@ def update_experience(
     reports: Iterable[ExperienceReport],
     alpha: float,
     o_max: int,
-    normalization: str = "by_observations",
 ) -> Dict[int, float]:
-    """Apply Eq. (1) to produce new experience values per mirror.
+    """Apply Eq. (1) exactly as printed to produce new experience values
+    per mirror.
 
     ``old_values`` maps mirror id -> previous experience value (missing
-    mirrors default to 0).  Two normalizations of the fresh term are
-    supported; both cap every friend's influence at ``o_max`` observations,
-    the security property Eq. (1) was designed for:
-
-    * ``"by_observations"`` (default) — observation-weighted mean
-      availability: ``Σ min(o_j, o_max)·av_j / Σ min(o_j, o_max)``.  Friends
-      with more observations carry more weight, and the estimate tracks the
-      availability friends actually observed even when observations are
-      sparse.  This is the behaviour the paper's published results exhibit
-      (stable ≤7-replica mirror sets require exp ≈ observed availability).
-
-    * ``"by_cap"`` — the formula exactly as printed:
-      ``(1/n)·Σ min(o_j, o_max)·av_j / o_max``.  Identical when every
-      reporter saturates the cap, but under sparse observation it divides
-      the estimate by the unused cap headroom, driving exp towards 0 and
-      mirror sets towards the maximum — useful for the ablation bench that
-      demonstrates exactly that divergence.
+    mirrors default to 0).  The fresh term is
+    ``(1/n)·Σ min(o_j, o_max)·av_j / o_max``: every friend's influence is
+    capped at ``o_max`` observations, the security property Eq. (1) was
+    designed for.  Under sparse observation it divides the estimate by the
+    unused cap headroom, driving exp towards 0 and mirror sets towards the
+    maximum — the divergence the ablation bench demonstrates.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if normalization not in ("by_observations", "by_cap"):
-        raise ValueError(f"unknown normalization: {normalization!r}")
     grouped: Dict[int, List[ExperienceReport]] = {}
     for report in reports:
         if report.observations < 0 or not 0.0 <= report.availability <= 1.0:
@@ -215,26 +202,10 @@ def update_experience(
 
     updated: Dict[int, float] = {}
     for mirror, mirror_reports in grouped.items():
-        if normalization == "by_observations":
-            total_weight = sum(min(r.observations, o_max) for r in mirror_reports)
-            if total_weight == 0:
-                continue
-            fresh = (
-                sum(
-                    min(r.observations, o_max) * r.availability
-                    for r in mirror_reports
-                )
-                / total_weight
-            )
-        else:
-            n = len(mirror_reports)
-            fresh = (
-                sum(
-                    min(r.observations, o_max) * r.availability / o_max
-                    for r in mirror_reports
-                )
-                / n
-            )
+        fresh = sum(
+            min(r.observations, o_max) * r.availability / o_max
+            for r in mirror_reports
+        ) / len(mirror_reports)
         old = old_values.get(mirror, 0.0)
         updated[mirror] = (1.0 - alpha) * old + alpha * fresh
     return updated

@@ -172,7 +172,6 @@ class RegularRanker:
             reports,
             self._config.alpha,
             self._config.o_max,
-            normalization=self._config.experience_normalization,
         )
         owner = self._knowledge.owner
         self._knowledge.set_experiences(

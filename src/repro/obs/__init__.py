@@ -11,12 +11,12 @@ near-zero-cost when disabled:
   (``MetricsRegistry``) that subsystems register into; the simulator
   snapshots the registry per epoch into its result.
 * :mod:`repro.obs.profiling` — nestable ``span()`` wall/CPU phase timers
-  over real hot paths behind ``--profile``.  Wall-clock never leaks into
-  the simulated world: profiling only measures how long *our code* takes
-  to run it.
+  over real hot paths, off unless ``soup perf`` or ``soup deploy
+  --profile`` turns them on.  Wall-clock never leaks into the simulated
+  world: profiling only measures how long *our code* takes to run it.
 * :mod:`repro.obs.perf` — the performance observability plane on top of
   the phase timers: folded-stack, Chrome trace and per-phase breakdown
-  export (``soup perf``) and scoped capture for sweep workers.
+  export (``soup perf``).
 
 Naming conventions and the event schema are documented in
 ``docs/OBSERVABILITY.md``.
@@ -47,8 +47,6 @@ from repro.obs.flight import (
     RouterTracer,
 )
 from repro.obs.perf import (
-    PhaseReport,
-    capture_phases,
     chrome_trace,
     folded_lines,
     phase_breakdown,
@@ -85,9 +83,7 @@ __all__ = [
     "LamportClock",
     "LiveObservability",
     "PROFILER",
-    "PhaseReport",
     "Profiler",
-    "capture_phases",
     "chrome_trace",
     "folded_lines",
     "phase_breakdown",

@@ -13,17 +13,11 @@ tooling around ``soup perf`` expects:
 * **phase breakdowns** (:func:`phase_breakdown`) — exclusive (self-time)
   wall seconds per short phase name (``dropping``, ``selection``,
   ``scoring``, ``sync``, …), the ``phases`` block of ``soup perf --json``.
-
-:func:`capture_phases` scopes a clean profiler run around a block — a
-sweep worker uses it (``soup sweep --profile-phases``) so each task's
-breakdown lands in its artifact without disturbing whatever profiling
-state the caller had.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.obs.profiling import PROFILER, Profiler
 
@@ -88,41 +82,3 @@ def phase_breakdown(profiler: Optional[Profiler] = None) -> Dict[str, float]:
         name = _short(path.rsplit(";", 1)[-1])
         merged[name] = merged.get(name, 0.0) + self_wall
     return merged
-
-
-class PhaseReport:
-    """What :func:`capture_phases` hands back after the block ran."""
-
-    def __init__(self) -> None:
-        #: Exclusive wall seconds per short phase name.
-        self.phases: Dict[str, float] = {}
-        #: Full mergeable accumulator state (``Profiler.state_dict()``).
-        self.state: Dict[str, Any] = {}
-
-
-@contextmanager
-def capture_phases(profiler: Optional[Profiler] = None) -> Iterator[PhaseReport]:
-    """Run the block under a clean, enabled profiler; restore on exit.
-
-    The global profiler's prior accumulators, enabled flag and option
-    flags are saved and restored, so a block capturing its own phase
-    breakdown neither inherits nor clobbers an outer ``--profile``
-    session.  (Epoch buckets and recorded events from the outer session
-    are folded away — only the mergeable accumulators survive the swap.)
-    """
-    profiler = profiler or PROFILER
-    saved_state = profiler.state_dict()
-    saved_flags = (profiler.enabled, profiler.trace, profiler.record_events)
-    profiler.reset()
-    profiler.enabled = True
-    profiler.trace = False
-    profiler.record_events = False
-    report = PhaseReport()
-    try:
-        yield report
-    finally:
-        report.state = profiler.state_dict()
-        report.phases = phase_breakdown(profiler)
-        profiler.reset()
-        profiler.merge_state(saved_state)
-        profiler.enabled, profiler.trace, profiler.record_events = saved_flags

@@ -16,8 +16,7 @@ inside ``engine.epoch`` accumulates under the folded path
 :mod:`repro.obs.perf` for the exporters).  Each finished span adds its
 wall *and* CPU (``time.process_time``) elapsed to its path, and — when an
 epoch is set via :meth:`Profiler.set_epoch` — to that epoch's bucket, so
-per-epoch phase breakdowns (``perf_profile`` trace events, ``soup perf
---by-epoch``) come for free.
+the per-epoch phase breakdown of ``soup perf --by-epoch`` comes for free.
 
 Usage::
 
@@ -31,16 +30,14 @@ Usage::
             return self._route(...)
     return self._route(...)
 
-Accumulator state is a commutative monoid under :meth:`Profiler.merge_state`
-(exact for call counts, float-sum for elapsed time) — the same invariant
-the metrics registry guarantees — so per-worker phase timings from a
-process-pool sweep fold into one breakdown in any order.
+``soup perf`` turns the timers on for a simulation and ``soup deploy
+--profile`` for a middleware run; nothing else does.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Cap on retained per-span events (Chrome trace export); beyond this the
 #: accumulators keep counting but individual events are dropped.
@@ -93,10 +90,6 @@ class Profiler:
 
     def __init__(self) -> None:
         self.enabled = False
-        #: When True, the engine emits one ``perf_profile`` trace event per
-        #: epoch (only if a tracer is also enabled).  Off by default so
-        #: enabling phase timers never perturbs a trace byte-for-byte.
-        self.trace = False
         #: When True, individual span events are retained (bounded by
         #: :data:`MAX_SPAN_EVENTS`) for Chrome trace export.
         self.record_events = False
@@ -152,14 +145,6 @@ class Profiler:
             bucket[path] = bucket.get(path, 0.0) + wall
         if self.record_events and len(self._events) < MAX_SPAN_EVENTS:
             self._events.append((path, start - self._origin, wall, cpu))
-
-    def record(self, name: str, elapsed_s: float) -> None:
-        """Accumulate a pre-measured duration under ``name`` (wall only,
-        at the current nesting context)."""
-        path = self._stack[-1] + ";" + name if self._stack else name
-        self._wall[path] = self._wall.get(path, 0.0) + elapsed_s
-        self._cpu[path] = self._cpu.get(path, 0.0)
-        self._counts[path] = self._counts.get(path, 0) + 1
 
     # --- epoch bucketing -------------------------------------------------
     def set_epoch(self, epoch: Optional[int]) -> None:
@@ -223,38 +208,6 @@ class Profiler:
             for path, wall in self._wall.items()
         }
 
-    # --- mergeable state (sweep workers) ---------------------------------
-    def state_dict(self) -> Dict[str, Any]:
-        """Full accumulator state, JSON-safe, for cross-process merge."""
-        return {
-            "wall": dict(self._wall),
-            "cpu": dict(self._cpu),
-            "counts": dict(self._counts),
-        }
-
-    def merge_state(self, state: Dict[str, Any]) -> None:
-        """Fold another profiler's ``state_dict()`` into this one.
-
-        Counts merge exactly; wall/CPU are float sums, so — like histogram
-        totals in the metrics registry — permuting the merge order agrees
-        to ulp-level rounding (property-tested in tests/obs/test_perf.py).
-        """
-        if not state:
-            return
-        for path, value in state.get("wall", {}).items():
-            self._wall[path] = self._wall.get(path, 0.0) + float(value)
-        for path, value in state.get("cpu", {}).items():
-            self._cpu[path] = self._cpu.get(path, 0.0) + float(value)
-        for path, value in state.get("counts", {}).items():
-            self._counts[path] = self._counts.get(path, 0) + int(value)
-
-    @classmethod
-    def merged(cls, states) -> "Profiler":
-        profiler = cls()
-        for state in states:
-            profiler.merge_state(state)
-        return profiler
-
     # --- reporting -------------------------------------------------------
     def report_lines(self, top_level: Optional[str] = None) -> List[str]:
         """Per-phase breakdown table, widest share first.
@@ -291,5 +244,6 @@ class Profiler:
         return lines
 
 
-#: The process-wide profiler; CLI ``--profile`` enables it.
+#: The process-wide profiler; ``soup perf`` and ``soup deploy --profile``
+#: enable it.
 PROFILER = Profiler()

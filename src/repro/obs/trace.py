@@ -144,19 +144,6 @@ EVENT_SCHEMAS: Dict[str, Dict[str, Dict[str, tuple]]] = {
             "epoch": (int,), "t": _NUM, "reason": (str,), "lamport": (int,),
         },
     },
-    # Phase-timing profile (repro.obs.perf): one per measured epoch when
-    # the profiler's ``trace`` flag is on.  ``phases`` maps phase name to
-    # wall seconds spent in it during that epoch.  Like sweep telemetry,
-    # these carry wallclock durations — they describe our code's speed,
-    # not the simulated world, so the byte-identical determinism contract
-    # does not extend to them (and they are never emitted unless
-    # explicitly requested, keeping default traces unperturbed).
-    "perf_profile": {
-        "required": {"phases": (dict,)},
-        "optional": {
-            "epoch": (int,), "t": _NUM, "node": (int,), "lamport": (int,),
-        },
-    },
 }
 
 #: Fields present on every trace line, added by the tracer itself.

@@ -4,9 +4,7 @@ Artifacts are grouped into **cells** — tasks that share every override
 except the seed — and each cell's per-seed summary numbers are reduced to
 mean/min/max/percentiles, the shape the paper's "averaged over N seeds"
 tables quote.  Full :class:`~repro.sim.metrics.SimulationResult` objects
-are reconstructed from the artifacts too, so the existing
-:mod:`repro.sim.reporting` renderers (``describe_result``,
-``markdown_report``) work on sweep output unchanged.
+are reconstructed from the artifacts too.
 """
 
 from __future__ import annotations

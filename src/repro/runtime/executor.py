@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs import MetricsRegistry, set_tracer
-from repro.obs.profiling import Profiler
 from repro.runtime.spec import SweepSpec, SweepTask, build_config
 from repro.runtime.store import ARTIFACT_SCHEMA, RunStore
 
@@ -137,33 +136,16 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     per-task trace files are not part of the sweep contract, and a tracer
     inherited by the in-process serial path would otherwise make ``--jobs
     1`` behave differently from workers.
-
-    When ``payload["profile_phases"]`` is set, the task runs under the
-    phase timers and the artifact additionally carries the worker's
-    mergeable accumulator state under ``"phases"`` — wallclock data, so
-    the flag defaults to off to keep artifacts byte-identical across
-    ``--jobs`` settings and hosts.
     """
-    from repro.obs.profiling import PROFILER
     from repro.sim.engine import run_task  # deferred: keep spawn imports lean
 
     config = build_config(payload["overrides"])
     previous_tracer = set_tracer(None)
-    phase_state: Optional[Dict[str, Any]] = None
     try:
-        if payload.get("profile_phases"):
-            from repro.obs.perf import capture_phases
-
-            with capture_phases() as report:
-                with PROFILER.span("runtime.task"):
-                    result, metrics_state = run_task(config)
-            phase_state = report.state
-        else:
-            with PROFILER.span("runtime.task"):
-                result, metrics_state = run_task(config)
+        result, metrics_state = run_task(config)
     finally:
         set_tracer(previous_tracer)
-    artifact = {
+    return {
         "schema": ARTIFACT_SCHEMA,
         "task": {
             "id": payload["id"],
@@ -174,18 +156,10 @@ def execute_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         "result": result.to_json_dict(),
         "metrics_state": metrics_state,
     }
-    if phase_state is not None:
-        artifact["phases"] = phase_state
-    return artifact
 
 
-def _task_payload(task: SweepTask, profile_phases: bool = False) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {
-        "id": task.task_id, "key": task.key, "overrides": task.overrides,
-    }
-    if profile_phases:
-        payload["profile_phases"] = True
-    return payload
+def _task_payload(task: SweepTask) -> Dict[str, Any]:
+    return {"id": task.task_id, "key": task.key, "overrides": task.overrides}
 
 
 @dataclass
@@ -199,11 +173,6 @@ class SweepOutcome:
     failed: Dict[str, str] = field(default_factory=dict)  # key -> error
     #: Merged engine metrics across every task executed in this invocation.
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    #: Merged per-phase timing accumulators across workers (populated only
-    #: when ``run_sweep(..., profile_phases=True)``; merge order cannot
-    #: matter — the accumulators are a commutative monoid like the metrics
-    #: registry, property-tested in tests/obs/test_perf.py).
-    phases: Profiler = field(default_factory=Profiler)
     #: True when SIGTERM/KeyboardInterrupt stopped the sweep early; the
     #: run directory is still a valid resume checkpoint.
     interrupted: bool = False
@@ -222,7 +191,6 @@ def run_sweep(
     limit: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
     telemetry: bool = True,
-    profile_phases: bool = False,
 ) -> SweepOutcome:
     """Execute (or resume) a sweep into ``run_dir``.
 
@@ -238,13 +206,6 @@ def run_sweep(
     ETA — what ``soup sweep --status --watch`` renders.  Telemetry is
     wallclock-stamped observability output only; it never feeds resume
     and is excluded from the artifact determinism contract.
-
-    ``profile_phases=True`` runs every task under the phase timers: each
-    worker captures its own accumulators, and the outcome folds them into
-    ``SweepOutcome.phases`` in completion order (the merge is
-    order-independent, so ``--jobs N`` scheduling cannot change the
-    aggregate).  Opt-in because the per-task artifacts then carry
-    wallclock phase data and are no longer byte-identical across hosts.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -293,7 +254,6 @@ def run_sweep(
         outcome.executed.append(task.key)
         statuses[task.key] = {"status": "ok"}
         outcome.metrics.merge_state(artifact.get("metrics_state", {}))
-        outcome.phases.merge_state(artifact.get("phases", {}))
         if live is not None:
             live.task_finished(task, "ok", seconds=seconds)
         if progress is not None:
@@ -333,7 +293,7 @@ def run_sweep(
                     live.task_started(task)
                 start = time.perf_counter()
                 try:
-                    artifact = execute_task(_task_payload(task, profile_phases))
+                    artifact = execute_task(_task_payload(task))
                 except KeyboardInterrupt:
                     statuses[task.key] = {"status": "interrupted"}
                     mark_interrupted("signal")
@@ -357,9 +317,7 @@ def run_sweep(
                 task = queue.pop(0)
                 if live is not None:
                     live.task_started(task)
-                future = pool.submit(
-                    execute_task, _task_payload(task, profile_phases)
-                )
+                future = pool.submit(execute_task, _task_payload(task))
                 in_flight[future] = (task, time.perf_counter())
 
             try:

@@ -16,7 +16,7 @@
 from repro.sim.attacks import FloodingAttack, SlanderAttack
 from repro.sim.engine import SoupSimulation, run_scenario
 from repro.sim.metrics import SimulationResult, cdf_points
-from repro.sim.reporting import describe_result, markdown_report, sparkline
+from repro.sim.reporting import sparkline
 from repro.sim.scenario import OnlineDistribution, ScenarioConfig
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "run_scenario",
     "SimulationResult",
     "cdf_points",
-    "describe_result",
-    "markdown_report",
     "sparkline",
     "OnlineDistribution",
     "ScenarioConfig",

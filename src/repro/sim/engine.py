@@ -549,19 +549,6 @@ class SoupSimulation:
                         )
                         with PROFILER.span("engine.collect"):
                             gc.collect(1)
-                    if (
-                        PROFILER.enabled
-                        and PROFILER.trace
-                        and self._tracer.enabled
-                    ):
-                        self._tracer.emit(
-                            "perf_profile",
-                            epoch=epoch,
-                            phases={
-                                name: round(wall, 9)
-                                for name, wall in PROFILER.epoch_phases(epoch).items()
-                            },
-                        )
         finally:
             if PROFILER.enabled:
                 PROFILER.set_epoch(None)

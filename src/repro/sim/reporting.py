@@ -1,12 +1,10 @@
-"""Result rendering: sparklines and markdown experiment reports.
-
-Terminal-friendly output for the CLI and for users assembling their own
-EXPERIMENTS-style records from simulation results.
+"""Result rendering: sparklines, the metrics view and the sweep and
+comparison tables the CLI prints.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -35,63 +33,6 @@ def sparkline(
     scaled = np.clip((data - lo) / (hi - lo), 0.0, 1.0)
     indices = np.minimum((scaled * len(_BLOCKS)).astype(int), len(_BLOCKS) - 1)
     return "".join(_BLOCKS[i] for i in indices)
-
-
-def describe_result(name: str, result: SimulationResult) -> List[str]:
-    """Human-readable multi-line summary of one simulation result."""
-    daily = result.daily_availability()
-    replicas = result.daily_replica_overhead()
-    lines = [
-        f"{name}:",
-        f"  availability  {sparkline(daily, 0.5, 1.0)}  "
-        f"day1={result.availability_at_day(1):.3f} "
-        f"steady={result.steady_state_availability():.3f}",
-        f"  replicas      {sparkline(replicas)}  "
-        f"peak={float(result.replica_overhead.max(initial=0)):.1f} "
-        f"steady={result.steady_state_replicas():.1f}",
-    ]
-    if result.drop_rate_by_round:
-        lines.append(
-            f"  drop rate     {sparkline(result.drop_rate_by_round)}  "
-            f"final={result.drop_rate_by_round[-1]:.4f}"
-        )
-    if result.blacklisted_owner_count:
-        lines.append(f"  blacklist entries: {result.blacklisted_owner_count}")
-    if result.unavailable_owner_epochs:
-        total = sum(result.unavailable_owner_epochs.values())
-        worst_owner, worst = max(
-            result.unavailable_owner_epochs.items(), key=lambda item: item[1]
-        )
-        lines.append(
-            f"  unavailability {total} owner-epochs over "
-            f"{len(result.unavailable_owner_epochs)} owners "
-            f"(worst: owner {worst_owner}, {worst} epochs)"
-        )
-    if result.anomalies:
-        rendered = " ".join(
-            f"{rule}={count}" for rule, count in sorted(result.anomalies.items())
-        )
-        lines.append(f"  anomalies     {rendered}")
-    rel = result.reliability
-    if rel is not None:
-        lines.append(
-            f"  reliability   retries={rel.transfer_retries} "
-            f"giveups={rel.transfer_giveups} "
-            f"deaths={rel.deaths_declared} revivals={rel.revivals}"
-        )
-        lines.append(
-            f"  repair        triggered={rel.repairs_triggered} "
-            f"replacements={rel.repair_replacements} "
-            f"mean_latency={rel.mean_repair_latency():.1f}ep "
-            f"partial_set_epochs={rel.partial_set_epochs}"
-        )
-        if rel.circuit_transitions:
-            transitions = " ".join(
-                f"{key}={count}"
-                for key, count in sorted(rel.circuit_transitions.items())
-            )
-            lines.append(f"  circuit       {transitions}")
-    return lines
 
 
 def metrics_table(result: SimulationResult) -> List[str]:
@@ -232,24 +173,3 @@ def compare_table(cells, metrics=COMPARE_TABLE_METRICS) -> List[str]:
             "  ".join(cell.ljust(width) for cell, width in zip(row, widths))
         )
     return lines
-
-
-def markdown_report(results: Dict[str, SimulationResult]) -> str:
-    """A markdown table summarizing several runs (sweep output)."""
-    header = (
-        "| run | availability@day1 | steady availability | steady replicas "
-        "| peak replicas | top-half share |\n"
-        "|---|---|---|---|---|---|\n"
-    )
-    rows = []
-    for name, result in results.items():
-        summary = result.summary()
-        rows.append(
-            f"| {name} "
-            f"| {summary['availability_day1']:.3f} "
-            f"| {summary['availability_steady']:.3f} "
-            f"| {summary['replicas_steady']:.2f} "
-            f"| {summary['replicas_peak']:.2f} "
-            f"| {summary['top_half_replica_share']:.2f} |"
-        )
-    return header + "\n".join(rows) + "\n"

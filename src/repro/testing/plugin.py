@@ -8,9 +8,6 @@ Loaded via ``pytest_plugins = ["repro.testing.plugin"]`` in
   checker on, exactly like ``--base check_invariants=true`` on the CLI.
   Any simulation any test runs then fails loudly (with a one-line repro
   string) the moment protocol state goes inconsistent.
-* ``checked_overlay`` fixture — a :class:`PastryOverlay` factory whose
-  overlays are verified against the structural DHT invariants at test
-  teardown, so a test cannot leave a silently corrupted ring behind.
 * ``invariant_checker`` fixture — a fresh :class:`InvariantChecker` over
   all engine invariants.
 """
@@ -53,22 +50,3 @@ def invariant_checker():
 
     return InvariantChecker()
 
-
-@pytest.fixture
-def checked_overlay():
-    """Factory for PastryOverlays that are invariant-checked at teardown."""
-    from repro.dht.pastry import PastryOverlay
-    from repro.sim.invariants import check_overlay
-
-    overlays = []
-
-    def build() -> PastryOverlay:
-        overlay = PastryOverlay()
-        overlays.append(overlay)
-        return overlay
-
-    yield build
-
-    for overlay in overlays:
-        if len(overlay):
-            check_overlay(overlay)

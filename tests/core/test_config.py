@@ -55,7 +55,6 @@ def test_theta_and_penalty_positive():
 
 def test_normalization_validated():
     SoupConfig(experience_normalization="by_cap")
-    SoupConfig(experience_normalization="by_observations")
     SoupConfig(experience_normalization="aged_counts")
     with pytest.raises(ValueError):
         SoupConfig(experience_normalization="bogus")

@@ -107,36 +107,22 @@ class TestUpdateExperienceByCap:
             ExperienceReport(reporter=j, mirror=1, observations=5, availability=0.8)
             for j in range(4)
         ]
-        updated = update_experience({}, reports, alpha=1.0, o_max=5, normalization="by_cap")
+        updated = update_experience({}, reports, alpha=1.0, o_max=5)
         assert updated[1] == pytest.approx(0.8)
 
     def test_sparse_observations_are_diluted(self):
         reports = [
             ExperienceReport(reporter=1, mirror=1, observations=1, availability=1.0)
         ]
-        updated = update_experience({}, reports, alpha=1.0, o_max=5, normalization="by_cap")
+        updated = update_experience({}, reports, alpha=1.0, o_max=5)
         assert updated[1] == pytest.approx(0.2)
 
     def test_aging_blends_old_value(self):
         reports = [
             ExperienceReport(reporter=1, mirror=1, observations=5, availability=1.0)
         ]
-        updated = update_experience(
-            {1: 0.4}, reports, alpha=0.75, o_max=5, normalization="by_cap"
-        )
+        updated = update_experience({1: 0.4}, reports, alpha=0.75, o_max=5)
         assert updated[1] == pytest.approx(0.25 * 0.4 + 0.75 * 1.0)
-
-
-class TestUpdateExperienceByObservations:
-    def test_observation_weighted_mean(self):
-        reports = [
-            ExperienceReport(reporter=1, mirror=1, observations=3, availability=1.0),
-            ExperienceReport(reporter=2, mirror=1, observations=1, availability=0.0),
-        ]
-        updated = update_experience(
-            {}, reports, alpha=1.0, o_max=5, normalization="by_observations"
-        )
-        assert updated[1] == pytest.approx(3 / 4)
 
     def test_cap_bounds_single_reporter(self):
         # One reporter claiming 1000 observations is capped at o_max.
@@ -144,9 +130,7 @@ class TestUpdateExperienceByObservations:
             ExperienceReport(reporter=1, mirror=1, observations=1000, availability=0.0),
             ExperienceReport(reporter=2, mirror=1, observations=5, availability=1.0),
         ]
-        updated = update_experience(
-            {}, reports, alpha=1.0, o_max=5, normalization="by_observations"
-        )
+        updated = update_experience({}, reports, alpha=1.0, o_max=5)
         assert updated[1] == pytest.approx(0.5)
 
     def test_multiple_mirrors_updated_independently(self):
@@ -154,10 +138,8 @@ class TestUpdateExperienceByObservations:
             ExperienceReport(reporter=1, mirror=1, observations=2, availability=1.0),
             ExperienceReport(reporter=1, mirror=2, observations=2, availability=0.0),
         ]
-        updated = update_experience(
-            {}, reports, alpha=1.0, o_max=5, normalization="by_observations"
-        )
-        assert updated[1] == 1.0
+        updated = update_experience({}, reports, alpha=1.0, o_max=5)
+        assert updated[1] == pytest.approx(0.4)
         assert updated[2] == 0.0
 
 
@@ -174,11 +156,6 @@ def test_unreported_mirrors_untouched():
 def test_invalid_alpha_rejected():
     with pytest.raises(ValueError):
         update_experience({}, [], alpha=1.5, o_max=5)
-
-
-def test_invalid_normalization_rejected():
-    with pytest.raises(ValueError):
-        update_experience({}, [], alpha=0.5, o_max=5, normalization="nope")
 
 
 def test_malformed_report_rejected():

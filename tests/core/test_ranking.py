@@ -167,7 +167,7 @@ class TestRegularRankerAgedCounts:
             (3, 1.0, float("-inf")),
         ],
     )
-    @pytest.mark.parametrize("normalization", ["aged_counts", "by_observations", "by_cap"])
+    @pytest.mark.parametrize("normalization", ["aged_counts", "by_cap"])
     def test_malformed_reports_are_skipped_and_counted(
         self, observations, availability, weight, normalization
     ):
@@ -182,7 +182,7 @@ class TestRegularRankerAgedCounts:
 
 
 class TestRegularRankerEq1Modes:
-    @pytest.mark.parametrize("normalization", ["by_cap", "by_observations"])
+    @pytest.mark.parametrize("normalization", ["by_cap"])
     def test_eq1_modes_work_through_ranker(self, normalization):
         config = SoupConfig(experience_normalization=normalization)
         kb = KnowledgeBase(owner=0)

@@ -2,7 +2,7 @@
 
 ``ExperienceBatch.reports`` spells a handed-over experience set out as one
 :class:`ExperienceReport` per observed mirror (the form the fault injector
-and the ``by_cap`` / ``by_observations`` estimators read), and
+and the ``by_cap`` estimator read), and
 ``RegularRanker._ingest_aged_counts`` folds every received report into the
 aged counters.  The references below are the straightforward
 ``min``/``max`` formulations; the real paths must give the same values and

@@ -68,7 +68,7 @@ reports = st.lists(
     ),
     max_size=12,
 )
-normalizations = st.sampled_from(["aged_counts", "by_cap", "by_observations"])
+normalizations = st.sampled_from(["aged_counts", "by_cap"])
 
 
 def _simulation(soup: SoupConfig, architecture: str = "soup") -> SoupSimulation:

@@ -1,33 +1,21 @@
-"""The performance observability plane: nesting, exports, merge, tracing.
+"""The performance observability plane: nesting, exports, tracing.
 
-Covers the phase-timer contracts the rest of the PR leans on:
+Covers the phase-timer contracts ``soup perf`` leans on:
 
 * spans nest into folded paths, and leaf/exclusive aggregations are
   consistent with each other;
-* accumulator merging is an order-independent fold (property-tested, the
-  same invariant the metrics registry guarantees);
 * the exporters (folded stacks, Chrome trace, phase breakdown) emit the
   formats their consumers parse;
-* enabling phase timers without ``PROFILER.trace`` leaves a structured
-  trace byte-identical, while opting in emits schema-valid
-  ``perf_profile`` events.
+* enabling phase timers leaves a structured trace byte-identical.
 """
 
 import json
-import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.obs import Tracer, set_tracer, validate_trace_file
-from repro.obs.perf import (
-    PhaseReport,
-    capture_phases,
-    chrome_trace,
-    folded_lines,
-    phase_breakdown,
-)
+from repro.obs import Tracer, set_tracer
+from repro.obs.perf import chrome_trace, folded_lines, phase_breakdown
 from repro.obs.profiling import PROFILER, Profiler
 
 
@@ -164,104 +152,10 @@ class TestExports:
         )
 
 
-class TestCapturePhases:
-    def test_report_is_populated(self):
-        with capture_phases() as report:
-            assert isinstance(report, PhaseReport)
-            with PROFILER.span("engine.epoch"):
-                with PROFILER.span("engine.dropping"):
-                    _busy(0.0005)
-        assert set(report.phases) == {"epoch", "dropping"}
-        assert report.state["counts"]["engine.epoch;engine.dropping"] == 1
-        assert report.state["counts"]["engine.epoch"] == 1
-
-    def test_outer_session_is_isolated_and_restored(self):
-        PROFILER.reset()
-        PROFILER.enable()
-        PROFILER.trace = True
-        try:
-            with PROFILER.span("outer.phase"):
-                _busy(0.0002)
-            with capture_phases() as report:
-                assert not PROFILER.trace
-                assert PROFILER.folded() == {}  # clean slate inside
-                with PROFILER.span("inner.phase"):
-                    _busy(0.0002)
-            # Inner spans stayed out of the outer session and vice versa.
-            assert set(report.phases) == {"phase"}
-            assert "inner.phase" not in PROFILER.folded()
-            assert "outer.phase" in PROFILER.folded()
-            assert PROFILER.enabled and PROFILER.trace
-        finally:
-            PROFILER.disable()
-            PROFILER.trace = False
-            PROFILER.reset()
+# --- phase timers and the structured trace ------------------------------
 
 
-# --- order-independent merge (sweep workers report in any order) ----------
-
-PHASE_NAMES = ("engine.epoch", "engine.dropping", "net.deliver", "crypto.sign")
-
-worker_records = st.lists(
-    st.tuples(
-        st.sampled_from(PHASE_NAMES),
-        st.floats(min_value=0.0, max_value=100.0,
-                  allow_nan=False, allow_infinity=False),
-    ),
-    max_size=20,
-)
-sweep_states = st.lists(worker_records, min_size=1, max_size=6)
-
-
-def _worker_state(records):
-    profiler = Profiler()
-    for name, elapsed in records:
-        profiler.record(name, elapsed)
-    return profiler.state_dict()
-
-
-def assert_profiler_states_equal(actual, expected):
-    """Counts merge exactly; wall/CPU are float sums whose rounding depends
-    on addition order, so they only need ulp-level agreement."""
-    assert actual["counts"] == expected["counts"]
-    for key in ("wall", "cpu"):
-        assert actual[key].keys() == expected[key].keys(), key
-        for path, value in actual[key].items():
-            assert value == pytest.approx(
-                expected[key][path], rel=1e-12, abs=1e-12
-            ), (key, path)
-
-
-@settings(max_examples=120, deadline=None)
-@given(per_worker=sweep_states, seed=st.integers(0, 2**32 - 1))
-def test_merge_is_order_independent(per_worker, seed):
-    states = [_worker_state(records) for records in per_worker]
-    shuffled = list(states)
-    random.Random(seed).shuffle(shuffled)
-
-    forward = Profiler.merged(states)
-    backward = Profiler.merged(reversed(states))
-    permuted = Profiler.merged(shuffled)
-
-    assert_profiler_states_equal(backward.state_dict(), forward.state_dict())
-    assert_profiler_states_equal(permuted.state_dict(), forward.state_dict())
-
-
-@settings(max_examples=60, deadline=None)
-@given(per_worker=sweep_states)
-def test_merge_equals_single_profiler_over_union(per_worker):
-    states = [_worker_state(records) for records in per_worker]
-    merged = Profiler.merged(states)
-    union = _worker_state(
-        [record for records in per_worker for record in records]
-    )
-    assert_profiler_states_equal(merged.state_dict(), union)
-
-
-# --- the perf_profile trace event -----------------------------------------
-
-
-def _run_traced(trace_path, enable_profiler=False, profile_trace=False):
+def _run_traced(trace_path, enable_profiler=False):
     from repro.graphs.datasets import generate_dataset
     from repro.sim.engine import run_scenario
     from repro.sim.scenario import ScenarioConfig
@@ -273,7 +167,6 @@ def _run_traced(trace_path, enable_profiler=False, profile_trace=False):
     if enable_profiler:
         PROFILER.reset()
         PROFILER.enable()
-        PROFILER.trace = profile_trace
     tracer = Tracer.to_path(str(trace_path))
     set_tracer(tracer)
     try:
@@ -283,31 +176,13 @@ def _run_traced(trace_path, enable_profiler=False, profile_trace=False):
         tracer.close()
         if enable_profiler:
             PROFILER.disable()
-            PROFILER.trace = False
             PROFILER.reset()
 
 
-def test_phase_timers_without_trace_flag_leave_trace_bytes_identical(tmp_path):
+def test_phase_timers_leave_trace_bytes_identical(tmp_path):
     plain = tmp_path / "plain.jsonl"
     timed = tmp_path / "timed.jsonl"
     _run_traced(plain)
     _run_traced(timed, enable_profiler=True)
     assert plain.read_bytes(), "baseline run produced an empty trace"
     assert plain.read_bytes() == timed.read_bytes()
-
-
-def test_profile_trace_emits_schema_valid_perf_profile_events(tmp_path):
-    path = tmp_path / "profiled.jsonl"
-    _run_traced(path, enable_profiler=True, profile_trace=True)
-    assert validate_trace_file(str(path)) == []
-    events = [
-        json.loads(line)
-        for line in path.read_text().splitlines()
-        if '"perf_profile"' in line
-    ]
-    assert events, "no perf_profile events emitted"
-    epochs = [event["epoch"] for event in events]
-    assert epochs == sorted(set(epochs)), "one event per epoch, in order"
-    for event in events:
-        assert event["phases"]
-        assert all(wall >= 0.0 for wall in event["phases"].values())

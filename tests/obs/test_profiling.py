@@ -2,7 +2,42 @@
 
 import time
 
+import pytest
+
+from repro.obs import profiling
 from repro.obs.profiling import PROFILER, Profiler, _NULL_SPAN
+
+
+class _FakeClock:
+    """Stands in for the ``time`` module: wall and CPU move together and
+    only when a test advances them."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+    process_time = perf_counter
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = _FakeClock()
+    monkeypatch.setattr(profiling, "time", fake)
+    return fake
+
+
+def _spend(profiler, clock, name, seconds):
+    """One ``name`` span that takes exactly ``seconds``."""
+    with profiler.span(name):
+        clock.now += seconds
+
+
+def _enabled():
+    profiler = Profiler()
+    profiler.enable()
+    return profiler
 
 
 class TestProfiler:
@@ -22,34 +57,27 @@ class TestProfiler:
         assert totals["work"] >= 0.002
         assert profiler.counts()["work"] == 1
 
-    def test_record_accumulates(self):
-        profiler = Profiler()
-        profiler.record("phase", 0.5)
-        profiler.record("phase", 0.25)
-        assert profiler.totals()["phase"] == 0.75
-        assert profiler.counts()["phase"] == 2
-
-    def test_reset(self):
-        profiler = Profiler()
-        profiler.record("phase", 1.0)
+    def test_reset(self, clock):
+        profiler = _enabled()
+        _spend(profiler, clock, "phase", 1.0)
         profiler.reset()
         assert profiler.totals() == {}
 
     def test_report_lines_empty(self):
         assert Profiler().report_lines() == ["profile: no spans recorded"]
 
-    def test_report_lines_shares(self):
-        profiler = Profiler()
-        profiler.record("outer", 2.0)
-        profiler.record("inner", 1.0)
+    def test_report_lines_shares(self, clock):
+        profiler = _enabled()
+        _spend(profiler, clock, "outer", 2.0)
+        _spend(profiler, clock, "inner", 1.0)
         lines = profiler.report_lines(top_level="outer")
         assert "outer" in lines[1]  # sorted widest first
         assert "100.0%" in lines[1]
         assert "50.0%" in lines[2]
 
-    def test_report_lines_unknown_top_level_falls_back(self):
-        profiler = Profiler()
-        profiler.record("only", 1.0)
+    def test_report_lines_unknown_top_level_falls_back(self, clock):
+        profiler = _enabled()
+        _spend(profiler, clock, "only", 1.0)
         lines = profiler.report_lines(top_level="missing")
         assert "100.0%" in lines[1]
 

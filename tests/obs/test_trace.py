@@ -144,9 +144,6 @@ class TestValidateEvent:
             "node_lifecycle": dict(
                 node=4, state="killed", epoch=3, reason="chaos", lamport=9
             ),
-            "perf_profile": dict(
-                phases={"selection": 0.012, "dropping": 0.003}, epoch=3
-            ),
         }
         assert set(samples) == set(EVENT_SCHEMAS)
         for event, fields in samples.items():

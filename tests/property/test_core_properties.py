@@ -28,11 +28,8 @@ reports_strategy = st.lists(
 class TestExperienceProperties:
     @given(reports=reports_strategy, alpha=st.floats(0.0, 1.0))
     def test_updated_values_stay_in_unit_interval(self, reports, alpha):
-        for normalization in ("by_cap", "by_observations"):
-            updated = update_experience(
-                {}, reports, alpha=alpha, o_max=5, normalization=normalization
-            )
-            assert all(0.0 <= v <= 1.0 for v in updated.values())
+        updated = update_experience({}, reports, alpha=alpha, o_max=5)
+        assert all(0.0 <= v <= 1.0 for v in updated.values())
 
     @given(reports=reports_strategy)
     def test_old_values_bound_update_range(self, reports):
@@ -50,8 +47,11 @@ class TestExperienceProperties:
     def test_single_report_capped_influence(self, o, av, o_max):
         report = ExperienceReport(reporter=1, mirror=1, observations=o, availability=av)
         updated = update_experience({}, [report], alpha=1.0, o_max=o_max)
-        # by_observations with one reporter: value equals availability.
-        assert abs(updated[1] - av) < 1e-9
+        # One reporter: its capped share of the availability, all of it
+        # once it reports at least o_max observations.
+        assert abs(updated[1] - min(o, o_max) * av / o_max) < 1e-9
+        if o >= o_max:
+            assert abs(updated[1] - av) < 1e-9
 
 
 ranking_strategy = st.lists(

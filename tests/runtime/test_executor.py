@@ -61,39 +61,6 @@ def test_parallel_artifacts_byte_identical_to_serial(tmp_path):
     )
 
 
-def test_profile_phases_collects_and_merges_worker_timings(tmp_path):
-    spec = tiny_spec()
-    serial = run_sweep(spec, tmp_path / "serial", jobs=1, profile_phases=True)
-    parallel = run_sweep(
-        spec, tmp_path / "parallel", jobs=2, profile_phases=True
-    )
-    for outcome in (serial, parallel):
-        assert outcome.complete
-        totals = outcome.phases.totals()
-        assert totals.get("engine.epoch", 0.0) > 0.0
-        assert totals.get("runtime.task", 0.0) > 0.0
-    # Wall times are host timing, but span *counts* are determined by the
-    # simulated work — identical regardless of worker count or order.
-    assert serial.phases.counts() == parallel.phases.counts()
-    # Each artifact carries its worker's mergeable state.
-    store = RunStore(tmp_path / "serial")
-    payload = store.read_artifact(serial.executed[0])
-    assert payload["phases"]["counts"]
-
-
-def test_profile_phases_off_keeps_artifacts_unchanged(tmp_path):
-    spec = tiny_spec()
-    plain = run_sweep(spec, tmp_path / "plain", jobs=1)
-    profiled = run_sweep(
-        spec, tmp_path / "profiled", jobs=1, profile_phases=True
-    )
-    assert plain.complete and profiled.complete
-    store = RunStore(tmp_path / "plain")
-    payload = store.read_artifact(plain.executed[0])
-    assert "phases" not in payload
-    assert plain.phases.totals() == {}
-
-
 def test_resume_runs_exactly_the_missing_tasks(tmp_path):
     spec = tiny_spec()
     run_dir = tmp_path / "run"

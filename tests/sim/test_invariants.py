@@ -260,9 +260,7 @@ scenario_configs = _every_field(
         SoupConfig,
         alpha=_floats(0.0, 1.0),
         o_max=st.integers(1, 50),
-        experience_normalization=st.sampled_from(
-            ["aged_counts", "by_observations", "by_cap"]
-        ),
+        experience_normalization=st.sampled_from(["aged_counts", "by_cap"]),
         count_retention=_floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         epsilon=_floats(0.0, 1.0, exclude_min=True, exclude_max=True),
         beta=_floats(1.0, 10.0),

@@ -1,10 +1,6 @@
 """Tests for result rendering."""
 
-import numpy as np
-import pytest
-
-from repro.sim.metrics import SimulationResult
-from repro.sim.reporting import describe_result, markdown_report, sparkline
+from repro.sim.reporting import sparkline
 
 
 class TestSparkline:
@@ -31,30 +27,3 @@ class TestSparkline:
         line = sparkline([-10, 0.5, 10], 0.0, 1.0)
         assert line[0] == "▁"
         assert line[-1] == "█"
-
-
-@pytest.fixture()
-def result():
-    r = SimulationResult(n_nodes=10, n_epochs=48, epochs_per_day=24)
-    r.availability = np.linspace(0.8, 1.0, 48)
-    r.replica_overhead = np.full(48, 6.0)
-    r.drop_rate_by_round = [0.02, 0.01]
-    r.blacklisted_owner_count = 3
-    return r
-
-
-def test_describe_result_lines(result):
-    lines = describe_result("test-run", result)
-    text = "\n".join(lines)
-    assert "test-run" in text
-    assert "availability" in text
-    assert "blacklist entries: 3" in text
-    assert "final=0.0100" in text
-
-
-def test_markdown_report(result):
-    report = markdown_report({"run-a": result, "run-b": result})
-    assert report.count("| run-a ") == 1
-    assert report.count("| run-b ") == 1
-    assert report.startswith("| run |")
-    assert report.strip().endswith("|")

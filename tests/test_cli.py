@@ -310,11 +310,14 @@ def test_metrics_json(capsys):
     assert "availability_steady" in payload["summary"]
 
 
-def test_profile_flag_prints_breakdown(capsys):
-    code = main(["sim", *base("scale=0.004", "n_days=2"), "--profile"])
+def test_deploy_profile_flag_prints_breakdown(capsys):
+    code = main([
+        "deploy", "--desktop", "3", "--mobile", "0", "--duration", "60",
+        "--rounds", "1", "--profile",
+    ])
     captured = capsys.readouterr()
     assert code == 0
-    assert "engine.epoch" in captured.err
+    assert "crypto.sign" in captured.err
     assert "share" in captured.err
     from repro.obs.profiling import PROFILER
 
