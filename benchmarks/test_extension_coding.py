@@ -11,11 +11,11 @@ import pytest
 
 from benchmarks.conftest import print_table, run_once
 from repro.behavior.online import sample_online_probabilities
-from repro.coding.fragments import (
+from benchmarks.coding.fragments import (
     availability_probability,
     equivalent_full_replication,
 )
-from repro.coding.reed_solomon import ReedSolomonCode
+from benchmarks.coding.reed_solomon import ReedSolomonCode
 
 PROFILE_MB = 60.0  # the Sec. 7 power-user profile
 

@@ -4,15 +4,17 @@
   further reduce the impact of manipulated experience sets" — measured by
   re-running the slander attack with the extension on.
 * Extended recommendations: reporting mirror bandwidth "could lead to a
-  better quality of service" — measured as the mean uplink of selected
-  mirrors at unchanged availability.
+  better quality of service" — measured by running the engine with the
+  bandwidth-aware selection strategy (``benchmarks/qos.py``) at weight 0,
+  the paper's selection, and at its default weight: the mean uplink of the
+  accepted mirrors, steady availability and steady replicas.
 """
 
 import numpy as np
 import pytest
 
+from benchmarks import qos
 from benchmarks.conftest import DEFAULT_SCALE, print_table, run_once
-from repro.extensions.bandwidth import simulate_qos_benefit
 from repro.sim.engine import run_scenario
 from repro.sim.scenario import ScenarioConfig
 
@@ -64,25 +66,43 @@ def test_extension_tie_strength(benchmark):
     ) - 0.01
 
 
-def test_extension_bandwidth_qos(benchmark):
-    outcomes = run_once(benchmark, lambda: simulate_qos_benefit(seed=3))
+def run_qos(architecture: str):
+    config = ScenarioConfig(
+        dataset="facebook", scale=DEFAULT_SCALE, n_days=DAYS, seed=5, architecture=architecture
+    )
+    return run_scenario(config)
+
+
+def test_extension_bandwidth_qos(benchmark, monkeypatch):
+    def run_both():
+        results = {}
+        for name, weight in (("availability only (w=0)", 0.0), ("bandwidth-aware", qos.QOS_WEIGHT)):
+            results[name] = run_qos(qos.register(monkeypatch, weight))
+        return results
+
+    results = run_once(benchmark, run_both)
+    bandwidth = {
+        name: r.arch["selection"]["mean_mirror_bandwidth_kb_s"] for name, r in results.items()
+    }
     rows = [
         (
             name,
-            f"{o.mean_mirror_bandwidth_kb_s:.0f} KB/s",
-            f"{o.estimated_availability:.4f}",
-            f"{o.mirror_count:.1f}",
+            f"{bandwidth[name]:.0f} KB/s",
+            f"{r.steady_state_availability(3):.4f}",
+            f"{r.steady_state_replicas(3):.2f}",
         )
-        for name, o in outcomes.items()
+        for name, r in results.items()
     ]
     print_table(
-        "Sec. 8 extension — bandwidth-aware selection",
-        ("policy", "mean mirror bandwidth", "availability", "mirrors"),
+        "Sec. 8 extension — bandwidth-aware selection through the engine",
+        ("policy", "mean mirror bandwidth", "steady availability", "steady replicas"),
         rows,
     )
 
-    baseline = outcomes["baseline"]
-    qos = outcomes["qos"]
-    # Better QoS (faster mirrors) at essentially unchanged availability.
-    assert qos.mean_mirror_bandwidth_kb_s > 1.1 * baseline.mean_mirror_bandwidth_kb_s
-    assert qos.estimated_availability > baseline.estimated_availability - 0.02
+    baseline = results["availability only (w=0)"]
+    aware = results["bandwidth-aware"]
+    # Better QoS (faster mirrors), availability no lower than the paper's
+    # selection minus the tolerance.  The price is paid in replicas: the
+    # bandwidth factor lowers the ranks Algorithm 1 sums towards ε.
+    assert bandwidth["bandwidth-aware"] > bandwidth["availability only (w=0)"]
+    assert aware.steady_state_availability(3) >= baseline.steady_state_availability(3) - 0.02

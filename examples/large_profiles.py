@@ -7,13 +7,14 @@ fragments, and let each mirror store one fragment — any k of them
 reconstruct the data.
 
 The middleware replicates whole profiles; this example shows the codec on
-real bytes and the availability maths the extension benchmark uses.
+real bytes and the availability maths the extension benchmark uses.  The
+codec lives beside that benchmark, in ``benchmarks/coding``.
 
-Run with:  python examples/large_profiles.py
+Run with:  PYTHONPATH=src:. python examples/large_profiles.py
 """
 
-from repro.coding import ReedSolomonCode
-from repro.coding.fragments import (
+from benchmarks.coding import ReedSolomonCode
+from benchmarks.coding.fragments import (
     availability_probability,
     equivalent_full_replication,
 )

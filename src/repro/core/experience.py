@@ -59,9 +59,7 @@ class ExperienceReport(NamedTuple):
     ``availability`` is the success ratio over those observations.
     ``weight`` scales the report's influence at the receiver — 1.0 for the
     base protocol; the tie-strength extension (Sec. 8) weighs reports from
-    close friends above those from mere acquaintances.  ``bandwidth_kb_s``
-    optionally carries the observed mirror bandwidth for the extended
-    recommendations of Sec. 8 (None in the base protocol).
+    close friends above those from mere acquaintances.
 
     A plain tuple underneath.  What a node builds from its own counts is an
     :class:`ExperienceBatch`; reports are what the receiver cannot trust to
@@ -74,7 +72,6 @@ class ExperienceReport(NamedTuple):
     observations: int
     availability: float
     weight: float = 1.0
-    bandwidth_kb_s: Optional[float] = None
 
 
 #: What one failed / one successful fetch adds to a packed count

@@ -222,7 +222,7 @@ class RegularRanker:
                     counter[0] += weight
                     counter[1] += weight * ((packed & SUCCESSES) / requests)
                 continue
-            _reporter, mirror, observations, availability, weight, _bw = item
+            _reporter, mirror, observations, availability, weight = item
             # well_formed(), inlined.
             if not (
                 0 <= observations < _INF

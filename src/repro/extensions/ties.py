@@ -111,7 +111,6 @@ def weigh_reports_by_tie(
                 observations=report.observations,
                 availability=report.availability,
                 weight=weight,
-                bandwidth_kb_s=report.bandwidth_kb_s,
             )
         )
     return weighted

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coding.fragments import (
+from benchmarks.coding.fragments import (
     availability_probability,
     equivalent_full_replication,
 )

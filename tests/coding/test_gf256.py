@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coding.gf256 import GF256, gf_matrix_invert, gf_matrix_multiply
+from benchmarks.coding.gf256 import GF256, gf_matrix_invert, gf_matrix_multiply
 
 
 def test_addition_is_xor():

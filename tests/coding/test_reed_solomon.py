@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.coding.reed_solomon import Fragment, ReedSolomonCode, ReedSolomonError
+from benchmarks.coding.reed_solomon import Fragment, ReedSolomonCode, ReedSolomonError
 
 
 @pytest.fixture(scope="module")

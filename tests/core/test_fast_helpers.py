@@ -203,12 +203,12 @@ def test_select_mirrors_treats_an_exclusion_like_its_materialised_set(
 
 def test_experience_report_is_a_keyword_built_immutable_picklable_tuple():
     report = ExperienceReport(reporter=2, mirror=5, observations=3, availability=0.5)
-    assert (report.weight, report.bandwidth_kb_s) == (1.0, None)
-    assert report == ExperienceReport(2, 5, 3, 0.5, 1.0, None)
-    reporter, mirror, observations, availability, weight, bandwidth = report
+    assert report.weight == 1.0
+    assert report == ExperienceReport(2, 5, 3, 0.5, 1.0)
+    reporter, mirror, observations, availability, weight = report
     assert (reporter, mirror, observations, availability) == (2, 5, 3, 0.5)
     with pytest.raises(AttributeError):
         report.weight = 2.0
-    heavier = ExperienceReport(2, 5, 3, 0.5, weight=0.25, bandwidth_kb_s=80.0)
+    heavier = ExperienceReport(2, 5, 3, 0.5, weight=0.25)
     assert pickle.loads(pickle.dumps(heavier)) == heavier
     assert type(pickle.loads(pickle.dumps(heavier))) is ExperienceReport

@@ -47,7 +47,7 @@ def test_drain_builds_the_reports_of_the_plain_definition(outcomes, o_max, repor
     reports = [] if batch is None else batch.reports(o_max)
 
     expected = [
-        (reporter, mirror, min(len(results), o_max), sum(results) / len(results), 1.0, None)
+        (reporter, mirror, min(len(results), o_max), sum(results) / len(results), 1.0)
         for mirror, results in outcomes.items()
     ]
     assert [tuple(report) for report in reports] == expected
@@ -56,7 +56,6 @@ def test_drain_builds_the_reports_of_the_plain_definition(outcomes, o_max, repor
         assert type(report.observations) is int
         assert type(report.availability) is float
         assert report.weight == 1.0 and type(report.weight) is float
-        assert report.bandwidth_kb_s is None
     assert len(es) == 0
 
 
@@ -66,7 +65,7 @@ def reference_aged_counts(counters, knowledge, config, reports):
         counter[0] *= config.count_retention
         counter[1] *= config.count_retention
     updated = {}
-    for _reporter, mirror, observations, availability, weight, _bw in reports:
+    for _reporter, mirror, observations, availability, weight in reports:
         if mirror == knowledge.owner:
             continue
         weight = min(observations, config.o_max) * max(0.0, weight)
@@ -144,7 +143,7 @@ MIRRORS = st.integers(0, 8)
 
 
 def _plain_well_formed(report):
-    _reporter, _mirror, observations, availability, weight, _bw = report
+    _reporter, _mirror, observations, availability, weight = report
     return (
         0 <= observations < float("inf")
         and 0.0 <= availability <= 1.0
@@ -176,18 +175,18 @@ class PerReportModel:
         for friend in sim.nodes[reporter].friends:
             if sim.nodes[reporter].is_slanderer:
                 reports = [
-                    (reporter, mirror, o_max, 0.0, 1.0, None)
+                    (reporter, mirror, o_max, 0.0, 1.0)
                     for mirror in sim.nodes[friend].announced_mirrors
                 ]
             else:
                 counts = self.streams.pop((reporter, friend), {})
                 reports = [
-                    (reporter, mirror, min(requests, o_max), successes / requests, 1.0, None)
+                    (reporter, mirror, min(requests, o_max), successes / requests, 1.0)
                     for mirror, (requests, successes) in counts.items()
                 ]
             if sim.ties is not None and reports:
                 reports = [
-                    report[:4] + (report[4] * max(0.1, sim.ties.strength(friend, reporter)), None)
+                    report[:4] + (report[4] * max(0.1, sim.ties.strength(friend, reporter)),)
                     for report in reports
                 ]
             if self.faults is not None:

@@ -5,8 +5,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding.gf256 import GF256
-from repro.coding.reed_solomon import ReedSolomonCode
+from benchmarks.coding.gf256 import GF256
+from benchmarks.coding.reed_solomon import ReedSolomonCode
 
 
 @given(a=st.integers(0, 255), b=st.integers(0, 255), c=st.integers(0, 255))
