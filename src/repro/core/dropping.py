@@ -19,18 +19,16 @@ friend, in order: the same scores, score-table order and removals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from operator import sub
-from typing import Container, Dict, Iterable, KeysView, List, Optional, Set
+from typing import Container, Dict, Iterable, KeysView, List, NamedTuple, Optional, Set
 
 from repro.core.config import SoupConfig
 
 
-@dataclass(frozen=True)
-class StoreDecision:
-    """Outcome of a storage request at a mirror."""
+class StoreDecision(NamedTuple):
+    """Outcome of a storage request at a mirror (a plain tuple underneath)."""
 
     accepted: bool
     dropped_owner: Optional[int] = None

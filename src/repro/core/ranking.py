@@ -14,8 +14,7 @@ in the knowledge base.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.config import SoupConfig
 from repro.core.experience import (
@@ -38,12 +37,12 @@ BOOTSTRAP_PRIOR = 0.3
 COUNT_PRIOR_WEIGHT = 2.0
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     """A mirror suggestion received from a contacted node.
 
     ``quality`` is the recommender's own experience value for that mirror;
     recommenders that do not disclose quality yield :data:`BOOTSTRAP_PRIOR`.
+    A plain tuple underneath.
     """
 
     recommender: int

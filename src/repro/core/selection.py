@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (
     AbstractSet,
-    Collection,
     Container,
     Dict,
     Iterable,
@@ -39,6 +38,7 @@ from typing import (
 )
 
 from repro.core.config import SoupConfig
+from repro.core.draws import below, shuffle
 from repro.core.dropping import ReplicaStore
 from repro.core.experience import ExperienceBatch, ExperienceReport, ExperienceSet
 from repro.core.knowledge import KnowledgeBase
@@ -85,8 +85,9 @@ class Exclusion:
     ``holding`` the mirrors that already store its replica, which stay
     selectable while unreachable.  Building one costs O(1), asking it
     costs O(1) — where a materialised set would cost the population size
-    per owner; :meth:`among` materialises only the part that concerns a
-    given handful of candidates.
+    per owner.  :func:`select_mirrors` reads the three sets itself and
+    probes them inside its filtering comprehensions, with no call per
+    candidate; a strategy asks ``in``.
     """
 
     __slots__ = ("own", "unreachable", "holding")
@@ -106,13 +107,9 @@ class Exclusion:
             node_id in self.unreachable and node_id not in self.holding
         )
 
-    def among(self, ids: Collection[int]) -> Set[int]:
-        """The members of ``ids`` that are excluded, as a plain set — built
-        in O(len(ids)) by set algebra, without touching the rest of
-        ``unreachable``."""
-        return (
-            self.unreachable.intersection(ids) - self.holding
-        ) | self.own.intersection(ids)
+
+#: ``unreachable`` and ``holding`` of a plain exclusion container.
+_NOBODY: AbstractSet[int] = frozenset()
 
 
 def boosted_rank(rank: float, is_friend: bool, beta: float) -> float:
@@ -136,25 +133,30 @@ def select_mirrors(
     either ranking mode, best first.  ``exploration_pool`` holds known but
     unranked nodes eligible as the random addition.  ``exclude`` holds the
     nodes that must never be chosen (the owner itself, blacklisting peers,
-    unreachable ones): a set, or an :class:`Exclusion` over a shared
-    population-sized one, of which only the part among the candidates is
-    materialised.
+    unreachable ones): a container, or an :class:`Exclusion` over a shared
+    population-sized one, whose three sets are probed in place.  The draws
+    are ``rng.shuffle`` and ``rng.choice``'s, made through
+    :mod:`repro.core.draws`.
     """
     # Only ever asked about candidates, which are not excluded.
     friend_set: Set[int] = set(friends)
     if isinstance(exclude, Exclusion):
-        exploration_pool = list(exploration_pool)
-        exclude = exclude.among([node for node, _ in ranking] + exploration_pool)
+        own, unreachable, holding = exclude.own, exclude.unreachable, exclude.holding
+    else:
+        own, unreachable, holding = exclude, _NOBODY, _NOBODY
 
+    # Each rank clamped to [0, 1] as max(0.0, min(1.0, rank)) clamps it,
+    # NaN to 1.0 included, without the two calls.
     candidates = [
-        (node, max(0.0, min(1.0, rank)))
+        (node, (rank if rank > 0.0 else 0.0) if rank < 1.0 else 1.0)
         for node, rank in ranking
-        if node not in exclude
+        if node not in own and (node not in unreachable or node in holding)
     ]
     # Shuffle before the stable sort so that rank ties (e.g. many unknown
     # candidates at the bootstrap prior) break randomly instead of by node
     # id — otherwise the whole OSN would pile onto the same few nodes.
-    rng.shuffle(candidates)
+    getrandbits = rng.getrandbits
+    shuffle(candidates, getrandbits)
     candidates.sort(key=itemgetter(1), reverse=True)
 
     # --- Stage 1: greedy until perr < epsilon ---------------------------
@@ -199,11 +201,15 @@ def select_mirrors(
     exploration_candidates = [
         node
         for node in exploration_pool
-        if node not in selected and node not in exclude
+        if node not in selected
+        and node not in own
+        and (node not in unreachable or node in holding)
     ]
     exploration_node: Optional[int] = None
     if exploration_candidates and len(mirrors) < MAX_MIRRORS:
-        exploration_node = rng.choice(exploration_candidates)
+        exploration_node = exploration_candidates[
+            below(len(exploration_candidates), getrandbits)
+        ]
         mirrors.append(exploration_node)
 
     return SelectionResult(
@@ -226,7 +232,9 @@ class MirrorSelectionStrategy:
     (owner, blacklisting/rejecting peers, offline candidates), and no
     duplicates.  ``exclude`` may stand for a population-sized set, so a
     strategy only ever asks it ``in`` — including for candidates it adds
-    itself — and never iterates or copies it.  ``repro.arch`` holds the
+    itself — and never iterates or copies it; only :func:`select_mirrors`,
+    which a strategy may delegate to, reads an :class:`Exclusion`'s sets
+    directly.  ``repro.arch`` holds the
     alternatives to the paper's own :class:`SoupSelectionStrategy`.
     """
 

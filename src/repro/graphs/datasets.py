@@ -27,11 +27,12 @@ in the same order, the same edges, the same neighbour order.  Only the
 triangle step's cost differs — O(m) per draw instead of a scan of the
 target's whole adjacency — so generation costs the same per edge at any
 scale (``tests/graphs/test_generation_scaling.py``), where networkx's hub
-scans grew with the graph.  The growth calls ``rng._randbelow`` directly
-where networkx calls ``rng.choice(seq)``: ``choice`` is
-``seq[self._randbelow(len(seq))]`` on every supported Python, so the same
-draw picks the same element, without a ``choice`` frame or a ``range``
-per draw.  ``tests/graphs/test_holme_kim_oracle.py`` checks
+scans grew with the graph.  Where networkx calls ``rng.choice(seq)``, the
+growth draws what ``choice`` draws from ``rng.getrandbits`` itself:
+``choice`` is ``seq[self._randbelow(len(seq))]`` on every supported Python,
+and ``_randbelow(n)`` draws ``n.bit_length()`` bits until they fall below
+``n``, so the same draws pick the same element, without a ``choice`` or
+``_randbelow`` frame per draw.  ``tests/graphs/test_holme_kim_oracle.py`` checks
 the equality against networkx's generator, random state included, and
 ``tests/graphs/test_golden_graphs.py`` pins every order the engine reads to
 digests recorded from the networkx pipeline.  ``generate_dataset`` packs the
@@ -101,7 +102,8 @@ def _holme_kim(n: int, m: int, p: float, rng: random.Random) -> Adjacency:
     positions in the target's order are known in O(m).  ``choice(seq)`` is
     ``seq[rng._randbelow(len(seq))]``, so one ``_randbelow(count)`` draws
     what ``choice(list)`` draws, and the drawn index maps to a neighbour by
-    stepping over the excluded positions that precede it.
+    stepping over the excluded positions that precede it.  Every
+    ``_randbelow`` is spelled out over ``rng.getrandbits``.
     """
     adjacency: Adjacency = [{} for _ in range(n)]
     #: order[u][i] is u's i-th neighbour: adjacency[u] read by position.
@@ -109,18 +111,25 @@ def _holme_kim(n: int, m: int, p: float, rng: random.Random) -> Adjacency:
     # Every node once per incident edge, so a uniform draw is preferential.
     repeated_nodes = list(range(m))
     repeat = repeated_nodes.append
-    # What ``rng.choice`` calls, bound once: the same draws, no frame each.
-    randbelow = rng._randbelow
+    # What ``rng.choice`` calls in the end, bound once: the same draws, no
+    # Python frame each.
+    getrandbits = rng.getrandbits
     uniform = rng.random
 
     for source in range(m, n):
         # networkx's _random_subset: the same set built the same way, so
-        # set.pop() hands out the targets in the same order.
+        # set.pop() hands out the targets in the same order.  Each draw is
+        # ``_randbelow(size)``: ``size.bit_length()`` bits until one is below
+        # ``size``, which stays the same while this source draws.
         targets = set()
         add_target = targets.add
         size = len(repeated_nodes)
+        bits = size.bit_length()
         while len(targets) < m:
-            add_target(repeated_nodes[randbelow(size)])
+            drawn = getrandbits(bits)
+            while drawn >= size:
+                drawn = getrandbits(bits)
+            add_target(repeated_nodes[drawn])
         linked = adjacency[source]
         source_order = order[source]
         # Each new edge is appended at both ends, as ``nx.Graph.add_edge``
@@ -142,7 +151,11 @@ def _holme_kim(n: int, m: int, p: float, rng: random.Random) -> Adjacency:
                 )
                 eligible = len(target_neighbours) - len(excluded)
                 if eligible:
-                    index = randbelow(eligible)
+                    # _randbelow(eligible), as above.
+                    bits = eligible.bit_length()
+                    index = getrandbits(bits)
+                    while index >= eligible:
+                        index = getrandbits(bits)
                     for position in excluded:
                         if position > index:
                             break

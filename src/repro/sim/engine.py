@@ -44,6 +44,7 @@ from repro.behavior.capacity import sample_capacities
 from repro.behavior.churn import join_epochs, top_online_nodes
 from repro.behavior.online import OnlineModel, sample_timezones
 from repro.core.config import SoupConfig
+from repro.core.draws import below, choices
 from repro.core.ranking import Recommendation
 from repro.core.selection import ReplicationState
 from repro.extensions.ties import TieStrengthModel, tie_weight, weigh_reports_by_tie
@@ -239,10 +240,11 @@ class SoupSimulation:
         self._repair_epochs_by_owner: Dict[int, List[int]] = {}
         self._drops_by_epoch: Dict[int, int] = {}
         self._mirror_toggles: Dict[Tuple[int, int], int] = {}
-        # The collector owes one full pass over a burst of long-lived
-        # objects.  Paid here, it is one linear pass inside construction;
-        # left to itself it would fall on the caller's next allocation.
-        gc.collect()
+        # The collector owes a pass over a burst of long-lived objects.
+        # With automatic collection paused since entry, what construction
+        # built is all in the young generations: one pass over those moves
+        # it to the oldest, without walking the rest of the process heap.
+        gc.collect(1)
 
     # ------------------------------------------------------------------
     # invariant bookkeeping
@@ -742,11 +744,11 @@ class SoupSimulation:
         rates = config.activity.rates_per_day(ages_days) / config.epochs_per_day
         counts = self.np_rng.poisson(rates)
 
-        for index, node_id in enumerate(online_ids):
-            node = self.nodes[int(node_id)]
+        nodes = self.nodes
+        for node_id, interactions in zip(online_ids.tolist(), counts.tolist()):
+            node = nodes[node_id]
             if not node.joined or node.departed or node.is_sybil:
                 continue
-            interactions = int(counts[index])
             if node.join_epoch == epoch:
                 # Join burst: a fresh node contacts several nodes right away
                 # (bootstrap node, early friends — Sec. 4.3).
@@ -755,14 +757,17 @@ class SoupSimulation:
                 self._one_interaction(node, epoch)
 
     def _one_interaction(self, node: _NodeState, epoch: int) -> None:
-        """One user session: contact a node, then browse friend profiles."""
-        contact_friend = (
-            node.friends and self.rng.random() < FRIEND_CONTACT_PROBABILITY
-        )
-        if contact_friend:
-            target_id = self.rng.choice(node.friends)
+        """One user session: contact a node, then browse friend profiles.
+
+        The draws are ``rng.random()``, then ``rng.choice(friends)`` or
+        ``rng.randrange(n_total)``, then ``rng.choices(friends, k=...)``,
+        made through :mod:`repro.core.draws`."""
+        uniform, getrandbits = self.rng.random, self.rng.getrandbits
+        friends = node.friends
+        if friends and uniform() < FRIEND_CONTACT_PROBABILITY:
+            target_id = friends[below(len(friends), getrandbits)]
         else:
-            target_id = self.rng.randrange(self.n_total)
+            target_id = below(self.n_total, getrandbits)
             if target_id == node.node_id:
                 return
         target = self.nodes[target_id]
@@ -779,11 +784,9 @@ class SoupSimulation:
 
         # Feed browsing: request several friends' profiles, recording
         # per-mirror outcomes in the respective experience sets (Fig. 4).
-        if not node.friends:
+        if not friends:
             return
-        browsed = self.rng.choices(
-            node.friends, k=min(PROFILES_PER_SESSION, len(node.friends))
-        )
+        browsed = choices(friends, min(PROFILES_PER_SESSION, len(friends)), uniform)
         for friend_id in set(browsed):
             friend = self.nodes[friend_id]
             if friend.joined and not friend.departed:

@@ -5,23 +5,27 @@ The epoch loop reads a knowledge base once per selection
 ``candidate_ranking``), closes the round in one pass
 (``end_selection_round``), writes a round's experience values in bulk
 (``set_experiences``), records a whole fetch in one call
-(``observe_fetch``) and tests candidates against a materialised slice of
-the exclusion (``Exclusion.among``).  The slow definitions of the
-knowledge-base passes live in ``kb_oracles``; these properties pin the
-fast forms to them, order included.  A knowledge base is compared whole
-as its ``kb_oracles.rows``.
+(``observe_fetch``).  Algorithm 1 probes an ``Exclusion``'s sets inside
+its comprehensions, clamps ranks with comparisons, and draws through
+``repro.core.draws``, whose functions equal ``random.Random``'s methods
+value by value and leave the generator in the same state.  The slow
+definitions of the knowledge-base passes live in ``kb_oracles``; these
+properties pin the fast forms to them, order included.  A knowledge base
+is compared whole as its ``kb_oracles.rows``.
 """
 
 import copy
 import pickle
 import random
+from math import inf, nan
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core import knowledge
+from repro.core import draws, knowledge
 from repro.core.config import SoupConfig
+from repro.core.dropping import StoreDecision
 from repro.core.experience import ExperienceReport, ExperienceSet
 from repro.core.knowledge import KnowledgeBase
 from repro.core.ranking import BootstrapRanker, Recommendation, candidate_ranking
@@ -35,7 +39,7 @@ from tests.core.kb_oracles import (
     unranked_nodes,
 )
 
-ids =st.integers(min_value=0, max_value=40)
+ids = st.integers(min_value=0, max_value=40)
 id_sets = st.sets(ids, max_size=20)
 
 
@@ -47,14 +51,48 @@ def short_stranger_ttl():
         yield
 
 
-@given(own=id_sets, unreachable=id_sets, holding=id_sets, asked=st.lists(ids, max_size=30))
-def test_among_is_the_membership_test_restricted_to_the_ids(
-    own, unreachable, holding, asked
-):
-    exclusion = Exclusion(own=own, unreachable=unreachable, holding=holding)
-    unreachable_before = set(unreachable)
-    assert exclusion.among(asked) == {i for i in asked if i in exclusion}
-    assert unreachable == unreachable_before  # the shared set is never written
+seeds = st.integers(0, 2**32 - 1)
+#: Sizes on both sides of a power of two, where the bit length of a draw
+#: changes, up to 2**70 (more than one 32-bit word per draw).
+sizes = st.integers(0, 70).flatmap(
+    lambda e: st.sampled_from([(1 << e) - 1, 1 << e, (1 << e) + 1])
+).filter(lambda n: n > 0)
+
+
+@given(length=st.integers(0, 600), seed=seeds)
+def test_shuffle_is_random_shuffle(length, seed):
+    fast, plain = random.Random(seed), random.Random(seed)
+    shuffled, expected = list(range(length)), list(range(length))
+    draws.shuffle(shuffled, fast.getrandbits)
+    plain.shuffle(expected)
+    assert shuffled == expected
+    assert fast.getstate() == plain.getstate()
+
+
+@given(ns=st.lists(sizes, min_size=1, max_size=20), seed=seeds)
+def test_below_is_randrange_and_indexes_like_choice(ns, seed):
+    fast, plain = random.Random(seed), random.Random(seed)
+    assert [draws.below(n, fast.getrandbits) for n in ns] == [
+        plain.randrange(n) for n in ns
+    ]
+    assert fast.getstate() == plain.getstate()
+    for n in ns:
+        if n <= 4096:
+            seq = list(range(100, 100 + n))
+            assert seq[draws.below(len(seq), fast.getrandbits)] == plain.choice(seq)
+    assert fast.getstate() == plain.getstate()
+
+
+@given(
+    length=sizes.filter(lambda n: n <= 4096),
+    k=st.integers(0, 12),
+    seed=seeds,
+)
+def test_choices_is_random_choices(length, k, seed):
+    fast, plain = random.Random(seed), random.Random(seed)
+    population = list(range(-length, 0))
+    assert draws.choices(population, k, fast.random) == plain.choices(population, k=k)
+    assert fast.getstate() == plain.getstate()
 
 
 #: A KB history: learn a node or a friend list, set an experience value
@@ -192,6 +230,7 @@ def test_select_mirrors_treats_an_exclusion_like_its_materialised_set(
     ranking, friends, pool, own, unreachable, holding, seed
 ):
     exclusion = Exclusion(own=own, unreachable=unreachable, holding=holding)
+    unreachable_before = set(unreachable)
     materialised = {i for i in range(41) if i in exclusion}
     config = SoupConfig()
     rng_fast, rng_plain = random.Random(seed), random.Random(seed)
@@ -199,6 +238,38 @@ def test_select_mirrors_treats_an_exclusion_like_its_materialised_set(
     plain = select_mirrors(ranking, friends, config, rng_plain, pool, exclude=materialised)
     assert fast == plain
     assert rng_fast.getstate() == rng_plain.getstate()
+    assert unreachable == unreachable_before  # the shared set is never written
+
+
+@given(
+    ranking=st.lists(
+        st.tuples(
+            st.integers(0, 30),
+            st.one_of(
+                st.sampled_from(
+                    [0.0, -0.0, 0.2, 0.5, 0.9, 1.0, 1.5, -0.5, -inf, inf, nan]
+                ),
+                st.floats(-2.0, 2.0),
+            ),
+        ),
+        max_size=12,
+        unique_by=lambda pair: pair[0],
+    ),
+    friends=st.sets(st.integers(0, 30), max_size=8),
+    seed=st.integers(0, 2**16),
+)
+@example(ranking=[(1, nan), (2, 0.5), (3, 0.3)], friends=set(), seed=1)
+def test_select_mirrors_clamps_ranks_as_max_of_min(ranking, friends, seed):
+    """A ranking clamped beforehand by ``max(0.0, min(1.0, rank))`` selects
+    what the raw ranking selects: the comparisons clamp every float alike,
+    infinities and NaN (to 1.0) included."""
+    clamped = [(node, max(0.0, min(1.0, rank))) for node, rank in ranking]
+    config = SoupConfig()
+    rng_raw, rng_clamped = random.Random(seed), random.Random(seed)
+    raw = select_mirrors(ranking, friends, config, rng_raw, range(35))
+    expected = select_mirrors(clamped, friends, config, rng_clamped, range(35))
+    assert raw == expected
+    assert rng_raw.getstate() == rng_clamped.getstate()
 
 
 def test_experience_report_is_a_keyword_built_immutable_picklable_tuple():
@@ -212,3 +283,25 @@ def test_experience_report_is_a_keyword_built_immutable_picklable_tuple():
     heavier = ExperienceReport(2, 5, 3, 0.5, weight=0.25)
     assert pickle.loads(pickle.dumps(heavier)) == heavier
     assert type(pickle.loads(pickle.dumps(heavier))) is ExperienceReport
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (
+            StoreDecision(accepted=True, dropped_owner=4, reason="stored"),
+            (True, 4, "stored"),
+        ),
+        (StoreDecision(accepted=False), (False, None, "")),
+        (Recommendation(recommender=2, mirror=5, quality=0.5), (2, 5, 0.5)),
+        (Recommendation(2, mirror=5), (2, 5, None)),
+    ],
+)
+def test_store_decisions_and_recommendations_are_immutable_picklable_tuples(
+    record, fields
+):
+    assert tuple(record) == fields
+    with pytest.raises(AttributeError):
+        record.mirror = 7  # either type: no attribute may be set
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert type(pickle.loads(pickle.dumps(record))) is type(record)
