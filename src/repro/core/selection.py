@@ -26,19 +26,21 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (
     AbstractSet,
+    Callable,
     Container,
     Dict,
     Iterable,
     List,
+    MutableSequence,
     Optional,
     Sequence,
     Set,
     Tuple,
+    TypeVar,
     Union,
 )
 
 from repro.core.config import SoupConfig
-from repro.core.draws import below, shuffle
 from repro.core.dropping import ReplicaStore
 from repro.core.experience import ExperienceBatch, ExperienceReport, ExperienceSet
 from repro.core.knowledge import KnowledgeBase
@@ -54,6 +56,53 @@ from repro.core.ranking import (
 #: attack; the cap is far above normal operation).  Exploration may add
 #: one node beyond it.
 MAX_MIRRORS = 30
+
+_T = TypeVar("_T")
+
+
+# --- random draws --------------------------------------------------------
+# ``random.Random.shuffle`` calls the Python method ``_randbelow`` once per
+# element, and ``choice`` / ``randrange`` once per draw.  These functions
+# take the generator's bound ``getrandbits`` (or ``random``) and make the
+# same calls to it in the same order, so each returns the value the method
+# returns and leaves the generator in the same state, without those frames
+# (``tests/core/test_fast_helpers.py`` holds each equal to the method).
+# Algorithm 1 shuffles and picks its exploration node with them, and the
+# engine's browsing session draws with them too.
+
+
+def below(n: int, getrandbits: Callable[[int], int]) -> int:
+    """``rng.randrange(n)``; ``seq[below(len(seq), ...)]`` is
+    ``rng.choice(seq)``.  Drawn as ``Random._randbelow`` draws:
+    ``n.bit_length()`` bits at a time until one is below ``n``.  Defined
+    for ``n > 0``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def shuffle(x: MutableSequence[_T], getrandbits: Callable[[int], int]) -> None:
+    """``rng.shuffle(x)``: Fisher–Yates from the top, one ``below(i + 1)``
+    per position."""
+    for i in reversed(range(1, len(x))):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def choices(
+    population: Sequence[_T], k: int, uniform: Callable[[], float]
+) -> List[_T]:
+    """``rng.choices(population, k=k)`` given ``rng.random``: one draw per
+    element, scaled by ``len(population)`` as a float and truncated, as
+    ``Random.choices`` draws without weights."""
+    n = len(population) + 0.0
+    return [population[int(uniform() * n)] for _ in range(k)]
 
 
 @dataclass
@@ -135,8 +184,8 @@ def select_mirrors(
     nodes that must never be chosen (the owner itself, blacklisting peers,
     unreachable ones): a container, or an :class:`Exclusion` over a shared
     population-sized one, whose three sets are probed in place.  The draws
-    are ``rng.shuffle`` and ``rng.choice``'s, made through
-    :mod:`repro.core.draws`.
+    are ``rng.shuffle``'s and ``rng.choice``'s, made by :func:`shuffle`
+    and :func:`below`.
     """
     # Only ever asked about candidates, which are not excluded.
     friend_set: Set[int] = set(friends)

@@ -44,9 +44,8 @@ from repro.behavior.capacity import sample_capacities
 from repro.behavior.churn import join_epochs, top_online_nodes
 from repro.behavior.online import OnlineModel, sample_timezones
 from repro.core.config import SoupConfig
-from repro.core.draws import below, choices
 from repro.core.ranking import Recommendation
-from repro.core.selection import ReplicationState
+from repro.core.selection import ReplicationState, below, choices
 from repro.extensions.ties import TieStrengthModel, tie_weight, weigh_reports_by_tie
 from repro.graphs.datasets import generate_dataset
 from repro.graphs.friendship import FriendshipGraph
@@ -761,7 +760,7 @@ class SoupSimulation:
 
         The draws are ``rng.random()``, then ``rng.choice(friends)`` or
         ``rng.randrange(n_total)``, then ``rng.choices(friends, k=...)``,
-        made through :mod:`repro.core.draws`."""
+        made by ``repro.core.selection``'s ``below`` and ``choices``."""
         uniform, getrandbits = self.rng.random, self.rng.getrandbits
         friends = node.friends
         if friends and uniform() < FRIEND_CONTACT_PROBABILITY:

@@ -7,8 +7,8 @@ The epoch loop reads a knowledge base once per selection
 (``set_experiences``), records a whole fetch in one call
 (``observe_fetch``).  Algorithm 1 probes an ``Exclusion``'s sets inside
 its comprehensions, clamps ranks with comparisons, and draws through
-``repro.core.draws``, whose functions equal ``random.Random``'s methods
-value by value and leave the generator in the same state.  The slow
+``below`` / ``shuffle`` / ``choices``, which equal ``random.Random``'s
+methods value by value and leave the generator in the same state.  The slow
 definitions of the knowledge-base passes live in ``kb_oracles``; these
 properties pin the fast forms to them, order included.  A knowledge base
 is compared whole as its ``kb_oracles.rows``.
@@ -23,13 +23,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core import draws, knowledge
+from repro.core import knowledge
 from repro.core.config import SoupConfig
 from repro.core.dropping import StoreDecision
 from repro.core.experience import ExperienceReport, ExperienceSet
 from repro.core.knowledge import KnowledgeBase
 from repro.core.ranking import BootstrapRanker, Recommendation, candidate_ranking
-from repro.core.selection import Exclusion, select_mirrors
+from repro.core.selection import Exclusion, below, choices, select_mirrors, shuffle
 from tests.core.kb_oracles import (
     decay_ttls,
     friends,
@@ -63,7 +63,7 @@ sizes = st.integers(0, 70).flatmap(
 def test_shuffle_is_random_shuffle(length, seed):
     fast, plain = random.Random(seed), random.Random(seed)
     shuffled, expected = list(range(length)), list(range(length))
-    draws.shuffle(shuffled, fast.getrandbits)
+    shuffle(shuffled, fast.getrandbits)
     plain.shuffle(expected)
     assert shuffled == expected
     assert fast.getstate() == plain.getstate()
@@ -72,14 +72,14 @@ def test_shuffle_is_random_shuffle(length, seed):
 @given(ns=st.lists(sizes, min_size=1, max_size=20), seed=seeds)
 def test_below_is_randrange_and_indexes_like_choice(ns, seed):
     fast, plain = random.Random(seed), random.Random(seed)
-    assert [draws.below(n, fast.getrandbits) for n in ns] == [
+    assert [below(n, fast.getrandbits) for n in ns] == [
         plain.randrange(n) for n in ns
     ]
     assert fast.getstate() == plain.getstate()
     for n in ns:
         if n <= 4096:
             seq = list(range(100, 100 + n))
-            assert seq[draws.below(len(seq), fast.getrandbits)] == plain.choice(seq)
+            assert seq[below(len(seq), fast.getrandbits)] == plain.choice(seq)
     assert fast.getstate() == plain.getstate()
 
 
@@ -91,7 +91,7 @@ def test_below_is_randrange_and_indexes_like_choice(ns, seed):
 def test_choices_is_random_choices(length, k, seed):
     fast, plain = random.Random(seed), random.Random(seed)
     population = list(range(-length, 0))
-    assert draws.choices(population, k, fast.random) == plain.choices(population, k=k)
+    assert choices(population, k, fast.random) == plain.choices(population, k=k)
     assert fast.getstate() == plain.getstate()
 
 
