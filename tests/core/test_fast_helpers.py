@@ -4,7 +4,7 @@ The epoch loop reads a knowledge base once per selection
 (``selection_view``, assembled into Algorithm 1's inputs by
 ``candidate_ranking``), closes the round in one pass
 (``end_selection_round``), writes a round's experience values in bulk
-(``set_experiences``), records a whole fetch in one call
+(``set_experiences``) and records a whole fetch in one call
 (``observe_fetch``).  Algorithm 1 probes an ``Exclusion``'s sets inside
 its comprehensions, clamps ranks with comparisons, and draws through
 ``below`` / ``shuffle`` / ``choices``, which equal ``random.Random``'s
@@ -52,11 +52,17 @@ def short_stranger_ttl():
 
 
 seeds = st.integers(0, 2**32 - 1)
-#: Sizes on both sides of a power of two, where the bit length of a draw
-#: changes, up to 2**70 (more than one 32-bit word per draw).
-sizes = st.integers(0, 70).flatmap(
-    lambda e: st.sampled_from([(1 << e) - 1, 1 << e, (1 << e) + 1])
-).filter(lambda n: n > 0)
+
+
+def sizes(max_exponent):
+    """Sizes on both sides of a power of two up to ``2**max_exponent``,
+    where the bit length of a draw changes (past 2**32 a draw takes more
+    than one 32-bit word)."""
+    return (
+        st.integers(0, max_exponent)
+        .flatmap(lambda e: st.sampled_from([(1 << e) - 1, 1 << e, (1 << e) + 1]))
+        .filter(lambda n: n > 0)
+    )
 
 
 @given(length=st.integers(0, 600), seed=seeds)
@@ -69,7 +75,7 @@ def test_shuffle_is_random_shuffle(length, seed):
     assert fast.getstate() == plain.getstate()
 
 
-@given(ns=st.lists(sizes, min_size=1, max_size=20), seed=seeds)
+@given(ns=st.lists(sizes(70), min_size=1, max_size=20), seed=seeds)
 def test_below_is_randrange_and_indexes_like_choice(ns, seed):
     fast, plain = random.Random(seed), random.Random(seed)
     assert [below(n, fast.getrandbits) for n in ns] == [
@@ -83,11 +89,7 @@ def test_below_is_randrange_and_indexes_like_choice(ns, seed):
     assert fast.getstate() == plain.getstate()
 
 
-@given(
-    length=sizes.filter(lambda n: n <= 4096),
-    k=st.integers(0, 12),
-    seed=seeds,
-)
+@given(length=sizes(12), k=st.integers(0, 12), seed=seeds)
 def test_choices_is_random_choices(length, k, seed):
     fast, plain = random.Random(seed), random.Random(seed)
     population = list(range(-length, 0))
